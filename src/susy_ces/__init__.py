@@ -20,9 +20,10 @@ Public layers:
 __version__ = "0.1.0"
 
 from .closedform import (Branch, CouplingConstants, RtildeCase, SolutionParams,
-                         SolutionSample, coupling_constants, hermite_lambda,
-                         rtilde, rtilde_deriv, solution_Z, solution_params,
-                         susy_map, wronskian_Z, wronskian_exact, y_of_x)
+                         SolutionSample, components, coupling_constants,
+                         hermite_lambda, rtilde, rtilde_deriv, solution_Z,
+                         solution_params, susy_map, wronskian_Z,
+                         wronskian_exact, y_of_x)
 from .errors import (ArgumentTooSmall, DegenerateSample, DomainError,
                      GridTooCoarse, InvalidParams, MaxStepsExceeded,
                      NonConvergence, NotConverged, PoleAtNonPositiveInteger,
@@ -53,8 +54,8 @@ __all__ = [
     # closed form
     "Branch", "RtildeCase", "SolutionParams", "SolutionSample",
     "CouplingConstants", "solution_params", "coupling_constants", "y_of_x",
-    "rtilde", "rtilde_deriv", "solution_Z", "wronskian_Z", "wronskian_exact",
-    "hermite_lambda", "susy_map",
+    "components", "rtilde", "rtilde_deriv", "solution_Z", "wronskian_Z",
+    "wronskian_exact", "hermite_lambda", "susy_map",
     # specfun
     "CHFParams", "SeriesConfig", "chf_1f1", "chf_1f1_deriv", "kummer_transform",
     "chf_asymptotic", "log_gamma", "load_golden_chf",

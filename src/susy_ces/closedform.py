@@ -125,8 +125,11 @@ def _check_x(x) -> np.ndarray:
     return xa
 
 
-def _components(p: SolutionParams, branch: Branch, x, cfg: SeriesConfig | None):
-    """rtilde_1, rtilde_2 and x-derivatives, shape of ``x``.
+def components(p: SolutionParams, branch: Branch, x, cfg: SeriesConfig | None = None):
+    """(rtilde_1, rtilde_2, d rtilde_1/dx, d rtilde_2/dx), each shaped like ``x``.
+
+    Sums four series per point (M and M' for two parameter sets); a caller
+    that needs more than one component should call this once.
 
     Component recipe (h = e^{-y/2}, s = y^{1/2} = sqrt(2 omega x) e^{-i pi/4}):
 
@@ -167,14 +170,14 @@ def _components(p: SolutionParams, branch: Branch, x, cfg: SeriesConfig | None):
 def rtilde(p: SolutionParams, branch: Branch, case: RtildeCase, x,
            cfg: SeriesConfig | None = None):
     """Component rtilde_j(x) of the coupled system, j in {1, 2}."""
-    r1, r2, _, _ = _components(p, branch, x, cfg)
+    r1, r2, _, _ = components(p, branch, x, cfg)
     return r1 if case is RtildeCase.ONE else r2
 
 
 def rtilde_deriv(p: SolutionParams, branch: Branch, case: RtildeCase, x,
                  cfg: SeriesConfig | None = None):
     """d rtilde_j / dx, analytic."""
-    _, _, dr1, dr2 = _components(p, branch, x, cfg)
+    _, _, dr1, dr2 = components(p, branch, x, cfg)
     return dr1 if case is RtildeCase.ONE else dr2
 
 
@@ -195,7 +198,7 @@ def solution_Z(p: SolutionParams, branch: Branch, sector: Sector, x,
     """
     if not isinstance(sector, Sector):
         raise InvalidParams(f"sector={sector!r} is not a Sector")
-    r1, r2, dr1, dr2 = _components(p, branch, x, cfg)
+    r1, r2, dr1, dr2 = components(p, branch, x, cfg)
     sg = 1j * sector.sign
     xa = _check_x(x)
     return SolutionSample(xa, PHASE_M4 * (r1 + sg * r2), PHASE_M4 * (dr1 + sg * dr2))

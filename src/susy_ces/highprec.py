@@ -2,17 +2,21 @@
 
 Two independent precision ladders live here:
 
-* ``DD`` — double-double numbers (an unevaluated sum ``hi + lo`` of two
-  floats, ~32 significant digits) vectorised over numpy arrays.  This is
-  the workhorse of the confluent-hypergeometric series for moderate
-  arguments, where plain double precision is destroyed by cancellation.
-
 * ``chf_series_fixed`` — an exact integer fixed-point evaluation of the
-  same series.  Term ratios are formed from the *exact* binary rationals
-  underlying the float inputs, so the only rounding is one controlled
-  truncation per term at a configurable number of fractional bits.  It is
-  slow and scalar, and serves as the golden-value oracle and as the
-  fallback for arguments too large for double-double.
+  confluent-hypergeometric series, one point at a time.  Term ratios are
+  formed from the *exact* binary rationals underlying the float inputs,
+  so the only rounding is one controlled rounding per term at a number
+  of fractional bits sized from the predicted cancellation and checked
+  against the truncation bound after the sum.  Its cost is a few
+  microseconds per term, so it is the primary evaluator for single
+  points and batches of up to a few hundred.
+
+* ``DD`` — double-double numbers (an unevaluated sum ``hi + lo`` of two
+  floats, ~32 significant digits) vectorised over numpy arrays, and the
+  series summed in them, ``chf_series_dd``.  Each term costs about 40
+  numpy calls whatever the batch size, so it only wins for large batches
+  of moderate arguments, where plain double precision is destroyed by
+  cancellation.
 
 Neither ladder depends on any third-party extended-precision library.
 """
@@ -222,27 +226,27 @@ def _int_to_float(n: int, shift: int) -> float:
     """Return the float nearest n * 2**shift without intermediate overflow."""
     if n == 0:
         return 0.0
-    drop = n.bit_length() - 54
+    drop = n.bit_length() - 53
     if drop <= 0:
         return math.ldexp(float(n), shift)
     return math.ldexp(float(_round_div(n, 1 << drop)), shift + drop)
 
 
-def chf_series_fixed_ints(a: complex, b: float, z: complex, *, bits: int = 320,
-                          stop_bits: int = 170, max_terms: int = 20000) -> tuple[int, int]:
-    """Fixed-point confluent-hypergeometric series, raw scaled integers.
+#: bits of the sum the fixed-point route resolves: a double's 53 plus 16
+#: guard bits, so the final rounding to complex double is exact
+SAFE_BITS = 53 + 16
+#: bits added to the predicted cancellation when sizing the width; they pay
+#: for the safe bits and the n**2 growth of the truncation bound (n ~ 2**8)
+_WIDTH_GUARD = SAFE_BITS + 16
+_LOG2E = 1.0 / math.log(2.0)
 
-    Returns integers (sr, si) with the series value equal to
-    (sr + i si) / 2**bits up to the truncation error, which stays below
-    ~max_terms**2 * 2**(peak_magnitude - bits) absolute.  Summation stops
-    once the term magnitude drops ``stop_bits`` binary orders below the
-    running sum, twice in a row.
 
-    Terms are carried as integer pairs scaled by 2**bits; the per-term
-    ratio (a+k) z / ((b+k)(k+1)) is formed from the exact dyadic rationals
-    of the float inputs, so each term suffers a single half-ulp truncation
-    at the fixed-point scale.  This makes the routine accurate even when
-    intermediate terms exceed the result by dozens of orders of magnitude.
+def _fixed_sum(a: complex, b: float, z: complex, bits: int, stop_bits: int,
+               max_terms: int) -> tuple[int, int, int, int]:
+    """Sum the series at ``bits`` fractional bits: (sr, si, peak, n).
+
+    ``peak`` is the bit length of the largest scaled term and ``n`` the
+    number of terms summed; see :func:`chf_series_fixed_ints`.
     """
     anr, asr = _dyadic(float(a.real))
     ani, asi = _dyadic(float(a.imag))
@@ -260,26 +264,34 @@ def chf_series_fixed_ints(a: complex, b: float, z: complex, *, bits: int = 320,
     bn, bs = _dyadic(float(b))
     bd = 1 << bs
 
+    # rho_k = (a + k) z / ((b + k)(k + 1)) = (pr + i pi) / q, all ints; the
+    # numerator is linear in k, so it advances by (dpr, dpi) per term
+    pr = (anr * znr - ani * zni) * bd
+    pi = (anr * zni + ani * znr) * bd
+    dpr = da * znr * bd
+    dpi = da * zni * bd
+    dq = da << sz
     one = 1 << bits
     tr, ti = one, 0
     sr, si = one, 0
+    peak = one.bit_length()
     hits = 0
     for k in range(max_terms):
-        # rho_k = (a + k) z / ((b + k)(k + 1)) as (pr + i pi)/q, all ints
-        akr = anr + k * da
-        pr = (akr * znr - ani * zni) * bd
-        pi = (akr * zni + ani * znr) * bd
-        q = (da << sz) * (bn + k * bd) * (k + 1)
-        tr, ti = (_round_div(tr * pr - ti * pi, q),
-                  _round_div(tr * pi + ti * pr, q))
+        q = dq * (bn + k * bd) * (k + 1)
+        half = q >> 1
+        # floor((x + q/2) / q): round to nearest, one half-unit error per term
+        tr, ti = (tr * pr - ti * pi + half) // q, (tr * pi + ti * pr + half) // q
+        pr += dpr
+        pi += dpi
         sr += tr
         si += ti
-        tmag = max(abs(tr), abs(ti))
-        smag = max(abs(sr), abs(si), 1)
-        if tmag == 0 or tmag.bit_length() + stop_bits <= smag.bit_length():
+        tbits = (abs(tr) | abs(ti)).bit_length()
+        if tbits > peak:
+            peak = tbits
+        if tbits == 0 or tbits + stop_bits <= (abs(sr) | abs(si)).bit_length():
             hits += 1
             if hits >= 2:
-                return sr, si
+                return sr, si, peak, k + 2
         else:
             hits = 0
     raise NonConvergence(
@@ -287,9 +299,46 @@ def chf_series_fixed_ints(a: complex, b: float, z: complex, *, bits: int = 320,
         f"(a={a!r}, b={b!r}, z={z!r})")
 
 
-def chf_series_fixed(a: complex, b: float, z: complex, *, bits: int = 320,
-                     stop_bits: int = 170, max_terms: int = 20000) -> complex:
-    """Fixed-point confluent-hypergeometric series rounded to complex double."""
-    sr, si = chf_series_fixed_ints(a, b, z, bits=bits, stop_bits=stop_bits,
-                                   max_terms=max_terms)
+def chf_series_fixed_ints(a: complex, b: float, z: complex, *, bits: int = 320,
+                          stop_bits: int = 170, max_terms: int = 20000) -> tuple[int, int]:
+    """Fixed-point confluent-hypergeometric series, raw scaled integers.
+
+    Returns integers (sr, si) with the series value equal to
+    (sr + i si) / 2**bits up to the truncation error, which stays below
+    ~n**2 * 2**(peak - bits) absolute for n terms whose largest has
+    magnitude 2**peak.  Summation stops once the term magnitude drops
+    ``stop_bits`` binary orders below the running sum, twice in a row.
+
+    Terms are carried as integer pairs scaled by 2**bits; the per-term
+    ratio (a+k) z / ((b+k)(k+1)) is formed from the exact dyadic rationals
+    of the float inputs, so each term suffers a single half-ulp rounding
+    at the fixed-point scale.  This makes the routine accurate even when
+    intermediate terms exceed the result by dozens of orders of magnitude.
+    """
+    sr, si, _, _ = _fixed_sum(a, b, z, bits, stop_bits, max_terms)
+    return sr, si
+
+
+def chf_series_fixed(a: complex, b: float, z: complex, *, bits: int | None = None,
+                     stop_bits: int = SAFE_BITS, max_terms: int = 20000) -> complex:
+    """Fixed-point confluent-hypergeometric series rounded to complex double.
+
+    Sums at ``bits`` fractional bits, by default sized from the predicted
+    cancellation: on the imaginary axis the largest term is about e^|z|
+    while the sum stays of order one, which costs about |z| log2(e) bits.
+    Then it checks the width: the sum must stand at least ``stop_bits``
+    bits above the truncation bound n**2 * 2**(peak - bits) of
+    :func:`chf_series_fixed_ints`.  If it does not, because the parameters
+    make the terms peak higher than predicted or the sum lies near a zero,
+    the series is summed again at the width the bound asks for.
+    """
+    if bits is None:
+        bits = math.ceil(abs(z) * _LOG2E) + _WIDTH_GUARD
+    sr, si, peak, n = _fixed_sum(a, b, z, bits, stop_bits, max_terms)
+    # bits the sum stands above the bound; they grow one for one with the
+    # width, and 8 more cover the rounding of the bit lengths
+    above = (abs(sr) | abs(si)).bit_length() - (peak - bits) - 2 * n.bit_length()
+    if above < stop_bits:
+        bits += stop_bits - above + 8
+        sr, si, _, _ = _fixed_sum(a, b, z, bits, stop_bits, max_terms)
     return complex(_int_to_float(sr, -bits), _int_to_float(si, -bits))

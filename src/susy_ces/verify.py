@@ -201,10 +201,7 @@ def check_rtilde_system(tol: float = 1e-12) -> CheckReport:
         x = np.logspace(-2, math.log10(20.0 / omega), 25)
         wx = potential.superpotential(x, m)
         for br in cf.Branch:
-            r1 = cf.rtilde(p, br, cf.RtildeCase.ONE, x)
-            r2 = cf.rtilde(p, br, cf.RtildeCase.TWO, x)
-            d1 = cf.rtilde_deriv(p, br, cf.RtildeCase.ONE, x)
-            d2 = cf.rtilde_deriv(p, br, cf.RtildeCase.TWO, x)
+            r1, r2, d1, d2 = cf.components(p, br, x)
             sc = np.maximum(1.0, np.abs(r1) + np.abs(r2))
             e1 = np.abs(d1 - 1j * omega * r1 - 1j * wx * r2) / sc
             e2 = np.abs(d2 + 1j * omega * r2 + 1j * wx * r1) / sc

@@ -90,6 +90,8 @@ def test_solution_assembly_from_components():
         r2 = cf.rtilde(p, br, RtildeCase.TWO, x)
         d1 = cf.rtilde_deriv(p, br, RtildeCase.ONE, x)
         d2 = cf.rtilde_deriv(p, br, RtildeCase.TWO, x)
+        for got, want in zip(cf.components(p, br, x), (r1, r2, d1, d2)):
+            assert np.array_equal(got, want)
         for sec in Sector:
             z = cf.solution_Z(p, br, sec, x)
             sg = 1j * sec.sign

@@ -100,6 +100,18 @@ def test_fixed_point_precision_ladder_consistent():
         assert abs(lo_f - hi_f) <= max(abs(hi_f), Fraction(1)) * Fraction(1, 10 ** 40)
 
 
+def test_too_narrow_width_is_widened():
+    # 16 bits hold the sum to about 1e-5; the width check sees the sum
+    # standing too few bits above its truncation bound and sums again
+    a, b, z = 0.5j, 0.5, -40j
+    want = chf_series_fixed(a, b, z, bits=500, stop_bits=220)
+    sr, si = chf_series_fixed_ints(a, b, z, bits=16, stop_bits=69)
+    narrow = complex(_int_to_float(sr, -16), _int_to_float(si, -16))
+    assert abs(narrow - want) > 1e-6 * abs(want)
+    assert chf_series_fixed(a, b, z, bits=16) == want
+    assert chf_series_fixed(a, b, z) == want
+
+
 def test_int_to_float_rounding():
     assert _int_to_float(1, -2) == 0.25
     assert _int_to_float(3, -1) == 1.5
@@ -107,6 +119,14 @@ def test_int_to_float_rounding():
     assert _int_to_float(0, 5) == 0.0
     # 2^60 + 1 rounds to 2^60 at double precision
     assert _int_to_float((1 << 60) + 1, -60) == 1.0
+
+
+def test_int_to_float_rounds_once():
+    # M + 1/4 with M odd and 53 bits wide: a first rounding to 54 bits gives
+    # the tie M + 1/2, which a second rounding to even would carry up to M + 1
+    m = (1 << 52) + 1
+    assert _int_to_float((m << 2) | 1, -2) == float(m)
+    assert _int_to_float((m << 2) | 3, -2) == float(m + 1)
 
 
 def test_series_dd_nonconvergence_raises():

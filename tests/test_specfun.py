@@ -3,12 +3,14 @@ expansion, and the frozen reference table."""
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from susy_ces import closedform as cf
 from susy_ces import specfun as sf
 from susy_ces.errors import (
     ArgumentTooSmall,
@@ -21,6 +23,12 @@ from susy_ces.errors import (
 
 def rel(got, want, floor=1.0):
     return abs(got - want) / max(floor, abs(want))
+
+
+def mp_hyp1f1(a, b, z):
+    """mpmath's 1F1 at the exact binary values of the inputs, to 40 digits."""
+    with mpmath.workdps(40):
+        return complex(mpmath.hyp1f1(mpmath.mpc(a), mpmath.mpf(b), mpmath.mpc(z)))
 
 
 # ---------------------------------------------------------------------------
@@ -49,6 +57,15 @@ def test_golden_table_loaded_and_reproduced():
         got = sf.chf_1f1(sf.CHFParams(r.a, r.b), r.z)
         worst = max(worst, rel(got, r.f))
     assert worst < 1e-12
+
+
+def test_golden_table_matches_mpmath():
+    # mpmath, the table's generator, shares no code with the fixed-point
+    # kernel that chf_1f1 runs
+    worst = 0.0
+    for r in sf.load_golden_chf():
+        worst = max(worst, rel(r.f, mp_hyp1f1(r.a, r.b, r.z), floor=0.0))
+    assert worst < 1e-15
 
 
 def test_golden_dir_env_override(tmp_path, monkeypatch):
@@ -125,6 +142,44 @@ def test_array_shape_round_trip():
         scalar = sf.chf_1f1(p, complex(z[idx]))
         assert rel(out[idx], scalar) < 1e-13
     assert isinstance(sf.chf_1f1(p, -2j), complex)
+
+
+def _component_families(m, omega):
+    """The four (a, b) whose series closedform.components sums for the values."""
+    a1 = cf.solution_params(m, omega).a1
+    return ((a1, 0.5), (a1 + 1.0, 1.5), (a1 + 0.5, 1.5), (a1 + 0.5, 0.5))
+
+
+@pytest.mark.parametrize("m,omega", [(1.0, 1.0), (2.0, 0.5), (0.5, 2.0)])
+def test_single_point_width_meets_double_precision(m, omega):
+    # one point takes the width-sized fixed-point route; 40 and 40.5 straddle
+    # the double-double magnitude bound, 59.9 sits just inside the refusal
+    worst = 0.0
+    for a, b in _component_families(m, omega):
+        p = sf.CHFParams(a, b)
+        for r in (0.5, 20.0, 40.0, 40.5, 59.9):
+            z = complex(0.0, -r)
+            worst = max(worst, rel(sf.chf_1f1(p, z), mp_hyp1f1(a, b, z), floor=0.0))
+    assert worst < 4e-16
+
+
+@pytest.mark.parametrize("n", [sf._DD_MIN_POINTS - 1, sf._DD_MIN_POINTS])
+def test_batch_agrees_with_points_on_both_sides_of_crossover(n, monkeypatch):
+    dd_points = []
+    chf_series_dd = sf.chf_series_dd
+
+    def counting_dd(a, b, z, **kw):
+        dd_points.append(z.size)
+        return chf_series_dd(a, b, z, **kw)
+
+    p = sf.CHFParams(0.5j, 0.5)
+    z = -1j * np.linspace(0.05, 40.0, n)
+    points = np.array([sf.chf_1f1(p, complex(zi)) for zi in z])
+    with monkeypatch.context() as patch:
+        patch.setattr(sf, "chf_series_dd", counting_dd)
+        batch = sf.chf_1f1(p, z)
+    assert dd_points == ([n] if n >= sf._DD_MIN_POINTS else [])
+    assert np.max(np.abs(batch - points) / np.maximum(1.0, np.abs(points))) < 1e-13
 
 
 # ---------------------------------------------------------------------------
