@@ -8,15 +8,16 @@ Two independent precision ladders live here:
   so the only rounding is one controlled rounding per term at a number
   of fractional bits sized from the predicted cancellation and checked
   against the truncation bound after the sum.  Its cost is a few
-  microseconds per term, so it is the primary evaluator for single
-  points and batches of up to a few hundred.
+  microseconds per term, and it is the evaluator ``specfun`` uses for
+  every point.
 
 * ``DD`` — double-double numbers (an unevaluated sum ``hi + lo`` of two
   floats, ~32 significant digits) vectorised over numpy arrays, and the
-  series summed in them, ``chf_series_dd``.  Each term costs about 40
-  numpy calls whatever the batch size, so it only wins for large batches
-  of moderate arguments, where plain double precision is destroyed by
-  cancellation.
+  series summed in them, ``chf_series_dd``, good for |z| up to about 40.
+  Each term costs about 40 numpy calls whatever the batch size, so it
+  only overtakes the fixed-point series for batches of several hundred
+  points.  The tests keep it as an independent reference for the
+  fixed-point series.
 
 Neither ladder depends on any third-party extended-precision library.
 """

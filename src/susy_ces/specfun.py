@@ -10,10 +10,8 @@ relevant ray (purely imaginary z) the series loses roughly
 log10(e^|z|) digits to cancellation, so plain double precision is dead
 by |z| ~ 30.  The evaluator therefore sums each point in exact integer
 fixed point, at a width sized from that predicted cancellation and
-checked against the truncation bound afterwards.  Only a large batch
-(``_DD_MIN_POINTS`` or more points with |z| <= 40) goes to the vectorised
-double-double path, whose per-term numpy overhead is then shared by
-enough points to win.  It refuses |z| > ``SERIES_ZMAX`` outright —
+checked against the truncation bound afterwards.  It refuses
+|z| > ``SERIES_ZMAX`` outright —
 callers needing the far region must switch to ODE propagation (see
 :mod:`susy_ces.oracle`).
 """
@@ -32,23 +30,14 @@ import numpy as np
 
 from .errors import (ArgumentTooSmall, InvalidParams, NonConvergence,
                      PoleAtNonPositiveInteger, SeriesRangeExceeded)
-from .highprec import chf_series_dd, chf_series_fixed
+from .highprec import chf_series_fixed
+# not called here: the perfbench tracer wraps specfun.chf_series_dd by name
+from .highprec import chf_series_dd  # noqa: F401
 
 #: refusal bound for the series evaluator.  At |z| = 60 the cancellation
 #: ratio reaches ~1e26, which the fixed-point ladder absorbs with tens of
 #: digits to spare; past it the contract sends callers to ODE propagation.
 SERIES_ZMAX = 60.0
-
-#: largest |z| the vectorised double-double path (~32 digits) can take:
-#: past it the cancellation eats more digits than a double-double carries.
-_DD_ZMAX = 40.0
-
-#: smallest batch of points with |z| <= _DD_ZMAX that goes to double-double.
-#: That path pays about 40 numpy calls per term whatever the batch size, so
-#: the width-sized fixed point, a few microseconds per term and point, is
-#: faster below this size.  For |z| uniform on (0, 40] the two take the same
-#: time at 450 to 550 points (2-core Xeon, Python 3.11, numpy 2.4).
-_DD_MIN_POINTS = 512
 
 _GOLDEN_ENV = "SUSY_CES_GOLDEN_DIR"
 
@@ -84,10 +73,10 @@ class SeriesConfig:
     moves decaying-exponential arguments to the well-conditioned side.
     Use -inf to disable, +inf to force.
 
-    ``rel_tol`` is the stopping tolerance of the double-double path; the
-    fixed-point path always resolves the sum to 69 bits (about 2e-21)
-    and so meets any tolerance a double can show.  ``max_terms`` bounds
-    both paths.
+    ``rel_tol`` is validated but does not steer the series: the
+    fixed-point sum always resolves to 69 bits (about 2e-21) and so
+    meets any tolerance a double can show.  ``max_terms`` bounds the
+    number of terms summed.
     """
 
     rel_tol: float = 1e-14
@@ -105,18 +94,9 @@ _DEFAULT_CFG = SeriesConfig()
 
 
 def _series(a: complex, b: float, z: np.ndarray, cfg: SeriesConfig) -> np.ndarray:
-    """Direct series over a flat complex array, routed by batch size and magnitude."""
-    out = np.empty(z.shape, dtype=complex)
-    dd = np.abs(z) <= _DD_ZMAX
-    if np.count_nonzero(dd) < _DD_MIN_POINTS:
-        dd[:] = False
-    if np.any(dd):
-        out[dd] = chf_series_dd(a, b, z[dd], rel_tol=cfg.rel_tol,
-                                max_terms=cfg.max_terms)
-    fixed = ~dd
-    out[fixed] = [chf_series_fixed(a, b, zi, max_terms=cfg.max_terms)
-                  for zi in z[fixed].tolist()]
-    return out
+    """Direct series over a flat complex array, one fixed-point sum per point."""
+    return np.array([chf_series_fixed(a, b, zi, max_terms=cfg.max_terms)
+                     for zi in z.tolist()], dtype=complex).reshape(z.shape)
 
 
 def _validate_z(z) -> tuple[np.ndarray, bool]:
