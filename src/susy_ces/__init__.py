@@ -31,8 +31,7 @@ from .errors import (ArgumentTooSmall, DegenerateSample, DomainError,
                      TooCloseToTurningRegion)
 from .oracle import (IntegratorConfig, ODEProblem, ODESolution,
                      frobenius_series_solution, integrate,
-                     propagate_to_asymptotic, residual_schrodinger,
-                     schrodinger_problem)
+                     residual_schrodinger, schrodinger_problem)
 from .potential import (CriticalStructure, PotentialSpec, Sector, V, V_deriv,
                         V_from_superpotential, ces_residual, critical_structure,
                         shape_invariance_gap, superpotential,
@@ -61,8 +60,7 @@ __all__ = [
     "chf_asymptotic", "log_gamma", "load_golden_chf",
     # oracle
     "IntegratorConfig", "ODEProblem", "ODESolution", "schrodinger_problem",
-    "integrate", "propagate_to_asymptotic", "frobenius_series_solution",
-    "residual_schrodinger",
+    "integrate", "frobenius_series_solution", "residual_schrodinger",
     # scattering
     "PhaseConfig", "PhaseExtraction", "PhaseDifferenceResult", "coulomb_eta",
     "local_phase", "phase_difference", "susy_phase_offset",

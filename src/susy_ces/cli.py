@@ -155,7 +155,8 @@ def verify(suite, rel_tol, fmt, out):
 @click.option("--m", type=float, required=True)
 @click.option("--omega", type=float, required=True)
 @click.option("--x-match", type=float, default=None,
-              help="seeding point (default: past barrier and 20/omega)")
+              help="ladder base, rungs at x_match*2^k; also the seed unless 2*omega*x_match "
+                   "exceeds the series bound (default: past barrier and 20/omega)")
 @click.option("--tol", type=float, default=1e-3, show_default=True,
               help="convergence tolerance on successive accelerated values")
 @click.option("--max-doublings", type=int, default=14, show_default=True)

@@ -30,8 +30,9 @@ class ArgumentTooSmall(SusyCesError, ValueError):
 class SeriesRangeExceeded(SusyCesError, ValueError):
     """|z| exceeds the range where the power series retains accuracy.
 
-    Callers that need values beyond the bound should switch to ODE
-    propagation (:func:`susy_ces.oracle.propagate_to_asymptotic`).
+    Callers that need values beyond the bound seed inside it and carry the
+    solution outward with :func:`susy_ces.oracle.integrate`, as
+    :func:`susy_ces.scattering.phase_difference` does.
     """
 
 

@@ -9,11 +9,11 @@ than tautology.
 
 The integrator is an embedded Dormand-Prince 5(4) pair with PI step
 control and first-same-as-last reuse, operating on scalar Python
-complex pairs (Z, Z'); trajectories are modest (1e4..1e6 steps) and a
+complex pairs (Z, Z'); segments are modest (1e4..1e6 steps) and a
 tight pure-Python loop is fast enough while keeping the dependency
-surface at zero.  Optional dense output is cubic-Hermite interpolation
-inside accepted steps and never influences step selection; segment
-endpoints are hit exactly by clamping the final step.
+surface at zero.  A call returns only the segment endpoint, which is hit
+exactly by clamping the final step; callers that need several points
+(the phase ladder in :mod:`susy_ces.scattering`) chain segments.
 
 The potentials are singular at the origin, so integration domains are
 floored at ``x >= ORIGIN_FLOOR_COEFF / m**2``; seed data comes from the
@@ -24,7 +24,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -34,8 +34,8 @@ from .potential import Sector
 
 __all__ = [
     "IntegratorConfig", "ODEProblem", "ODESolution", "schrodinger_problem",
-    "integrate", "propagate_to_asymptotic", "frobenius_series_solution",
-    "residual_schrodinger", "ORIGIN_FLOOR_COEFF",
+    "integrate", "frobenius_series_solution", "residual_schrodinger",
+    "ORIGIN_FLOOR_COEFF",
 ]
 
 #: integration domains must satisfy x >= ORIGIN_FLOOR_COEFF / m^2
@@ -62,17 +62,12 @@ class IntegratorConfig:
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
     max_steps: int = 10_000_000
-    #: if > 0, additionally sample the solution on a uniform grid of
-    #: dense_points+1 points spanning the segment (cubic Hermite)
-    dense_points: int = 0
 
     def __post_init__(self):
         if not (0 < self.rel_tol < 1 and 0 < self.abs_tol < 1):
             raise InvalidParams("tolerances must lie in (0, 1)")
         if self.max_steps < 10:
             raise InvalidParams("max_steps too small")
-        if self.dense_points < 0:
-            raise InvalidParams("dense_points must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -105,11 +100,11 @@ def schrodinger_problem(m: float, omega: float, sector: Sector) -> ODEProblem:
 
 
 class ODESolution(NamedTuple):
-    """Trajectory of one integration segment."""
+    """Endpoint (x, Z, Z') of one integration segment and its step counts."""
 
-    x: np.ndarray
-    value: np.ndarray
-    derivative: np.ndarray
+    x: float
+    value: complex
+    derivative: complex
     n_steps: int
     n_rejected: int
 
@@ -155,11 +150,6 @@ def _integrate_rhs(f: Callable, x0: float, x1: float,
     else:
         h = _initial_step(f, x0, y, k1, direction, cfg.rel_tol, cfg.abs_tol, span)
 
-    xs = [x]
-    vals = [y[0]]
-    ders = [y[1]]
-    # per-step data for dense output: (x_left, h_signed, y_left, f_left, y_right, f_right)
-    steps_dense: list[tuple] = [] if cfg.dense_points > 0 else None
     n_steps = 0
     n_rej = 0
     err_prev = 1.0
@@ -188,7 +178,6 @@ def _integrate_rhs(f: Callable, x0: float, x1: float,
                     acc0 += aij * kj[0]
                     acc1 += aij * kj[1]
             ks[i] = f(x + _C[i] * hs, (y[0] + hs * acc0, y[1] + hs * acc1))
-        ynew = y
         acc0 = 0j
         acc1 = 0j
         e0 = 0j
@@ -209,16 +198,10 @@ def _integrate_rhs(f: Callable, x0: float, x1: float,
         else:
             err = _wrms(y, ynew, (hs * e0, hs * e1), cfg.rel_tol, cfg.abs_tol)
         if err <= 1.0:
-            xo, yo, fo = x, y, ks[0]
             x = x1 if is_last else x + hs
             y = ynew
             ks[0] = ks[6]  # FSAL
             n_steps += 1
-            xs.append(x)
-            vals.append(y[0])
-            ders.append(y[1])
-            if steps_dense is not None:
-                steps_dense.append((xo, hs, yo, fo, y, ks[0]))
             if fixed_step is None:
                 fac = 0.9 * err ** -0.17 * err_prev ** 0.04 if err > 0 else 5.0
                 h = h * min(5.0, max(0.2, fac))
@@ -227,35 +210,14 @@ def _integrate_rhs(f: Callable, x0: float, x1: float,
             n_rej += 1
             h = h * min(1.0, max(0.2, 0.9 * err ** -0.2))
 
-    x_arr = np.array(xs, dtype=float)
-    v_arr = np.array(vals, dtype=complex)
-    d_arr = np.array(ders, dtype=complex)
-    if steps_dense is not None:
-        xg = np.linspace(x0, x1, cfg.dense_points + 1)
-        vg = np.empty(xg.shape, dtype=complex)
-        dg = np.empty(xg.shape, dtype=complex)
-        it = 0
-        for i, xq in enumerate(xg):
-            while it < len(steps_dense) - 1 and (xq - (steps_dense[it][0] + steps_dense[it][1])) * direction > 0:
-                it += 1
-            xo, hsd, yo, fo, yn, fn = steps_dense[it]
-            t = (xq - xo) / hsd
-            h00 = (1 + 2 * t) * (1 - t) ** 2
-            h10 = t * (1 - t) ** 2
-            h01 = t * t * (3 - 2 * t)
-            h11 = t * t * (t - 1)
-            vg[i] = h00 * yo[0] + h10 * hsd * fo[0] + h01 * yn[0] + h11 * hsd * fn[0]
-            dg[i] = h00 * yo[1] + h10 * hsd * fo[1] + h01 * yn[1] + h11 * hsd * fn[1]
-        # exact endpoints (interpolation would only add noise there)
-        vg[0], dg[0] = vals[0], ders[0]
-        vg[-1], dg[-1] = vals[-1], ders[-1]
-        return ODESolution(xg, vg, dg, n_steps, n_rej)
-    return ODESolution(x_arr, v_arr, d_arr, n_steps, n_rej)
+    return ODESolution(x, y[0], y[1], n_steps, n_rej)
 
 
 def integrate(problem: ODEProblem, x0: float, x1: float, z0: complex,
               dz0: complex, cfg: IntegratorConfig | None = None) -> ODESolution:
     """Propagate (Z, Z') from x0 to x1 (either direction) adaptively.
+
+    Returns the state at exactly x1 with the step counts of the segment.
 
     Raises DomainError if the segment leaves the singularity-guarded
     domain x >= problem.x_floor.
@@ -269,40 +231,6 @@ def integrate(problem: ODEProblem, x0: float, x1: float, z0: complex,
             f"segment reaches x={lo:.3g} below the origin floor {problem.x_floor:.3g}")
     return _integrate_rhs(problem.rhs, float(x0), float(x1),
                           (complex(z0), complex(dz0)), cfg)
-
-
-def propagate_to_asymptotic(problem: ODEProblem, x0: float, z0: complex,
-                            dz0: complex, x_targets: Sequence[float],
-                            cfg: IntegratorConfig | None = None) -> ODESolution:
-    """Carry a seed outward through an increasing ladder of checkpoints.
-
-    Integrates segment by segment so every target is an exact step
-    endpoint (no interpolation error enters downstream phase fits), and
-    returns the solution at exactly the requested points.
-    """
-    cfg = cfg or IntegratorConfig()
-    targets = [float(t) for t in x_targets]
-    if not targets or any(t2 <= t1 for t1, t2 in zip(targets, targets[1:])):
-        raise InvalidParams("x_targets must be non-empty and strictly increasing")
-    if targets[0] <= float(x0):
-        raise InvalidParams("x_targets must lie beyond the seed point")
-    seg_cfg = IntegratorConfig(rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
-                               max_steps=cfg.max_steps, dense_points=0)
-    xs = []
-    vals = []
-    ders = []
-    x, z, dz = float(x0), complex(z0), complex(dz0)
-    steps = rej = 0
-    for t in targets:
-        sol = integrate(problem, x, t, z, dz, seg_cfg)
-        x, z, dz = t, sol.value[-1], sol.derivative[-1]
-        steps += sol.n_steps
-        rej += sol.n_rejected
-        xs.append(x)
-        vals.append(z)
-        ders.append(dz)
-    return ODESolution(np.array(xs), np.array(vals, dtype=complex),
-                       np.array(ders, dtype=complex), steps, rej)
 
 
 # ---------------------------------------------------------------------------

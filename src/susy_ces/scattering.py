@@ -14,16 +14,18 @@ phases, where the log terms cancel identically and the drift is a clean
 
 :func:`phase_difference` therefore:
 
-1. seeds both sectors at one match point from the closed form (the
-   MINUS solution and its first-order SUSY image, so the pair is
-   genuinely the *same* scattering state in both sectors);
+1. seeds both sectors at one point from the closed form (the MINUS
+   solution and its first-order SUSY image, so the pair is genuinely the
+   *same* scattering state in both sectors): the match point, or the
+   largest x the 1F1 series reaches (2 omega x <= SERIES_ZMAX) if that
+   is nearer the origin;
 2. multiplies the mapped sample by i before taking real parts — the
    ladder operator maps Re Z_minus onto Im Z_plus, and skipping this
    rotation pairs unrelated real solutions whose phase difference
    converges to the wrong constant;
 3. pushes both samples outward along a doubling ladder x_k = x_match 2^k
-   with the adaptive integrator (segment endpoints exact, no dense
-   interpolation);
+   with the adaptive integrator, one segment per rung (segment endpoints
+   exact, no interpolation);
 4. applies one level of Richardson extrapolation in x^{-1/2}
    (A_k = (sqrt(2) d_{k+1} - d_k)/(sqrt(2) - 1)), which removes the
    drift tail; a second level is deliberately *not* taken, as it would
@@ -46,6 +48,7 @@ from .errors import (DegenerateSample, InvalidParams, NotConverged,
                      TooCloseToTurningRegion)
 from .oracle import IntegratorConfig, integrate, schrodinger_problem
 from .potential import Sector
+from .specfun import SERIES_ZMAX
 
 __all__ = [
     "PhaseConfig", "PhaseExtraction", "PhaseDifferenceResult", "coulomb_eta",
@@ -53,6 +56,7 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
+_EPS = 2.0 ** -52
 
 
 def coulomb_eta(m: float, omega: float) -> float:
@@ -86,8 +90,11 @@ def _mod_pi(d: float) -> float:
 class PhaseConfig:
     """Knobs of the phase-difference ladder.
 
-    ``x_match``: seeding point; defaults to max(20/omega, 2.5 m^2/omega^2),
-    i.e. comfortably in the oscillatory region and past the barrier.
+    ``x_match``: ladder base, rungs at x_match 2^k; defaults to
+    max(20/omega, 2.5 m^2/omega^2), i.e. comfortably in the oscillatory
+    region and past the barrier.  It is also the seeding point unless it
+    lies beyond the 1F1 series range; then the seed moves inward to the
+    edge of that range (:func:`seed_point`).
     ``x_limit``: optional hard cap on ladder points (budget control).
     ``part``: which real solution to track, the real or imaginary part
     of the complex pair; both must give the same limit (useful as a
@@ -171,12 +178,21 @@ def default_x_match(m: float, omega: float) -> float:
     return max(20.0 / omega, 2.5 * (m * m) / (omega * omega))
 
 
+def seed_point(x_match: float, omega: float) -> float:
+    """x_match, or the largest x with |y| = 2 omega x inside the series range.
+
+    The 4 eps margin keeps the rounded |y| at or below SERIES_ZMAX.
+    """
+    return min(x_match, (1.0 - 4.0 * _EPS) * SERIES_ZMAX / (2.0 * omega))
+
+
 def phase_difference(m: float, omega: float,
                      cfg: PhaseConfig | None = None) -> PhaseDifferenceResult:
     """Accelerated phase-shift difference of the two sectors at energy omega^2.
 
-    Seeds from the closed form at the match point, so callers never need
-    hypergeometric evaluations in the far zone.  Raises
+    Seeds from the closed form at the match point, or at the edge of the
+    series range if the match point lies beyond it, so no hypergeometric
+    evaluation is needed in the far zone.  Raises
     :class:`NotConverged` (with the partial result attached as
     ``err.result``) if the ladder exhausts its doubling or x budget
     before two consecutive accelerated values agree to ``cfg.tol``.
@@ -187,7 +203,8 @@ def phase_difference(m: float, omega: float,
     if x_match <= 0.0 or not math.isfinite(x_match):
         raise InvalidParams(f"x_match={x_match!r} must be a positive finite real")
 
-    zm = solution_Z(p, cfg.branch, Sector.MINUS, x_match)
+    x_seed = seed_point(x_match, p.omega)
+    zm = solution_Z(p, cfg.branch, Sector.MINUS, x_seed)
     zp = susy_map(p, zm, Sector.MINUS)
     # rotate the mapped sector: Re(i Z_plus) is the ladder image of Re(Z_minus)
     zp = SolutionSample(zp.x, 1j * zp.value, 1j * zp.derivative)
@@ -207,7 +224,7 @@ def phase_difference(m: float, omega: float,
     raws: list[float] = []
     accs: list[float] = []
     steps = 0
-    x_prev = x_match
+    x_prev = x_seed
     ym = (complex(zm.value), complex(zm.derivative))
     yp = (complex(zp.value), complex(zp.derivative))
     residual = math.inf
@@ -218,8 +235,8 @@ def phase_difference(m: float, omega: float,
             break
         sm = integrate(prob_m, x_prev, xk, ym[0], ym[1], icfg)
         sp = integrate(prob_p, x_prev, xk, yp[0], yp[1], icfg)
-        ym = (complex(sm.value[-1]), complex(sm.derivative[-1]))
-        yp = (complex(sp.value[-1]), complex(sp.derivative[-1]))
+        ym = (sm.value, sm.derivative)
+        yp = (sp.value, sp.derivative)
         steps += sm.n_steps + sp.n_steps
         x_prev = xk
 

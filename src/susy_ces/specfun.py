@@ -11,9 +11,10 @@ log10(e^|z|) digits to cancellation, so plain double precision is dead
 by |z| ~ 30.  The evaluator therefore sums each point in exact integer
 fixed point, at a width sized from that predicted cancellation and
 checked against the truncation bound afterwards.  It refuses
-|z| > ``SERIES_ZMAX`` outright —
-callers needing the far region must switch to ODE propagation (see
-:mod:`susy_ces.oracle`).
+|z| > ``SERIES_ZMAX`` outright: callers needing the far region seed
+inside the bound and carry the solution outward by ODE propagation
+(:func:`susy_ces.oracle.integrate`), as
+:func:`susy_ces.scattering.phase_difference` does.
 """
 from __future__ import annotations
 
@@ -73,19 +74,15 @@ class SeriesConfig:
     moves decaying-exponential arguments to the well-conditioned side.
     Use -inf to disable, +inf to force.
 
-    ``rel_tol`` is validated but does not steer the series: the
-    fixed-point sum always resolves to 69 bits (about 2e-21) and so
-    meets any tolerance a double can show.  ``max_terms`` bounds the
-    number of terms summed.
+    ``max_terms`` bounds the number of terms summed.  There is no
+    tolerance knob: the fixed-point sum always resolves to 69 bits
+    (about 2e-21) and so meets any tolerance a double can show.
     """
 
-    rel_tol: float = 1e-14
     max_terms: int = 10000
     kummer_threshold: float = 0.0
 
     def __post_init__(self):
-        if not (self.rel_tol > 0 and math.isfinite(self.rel_tol)):
-            raise InvalidParams(f"rel_tol={self.rel_tol!r} must be a positive finite real")
         if self.max_terms < 1:
             raise InvalidParams(f"max_terms={self.max_terms!r} must be >= 1")
 
@@ -108,7 +105,8 @@ def _validate_z(z) -> tuple[np.ndarray, bool]:
     if np.any(np.abs(zf) > SERIES_ZMAX):
         raise SeriesRangeExceeded(
             f"max|z| = {float(np.max(np.abs(zf))):.4g} exceeds the series bound "
-            f"{SERIES_ZMAX:g}; use ODE propagation for the far region")
+            f"{SERIES_ZMAX:g}; seed inside it and use ODE propagation "
+            f"(oracle.integrate) for the far region")
     return zf if scalar else zf.reshape(zarr.shape), scalar
 
 

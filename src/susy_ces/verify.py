@@ -278,7 +278,7 @@ def check_free_wave(tol: float = 1e-8) -> CheckReport:
     f = lambda x, y: (y[1], -(w * w) * y[0])
     sol = oracle._integrate_rhs(f, 0.0, 25.0, (1.0 + 0j, 1j * w),
                                 oracle.IntegratorConfig())
-    err = abs(sol.value[-1] - cmath.exp(1j * w * 25.0))
+    err = abs(sol.value - cmath.exp(1j * w * 25.0))
     return _report("oracle/free-wave", err, tol,
                    f"exp(i w x) propagated over 25 units, {sol.n_steps} steps")
 
@@ -291,7 +291,7 @@ def check_convergence_order(tol: float = 0.0) -> CheckReport:
     for h in (0.1, 0.05):
         s = oracle._integrate_rhs(f, 0.0, 10.0, (1.0 + 0j, 1j * w),
                                   oracle.IntegratorConfig(), fixed_step=h)
-        errs.append(abs(s.value[-1] - cmath.exp(1j * w * 10.0)))
+        errs.append(abs(s.value - cmath.exp(1j * w * 10.0)))
     order = math.log(errs[0] / errs[1], 2.0)
     return _report("oracle/convergence-order", max(0.0, 4.0 - order), tol,
                    f"empirical order {order:.2f} from step halving (need >= 4)")
@@ -308,8 +308,8 @@ def check_ode_vs_closedform(tol: float = 1e-7) -> CheckReport:
                                    complex(seed.derivative))
             ref = cf.solution_Z(p, br, sec, 10.0)
             worst = max(worst,
-                        abs(sol.value[-1] - complex(ref.value)) / max(1.0, abs(complex(ref.value))),
-                        abs(sol.derivative[-1] - complex(ref.derivative)) / max(1.0, abs(complex(ref.derivative))))
+                        abs(sol.value - complex(ref.value)) / max(1.0, abs(complex(ref.value))),
+                        abs(sol.derivative - complex(ref.derivative)) / max(1.0, abs(complex(ref.derivative))))
     return _report("oracle/closedform-agreement", worst, tol,
                    "adaptive integration 1 -> 10 vs closed form, 4 branch/sector combos")
 

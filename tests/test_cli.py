@@ -197,6 +197,17 @@ def test_phase_not_converged_exits_1_with_partial_output(runner):
     assert "converged: False" in res.output   # partial ladder still printed
 
 
+def test_phase_beyond_series_range_prints_ladder_and_exits_1(runner):
+    # default x_match = 40 puts |y| = 80 past the series bound; the seed moves inward
+    res = runner.invoke(main, ["phase", "--m", "4", "--omega", "1",
+                               "--max-doublings", "3"])
+    assert res.exit_code == 1
+    assert "series bound" not in res.stderr
+    assert "not converged" in res.stderr
+    assert "x_match=40" in res.output
+    assert "converged: False" in res.output
+
+
 def test_phase_invalid_params_exit_2(runner):
     res = runner.invoke(main, ["phase", "--m", "-1", "--omega", "2"])
     assert res.exit_code == 2

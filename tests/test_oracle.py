@@ -20,7 +20,7 @@ from susy_ces.potential import Sector
 
 def test_integrator_config_validation():
     for kw in (dict(rel_tol=0.0), dict(rel_tol=2.0), dict(abs_tol=0.0),
-               dict(max_steps=3), dict(dense_points=-1)):
+               dict(max_steps=3)):
         with pytest.raises(InvalidParams):
             IntegratorConfig(**kw)
 
@@ -48,8 +48,8 @@ def test_free_wave_accuracy():
     w = 1.7
     f = lambda x, y: (y[1], -(w * w) * y[0])
     sol = oracle._integrate_rhs(f, 0.0, 25.0, (1.0 + 0j, 1j * w), IntegratorConfig())
-    assert abs(sol.value[-1] - cmath.exp(1j * w * 25.0)) < 1e-8
-    assert sol.x[-1] == 25.0
+    assert abs(sol.value - cmath.exp(1j * w * 25.0)) < 1e-8
+    assert sol.x == 25.0
     assert sol.n_steps > 0
 
 
@@ -60,7 +60,7 @@ def test_empirical_convergence_order():
     for h in (0.2, 0.1, 0.05):
         s = oracle._integrate_rhs(f, 0.0, 10.0, (1.0 + 0j, 1j * w),
                                   IntegratorConfig(), fixed_step=h)
-        errs.append(abs(s.value[-1] - cmath.exp(1j * w * 10.0)))
+        errs.append(abs(s.value - cmath.exp(1j * w * 10.0)))
     orders = [math.log(errs[i] / errs[i + 1], 2.0) for i in range(2)]
     for order in orders:
         assert 4.3 < order < 5.7  # fifth-order propagation
@@ -74,8 +74,8 @@ def test_integration_matches_closed_form(branch, sector):
     prob = schrodinger_problem(1.0, 1.0, sector)
     sol = integrate(prob, 1.0, 10.0, complex(seed.value), complex(seed.derivative))
     ref = cf.solution_Z(p, branch, sector, 10.0)
-    assert abs(sol.value[-1] - complex(ref.value)) / max(1.0, abs(complex(ref.value))) < 1e-7
-    assert sol.x[-1] == 10.0  # endpoint is exact, not approximate
+    assert abs(sol.value - complex(ref.value)) / max(1.0, abs(complex(ref.value))) < 1e-7
+    assert sol.x == 10.0  # endpoint is exact, not approximate
 
 
 def test_backward_integration():
@@ -84,8 +84,8 @@ def test_backward_integration():
     prob = schrodinger_problem(1.0, 1.0, Sector.MINUS)
     sol = integrate(prob, 10.0, 1.0, complex(seed.value), complex(seed.derivative))
     ref = cf.solution_Z(p, Branch.I, Sector.MINUS, 1.0)
-    assert abs(sol.value[-1] - complex(ref.value)) < 1e-7
-    assert sol.x[-1] == 1.0
+    assert abs(sol.value - complex(ref.value)) < 1e-7
+    assert sol.x == 1.0
 
 
 def test_tolerance_scaling():
@@ -97,37 +97,9 @@ def test_tolerance_scaling():
     for tol in (1e-6, 1e-12):
         sol = integrate(prob, 1.0, 10.0, complex(seed.value), complex(seed.derivative),
                         IntegratorConfig(rel_tol=tol, abs_tol=tol * 1e-2))
-        errs[tol] = abs(sol.value[-1] - ref)
+        errs[tol] = abs(sol.value - ref)
     assert errs[1e-12] < errs[1e-6]
     assert errs[1e-12] < 1e-9
-
-
-def test_dense_output_grid_and_accuracy():
-    p = cf.solution_params(1.0, 1.0)
-    seed = cf.solution_Z(p, Branch.I, Sector.MINUS, 1.0)
-    prob = schrodinger_problem(1.0, 1.0, Sector.MINUS)
-    sol = integrate(prob, 1.0, 5.0, complex(seed.value), complex(seed.derivative),
-                    IntegratorConfig(dense_points=64))
-    assert np.array_equal(sol.x, np.linspace(1.0, 5.0, 65))
-    ref = cf.solution_Z(p, Branch.I, Sector.MINUS, sol.x)
-    err = np.abs(sol.value - ref.value) / np.maximum(1.0, np.abs(ref.value))
-    assert np.max(err) < 1e-7
-
-
-def test_propagate_to_asymptotic_targets():
-    p = cf.solution_params(1.0, 1.0)
-    seed = cf.solution_Z(p, Branch.I, Sector.MINUS, 1.0)
-    prob = schrodinger_problem(1.0, 1.0, Sector.MINUS)
-    targets = [2.0, 4.0, 8.0, 16.0]
-    sol = oracle.propagate_to_asymptotic(prob, 1.0, complex(seed.value),
-                                         complex(seed.derivative), targets)
-    assert np.array_equal(sol.x, np.array(targets))
-    ref = cf.solution_Z(p, Branch.I, Sector.MINUS, np.array(targets))
-    err = np.abs(sol.value - ref.value) / np.maximum(1.0, np.abs(ref.value))
-    assert np.max(err) < 1e-7
-    for bad in ([], [4.0, 2.0], [0.5], [2.0, 2.0]):
-        with pytest.raises(InvalidParams):
-            oracle.propagate_to_asymptotic(prob, 1.0, 1.0 + 0j, 0j, bad)
 
 
 def test_origin_floor_guard():

@@ -3,8 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from susy_ces import scattering as sc
+from susy_ces.closedform import y_of_x
 from susy_ces.errors import (
     DegenerateSample,
     InvalidParams,
@@ -12,6 +15,7 @@ from susy_ces.errors import (
     TooCloseToTurningRegion,
 )
 from susy_ces.scattering import PhaseConfig, phase_difference, susy_phase_offset
+from susy_ces.specfun import SERIES_ZMAX
 
 HALF_PI = 0.5 * math.pi
 
@@ -144,6 +148,27 @@ def test_phase_difference_budget_exhaustion():
 def test_phase_difference_too_few_points():
     with pytest.raises(NotConverged):
         phase_difference(0.5, 2.0, PhaseConfig(max_doublings=2))
+
+
+@given(st.floats(1e-3, 1e3))
+def test_seed_point_stays_inside_the_series_range(omega):
+    x = sc.seed_point(1e6, omega)
+    assert abs(complex(y_of_x(x, omega))) <= SERIES_ZMAX
+    assert 2.0 * omega * x > SERIES_ZMAX * (1.0 - 1e-14)
+    inside = 0.5 * SERIES_ZMAX / (2.0 * omega)
+    assert sc.seed_point(inside, omega) == inside
+
+
+@pytest.mark.parametrize("m, omega", [(4.0, 1.0), (3.0, 0.5)])
+def test_phase_difference_seeds_inside_the_series_range(m, omega):
+    # 2 omega x_match = 80 and 90: the seed moves in to |y| = 60, the rungs stay
+    with pytest.raises(NotConverged) as exc:
+        phase_difference(m, omega, PhaseConfig(max_doublings=3))
+    res = exc.value.result
+    assert 2.0 * omega * res.x_match > SERIES_ZMAX
+    assert np.array_equal(res.x, res.x_match * np.array([2.0, 4.0, 8.0]))
+    assert np.all(np.isfinite(res.raw))
+    assert res.ode_steps > 0
 
 
 def test_phase_difference_rejects_turning_region_seed():
