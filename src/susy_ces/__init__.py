@@ -19,14 +19,13 @@ Public layers:
 
 __version__ = "0.1.0"
 
-from .closedform import (Branch, CouplingConstants, RtildeCase, SolutionParams,
+from .closedform import (Branch, CouplingConstants, SolutionParams,
                          SolutionSample, components, coupling_constants,
-                         hermite_lambda, rtilde, rtilde_deriv, solution_Z,
-                         solution_params, susy_map, wronskian_Z,
-                         wronskian_exact, y_of_x)
+                         hermite_lambda, solution_Z, solution_params, susy_map,
+                         wronskian_Z, wronskian_exact, y_of_x)
 from .errors import (ArgumentTooSmall, DegenerateSample, DomainError,
-                     GridTooCoarse, InvalidParams, MaxStepsExceeded,
-                     NonConvergence, NotConverged, PoleAtNonPositiveInteger,
+                     InvalidParams, MaxStepsExceeded, NonConvergence,
+                     NotConverged, PoleAtNonPositiveInteger,
                      SeriesRangeExceeded, StepSizeUnderflow, SusyCesError,
                      TooCloseToTurningRegion)
 from .oracle import (IntegratorConfig, ODEProblem, ODESolution,
@@ -39,9 +38,8 @@ from .potential import (CriticalStructure, PotentialSpec, Sector, V, V_deriv,
 from .scattering import (PhaseConfig, PhaseDifferenceResult, PhaseExtraction,
                          coulomb_eta, local_phase, phase_difference,
                          susy_phase_offset)
-from .specfun import (CHFParams, SeriesConfig, chf_1f1, chf_1f1_deriv,
-                      chf_asymptotic, kummer_transform, load_golden_chf,
-                      log_gamma)
+from .specfun import (CHFParams, chf_1f1, chf_1f1_deriv, chf_asymptotic,
+                      kummer_transform, load_golden_chf, log_gamma)
 from .verify import CheckReport, run_suite
 
 __all__ = [
@@ -51,12 +49,12 @@ __all__ = [
     "V_from_superpotential", "superpotential", "superpotential_deriv",
     "ces_residual", "shape_invariance_gap", "critical_structure",
     # closed form
-    "Branch", "RtildeCase", "SolutionParams", "SolutionSample",
-    "CouplingConstants", "solution_params", "coupling_constants", "y_of_x",
-    "components", "rtilde", "rtilde_deriv", "solution_Z", "wronskian_Z",
-    "wronskian_exact", "hermite_lambda", "susy_map",
+    "Branch", "SolutionParams", "SolutionSample", "CouplingConstants",
+    "solution_params", "coupling_constants", "y_of_x", "components",
+    "solution_Z", "wronskian_Z", "wronskian_exact", "hermite_lambda",
+    "susy_map",
     # specfun
-    "CHFParams", "SeriesConfig", "chf_1f1", "chf_1f1_deriv", "kummer_transform",
+    "CHFParams", "chf_1f1", "chf_1f1_deriv", "kummer_transform",
     "chf_asymptotic", "log_gamma", "load_golden_chf",
     # oracle
     "IntegratorConfig", "ODEProblem", "ODESolution", "schrodinger_problem",
@@ -69,6 +67,6 @@ __all__ = [
     # errors
     "SusyCesError", "DomainError", "InvalidParams", "PoleAtNonPositiveInteger",
     "ArgumentTooSmall", "SeriesRangeExceeded", "NonConvergence",
-    "StepSizeUnderflow", "MaxStepsExceeded", "GridTooCoarse",
-    "TooCloseToTurningRegion", "DegenerateSample", "NotConverged",
+    "StepSizeUnderflow", "MaxStepsExceeded", "TooCloseToTurningRegion",
+    "DegenerateSample", "NotConverged",
 ]

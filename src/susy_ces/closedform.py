@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import DomainError, InvalidParams
 from .potential import Sector, superpotential
-from .specfun import CHFParams, SeriesConfig, chf_1f1, chf_1f1_deriv
+from .specfun import CHFParams, chf_1f1, chf_1f1_deriv
 
 #: e^{-i pi/4}: global prefactor of Z; also the phase of y^{1/2} for x > 0
 PHASE_M4 = cmath.exp(-0.25j * math.pi)
@@ -48,13 +48,6 @@ class Branch(Enum):
 
     I = "I"
     II = "II"
-
-
-class RtildeCase(Enum):
-    """Component index of the coupled first-order system."""
-
-    ONE = 1
-    TWO = 2
 
 
 @dataclass(frozen=True)
@@ -125,11 +118,11 @@ def _check_x(x) -> np.ndarray:
     return xa
 
 
-def components(p: SolutionParams, branch: Branch, x, cfg: SeriesConfig | None = None):
+def components(p: SolutionParams, branch: Branch, x):
     """(rtilde_1, rtilde_2, d rtilde_1/dx, d rtilde_2/dx), each shaped like ``x``.
 
-    Sums four series per point (M and M' for two parameter sets); a caller
-    that needs more than one component should call this once.
+    Sums four series per point (M and M' for two parameter sets) and
+    returns every component at once: it is the one accessor for them.
 
     Component recipe (h = e^{-y/2}, s = y^{1/2} = sqrt(2 omega x) e^{-i pi/4}):
 
@@ -147,15 +140,15 @@ def components(p: SolutionParams, branch: Branch, x, cfg: SeriesConfig | None = 
     def plain(a: complex):
         # f = h M(a, 1/2; y);  f' = dy h (M' - M/2)
         par = CHFParams(a, 0.5)
-        M = chf_1f1(par, y, cfg)
-        dM = chf_1f1_deriv(par, y, cfg)
+        M = chf_1f1(par, y)
+        dM = chf_1f1_deriv(par, y)
         return h * M, dy * h * (dM - 0.5 * M)
 
     def halfpow(a: complex):
         # f = h s M(a, 3/2; y);  f' = dy h s (M/(2y) - M/2 + M')
         par = CHFParams(a, 1.5)
-        M = chf_1f1(par, y, cfg)
-        dM = chf_1f1_deriv(par, y, cfg)
+        M = chf_1f1(par, y)
+        dM = chf_1f1_deriv(par, y)
         return h * s * M, dy * h * s * (M / (2.0 * y) - 0.5 * M + dM)
 
     if branch is Branch.I:
@@ -167,20 +160,6 @@ def components(p: SolutionParams, branch: Branch, x, cfg: SeriesConfig | None = 
     return r1, c.c2 * f2, dr1, c.c2 * df2
 
 
-def rtilde(p: SolutionParams, branch: Branch, case: RtildeCase, x,
-           cfg: SeriesConfig | None = None):
-    """Component rtilde_j(x) of the coupled system, j in {1, 2}."""
-    r1, r2, _, _ = components(p, branch, x, cfg)
-    return r1 if case is RtildeCase.ONE else r2
-
-
-def rtilde_deriv(p: SolutionParams, branch: Branch, case: RtildeCase, x,
-                 cfg: SeriesConfig | None = None):
-    """d rtilde_j / dx, analytic."""
-    _, _, dr1, dr2 = components(p, branch, x, cfg)
-    return dr1 if case is RtildeCase.ONE else dr2
-
-
 class SolutionSample(NamedTuple):
     """A solution evaluated together with its first derivative."""
 
@@ -189,8 +168,7 @@ class SolutionSample(NamedTuple):
     derivative: np.ndarray
 
 
-def solution_Z(p: SolutionParams, branch: Branch, sector: Sector, x,
-               cfg: SeriesConfig | None = None) -> SolutionSample:
+def solution_Z(p: SolutionParams, branch: Branch, sector: Sector, x) -> SolutionSample:
     """Closed-form solution Z and dZ/dx at the points ``x``.
 
     Z_pm = e^{-i pi/4} (rtilde_1 +- i rtilde_2); PLUS solves V_plus,
@@ -198,17 +176,16 @@ def solution_Z(p: SolutionParams, branch: Branch, sector: Sector, x,
     """
     if not isinstance(sector, Sector):
         raise InvalidParams(f"sector={sector!r} is not a Sector")
-    r1, r2, dr1, dr2 = components(p, branch, x, cfg)
+    r1, r2, dr1, dr2 = components(p, branch, x)
     sg = 1j * sector.sign
     xa = _check_x(x)
     return SolutionSample(xa, PHASE_M4 * (r1 + sg * r2), PHASE_M4 * (dr1 + sg * dr2))
 
 
-def wronskian_Z(p: SolutionParams, sector: Sector, x,
-                cfg: SeriesConfig | None = None):
+def wronskian_Z(p: SolutionParams, sector: Sector, x):
     """W_x[Z^I, Z^II] = Z^I dZ^II/dx - Z^II dZ^I/dx, evaluated pointwise."""
-    zi = solution_Z(p, Branch.I, sector, x, cfg)
-    zii = solution_Z(p, Branch.II, sector, x, cfg)
+    zi = solution_Z(p, Branch.I, sector, x)
+    zii = solution_Z(p, Branch.II, sector, x)
     return zi.value * zii.derivative - zii.value * zi.derivative
 
 

@@ -48,10 +48,6 @@ class MaxStepsExceeded(SusyCesError, ArithmeticError):
     """The adaptive integrator exhausted its step budget."""
 
 
-class GridTooCoarse(SusyCesError, ValueError):
-    """A sample grid is too short or not uniform enough for the stencil."""
-
-
 class TooCloseToTurningRegion(SusyCesError, ValueError):
     """Phase extraction was attempted before the solution is asymptotic."""
 

@@ -46,7 +46,7 @@ import numpy as np
 from .closedform import Branch, SolutionSample, solution_Z, solution_params, susy_map
 from .errors import (DegenerateSample, InvalidParams, NotConverged,
                      TooCloseToTurningRegion)
-from .oracle import IntegratorConfig, integrate, schrodinger_problem
+from .oracle import integrate, schrodinger_problem
 from .potential import Sector
 from .specfun import SERIES_ZMAX
 
@@ -57,6 +57,8 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 _EPS = 2.0 ** -52
+#: smallest omega x at which a sample is read as an asymptotic sinusoid
+_MIN_X_OMEGA = 20.0
 
 
 def coulomb_eta(m: float, omega: float) -> float:
@@ -104,12 +106,8 @@ class PhaseConfig:
     x_match: float | None = None
     max_doublings: int = 14
     tol: float = 1e-3
-    ode_rel_tol: float = 1e-10
-    ode_abs_tol: float = 1e-12
     part: str = "re"
-    min_x_omega: float = 20.0
     x_limit: float | None = None
-    branch: Branch = Branch.I
 
     def __post_init__(self):
         if self.part not in ("re", "im"):
@@ -120,8 +118,7 @@ class PhaseConfig:
             raise InvalidParams("tol must be positive")
 
 
-def local_phase(m: float, omega: float, x: float, u: float, du: float, *,
-                min_x_omega: float = 20.0) -> PhaseExtraction:
+def local_phase(m: float, omega: float, x: float, u: float, du: float) -> PhaseExtraction:
     """Phase of a real solution sample (u, u') at x, mod pi.
 
     delta_raw           = atan2(omega u, u') - omega x          (mod pi)
@@ -133,7 +130,7 @@ def local_phase(m: float, omega: float, x: float, u: float, du: float, *,
     Raises
     ------
     TooCloseToTurningRegion
-        if omega x < min_x_omega or x < 2 m^2/omega^2, where the
+        if omega x < 20 or x < 2 m^2/omega^2, where the
         asymptotic sinusoid model underlying the formula does not hold.
     DegenerateSample
         if u = u' = 0 (no phase information).
@@ -141,7 +138,7 @@ def local_phase(m: float, omega: float, x: float, u: float, du: float, *,
     m = float(m)
     omega = float(omega)
     x = float(x)
-    if omega * x < min_x_omega or x < 2.0 * (m * m) / (omega * omega):
+    if omega * x < _MIN_X_OMEGA or x < 2.0 * (m * m) / (omega * omega):
         raise TooCloseToTurningRegion(
             f"x={x:.4g} too small for phase extraction at m={m:.4g}, omega={omega:.4g}")
     if u == 0.0 and du == 0.0:
@@ -190,9 +187,10 @@ def phase_difference(m: float, omega: float,
                      cfg: PhaseConfig | None = None) -> PhaseDifferenceResult:
     """Accelerated phase-shift difference of the two sectors at energy omega^2.
 
-    Seeds from the closed form at the match point, or at the edge of the
-    series range if the match point lies beyond it, so no hypergeometric
-    evaluation is needed in the far zone.  Raises
+    Seeds from the branch-I closed form at the match point, or at the
+    edge of the series range if the match point lies beyond it, so no
+    hypergeometric evaluation is needed in the far zone; the integrator
+    runs at its default tolerances.  Raises
     :class:`NotConverged` (with the partial result attached as
     ``err.result``) if the ladder exhausts its doubling or x budget
     before two consecutive accelerated values agree to ``cfg.tol``.
@@ -204,12 +202,11 @@ def phase_difference(m: float, omega: float,
         raise InvalidParams(f"x_match={x_match!r} must be a positive finite real")
 
     x_seed = seed_point(x_match, p.omega)
-    zm = solution_Z(p, cfg.branch, Sector.MINUS, x_seed)
+    zm = solution_Z(p, Branch.I, Sector.MINUS, x_seed)
     zp = susy_map(p, zm, Sector.MINUS)
     # rotate the mapped sector: Re(i Z_plus) is the ladder image of Re(Z_minus)
     zp = SolutionSample(zp.x, 1j * zp.value, 1j * zp.derivative)
 
-    icfg = IntegratorConfig(rel_tol=cfg.ode_rel_tol, abs_tol=cfg.ode_abs_tol)
     prob_m = schrodinger_problem(m, omega, Sector.MINUS)
     prob_p = schrodinger_problem(m, omega, Sector.PLUS)
 
@@ -218,7 +215,7 @@ def phase_difference(m: float, omega: float,
             u, du = z.real, dz.real
         else:
             u, du = z.imag, dz.imag
-        return local_phase(m, omega, x, u, du, min_x_omega=cfg.min_x_omega)
+        return local_phase(m, omega, x, u, du)
 
     xs: list[float] = []
     raws: list[float] = []
@@ -233,8 +230,8 @@ def phase_difference(m: float, omega: float,
         xk = x_match * 2.0 ** k
         if cfg.x_limit is not None and xk > cfg.x_limit:
             break
-        sm = integrate(prob_m, x_prev, xk, ym[0], ym[1], icfg)
-        sp = integrate(prob_p, x_prev, xk, yp[0], yp[1], icfg)
+        sm = integrate(prob_m, x_prev, xk, ym[0], ym[1])
+        sp = integrate(prob_p, x_prev, xk, yp[0], yp[1])
         ym = (sm.value, sm.derivative)
         yp = (sp.value, sp.derivative)
         steps += sm.n_steps + sp.n_steps

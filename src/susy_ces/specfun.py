@@ -1,11 +1,12 @@
 """Confluent hypergeometric machinery for complex arguments.
 
 Everything the closed-form solutions need: the Kummer function
-1F1(a, b; z) for complex ``a``/``z`` and real ``b``, its derivative, the
-Kummer transformation, a principal-branch complex log-gamma, and a
-large-|z| asymptotic expansion kept solely as a cross-check path.
+1F1(a, b; z) for complex ``a``/``z`` and real ``b``, its derivative, a
+principal-branch complex log-gamma, and two routes kept solely as
+cross-checks: the Kummer transformation and a large-|z| asymptotic
+expansion.
 
-The primary evaluator sums the defining series.  On the physically
+The primary evaluator sums the defining series directly at every z.  On the physically
 relevant ray (purely imaginary z) the series loses roughly
 log10(e^|z|) digits to cancellation, so plain double precision is dead
 by |z| ~ 30.  The evaluator therefore sums each point in exact integer
@@ -39,6 +40,8 @@ from .highprec import chf_series_dd  # noqa: F401
 #: ratio reaches ~1e26, which the fixed-point ladder absorbs with tens of
 #: digits to spare; past it the contract sends callers to ODE propagation.
 SERIES_ZMAX = 60.0
+#: term budget of one series sum; inside SERIES_ZMAX a few hundred suffice
+MAX_TERMS = 10000
 
 _GOLDEN_ENV = "SUSY_CES_GOLDEN_DIR"
 
@@ -65,41 +68,15 @@ class CHFParams:
         object.__setattr__(self, "b", b)
 
 
-@dataclass(frozen=True)
-class SeriesConfig:
-    """Tuning knobs for the series evaluator.
-
-    ``kummer_threshold``: the transformation 1F1(a,b;z) =
-    e^z 1F1(b-a,b;-z) is applied whenever re(z) < kummer_threshold, which
-    moves decaying-exponential arguments to the well-conditioned side.
-    Use -inf to disable, +inf to force.
-
-    ``max_terms`` bounds the number of terms summed.  There is no
-    tolerance knob: the fixed-point sum always resolves to 69 bits
-    (about 2e-21) and so meets any tolerance a double can show.
-    """
-
-    max_terms: int = 10000
-    kummer_threshold: float = 0.0
-
-    def __post_init__(self):
-        if self.max_terms < 1:
-            raise InvalidParams(f"max_terms={self.max_terms!r} must be >= 1")
-
-
-_DEFAULT_CFG = SeriesConfig()
-
-
-def _series(a: complex, b: float, z: np.ndarray, cfg: SeriesConfig) -> np.ndarray:
+def _series(a: complex, b: float, z: np.ndarray) -> np.ndarray:
     """Direct series over a flat complex array, one fixed-point sum per point."""
-    return np.array([chf_series_fixed(a, b, zi, max_terms=cfg.max_terms)
-                     for zi in z.tolist()], dtype=complex).reshape(z.shape)
+    return np.array([chf_series_fixed(a, b, zi, max_terms=MAX_TERMS)
+                     for zi in z.tolist()], dtype=complex)
 
 
-def _validate_z(z) -> tuple[np.ndarray, bool]:
-    zarr = np.asarray(z, dtype=complex)
-    scalar = zarr.ndim == 0
-    zf = np.atleast_1d(zarr)
+def _flat_z(z) -> np.ndarray:
+    """``z`` as a flat complex array, refused if non-finite or out of range."""
+    zf = np.asarray(z, dtype=complex).ravel()
     if not np.all(np.isfinite(zf)):
         raise InvalidParams("z contains non-finite values")
     if np.any(np.abs(zf) > SERIES_ZMAX):
@@ -107,15 +84,25 @@ def _validate_z(z) -> tuple[np.ndarray, bool]:
             f"max|z| = {float(np.max(np.abs(zf))):.4g} exceeds the series bound "
             f"{SERIES_ZMAX:g}; seed inside it and use ODE propagation "
             f"(oracle.integrate) for the far region")
-    return zf if scalar else zf.reshape(zarr.shape), scalar
+    return zf
 
 
-def chf_1f1(p: CHFParams, z, cfg: SeriesConfig | None = None):
+def _shaped_like(out: np.ndarray, z, p: CHFParams):
+    """``out`` back in the shape of ``z``: a complex for a scalar ``z``."""
+    if not np.all(np.isfinite(out)):
+        raise NonConvergence(f"series produced non-finite values for a={p.a!r}, b={p.b!r}")
+    if np.ndim(z) == 0:
+        return complex(out[0])
+    return out.reshape(np.shape(z))
+
+
+def chf_1f1(p: CHFParams, z):
     """Kummer's function 1F1(a, b; z) for complex a, z and real b.
 
-    Accepts a complex scalar or ndarray ``z`` with |z| <= SERIES_ZMAX.
-    Arguments with re(z) below ``cfg.kummer_threshold`` are evaluated
-    through the Kummer transformation for conditioning.
+    Accepts a complex scalar or ndarray ``z`` with |z| <= SERIES_ZMAX and
+    sums the defining series at every point.  The fixed-point sum sizes
+    its width from the cancellation, so no argument needs the Kummer
+    transformation for conditioning.
 
     Raises
     ------
@@ -124,49 +111,25 @@ def chf_1f1(p: CHFParams, z, cfg: SeriesConfig | None = None):
     NonConvergence
         if the series fails to meet its tolerance within the term budget.
     """
-    cfg = cfg or _DEFAULT_CFG
-    zn, scalar = _validate_z(z)
-    zf = np.atleast_1d(zn).ravel()
-    out = np.empty(zf.shape, dtype=complex)
-    transform = zf.real < cfg.kummer_threshold
-    if np.any(~transform):
-        out[~transform] = _series(p.a, p.b, zf[~transform], cfg)
-    if np.any(transform):
-        zt = zf[transform]
-        out[transform] = np.exp(zt) * _series(p.b - p.a, p.b, -zt, cfg)
-    if not np.all(np.isfinite(out)):
-        raise NonConvergence(f"series produced non-finite values for a={p.a!r}, b={p.b!r}")
-    if scalar:
-        return complex(out[0])
-    return out.reshape(np.asarray(z).shape)
+    return _shaped_like(_series(p.a, p.b, _flat_z(z)), z, p)
 
 
-def kummer_transform(p: CHFParams, z, cfg: SeriesConfig | None = None):
+def kummer_transform(p: CHFParams, z):
     """Evaluate 1F1(a, b; z) as e^z 1F1(b-a, b; -z).
 
-    Always takes the transformed route, regardless of configuration, so
-    it provides a genuinely independent value to compare against
-    :func:`chf_1f1` wherever that one sums directly.
+    A different sum from the one :func:`chf_1f1` runs, so it provides an
+    independent value to compare against it.
     """
-    cfg = cfg or _DEFAULT_CFG
-    zn, scalar = _validate_z(z)
-    zf = np.atleast_1d(zn).ravel()
-    out = np.exp(zf) * _series(p.b - p.a, p.b, -zf, cfg)
-    if not np.all(np.isfinite(out)):
-        raise NonConvergence(f"transformed series produced non-finite values for a={p.a!r}")
-    if scalar:
-        return complex(out[0])
-    return out.reshape(np.asarray(z).shape)
+    zf = _flat_z(z)
+    return _shaped_like(np.exp(zf) * _series(p.b - p.a, p.b, -zf), z, p)
 
 
-def chf_1f1_deriv(p: CHFParams, z, cfg: SeriesConfig | None = None):
+def chf_1f1_deriv(p: CHFParams, z):
     """d/dz 1F1(a, b; z) = (a/b) 1F1(a+1, b+1; z)."""
     if p.a == 0:
-        zn, scalar = _validate_z(z)
-        return 0j if scalar else np.zeros(np.asarray(z).shape, dtype=complex)
-    shifted = CHFParams(p.a + 1, p.b + 1)
-    val = chf_1f1(shifted, z, cfg)
-    return (p.a / p.b) * val
+        _flat_z(z)
+        return 0j if np.ndim(z) == 0 else np.zeros(np.shape(z), dtype=complex)
+    return (p.a / p.b) * chf_1f1(CHFParams(p.a + 1, p.b + 1), z)
 
 
 # ---------------------------------------------------------------------------

@@ -93,6 +93,16 @@ def test_table_writes_file(runner, tmp_path):
     assert header[0] == "x" and len(rows) == 3
 
 
+def test_table_readme_example(runner):
+    # the argument list of the README's table example
+    res = runner.invoke(main, ["table", "--m", "1", "--omega", "1", "--branch", "I",
+                               "--sector", "plus", "--x-min", "0.1", "--x-max", "10",
+                               "--points", "50", "--format", "csv"])
+    assert res.exit_code == 0, res.output
+    _, rows = parse_csv(res.output)
+    assert len(rows) == 50
+
+
 def test_table_usage_errors(runner):
     for args in (["--points", "1"], ["--x-min", "0"], ["--x-min", "5", "--x-max", "2"]):
         res = runner.invoke(main, ["table", "--m", "1", "--omega", "1"] + args)

@@ -8,7 +8,7 @@ import pytest
 
 from susy_ces import closedform as cf
 from susy_ces import oracle, potential
-from susy_ces.closedform import PHASE_M4, PHASE_P4, Branch, RtildeCase
+from susy_ces.closedform import PHASE_M4, PHASE_P4, Branch
 from susy_ces.errors import DomainError, InvalidParams
 from susy_ces.potential import Sector
 from susy_ces.verify import wronskian_grid
@@ -71,26 +71,26 @@ def test_components_match_independent_frobenius_series(m, omega):
             continue
         y = complex(cf.y_of_x(x, omega))
         h = cmath.exp(-0.5 * y)
+        # (branch, index into components): rtilde_1 is 0, rtilde_2 is 1
         want = {
-            (Branch.I, RtildeCase.ONE): h * oracle.frobenius_series_solution(p.a1, 0.0, y),
-            (Branch.I, RtildeCase.TWO): c2_i * h * oracle.frobenius_series_solution(p.a2, 0.5, y),
-            (Branch.II, RtildeCase.ONE): h * oracle.frobenius_series_solution(p.a1, 0.5, y),
-            (Branch.II, RtildeCase.TWO): c2_ii * h * oracle.frobenius_series_solution(p.a2, 0.0, y),
+            (Branch.I, 0): h * oracle.frobenius_series_solution(p.a1, 0.0, y),
+            (Branch.I, 1): c2_i * h * oracle.frobenius_series_solution(p.a2, 0.5, y),
+            (Branch.II, 0): h * oracle.frobenius_series_solution(p.a1, 0.5, y),
+            (Branch.II, 1): c2_ii * h * oracle.frobenius_series_solution(p.a2, 0.0, y),
         }
-        for (br, case), ref in want.items():
-            got = complex(cf.rtilde(p, br, case, x))
-            assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref)), (br, case, x)
+        for (br, j), ref in want.items():
+            got = complex(cf.components(p, br, x)[j])
+            assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref)), (br, j, x)
 
 
 def test_solution_assembly_from_components():
     p = cf.solution_params(1.0, 1.0)
     x = np.linspace(0.2, 8.0, 9)
     for br in Branch:
-        r1 = cf.rtilde(p, br, RtildeCase.ONE, x)
-        r2 = cf.rtilde(p, br, RtildeCase.TWO, x)
-        d1 = cf.rtilde_deriv(p, br, RtildeCase.ONE, x)
-        d2 = cf.rtilde_deriv(p, br, RtildeCase.TWO, x)
+        r1, r2, d1, d2 = cf.components(p, br, x)
+        # shaped like x, and a second call gives the same bits
         for got, want in zip(cf.components(p, br, x), (r1, r2, d1, d2)):
+            assert got.shape == x.shape
             assert np.array_equal(got, want)
         for sec in Sector:
             z = cf.solution_Z(p, br, sec, x)
@@ -105,10 +105,7 @@ def test_rtilde_first_order_system():
         x = np.logspace(-2, math.log10(20.0 / omega), 25)
         wx = potential.superpotential(x, m)
         for br in Branch:
-            r1 = cf.rtilde(p, br, RtildeCase.ONE, x)
-            r2 = cf.rtilde(p, br, RtildeCase.TWO, x)
-            d1 = cf.rtilde_deriv(p, br, RtildeCase.ONE, x)
-            d2 = cf.rtilde_deriv(p, br, RtildeCase.TWO, x)
+            r1, r2, d1, d2 = cf.components(p, br, x)
             sc = np.maximum(1.0, np.abs(r1) + np.abs(r2))
             assert np.max(np.abs(d1 - 1j * omega * r1 - 1j * wx * r2) / sc) < 1e-12
             assert np.max(np.abs(d2 + 1j * omega * r2 + 1j * wx * r1) / sc) < 1e-12

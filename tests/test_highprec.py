@@ -129,6 +129,11 @@ def test_int_to_float_rounds_once():
     assert _int_to_float((m << 2) | 3, -2) == float(m + 1)
 
 
+def test_series_fixed_nonconvergence_raises():
+    with pytest.raises(NonConvergence):
+        chf_series_fixed(0.5j, 0.5, -30j, max_terms=3)
+
+
 def test_series_dd_nonconvergence_raises():
     with pytest.raises(NonConvergence):
         chf_series_dd(0.5j, 0.5, np.asarray(-30j, dtype=complex), max_terms=3)
