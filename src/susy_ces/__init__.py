@@ -31,7 +31,7 @@ from .errors import (ArgumentTooSmall, DegenerateSample, DomainError,
 from .oracle import (IntegratorConfig, ODEProblem, ODESolution,
                      frobenius_series_solution, integrate,
                      residual_schrodinger, schrodinger_problem)
-from .potential import (CriticalStructure, PotentialSpec, Sector, V, V_deriv,
+from .potential import (CriticalStructure, Sector, V, V_deriv,
                         V_from_superpotential, ces_residual, critical_structure,
                         shape_invariance_gap, superpotential,
                         superpotential_deriv)
@@ -45,7 +45,7 @@ from .verify import CheckReport, run_suite
 __all__ = [
     "__version__",
     # potential
-    "Sector", "PotentialSpec", "CriticalStructure", "V", "V_deriv",
+    "Sector", "CriticalStructure", "V", "V_deriv",
     "V_from_superpotential", "superpotential", "superpotential_deriv",
     "ces_residual", "shape_invariance_gap", "critical_structure",
     # closed form

@@ -159,17 +159,16 @@ def verify(suite, rel_tol, fmt, out):
                    "exceeds the series bound (default: past barrier and 20/omega)")
 @click.option("--tol", type=float, default=1e-3, show_default=True,
               help="convergence tolerance on successive accelerated values")
-@click.option("--max-doublings", type=int, default=14, show_default=True)
 @click.option("--part", type=click.Choice(["re", "im"]), default="re", show_default=True)
-@click.option("--x-limit", type=float, default=None, help="hard cap on ladder points")
+@click.option("--x-limit", type=float, default=None,
+              help="largest ladder point, finite and > 0 (default: x_match*2^14, 14 rungs)")
 @click.option("--format", "fmt", type=click.Choice(["text", "csv", "json"]),
               default="text", show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 @_config_errors
-def phase(m, omega, x_match, tol, max_doublings, part, x_limit, fmt, out):
+def phase(m, omega, x_match, tol, part, x_limit, fmt, out):
     """Accelerated phase-shift difference between the two sectors."""
-    cfg = PhaseConfig(x_match=x_match, tol=tol, max_doublings=max_doublings,
-                      part=part, x_limit=x_limit)
+    cfg = PhaseConfig(x_match=x_match, tol=tol, part=part, x_limit=x_limit)
     failed = None
     try:
         res = phase_difference(m, omega, cfg)

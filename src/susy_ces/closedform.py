@@ -123,13 +123,16 @@ def components(p: SolutionParams, branch: Branch, x):
 
     Sums four series per point (M and M' for two parameter sets) and
     returns every component at once: it is the one accessor for them.
+    Every point, a lone one included, goes through the same 1-d numpy
+    loops, so a point's bits do not depend on how many it is sent with.
 
     Component recipe (h = e^{-y/2}, s = y^{1/2} = sqrt(2 omega x) e^{-i pi/4}):
 
         branch I :  r1 = h M(a1, 1/2; y)           r2 = c2 h s M(a1+1, 3/2; y)
         branch II:  r1 = h s M(a1+1/2, 3/2; y)     r2 = c2 h M(a2, 1/2; y)
     """
-    xa = _check_x(x)
+    shape = np.shape(x)
+    xa = _check_x(x).ravel()
     w = p.omega
     y = y_of_x(xa, w)
     dy = -2j * w  # dy/dx
@@ -157,7 +160,8 @@ def components(p: SolutionParams, branch: Branch, x):
     else:
         r1, dr1 = halfpow(p.a1 + 0.5)
         f2, df2 = plain(p.a2)
-    return r1, c.c2 * f2, dr1, c.c2 * df2
+    # [()] turns a 0-d result into a numpy scalar and leaves arrays as they are
+    return tuple(v.reshape(shape)[()] for v in (r1, c.c2 * f2, dr1, c.c2 * df2))
 
 
 class SolutionSample(NamedTuple):
@@ -176,10 +180,11 @@ def solution_Z(p: SolutionParams, branch: Branch, sector: Sector, x) -> Solution
     """
     if not isinstance(sector, Sector):
         raise InvalidParams(f"sector={sector!r} is not a Sector")
-    r1, r2, dr1, dr2 = components(p, branch, x)
-    sg = 1j * sector.sign
     xa = _check_x(x)
-    return SolutionSample(xa, PHASE_M4 * (r1 + sg * r2), PHASE_M4 * (dr1 + sg * dr2))
+    r1, r2, dr1, dr2 = components(p, branch, xa.ravel())
+    sg = 1j * sector.sign
+    return SolutionSample(xa, (PHASE_M4 * (r1 + sg * r2)).reshape(xa.shape)[()],
+                          (PHASE_M4 * (dr1 + sg * dr2)).reshape(xa.shape)[()])
 
 
 def wronskian_Z(p: SolutionParams, sector: Sector, x):

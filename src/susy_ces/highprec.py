@@ -31,6 +31,9 @@ import numpy as np
 from .errors import NonConvergence
 
 _SPLITTER = 134217729.0  # 2**27 + 1, Dekker splitting constant
+#: term budget of one series sum, in either ladder; inside
+#: specfun.SERIES_ZMAX a few hundred suffice
+MAX_TERMS = 10000
 
 
 def _two_sum(a, b):
@@ -91,9 +94,6 @@ class DD(NamedTuple):
     def __sub__(self, other: "DD") -> "DD":
         return self + DD(-other.hi, -other.lo)
 
-    def __neg__(self) -> "DD":
-        return DD(-self.hi, -self.lo)
-
     def __mul__(self, other: "DD") -> "DD":
         p, e = _two_prod(self.hi, other.hi)
         e = e + (self.hi * other.lo + self.lo * other.hi)
@@ -143,15 +143,6 @@ class CDD(NamedTuple):
         im = self.re * other.im + self.im * other.re
         return CDD(re, im)
 
-    def mul_complex_d(self, cr: float, ci: float) -> "CDD":
-        """Multiply by a double-precision complex scalar (cr + i ci)."""
-        re = self.re.mul_d(cr) - self.im.mul_d(ci)
-        im = self.re.mul_d(ci) + self.im.mul_d(cr)
-        return CDD(re, im)
-
-    def div_d(self, d: float) -> "CDD":
-        return CDD(self.re.div_d(d), self.im.div_d(d))
-
     def div_dd(self, d: DD) -> "CDD":
         return CDD(self.re.div_dd(d), self.im.div_dd(d))
 
@@ -159,8 +150,8 @@ class CDD(NamedTuple):
         return np.hypot(self.re.hi, self.im.hi)
 
 
-def chf_series_dd(a: complex, b: float, z: np.ndarray, *, rel_tol: float = 1e-14,
-                  max_terms: int = 10000) -> np.ndarray:
+def chf_series_dd(a: complex, b: float, z: np.ndarray, *,
+                  rel_tol: float = 1e-14) -> np.ndarray:
     """Sum the confluent-hypergeometric series in double-double precision.
 
     Evaluates sum_k (a)_k / ((b)_k k!) z^k elementwise over ``z`` with the
@@ -187,7 +178,7 @@ def chf_series_dd(a: complex, b: float, z: np.ndarray, *, rel_tol: float = 1e-14
     s = t
     ar, ai = float(a.real), float(a.imag)
     hits = np.zeros(zf.shape, dtype=np.int64)
-    for k in range(max_terms):
+    for k in range(MAX_TERMS):
         # a + k and (b + k)(k + 1) carried in double-double: when a or b has
         # a non-representable part, the half-ulp rounding of a plain float
         # sum would be amplified by the series cancellation into the result
@@ -202,7 +193,7 @@ def chf_series_dd(a: complex, b: float, z: np.ndarray, *, rel_tol: float = 1e-14
         if np.all(hits >= 2):
             return s.to_complex().reshape(shape)
     raise NonConvergence(
-        f"series did not converge within {max_terms} terms "
+        f"series did not converge within {MAX_TERMS} terms "
         f"(a={a!r}, b={b!r}, max|z|={float(np.max(np.abs(zf))):.3g})")
 
 
@@ -242,12 +233,20 @@ _WIDTH_GUARD = SAFE_BITS + 16
 _LOG2E = 1.0 / math.log(2.0)
 
 
-def _fixed_sum(a: complex, b: float, z: complex, bits: int, stop_bits: int,
-               max_terms: int) -> tuple[int, int, int, int]:
-    """Sum the series at ``bits`` fractional bits: (sr, si, peak, n).
+def _fixed_sum(a: complex, b: float, z: complex, bits: int) -> tuple[int, int, int, int]:
+    """Fixed-point confluent-hypergeometric series, raw scaled integers.
 
-    ``peak`` is the bit length of the largest scaled term and ``n`` the
-    number of terms summed; see :func:`chf_series_fixed_ints`.
+    Returns (sr, si, peak, n): the series value is (sr + i si) / 2**bits
+    up to the truncation error, which stays below ~n**2 * 2**(peak - bits)
+    absolute for the n terms summed, whose largest has magnitude
+    2**peak.  Summation stops once the term magnitude drops ``SAFE_BITS``
+    binary orders below the running sum, twice in a row.
+
+    Terms are carried as integer pairs scaled by 2**bits; the per-term
+    ratio (a+k) z / ((b+k)(k+1)) is formed from the exact dyadic rationals
+    of the float inputs, so each term suffers a single half-ulp rounding
+    at the fixed-point scale.  This makes the routine accurate even when
+    intermediate terms exceed the result by dozens of orders of magnitude.
     """
     anr, asr = _dyadic(float(a.real))
     ani, asi = _dyadic(float(a.imag))
@@ -277,7 +276,7 @@ def _fixed_sum(a: complex, b: float, z: complex, bits: int, stop_bits: int,
     sr, si = one, 0
     peak = one.bit_length()
     hits = 0
-    for k in range(max_terms):
+    for k in range(MAX_TERMS):
         q = dq * (bn + k * bd) * (k + 1)
         half = q >> 1
         # floor((x + q/2) / q): round to nearest, one half-unit error per term
@@ -289,57 +288,37 @@ def _fixed_sum(a: complex, b: float, z: complex, bits: int, stop_bits: int,
         tbits = (abs(tr) | abs(ti)).bit_length()
         if tbits > peak:
             peak = tbits
-        if tbits == 0 or tbits + stop_bits <= (abs(sr) | abs(si)).bit_length():
+        if tbits == 0 or tbits + SAFE_BITS <= (abs(sr) | abs(si)).bit_length():
             hits += 1
             if hits >= 2:
                 return sr, si, peak, k + 2
         else:
             hits = 0
     raise NonConvergence(
-        f"fixed-point series did not converge within {max_terms} terms "
+        f"fixed-point series did not converge within {MAX_TERMS} terms "
         f"(a={a!r}, b={b!r}, z={z!r})")
 
 
-def chf_series_fixed_ints(a: complex, b: float, z: complex, *, bits: int = 320,
-                          stop_bits: int = 170, max_terms: int = 20000) -> tuple[int, int]:
-    """Fixed-point confluent-hypergeometric series, raw scaled integers.
-
-    Returns integers (sr, si) with the series value equal to
-    (sr + i si) / 2**bits up to the truncation error, which stays below
-    ~n**2 * 2**(peak - bits) absolute for n terms whose largest has
-    magnitude 2**peak.  Summation stops once the term magnitude drops
-    ``stop_bits`` binary orders below the running sum, twice in a row.
-
-    Terms are carried as integer pairs scaled by 2**bits; the per-term
-    ratio (a+k) z / ((b+k)(k+1)) is formed from the exact dyadic rationals
-    of the float inputs, so each term suffers a single half-ulp rounding
-    at the fixed-point scale.  This makes the routine accurate even when
-    intermediate terms exceed the result by dozens of orders of magnitude.
-    """
-    sr, si, _, _ = _fixed_sum(a, b, z, bits, stop_bits, max_terms)
-    return sr, si
-
-
-def chf_series_fixed(a: complex, b: float, z: complex, *, bits: int | None = None,
-                     stop_bits: int = SAFE_BITS, max_terms: int = 20000) -> complex:
+def chf_series_fixed(a: complex, b: float, z: complex, *,
+                     bits: int | None = None) -> complex:
     """Fixed-point confluent-hypergeometric series rounded to complex double.
 
     Sums at ``bits`` fractional bits, by default sized from the predicted
     cancellation: on the imaginary axis the largest term is about e^|z|
     while the sum stays of order one, which costs about |z| log2(e) bits.
-    Then it checks the width: the sum must stand at least ``stop_bits``
+    Then it checks the width: the sum must stand at least ``SAFE_BITS``
     bits above the truncation bound n**2 * 2**(peak - bits) of
-    :func:`chf_series_fixed_ints`.  If it does not, because the parameters
-    make the terms peak higher than predicted or the sum lies near a zero,
-    the series is summed again at the width the bound asks for.
+    :func:`_fixed_sum`.  If it does not, because the parameters make the
+    terms peak higher than predicted or the sum lies near a zero, the
+    series is summed again at the width the bound asks for.
     """
     if bits is None:
         bits = math.ceil(abs(z) * _LOG2E) + _WIDTH_GUARD
-    sr, si, peak, n = _fixed_sum(a, b, z, bits, stop_bits, max_terms)
+    sr, si, peak, n = _fixed_sum(a, b, z, bits)
     # bits the sum stands above the bound; they grow one for one with the
     # width, and 8 more cover the rounding of the bit lengths
     above = (abs(sr) | abs(si)).bit_length() - (peak - bits) - 2 * n.bit_length()
-    if above < stop_bits:
-        bits += stop_bits - above + 8
-        sr, si, _, _ = _fixed_sum(a, b, z, bits, stop_bits, max_terms)
+    if above < SAFE_BITS:
+        bits += SAFE_BITS - above + 8
+        sr, si, _, _ = _fixed_sum(a, b, z, bits)
     return complex(_int_to_float(sr, -bits), _int_to_float(si, -bits))

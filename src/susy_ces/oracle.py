@@ -11,7 +11,8 @@ The integrator is an embedded Dormand-Prince 5(4) pair with PI step
 control and first-same-as-last reuse, operating on scalar Python
 complex pairs (Z, Z'); segments are modest (1e4..1e6 steps) and a
 tight pure-Python loop is fast enough while keeping the dependency
-surface at zero.  A call returns only the segment endpoint, which is hit
+surface at zero.  Every step is error-controlled: there is no
+fixed-step mode.  A call returns only the segment endpoint, which is hit
 exactly by clamping the final step; callers that need several points
 (the phase ladder in :mod:`susy_ces.scattering`) chain segments.
 
@@ -135,9 +136,8 @@ def _initial_step(f, x0: float, y0, f0, direction: float, rel: float, ab: float,
 
 
 def _integrate_rhs(f: Callable, x0: float, x1: float,
-                   y0: tuple[complex, complex], cfg: IntegratorConfig,
-                   fixed_step: float | None = None) -> ODESolution:
-    """Generic adaptive (or fixed-step) core over a complex 2-vector field."""
+                   y0: tuple[complex, complex], cfg: IntegratorConfig) -> ODESolution:
+    """Generic adaptive core over a complex 2-vector field."""
     if x1 == x0:
         raise InvalidParams("empty integration interval")
     direction = 1.0 if x1 > x0 else -1.0
@@ -145,10 +145,7 @@ def _integrate_rhs(f: Callable, x0: float, x1: float,
     x = x0
     y = (complex(y0[0]), complex(y0[1]))
     k1 = f(x, y)
-    if fixed_step is not None:
-        h = min(abs(fixed_step), span)
-    else:
-        h = _initial_step(f, x0, y, k1, direction, cfg.rel_tol, cfg.abs_tol, span)
+    h = _initial_step(f, x0, y, k1, direction, cfg.rel_tol, cfg.abs_tol, span)
 
     n_steps = 0
     n_rej = 0
@@ -193,19 +190,15 @@ def _integrate_rhs(f: Callable, x0: float, x1: float,
                 e0 += ei * ki[0]
                 e1 += ei * ki[1]
         ynew = (y[0] + hs * acc0, y[1] + hs * acc1)
-        if fixed_step is not None:
-            err = 0.0
-        else:
-            err = _wrms(y, ynew, (hs * e0, hs * e1), cfg.rel_tol, cfg.abs_tol)
+        err = _wrms(y, ynew, (hs * e0, hs * e1), cfg.rel_tol, cfg.abs_tol)
         if err <= 1.0:
             x = x1 if is_last else x + hs
             y = ynew
             ks[0] = ks[6]  # FSAL
             n_steps += 1
-            if fixed_step is None:
-                fac = 0.9 * err ** -0.17 * err_prev ** 0.04 if err > 0 else 5.0
-                h = h * min(5.0, max(0.2, fac))
-                err_prev = max(err, 1e-4)
+            fac = 0.9 * err ** -0.17 * err_prev ** 0.04 if err > 0 else 5.0
+            h = h * min(5.0, max(0.2, fac))
+            err_prev = max(err, 1e-4)
         else:
             n_rej += 1
             h = h * min(1.0, max(0.2, 0.9 * err ** -0.2))
@@ -242,6 +235,9 @@ def integrate(problem: ODEProblem, x0: float, x1: float, z0: complex,
 # and sigma = 1/2 with the two-term recurrence coded below.  The series
 # is summed in a small self-contained double-double kernel: this module
 # must not lean on the evaluator it is meant to check.
+
+#: a term below this fraction of the sum, twice in a row, ends the series
+_FROBENIUS_REL_TOL = 1e-16
 
 
 def _f_two_sum(a: float, b: float) -> tuple[float, float]:
@@ -310,7 +306,6 @@ class _CDD(NamedTuple):
 
 
 def frobenius_series_solution(a: complex, sigma: float, y: complex, *,
-                              rel_tol: float = 1e-16,
                               max_terms: int = 4000) -> complex:
     """Frobenius solution f_sigma(y) = y^sigma sum_k c_k y^k, c_0 = 1.
 
@@ -333,7 +328,7 @@ def frobenius_series_solution(a: complex, sigma: float, y: complex, *,
         t = t.div_d(k + sigma + 1.0)
         t = t.div_d(k + sigma + 0.5)
         s = s.add(t)
-        if t.mag() <= rel_tol * s.mag():
+        if t.mag() <= _FROBENIUS_REL_TOL * s.mag():
             hits += 1
             if hits >= 2:
                 val = s.to_complex()
@@ -348,20 +343,23 @@ def frobenius_series_solution(a: complex, sigma: float, y: complex, *,
 # ---------------------------------------------------------------------------
 # finite-difference residual
 
+#: stencil spacing of the residual
+_STENCIL_H = 1e-3
 
-def residual_schrodinger(zfunc: Callable, vfunc: Callable, energy: float, x,
-                         h: float = 1e-3):
+
+def residual_schrodinger(zfunc: Callable, vfunc: Callable, energy: float, x):
     """Relative Schrodinger residual |Z'' + (E - V) Z| / (E max(1, |Z|)).
 
     ``zfunc`` and ``vfunc`` must accept vectorised x.  The second
     derivative is the five-point central stencil
     (-1, 16, -30, 16, -1) / (12 h^2), so the residual floor is set by
     sample noise amplified by ~5.3/h^2; with analytic samples at 1e-15
-    and the default h this sits around 1e-8 relative.
+    and h = 1e-3 this sits around 1e-8 relative.
     """
+    h = _STENCIL_H
     xa = np.asarray(x, dtype=float)
     if np.any(xa - 2 * h <= 0):
-        raise DomainError("stencil would cross x = 0; increase x or shrink h")
+        raise DomainError(f"stencil would cross x = 0; need x > {2 * h:g}")
     offsets = (-2, -1, 0, 1, 2)
     w = (-1.0, 16.0, -30.0, 16.0, -1.0)
     zs = [zfunc(xa + k * h) for k in offsets]

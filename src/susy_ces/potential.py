@@ -134,29 +134,3 @@ def critical_structure(m: float) -> CriticalStructure:
         max_x=0.5625 / m2,
         max_value=(16.0 / 27.0) * m2 * m2,
     )
-
-
-@dataclass(frozen=True)
-class PotentialSpec:
-    """A concrete physical potential: positive coupling m plus a sector."""
-
-    m: float
-    sector: Sector
-
-    def __post_init__(self):
-        object.__setattr__(self, "m", _check_m(self.m, allow_negative=False))
-        if not isinstance(self.sector, Sector):
-            raise InvalidParams(f"sector={self.sector!r} is not a Sector")
-
-    def __call__(self, x):
-        return V(x, self.m, self.sector)
-
-    def derivative(self, x):
-        return V_deriv(x, self.m, self.sector)
-
-    def superpotential(self, x):
-        return superpotential(x, self.m)
-
-    def partner(self) -> "PotentialSpec":
-        other = Sector.MINUS if self.sector is Sector.PLUS else Sector.PLUS
-        return PotentialSpec(self.m, other)

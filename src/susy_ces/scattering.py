@@ -59,6 +59,8 @@ _SQRT2 = math.sqrt(2.0)
 _EPS = 2.0 ** -52
 #: smallest omega x at which a sample is read as an asymptotic sinusoid
 _MIN_X_OMEGA = 20.0
+#: rungs of the ladder when no x_limit is given: x_limit = x_match 2^14
+_DEFAULT_DOUBLINGS = 14
 
 
 def coulomb_eta(m: float, omega: float) -> float:
@@ -97,14 +99,14 @@ class PhaseConfig:
     region and past the barrier.  It is also the seeding point unless it
     lies beyond the 1F1 series range; then the seed moves inward to the
     edge of that range (:func:`seed_point`).
-    ``x_limit``: optional hard cap on ladder points (budget control).
+    ``x_limit``: the ladder's one budget, the largest x a rung may reach,
+    finite and positive; ``None`` means x_match 2^14, i.e. 14 rungs.
     ``part``: which real solution to track, the real or imaginary part
     of the complex pair; both must give the same limit (useful as a
     consistency check).
     """
 
     x_match: float | None = None
-    max_doublings: int = 14
     tol: float = 1e-3
     part: str = "re"
     x_limit: float | None = None
@@ -112,8 +114,8 @@ class PhaseConfig:
     def __post_init__(self):
         if self.part not in ("re", "im"):
             raise InvalidParams(f"part={self.part!r} must be 're' or 'im'")
-        if self.max_doublings < 1:
-            raise InvalidParams("max_doublings must be >= 1")
+        if not (self.x_limit is None or 0.0 < self.x_limit < math.inf):
+            raise InvalidParams(f"x_limit={self.x_limit!r} must be a positive finite real")
         if not (self.tol > 0):
             raise InvalidParams("tol must be positive")
 
@@ -192,14 +194,20 @@ def phase_difference(m: float, omega: float,
     hypergeometric evaluation is needed in the far zone; the integrator
     runs at its default tolerances.  Raises
     :class:`NotConverged` (with the partial result attached as
-    ``err.result``) if the ladder exhausts its doubling or x budget
-    before two consecutive accelerated values agree to ``cfg.tol``.
+    ``err.result``) if the ladder reaches ``cfg.x_limit`` before two
+    consecutive accelerated values agree to ``cfg.tol``.
     """
     cfg = cfg or PhaseConfig()
     p = solution_params(m, omega)
     x_match = float(cfg.x_match) if cfg.x_match is not None else default_x_match(m, omega)
     if x_match <= 0.0 or not math.isfinite(x_match):
         raise InvalidParams(f"x_match={x_match!r} must be a positive finite real")
+
+    x_limit = cfg.x_limit or x_match * 2.0 ** _DEFAULT_DOUBLINGS
+    # rung k >= 1 sits at x_match 2^k <= x_limit: compare binary exponents,
+    # then mantissas, so the count is exact and needs no loop
+    (fm, em), (fl, el) = math.frexp(x_match), math.frexp(x_limit)
+    n_rungs = max(0, el - em - (fm > fl))
 
     x_seed = seed_point(x_match, p.omega)
     zm = solution_Z(p, Branch.I, Sector.MINUS, x_seed)
@@ -226,10 +234,8 @@ def phase_difference(m: float, omega: float,
     yp = (complex(zp.value), complex(zp.derivative))
     residual = math.inf
     converged = False
-    for k in range(1, cfg.max_doublings + 1):
-        xk = x_match * 2.0 ** k
-        if cfg.x_limit is not None and xk > cfg.x_limit:
-            break
+    for k in range(1, n_rungs + 1):
+        xk = math.ldexp(x_match, k)
         sm = integrate(prob_m, x_prev, xk, ym[0], ym[1])
         sp = integrate(prob_p, x_prev, xk, yp[0], yp[1])
         ym = (sm.value, sm.derivative)

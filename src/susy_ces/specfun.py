@@ -40,8 +40,8 @@ from .highprec import chf_series_dd  # noqa: F401
 #: ratio reaches ~1e26, which the fixed-point ladder absorbs with tens of
 #: digits to spare; past it the contract sends callers to ODE propagation.
 SERIES_ZMAX = 60.0
-#: term budget of one series sum; inside SERIES_ZMAX a few hundred suffice
-MAX_TERMS = 10000
+#: below this |z| the asymptotic expansion's optimal truncation is too loose
+ASYMPTOTIC_MIN_ABS_Z = 25.0
 
 _GOLDEN_ENV = "SUSY_CES_GOLDEN_DIR"
 
@@ -70,8 +70,7 @@ class CHFParams:
 
 def _series(a: complex, b: float, z: np.ndarray) -> np.ndarray:
     """Direct series over a flat complex array, one fixed-point sum per point."""
-    return np.array([chf_series_fixed(a, b, zi, max_terms=MAX_TERMS)
-                     for zi in z.tolist()], dtype=complex)
+    return np.array([chf_series_fixed(a, b, zi) for zi in z.tolist()], dtype=complex)
 
 
 def _flat_z(z) -> np.ndarray:
@@ -126,9 +125,6 @@ def kummer_transform(p: CHFParams, z):
 
 def chf_1f1_deriv(p: CHFParams, z):
     """d/dz 1F1(a, b; z) = (a/b) 1F1(a+1, b+1; z)."""
-    if p.a == 0:
-        _flat_z(z)
-        return 0j if np.ndim(z) == 0 else np.zeros(np.shape(z), dtype=complex)
     return (p.a / p.b) * chf_1f1(CHFParams(p.a + 1, p.b + 1), z)
 
 
@@ -205,7 +201,7 @@ class AsymptoticResult(NamedTuple):
     error_estimate: float
 
 
-def chf_asymptotic(p: CHFParams, z: complex, *, min_abs_z: float = 25.0) -> AsymptoticResult:
+def chf_asymptotic(p: CHFParams, z: complex) -> AsymptoticResult:
     """Large-|z| two-branch expansion of 1F1(a, b; z), cross-check only.
 
     Sums both formal series to their optimal truncation.  The recessive
@@ -217,11 +213,11 @@ def chf_asymptotic(p: CHFParams, z: complex, *, min_abs_z: float = 25.0) -> Asym
     Raises
     ------
     ArgumentTooSmall
-        if |z| < min_abs_z, where optimal truncation is too loose.
+        if |z| < ASYMPTOTIC_MIN_ABS_Z, where optimal truncation is too loose.
     """
     z = complex(z)
-    if abs(z) < min_abs_z:
-        raise ArgumentTooSmall(f"|z| = {abs(z):.4g} < {min_abs_z:g}")
+    if abs(z) < ASYMPTOTIC_MIN_ABS_Z:
+        raise ArgumentTooSmall(f"|z| = {abs(z):.4g} < {ASYMPTOTIC_MIN_ABS_Z:g}")
     a, b = p.a, p.b
 
     def opt_sum(p1: complex, p2: complex, zz: complex) -> tuple[complex, float]:

@@ -13,7 +13,6 @@ All randomness is seeded: two runs of a suite see identical inputs.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -287,14 +286,17 @@ def check_convergence_order(tol: float = 0.0) -> CheckReport:
     import cmath
     w = 1.3
     f = lambda x, y: (y[1], -(w * w) * y[0])
-    errs = []
-    for h in (0.1, 0.05):
+    runs = []
+    for rel_tol in (1e-6, 1e-9):
         s = oracle._integrate_rhs(f, 0.0, 10.0, (1.0 + 0j, 1j * w),
-                                  oracle.IntegratorConfig(), fixed_step=h)
-        errs.append(abs(s.value - cmath.exp(1j * w * 10.0)))
-    order = math.log(errs[0] / errs[1], 2.0)
+                                  oracle.IntegratorConfig(rel_tol=rel_tol))
+        runs.append((abs(s.value - cmath.exp(1j * w * 10.0)), s.n_steps))
+    (e1, n1), (e2, n2) = runs
+    # error ~ n^-p: the order is the slope of log error against log steps
+    order = math.log(e1 / e2) / math.log(n2 / n1)
     return _report("oracle/convergence-order", max(0.0, 4.0 - order), tol,
-                   f"empirical order {order:.2f} from step halving (need >= 4)")
+                   f"empirical order {order:.2f} from adaptive runs at rel_tol "
+                   f"1e-6 and 1e-9 (need >= 4)")
 
 
 def check_ode_vs_closedform(tol: float = 1e-7) -> CheckReport:

@@ -208,9 +208,10 @@ def test_phase_not_converged_exits_1_with_partial_output(runner):
 
 
 def test_phase_beyond_series_range_prints_ladder_and_exits_1(runner):
-    # default x_match = 40 puts |y| = 80 past the series bound; the seed moves inward
+    # default x_match = 40 puts |y| = 80 past the series bound; the seed moves inward;
+    # --x-limit 320 = 40 * 2^3 stops the ladder after three rungs
     res = runner.invoke(main, ["phase", "--m", "4", "--omega", "1",
-                               "--max-doublings", "3"])
+                               "--x-limit", "320"])
     assert res.exit_code == 1
     assert "series bound" not in res.stderr
     assert "not converged" in res.stderr

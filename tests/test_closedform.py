@@ -99,6 +99,25 @@ def test_solution_assembly_from_components():
             assert np.array_equal(z.derivative, PHASE_M4 * (d1 + sg * d2))
 
 
+def test_one_point_matches_its_table_row_bit_for_bit():
+    # a lone x runs the same 1-d numpy loops as a row of a grid
+    omega = 2.0
+    x = np.linspace(0.1, 29.0 / omega, 41)
+    for ratio in (0.05, 0.2, 0.35, 0.5):  # m^2 / omega
+        p = cf.solution_params(math.sqrt(ratio * omega), omega)
+        for br in Branch:
+            rows = cf.components(p, br, x)
+            for sec in Sector:
+                grid = cf.solution_Z(p, br, sec, x)
+                for i, xi in enumerate(x.tolist()):
+                    one = cf.solution_Z(p, br, sec, xi)
+                    assert np.shape(one.value) == ()
+                    assert one.value == grid.value[i]
+                    assert one.derivative == grid.derivative[i]
+                    if sec is Sector.PLUS:
+                        assert cf.components(p, br, xi) == tuple(r[i] for r in rows)
+
+
 def test_rtilde_first_order_system():
     for m, omega in FAMILIES:
         p = cf.solution_params(m, omega)

@@ -6,16 +6,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from susy_ces import highprec
 from susy_ces.errors import NonConvergence
 from susy_ces.highprec import (
     CDD,
     DD,
+    _fixed_sum,
     _int_to_float,
     _two_prod,
     _two_sum,
     chf_series_dd,
     chf_series_fixed,
-    chf_series_fixed_ints,
 )
 
 
@@ -92,8 +93,8 @@ def test_series_dd_agrees_with_fixed_point(a, b, z):
 
 def test_fixed_point_precision_ladder_consistent():
     a, b, z = -0.3 + 0.2j, 1.2, 40j
-    lo = chf_series_fixed_ints(a, b, z, bits=320)
-    hi = chf_series_fixed_ints(a, b, z, bits=400)
+    lo = _fixed_sum(a, b, z, 320)[:2]
+    hi = _fixed_sum(a, b, z, 400)[:2]
     for lo_int, hi_int in zip(lo, hi):
         lo_f = Fraction(lo_int, 2 ** 320)
         hi_f = Fraction(hi_int, 2 ** 400)
@@ -104,8 +105,8 @@ def test_too_narrow_width_is_widened():
     # 16 bits hold the sum to about 1e-5; the width check sees the sum
     # standing too few bits above its truncation bound and sums again
     a, b, z = 0.5j, 0.5, -40j
-    want = chf_series_fixed(a, b, z, bits=500, stop_bits=220)
-    sr, si = chf_series_fixed_ints(a, b, z, bits=16, stop_bits=69)
+    want = chf_series_fixed(a, b, z, bits=500)
+    sr, si, _, _ = _fixed_sum(a, b, z, 16)
     narrow = complex(_int_to_float(sr, -16), _int_to_float(si, -16))
     assert abs(narrow - want) > 1e-6 * abs(want)
     assert chf_series_fixed(a, b, z, bits=16) == want
@@ -129,14 +130,16 @@ def test_int_to_float_rounds_once():
     assert _int_to_float((m << 2) | 3, -2) == float(m + 1)
 
 
-def test_series_fixed_nonconvergence_raises():
+def test_series_fixed_nonconvergence_raises(monkeypatch):
+    monkeypatch.setattr(highprec, "MAX_TERMS", 3)
     with pytest.raises(NonConvergence):
-        chf_series_fixed(0.5j, 0.5, -30j, max_terms=3)
+        chf_series_fixed(0.5j, 0.5, -30j)
 
 
-def test_series_dd_nonconvergence_raises():
+def test_series_dd_nonconvergence_raises(monkeypatch):
+    monkeypatch.setattr(highprec, "MAX_TERMS", 3)
     with pytest.raises(NonConvergence):
-        chf_series_dd(0.5j, 0.5, np.asarray(-30j, dtype=complex), max_terms=3)
+        chf_series_dd(0.5j, 0.5, np.asarray(-30j, dtype=complex))
 
 
 def test_series_dd_vectorised_matches_scalar():

@@ -54,14 +54,17 @@ def test_free_wave_accuracy():
 
 
 def test_empirical_convergence_order():
+    # adaptive runs a tolerance decade apart: error ~ steps^-p, so the
+    # order is the slope of log error against log step count
     w = 1.3
     f = lambda x, y: (y[1], -(w * w) * y[0])
-    errs = []
-    for h in (0.2, 0.1, 0.05):
+    runs = []
+    for tol in (1e-5, 1e-6, 1e-7, 1e-8, 1e-9, 1e-10):
         s = oracle._integrate_rhs(f, 0.0, 10.0, (1.0 + 0j, 1j * w),
-                                  IntegratorConfig(), fixed_step=h)
-        errs.append(abs(s.value - cmath.exp(1j * w * 10.0)))
-    orders = [math.log(errs[i] / errs[i + 1], 2.0) for i in range(2)]
+                                  IntegratorConfig(rel_tol=tol))
+        runs.append((abs(s.value - cmath.exp(1j * w * 10.0)), s.n_steps))
+    orders = [math.log(e1 / e2) / math.log(n2 / n1)
+              for (e1, n1), (e2, n2) in zip(runs, runs[1:])]
     for order in orders:
         assert 4.3 < order < 5.7  # fifth-order propagation
 

@@ -148,20 +148,6 @@ def test_domain_guards():
         pot.critical_structure(0.0)
 
 
-def test_potential_spec_wrapper():
-    spec = pot.PotentialSpec(m=1.5, sector=Sector.MINUS)
-    x = np.linspace(0.2, 5.0, 17)
-    assert np.array_equal(spec(x), pot.V(x, 1.5, Sector.MINUS))
-    assert np.array_equal(spec.derivative(x), pot.V_deriv(x, 1.5, Sector.MINUS))
-    assert np.array_equal(spec.superpotential(x), pot.superpotential(x, 1.5))
-    partner = spec.partner()
-    assert partner.sector is Sector.PLUS
-    assert partner.m == spec.m
-    assert partner.partner() == spec
-    with pytest.raises(InvalidParams):
-        pot.PotentialSpec(m=-1.0, sector=Sector.MINUS)
-
-
 def test_sector_enum():
     assert Sector.PLUS.sign == 1.0
     assert Sector.MINUS.sign == -1.0

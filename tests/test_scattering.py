@@ -76,8 +76,13 @@ def test_phase_config_validation():
         PhaseConfig(part="abs")
     with pytest.raises(InvalidParams):
         PhaseConfig(tol=0.0)
+
+
+@pytest.mark.parametrize("x_limit", [math.nan, math.inf, 0.0, -1.0])
+def test_phase_config_rejects_bad_x_limit(x_limit):
+    # x_limit is the ladder's only budget, so it must be a finite positive x
     with pytest.raises(InvalidParams):
-        PhaseConfig(max_doublings=0)
+        PhaseConfig(x_limit=x_limit)
 
 
 def test_susy_phase_offset_landmarks():
@@ -147,7 +152,8 @@ def test_phase_difference_budget_exhaustion():
 
 def test_phase_difference_too_few_points():
     with pytest.raises(NotConverged):
-        phase_difference(0.5, 2.0, PhaseConfig(max_doublings=2))
+        # x_match = 10: two rungs, at x = 20 and 40
+        phase_difference(0.5, 2.0, PhaseConfig(x_limit=10.0 * 2 ** 2))
 
 
 @given(st.floats(1e-3, 1e3))
@@ -162,8 +168,9 @@ def test_seed_point_stays_inside_the_series_range(omega):
 @pytest.mark.parametrize("m, omega", [(4.0, 1.0), (3.0, 0.5)])
 def test_phase_difference_seeds_inside_the_series_range(m, omega):
     # 2 omega x_match = 80 and 90: the seed moves in to |y| = 60, the rungs stay
+    x_match = sc.default_x_match(m, omega)
     with pytest.raises(NotConverged) as exc:
-        phase_difference(m, omega, PhaseConfig(max_doublings=3))
+        phase_difference(m, omega, PhaseConfig(x_limit=x_match * 2 ** 3))
     res = exc.value.result
     assert 2.0 * omega * res.x_match > SERIES_ZMAX
     assert np.array_equal(res.x, res.x_match * np.array([2.0, 4.0, 8.0]))
