@@ -33,8 +33,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, InvalidParams
-from .potential import Sector, superpotential
+from .errors import InvalidParams
+from .potential import Sector, _check_x, superpotential
 from .specfun import CHFParams, chf_1f1, chf_1f1_deriv
 
 #: e^{-i pi/4}: global prefactor of Z; also the phase of y^{1/2} for x > 0
@@ -111,13 +111,6 @@ def coupling_constants(p: SolutionParams, branch: Branch) -> CouplingConstants:
     raise InvalidParams(f"branch={branch!r} is not a Branch")
 
 
-def _check_x(x) -> np.ndarray:
-    xa = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(xa)) or np.any(xa <= 0.0):
-        raise DomainError("solutions are defined on finite x > 0 only")
-    return xa
-
-
 def components(p: SolutionParams, branch: Branch, x):
     """(rtilde_1, rtilde_2, d rtilde_1/dx, d rtilde_2/dx), each shaped like ``x``.
 
@@ -180,7 +173,7 @@ def solution_Z(p: SolutionParams, branch: Branch, sector: Sector, x) -> Solution
     """
     if not isinstance(sector, Sector):
         raise InvalidParams(f"sector={sector!r} is not a Sector")
-    xa = _check_x(x)
+    xa = np.asarray(x, dtype=float)  # components checks the domain
     r1, r2, dr1, dr2 = components(p, branch, xa.ravel())
     sg = 1j * sector.sign
     return SolutionSample(xa, (PHASE_M4 * (r1 + sg * r2)).reshape(xa.shape)[()],

@@ -3,9 +3,9 @@
 Nothing in this module reuses the hypergeometric evaluator: the three
 tools here — an adaptive Runge-Kutta integrator for the complex
 Schrodinger equation, a Frobenius power series grown directly from the
-ODE recurrence, and a finite-difference residual — are deliberately
-separate routes to the same numbers, so agreement is evidence rather
-than tautology.
+ODE recurrence and summed in the standard library's decimal arithmetic,
+and a finite-difference residual — are deliberately separate routes to
+the same numbers, so agreement is evidence rather than tautology.
 
 The integrator is an embedded Dormand-Prince 5(4) pair with PI step
 control and first-same-as-last reuse, operating on scalar Python
@@ -25,6 +25,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -73,7 +74,7 @@ class IntegratorConfig:
 
 @dataclass(frozen=True)
 class ODEProblem:
-    """Second-order problem Z'' = q(x) Z as a first-order complex pair."""
+    """Second-order problem Z'' = q(x) Z; the integrator carries (Z, Z')."""
 
     m: float
     omega: float
@@ -85,9 +86,6 @@ class ODEProblem:
         m = self.m
         return (m * m) / x + self.sector.sign * (0.5 * m) / (x * math.sqrt(x)) \
             - self.omega * self.omega
-
-    def rhs(self, x: float, y: tuple[complex, complex]) -> tuple[complex, complex]:
-        return y[1], self.q(x) * y[0]
 
 
 def schrodinger_problem(m: float, omega: float, sector: Sector) -> ODEProblem:
@@ -120,32 +118,31 @@ def _wrms(u: tuple[complex, complex], v: tuple[complex, complex],
     return math.sqrt(0.5 * s)
 
 
-def _initial_step(f, x0: float, y0, f0, direction: float, rel: float, ab: float,
-                  span: float) -> float:
+def _initial_step(q, x0: float, y0, f0, direction: float, span: float) -> float:
     # standard two-probe heuristic: balance |y|/|f| with a curvature probe
     d0 = max(abs(y0[0]), abs(y0[1]))
     d1 = max(abs(f0[0]), abs(f0[1]))
     h0 = 0.01 * d0 / d1 if d0 > 1e-5 and d1 > 1e-5 else 1e-6
     h0 = min(h0, span)
     y1 = (y0[0] + direction * h0 * f0[0], y0[1] + direction * h0 * f0[1])
-    f1 = f(x0 + direction * h0, y1)
+    f1 = (y1[1], q(x0 + direction * h0) * y1[0])
     d2 = max(abs(f1[0] - f0[0]), abs(f1[1] - f0[1])) / h0
     dm = max(d1, d2)
     h1 = (0.01 / dm) ** 0.2 if dm > 1e-15 else max(1e-6, h0 * 1e-3)
     return min(100 * h0, h1, span)
 
 
-def _integrate_rhs(f: Callable, x0: float, x1: float,
+def _integrate_rhs(q: Callable, x0: float, x1: float,
                    y0: tuple[complex, complex], cfg: IntegratorConfig) -> ODESolution:
-    """Generic adaptive core over a complex 2-vector field."""
+    """Adaptive core for Z'' = q(x) Z, carried as the pair (Z, Z')."""
     if x1 == x0:
         raise InvalidParams("empty integration interval")
     direction = 1.0 if x1 > x0 else -1.0
     span = abs(x1 - x0)
     x = x0
     y = (complex(y0[0]), complex(y0[1]))
-    k1 = f(x, y)
-    h = _initial_step(f, x0, y, k1, direction, cfg.rel_tol, cfg.abs_tol, span)
+    k1 = (y[1], q(x) * y[0])
+    h = _initial_step(q, x0, y, k1, direction, span)
 
     n_steps = 0
     n_rej = 0
@@ -174,7 +171,7 @@ def _integrate_rhs(f: Callable, x0: float, x1: float,
                     kj = ks[j]
                     acc0 += aij * kj[0]
                     acc1 += aij * kj[1]
-            ks[i] = f(x + _C[i] * hs, (y[0] + hs * acc0, y[1] + hs * acc1))
+            ks[i] = (y[1] + hs * acc1, q(x + _C[i] * hs) * (y[0] + hs * acc0))
         acc0 = 0j
         acc1 = 0j
         e0 = 0j
@@ -222,7 +219,7 @@ def integrate(problem: ODEProblem, x0: float, x1: float, z0: complex,
     if lo < problem.x_floor:
         raise DomainError(
             f"segment reaches x={lo:.3g} below the origin floor {problem.x_floor:.3g}")
-    return _integrate_rhs(problem.rhs, float(x0), float(x1),
+    return _integrate_rhs(problem.q, float(x0), float(x1),
                           (complex(z0), complex(dz0)), cfg)
 
 
@@ -233,76 +230,55 @@ def integrate(problem: ODEProblem, x0: float, x1: float, z0: complex,
 # equation turns it into y f'' + (1/2 - y) f' - a f = 0, whose Frobenius
 # solutions at the regular singular point y = 0 have exponents sigma = 0
 # and sigma = 1/2 with the two-term recurrence coded below.  The series
-# is summed in a small self-contained double-double kernel: this module
+# is summed in the standard library's decimal arithmetic: this module
 # must not lean on the evaluator it is meant to check.
 
-#: a term below this fraction of the sum, twice in a row, ends the series
-_FROBENIUS_REL_TOL = 1e-16
+#: significant digits of the sum the series resolves: a double's 17 plus
+#: 8 guard digits, so the one rounding to complex double is correct
+_SAFE_DIGITS = 17 + 8
+#: digits added to the predicted cancellation when sizing the precision:
+#: the safe digits plus 12 for the n**2 growth of the rounding error
+_PREC_GUARD = _SAFE_DIGITS + 12
+_LOG10E = math.log10(math.e)
 
 
-def _f_two_sum(a: float, b: float) -> tuple[float, float]:
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
+def _exponent(re: Decimal, im: Decimal) -> float:
+    """floor(log10) of the larger part of re + i im; -inf for zero."""
+    return max(re.adjusted() if re else -math.inf, im.adjusted() if im else -math.inf)
 
 
-def _f_two_prod(a: float, b: float) -> tuple[float, float]:
-    p = a * b
-    c = 134217729.0 * a
-    ah = c - (c - a)
-    al = a - ah
-    c = 134217729.0 * b
-    bh = c - (c - b)
-    bl = b - bh
-    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+def _frobenius_sum(a: complex, sigma: float, y: complex, prec: int,
+                   max_terms: int) -> tuple[Decimal, Decimal, float, int]:
+    """(sr, si, peak, n): the sum sr + i si at ``prec`` significant digits,
+    the decimal exponent of its largest term and the n terms summed.
 
-
-def _dd_add(x: tuple[float, float], y: tuple[float, float]) -> tuple[float, float]:
-    s, e = _f_two_sum(x[0], y[0])
-    t, f2 = _f_two_sum(x[1], y[1])
-    e += t
-    s, e = s + e, e - ((s + e) - s)
-    e += f2
-    hi = s + e
-    return hi, e - (hi - s)
-
-
-def _dd_mul(x: tuple[float, float], y: tuple[float, float]) -> tuple[float, float]:
-    p, e = _f_two_prod(x[0], y[0])
-    e += x[0] * y[1] + x[1] * y[0]
-    hi = p + e
-    return hi, e - (hi - p)
-
-
-def _dd_div_d(x: tuple[float, float], d: float) -> tuple[float, float]:
-    q1 = x[0] / d
-    p, pe = _f_two_prod(q1, d)
-    s, se = _f_two_sum(x[0], -p)
-    q2 = (s + (se - pe + x[1])) / d
-    hi = q1 + q2
-    return hi, q2 - (hi - q1)
-
-
-class _CDD(NamedTuple):
-    re: tuple[float, float]
-    im: tuple[float, float]
-
-    def mul(self, o: "_CDD") -> "_CDD":
-        rr = _dd_add(_dd_mul(self.re, o.re), _dd_mul((-self.im[0], -self.im[1]), o.im))
-        ii = _dd_add(_dd_mul(self.re, o.im), _dd_mul(self.im, o.re))
-        return _CDD(rr, ii)
-
-    def add(self, o: "_CDD") -> "_CDD":
-        return _CDD(_dd_add(self.re, o.re), _dd_add(self.im, o.im))
-
-    def div_d(self, d: float) -> "_CDD":
-        return _CDD(_dd_div_d(self.re, d), _dd_div_d(self.im, d))
-
-    def mag(self) -> float:
-        return math.hypot(self.re[0], self.im[0])
-
-    def to_complex(self) -> complex:
-        return complex(self.re[0] + self.re[1], self.im[0] + self.im[1])
+    Inputs enter exactly and each operation rounds once, so the error
+    stays below ~n**2 * 10**(peak + 1 - prec).  The sum ends once a term
+    falls ``_SAFE_DIGITS`` decimal orders below it, twice in a row.
+    """
+    with localcontext() as ctx:
+        ctx.prec = prec
+        ar, ai, yr, yi = (Decimal(v) for v in (a.real, a.imag, y.real, y.imag))
+        s0, half = Decimal(sigma), Decimal(0.5)
+        tr, ti = sr, si = Decimal(1), Decimal(0)
+        peak = hits = 0
+        for k in range(max_terms):
+            # t_{k+1} = t_k (c + a) y / ((c + 1)(c + 1/2)), c = k + sigma exactly
+            c = s0 + k
+            nr = ar + c
+            d = (c + 1) * (c + half)
+            rr, ri = (nr * yr - ai * yi) / d, (nr * yi + ai * yr) / d
+            tr, ti = tr * rr - ti * ri, tr * ri + ti * rr
+            sr += tr
+            si += ti
+            te = _exponent(tr, ti)
+            peak = max(peak, te)
+            hits = hits + 1 if te + _SAFE_DIGITS <= _exponent(sr, si) else 0
+            if hits >= 2:
+                return sr, si, peak, k + 2
+    raise NonConvergence(
+        f"Frobenius series did not converge within {max_terms} terms "
+        f"(a={a!r}, sigma={sigma}, |y|={abs(y):.3g})")
 
 
 def frobenius_series_solution(a: complex, sigma: float, y: complex, *,
@@ -313,31 +289,28 @@ def frobenius_series_solution(a: complex, sigma: float, y: complex, *,
     ((k + sigma + 1)(k + sigma + 1/2)), read directly off the ODE
     y f'' + (1/2 - y) f' - a f = 0; sigma must be one of the indicial
     exponents 0 or 1/2.  y^sigma uses the principal branch.
+
+    The sum runs in decimal at a precision sized from the predicted
+    cancellation (about |y| log10(e) digits on the imaginary axis), and
+    once more, wider, if it stands fewer than ``_SAFE_DIGITS`` digits
+    above its error bound: the terms peaked higher, or the sum is small.
     """
     if sigma not in (0.0, 0.5):
         raise InvalidParams(f"sigma={sigma!r} must be 0.0 or 0.5")
     a = complex(a)
     y = complex(y)
-    yc = _CDD((y.real, 0.0), (y.imag, 0.0))
-    t = _CDD((1.0, 0.0), (0.0, 0.0))
-    s = t
-    hits = 0
-    for k in range(max_terms):
-        num = _CDD(_f_two_sum(a.real, k + sigma), (a.imag, 0.0))
-        t = t.mul(num).mul(yc)
-        t = t.div_d(k + sigma + 1.0)
-        t = t.div_d(k + sigma + 0.5)
-        s = s.add(t)
-        if t.mag() <= _FROBENIUS_REL_TOL * s.mag():
-            hits += 1
-            if hits >= 2:
-                val = s.to_complex()
-                return val if sigma == 0.0 else cmath.sqrt(y) * val
-        else:
-            hits = 0
-    raise NonConvergence(
-        f"Frobenius series did not converge within {max_terms} terms "
-        f"(a={a!r}, sigma={sigma}, |y|={abs(y):.3g})")
+    if not (cmath.isfinite(a) and cmath.isfinite(y)):
+        raise InvalidParams(f"a={a!r} and y={y!r} must be finite")
+    prec = _PREC_GUARD + math.ceil(abs(y) * _LOG10E)
+    sr, si, peak, n = _frobenius_sum(a, sigma, y, prec, max_terms)
+    # digits the sum stands above the bound; a zero sum counts as one
+    # unit in the last digit of the peak term
+    above = max(_exponent(sr, si) - peak + prec, 0) - 2 * len(str(n)) - 1
+    if above < _SAFE_DIGITS:
+        prec += _SAFE_DIGITS - above + 2
+        sr, si, _, _ = _frobenius_sum(a, sigma, y, prec, max_terms)
+    val = complex(float(sr), float(si))
+    return val if sigma == 0.0 else cmath.sqrt(y) * val
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ All randomness is seeded: two runs of a suite see identical inputs.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -272,10 +273,9 @@ def check_critical_structure(tol: float = 1e-12) -> CheckReport:
 
 
 def check_free_wave(tol: float = 1e-8) -> CheckReport:
-    import cmath
     w = 1.7
-    f = lambda x, y: (y[1], -(w * w) * y[0])
-    sol = oracle._integrate_rhs(f, 0.0, 25.0, (1.0 + 0j, 1j * w),
+    q = lambda x: -(w * w)
+    sol = oracle._integrate_rhs(q, 0.0, 25.0, (1.0 + 0j, 1j * w),
                                 oracle.IntegratorConfig())
     err = abs(sol.value - cmath.exp(1j * w * 25.0))
     return _report("oracle/free-wave", err, tol,
@@ -283,12 +283,11 @@ def check_free_wave(tol: float = 1e-8) -> CheckReport:
 
 
 def check_convergence_order(tol: float = 0.0) -> CheckReport:
-    import cmath
     w = 1.3
-    f = lambda x, y: (y[1], -(w * w) * y[0])
+    q = lambda x: -(w * w)
     runs = []
     for rel_tol in (1e-6, 1e-9):
-        s = oracle._integrate_rhs(f, 0.0, 10.0, (1.0 + 0j, 1j * w),
+        s = oracle._integrate_rhs(q, 0.0, 10.0, (1.0 + 0j, 1j * w),
                                   oracle.IntegratorConfig(rel_tol=rel_tol))
         runs.append((abs(s.value - cmath.exp(1j * w * 10.0)), s.n_steps))
     (e1, n1), (e2, n2) = runs
@@ -317,14 +316,13 @@ def check_ode_vs_closedform(tol: float = 1e-7) -> CheckReport:
 
 
 def check_frobenius(tol: float = 1e-12) -> CheckReport:
-    import cmath
     worst = 0.0
     for m, omega in _FAMILIES + ((1.3, 0.7),):
         p = cf.solution_params(m, omega)
         for a in (p.a1, p.a2):
             for x in (0.3, 1.0, 5.0, 15.0):
                 y = -2j * omega * x
-                if abs(y) > 40.0:
+                if abs(y) > specfun.SERIES_ZMAX:
                     continue
                 f0 = oracle.frobenius_series_solution(a, 0.0, y)
                 g0 = specfun.chf_1f1(specfun.CHFParams(a, 0.5), y)
