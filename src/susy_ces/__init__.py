@@ -11,8 +11,8 @@ Public layers:
 * :mod:`susy_ces.oracle` — adaptive ODE integration, a Frobenius-series
   second opinion, finite-difference residuals: verification that shares
   no code with the closed form.
-* :mod:`susy_ces.scattering` — local phases and the Richardson-
-  accelerated sector phase-shift difference.
+* :mod:`susy_ces.scattering` — local phases and the sector phase-shift
+  difference, read against the closed-form SUSY tail.
 * :mod:`susy_ces.verify` / :mod:`susy_ces.cli` — check suites and the
   ``susy-ces`` command-line tool.
 """
@@ -24,7 +24,7 @@ from .closedform import (Branch, CouplingConstants, SolutionParams,
                          hermite_lambda, solution_Z, solution_params, susy_map,
                          wronskian_Z, wronskian_exact, y_of_x)
 from .errors import (ArgumentTooSmall, DegenerateSample, DomainError,
-                     InvalidParams, MaxStepsExceeded, NonConvergence,
+                     DoubleRangeExceeded, InvalidParams, MaxStepsExceeded, NonConvergence,
                      NotConverged, PoleAtNonPositiveInteger,
                      SeriesRangeExceeded, StepSizeUnderflow, SusyCesError,
                      TooCloseToTurningRegion)
@@ -68,5 +68,5 @@ __all__ = [
     "SusyCesError", "DomainError", "InvalidParams", "PoleAtNonPositiveInteger",
     "ArgumentTooSmall", "SeriesRangeExceeded", "NonConvergence",
     "StepSizeUnderflow", "MaxStepsExceeded", "TooCloseToTurningRegion",
-    "DegenerateSample", "NotConverged",
+    "DegenerateSample", "NotConverged", "DoubleRangeExceeded",
 ]

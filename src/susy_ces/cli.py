@@ -4,11 +4,12 @@ Four subcommands:
 
 * ``table``   — sample a potential and its closed-form solution on a grid
 * ``verify``  — run the cross-check suites and report pass/fail per check
-* ``phase``   — extract the accelerated sector phase-shift difference
+* ``phase``   — extract the tail-corrected sector phase-shift difference
 * ``figures`` — write the standard superpotential/potential curve files
 
 Exit codes: 0 success, 1 a check or convergence failure (the computation
-ran but did not meet its tolerance), 2 configuration or usage errors.
+ran but did not meet its tolerance), 2 configuration or usage errors,
+and typed range refusals (series bound, double range).
 Output is deterministic; CSV uses LF line endings and floats are printed
 with %.17g (full round-trip precision).
 """
@@ -158,7 +159,7 @@ def verify(suite, rel_tol, fmt, out):
               help="ladder base, rungs at x_match*2^k; also the seed unless 2*omega*x_match "
                    "exceeds the series bound (default: past barrier and 20/omega)")
 @click.option("--tol", type=float, default=1e-3, show_default=True,
-              help="convergence tolerance on successive accelerated values")
+              help="convergence tolerance on successive tail-corrected values")
 @click.option("--part", type=click.Choice(["re", "im"]), default="re", show_default=True)
 @click.option("--x-limit", type=float, default=None,
               help="largest ladder point, finite and > 0 (default: x_match*2^14, 14 rungs)")
@@ -167,7 +168,7 @@ def verify(suite, rel_tol, fmt, out):
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 @_config_errors
 def phase(m, omega, x_match, tol, part, x_limit, fmt, out):
-    """Accelerated phase-shift difference between the two sectors."""
+    """Tail-corrected phase-shift difference between the two sectors."""
     cfg = PhaseConfig(x_match=x_match, tol=tol, part=part, x_limit=x_limit)
     failed = None
     try:
@@ -189,18 +190,14 @@ def phase(m, omega, x_match, tol, part, x_limit, fmt, out):
         }
         _emit(json.dumps(payload, indent=2) + "\n", out)
     elif fmt == "csv":
-        rows = []
-        for i in range(res.x.size):
-            acc = _g(float(res.accelerated[i - 1])) if i >= 1 else ""
-            rows.append([float(res.x[i]), float(res.raw[i]), acc])
+        rows = [[float(v) for v in r] for r in zip(res.x, res.raw, res.accelerated)]
         _emit(_csv_text(["x", "difference", "accelerated"], rows), out)
     else:
         lines = [f"phase-shift difference ladder, m={_g(m)}, omega={_g(omega)}, "
                  f"x_match={_g(res.x_match)}"]
         lines.append(f"{'x':>12s} {'difference':>20s} {'accelerated':>20s}")
-        for i in range(res.x.size):
-            acc = f"{res.accelerated[i - 1]:20.12f}" if i >= 1 else " " * 20
-            lines.append(f"{res.x[i]:12.1f} {res.raw[i]:20.12f} {acc}")
+        for x, d, acc in zip(res.x, res.raw, res.accelerated):
+            lines.append(f"{x:12.1f} {d:20.12f} {acc:20.12f}")
         lines.append(f"estimate: {res.estimate!r}  residual: {res.residual:.3e}  "
                      f"converged: {res.converged}")
         _emit("\n".join(lines) + "\n", out)

@@ -27,13 +27,14 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidParams
+from .errors import DoubleRangeExceeded, InvalidParams
 from .potential import Sector, _check_x, superpotential
 from .specfun import CHFParams, chf_1f1, chf_1f1_deriv
 
@@ -86,6 +87,15 @@ def solution_params(m: float, omega: float) -> SolutionParams:
 def y_of_x(x, omega: float):
     """The hypergeometric argument y = -2 i omega x."""
     return -2j * omega * np.asarray(x, dtype=float)
+
+
+def _in_double_range(p: SolutionParams, *vals):
+    """Return ``vals``, or raise if any entry is not a finite double."""
+    if not all(np.all(np.isfinite(v)) for v in vals):
+        raise DoubleRangeExceeded(
+            f"closed form at m={p.m:g}, omega={p.omega:g} exceeds the double "
+            f"range (magnitude above {sys.float_info.max:.4g})")
+    return vals
 
 
 class CouplingConstants(NamedTuple):
@@ -153,8 +163,9 @@ def components(p: SolutionParams, branch: Branch, x):
     else:
         r1, dr1 = halfpow(p.a1 + 0.5)
         f2, df2 = plain(p.a2)
+    out = _in_double_range(p, r1, c.c2 * f2, dr1, c.c2 * df2)
     # [()] turns a 0-d result into a numpy scalar and leaves arrays as they are
-    return tuple(v.reshape(shape)[()] for v in (r1, c.c2 * f2, dr1, c.c2 * df2))
+    return tuple(v.reshape(shape)[()] for v in out)
 
 
 class SolutionSample(NamedTuple):
@@ -176,8 +187,8 @@ def solution_Z(p: SolutionParams, branch: Branch, sector: Sector, x) -> Solution
     xa = np.asarray(x, dtype=float)  # components checks the domain
     r1, r2, dr1, dr2 = components(p, branch, xa.ravel())
     sg = 1j * sector.sign
-    return SolutionSample(xa, (PHASE_M4 * (r1 + sg * r2)).reshape(xa.shape)[()],
-                          (PHASE_M4 * (dr1 + sg * dr2)).reshape(xa.shape)[()])
+    z, dz = _in_double_range(p, PHASE_M4 * (r1 + sg * r2), PHASE_M4 * (dr1 + sg * dr2))
+    return SolutionSample(xa, z.reshape(xa.shape)[()], dz.reshape(xa.shape)[()])
 
 
 def wronskian_Z(p: SolutionParams, sector: Sector, x):

@@ -36,6 +36,10 @@ class SeriesRangeExceeded(SusyCesError, ValueError):
     """
 
 
+class DoubleRangeExceeded(SusyCesError, OverflowError):
+    """A value's magnitude exceeds the largest double, about 1.8e308."""
+
+
 class NonConvergence(SusyCesError, ArithmeticError):
     """An iteration failed to converge within its budget."""
 

@@ -24,11 +24,12 @@ Neither ladder depends on any third-party extended-precision library.
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NonConvergence
+from .errors import DoubleRangeExceeded, NonConvergence
 
 _SPLITTER = 134217729.0  # 2**27 + 1, Dekker splitting constant
 #: term budget of one series sum, in either ladder; inside
@@ -321,4 +322,9 @@ def chf_series_fixed(a: complex, b: float, z: complex, *,
     if above < SAFE_BITS:
         bits += SAFE_BITS - above + 8
         sr, si, _, _ = _fixed_sum(a, b, z, bits)
-    return complex(_int_to_float(sr, -bits), _int_to_float(si, -bits))
+    try:
+        return complex(_int_to_float(sr, -bits), _int_to_float(si, -bits))
+    except OverflowError:
+        raise DoubleRangeExceeded(
+            f"1F1({a!r}, {b!r}; {z!r}) exceeds the double range "
+            f"(magnitude above {sys.float_info.max:.4g})") from None

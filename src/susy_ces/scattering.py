@@ -26,14 +26,14 @@ phases, where the log terms cancel identically and the drift is a clean
 3. pushes both samples outward along a doubling ladder x_k = x_match 2^k
    with the adaptive integrator, one segment per rung (segment endpoints
    exact, no interpolation);
-4. applies one level of Richardson extrapolation in x^{-1/2}
-   (A_k = (sqrt(2) d_{k+1} - d_k)/(sqrt(2) - 1)), which removes the
-   drift tail; a second level is deliberately *not* taken, as it would
-   amplify the O(eta/(omega x)) oscillatory wiggle instead of helping.
+4. subtracts the tail the ladder operator's phase rotation predicts,
+   A_k = d_k - (susy_phase_offset(W(x_k), omega) - pi)/2, which leaves
+   only the O(eta/(omega x)) oscillatory wiggle.
 
-Convergence is declared from the data alone (successive accelerated
-values agree to ``tol`` with at least four ladder points); the known
-asymptotic limit is never assumed anywhere in this module.
+Convergence is declared from the data alone (successive corrected
+values agree to ``tol`` with at least four ladder points: a stopping
+rule, not an error bound); the correction vanishes as W -> 0, so the
+known asymptotic limit is never assumed anywhere in this module.
 """
 from __future__ import annotations
 
@@ -47,7 +47,7 @@ from .closedform import Branch, SolutionSample, solution_Z, solution_params, sus
 from .errors import (DegenerateSample, InvalidParams, NotConverged,
                      TooCloseToTurningRegion)
 from .oracle import integrate, schrodinger_problem
-from .potential import Sector
+from .potential import Sector, superpotential
 from .specfun import SERIES_ZMAX
 
 __all__ = [
@@ -55,7 +55,6 @@ __all__ = [
     "local_phase", "phase_difference", "susy_phase_offset",
 ]
 
-_SQRT2 = math.sqrt(2.0)
 _EPS = 2.0 ** -52
 #: smallest omega x at which a sample is read as an asymptotic sinusoid
 _MIN_X_OMEGA = 20.0
@@ -94,9 +93,9 @@ def _mod_pi(d: float) -> float:
 class PhaseConfig:
     """Knobs of the phase-difference ladder.
 
-    ``x_match``: ladder base, rungs at x_match 2^k; defaults to
-    max(20/omega, 2.5 m^2/omega^2), i.e. comfortably in the oscillatory
-    region and past the barrier.  It is also the seeding point unless it
+    ``x_match``: ladder base, finite and positive, rungs at x_match 2^k;
+    defaults to max(20/omega, 2.5 m^2/omega^2), i.e. in the oscillatory
+    region and past the barrier.  It is also the seed point unless it
     lies beyond the 1F1 series range; then the seed moves inward to the
     edge of that range (:func:`seed_point`).
     ``x_limit``: the ladder's one budget, the largest x a rung may reach,
@@ -114,8 +113,10 @@ class PhaseConfig:
     def __post_init__(self):
         if self.part not in ("re", "im"):
             raise InvalidParams(f"part={self.part!r} must be 're' or 'im'")
-        if not (self.x_limit is None or 0.0 < self.x_limit < math.inf):
-            raise InvalidParams(f"x_limit={self.x_limit!r} must be a positive finite real")
+        for name in ("x_match", "x_limit"):
+            v = getattr(self, name)
+            if not (v is None or 0.0 < v < math.inf):
+                raise InvalidParams(f"{name}={v!r} must be a positive finite real")
         if not (self.tol > 0):
             raise InvalidParams("tol must be positive")
 
@@ -153,12 +154,13 @@ def local_phase(m: float, omega: float, x: float, u: float, du: float) -> PhaseE
 
 @dataclass(frozen=True)
 class PhaseDifferenceResult:
-    """Ladder history and accelerated estimate of delta_minus - delta_plus.
+    """Ladder history and tail-corrected estimate of delta_minus - delta_plus.
 
     ``raw`` holds the per-point differences d_k in [0, pi); ``accelerated``
-    the level-1 Richardson sequence; ``estimate`` its last entry;
-    ``residual`` the last successive-difference |A_k - A_{k-1}| (the
-    internal convergence measure, not a comparison with any assumed limit).
+    the same rungs with the SUSY tail subtracted, one entry per rung;
+    ``estimate`` its last entry; ``residual`` the last successive
+    difference |A_k - A_{k-1}| (the stopping measure, not an error bound
+    and not a comparison with any assumed limit).
     """
 
     m: float
@@ -187,21 +189,19 @@ def seed_point(x_match: float, omega: float) -> float:
 
 def phase_difference(m: float, omega: float,
                      cfg: PhaseConfig | None = None) -> PhaseDifferenceResult:
-    """Accelerated phase-shift difference of the two sectors at energy omega^2.
+    """Tail-corrected phase-shift difference of the two sectors at energy omega^2.
 
     Seeds from the branch-I closed form at the match point, or at the
     edge of the series range if the match point lies beyond it, so no
     hypergeometric evaluation is needed in the far zone; the integrator
-    runs at its default tolerances.  Raises
-    :class:`NotConverged` (with the partial result attached as
-    ``err.result``) if the ladder reaches ``cfg.x_limit`` before two
-    consecutive accelerated values agree to ``cfg.tol``.
+    runs at its default tolerances.  Raises :class:`NotConverged` (with
+    the partial result attached as ``err.result``) if the ladder reaches
+    ``cfg.x_limit`` before two consecutive values, each rung read against
+    ``susy_phase_offset(W(x_k), omega)``, agree to ``cfg.tol``.
     """
     cfg = cfg or PhaseConfig()
     p = solution_params(m, omega)
     x_match = float(cfg.x_match) if cfg.x_match is not None else default_x_match(m, omega)
-    if x_match <= 0.0 or not math.isfinite(x_match):
-        raise InvalidParams(f"x_match={x_match!r} must be a positive finite real")
 
     x_limit = cfg.x_limit or x_match * 2.0 ** _DEFAULT_DOUBLINGS
     # rung k >= 1 sits at x_match 2^k <= x_limit: compare binary exponents,
@@ -250,11 +250,11 @@ def phase_difference(m: float, omega: float,
             d += math.pi
         xs.append(xk)
         raws.append(d)
-        if len(raws) >= 2:
-            accs.append((_SQRT2 * raws[-1] - raws[-2]) / (_SQRT2 - 1.0))
+        offset = susy_phase_offset(float(superpotential(xk, p.m)), p.omega)
+        accs.append(d - 0.5 * (offset - math.pi))
         if len(accs) >= 2:
             residual = abs(accs[-1] - accs[-2])
-            if len(raws) >= 4 and residual < cfg.tol:
+            if len(accs) >= 4 and residual < cfg.tol:
                 converged = True
                 break
 

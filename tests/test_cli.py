@@ -116,6 +116,14 @@ def test_table_far_region_is_a_config_error(runner):
     assert "ODE propagation" in res.stderr
 
 
+def test_table_beyond_the_double_range_is_a_typed_error(runner):
+    res = runner.invoke(main, ["table", "--m", "120", "--omega", "0.5",
+                               "--x-min", "13", "--x-max", "14", "--points", "2"])
+    assert res.exit_code == 2
+    assert "error:" in res.stderr
+    assert "double range" in res.stderr
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -182,7 +190,7 @@ def test_phase_csv(runner):
     assert res.exit_code == 0
     header, rows = parse_csv(res.output)
     assert header == ["x", "difference", "accelerated"]
-    assert rows[0][2] == ""          # no accelerated value at the first rung
+    assert math.isfinite(float(rows[0][2]))   # every rung carries its corrected value
     assert float(rows[0][0]) == 20.0
     assert abs(float(rows[-1][2]) - 0.5 * math.pi) < 1e-3
 
@@ -196,7 +204,7 @@ def test_phase_json(runner):
     assert abs(payload["estimate"] - 0.5 * math.pi) < 1e-3
     assert payload["x_match"] == 10.0
     assert len(payload["raw"]) == len(payload["x"])
-    assert len(payload["accelerated"]) == len(payload["x"]) - 1
+    assert len(payload["accelerated"]) == len(payload["x"])
 
 
 def test_phase_not_converged_exits_1_with_partial_output(runner):

@@ -9,7 +9,7 @@ import pytest
 from susy_ces import closedform as cf
 from susy_ces import oracle, potential
 from susy_ces.closedform import PHASE_M4, PHASE_P4, Branch
-from susy_ces.errors import DomainError, InvalidParams
+from susy_ces.errors import DomainError, DoubleRangeExceeded, InvalidParams
 from susy_ces.potential import Sector
 from susy_ces.verify import wronskian_grid
 
@@ -66,9 +66,8 @@ def test_components_match_independent_frobenius_series(m, omega):
     p = cf.solution_params(m, omega)
     c2_i = cf.coupling_constants(p, Branch.I).c2
     c2_ii = cf.coupling_constants(p, Branch.II).c2
-    for x in (0.3, 1.0, 5.0):
-        if 2.0 * omega * x > 40.0:
-            continue
+    # |y| = 2 omega x reaches 40 and 59, near the series bound
+    for x in (0.3, 1.0, 5.0, 20.0 / omega, 29.5 / omega):
         y = complex(cf.y_of_x(x, omega))
         h = cmath.exp(-0.5 * y)
         # (branch, index into components): rtilde_1 is 0, rtilde_2 is 1
@@ -235,3 +234,15 @@ def test_domain_and_type_guards():
         cf.susy_map(p, cf.solution_Z(p, Branch.I, Sector.MINUS, 1.0), "minus")
     with pytest.raises(InvalidParams):
         cf.coupling_constants(p, "I")
+
+
+@pytest.mark.parametrize("m, omega, x", [
+    (120.0, 0.5, 14.0),   # the 1F1 sum itself is past the largest double
+    (102.0, 0.5, 12.0),   # branch I's MINUS derivative overflows in assembly
+    (102.5, 0.5, 12.0),   # the components overflow
+])
+def test_values_beyond_the_double_range_raise_a_typed_error(m, omega, x):
+    p = cf.solution_params(m, omega)
+    with pytest.raises(DoubleRangeExceeded, match="double range") as exc:
+        cf.solution_Z(p, Branch.I, Sector.MINUS, x)
+    assert isinstance(exc.value, OverflowError)

@@ -1,4 +1,4 @@
-"""Phase extraction, ladder acceleration, and the closed-form offset."""
+"""Phase extraction, the phase-difference ladder, and the closed-form offset."""
 import math
 
 import numpy as np
@@ -85,6 +85,12 @@ def test_phase_config_rejects_bad_x_limit(x_limit):
         PhaseConfig(x_limit=x_limit)
 
 
+@pytest.mark.parametrize("x_match", [math.nan, math.inf, 0.0, -1.0])
+def test_phase_config_rejects_bad_x_match(x_match):
+    with pytest.raises(InvalidParams):
+        PhaseConfig(x_match=x_match)
+
+
 def test_susy_phase_offset_landmarks():
     # arg((w - i omega)/(w + i omega)) with the w = 0 limit taken from below
     assert susy_phase_offset(0.0, 1.0) == math.pi
@@ -124,11 +130,19 @@ def test_phase_difference_converges_to_half_pi():
     assert res.x[0] == 20.0                      # first ladder point: 2 x_match
     assert np.all(np.diff(res.x) > 0)
     assert np.all((res.raw >= 0.0) & (res.raw < math.pi))
-    assert res.accelerated.size == res.x.size - 1
+    assert res.accelerated.size == res.x.size
     assert res.estimate == res.accelerated[-1]
     assert res.residual <= 1e-3
     assert abs(res.estimate - HALF_PI) < 1e-3
     assert res.ode_steps > 0
+
+
+def test_phase_difference_at_coupling_one_half():
+    # m^2/omega = 0.5: the successive-difference stop must not fire while
+    # the estimate is still outside the tolerance of the limit
+    res = phase_difference(1.0, 2.0)
+    assert res.converged
+    assert abs(res.estimate - HALF_PI) < 1e-3
 
 
 def test_phase_difference_imaginary_part_agrees():
