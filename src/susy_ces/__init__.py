@@ -28,9 +28,8 @@ from .errors import (ArgumentTooSmall, DegenerateSample, DomainError,
                      NotConverged, PoleAtNonPositiveInteger,
                      SeriesRangeExceeded, StepSizeUnderflow, SusyCesError,
                      TooCloseToTurningRegion)
-from .oracle import (IntegratorConfig, ODEProblem, ODESolution,
-                     frobenius_series_solution, integrate,
-                     residual_schrodinger, schrodinger_problem)
+from .oracle import (ODEProblem, ODESolution, frobenius_series_solution,
+                     integrate, residual_schrodinger, schrodinger_problem)
 from .potential import (CriticalStructure, Sector, V, V_deriv,
                         V_from_superpotential, ces_residual, critical_structure,
                         shape_invariance_gap, superpotential,
@@ -57,7 +56,7 @@ __all__ = [
     "CHFParams", "chf_1f1", "chf_1f1_deriv", "kummer_transform",
     "chf_asymptotic", "log_gamma", "load_golden_chf",
     # oracle
-    "IntegratorConfig", "ODEProblem", "ODESolution", "schrodinger_problem",
+    "ODEProblem", "ODESolution", "schrodinger_problem",
     "integrate", "frobenius_series_solution", "residual_schrodinger",
     # scattering
     "PhaseConfig", "PhaseExtraction", "PhaseDifferenceResult", "coulomb_eta",

@@ -157,13 +157,15 @@ def components(p: SolutionParams, branch: Branch, x):
         dM = chf_1f1_deriv(par, y)
         return h * s * M, dy * h * s * (M / (2.0 * y) - 0.5 * M + dM)
 
-    if branch is Branch.I:
-        r1, dr1 = plain(p.a1)
-        f2, df2 = halfpow(p.a1 + 1.0)
-    else:
-        r1, dr1 = halfpow(p.a1 + 0.5)
-        f2, df2 = plain(p.a2)
-    out = _in_double_range(p, r1, c.c2 * f2, dr1, c.c2 * df2)
+    # an overflow here is reported once, as DoubleRangeExceeded
+    with np.errstate(over="ignore", invalid="ignore"):
+        if branch is Branch.I:
+            r1, dr1 = plain(p.a1)
+            f2, df2 = halfpow(p.a1 + 1.0)
+        else:
+            r1, dr1 = halfpow(p.a1 + 0.5)
+            f2, df2 = plain(p.a2)
+        out = _in_double_range(p, r1, c.c2 * f2, dr1, c.c2 * df2)
     # [()] turns a 0-d result into a numpy scalar and leaves arrays as they are
     return tuple(v.reshape(shape)[()] for v in out)
 
@@ -187,7 +189,8 @@ def solution_Z(p: SolutionParams, branch: Branch, sector: Sector, x) -> Solution
     xa = np.asarray(x, dtype=float)  # components checks the domain
     r1, r2, dr1, dr2 = components(p, branch, xa.ravel())
     sg = 1j * sector.sign
-    z, dz = _in_double_range(p, PHASE_M4 * (r1 + sg * r2), PHASE_M4 * (dr1 + sg * dr2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        z, dz = _in_double_range(p, PHASE_M4 * (r1 + sg * r2), PHASE_M4 * (dr1 + sg * dr2))
     return SolutionSample(xa, z.reshape(xa.shape)[()], dz.reshape(xa.shape)[()])
 
 

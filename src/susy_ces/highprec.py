@@ -1,205 +1,27 @@
-"""Compensated arithmetic used by the series evaluators.
+"""Exact integer fixed-point summation of the confluent-hypergeometric series.
 
-Two independent precision ladders live here:
+``chf_series_fixed`` evaluates 1F1(a, b; z) one point at a time.  Term
+ratios are formed from the *exact* binary rationals underlying the float
+inputs, so the only rounding is one controlled rounding per term at a
+number of fractional bits sized from the predicted cancellation and
+checked against the truncation bound after the sum.  Its cost is a few
+microseconds per term, and it is the evaluator ``specfun`` uses for
+every point.  The final rounding to complex double happens once, so the
+result is correctly rounded.
 
-* ``chf_series_fixed`` — an exact integer fixed-point evaluation of the
-  confluent-hypergeometric series, one point at a time.  Term ratios are
-  formed from the *exact* binary rationals underlying the float inputs,
-  so the only rounding is one controlled rounding per term at a number
-  of fractional bits sized from the predicted cancellation and checked
-  against the truncation bound after the sum.  Its cost is a few
-  microseconds per term, and it is the evaluator ``specfun`` uses for
-  every point.
-
-* ``DD`` — double-double numbers (an unevaluated sum ``hi + lo`` of two
-  floats, ~32 significant digits) vectorised over numpy arrays, and the
-  series summed in them, ``chf_series_dd``, good for |z| up to about 40.
-  Each term costs about 40 numpy calls whatever the batch size, so it
-  only overtakes the fixed-point series for batches of several hundred
-  points.  The tests keep it as an independent reference for the
-  fixed-point series.
-
-Neither ladder depends on any third-party extended-precision library.
+No third-party extended-precision library is involved: Python's
+integers carry the whole sum.
 """
 from __future__ import annotations
 
 import math
 import sys
-from typing import NamedTuple
-
-import numpy as np
 
 from .errors import DoubleRangeExceeded, NonConvergence
 
-_SPLITTER = 134217729.0  # 2**27 + 1, Dekker splitting constant
-#: term budget of one series sum, in either ladder; inside
-#: specfun.SERIES_ZMAX a few hundred suffice
+#: term budget of one series sum; inside specfun.SERIES_ZMAX a few
+#: hundred suffice
 MAX_TERMS = 10000
-
-
-def _two_sum(a, b):
-    """Error-free sum: a + b = s + err exactly."""
-    s = a + b
-    bb = s - a
-    err = (a - (s - bb)) + (b - bb)
-    return s, err
-
-
-def _quick_two_sum(a, b):
-    # valid only for |a| >= |b|
-    s = a + b
-    return s, b - (s - a)
-
-
-def _split(a):
-    c = _SPLITTER * a
-    hi = c - (c - a)
-    return hi, a - hi
-
-
-def _two_prod(a, b):
-    """Error-free product: a * b = p + err exactly."""
-    p = a * b
-    ah, al = _split(a)
-    bh, bl = _split(b)
-    err = ((ah * bh - p) + ah * bl + al * bh) + al * bl
-    return p, err
-
-
-class DD(NamedTuple):
-    """Double-double value(s): the exact sum ``hi + lo`` with |lo| <= ulp(hi)/2.
-
-    Components may be scalars or numpy arrays of equal shape; all
-    operations are elementwise.
-    """
-
-    hi: np.ndarray
-    lo: np.ndarray
-
-    @staticmethod
-    def from_float(x) -> "DD":
-        x = np.asarray(x, dtype=float)
-        return DD(x, np.zeros_like(x))
-
-    def to_float(self) -> np.ndarray:
-        return self.hi + self.lo
-
-    def __add__(self, other: "DD") -> "DD":
-        s, e = _two_sum(self.hi, other.hi)
-        t, f = _two_sum(self.lo, other.lo)
-        e = e + t
-        s, e = _quick_two_sum(s, e)
-        e = e + f
-        return DD(*_quick_two_sum(s, e))
-
-    def __sub__(self, other: "DD") -> "DD":
-        return self + DD(-other.hi, -other.lo)
-
-    def __mul__(self, other: "DD") -> "DD":
-        p, e = _two_prod(self.hi, other.hi)
-        e = e + (self.hi * other.lo + self.lo * other.hi)
-        return DD(*_quick_two_sum(p, e))
-
-    def mul_d(self, d) -> "DD":
-        p, e = _two_prod(self.hi, d)
-        e = e + self.lo * d
-        return DD(*_quick_two_sum(p, e))
-
-    def div_d(self, d) -> "DD":
-        q1 = self.hi / d
-        p, pe = _two_prod(q1, d)
-        s, se = _two_sum(self.hi, -p)
-        q2 = (s + (se - pe + self.lo)) / d
-        return DD(*_quick_two_sum(q1, q2))
-
-    def div_dd(self, other: "DD") -> "DD":
-        q1 = self.hi / other.hi
-        r = self - other.mul_d(q1)
-        q2 = r.hi / other.hi
-        r = r - other.mul_d(q2)
-        q3 = r.hi / other.hi
-        q, e = _quick_two_sum(q1, q2)
-        return DD(q, e) + DD.from_float(q3)
-
-
-class CDD(NamedTuple):
-    """Complex double-double: independent DD real and imaginary parts."""
-
-    re: DD
-    im: DD
-
-    @staticmethod
-    def from_complex(z) -> "CDD":
-        z = np.asarray(z, dtype=complex)
-        return CDD(DD.from_float(z.real), DD.from_float(z.imag))
-
-    def to_complex(self) -> np.ndarray:
-        return self.re.to_float() + 1j * self.im.to_float()
-
-    def __add__(self, other: "CDD") -> "CDD":
-        return CDD(self.re + other.re, self.im + other.im)
-
-    def mul(self, other: "CDD") -> "CDD":
-        re = self.re * other.re - self.im * other.im
-        im = self.re * other.im + self.im * other.re
-        return CDD(re, im)
-
-    def div_dd(self, d: DD) -> "CDD":
-        return CDD(self.re.div_dd(d), self.im.div_dd(d))
-
-    def mag_hi(self) -> np.ndarray:
-        return np.hypot(self.re.hi, self.im.hi)
-
-
-def chf_series_dd(a: complex, b: float, z: np.ndarray, *,
-                  rel_tol: float = 1e-14) -> np.ndarray:
-    """Sum the confluent-hypergeometric series in double-double precision.
-
-    Evaluates sum_k (a)_k / ((b)_k k!) z^k elementwise over ``z`` with the
-    term recurrence t_{k+1} = t_k (a+k) z / ((b+k)(k+1)), stopping once
-    |t| < rel_tol * |sum| for two consecutive terms in every lane.
-
-    Parameters
-    ----------
-    a : complex
-    b : float
-        Must not be a non-positive integer (caller checks).
-    z : complex scalar or ndarray
-
-    Returns
-    -------
-    ndarray of complex (same shape as ``z``)
-    """
-    z = np.asarray(z, dtype=complex)
-    shape = z.shape
-    zf = z.ravel()
-    zr = DD.from_float(np.asarray(zf.real, dtype=float))
-    zi = DD.from_float(np.asarray(zf.imag, dtype=float))
-    t = CDD.from_complex(np.ones_like(zf))
-    s = t
-    ar, ai = float(a.real), float(a.imag)
-    hits = np.zeros(zf.shape, dtype=np.int64)
-    for k in range(MAX_TERMS):
-        # a + k and (b + k)(k + 1) carried in double-double: when a or b has
-        # a non-representable part, the half-ulp rounding of a plain float
-        # sum would be amplified by the series cancellation into the result
-        fr = DD(*_two_sum(ar, float(k)))
-        t = CDD(t.re * fr - t.im.mul_d(ai), t.re.mul_d(ai) + t.im * fr)
-        t = CDD(t.re * zr - t.im * zi, t.re * zi + t.im * zr)
-        den = DD(*_two_sum(b, float(k))).mul_d(k + 1.0)
-        t = t.div_dd(den)
-        s = s + t
-        small = t.mag_hi() <= rel_tol * s.mag_hi()
-        hits = np.where(small, hits + 1, 0)
-        if np.all(hits >= 2):
-            return s.to_complex().reshape(shape)
-    raise NonConvergence(
-        f"series did not converge within {MAX_TERMS} terms "
-        f"(a={a!r}, b={b!r}, max|z|={float(np.max(np.abs(zf))):.3g})")
-
-
-# ---------------------------------------------------------------------------
-# exact integer fixed-point ladder
 
 
 def _dyadic(x: float) -> tuple[int, int]:

@@ -35,13 +35,17 @@ from .errors import (DomainError, InvalidParams, MaxStepsExceeded,
 from .potential import Sector
 
 __all__ = [
-    "IntegratorConfig", "ODEProblem", "ODESolution", "schrodinger_problem",
+    "ODEProblem", "ODESolution", "schrodinger_problem",
     "integrate", "frobenius_series_solution", "residual_schrodinger",
     "ORIGIN_FLOOR_COEFF",
 ]
 
 #: integration domains must satisfy x >= ORIGIN_FLOOR_COEFF / m^2
 ORIGIN_FLOOR_COEFF = 1e-3
+#: absolute floor of the integrator's per-step error scale
+ABS_TOL = 1e-12
+#: accepted plus rejected steps one segment may take
+MAX_STEPS = 10_000_000
 
 # Dormand-Prince 5(4) tableau
 _C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
@@ -57,19 +61,6 @@ _A = (
 _B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
 # b5 - b4: weights of the embedded error estimate
 _E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
-
-
-@dataclass(frozen=True)
-class IntegratorConfig:
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
-    max_steps: int = 10_000_000
-
-    def __post_init__(self):
-        if not (0 < self.rel_tol < 1 and 0 < self.abs_tol < 1):
-            raise InvalidParams("tolerances must lie in (0, 1)")
-        if self.max_steps < 10:
-            raise InvalidParams("max_steps too small")
 
 
 @dataclass(frozen=True)
@@ -133,10 +124,12 @@ def _initial_step(q, x0: float, y0, f0, direction: float, span: float) -> float:
 
 
 def _integrate_rhs(q: Callable, x0: float, x1: float,
-                   y0: tuple[complex, complex], cfg: IntegratorConfig) -> ODESolution:
+                   y0: tuple[complex, complex], *, rel_tol: float = 1e-10) -> ODESolution:
     """Adaptive core for Z'' = q(x) Z, carried as the pair (Z, Z')."""
     if x1 == x0:
         raise InvalidParams("empty integration interval")
+    if not 0 < rel_tol < 1:
+        raise InvalidParams(f"rel_tol={rel_tol!r} must lie in (0, 1)")
     direction = 1.0 if x1 > x0 else -1.0
     span = abs(x1 - x0)
     x = x0
@@ -150,8 +143,8 @@ def _integrate_rhs(q: Callable, x0: float, x1: float,
     ks = [k1] + [None] * 6
     eps = np.finfo(float).eps
     while (x1 - x) * direction > 0:
-        if n_steps + n_rej >= cfg.max_steps:
-            raise MaxStepsExceeded(f"exceeded {cfg.max_steps} steps at x={x:.6g}")
+        if n_steps + n_rej >= MAX_STEPS:
+            raise MaxStepsExceeded(f"exceeded {MAX_STEPS} steps at x={x:.6g}")
         rem = (x1 - x) * direction
         if rem <= 1.05 * h:
             hs = x1 - x  # land exactly on the endpoint
@@ -187,7 +180,7 @@ def _integrate_rhs(q: Callable, x0: float, x1: float,
                 e0 += ei * ki[0]
                 e1 += ei * ki[1]
         ynew = (y[0] + hs * acc0, y[1] + hs * acc1)
-        err = _wrms(y, ynew, (hs * e0, hs * e1), cfg.rel_tol, cfg.abs_tol)
+        err = _wrms(y, ynew, (hs * e0, hs * e1), rel_tol, ABS_TOL)
         if err <= 1.0:
             x = x1 if is_last else x + hs
             y = ynew
@@ -204,15 +197,16 @@ def _integrate_rhs(q: Callable, x0: float, x1: float,
 
 
 def integrate(problem: ODEProblem, x0: float, x1: float, z0: complex,
-              dz0: complex, cfg: IntegratorConfig | None = None) -> ODESolution:
+              dz0: complex, *, rel_tol: float = 1e-10) -> ODESolution:
     """Propagate (Z, Z') from x0 to x1 (either direction) adaptively.
 
-    Returns the state at exactly x1 with the step counts of the segment.
+    Each step's error, weighted by ``rel_tol`` times the state's size
+    plus ``ABS_TOL``, must stay below one.  Returns the state at exactly
+    x1 with the step counts of the segment.
 
     Raises DomainError if the segment leaves the singularity-guarded
     domain x >= problem.x_floor.
     """
-    cfg = cfg or IntegratorConfig()
     lo = min(float(x0), float(x1))
     if not (math.isfinite(x0) and math.isfinite(x1)):
         raise DomainError("integration endpoints must be finite")
@@ -220,7 +214,7 @@ def integrate(problem: ODEProblem, x0: float, x1: float, z0: complex,
         raise DomainError(
             f"segment reaches x={lo:.3g} below the origin floor {problem.x_floor:.3g}")
     return _integrate_rhs(problem.q, float(x0), float(x1),
-                          (complex(z0), complex(dz0)), cfg)
+                          (complex(z0), complex(dz0)), rel_tol=rel_tol)
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,14 @@ principal-branch complex log-gamma, and two routes kept solely as
 cross-checks: the Kummer transformation and a large-|z| asymptotic
 expansion.
 
-The primary evaluator sums the defining series directly at every z.  On the physically
-relevant ray (purely imaginary z) the series loses roughly
+The evaluator sums the defining series directly at every z.  On the
+physically relevant ray (purely imaginary z) the series loses roughly
 log10(e^|z|) digits to cancellation, so plain double precision is dead
-by |z| ~ 30.  The evaluator therefore sums each point in exact integer
-fixed point, at a width sized from that predicted cancellation and
-checked against the truncation bound afterwards.  It refuses
+by |z| ~ 30.  Every point is therefore summed by the one kernel
+:func:`susy_ces.highprec.chf_series_fixed`, in exact integer fixed point
+at a width sized from that predicted cancellation and checked against
+the truncation bound afterwards, then rounded once to complex double.
+Values past the largest double raise ``DoubleRangeExceeded``.  It refuses
 |z| > ``SERIES_ZMAX`` outright: callers needing the far region seed
 inside the bound and carry the solution outward by ODE propagation
 (:func:`susy_ces.oracle.integrate`), as
@@ -23,6 +25,7 @@ import cmath
 import csv
 import math
 import os
+import sys
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -30,14 +33,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (ArgumentTooSmall, InvalidParams, NonConvergence,
-                     PoleAtNonPositiveInteger, SeriesRangeExceeded)
+from .errors import (ArgumentTooSmall, DoubleRangeExceeded, InvalidParams,
+                     NonConvergence, PoleAtNonPositiveInteger,
+                     SeriesRangeExceeded)
 from .highprec import chf_series_fixed
-# not called here: the perfbench tracer wraps specfun.chf_series_dd by name
-from .highprec import chf_series_dd  # noqa: F401
+
+# only the benchmark tracer looks this up; it goes with its highprec.dd boundary
+chf_series_dd = None
 
 #: refusal bound for the series evaluator.  At |z| = 60 the cancellation
-#: ratio reaches ~1e26, which the fixed-point ladder absorbs with tens of
+#: ratio reaches ~1e26, which the fixed-point sum absorbs with tens of
 #: digits to spare; past it the contract sends callers to ODE propagation.
 SERIES_ZMAX = 60.0
 #: below this |z| the asymptotic expansion's optimal truncation is too loose
@@ -124,8 +129,20 @@ def kummer_transform(p: CHFParams, z):
 
 
 def chf_1f1_deriv(p: CHFParams, z):
-    """d/dz 1F1(a, b; z) = (a/b) 1F1(a+1, b+1; z)."""
-    return (p.a / p.b) * chf_1f1(CHFParams(p.a + 1, p.b + 1), z)
+    """d/dz 1F1(a, b; z) = (a/b) 1F1(a+1, b+1; z).
+
+    Raises
+    ------
+    DoubleRangeExceeded
+        if the derivative's magnitude is above the largest double.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = (p.a / p.b) * chf_1f1(CHFParams(p.a + 1, p.b + 1), z)
+    if not np.all(np.isfinite(d)):
+        raise DoubleRangeExceeded(
+            f"1F1'({p.a!r}, {p.b!r}; z) exceeds the double range "
+            f"(magnitude above {sys.float_info.max:.4g})")
+    return d
 
 
 # ---------------------------------------------------------------------------

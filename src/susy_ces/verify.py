@@ -275,8 +275,7 @@ def check_critical_structure(tol: float = 1e-12) -> CheckReport:
 def check_free_wave(tol: float = 1e-8) -> CheckReport:
     w = 1.7
     q = lambda x: -(w * w)
-    sol = oracle._integrate_rhs(q, 0.0, 25.0, (1.0 + 0j, 1j * w),
-                                oracle.IntegratorConfig())
+    sol = oracle._integrate_rhs(q, 0.0, 25.0, (1.0 + 0j, 1j * w))
     err = abs(sol.value - cmath.exp(1j * w * 25.0))
     return _report("oracle/free-wave", err, tol,
                    f"exp(i w x) propagated over 25 units, {sol.n_steps} steps")
@@ -287,8 +286,7 @@ def check_convergence_order(tol: float = 0.0) -> CheckReport:
     q = lambda x: -(w * w)
     runs = []
     for rel_tol in (1e-6, 1e-9):
-        s = oracle._integrate_rhs(q, 0.0, 10.0, (1.0 + 0j, 1j * w),
-                                  oracle.IntegratorConfig(rel_tol=rel_tol))
+        s = oracle._integrate_rhs(q, 0.0, 10.0, (1.0 + 0j, 1j * w), rel_tol=rel_tol)
         runs.append((abs(s.value - cmath.exp(1j * w * 10.0)), s.n_steps))
     (e1, n1), (e2, n2) = runs
     # error ~ n^-p: the order is the slope of log error against log steps

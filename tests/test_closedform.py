@@ -2,6 +2,7 @@
 Wronskian, intertwining, eigenvalue identity, limits."""
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from susy_ces import oracle, potential
 from susy_ces.closedform import PHASE_M4, PHASE_P4, Branch
 from susy_ces.errors import DomainError, DoubleRangeExceeded, InvalidParams
 from susy_ces.potential import Sector
+from susy_ces.specfun import CHFParams, chf_1f1_deriv
 from susy_ces.verify import wronskian_grid
 
 FAMILIES = ((1.0, 1.0), (2.0, 0.5), (0.5, 2.0))
@@ -236,13 +238,30 @@ def test_domain_and_type_guards():
         cf.coupling_constants(p, "I")
 
 
-@pytest.mark.parametrize("m, omega, x", [
-    (120.0, 0.5, 14.0),   # the 1F1 sum itself is past the largest double
-    (102.0, 0.5, 12.0),   # branch I's MINUS derivative overflows in assembly
-    (102.5, 0.5, 12.0),   # the components overflow
+def _solution(p, x):
+    return cf.solution_Z(p, Branch.I, Sector.MINUS, x)
+
+
+def _deriv(p, x):
+    return chf_1f1_deriv(CHFParams(p.a1, 0.5), cf.y_of_x(x, p.omega))
+
+
+@pytest.mark.parametrize("m, omega, x, evaluate", [
+    # the 1F1 sum itself is past the largest double
+    pytest.param(120.0, 0.5, 14.0, _solution, id="120.0-0.5-14.0"),
+    # branch I's MINUS derivative overflows in assembly
+    pytest.param(102.0, 0.5, 12.0, _solution, id="102.0-0.5-12.0"),
+    # the components overflow
+    pytest.param(102.5, 0.5, 12.0, _solution, id="102.5-0.5-12.0"),
+    # (a/b) 1F1(a+1, b+1; y) overflows in the product
+    pytest.param(102.5, 0.5, 12.0, _deriv, id="deriv-102.5-0.5-12.0"),
 ])
-def test_values_beyond_the_double_range_raise_a_typed_error(m, omega, x):
+def test_values_beyond_the_double_range_raise_a_typed_error(m, omega, x, evaluate):
     p = cf.solution_params(m, omega)
-    with pytest.raises(DoubleRangeExceeded, match="double range") as exc:
-        cf.solution_Z(p, Branch.I, Sector.MINUS, x)
-    assert isinstance(exc.value, OverflowError)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for xs in (x, np.array([1.0, x])):
+            with pytest.raises(DoubleRangeExceeded, match="double range") as exc:
+                evaluate(p, xs)
+            assert isinstance(exc.value, OverflowError)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]

@@ -15,15 +15,15 @@ from susy_ces.errors import (
     MaxStepsExceeded,
     NonConvergence,
 )
-from susy_ces.oracle import IntegratorConfig, integrate, schrodinger_problem
+from susy_ces.oracle import integrate, schrodinger_problem
 from susy_ces.potential import Sector
 
 
 def test_integrator_config_validation():
-    for kw in (dict(rel_tol=0.0), dict(rel_tol=2.0), dict(abs_tol=0.0),
-               dict(max_steps=3)):
+    prob = schrodinger_problem(1.0, 1.0, Sector.MINUS)
+    for rel_tol in (0.0, 2.0):
         with pytest.raises(InvalidParams):
-            IntegratorConfig(**kw)
+            integrate(prob, 1.0, 2.0, 1.0 + 0j, 0j, rel_tol=rel_tol)
 
 
 def test_problem_construction_and_q():
@@ -45,7 +45,7 @@ def test_problem_construction_and_q():
 def test_free_wave_accuracy():
     w = 1.7
     q = lambda x: -(w * w)
-    sol = oracle._integrate_rhs(q, 0.0, 25.0, (1.0 + 0j, 1j * w), IntegratorConfig())
+    sol = oracle._integrate_rhs(q, 0.0, 25.0, (1.0 + 0j, 1j * w))
     assert abs(sol.value - cmath.exp(1j * w * 25.0)) < 1e-8
     assert sol.x == 25.0
     assert sol.n_steps > 0
@@ -58,8 +58,7 @@ def test_empirical_convergence_order():
     q = lambda x: -(w * w)
     runs = []
     for tol in (1e-5, 1e-6, 1e-7, 1e-8, 1e-9, 1e-10):
-        s = oracle._integrate_rhs(q, 0.0, 10.0, (1.0 + 0j, 1j * w),
-                                  IntegratorConfig(rel_tol=tol))
+        s = oracle._integrate_rhs(q, 0.0, 10.0, (1.0 + 0j, 1j * w), rel_tol=tol)
         runs.append((abs(s.value - cmath.exp(1j * w * 10.0)), s.n_steps))
     orders = [math.log(e1 / e2) / math.log(n2 / n1)
               for (e1, n1), (e2, n2) in zip(runs, runs[1:])]
@@ -97,7 +96,7 @@ def test_tolerance_scaling():
     errs = {}
     for tol in (1e-6, 1e-12):
         sol = integrate(prob, 1.0, 10.0, complex(seed.value), complex(seed.derivative),
-                        IntegratorConfig(rel_tol=tol, abs_tol=tol * 1e-2))
+                        rel_tol=tol)
         errs[tol] = abs(sol.value - ref)
     assert errs[1e-12] < errs[1e-6]
     assert errs[1e-12] < 1e-9
@@ -111,10 +110,11 @@ def test_origin_floor_guard():
         integrate(prob, 1.0, math.inf, 1.0 + 0j, 0j)
 
 
-def test_max_steps_guard():
+def test_max_steps_guard(monkeypatch):
+    monkeypatch.setattr(oracle, "MAX_STEPS", 20)
     prob = schrodinger_problem(2.0, 0.5, Sector.PLUS)
     with pytest.raises(MaxStepsExceeded):
-        integrate(prob, 1.0, 25.0, 1.0 + 0j, 0j, IntegratorConfig(max_steps=20))
+        integrate(prob, 1.0, 25.0, 1.0 + 0j, 0j)
 
 
 # ---------------------------------------------------------------------------
