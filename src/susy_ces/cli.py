@@ -187,6 +187,7 @@ def phase(m, omega, x_match, tol, part, x_limit, fmt, out):
             "accelerated": res.accelerated.tolist(),
             "estimate": res.estimate, "residual": res.residual,
             "converged": res.converged,
+            "ode_steps": res.ode_steps, "ode_rejected": res.ode_rejected,
         }
         _emit(json.dumps(payload, indent=2) + "\n", out)
     elif fmt == "csv":

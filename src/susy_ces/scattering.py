@@ -160,7 +160,9 @@ class PhaseDifferenceResult:
     the same rungs with the SUSY tail subtracted, one entry per rung;
     ``estimate`` its last entry; ``residual`` the last successive
     difference |A_k - A_{k-1}| (the stopping measure, not an error bound
-    and not a comparison with any assumed limit).
+    and not a comparison with any assumed limit); ``ode_steps`` and
+    ``ode_rejected`` the integrator steps accepted and rejected over both
+    sectors and all rungs.
     """
 
     m: float
@@ -173,6 +175,7 @@ class PhaseDifferenceResult:
     residual: float
     converged: bool
     ode_steps: int = field(default=0, compare=False)
+    ode_rejected: int = field(default=0, compare=False)
 
 
 def default_x_match(m: float, omega: float) -> float:
@@ -228,7 +231,7 @@ def phase_difference(m: float, omega: float,
     xs: list[float] = []
     raws: list[float] = []
     accs: list[float] = []
-    steps = 0
+    steps = rejected = 0
     x_prev = x_seed
     ym = (complex(zm.value), complex(zm.derivative))
     yp = (complex(zp.value), complex(zp.derivative))
@@ -241,6 +244,7 @@ def phase_difference(m: float, omega: float,
         ym = (sm.value, sm.derivative)
         yp = (sp.value, sp.derivative)
         steps += sm.n_steps + sp.n_steps
+        rejected += sm.n_rejected + sp.n_rejected
         x_prev = xk
 
         dm = extract(xk, ym[0], ym[1])
@@ -262,7 +266,8 @@ def phase_difference(m: float, omega: float,
         m=m, omega=omega, x_match=x_match,
         x=np.array(xs), raw=np.array(raws), accelerated=np.array(accs),
         estimate=accs[-1] if accs else math.nan,
-        residual=residual, converged=converged, ode_steps=steps)
+        residual=residual, converged=converged, ode_steps=steps,
+        ode_rejected=rejected)
     if not converged:
         raise NotConverged(
             f"phase difference not converged to {cfg.tol:g} within the ladder "

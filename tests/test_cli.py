@@ -205,6 +205,8 @@ def test_phase_json(runner):
     assert payload["x_match"] == 10.0
     assert len(payload["raw"]) == len(payload["x"])
     assert len(payload["accelerated"]) == len(payload["x"])
+    assert isinstance(payload["ode_steps"], int) and payload["ode_steps"] > 0
+    assert isinstance(payload["ode_rejected"], int) and payload["ode_rejected"] >= 0
 
 
 def test_phase_not_converged_exits_1_with_partial_output(runner):

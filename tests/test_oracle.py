@@ -30,16 +30,126 @@ def test_problem_construction_and_q():
     prob = schrodinger_problem(1.0, 1.0, Sector.MINUS)
     assert prob.x_floor == 1e-3
     assert schrodinger_problem(3.0, 1.0, Sector.PLUS).x_floor == 1e-3 / 9.0
+    # q precomputes the constants of V - omega^2: the same double as potential.V
     from susy_ces.potential import V
-    for x in (0.2, 1.0, 7.5):
-        want = float(V(x, 1.0, Sector.MINUS)) - 1.0
-        assert prob.q(x) == pytest.approx(want, rel=1e-15)
+    rng = np.random.default_rng(7)
+    cases = [(m, w, x) for m in (0.05, 1.0, 5.0) for w in (0.3, 1.0, 2.7)
+             for x in (1e-2, 0.2, 1.0, 7.5, 1e3, 1e5)]
+    cases += zip(10 ** rng.uniform(-1.5, 0.8, 500), 10 ** rng.uniform(-1, 0.5, 500),
+                 10 ** rng.uniform(-2, 5, 500))
+    for m, omega, x in cases:
+        m, omega, x = float(m), float(omega), float(x)
+        for sector in Sector:
+            prob = schrodinger_problem(m, omega, sector)
+            assert prob.q(x) == float(V(x, m, sector)) - omega * omega, (m, omega, x)
     with pytest.raises(InvalidParams):
         schrodinger_problem(-1.0, 1.0, Sector.MINUS)
     with pytest.raises(InvalidParams):
         schrodinger_problem(1.0, 0.0, Sector.MINUS)
     with pytest.raises(InvalidParams):
         schrodinger_problem(1.0, 1.0, "minus")
+
+
+# Dormand-Prince 5(4) as a loop over the full tableau: the reference the
+# written-out kernel must reproduce bit for bit
+_REF_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+_REF_A = (
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)
+_REF_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
+_REF_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+
+
+def _wrms(u, v, err, rel, ab):
+    s = 0.0
+    for i in (0, 1):
+        sc = ab + rel * max(abs(u[i]), abs(v[i]))
+        e = abs(err[i]) / sc
+        s += e * e
+    return math.sqrt(0.5 * s)
+
+
+def _reference_integrate(q, x0, x1, y0, rel_tol=1e-10):
+    direction = 1.0 if x1 > x0 else -1.0
+    x = x0
+    y = (complex(y0[0]), complex(y0[1]))
+    k1 = (y[1], q(x) * y[0])
+    h = oracle._initial_step(q, x0, y, k1, direction, abs(x1 - x0))
+    n_steps = n_rej = 0
+    err_prev = 1.0
+    ks = [k1] + [None] * 6
+    while (x1 - x) * direction > 0:
+        if (x1 - x) * direction <= 1.05 * h:
+            hs, is_last = x1 - x, True
+        else:
+            hs, is_last = h * direction, False
+        for i in range(1, 7):
+            acc0 = acc1 = 0j
+            for j in range(i):
+                if _REF_A[i][j] != 0.0:
+                    acc0 += _REF_A[i][j] * ks[j][0]
+                    acc1 += _REF_A[i][j] * ks[j][1]
+            ks[i] = (y[1] + hs * acc1, q(x + _REF_C[i] * hs) * (y[0] + hs * acc0))
+        acc0 = acc1 = e0 = e1 = 0j
+        for i in range(7):
+            if _REF_B5[i] != 0.0:
+                acc0 += _REF_B5[i] * ks[i][0]
+                acc1 += _REF_B5[i] * ks[i][1]
+            if _REF_E[i] != 0.0:
+                e0 += _REF_E[i] * ks[i][0]
+                e1 += _REF_E[i] * ks[i][1]
+        ynew = (y[0] + hs * acc0, y[1] + hs * acc1)
+        err = _wrms(y, ynew, (hs * e0, hs * e1), rel_tol, oracle.ABS_TOL)
+        if err <= 1.0:
+            x = x1 if is_last else x + hs
+            y = ynew
+            ks[0] = ks[6]
+            n_steps += 1
+            fac = 0.9 * err ** -0.17 * err_prev ** 0.04 if err > 0 else 5.0
+            h = h * min(5.0, max(0.2, fac))
+            err_prev = max(err, 1e-4)
+        else:
+            n_rej += 1
+            h = h * min(1.0, max(0.2, 0.9 * err ** -0.2))
+    return oracle.ODESolution(x, y[0], y[1], n_steps, n_rej)
+
+
+def _kernel_cases():
+    p = cf.solution_params(1.0, 1.0)
+    for sector in Sector:
+        q = schrodinger_problem(1.0, 1.0, sector).q
+        for x0, x1 in ((1.0, 10.0), (10.0, 1.0)):
+            s = cf.solution_Z(p, Branch.I, sector, x0)
+            yield f"(1, 1) {sector.name} {x0:g}->{x1:g}", q, x0, x1, \
+                (complex(s.value), complex(s.derivative)), 1e-10
+    w = 1.7
+    for rel_tol in (1e-6, 1e-10):
+        yield f"free wave rel_tol={rel_tol:g}", lambda x: -(w * w), 0.0, 25.0, \
+            (1.0 + 0j, 1j * w), rel_tol
+    p = cf.solution_params(2.0, 0.5)
+    s = cf.solution_Z(p, Branch.I, Sector.MINUS, 40.0)
+    yield "ladder segment (2, 0.5) 40->80", schrodinger_problem(2.0, 0.5, Sector.MINUS).q, \
+        40.0, 80.0, (complex(s.value), complex(s.derivative)), 1e-10
+
+
+def _bits(sol):
+    return (sol.x.hex(), sol.value.real.hex(), sol.value.imag.hex(),
+            sol.derivative.real.hex(), sol.derivative.imag.hex(),
+            sol.n_steps, sol.n_rejected)
+
+
+def test_kernel_matches_the_table_driven_reference_bit_for_bit():
+    for name, q, x0, x1, y0, rel_tol in _kernel_cases():
+        got = oracle._integrate_rhs(q, x0, x1, y0, rel_tol=rel_tol)
+        want = _reference_integrate(q, x0, x1, y0, rel_tol)
+        assert want.n_steps > 0 and want.n_rejected >= 0
+        assert _bits(got) == _bits(want), name
 
 
 def test_free_wave_accuracy():

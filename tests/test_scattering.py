@@ -135,6 +135,7 @@ def test_phase_difference_converges_to_half_pi():
     assert res.residual <= 1e-3
     assert abs(res.estimate - HALF_PI) < 1e-3
     assert res.ode_steps > 0
+    assert res.ode_rejected >= 0
 
 
 def test_phase_difference_at_coupling_one_half():
