@@ -7,7 +7,8 @@ Public layers:
 * :mod:`susy_ces.specfun` — confluent hypergeometric machinery for the
   complex arguments these solutions need, with honest refusal bounds.
 * :mod:`susy_ces.closedform` — the solutions Z_pm in both independent
-  branches, analytic derivatives, Wronskians, the sector-exchange map.
+  branches, derivatives from the first-order system, Wronskians, the
+  sector-exchange map.
 * :mod:`susy_ces.oracle` — adaptive ODE integration, a Frobenius-series
   second opinion, finite-difference residuals: verification that shares
   no code with the closed form.

@@ -18,10 +18,10 @@ of i (i^{1/2} = e^{i pi/4}); mixing conventions flips relative signs
 between the components, which is the single easiest way to break every
 identity downstream, so the convention lives in exactly one place here.
 
-Derivatives are analytic (chain rule through dy/dx = -2 i omega), never
-finite differences.  Closed-form evaluation is viable for
-|y| = 2 omega x <= the series bound; beyond that use ODE propagation
-(:mod:`susy_ces.oracle`).
+Derivatives come from the partners' coupled first-order system (never
+from finite differences), so each point sums only two series.  Closed-form
+evaluation is viable for |y| = 2 omega x <= the series bound; beyond that
+use ODE propagation (:mod:`susy_ces.oracle`).
 """
 from __future__ import annotations
 
@@ -36,7 +36,8 @@ import numpy as np
 
 from .errors import DoubleRangeExceeded, InvalidParams
 from .potential import Sector, _check_x, superpotential
-from .specfun import CHFParams, chf_1f1, chf_1f1_deriv
+# chf_1f1_deriv: only the benchmark tracer looks it up; it goes with its wrapping by name
+from .specfun import CHFParams, chf_1f1, chf_1f1_deriv  # noqa: F401
 
 #: e^{-i pi/4}: global prefactor of Z; also the phase of y^{1/2} for x > 0
 PHASE_M4 = cmath.exp(-0.25j * math.pi)
@@ -124,48 +125,35 @@ def coupling_constants(p: SolutionParams, branch: Branch) -> CouplingConstants:
 def components(p: SolutionParams, branch: Branch, x):
     """(rtilde_1, rtilde_2, d rtilde_1/dx, d rtilde_2/dx), each shaped like ``x``.
 
-    Sums four series per point (M and M' for two parameter sets) and
-    returns every component at once: it is the one accessor for them.
-    Every point, a lone one included, goes through the same 1-d numpy
-    loops, so a point's bits do not depend on how many it is sent with.
+    Sums two series per point, one M per component, and returns every
+    component at once: it is the one accessor for them.  Every point, a
+    lone one included, goes through the same 1-d numpy loops, so a
+    point's bits do not depend on how many it is sent with.
 
-    Component recipe (h = e^{-y/2}, s = y^{1/2} = sqrt(2 omega x) e^{-i pi/4}):
+    Recipe (h = e^{-y/2}, s = y^{1/2} = sqrt(2 omega x) e^{-i pi/4}, W = -m/sqrt(x)):
 
         branch I :  r1 = h M(a1, 1/2; y)           r2 = c2 h s M(a1+1, 3/2; y)
         branch II:  r1 = h s M(a1+1/2, 3/2; y)     r2 = c2 h M(a2, 1/2; y)
+        system   :  r1' = i (omega r1 + W r2)      r2' = -i (omega r2 + W r1)
     """
     shape = np.shape(x)
     xa = _check_x(x).ravel()
     w = p.omega
     y = y_of_x(xa, w)
-    dy = -2j * w  # dy/dx
     h = np.exp(-0.5 * y)
     s = np.sqrt(2.0 * w * xa) * PHASE_M4
     c = coupling_constants(p, branch)
-
-    def plain(a: complex):
-        # f = h M(a, 1/2; y);  f' = dy h (M' - M/2)
-        par = CHFParams(a, 0.5)
-        M = chf_1f1(par, y)
-        dM = chf_1f1_deriv(par, y)
-        return h * M, dy * h * (dM - 0.5 * M)
-
-    def halfpow(a: complex):
-        # f = h s M(a, 3/2; y);  f' = dy h s (M/(2y) - M/2 + M')
-        par = CHFParams(a, 1.5)
-        M = chf_1f1(par, y)
-        dM = chf_1f1_deriv(par, y)
-        return h * s * M, dy * h * s * (M / (2.0 * y) - 0.5 * M + dM)
+    wx = superpotential(xa, p.m)
 
     # an overflow here is reported once, as DoubleRangeExceeded
     with np.errstate(over="ignore", invalid="ignore"):
         if branch is Branch.I:
-            r1, dr1 = plain(p.a1)
-            f2, df2 = halfpow(p.a1 + 1.0)
+            r1 = h * chf_1f1(CHFParams(p.a1, 0.5), y)
+            r2 = c.c2 * (h * s * chf_1f1(CHFParams(p.a1 + 1.0, 1.5), y))
         else:
-            r1, dr1 = halfpow(p.a1 + 0.5)
-            f2, df2 = plain(p.a2)
-        out = _in_double_range(p, r1, c.c2 * f2, dr1, c.c2 * df2)
+            r1 = h * s * chf_1f1(CHFParams(p.a1 + 0.5, 1.5), y)
+            r2 = c.c2 * (h * chf_1f1(CHFParams(p.a2, 0.5), y))
+        out = _in_double_range(p, r1, r2, 1j * (w * r1 + wx * r2), -1j * (w * r2 + wx * r1))
     # [()] turns a 0-d result into a numpy scalar and leaves arrays as they are
     return tuple(v.reshape(shape)[()] for v in out)
 

@@ -1,10 +1,10 @@
 """Confluent hypergeometric machinery for complex arguments.
 
-Everything the closed-form solutions need: the Kummer function
-1F1(a, b; z) for complex ``a``/``z`` and real ``b``, its derivative, a
-principal-branch complex log-gamma, and two routes kept solely as
-cross-checks: the Kummer transformation and a large-|z| asymptotic
-expansion.
+Everything the closed-form solutions and their checks need: the Kummer
+function 1F1(a, b; z) for complex ``a``/``z`` and real ``b``, its
+derivative, a principal-branch complex log-gamma, and two routes kept
+solely as cross-checks: the Kummer transformation and a large-|z|
+asymptotic expansion.
 
 The evaluator sums the defining series directly at every z.  On the
 physically relevant ray (purely imaginary z) the series loses roughly
@@ -221,7 +221,9 @@ class AsymptoticResult(NamedTuple):
 def chf_asymptotic(p: CHFParams, z: complex) -> AsymptoticResult:
     """Large-|z| two-branch expansion of 1F1(a, b; z), cross-check only.
 
-    Sums both formal series to their optimal truncation.  The recessive
+    Sums both formal series to their optimal truncation, or until a term
+    falls below eps of the sum; ``error_estimate`` bounds the absolute
+    error, rounding of the coefficients included.  The recessive
     z^{-a} branch carries the factor e^{+i pi a} for arg z > -pi/2 and
     e^{-i pi a} otherwise (the boundary ray arg z = -pi/2 belongs to the
     lower sector).  Never used by the primary evaluator: its role is to
@@ -236,6 +238,7 @@ def chf_asymptotic(p: CHFParams, z: complex) -> AsymptoticResult:
     if abs(z) < ASYMPTOTIC_MIN_ABS_Z:
         raise ArgumentTooSmall(f"|z| = {abs(z):.4g} < {ASYMPTOTIC_MIN_ABS_Z:g}")
     a, b = p.a, p.b
+    eps = sys.float_info.epsilon
 
     def opt_sum(p1: complex, p2: complex, zz: complex) -> tuple[complex, float]:
         t = 1.0 + 0j
@@ -243,7 +246,8 @@ def chf_asymptotic(p: CHFParams, z: complex) -> AsymptoticResult:
         best = abs(t)
         for k in range(2 * int(abs(zz)) + 30):
             t = t * (p1 + k) * (p2 + k) / ((k + 1) * zz)
-            if abs(t) >= best:
+            # optimal truncation, or the last term added fell below eps |s|
+            if abs(t) >= best or best < eps * abs(s):
                 break
             s += t
             best = abs(t)
@@ -251,18 +255,23 @@ def chf_asymptotic(p: CHFParams, z: complex) -> AsymptoticResult:
 
     sgn = 1.0 if cmath.phase(z) > -math.pi / 2 else -1.0
     logz = cmath.log(z)
+    # (sum, truncation error, prefactor, log terms of the coefficient); e^z
+    # stands apart, as its |z|-sized phase would cost |z| eps in a sum
+    branches = []
+    if not _rgamma_is_zero(b - a):
+        branches.append((*opt_sum(a, a - b + 1.0, -z), 1.0, (
+            log_gamma(b), -log_gamma(b - a), sgn * 1j * math.pi * a, -a * logz)))
+    if not _rgamma_is_zero(a):
+        branches.append((*opt_sum(b - a, 1.0 - a, z), cmath.exp(z), (
+            log_gamma(b), -log_gamma(a), (a - b) * logz)))
     value = 0j
     err = 0.0
-    if not _rgamma_is_zero(b - a):
-        s1, e1 = opt_sum(a, a - b + 1.0, -z)
-        c1 = cmath.exp(log_gamma(b) - log_gamma(b - a) + sgn * 1j * math.pi * a - a * logz)
-        value += c1 * s1
-        err += abs(c1) * (e1 + 16 * np.finfo(float).eps * abs(s1))
-    if not _rgamma_is_zero(a):
-        s2, e2 = opt_sum(b - a, 1.0 - a, z)
-        c2 = cmath.exp(log_gamma(b) - log_gamma(a) + z + (a - b) * logz)
-        value += c2 * s2
-        err += abs(c2) * (e2 + 16 * np.finfo(float).eps * abs(s2))
+    for s, e, lead, logs in branches:
+        # relative error of c: eps of each log term's size, 40 eps for each
+        # log_gamma (its measured accuracy), and 16 eps for the sum s
+        c = lead * cmath.exp(sum(logs))
+        value += c * s
+        err += abs(c) * (e + eps * (96.0 + sum(map(abs, logs))) * abs(s))
     return AsymptoticResult(value, err)
 
 

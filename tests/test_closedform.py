@@ -8,12 +8,12 @@ import numpy as np
 import pytest
 
 from susy_ces import closedform as cf
-from susy_ces import oracle, potential
+from susy_ces import oracle, potential, specfun
 from susy_ces.closedform import PHASE_M4, PHASE_P4, Branch
 from susy_ces.errors import DomainError, DoubleRangeExceeded, InvalidParams
 from susy_ces.potential import Sector
 from susy_ces.specfun import CHFParams, chf_1f1_deriv
-from susy_ces.verify import wronskian_grid
+from susy_ces.verify import series_components, wronskian_grid
 
 FAMILIES = ((1.0, 1.0), (2.0, 0.5), (0.5, 2.0))
 
@@ -119,13 +119,27 @@ def test_one_point_matches_its_table_row_bit_for_bit():
                         assert cf.components(p, br, xi) == tuple(r[i] for r in rows)
 
 
+@pytest.mark.parametrize("branch", list(Branch))
+def test_two_series_per_point(branch, monkeypatch):
+    # the derivatives come from the first-order system, not from M'
+    calls = []
+    real = specfun.chf_series_fixed
+    monkeypatch.setattr(specfun, "chf_series_fixed",
+                        lambda *args: calls.append(args) or real(*args))
+    p = cf.solution_params(1.0, 1.0)
+    cf.solution_Z(p, branch, Sector.PLUS, np.linspace(0.5, 20.0, 16))
+    assert len(calls) == 2 * 16
+
+
 def test_rtilde_first_order_system():
+    # components takes its derivatives from this system, so check the
+    # independent ones, dM/dy = (a/b) M(a+1, b+1; y) through dy/dx
     for m, omega in FAMILIES:
         p = cf.solution_params(m, omega)
         x = np.logspace(-2, math.log10(20.0 / omega), 25)
         wx = potential.superpotential(x, m)
         for br in Branch:
-            r1, r2, d1, d2 = cf.components(p, br, x)
+            r1, r2, d1, d2 = series_components(p, br, x)
             sc = np.maximum(1.0, np.abs(r1) + np.abs(r2))
             assert np.max(np.abs(d1 - 1j * omega * r1 - 1j * wx * r2) / sc) < 1e-12
             assert np.max(np.abs(d2 + 1j * omega * r2 + 1j * wx * r1) / sc) < 1e-12

@@ -147,11 +147,12 @@ def test_phase_difference_at_coupling_one_half():
 
 
 def test_phase_difference_imaginary_part_agrees():
-    re_part = phase_difference(0.5, 2.0, PhaseConfig(part="re"))
-    im_part = phase_difference(0.5, 2.0, PhaseConfig(part="im"))
-    assert im_part.converged
-    assert abs(im_part.estimate - HALF_PI) < 1e-3
-    assert abs(im_part.estimate - re_part.estimate) < 2e-3
+    for m in (0.5, 1.0):  # m^2/omega = 0.125 and 0.5
+        re_part = phase_difference(m, 2.0, PhaseConfig(part="re"))
+        im_part = phase_difference(m, 2.0, PhaseConfig(part="im"))
+        assert im_part.converged
+        assert abs(im_part.estimate - HALF_PI) < 1e-3
+        assert abs(im_part.estimate - re_part.estimate) < 2e-3
 
 
 def test_phase_difference_budget_exhaustion():

@@ -264,6 +264,23 @@ def test_asymptotic_agrees_with_series_in_overlap():
     assert worst < 1e-9
 
 
+def test_asymptotic_error_estimate_bounds_the_actual_error():
+    # on the ray the closed forms use, against mpmath at 40 digits
+    checked = 0
+    with mpmath.workdps(40):
+        for eta in (0.0, 0.025, 0.25, 1.0, 4.0, 8.0, 16.0):
+            for k in (0, 1, 2):
+                p = sf.CHFParams(complex(k, eta), k + 0.5)
+                for y in (60.0, 100.0, 500.0, 2000.0, 1e4):
+                    val, err_est = sf.chf_asymptotic(p, -1j * y)
+                    if err_est >= 1e-6 * abs(val):
+                        continue
+                    ref = complex(mpmath.hyp1f1(mpmath.mpc(p.a), p.b, mpmath.mpc(0, -y)))
+                    assert abs(val - ref) <= err_est, (eta, k, y)
+                    checked += 1
+    assert checked >= 90
+
+
 def test_asymptotic_boundary_ray():
     # phase(z) == -pi/2 exactly: the recessive/dominant sign split must
     # treat the negative imaginary axis consistently with its neighborhood
