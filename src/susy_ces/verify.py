@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import closedform as cf
-from . import oracle, potential, scattering, specfun
+from . import highprec, oracle, potential, scattering, specfun
 from .errors import InvalidParams, NotConverged
 from .potential import Sector
 
@@ -175,14 +175,15 @@ def check_intertwining(tol: float = 1e-8) -> CheckReport:
         x = np.logspace(-2, math.log10(25.0 / omega), 40)
         wx = potential.superpotential(x, m)
         for br in cf.Branch:
-            zp = cf.solution_Z(p, br, Sector.PLUS, x)
-            zm = cf.solution_Z(p, br, Sector.MINUS, x)
+            zp = series_solution_Z(p, br, Sector.PLUS, x)
+            zm = series_solution_Z(p, br, Sector.MINUS, x)
             sc = np.maximum(1.0, np.abs(zp.value) + np.abs(zm.value))
             r1 = np.abs((zm.derivative + wx * zm.value) - 1j * omega * zp.value) / sc
             r2 = np.abs((zp.derivative - wx * zp.value) - 1j * omega * zm.value) / sc
             worst = max(worst, float(np.max(r1)), float(np.max(r2)))
     return _report("closedform/intertwining", worst, tol,
-                   "(d/dx +- W) ladder maps between sectors with coefficient i omega")
+                   "(d/dx +- W) ladder maps between sectors with coefficient i omega, "
+                   "series derivatives")
 
 
 def check_shape_invariance(tol: float = 0.0) -> CheckReport:
@@ -215,6 +216,19 @@ def series_components(p: cf.SolutionParams, branch: cf.Branch, x: np.ndarray):
     return (*r, *dr)
 
 
+def series_solution_Z(p: cf.SolutionParams, branch: cf.Branch, sector: Sector,
+                      x: np.ndarray) -> cf.SolutionSample:
+    """:func:`closedform.solution_Z` with the derivative of :func:`series_components`.
+
+    The value is the closed form's, bit for bit; the derivative does not
+    come from the first-order system, so relations that the system implies
+    hold only as far as the components really solve it.
+    """
+    r1, r2, d1, d2 = series_components(p, branch, x)
+    sg = 1j * sector.sign
+    return cf.SolutionSample(x, cf.PHASE_M4 * (r1 + sg * r2), cf.PHASE_M4 * (d1 + sg * d2))
+
+
 def check_rtilde_system(tol: float = 1e-12) -> CheckReport:
     worst = 0.0
     for m, omega in _FAMILIES:
@@ -229,6 +243,32 @@ def check_rtilde_system(tol: float = 1e-12) -> CheckReport:
             worst = max(worst, float(np.max(e1)), float(np.max(e2)))
     return _report("closedform/rtilde-system", worst, tol,
                    "series derivatives of the components satisfy the first-order system")
+
+
+def check_grid_continuation(tol: float = 0.0) -> CheckReport:
+    worst = 0.0
+    points = continued = seeds = steps = terms = 0
+    for m, omega in _FAMILIES:
+        p = cf.solution_params(m, omega)
+        hi = 29.5 / omega
+        for x in (np.linspace(hi / 64, hi, 64), np.logspace(-4, math.log10(hi), 64)):
+            s = np.unique(-cf.y_of_x(x, omega).imag).tolist()
+            for br in cf.Branch:
+                rows = cf.components(p, br, x)
+                for i, xi in enumerate(x.tolist()):
+                    for lone, row in zip(cf.components(p, br, xi), rows):
+                        worst = max(worst, abs(complex(lone) - complex(row[i])))
+                walk = highprec.kummer_walk(p.a1.imag, br is cf.Branch.II, s)
+                points += len(s)
+                continued += walk.continued
+                seeds += walk.seeds
+                steps += walk.steps
+                terms += walk.terms
+    return _report("closedform/grid-continuation", worst, tol,
+                   f"grid vs lone-point components, bit for bit, 3 families x 2 branches "
+                   f"x linear and log grids of 64: {continued} of {points} points "
+                   f"continued, {points - continued} by the series ({seeds} seeds); "
+                   f"{terms / max(steps, 1):.1f} Taylor terms per step over {steps} steps")
 
 
 def check_hermite_lambda(tol: float = 2.0) -> CheckReport:
@@ -390,8 +430,8 @@ SUITES: dict[str, tuple] = {
     "specfun": (check_golden_table, check_kummer_consistency, check_derivative_fd,
                 check_loggamma_reflection, check_chf_wronskian, check_asymptotic_overlap),
     "closedform": (check_schrodinger_fd, check_wronskian_constancy, check_intertwining,
-                   check_shape_invariance, check_rtilde_system, check_hermite_lambda,
-                   check_small_x_limit, check_critical_structure),
+                   check_shape_invariance, check_rtilde_system, check_grid_continuation,
+                   check_hermite_lambda, check_small_x_limit, check_critical_structure),
     "oracle": (check_free_wave, check_convergence_order, check_ode_vs_closedform,
                check_frobenius),
     "scattering": (check_offset_identity, check_phase_difference),

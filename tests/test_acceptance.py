@@ -69,7 +69,9 @@ def test_c02_wronskian_constant(record_property):
 
 def test_c03_intertwining_relations(record_property):
     """(d/dx +- W) maps each sector's solution onto i omega times the
-    partner's, pointwise."""
+    partner's, pointwise, with derivatives from dM/dy = (a/b) M(a+1, b+1; y)
+    rather than from the first-order system, which would make it hold by
+    construction."""
     tol = 1e-8
     worst = 0.0
     for m, omega in FAMILIES:
@@ -77,8 +79,8 @@ def test_c03_intertwining_relations(record_property):
         x = np.logspace(-2, math.log10(25.0 / omega), 40)
         wx = potential.superpotential(x, m)
         for br in Branch:
-            zp = cf.solution_Z(p, br, Sector.PLUS, x)
-            zm = cf.solution_Z(p, br, Sector.MINUS, x)
+            zp = verify.series_solution_Z(p, br, Sector.PLUS, x)
+            zm = verify.series_solution_Z(p, br, Sector.MINUS, x)
             sc = np.maximum(1.0, np.abs(zp.value) + np.abs(zm.value))
             up = np.abs((zm.derivative + wx * zm.value) - 1j * omega * zp.value) / sc
             dn = np.abs((zp.derivative - wx * zp.value) - 1j * omega * zm.value) / sc

@@ -6,14 +6,16 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from susy_ces import closedform as cf
-from susy_ces import oracle, potential, specfun
+from susy_ces import highprec, oracle, potential, specfun
 from susy_ces.closedform import PHASE_M4, PHASE_P4, Branch
 from susy_ces.errors import DomainError, DoubleRangeExceeded, InvalidParams
 from susy_ces.potential import Sector
 from susy_ces.specfun import CHFParams, chf_1f1_deriv
-from susy_ces.verify import series_components, wronskian_grid
+from susy_ces.verify import series_components, series_solution_Z, wronskian_grid
 
 FAMILIES = ((1.0, 1.0), (2.0, 0.5), (0.5, 2.0))
 
@@ -121,14 +123,55 @@ def test_one_point_matches_its_table_row_bit_for_bit():
 
 @pytest.mark.parametrize("branch", list(Branch))
 def test_two_series_per_point(branch, monkeypatch):
-    # the derivatives come from the first-order system, not from M'
-    calls = []
-    real = specfun.chf_series_fixed
+    # a lone point sums the two series, M of each component; the derivatives
+    # come from the first-order system, not from M'
+    def no_deriv(*args):
+        raise AssertionError("chf_1f1_deriv called")
+
+    monkeypatch.setattr(specfun, "chf_1f1_deriv", no_deriv)
+    monkeypatch.setattr(cf, "chf_1f1_deriv", no_deriv)
+    series, sums = [], []
+    real_series, real_sum = specfun.chf_series_fixed, highprec._fixed_sum
     monkeypatch.setattr(specfun, "chf_series_fixed",
-                        lambda *args: calls.append(args) or real(*args))
+                        lambda *args: series.append(args) or real_series(*args))
+    monkeypatch.setattr(highprec, "_fixed_sum",
+                        lambda *args, **kw: sums.append(args) or real_sum(*args, **kw))
     p = cf.solution_params(1.0, 1.0)
-    cf.solution_Z(p, branch, Sector.PLUS, np.linspace(0.5, 20.0, 16))
-    assert len(calls) == 2 * 16
+    cf.solution_Z(p, branch, Sector.PLUS, 7.5)
+    assert (len(series), len(sums)) == (2, 2)
+    # a grid sums the series while that is cheaper, then seeds a state and
+    # steps: 4 points by the series plus a seed over |y| in [1, 40], and 14
+    # plus a seed plus one value whose rounding the radius leaves open over
+    # |y| in (0, 59]
+    for x, want in ((np.linspace(0.5, 20.0, 16), 10),
+                    (np.linspace(29.5 / 256, 29.5, 256), 31)):
+        sums.clear()
+        cf.solution_Z(p, branch, Sector.PLUS, x)
+        assert len(sums) == want
+
+
+@settings(max_examples=20)
+@given(eta=st.floats(1e-3, 16.0), omega=st.floats(0.25, 4.0),
+       ends=st.lists(st.floats(-6.0, math.log10(59.9)), min_size=2, max_size=2, unique=True),
+       n=st.integers(2, 300), kind=st.sampled_from(("linear", "log", "unsorted", "repeated")),
+       seed=st.integers(0, 2**32 - 1), branch=st.sampled_from(list(Branch)))
+def test_grid_rows_equal_lone_points(eta, omega, ends, n, kind, seed, branch):
+    # continued or summed, each value of a grid is the lone point's, bit for bit
+    lo, hi = sorted(10.0 ** np.array(ends))
+    rng = np.random.default_rng(seed)
+    if kind == "log":
+        y = np.geomspace(lo, hi, n)
+    elif kind == "unsorted":
+        y = rng.permutation(np.linspace(lo, hi, n))
+    elif kind == "repeated":
+        y = rng.choice(np.linspace(lo, hi, n // 2 + 1), n)
+    else:
+        y = np.linspace(lo, hi, n)
+    x = y / (2.0 * omega)
+    p = cf.solution_params(math.sqrt(2.0 * omega * eta), omega)
+    rows = cf.components(p, branch, x)
+    for i, xi in enumerate(x.tolist()):
+        assert cf.components(p, branch, xi) == tuple(r[i] for r in rows)
 
 
 def test_rtilde_first_order_system():
@@ -165,13 +208,15 @@ def test_wronskian_constant_on_viable_grid(m, omega):
 
 
 def test_intertwining_relations():
+    # with the system's derivatives the relations hold by construction, so
+    # take the independent ones, dM/dy = (a/b) M(a+1, b+1; y)
     for m, omega in FAMILIES:
         p = cf.solution_params(m, omega)
         x = np.logspace(-2, math.log10(25.0 / omega), 30)
         wx = potential.superpotential(x, m)
         for br in Branch:
-            zp = cf.solution_Z(p, br, Sector.PLUS, x)
-            zm = cf.solution_Z(p, br, Sector.MINUS, x)
+            zp = series_solution_Z(p, br, Sector.PLUS, x)
+            zm = series_solution_Z(p, br, Sector.MINUS, x)
             sc = np.maximum(1.0, np.abs(zp.value) + np.abs(zm.value))
             up = np.abs((zm.derivative + wx * zm.value) - 1j * omega * zp.value) / sc
             dn = np.abs((zp.derivative - wx * zp.value) - 1j * omega * zm.value) / sc

@@ -1,5 +1,9 @@
 """The fixed-point 1F1 series: correct rounding against mpmath, the width
-check, the single final rounding and the term budget."""
+check, the single final rounding and the term budget; the continuation
+of a Kummer pair: the series' bits, a radius that bounds the error, and
+the rounding certificate."""
+import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -7,7 +11,7 @@ import pytest
 
 from susy_ces import highprec
 from susy_ces.errors import NonConvergence
-from susy_ces.highprec import _fixed_sum, _int_to_float, chf_series_fixed
+from susy_ces.highprec import _fixed_sum, _int_to_float, chf_series_fixed, kummer_walk
 
 
 _SERIES_PROBES = [
@@ -71,3 +75,103 @@ def test_series_fixed_nonconvergence_raises(monkeypatch):
     monkeypatch.setattr(highprec, "MAX_TERMS", 3)
     with pytest.raises(NonConvergence):
         chf_series_fixed(0.5j, 0.5, -30j)
+
+
+@pytest.mark.parametrize("eta,shifted", [(0.025, True), (0.5, False), (16.0, True)])
+def test_kummer_walk_is_the_series_bit_for_bit(eta, shifted):
+    s = [59.0 * k / 128 for k in range(1, 129)] + [59.0 * 1.1 ** -k for k in range(1, 40)]
+    s = sorted(s)
+    walk = kummer_walk(eta, shifted, s)
+    a = complex(0.5 if shifted else 0.0, eta)
+    for (aa, b), got in (((a, 0.5), walk.p), ((a if shifted else a + 1.0, 1.5), walk.q)):
+        assert got == [chf_series_fixed(aa, b, complex(0.0, -x)) for x in s]
+    assert walk.seeds >= 1 and walk.continued > len(s) // 2
+    assert walk.steps >= walk.continued - walk.seeds
+
+
+def test_walk_radius_bounds_the_error(monkeypatch):
+    # every carried state lies within its radius of mpmath's pair at 60 digits
+    states = []
+    real = highprec._step
+    monkeypatch.setattr(highprec, "_step",
+                        lambda *a: states.append(real(*a)[0]) or states[-1:] + [0])
+    eta = 4.0
+    kummer_walk(eta, False, [59.0 * k / 64 for k in range(1, 65)])
+    assert len(states) > 40
+    with mpmath.workdps(60):
+        a = mpmath.mpc(0, eta)
+        for st in states[::6]:
+            z = mpmath.mpc(0, -st.s)
+            p = [mpmath.mpf(v) / 2 ** st.width for v in st.ints]
+            err = max(abs(mpmath.mpc(p[0], p[1]) - mpmath.hyp1f1(a, 0.5, z)),
+                      st.c * abs(mpmath.mpc(p[2], p[3]) - mpmath.hyp1f1(a + 1, 1.5, z)))
+            assert err * 2 ** st.width <= st.eps
+
+
+def test_certain_rounds_like_int_to_float():
+    rng = random.Random(4)
+    seen = 0
+    for _ in range(2000):
+        width = rng.randrange(60, 200)
+        re, im = (rng.choice((-1, 1)) * rng.getrandbits(rng.randrange(1, width + 40))
+                  for _ in range(2))
+        rad = rng.getrandbits(rng.randrange(1, 40))
+        got = highprec._certain(re, im, rad, width)
+        if got is None:
+            continue
+        seen += 1
+        for x, v in ((re, got.real), (im, got.imag)):
+            assert _int_to_float(x - rad, -width) == v == _int_to_float(x + rad, -width)
+    assert seen > 100
+    # a box across a rounding boundary, (2**53 + 1/2) * 2**8, is uncertain
+    tie = ((1 << 53) + 1) << 7
+    assert highprec._certain(tie, 1 << 61, 1, 8) is None
+
+
+def _round_half_up(x: Fraction) -> int:
+    return math.floor(x + Fraction(1, 2))
+
+
+def _reference_step(eta, shifted, ints, s0, s1, n_terms):
+    """The Taylor step summed with exact rationals, each term rounded half up.
+
+    u_{n+1} = D / ((n+1) s0) ((A0 + A1 z0 - n) u_n + Delta A1 u_{n-1}) on
+    z = -i s, written out per pair; complex numbers are (re, im) pairs.
+    """
+    d, s0, eta = Fraction(s1) - Fraction(s0), Fraction(s0), Fraction(eta)
+    mul = lambda a, b: (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+    add = lambda *xs: (sum(x[0] for x in xs), sum(x[1] for x in xs))
+    sc = lambda f, a: (f * a[0], f * a[1])
+    p, q = (Fraction(ints[0]), Fraction(ints[1])), (Fraction(ints[2]), Fraction(ints[3]))
+    p0 = q0 = (Fraction(0), Fraction(0))
+    sums = [ints[0], ints[1], ints[2], ints[3]]
+    for n in range(n_terms):
+        f = d / ((n + 1) * s0)
+        if shifted:
+            g, g0 = (add(sc(2 * eta, x), mul((0, -1), y)) for x, y in ((q, p), (q0, p0)))
+            pn = sc(f, add(sc(-n, p), sc(s0, g), sc(d, g0)))
+            qn = sc(f, add(sc(Fraction(1, 2), p), sc(-(Fraction(1, 2) + n), q)))
+        else:
+            t = add(sc(s0, q), sc(d, q0))
+            pn = sc(f, add(sc(-n, p), sc(2 * eta, t)))
+            qn = sc(f, add(sc(Fraction(1, 2), p), sc(-(Fraction(1, 2) + n), q),
+                           mul((0, -1), t)))
+        p0, q0 = p, q
+        p = tuple(Fraction(_round_half_up(v)) for v in pn)
+        q = tuple(Fraction(_round_half_up(v)) for v in qn)
+        for j, v in enumerate(p + q):
+            sums[j] += int(v)
+    return tuple(sums)
+
+
+@pytest.mark.parametrize("eta,shifted,s0,s1", [
+    (0.5, False, 30.0, 30.0 + 59 / 256), (0.5, True, 30.0, 30.0 + 59 / 256),
+    (0.025, True, 1.0, 1.25), (2.0, False, 2.75, 3.265625), (0.25, False, 3.75, 4.21875),
+    (16.0, False, 12.3, 14.1), (3.0, True, 40.0, 40.5)])
+def test_step_is_the_rounded_exact_recurrence(eta, shifted, s0, s1):
+    a = complex(0.5 if shifted else 0.0, eta)
+    pair = ((a, 0.5), (a if shifted else a + 1.0, 1.5))
+    c = highprec._norm_weight(eta, s0)
+    st = highprec._seed(pair, s0, 100, c)
+    new, n = highprec._step(eta, shifted, st, s1)
+    assert new.ints == _reference_step(eta, shifted, st.ints, s0, s1, n)

@@ -16,7 +16,7 @@ def test_unknown_suite_rejected():
 def test_suite_names_and_sizes():
     assert set(verify.SUITES) == {"specfun", "closedform", "oracle", "scattering"}
     assert len(verify.SUITES["specfun"]) == 6
-    assert len(verify.SUITES["closedform"]) == 8
+    assert len(verify.SUITES["closedform"]) == 9
     assert len(verify.SUITES["oracle"]) == 4
     assert len(verify.SUITES["scattering"]) == 2
 
