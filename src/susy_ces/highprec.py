@@ -218,13 +218,20 @@ def _series_cost(s: float) -> float:
     return 2.0 * (2.7 * s + 25.0)
 
 
+def _reach(s0: float, s1: float) -> float:
+    """The end of the next step from s0 towards s1: s1, or the largest double
+    within ``_STEP_REACH`` s0 of s0 (both differences are exact)."""
+    t = min(s1, (1.0 + _STEP_REACH) * s0)
+    return t if t - s0 <= _STEP_REACH * s0 else math.nextafter(t, 0.0)
+
+
 def _step_cost(s0: float, s1: float, width: int) -> float:
     """Taylor steps from s0 to s1, counted in series terms (inf if out of reach)."""
     cost = 0.0
     for _ in range(64):
         if s0 >= s1:
             return cost
-        t = min(s1, (1.0 + _STEP_REACH) * s0)
+        t = _reach(s0, s1)
         r = (t - s0) / s0
         cost += _TERM_COST * ((width + 16) / -math.log2(r) + 2.7 * (t - s0) + 4.0)
         s0 = t
@@ -297,7 +304,7 @@ def _step(eta: float, shifted: bool, st: _State, s1: float) -> tuple[_State, int
     # flooring the part of num over 2**sh first and then dividing by the
     # small 2 q1 floors the same as one division by the product
     pr, pi, qr, qi = st.ints
-    sr, si, tr, ti = pr, pi, qr, qi
+    sum_pr, sum_pi, sum_qr, sum_qi = pr, pi, qr, qi
     dn, dd = big_d * big_s, big_d * big_d
     if shifted:
         e2 = 2 * e
@@ -326,10 +333,10 @@ def _step(eta: float, shifted: bool, st: _State, s1: float) -> tuple[_State, int
         xr0, xi0 = xr, xi
         pr, pi = (ar + q1) // q1x2, (ai + q1) // q1x2
         qr, qi = (br + q1) // q1x2, (bi + q1) // q1x2
-        sr += pr
-        si += pi
-        tr += qr
-        ti += qi
+        sum_pr += pr
+        sum_pi += pi
+        sum_qr += qr
+        sum_qi += qi
         n += 1
         # stop once two terms in a row have every component within 8 and 16
         small = -8 <= pr <= 8 and -8 <= pi <= 8 and -8 <= qr <= 8 and -8 <= qi <= 8
@@ -362,7 +369,7 @@ def _step(eta: float, shifted: bool, st: _State, s1: float) -> tuple[_State, int
         eps = (math.exp(d * mu) * eps + e_sum + tail) * (1.0 + 2.0 ** -40)
     else:
         eps = math.inf
-    return _State(s1, st.width, (sr, si, tr, ti), eps, c), n
+    return _State(s1, st.width, (sum_pr, sum_pi, sum_qr, sum_qi), eps, c), n
 
 
 def _certain(re: int, im: int, rad: int, width: int) -> complex | None:
@@ -420,11 +427,13 @@ def kummer_walk(eta: float, shifted: bool, s: list[float]) -> Walk:
     st = None
     for k, s1 in enumerate(s):
         if st is not None and _step_cost(st.s, s1, st.width) <= _series_cost(s1):
-            while st.s < s1:
-                t = min(s1, (1.0 + _STEP_REACH) * st.s)
-                st, used = _step(eta, shifted, st, t)
-                steps += 1
-                terms += used
+            try:
+                while st.s < s1:
+                    st, used = _step(eta, shifted, st, _reach(st.s, s1))
+                    steps += 1
+                    terms += used
+            except NonConvergence:   # the series still answers
+                st = None
         else:
             st = None
             width = (SAFE_BITS + _WALK_GUARD + math.ceil(grow[k] * _LOG2E)

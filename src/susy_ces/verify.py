@@ -267,7 +267,7 @@ def check_grid_continuation(tol: float = 0.0) -> CheckReport:
     return _report("closedform/grid-continuation", worst, tol,
                    f"grid vs lone-point components, bit for bit, 3 families x 2 branches "
                    f"x linear and log grids of 64: {continued} of {points} points "
-                   f"continued, {points - continued} by the series ({seeds} seeds); "
+                   f"continued, {points - continued} fall back to the series ({seeds} seeds); "
                    f"{terms / max(steps, 1):.1f} Taylor terms per step over {steps} steps")
 
 

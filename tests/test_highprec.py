@@ -89,6 +89,17 @@ def test_kummer_walk_is_the_series_bit_for_bit(eta, shifted):
     assert walk.steps >= walk.continued - walk.seeds
 
 
+def test_walk_falls_back_when_a_step_does_not_converge(monkeypatch):
+    def no_step(*args):
+        raise NonConvergence("synthetic")
+
+    monkeypatch.setattr(highprec, "_step", no_step)
+    s = [59.0 * k / 32 for k in range(1, 33)]
+    walk = kummer_walk(0.5, False, s)
+    assert walk.p == [chf_series_fixed(0.5j, 0.5, complex(0.0, -x)) for x in s]
+    assert walk.steps == 0 and walk.seeds > 0
+
+
 def test_walk_radius_bounds_the_error(monkeypatch):
     # every carried state lies within its radius of mpmath's pair at 60 digits
     states = []
