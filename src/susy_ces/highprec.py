@@ -6,7 +6,7 @@ inputs, so the only rounding is one controlled rounding per term at a
 number of fractional bits sized from the predicted cancellation and
 checked against the truncation bound after the sum.  Its cost is a few
 microseconds per term, and it is the evaluator ``specfun`` uses for
-every point.  The final rounding to complex double happens once, so the
+every lone point.  The final rounding to complex double happens once, so the
 result is correctly rounded.
 
 ``kummer_walk`` evaluates the two Kummer functions of a closed-form
