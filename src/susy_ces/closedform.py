@@ -20,10 +20,11 @@ identity downstream, so the convention lives in exactly one place here.
 
 Derivatives come from the partners' coupled first-order system (never
 from finite differences), so each branch needs only the two Kummer
-functions of its components.  A lone point sums both series; a grid
-carries the pair along it (:func:`susy_ces.specfun.chf_1f1_pair`), with
-the same bits.  ``specfun`` refuses |y| = 2 omega x > ``SERIES_ZMAX``
-(60); beyond that use ODE propagation (:mod:`susy_ces.oracle`).
+functions of its components, which one call of
+:func:`susy_ces.specfun.kummer_pair` returns for any ``x``: a lone point
+sums both series, a grid carries the pair along it, with the same bits.
+``specfun`` refuses |y| = 2 omega x > ``SERIES_ZMAX`` (60); beyond that
+use ODE propagation (:mod:`susy_ces.oracle`).
 """
 from __future__ import annotations
 
@@ -39,7 +40,7 @@ import numpy as np
 from .errors import DoubleRangeExceeded, InvalidParams
 from .potential import Sector, _check_x, superpotential
 # chf_1f1, chf_1f1_deriv: only the benchmark tracer looks them up; they go with its wrapping by name
-from .specfun import CHFParams, chf_1f1, chf_1f1_deriv, chf_1f1_pair  # noqa: F401
+from .specfun import chf_1f1, chf_1f1_deriv, kummer_pair  # noqa: F401
 
 #: e^{-i pi/4}: global prefactor of Z; also the phase of y^{1/2} for x > 0
 PHASE_M4 = cmath.exp(-0.25j * math.pi)
@@ -127,7 +128,7 @@ def coupling_constants(p: SolutionParams, branch: Branch) -> CouplingConstants:
 def components(p: SolutionParams, branch: Branch, x):
     """(rtilde_1, rtilde_2, d rtilde_1/dx, d rtilde_2/dx), each shaped like ``x``.
 
-    Takes the two M of the branch from :func:`specfun.chf_1f1_pair` and
+    Takes the two M of the branch from :func:`specfun.kummer_pair` and
     returns every component at once: it is the one accessor for them.
     Every point, a lone one included, goes through the same 1-d numpy
     loops, and the pair's values do not depend on the grid either, so a
@@ -150,12 +151,11 @@ def components(p: SolutionParams, branch: Branch, x):
 
     # an overflow here is reported once, as DoubleRangeExceeded
     with np.errstate(over="ignore", invalid="ignore"):
+        m_half, m_3half = kummer_pair(p.a1.imag, branch is Branch.II, y)
         if branch is Branch.I:
-            m_half, m_3half = chf_1f1_pair(CHFParams(p.a1, 0.5), CHFParams(p.a1 + 1.0, 1.5), y)
             r1 = h * m_half
             r2 = c.c2 * (h * s * m_3half)
         else:
-            m_half, m_3half = chf_1f1_pair(CHFParams(p.a2, 0.5), CHFParams(p.a1 + 0.5, 1.5), y)
             r1 = h * s * m_3half
             r2 = c.c2 * (h * m_half)
         out = _in_double_range(p, r1, r2, 1j * (w * r1 + wx * r2), -1j * (w * r2 + wx * r1))

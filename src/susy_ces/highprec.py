@@ -5,22 +5,23 @@ ratios are formed from the *exact* binary rationals underlying the float
 inputs, so the only rounding is one controlled rounding per term at a
 number of fractional bits sized from the predicted cancellation and
 checked against the truncation bound after the sum.  Its cost is a few
-microseconds per term, and it is the evaluator ``specfun`` uses for
-every lone point.  The final rounding to complex double happens once, so the
-result is correctly rounded.
+microseconds per term, and every value ``specfun`` returns is its sum or
+bit for bit equal to it.  The final rounding to complex double happens
+once, so the result is correctly rounded.
 
 ``kummer_walk`` evaluates the two Kummer functions of a closed-form
-component pair on a whole grid of the ray z = -i s.  It carries the pair
-from point to point by Taylor steps of its first-order system (DLMF
-13.2-13.3), summed in the same integer fixed point from exact dyadic
-constants and seeded by ``_fixed_sum``, with a rigorous error radius: a
-majorant bound on each step's tail, the rounding of its terms carried
-through the recurrence, and a log-norm bound on the transition for the
-incoming radius.  A value is taken from the carried pair only where the
-radius, plus the series' own bound, leaves one possible double; every
-other value is the per-point series, so each output equals
-``chf_series_fixed`` bit for bit.  A step costs about 20 terms where the
-series needs about 2.7 |z| per function.
+component pair on a grid of the ray z = -i s; it is the one place that
+spells the pair out, and a one-point grid is the two series sums.  It
+carries the pair from point to point by Taylor steps of its first-order
+system (DLMF 13.2-13.3), summed in the same integer fixed point from
+exact dyadic constants and seeded by ``_fixed_sum``, with a rigorous
+error radius: a majorant bound on each step's tail, the rounding of its
+terms carried through the recurrence, and a log-norm bound on the
+transition for the incoming radius.  A value is taken from the carried
+pair only where the radius, plus the series' own bound, leaves one
+possible double; every other value is the per-point series, so each
+output equals ``chf_series_fixed`` bit for bit.  A step costs about 20
+terms where the series needs about 2.7 |z| per function.
 
 No third-party extended-precision library is involved: Python's
 integers carry the whole sum.

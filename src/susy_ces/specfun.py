@@ -13,10 +13,11 @@ by |z| ~ 30.  Every point is therefore summed by the one kernel
 :func:`susy_ces.highprec.chf_series_fixed`, in exact integer fixed point
 at a width sized from that predicted cancellation and checked against
 the truncation bound afterwards, then rounded once to complex double.
-:func:`chf_1f1_pair` returns the same bits for the two Kummer functions
-of a closed-form component pair on an array, but carries the pair along
-the grid (:func:`susy_ces.highprec.kummer_walk`) and sums the series
-only where that is cheaper or the rounding cannot be certified.
+:func:`kummer_pair` returns the same bits for the two Kummer functions
+of a closed-form component, at any number of points on the ray: it hands
+them to :func:`susy_ces.highprec.kummer_walk`, which carries the pair
+along the grid and sums the series only where that is cheaper or the
+rounding cannot be certified, so a lone point is two series sums.
 Values past the largest double raise ``DoubleRangeExceeded``.  It refuses
 |z| > ``SERIES_ZMAX`` outright: callers needing the far region seed
 inside the bound and carry the solution outward by ODE propagation
@@ -122,38 +123,25 @@ def chf_1f1(p: CHFParams, z):
     return _shaped_like(_series(p.a, p.b, _flat_z(z)), z, p)
 
 
-def _ray_pair(p: CHFParams, q: CHFParams) -> bool | None:
-    """``shifted`` for a pair :func:`highprec.kummer_walk` carries, else None."""
-    a = p.a
-    if p.b != 0.5 or q.b != 1.5 or a.imag <= 0.0:
-        return None
-    if a.real == 0.0 and q.a == a + 1.0:
-        return False
-    if a.real == 0.5 and q.a == a:
-        return True
-    return None
+def kummer_pair(eta: float, shifted: bool, y):
+    """The Kummer pair of a closed-form component at the points ``y`` of the ray.
 
+    The pair is the one :func:`susy_ces.highprec.kummer_walk` names for
+    ``(eta, shifted)``; ``y = -i s``, s >= 0, may take any shape, and both
+    returned arrays take it.  The distinct s go to the walk in ascending
+    order, so a point's bits do not depend on what it is sent with: a
+    lone point is a one-point walk, which sums the two series.
 
-def chf_1f1_pair(p: CHFParams, q: CHFParams, z):
-    """``(chf_1f1(p, z), chf_1f1(q, z))``, bit for bit, for two Kummer functions.
-
-    For the pairs of the closed form, (M(a, 1/2), M(a+1, 3/2)) and
-    (M(a+1/2, 1/2), M(a+1/2, 3/2)) with a = i eta, eta > 0, and an array
-    of two or more points on the ray z = -i s, s >= 0, the values come
-    from :func:`susy_ces.highprec.kummer_walk`, which carries the pair
-    along the sorted s by certified Taylor steps and sums the series only
-    where that is cheaper or the rounding cannot be certified.  A lone
-    point and any other input take two :func:`chf_1f1` calls.
+    Raises
+    ------
+    SeriesRangeExceeded
+        if any |y| exceeds the series viability bound.
     """
-    shifted = _ray_pair(p, q)
-    if np.size(z) < 2 or shifted is None:
-        return chf_1f1(p, z), chf_1f1(q, z)
-    zf = _flat_z(z)
-    if np.any(zf.real != 0.0) or np.any(zf.imag > 0.0):
-        return chf_1f1(p, z), chf_1f1(q, z)
-    s, back = np.unique(-zf.imag, return_inverse=True)
-    walk = kummer_walk(p.a.imag, shifted, s.tolist())
-    return tuple(_shaped_like(np.array(v, dtype=complex)[back], z, p)
+    s = (-_flat_z(y).imag).tolist()
+    grid = sorted(set(s))
+    walk = kummer_walk(eta, shifted, grid)
+    at = {v: k for k, v in enumerate(grid)}
+    return tuple(np.array([v[at[x]] for x in s], dtype=complex).reshape(np.shape(y))
                  for v in (walk.p, walk.q))
 
 

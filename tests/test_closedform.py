@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from susy_ces import closedform as cf
 from susy_ces import highprec, oracle, potential, specfun
 from susy_ces.closedform import PHASE_M4, PHASE_P4, Branch
-from susy_ces.errors import DomainError, DoubleRangeExceeded, InvalidParams
+from susy_ces.errors import (DomainError, DoubleRangeExceeded, InvalidParams,
+                             SeriesRangeExceeded)
 from susy_ces.potential import Sector
 from susy_ces.specfun import CHFParams, chf_1f1_deriv
 from susy_ces.verify import series_components, series_solution_Z, wronskian_grid
@@ -123,21 +124,27 @@ def test_one_point_matches_its_table_row_bit_for_bit():
 
 @pytest.mark.parametrize("branch", list(Branch))
 def test_two_series_per_point(branch, monkeypatch):
-    # a lone point sums the two series, M of each component; the derivatives
-    # come from the first-order system, not from M'
-    def no_deriv(*args):
-        raise AssertionError("chf_1f1_deriv called")
+    # a lone point is a one-point walk: the two series, M of each component,
+    # and neither a seed nor a Taylor step; the derivatives come from the
+    # first-order system, not from M'
+    def refuse(name):
+        def call(*args, **kw):
+            raise AssertionError(f"{name} called")
+        return call
 
-    monkeypatch.setattr(specfun, "chf_1f1_deriv", no_deriv)
-    monkeypatch.setattr(cf, "chf_1f1_deriv", no_deriv)
+    monkeypatch.setattr(specfun, "chf_1f1_deriv", refuse("chf_1f1_deriv"))
+    monkeypatch.setattr(cf, "chf_1f1_deriv", refuse("chf_1f1_deriv"))
     series, sums = [], []
-    real_series, real_sum = specfun.chf_series_fixed, highprec._fixed_sum
-    monkeypatch.setattr(specfun, "chf_series_fixed",
+    real_series, real_sum = highprec.chf_series_fixed, highprec._fixed_sum
+    monkeypatch.setattr(highprec, "chf_series_fixed",
                         lambda *args: series.append(args) or real_series(*args))
     monkeypatch.setattr(highprec, "_fixed_sum",
                         lambda *args, **kw: sums.append(args) or real_sum(*args, **kw))
     p = cf.solution_params(1.0, 1.0)
-    cf.solution_Z(p, branch, Sector.PLUS, 7.5)
+    with monkeypatch.context() as mp:
+        mp.setattr(highprec, "_seed", refuse("_seed"))
+        mp.setattr(highprec, "_step", refuse("_step"))
+        cf.solution_Z(p, branch, Sector.PLUS, 7.5)
     assert (len(series), len(sums)) == (2, 2)
     # a grid sums the series while that is cheaper, then seeds a state and
     # steps: 4 points by the series plus a seed over |y| in [1, 40], and 14
@@ -172,6 +179,17 @@ def test_grid_rows_equal_lone_points(eta, omega, ends, n, kind, seed, branch):
     rows = cf.components(p, branch, x)
     for i, xi in enumerate(x.tolist()):
         assert cf.components(p, branch, xi) == tuple(r[i] for r in rows)
+
+
+@pytest.mark.parametrize("branch", list(Branch))
+def test_grid_rows_equal_lone_points_when_m_squared_underflows(branch):
+    # m = 1e-170 makes a1 = 0j: the walk carries the pair at eta = 0 too
+    p = cf.solution_params(1e-170, 1.0)
+    assert p.a1 == 0j
+    for x in (np.linspace(29.5 / 64, 29.5, 64), np.geomspace(1e-4, 29.5, 64)):
+        rows = cf.components(p, branch, x)
+        for i, xi in enumerate(x.tolist()):
+            assert cf.components(p, branch, xi) == tuple(r[i] for r in rows)
 
 
 def test_rtilde_first_order_system():
@@ -295,6 +313,16 @@ def test_domain_and_type_guards():
         cf.susy_map(p, cf.solution_Z(p, Branch.I, Sector.MINUS, 1.0), "minus")
     with pytest.raises(InvalidParams):
         cf.coupling_constants(p, "I")
+    # one point past the series bound, 2 omega x = 61 > 60, refuses the call
+    for xs in (30.5, np.array([1.0, 30.5])):
+        with pytest.raises(SeriesRangeExceeded):
+            cf.solution_Z(p, Branch.II, Sector.PLUS, xs)
+    for shape in ((), (0,), (1,), (2, 2)):
+        xs = np.full(shape, 2.5)
+        for br in Branch:
+            z = cf.solution_Z(p, br, Sector.MINUS, xs)
+            assert np.shape(z.value) == np.shape(z.derivative) == shape
+            assert all(np.shape(r) == shape for r in cf.components(p, br, xs))
 
 
 def _solution(p, x):

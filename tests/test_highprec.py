@@ -89,6 +89,18 @@ def test_kummer_walk_is_the_series_bit_for_bit(eta, shifted):
     assert walk.steps >= walk.continued - walk.seeds
 
 
+@pytest.mark.parametrize("shifted", [False, True])
+def test_kummer_walk_at_eta_zero_is_the_series(shifted):
+    # eta = 0 is a1 when m**2 underflows; the unshifted P is then M(0, 1/2) = 1
+    s = [59.0 * k / 64 for k in range(1, 65)] + [59.0 * 1.1 ** -k for k in range(1, 30)]
+    s = sorted(s)
+    walk = kummer_walk(0.0, shifted, s)
+    a = complex(0.5 if shifted else 0.0, 0.0)
+    for (aa, b), got in (((a, 0.5), walk.p), ((a if shifted else a + 1.0, 1.5), walk.q)):
+        assert got == [chf_series_fixed(aa, b, complex(0.0, -x)) for x in s]
+    assert walk.seeds >= 1 and walk.steps >= 1
+
+
 def test_walk_falls_back_when_a_step_does_not_converge(monkeypatch):
     def no_step(*args):
         raise NonConvergence("synthetic")
