@@ -373,6 +373,12 @@ def _step(eta: float, shifted: bool, st: _State, s1: float) -> tuple[_State, int
     return _State(s1, st.width, (sum_pr, sum_pi, sum_qr, sum_qi), eps, c), n
 
 
+def _round53(n: int) -> int:
+    """n > 2**53 rounded half away from zero to 53 significant bits, as _int_to_float does."""
+    drop = n.bit_length() - 53
+    return ((n + (1 << (drop - 1))) >> drop) << drop
+
+
 def _certain(re: int, im: int, rad: int, width: int) -> complex | None:
     """The complex double every point of the box re ± rad', im ± rad' rounds to.
 
@@ -380,22 +386,21 @@ def _certain(re: int, im: int, rad: int, width: int) -> complex | None:
     :func:`chf_series_fixed` keeps ``SAFE_BITS`` below the larger
     component, so the per-point series lies in the box as well: where the
     whole box rounds to one double, so does the series.  The rounding is
-    :func:`_int_to_float`'s, applied to both ends of each side; a side
-    that crosses a power of two counts as uncertain.
+    :func:`_int_to_float`'s, applied to both ends of each side, each at
+    its own exponent, so a side that crosses a power of two is certain
+    when both ends round to that power.
     """
     e = rad + ((max(abs(re), abs(im)) + rad) >> (SAFE_BITS - 3)) + 1
     out = []
     for x in (re, im):
         lo, hi = abs(x) - e, abs(x) + e
-        drop = hi.bit_length() - 53
-        if lo <= 0 or drop <= 0 or lo.bit_length() != hi.bit_length():
+        if lo <= 0 or lo.bit_length() <= 53:
             return None
-        half = 1 << (drop - 1)
-        m = (lo + half) >> drop
-        if m != (hi + half) >> drop:
+        r = _round53(lo)
+        if r != _round53(hi):
             return None
         try:
-            out.append(math.ldexp(m if x > 0 else -m, drop - width))
+            out.append(math.ldexp(float(r) if x > 0 else -float(r), -width))
         except OverflowError:
             return None
     return complex(*out)
@@ -448,7 +453,9 @@ def kummer_walk(eta: float, shifted: bool, s: list[float]) -> Walk:
         vals = [None, None]
         if st is not None:
             pr, pi, qr, qi = st.ints
-            vals = [_certain(pr, pi, int(st.eps) + 1, st.width),
+            # M(0, 1/2; z) = 1: its zero imaginary part has no box that rounds
+            # to one double, and the state carries it exactly anyway
+            vals = [1 + 0j if a == 0 else _certain(pr, pi, int(st.eps) + 1, st.width),
                     _certain(qr, qi, int(st.eps / st.c) + 1, st.width)]
             size = min((abs(pr) + abs(pi)).bit_length(),
                        (abs(qr) + abs(qi)).bit_length() + math.log2(st.c))

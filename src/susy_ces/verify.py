@@ -335,8 +335,7 @@ def check_critical_structure(tol: float = 1e-12) -> CheckReport:
 
 def check_free_wave(tol: float = 1e-8) -> CheckReport:
     w = 1.7
-    q = lambda x: -(w * w)
-    sol = oracle._integrate_rhs(q, 0.0, 25.0, (1.0 + 0j, 1j * w))
+    sol = oracle._integrate_rhs((0.0, 0.0, w * w), 0.0, 25.0, (1.0 + 0j, 1j * w))
     err = abs(sol.value - cmath.exp(1j * w * 25.0))
     return _report("oracle/free-wave", err, tol,
                    f"exp(i w x) propagated over 25 units, {sol.n_steps} steps")
@@ -344,17 +343,19 @@ def check_free_wave(tol: float = 1e-8) -> CheckReport:
 
 def check_convergence_order(tol: float = 0.0) -> CheckReport:
     w = 1.3
-    q = lambda x: -(w * w)
-    runs = []
-    for rel_tol in (1e-6, 1e-9):
-        s = oracle._integrate_rhs(q, 0.0, 10.0, (1.0 + 0j, 1j * w), rel_tol=rel_tol)
-        runs.append((abs(s.value - cmath.exp(1j * w * 10.0)), s.n_steps))
-    (e1, n1), (e2, n2) = runs
-    # error ~ n^-p: the order is the slope of log error against log steps
-    order = math.log(e1 / e2) / math.log(n2 / n1)
-    return _report("oracle/convergence-order", max(0.0, 4.0 - order), tol,
-                   f"empirical order {order:.2f} from adaptive runs at rel_tol "
-                   f"1e-6 and 1e-9 (need >= 4)")
+    errs = []
+    # single free-wave steps of 6 and 4.8 radians, whose truncation errors
+    # (~1e-6 and ~1e-8) stand far above rounding
+    for h in (6.0 / w, 4.8 / w):
+        s = oracle._integrate_rhs((0.0, 0.0, w * w), 0.0, h, (1.0 + 0j, 1j * w),
+                                  rel_tol=1e-3)
+        errs.append(abs(s.value - cmath.exp(1j * w * h)) if s.n_steps == 1 else math.nan)
+    # error ~ h^(p+1) for a method of order p
+    order = math.log(errs[0] / errs[1]) / math.log(6.0 / 4.8) - 1.0
+    # a NaN order (a step rejected or split) fails the check
+    return _report("oracle/convergence-order", 0.0 if order >= 4.0 else 4.0 - order, tol,
+                   f"empirical order {order:.2f} from single steps of 6 and 4.8 "
+                   f"radians (need >= 4)")
 
 
 def check_ode_vs_closedform(tol: float = 1e-7) -> CheckReport:

@@ -101,6 +101,18 @@ def test_kummer_walk_at_eta_zero_is_the_series(shifted):
     assert walk.seeds >= 1 and walk.steps >= 1
 
 
+def test_kummer_walk_continues_at_eta_zero():
+    # P = M(0, 1/2; z) = 1 is an exact power of two with a zero imaginary
+    # part: the walk must still take its grid from the carried state
+    s = [59.0 * k / 256 for k in range(1, 257)]
+    walk = kummer_walk(0.0, False, s)
+    assert walk.continued > 0
+    for (a, b), got in (((0j, 0.5), walk.p), ((1 + 0j, 1.5), walk.q)):
+        want = [chf_series_fixed(a, b, complex(0.0, -x)) for x in s]
+        assert [(v.real.hex(), v.imag.hex()) for v in got] == \
+            [(v.real.hex(), v.imag.hex()) for v in want]
+
+
 def test_walk_falls_back_when_a_step_does_not_converge(monkeypatch):
     def no_step(*args):
         raise NonConvergence("synthetic")
@@ -146,6 +158,9 @@ def test_certain_rounds_like_int_to_float():
         for x, v in ((re, got.real), (im, got.imag)):
             assert _int_to_float(x - rad, -width) == v == _int_to_float(x + rad, -width)
     assert seen > 100
+    # a side at an exact power of two is certain when both ends round to it
+    width = 90
+    assert highprec._certain(1 << width, -(3 << 87), 5, width) == complex(1.0, -0.375)
     # a box across a rounding boundary, (2**53 + 1/2) * 2**8, is uncertain
     tie = ((1 << 53) + 1) << 7
     assert highprec._certain(tie, 1 << 61, 1, 8) is None

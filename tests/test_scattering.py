@@ -139,10 +139,34 @@ def test_phase_difference_converges_to_half_pi():
 
 
 def test_phase_difference_at_coupling_one_half():
-    # m^2/omega = 0.5: the successive-difference stop must not fire while
-    # the estimate is still outside the tolerance of the limit
+    # m^2/omega = 0.5: the stop must not fire while the estimate is still
+    # outside the tolerance of the limit
     res = phase_difference(1.0, 2.0)
     assert res.converged
+    assert abs(res.estimate - HALF_PI) < 1e-3
+
+
+@pytest.mark.parametrize("m, omega", [(math.sqrt(r * 1.5), 1.5) for r in (0.05, 0.2, 0.35, 0.5)]
+                         + [(1.0, 1.0), (0.5, 2.0)])
+def test_phase_difference_residual_covers_the_error(m, omega):
+    # the spread of the last three rungs is reported as the residual; at
+    # m^2/omega = 0.35 the last successive difference (2.2e-4) fell short
+    # of the error (5.6e-4)
+    res = phase_difference(m, omega)
+    assert res.converged and res.x.size >= 4
+    spread = res.accelerated[-3:]
+    assert res.residual == spread.max() - spread.min()
+    assert abs(res.estimate - HALF_PI) <= res.residual
+
+
+@pytest.mark.parametrize("m, omega", [(4.0, 1.0), (3.0, 0.5)])
+def test_phase_difference_converges_at_strong_coupling(m, omega):
+    # m^2/omega = 16 and 18: seeded at the edge of the series range, the
+    # ladder runs out to x ~ 2e4 and 9e4 within the criterion-07 budget
+    x_limit = 1e4 * max(1.0, m * m) / omega
+    res = phase_difference(m, omega, PhaseConfig(x_limit=x_limit))
+    assert res.converged
+    assert np.all(res.x <= x_limit)
     assert abs(res.estimate - HALF_PI) < 1e-3
 
 
