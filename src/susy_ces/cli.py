@@ -185,7 +185,9 @@ def phase(m, omega, x_match, tol, part, x_limit, fmt, out):
             "m": res.m, "omega": res.omega, "x_match": res.x_match,
             "x": res.x.tolist(), "raw": res.raw.tolist(),
             "accelerated": res.accelerated.tolist(),
-            "estimate": res.estimate, "residual": res.residual,
+            "estimate": res.estimate,
+            # inf before the third rung, which JSON cannot carry
+            "residual": res.residual if math.isfinite(res.residual) else None,
             "converged": res.converged,
             "ode_steps": res.ode_steps, "ode_rejected": res.ode_rejected,
         }

@@ -22,7 +22,8 @@ Derivatives come from the partners' coupled first-order system (never
 from finite differences), so each branch needs only the two Kummer
 functions of its components, which one call of
 :func:`susy_ces.specfun.kummer_pair` returns for any ``x``: a lone point
-sums both series, a grid carries the pair along it, with the same bits.
+takes both from one series loop, a grid carries the pair along it, with
+the same bits.
 ``specfun`` refuses |y| = 2 omega x > ``SERIES_ZMAX`` (60); beyond that
 use ODE propagation (:mod:`susy_ces.oracle`).
 """

@@ -10,18 +10,33 @@ bit for bit equal to it.  The final rounding to complex double happens
 once, so the result is correctly rounded.
 
 ``kummer_walk`` evaluates the two Kummer functions of a closed-form
-component pair on a grid of the ray z = -i s; it is the one place that
-spells the pair out, and a one-point grid is the two series sums.  It
-carries the pair from point to point by Taylor steps of its first-order
-system (DLMF 13.2-13.3), summed in the same integer fixed point from
-exact dyadic constants and seeded by ``_fixed_sum``, with a rigorous
-error radius: a majorant bound on each step's tail, the rounding of its
-terms carried through the recurrence, and a log-norm bound on the
-transition for the incoming radius.  A value is taken from the carried
-pair only where the radius, plus the series' own bound, leaves one
-possible double; every other value is the per-point series, so each
-output equals ``chf_series_fixed`` bit for bit.  A step costs about 20
-terms where the series needs about 2.7 |z| per function.
+component pair, P = M(a, 1/2; z) and its contiguous partner Q with
+b = 3/2, on a grid of the ray z = -i s; it is the one place that spells
+the pair out.  One series loop gives both: Q is an exact combination of
+P's own terms t_k through K = sum k t_k = z P' (DLMF section 13.3).  With
+a = i eta, M' = (a/b) M(a+1, b+1) gives Q = M(a+1, 3/2) = P' / (2a) =
+K / (2 a z); with a = 1/2 + i eta, the contiguous relation 13.3.2 at
+b = 1/2, with M(a, -1/2) = P - 2K from (z^(b-1) M)' = (b-1) z^(b-2)
+M(a, b-1), gives Q = M(a, 3/2) = (K - z P) / (2 i eta z).  On the ray
+both read
+
+    Q = (K + i sigma s P) / (2 eta s),   sigma = 1 shifted, 0 otherwise,
+
+one exact integer division that cancels log2(1 / (2 eta s)) bits where
+2 eta s < 1; the loop sums that much wider, and where that would cost
+more than a second sum (eta s = 0 included, 0/0 in the shifted pair) Q
+takes its own series.  A lone point is that one loop.  Along a grid the
+walk carries the pair from point to point by Taylor steps of its
+first-order system (DLMF 13.2-13.3), summed in the same integer fixed
+point from exact dyadic constants and seeded by the same loop, with a
+rigorous error radius: a majorant bound on each step's tail, the
+rounding of its terms carried through the recurrence, and a log-norm
+bound on the transition for the incoming radius.  A value, from a lone
+point's loop or from the carried pair, is rounded only where its error
+box, widened by the series' own bound, rounds to one double; every other
+value is the per-point series, so each output equals
+``chf_series_fixed`` bit for bit.  A step costs about 20 terms where the
+series needs about 2.7 |z|.
 
 No third-party extended-precision library is involved: Python's
 integers carry the whole sum.
@@ -72,14 +87,18 @@ _LOG2E = 1.0 / math.log(2.0)
 
 
 def _fixed_sum(a: complex, b: float, z: complex, bits: int, *,
-               stop_bits: int = SAFE_BITS) -> tuple[int, int, int, int]:
+               stop_bits: int = SAFE_BITS) -> tuple[int, int, int, int, int, int]:
     """Fixed-point confluent-hypergeometric series, raw scaled integers.
 
-    Returns (sr, si, peak, n): the series value is (sr + i si) / 2**bits
-    up to the truncation error, which stays below ~n**2 * 2**(peak - bits)
-    absolute for the n terms summed, whose largest has magnitude
-    2**peak.  Summation stops once the term magnitude drops ``stop_bits``
-    binary orders below the running sum, twice in a row.
+    Returns (sr, si, kr, ki, peak, n): the series value is (sr + i si) /
+    2**bits up to the truncation error, which stays below ~n**2 *
+    2**(peak - bits) absolute for the n terms summed, the largest after
+    the first (which is 2**bits) having magnitude below 2**peak.
+    (kr + i ki) / 2**bits is K = sum k t_k = z M'(a, b; z) from the same
+    rounded terms t_k, at two integer additions per term: K = (n - 1) S
+    minus the sum of the partial sums S_0 .. S_(n-2).  Summation stops
+    once the term magnitude drops ``stop_bits`` binary orders below the
+    running sum, twice in a row.
 
     Terms are carried as integer pairs scaled by 2**bits; the per-term
     ratio (a+k) z / ((b+k)(k+1)) is formed from the exact dyadic rationals
@@ -113,7 +132,8 @@ def _fixed_sum(a: complex, b: float, z: complex, bits: int, *,
     one = 1 << bits
     tr, ti = one, 0
     sr, si = one, 0
-    peak = one.bit_length()
+    ur, ui = 0, 0            # partial sums before the current one, summed
+    peak = 0
     hits = 0
     for k in range(MAX_TERMS):
         q = dq * (bn + k * bd) * (k + 1)
@@ -122,6 +142,8 @@ def _fixed_sum(a: complex, b: float, z: complex, bits: int, *,
         tr, ti = (tr * pr - ti * pi + half) // q, (tr * pi + ti * pr + half) // q
         pr += dpr
         pi += dpi
+        ur += sr
+        ui += si
         sr += tr
         si += ti
         tbits = (abs(tr) | abs(ti)).bit_length()
@@ -130,7 +152,7 @@ def _fixed_sum(a: complex, b: float, z: complex, bits: int, *,
         if tbits == 0 or tbits + stop_bits <= (abs(sr) | abs(si)).bit_length():
             hits += 1
             if hits >= 2:
-                return sr, si, peak, k + 2
+                return sr, si, (k + 1) * sr - ur, (k + 1) * si - ui, peak, k + 2
         else:
             hits = 0
     raise NonConvergence(
@@ -151,17 +173,26 @@ def chf_series_fixed(a: complex, b: float, z: complex, *,
     terms peak higher than predicted or the sum lies near a zero, the
     series is summed again at the width the bound asks for.
     """
+    return _series(a, b, z, bits)[0]
+
+
+def _series(a: complex, b: float, z: complex,
+            bits: int | None = None) -> tuple[complex, int]:
+    """:func:`chf_series_fixed`, and the loops it ran (2 where it widened)."""
     if bits is None:
         bits = math.ceil(abs(z) * _LOG2E) + _WIDTH_GUARD
-    sr, si, peak, n = _fixed_sum(a, b, z, bits)
+    loops = 1
+    sr, si, _, _, peak, n = _fixed_sum(a, b, z, bits)
     # bits the sum stands above the bound; they grow one for one with the
     # width, and 8 more cover the rounding of the bit lengths
-    above = (abs(sr) | abs(si)).bit_length() - (peak - bits) - 2 * n.bit_length()
+    above = ((abs(sr) | abs(si)).bit_length() - (max(peak, bits + 1) - bits)
+             - 2 * n.bit_length())
     if above < SAFE_BITS:
         bits += SAFE_BITS - above + 8
-        sr, si, _, _ = _fixed_sum(a, b, z, bits)
+        sr, si = _fixed_sum(a, b, z, bits)[:2]
+        loops = 2
     try:
-        return complex(_int_to_float(sr, -bits), _int_to_float(si, -bits))
+        return complex(_int_to_float(sr, -bits), _int_to_float(si, -bits)), loops
     except OverflowError:
         raise DoubleRangeExceeded(
             f"1F1({a!r}, {b!r}; {z!r}) exceeds the double range "
@@ -188,6 +219,12 @@ _WALK_GUARD = 12
 _TERM_COST = 2.0
 #: Taylor steps never reach past this fraction of the distance to z = 0
 _STEP_REACH = 0.25
+#: width that costs as much as a second series sum: at the widths the walk
+#: sums at (under 300 bits) a term 1,000 bits wider takes about twice as long
+_MAX_LOST = 800
+#: width of a lone point's pair: a value near one then stands ``SAFE_BITS``
+#: above its bound
+_POINT_WIDTH = SAFE_BITS + 8
 
 
 class Walk(NamedTuple):
@@ -199,6 +236,7 @@ class Walk(NamedTuple):
     seeds: int        # points where a state started from the series
     steps: int        # Taylor steps, sub-steps included
     terms: int        # Taylor terms summed over all steps
+    sums: int         # series loops run, seeds included
 
 
 class _State(NamedTuple):
@@ -215,8 +253,12 @@ def _norm_weight(eta: float, s: float) -> float:
 
 
 def _series_cost(s: float) -> float:
-    """Two default series sums at |z| = s, counted in series terms."""
-    return 2.0 * (2.7 * s + 25.0)
+    """One lone point's pair loop at |z| = s, counted in series terms.
+
+    Measured against two default series sums, 2 (2.7 s + 25): 0.8 of them
+    at s near 1 and 0.6 at s = 40-60, the point's wider sum and K's two
+    additions per term included."""
+    return 1.2 * (2.7 * s + 30.0)
 
 
 def _reach(s0: float, s1: float) -> float:
@@ -239,31 +281,91 @@ def _step_cost(s0: float, s1: float, width: int) -> float:
     return math.inf
 
 
-def _seed(pair, s: float, width: int, c: float) -> _State | None:
-    """The pair at z = -i s from :func:`_fixed_sum`, carried to ``width`` bits.
+def _lost_bits(pair, s: float) -> int | None:
+    """Bits the division by 2 eta s cancels when Q is taken from P's loop at
+    z = -i s, or None where a second series sum costs less (eta s = 0)."""
+    gain = 2.0 * pair[0][0].imag * s
+    if not gain > 0.0:
+        return None
+    lost = max(0, math.ceil(-math.log2(gain)))
+    return lost if lost <= _MAX_LOST else None
 
-    The sums run ``ceil(s log2 e)`` bits wider than the state, to absorb the
-    cancellation, and stop once their terms fall ``width + 8`` bits below
-    the sum.  The radius charges their own bounds: the rounding
-    n**2 * 2**(peak - bits), a tail below twice the first dropped term,
-    and the half unit of the shift to ``width``.
+
+def _ldexp(x: float, e: int) -> float:
+    """x * 2**e, inf past the double range."""
+    try:
+        return math.ldexp(x, e)
+    except OverflowError:
+        return math.inf
+
+
+def _rounding(a: complex, b: float, s: float, n: int, peak: int, bits: int) -> float:
+    """Bound on the rounding error of :func:`_fixed_sum` at z = -i s, units 2**-bits.
+
+    Term k carries the half-unit roundings of terms j <= k, each scaled by
+    t_k / t_j.  For these pairs the term ratios fall with k from k = 1 on,
+    so |t_k / t_j| <= R = max(1, max_k |t_k| / |t_1|) for 1 <= j <= k, and
+    the n terms carry at most n**2 R / 2 units, t_1 = a z / b.
+    """
+    t1 = abs(a) * s / b
+    return n * n * (max(1.0, _ldexp(1.0, peak - bits) / t1) if t1 else 1.0)
+
+
+def _pair_sum(pair, s: float, width: int) -> tuple[tuple[int, ...], float, float]:
+    """P and Q at z = -i s as integers at scale 2**width, with error bounds.
+
+    Returns the four integers and bounds on the errors of P and of Q in
+    units of 2**-width (inf past the double range).  One loop of
+    :func:`_fixed_sum` gives P and K = z P', and Q is divided out of them
+    exactly, as the module docstring states; its bound charges K's
+    rounding (n times P's), K's tail and the division.  Where
+    :func:`_lost_bits` finds the division too dear, P and Q take a loop
+    each.  The loops run ``ceil(s log2 e)`` bits wider than ``width``, to
+    absorb the cancellation, and stop once their terms fall ``width + 8``
+    bits below the sum; the one loop adds to both the bits the division
+    cancels and those of n.  By then the terms at least halve (they have
+    fallen further than they rose), so the tails of P and K stay below 2
+    and 2 (n + 1) times the last term.
     """
     z = complex(0.0, -s)
-    bits = width + math.ceil(s * _LOG2E) + 2 * int(3.0 * s + 40.0).bit_length() + 4
-    ints = []
-    eps = 0.0
-    for (a, b), w in zip(pair, (1.0, c)):
-        sr, si, peak, n = _fixed_sum(a, b, z, bits, stop_bits=width + 8)
-        top = (abs(sr) | abs(si)).bit_length()
-        try:
-            err = 1.5 * (math.ldexp(n * n, peak + width - 2 * bits)
-                         + math.ldexp(1.0, top - 7 - bits)) + 0.71
-        except OverflowError:   # terms past the double range: no state
-            return None
-        half = 1 << (bits - width - 1)
-        ints += [(sr + half) >> (bits - width), (si + half) >> (bits - width)]
-        eps = max(eps, w * err)
-    return _State(s, width, tuple(ints), eps, c)
+    nb = int(3.0 * s + 40.0).bit_length()          # n < 3 s + 40 terms
+    lost = _lost_bits(pair, s)
+    bits = width + math.ceil(s * _LOG2E) + 2 * nb + 4
+    if lost is not None:
+        bits += lost + nb
+    sh = bits - width
+    half = 1 << (sh - 1)
+    ints, errs = [], []
+    if lost is None:
+        for a, b in pair:
+            sr, si, _, _, peak, n = _fixed_sum(a, b, z, bits, stop_bits=width + 8)
+            tail = _ldexp(2.0, (abs(sr) | abs(si)).bit_length() - width - 8)
+            ints += [(sr + half) >> sh, (si + half) >> sh]
+            errs.append(_rounding(a, b, s, n, peak, bits) + tail)
+    else:
+        (a, b), (a2, _) = pair
+        sigma = 1 if a2 == a else 0                 # the shifted pair
+        stop = width + 8 + lost + nb
+        sr, si, kr, ki, peak, n = _fixed_sum(a, b, z, bits, stop_bits=stop)
+        tail = _ldexp(2.0, (abs(sr) | abs(si)).bit_length() - stop)
+        rnd = _rounding(a, b, s, n, peak, bits)
+        # Q = (K + i sigma s P) / (2 eta s), with s = ns / 2**ks and
+        # eta = ne / 2**ke, rounded half up once at scale 2**width
+        ne, ke = _dyadic(a.imag)
+        ns, ks = _dyadic(s)
+        d = (ne * ns) << (sh + 1)
+        nr = ((kr << ks) - sigma * ns * si) << (ke + 1)
+        ni = ((ki << ks) + sigma * ns * sr) << (ke + 1)
+        ints = [(sr + half) >> sh, (si + half) >> sh, (nr + d) // (2 * d), (ni + d) // (2 * d)]
+        errs = [rnd + tail, (n * rnd + (n + 1) * tail + sigma * s * (rnd + tail))
+                / (2.0 * a.imag * s)]
+    return (tuple(ints), *(1.5 * math.ldexp(e, -sh) + 0.71 for e in errs))
+
+
+def _seed(pair, s: float, width: int, c: float) -> _State:
+    """The pair at z = -i s from :func:`_pair_sum`, carried at ``width`` bits."""
+    ints, err_p, err_q = _pair_sum(pair, s, width)
+    return _State(s, width, ints, max(err_p, c * err_q), c)
 
 
 def _step(eta: float, shifted: bool, st: _State, s1: float) -> tuple[_State, int]:
@@ -406,18 +508,52 @@ def _certain(re: int, im: int, rad: int, width: int) -> complex | None:
     return complex(*out)
 
 
+def _point(pair, s: float) -> tuple[complex, complex, int]:
+    """The pair at one point z = -i s, bit for bit the series', and the loops run.
+
+    One loop of :func:`_pair_sum` gives both values.  Each must stand
+    ``SAFE_BITS`` above its bound, else the pair is summed once more, as
+    much wider as the shortfall asks; each is then rounded where its box
+    rounds to one double (:func:`_certain`), and otherwise taken from its
+    own series.  Where :func:`_lost_bits` finds the division too dear,
+    both values are their own series.
+    """
+    vals, loops = [None, None], 0
+    if _lost_bits(pair, s) is not None:
+        width = _POINT_WIDTH
+        for _ in range(2):
+            ints, err_p, err_q = _pair_sum(pair, s, width)
+            loops += 1
+            if not err_q < math.inf:
+                break
+            short = SAFE_BITS - min((abs(x) | abs(y)).bit_length() - math.log2(e)
+                                    for x, y, e in ((*ints[:2], err_p), (*ints[2:], err_q)))
+            if short <= 0:
+                vals = [_certain(*ints[:2], math.ceil(err_p), width),
+                        _certain(*ints[2:], math.ceil(err_q), width)]
+                break
+            width += math.ceil(short) + 8
+    z = complex(0.0, -s)
+    for k, (a, b) in enumerate(pair):
+        if vals[k] is None:
+            vals[k], used = _series(a, b, z)
+            loops += used
+    return vals[0], vals[1], loops
+
+
 def kummer_walk(eta: float, shifted: bool, s: list[float]) -> Walk:
     """A Kummer pair at z = -i s for ascending s >= 0, bit for bit the series'.
 
     The pair is (M(a, 1/2; z), M(a+1, 3/2; z)) with a = i eta, or with
     ``shifted`` (M(a, 1/2; z), M(a, 3/2; z)) with a = 1/2 + i eta.  Each
     output equals :func:`chf_series_fixed` at that point.  Where Taylor
-    steps of the pair's first-order system are cheaper than the series,
-    a state seeded from :func:`_fixed_sum` is carried from point to point,
-    each step reaching at most a quarter of the way from z0 to z = 0
-    (longer gaps take sub-steps), with a rigorous error radius; a value
-    is taken from it only where the radius, plus the series' own bound,
-    certifies the rounding.  Every other value is the per-point series.
+    steps of the pair's first-order system are cheaper than a point's
+    own pair loop, a state seeded from :func:`_pair_sum` is carried from
+    point to point, each step reaching at most a quarter of the way from
+    z0 to z = 0 (longer gaps take sub-steps), with a rigorous error
+    radius; a value is taken from it only where the radius, plus the
+    series' own bound, certifies the rounding.  Every other point takes
+    :func:`_point`, and a value neither certifies takes its own series.
     """
     a = complex(0.5 if shifted else 0.0, eta)
     pair = ((a, 0.5), (a if shifted else a + 1.0, 1.5))
@@ -429,7 +565,7 @@ def kummer_walk(eta: float, shifted: bool, s: list[float]) -> Walk:
         grow[k] = (grow[k + 1] + (s[k + 1] - s[k]) * 2.0 * eta / c[k]
                    + math.log(c[k + 1] / c[k]))
     out_p, out_q = [], []
-    continued = seeds = steps = terms = 0
+    continued = seeds = steps = terms = sums = 0
     st = None
     for k, s1 in enumerate(s):
         if st is not None and _step_cost(st.s, s1, st.width) <= _series_cost(s1):
@@ -448,6 +584,7 @@ def kummer_walk(eta: float, shifted: bool, s: list[float]) -> Walk:
                     and _step_cost(s1, s[k + 1], width) < _series_cost(s[k + 1])):
                 st = _seed(pair, s1, width, c[k])
                 seeds += 1
+                sums += 1 if _lost_bits(pair, s1) is not None else 2
         if st is not None and not st.eps < math.inf:
             st = None
         vals = [None, None]
@@ -462,9 +599,15 @@ def kummer_walk(eta: float, shifted: bool, s: list[float]) -> Walk:
             if None in vals and math.log2(st.eps) + SAFE_BITS + 8 > size:
                 st = None     # the radius outgrew the values: seed again
         continued += None not in vals
-        z = complex(0.0, -s1)
-        p, q = (v if v is not None else chf_series_fixed(ab[0], ab[1], z)
-                for v, ab in zip(vals, pair))
+        if vals == [None, None]:
+            p, q, used = _point(pair, s1)
+            sums += used
+        else:
+            for j, ab in enumerate(pair):
+                if vals[j] is None:
+                    vals[j], used = _series(*ab, complex(0.0, -s1))
+                    sums += used
+            p, q = vals
         out_p.append(p)
         out_q.append(q)
-    return Walk(out_p, out_q, continued, seeds, steps, terms)
+    return Walk(out_p, out_q, continued, seeds, steps, terms, sums)

@@ -17,7 +17,8 @@ the truncation bound afterwards, then rounded once to complex double.
 of a closed-form component, at any number of points on the ray: it hands
 them to :func:`susy_ces.highprec.kummer_walk`, which carries the pair
 along the grid and sums the series only where that is cheaper or the
-rounding cannot be certified, so a lone point is two series sums.
+rounding cannot be certified.  A lone point is one series loop: the
+partner with b = 3/2 is divided out of the terms of M(a, 1/2).
 Values past the largest double raise ``DoubleRangeExceeded``.  It refuses
 |z| > ``SERIES_ZMAX`` outright: callers needing the far region seed
 inside the bound and carry the solution outward by ODE propagation
@@ -130,7 +131,7 @@ def kummer_pair(eta: float, shifted: bool, y):
     ``(eta, shifted)``; ``y = -i s``, s >= 0, may take any shape, and both
     returned arrays take it.  The distinct s go to the walk in ascending
     order, so a point's bits do not depend on what it is sent with: a
-    lone point is a one-point walk, which sums the two series.
+    lone point is a one-point walk, one series loop for both functions.
 
     Raises
     ------

@@ -247,7 +247,7 @@ def check_rtilde_system(tol: float = 1e-12) -> CheckReport:
 
 def check_grid_continuation(tol: float = 0.0) -> CheckReport:
     worst = 0.0
-    points = continued = seeds = steps = terms = 0
+    points = continued = seeds = steps = terms = sums = 0
     for m, omega in _FAMILIES:
         p = cf.solution_params(m, omega)
         hi = 29.5 / omega
@@ -264,11 +264,13 @@ def check_grid_continuation(tol: float = 0.0) -> CheckReport:
                 seeds += walk.seeds
                 steps += walk.steps
                 terms += walk.terms
+                sums += walk.sums
     return _report("closedform/grid-continuation", worst, tol,
                    f"grid vs lone-point components, bit for bit, 3 families x 2 branches "
                    f"x linear and log grids of 64: {continued} of {points} points "
                    f"continued, {points - continued} fall back to the series ({seeds} seeds); "
-                   f"{terms / max(steps, 1):.1f} Taylor terms per step over {steps} steps")
+                   f"{terms / max(steps, 1):.1f} Taylor terms per step over {steps} steps; "
+                   f"{sums} series loops")
 
 
 def check_hermite_lambda(tol: float = 2.0) -> CheckReport:

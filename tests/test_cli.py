@@ -209,6 +209,20 @@ def test_phase_json(runner):
     assert isinstance(payload["ode_rejected"], int) and payload["ode_rejected"] >= 0
 
 
+def test_phase_json_is_strict_before_the_third_rung(runner):
+    # the ladder stops at x = 40 after two rungs, before the three-rung
+    # spread exists: the residual is null, not the non-JSON Infinity
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    res = runner.invoke(main, ["phase", "--m", "0.5", "--omega", "2",
+                               "--x-limit", "40", "--format", "json"])
+    assert res.exit_code == 1
+    payload = json.loads(res.stdout, parse_constant=refuse)
+    assert payload["residual"] is None and payload["converged"] is False
+    assert len(payload["x"]) < 3
+
+
 def test_phase_not_converged_exits_1_with_partial_output(runner):
     res = runner.invoke(main, ["phase", "--m", "0.5", "--omega", "2",
                                "--x-limit", "50"])

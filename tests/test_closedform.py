@@ -123,10 +123,11 @@ def test_one_point_matches_its_table_row_bit_for_bit():
 
 
 @pytest.mark.parametrize("branch", list(Branch))
-def test_two_series_per_point(branch, monkeypatch):
-    # a lone point is a one-point walk: the two series, M of each component,
-    # and neither a seed nor a Taylor step; the derivatives come from the
-    # first-order system, not from M'
+def test_one_series_loop_per_point(branch, monkeypatch):
+    # a lone point is a one-point walk: one series loop gives M of both
+    # components, the second divided out of the first's terms, with
+    # neither a seed, a Taylor step nor a second series; the derivatives
+    # come from the first-order system, not from M'
     def refuse(name):
         def call(*args, **kw):
             raise AssertionError(f"{name} called")
@@ -134,27 +135,28 @@ def test_two_series_per_point(branch, monkeypatch):
 
     monkeypatch.setattr(specfun, "chf_1f1_deriv", refuse("chf_1f1_deriv"))
     monkeypatch.setattr(cf, "chf_1f1_deriv", refuse("chf_1f1_deriv"))
-    series, sums = [], []
-    real_series, real_sum = highprec.chf_series_fixed, highprec._fixed_sum
-    monkeypatch.setattr(highprec, "chf_series_fixed",
-                        lambda *args: series.append(args) or real_series(*args))
+    sums = []
+    real_sum = highprec._fixed_sum
     monkeypatch.setattr(highprec, "_fixed_sum",
                         lambda *args, **kw: sums.append(args) or real_sum(*args, **kw))
     p = cf.solution_params(1.0, 1.0)
     with monkeypatch.context() as mp:
-        mp.setattr(highprec, "_seed", refuse("_seed"))
-        mp.setattr(highprec, "_step", refuse("_step"))
+        for name in ("_seed", "_step", "_series", "chf_series_fixed"):
+            mp.setattr(highprec, name, refuse(name))
         cf.solution_Z(p, branch, Sector.PLUS, 7.5)
-    assert (len(series), len(sums)) == (2, 2)
-    # a grid sums the series while that is cheaper, then seeds a state and
-    # steps: 4 points by the series plus a seed over |y| in [1, 40], and 14
-    # plus a seed plus one value whose rounding the radius leaves open over
-    # |y| in (0, 59]
-    for x, want in ((np.linspace(0.5, 20.0, 16), 10),
-                    (np.linspace(29.5 / 256, 29.5, 256), 31)):
+    assert len(sums) == 1
+    assert highprec.kummer_walk(p.a1.imag, branch is Branch.II, [15.0]).sums == 1
+    # a grid takes lone points while that is cheaper, then seeds a state
+    # (one loop) and steps: 7 points plus a seed over |y| in [1, 40], and
+    # 28 plus a seed plus one value whose rounding the radius leaves open
+    # over |y| in (0, 59]
+    for x, want in ((np.linspace(0.5, 20.0, 16), 8),
+                    (np.linspace(29.5 / 256, 29.5, 256), 30)):
         sums.clear()
         cf.solution_Z(p, branch, Sector.PLUS, x)
         assert len(sums) == want
+        s = (2.0 * x).tolist()
+        assert highprec.kummer_walk(p.a1.imag, branch is Branch.II, s).sums == want
 
 
 @settings(max_examples=20)

@@ -8,6 +8,8 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from susy_ces import highprec
 from susy_ces.errors import NonConvergence
@@ -47,7 +49,7 @@ def test_too_narrow_width_is_widened():
     # standing too few bits above its truncation bound and sums again
     a, b, z = 0.5j, 0.5, -40j
     want = chf_series_fixed(a, b, z, bits=500)
-    sr, si, _, _ = _fixed_sum(a, b, z, 16)
+    sr, si = _fixed_sum(a, b, z, 16)[:2]
     narrow = complex(_int_to_float(sr, -16), _int_to_float(si, -16))
     assert abs(narrow - want) > 1e-6 * abs(want)
     assert chf_series_fixed(a, b, z, bits=16) == want
@@ -111,6 +113,65 @@ def test_kummer_walk_continues_at_eta_zero():
         want = [chf_series_fixed(a, b, complex(0.0, -x)) for x in s]
         assert [(v.real.hex(), v.imag.hex()) for v in got] == \
             [(v.real.hex(), v.imag.hex()) for v in want]
+
+
+def _pair(eta, shifted):
+    a = complex(0.5 if shifted else 0.0, eta)
+    return (a, 0.5), (a if shifted else a + 1.0, 1.5)
+
+
+def _hex(values):
+    return [(v.real.hex(), v.imag.hex()) for v in values]
+
+
+@settings(max_examples=300)
+@given(eta=st.one_of(st.just(0.0), st.floats(1e-6, 16.0)),
+       s=st.one_of(st.just(0.0), st.floats(0.0, 60.0)), shifted=st.booleans())
+def test_pair_loop_is_two_series_bit_for_bit(eta, s, shifted):
+    # a lone point sums P's series once and divides Q out of its terms;
+    # each value is chf_series_fixed's, bit for bit
+    walk = kummer_walk(eta, shifted, [s])
+    z = complex(0.0, -s)
+    want = [chf_series_fixed(a, b, z) for a, b in _pair(eta, shifted)]
+    assert _hex(walk.p + walk.q) == _hex(want)
+    assert walk.sums >= 1 and (walk.continued, walk.seeds, walk.steps) == (0, 0, 0)
+
+
+@pytest.mark.parametrize("eta,s,shifted", [
+    (0.5, 40.0, False), (0.5, 40.0, True), (16.0, 59.0, False), (16.0, 7.3, True),
+    (1e-6, 30.0, False), (1e-6, 30.0, True), (0.02, 1e-3, False), (3.0, 0.25, True),
+    (1e-12, 5.0, False), (1e-9, 20.0, True)])
+def test_pair_sum_bounds_its_error(eta, s, shifted):
+    # P and the Q divided out of P's terms lie within their bounds of
+    # mpmath's values at 60 digits, and at the width a lone point sums at
+    # the values stand SAFE_BITS above the bounds
+    pair = _pair(eta, shifted)
+    width = highprec._POINT_WIDTH
+    ints, err_p, err_q = highprec._pair_sum(pair, s, width)
+    assert highprec._lost_bits(pair, s) is not None
+    with mpmath.workdps(60):
+        z = mpmath.mpc(0, -s)
+        for (a, b), (re, im), err in zip(pair, (ints[:2], ints[2:]), (err_p, err_q)):
+            want = mpmath.hyp1f1(mpmath.mpc(a.real, a.imag), b, z) * 2 ** width
+            assert abs(mpmath.mpc(re, im) - want) <= err
+            assert err * 2 ** highprec.SAFE_BITS < abs(want)
+
+
+@pytest.mark.parametrize("eta,s", [(0.0, 30.0), (1e-300, 30.0), (0.5, 1e-250), (0.5, 0.0)])
+def test_lone_point_takes_two_series_where_the_division_fails(eta, s, monkeypatch):
+    # at eta s = 0 (0/0 in the shifted pair) or where 2 eta s would cancel
+    # more bits than a second sum costs, each value takes its own series
+    def refuse(*args):
+        raise AssertionError("_pair_sum called")
+
+    monkeypatch.setattr(highprec, "_pair_sum", refuse)
+    for shifted in (False, True):
+        assert highprec._lost_bits(_pair(eta, shifted), s) is None
+        walk = kummer_walk(eta, shifted, [s])
+        z = complex(0.0, -s)
+        assert _hex(walk.p + walk.q) == \
+            _hex([chf_series_fixed(a, b, z) for a, b in _pair(eta, shifted)])
+        assert walk.sums == 2
 
 
 def test_walk_falls_back_when_a_step_does_not_converge(monkeypatch):
