@@ -1,0 +1,46 @@
+#!/usr/bin/env python3
+"""Run the scalar path of susy_ces on the standard library alone.
+
+Imports the package and makes scalar calls through every layer that
+must not need numpy: ``solution_params``, ``solution_Z`` for both
+branches and both sectors, ``components``, ``susy_map``, ``y_of_x``,
+``V``, ``superpotential`` and ``oracle.integrate`` on a
+``schrodinger_problem`` segment.  numpy is blocked in ``sys.modules``
+first, so any import of it fails, and ``susy_ces.verify`` (which needs
+numpy) must stay unloaded.  Exits non-zero on any failure.
+
+    PYTHONPATH=src python -S scripts/stdlib_smoke.py
+
+``-S`` keeps site-packages off the path; the script also runs without it.
+"""
+import sys
+
+sys.modules["numpy"] = None  # an import of numpy now raises ImportError
+
+from susy_ces import (Branch, Sector, V, components, integrate,  # noqa: E402
+                      schrodinger_problem, solution_params, solution_Z,
+                      superpotential, susy_map, y_of_x)
+
+OTHER = {Sector.PLUS: Sector.MINUS, Sector.MINUS: Sector.PLUS}
+
+p = solution_params(1.0, 1.0)
+for br in Branch:
+    for sec in Sector:
+        z = solution_Z(p, br, sec, 2.5)
+        assert type(z.value) is complex and type(z.derivative) is complex
+        back = susy_map(p, susy_map(p, z, sec), OTHER[sec])
+        assert abs(back.value - z.value) <= 1e-12 * abs(z.value), (br, sec)
+    assert all(type(r) is complex for r in components(p, br, 2.5))
+assert y_of_x(2.5, 1.0) == -5j
+assert type(V(2.5, 1.0, Sector.MINUS)) is float
+assert type(superpotential(2.5, 1.0)) is float
+
+# the integrator carries the closed form from x = 1 to x = 10
+seed = solution_Z(p, Branch.I, Sector.MINUS, 1.0)
+far = integrate(schrodinger_problem(1.0, 1.0, Sector.MINUS), 1.0, 10.0,
+                seed.value, seed.derivative)
+want = solution_Z(p, Branch.I, Sector.MINUS, 10.0).value
+assert abs(far.value - want) <= 1e-7 * abs(want), (far.value, want)
+
+assert "susy_ces.verify" not in sys.modules
+print(f"stdlib only: {len(sys.modules)} modules loaded")

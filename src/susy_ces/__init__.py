@@ -16,6 +16,11 @@ Public layers:
   difference, read against the closed-form SUSY tail.
 * :mod:`susy_ces.verify` / :mod:`susy_ces.cli` — check suites and the
   ``susy-ces`` command-line tool.
+
+Importing the package loads the standard library only, and every scalar
+call of the layers above stays on it.  numpy is imported when an array
+comes in or goes out, and by ``verify`` and ``cli``; ``CheckReport`` and
+``run_suite`` are therefore loaded from ``verify`` on first access.
 """
 
 __version__ = "0.1.0"
@@ -40,7 +45,15 @@ from .scattering import (PhaseConfig, PhaseDifferenceResult, PhaseExtraction,
                          susy_phase_offset)
 from .specfun import (CHFParams, chf_1f1, chf_1f1_deriv, chf_asymptotic,
                       kummer_transform, load_golden_chf, log_gamma)
-from .verify import CheckReport, run_suite
+
+
+def __getattr__(name: str):
+    # PEP 562: verify imports numpy, so its names load on first access
+    if name in ("CheckReport", "run_suite"):
+        from . import verify
+        return getattr(verify, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "__version__",

@@ -112,14 +112,13 @@ def table(m, omega, sector, branch, x_min, x_max, points, spacing, fmt, out):
     z = solution_Z(p, _BRANCHES[branch], sec, x)
     header = ["x", "V", "Z_re", "Z_im", "dZ_re", "dZ_im"]
     cols = [x, v, z.value.real, z.value.imag, z.derivative.real, z.derivative.imag]
+    rows = list(zip(*(c.tolist() for c in cols)))
     if fmt == "csv":
-        rows = [[float(c[i]) for c in cols] for i in range(points)]
         _emit(_csv_text(header, rows), out)
     else:
         payload = {
             "m": m, "omega": omega, "sector": sector, "branch": branch,
-            "rows": [{k: float(c[i]) for k, c in zip(header, cols)}
-                     for i in range(points)],
+            "rows": [dict(zip(header, r)) for r in rows],
         }
         _emit(json.dumps(payload, indent=2) + "\n", out)
 

@@ -23,7 +23,10 @@ from finite differences), so each branch needs only the two Kummer
 functions of its components, which one call of
 :func:`susy_ces.specfun.kummer_pair` returns for any ``x``: a lone point
 takes both from one series loop, a grid carries the pair along it, with
-the same bits.
+the same bits.  The assembly is one loop over the points in Python
+``complex`` for a lone point and a grid alike: a scalar ``x`` gives
+Python scalars, an array ndarrays of its shape (:mod:`susy_ces._points`),
+and numpy is imported only for those.
 ``specfun`` refuses |y| = 2 omega x > ``SERIES_ZMAX`` (60); beyond that
 use ODE propagation (:mod:`susy_ces.oracle`).
 """
@@ -34,14 +37,16 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-import numpy as np
-
+from ._points import flat, shaped
 from .errors import DoubleRangeExceeded, InvalidParams
-from .potential import Sector, _check_x, superpotential
+from .potential import Sector, _check_x, _w
 # chf_1f1, chf_1f1_deriv: only the benchmark tracer looks them up; they go with its wrapping by name
 from .specfun import chf_1f1, chf_1f1_deriv, kummer_pair  # noqa: F401
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: e^{-i pi/4}: global prefactor of Z; also the phase of y^{1/2} for x > 0
 PHASE_M4 = cmath.exp(-0.25j * math.pi)
@@ -91,16 +96,14 @@ def solution_params(m: float, omega: float) -> SolutionParams:
 
 def y_of_x(x, omega: float):
     """The hypergeometric argument y = -2 i omega x."""
-    return -2j * omega * np.asarray(x, dtype=float)
+    xs, shape = flat(x)
+    return shaped([complex(0.0, -2.0 * omega * v) for v in xs], shape, complex)
 
 
-def _in_double_range(p: SolutionParams, *vals):
-    """Return ``vals``, or raise if any entry is not a finite double."""
-    if not all(np.all(np.isfinite(v)) for v in vals):
-        raise DoubleRangeExceeded(
-            f"closed form at m={p.m:g}, omega={p.omega:g} exceeds the double "
-            f"range (magnitude above {sys.float_info.max:.4g})")
-    return vals
+def _range_error(p: SolutionParams) -> DoubleRangeExceeded:
+    return DoubleRangeExceeded(
+        f"closed form at m={p.m:g}, omega={p.omega:g} exceeds the double "
+        f"range (magnitude above {sys.float_info.max:.4g})")
 
 
 class CouplingConstants(NamedTuple):
@@ -126,14 +129,55 @@ def coupling_constants(p: SolutionParams, branch: Branch) -> CouplingConstants:
     raise InvalidParams(f"branch={branch!r} is not a Branch")
 
 
+def _components(p: SolutionParams, branch: Branch,
+                xs: list[float]) -> list[tuple[complex, complex, complex, complex]]:
+    """(rtilde_1, rtilde_2, d rtilde_1/dx, d rtilde_2/dx) at each checked point.
+
+    Unchecked: a value past the double range comes out non-finite, and
+    so does every value assembled from it, so callers check what they
+    return.
+    """
+    w, m = p.omega, p.m
+    c2 = coupling_constants(p, branch).c2
+    ys = [2.0 * w * v for v in xs]                  # |y|, y = -i |y|
+    shifted = branch is Branch.II
+    m_half, m_3half = kummer_pair(p.a1.imag, shifted, ys)
+    exp, sqrt = cmath.exp, math.sqrt
+    ph_re, ph_im = PHASE_M4.real, PHASE_M4.imag
+    out = []
+    try:
+        for v, y, mh, m3 in zip(xs, ys, m_half, m_3half):
+            h = exp(complex(0.0, 0.5 * y))          # e^{-y/2}
+            r = sqrt(y)
+            hs = h * complex(r * ph_re, r * ph_im)  # h y^{1/2}
+            if shifted:
+                r1 = hs * m3
+                r2 = c2 * (h * mh)
+            else:
+                r1 = h * mh
+                r2 = c2 * (hs * m3)
+            wx = -m / sqrt(v)                       # W(x)
+            out.append((r1, r2, 1j * (w * r1 + wx * r2), -1j * (w * r2 + wx * r1)))
+    except OverflowError as e:   # cmath and math raise; arithmetic gives inf
+        raise _range_error(p) from e
+    return out
+
+
+def _finite(p: SolutionParams, cols) -> None:
+    """Raise DoubleRangeExceeded unless every value in ``cols`` is finite."""
+    if not all(all(map(cmath.isfinite, col)) for col in cols):
+        raise _range_error(p)
+
+
 def components(p: SolutionParams, branch: Branch, x):
     """(rtilde_1, rtilde_2, d rtilde_1/dx, d rtilde_2/dx), each shaped like ``x``.
 
     Takes the two M of the branch from :func:`specfun.kummer_pair` and
     returns every component at once: it is the one accessor for them.
-    Every point, a lone one included, goes through the same 1-d numpy
-    loops, and the pair's values do not depend on the grid either, so a
-    point's bits do not depend on how many it is sent with.
+    Every point, a lone one included, is assembled by the same loop in
+    Python ``complex``, and the pair's values do not depend on the grid
+    either, so a point's bits do not depend on how many it is sent with.
+    A scalar ``x`` gives Python ``complex`` values, an array ndarrays.
 
     Recipe (h = e^{-y/2}, s = y^{1/2} = sqrt(2 omega x) e^{-i pi/4}, W = -m/sqrt(x)):
 
@@ -141,35 +185,35 @@ def components(p: SolutionParams, branch: Branch, x):
         branch II:  r1 = h s M(a1+1/2, 3/2; y)     r2 = c2 h M(a2, 1/2; y)
         system   :  r1' = i (omega r1 + W r2)      r2' = -i (omega r2 + W r1)
     """
-    shape = np.shape(x)
-    xa = _check_x(x).ravel()
-    w = p.omega
-    y = y_of_x(xa, w)
-    h = np.exp(-0.5 * y)
-    s = np.sqrt(2.0 * w * xa) * PHASE_M4
-    c = coupling_constants(p, branch)
-    wx = superpotential(xa, p.m)
-
-    # an overflow here is reported once, as DoubleRangeExceeded
-    with np.errstate(over="ignore", invalid="ignore"):
-        m_half, m_3half = kummer_pair(p.a1.imag, branch is Branch.II, y)
-        if branch is Branch.I:
-            r1 = h * m_half
-            r2 = c.c2 * (h * s * m_3half)
-        else:
-            r1 = h * s * m_3half
-            r2 = c.c2 * (h * m_half)
-        out = _in_double_range(p, r1, r2, 1j * (w * r1 + wx * r2), -1j * (w * r2 + wx * r1))
-    # [()] turns a 0-d result into a numpy scalar and leaves arrays as they are
-    return tuple(v.reshape(shape)[()] for v in out)
+    xs, shape = _check_x(x)
+    cols = list(zip(*_components(p, branch, xs))) or [()] * 4
+    _finite(p, cols)
+    return tuple(shaped(list(col), shape, complex) for col in cols)
 
 
 class SolutionSample(NamedTuple):
-    """A solution evaluated together with its first derivative."""
+    """A solution evaluated together with its first derivative.
 
-    x: np.ndarray
-    value: np.ndarray
-    derivative: np.ndarray
+    Each field is a ``float``/``complex`` for a scalar ``x`` and an
+    ndarray of its shape otherwise.
+    """
+
+    x: float | np.ndarray
+    value: complex | np.ndarray
+    derivative: complex | np.ndarray
+
+
+def _solution(p: SolutionParams, branch: Branch, sector: Sector,
+              xs: list[float]) -> tuple[list[complex], list[complex]]:
+    """Z and dZ/dx at each checked point."""
+    if not isinstance(sector, Sector):
+        raise InvalidParams(f"sector={sector!r} is not a Sector")
+    sg = 1j * sector.sign
+    rows = _components(p, branch, xs)
+    z = [PHASE_M4 * (r1 + sg * r2) for r1, r2, _, _ in rows]
+    dz = [PHASE_M4 * (dr1 + sg * dr2) for _, _, dr1, dr2 in rows]
+    _finite(p, (z, dz))
+    return z, dz
 
 
 def solution_Z(p: SolutionParams, branch: Branch, sector: Sector, x) -> SolutionSample:
@@ -178,21 +222,18 @@ def solution_Z(p: SolutionParams, branch: Branch, sector: Sector, x) -> Solution
     Z_pm = e^{-i pi/4} (rtilde_1 +- i rtilde_2); PLUS solves V_plus,
     MINUS solves V_minus, at energy omega^2.
     """
-    if not isinstance(sector, Sector):
-        raise InvalidParams(f"sector={sector!r} is not a Sector")
-    xa = np.asarray(x, dtype=float)  # components checks the domain
-    r1, r2, dr1, dr2 = components(p, branch, xa.ravel())
-    sg = 1j * sector.sign
-    with np.errstate(over="ignore", invalid="ignore"):
-        z, dz = _in_double_range(p, PHASE_M4 * (r1 + sg * r2), PHASE_M4 * (dr1 + sg * dr2))
-    return SolutionSample(xa, z.reshape(xa.shape)[()], dz.reshape(xa.shape)[()])
+    xs, shape = _check_x(x)
+    z, dz = _solution(p, branch, sector, xs)
+    return SolutionSample(shaped(xs, shape), shaped(z, shape, complex),
+                          shaped(dz, shape, complex))
 
 
 def wronskian_Z(p: SolutionParams, sector: Sector, x):
     """W_x[Z^I, Z^II] = Z^I dZ^II/dx - Z^II dZ^I/dx, evaluated pointwise."""
-    zi = solution_Z(p, Branch.I, sector, x)
-    zii = solution_Z(p, Branch.II, sector, x)
-    return zi.value * zii.derivative - zii.value * zi.derivative
+    xs, shape = _check_x(x)
+    zi, dzi = _solution(p, Branch.I, sector, xs)
+    zii, dzii = _solution(p, Branch.II, sector, xs)
+    return shaped([a * d - b * c for a, c, b, d in zip(zi, dzi, zii, dzii)], shape, complex)
 
 
 def wronskian_exact(p: SolutionParams, sector: Sector) -> complex:
@@ -227,12 +268,16 @@ def susy_map(p: SolutionParams, sample: SolutionSample,
     """
     if not isinstance(from_sector, Sector):
         raise InvalidParams(f"from_sector={from_sector!r} is not a Sector")
-    wx = superpotential(sample.x, p.m)
+    xs, shape = _check_x(sample.x)
     iw = 1j * p.omega
-    if from_sector is Sector.MINUS:
-        val = (sample.derivative + wx * sample.value) / iw
-        der = iw * sample.value + wx * val
-    else:
-        val = (sample.derivative - wx * sample.value) / iw
-        der = iw * sample.value - wx * val
-    return SolutionSample(sample.x, val, der)
+    val, der = [], []
+    for x, z, dz in zip(xs, flat(sample.value, complex)[0], flat(sample.derivative, complex)[0]):
+        wx = _w(p.m, x)
+        if from_sector is Sector.MINUS:
+            v = (dz + wx * z) / iw
+            der.append(iw * z + wx * v)
+        else:
+            v = (dz - wx * z) / iw
+            der.append(iw * z - wx * v)
+        val.append(v)
+    return SolutionSample(sample.x, shaped(val, shape, complex), shaped(der, shape, complex))

@@ -29,12 +29,12 @@ from __future__ import annotations
 import cmath
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from typing import Callable, NamedTuple
 
-import numpy as np
-
+from ._points import flat, shaped
 from .errors import (DomainError, DoubleRangeExceeded, InvalidParams,
                      MaxStepsExceeded, NonConvergence, StepSizeUnderflow)
 from .potential import Sector
@@ -138,7 +138,7 @@ def _integrate_rhs(coeffs: tuple[float, float, float], x0: float, x1: float,
     inv, binom, ns = _INV, _BINOM, _NS
     p1, p2 = 1.0 / (ORDER - 1), 1.0 / ORDER
     cut = rel_tol * _Q_CUT
-    tiny = 16 * np.finfo(float).eps
+    tiny = 16 * sys.float_info.epsilon
     direction = 1.0 if x1 > x0 else -1.0
     x = x0
     z, dz = complex(y0[0]), complex(y0[1])
@@ -320,20 +320,24 @@ _STENCIL_H = 1e-3
 def residual_schrodinger(zfunc: Callable, vfunc: Callable, energy: float, x):
     """Relative Schrodinger residual |Z'' + (E - V) Z| / (E max(1, |Z|)).
 
-    ``zfunc`` and ``vfunc`` must accept vectorised x.  The second
-    derivative is the five-point central stencil
+    ``zfunc`` and ``vfunc`` are called with points shaped like ``x`` (a
+    float for a scalar ``x``) and must return values of that shape.  The
+    second derivative is the five-point central stencil
     (-1, 16, -30, 16, -1) / (12 h^2), so the residual floor is set by
     sample noise amplified by ~5.3/h^2; with analytic samples at 1e-15
     and h = 1e-3 this sits around 1e-8 relative.
     """
     h = _STENCIL_H
-    xa = np.asarray(x, dtype=float)
-    if np.any(xa - 2 * h <= 0):
+    xs, shape = flat(x)
+    if any(v - 2 * h <= 0 for v in xs):
         raise DomainError(f"stencil would cross x = 0; need x > {2 * h:g}")
-    offsets = (-2, -1, 0, 1, 2)
     w = (-1.0, 16.0, -30.0, 16.0, -1.0)
-    zs = [zfunc(xa + k * h) for k in offsets]
-    d2 = sum(wi * zi for wi, zi in zip(w, zs)) / (12.0 * h * h)
-    z0 = zs[2]
-    res = d2 + (energy - vfunc(xa)) * z0
-    return np.abs(res) / (energy * np.maximum(1.0, np.abs(z0)))
+    zs = [flat(zfunc(shaped([v + k * h for v in xs], shape)), complex)[0]
+          for k in (-2, -1, 0, 1, 2)]
+    vs = flat(vfunc(shaped(xs, shape)))[0]
+    res = []
+    for j, v in enumerate(vs):
+        d2 = sum(wi * zk[j] for wi, zk in zip(w, zs)) / (12.0 * h * h)
+        z0 = zs[2][j]
+        res.append(abs(d2 + (energy - v) * z0) / (energy * max(1.0, abs(z0))))
+    return shaped(res, shape)

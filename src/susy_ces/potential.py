@@ -21,8 +21,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
+from ._points import flat, shaped
 from .errors import DomainError, InvalidParams
 
 
@@ -46,27 +45,41 @@ def _check_m(m: float, *, allow_negative: bool = True) -> float:
     return m
 
 
-def _check_x(x) -> np.ndarray:
-    xa = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(xa)):
+def _check_x(x) -> tuple[list[float], tuple | None]:
+    """The points of ``x`` and its shape (:func:`susy_ces._points.flat`), checked."""
+    xs, shape = flat(x)
+    if not all(map(math.isfinite, xs)):
         raise DomainError("x contains non-finite values")
-    if np.any(xa <= 0.0):
+    if min(xs, default=1.0) <= 0.0:
         raise DomainError("potentials are defined on x > 0 only")
-    return xa
+    return xs, shape
+
+
+def _v(m: float, s: float, x: float) -> float:
+    # the one expression V evaluates, for both sectors
+    return (m * m) / x + s * (0.5 * m) / (x * math.sqrt(x))
+
+
+def _w(m: float, x: float) -> float:
+    return -m / math.sqrt(x)
+
+
+def _dw(m: float, x: float) -> float:
+    return (0.5 * m) / (x * math.sqrt(x))
 
 
 def superpotential(x, m: float):
     """W(x) = -m / sqrt(x)."""
     m = _check_m(m)
-    xa = _check_x(x)
-    return -m / np.sqrt(xa)
+    xs, shape = _check_x(x)
+    return shaped([_w(m, v) for v in xs], shape)
 
 
 def superpotential_deriv(x, m: float):
     """W'(x) = (m / 2) x^(-3/2)."""
     m = _check_m(m)
-    xa = _check_x(x)
-    return (0.5 * m) / (xa * np.sqrt(xa))
+    xs, shape = _check_x(x)
+    return shaped([_dw(m, v) for v in xs], shape)
 
 
 def V(x, m: float, sector: Sector):
@@ -77,21 +90,30 @@ def V(x, m: float, sector: Sector):
     to the last bit.
     """
     m = _check_m(m)
-    xa = _check_x(x)
+    xs, shape = _check_x(x)
     s = sector.sign
-    return (m * m) / xa + s * (0.5 * m) / (xa * np.sqrt(xa))
+    return shaped([_v(m, s, v) for v in xs], shape)
+
+
+def _v_from_w(m: float, s: float, x: float) -> float:
+    w = _w(m, x)
+    return w * w + s * _dw(m, x)
 
 
 def V_from_superpotential(x, m: float, sector: Sector):
     """Same potential assembled as W^2 +- W', kept as an independent route."""
-    return superpotential(x, m) ** 2 + sector.sign * superpotential_deriv(x, m)
+    m = _check_m(m)
+    xs, shape = _check_x(x)
+    s = sector.sign
+    return shaped([_v_from_w(m, s, v) for v in xs], shape)
 
 
 def V_deriv(x, m: float, sector: Sector):
     """dV_pm/dx = -(m/x^2) (m +- (3/4) x^(-1/2))."""
     m = _check_m(m)
-    xa = _check_x(x)
-    return -(m / (xa * xa)) * (m + sector.sign * 0.75 / np.sqrt(xa))
+    xs, shape = _check_x(x)
+    s = sector.sign
+    return shaped([-(m / (v * v)) * (m + s * 0.75 / math.sqrt(v)) for v in xs], shape)
 
 
 def ces_residual(m: float) -> float:
@@ -108,7 +130,9 @@ def ces_residual(m: float) -> float:
 
 def shape_invariance_gap(x, m: float):
     """V_plus(x, m) - V_minus(x, -m), elementwise; exactly zero."""
-    return V(x, m, Sector.PLUS) - V(x, -m, Sector.MINUS)
+    m = _check_m(m)
+    xs, shape = _check_x(x)
+    return shaped([_v(m, 1.0, v) - _v(-m, -1.0, v) for v in xs], shape)
 
 
 @dataclass(frozen=True)

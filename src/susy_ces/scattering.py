@@ -43,9 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .closedform import Branch, SolutionSample, solution_Z, solution_params, susy_map
 from .errors import (DegenerateSample, InvalidParams, NotConverged,
@@ -53,6 +51,9 @@ from .errors import (DegenerateSample, InvalidParams, NotConverged,
 from .oracle import integrate, schrodinger_problem
 from .potential import Sector, superpotential
 from .specfun import SERIES_ZMAX
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "PhaseConfig", "PhaseExtraction", "PhaseDifferenceResult", "coulomb_eta",
@@ -239,8 +240,8 @@ def phase_difference(m: float, omega: float,
     accs: list[float] = []
     steps = rejected = 0
     x_prev = x_seed
-    ym = (complex(zm.value), complex(zm.derivative))
-    yp = (complex(zp.value), complex(zp.derivative))
+    ym = (zm.value, zm.derivative)
+    yp = (zp.value, zp.derivative)
     residual = math.inf
     converged = False
     for k in range(1, n_rungs + 1):
@@ -260,7 +261,7 @@ def phase_difference(m: float, omega: float,
             d += math.pi
         xs.append(xk)
         raws.append(d)
-        offset = susy_phase_offset(float(superpotential(xk, p.m)), p.omega)
+        offset = susy_phase_offset(superpotential(xk, p.m), p.omega)
         accs.append(d - 0.5 * (offset - math.pi))
         if len(accs) >= 3:
             residual = max(accs[-3:]) - min(accs[-3:])
@@ -268,6 +269,7 @@ def phase_difference(m: float, omega: float,
                 converged = True
                 break
 
+    import numpy as np
     result = PhaseDifferenceResult(
         m=m, omega=omega, x_match=x_match,
         x=np.array(xs), raw=np.array(raws), accelerated=np.array(accs),

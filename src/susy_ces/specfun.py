@@ -19,6 +19,8 @@ them to :func:`susy_ces.highprec.kummer_walk`, which carries the pair
 along the grid and sums the series only where that is cheaper or the
 rounding cannot be certified.  A lone point is one series loop: the
 partner with b = 3/2 is divided out of the terms of M(a, 1/2).
+A scalar z gives a Python ``complex``, an array of them an ndarray of
+its shape; every value is computed in Python, point by point.
 Values past the largest double raise ``DoubleRangeExceeded``.  It refuses
 |z| > ``SERIES_ZMAX`` outright: callers needing the far region seed
 inside the bound and carry the solution outward by ODE propagation
@@ -37,8 +39,7 @@ from importlib import resources
 from pathlib import Path
 from typing import NamedTuple
 
-import numpy as np
-
+from ._points import flat, shaped
 from .errors import (ArgumentTooSmall, DoubleRangeExceeded, InvalidParams,
                      NonConvergence, PoleAtNonPositiveInteger,
                      SeriesRangeExceeded)
@@ -79,40 +80,47 @@ class CHFParams:
         object.__setattr__(self, "b", b)
 
 
-def _series(a: complex, b: float, z: np.ndarray) -> np.ndarray:
-    """Direct series over a flat complex array, one fixed-point sum per point."""
-    return np.array([chf_series_fixed(a, b, zi) for zi in z.tolist()], dtype=complex)
+def _series(a: complex, b: float, zs: list[complex]) -> list[complex]:
+    """Direct series at each point, one fixed-point sum per point."""
+    return [chf_series_fixed(a, b, z) for z in zs]
 
 
-def _flat_z(z) -> np.ndarray:
-    """``z`` as a flat complex array, refused if non-finite or out of range."""
-    zf = np.asarray(z, dtype=complex).ravel()
-    if not np.all(np.isfinite(zf)):
-        raise InvalidParams("z contains non-finite values")
-    if np.any(np.abs(zf) > SERIES_ZMAX):
+def _refuse_past(zmax: float) -> None:
+    """Refuse a largest |z| past the series bound."""
+    if zmax > SERIES_ZMAX:
         raise SeriesRangeExceeded(
-            f"max|z| = {float(np.max(np.abs(zf))):.4g} exceeds the series bound "
+            f"max|z| = {zmax:.4g} exceeds the series bound "
             f"{SERIES_ZMAX:g}; seed inside it and use ODE propagation "
             f"(oracle.integrate) for the far region")
-    return zf
 
 
-def _shaped_like(out: np.ndarray, z, p: CHFParams):
-    """``out`` back in the shape of ``z``: a complex for a scalar ``z``."""
-    if not np.all(np.isfinite(out)):
+def _flat_z(z) -> tuple[list[complex], tuple | None]:
+    """The points of ``z`` and its shape, refused if non-finite or out of range."""
+    zs, shape = flat(z, complex)
+    if not all(map(cmath.isfinite, zs)):
+        raise InvalidParams("z contains non-finite values")
+    try:
+        zmax = max(map(abs, zs), default=0.0)
+    except OverflowError:   # |z| itself is past the largest double
+        zmax = math.inf
+    _refuse_past(zmax)
+    return zs, shape
+
+
+def _finite(vals: list[complex], p: CHFParams) -> list[complex]:
+    if not all(map(cmath.isfinite, vals)):
         raise NonConvergence(f"series produced non-finite values for a={p.a!r}, b={p.b!r}")
-    if np.ndim(z) == 0:
-        return complex(out[0])
-    return out.reshape(np.shape(z))
+    return vals
 
 
 def chf_1f1(p: CHFParams, z):
     """Kummer's function 1F1(a, b; z) for complex a, z and real b.
 
-    Accepts a complex scalar or ndarray ``z`` with |z| <= SERIES_ZMAX and
-    sums the defining series at every point.  The fixed-point sum sizes
-    its width from the cancellation, so no argument needs the Kummer
-    transformation for conditioning.
+    Accepts a complex scalar ``z``, which gives a ``complex``, or an
+    array of them, which gives an ndarray of its shape; every |z| must
+    be at most SERIES_ZMAX.  The defining series is summed at every
+    point.  The fixed-point sum sizes its width from the cancellation,
+    so no argument needs the Kummer transformation for conditioning.
 
     Raises
     ------
@@ -121,29 +129,30 @@ def chf_1f1(p: CHFParams, z):
     NonConvergence
         if the series fails to meet its tolerance within the term budget.
     """
-    return _shaped_like(_series(p.a, p.b, _flat_z(z)), z, p)
+    zs, shape = _flat_z(z)
+    return shaped(_finite(_series(p.a, p.b, zs), p), shape, complex)
 
 
-def kummer_pair(eta: float, shifted: bool, y):
-    """The Kummer pair of a closed-form component at the points ``y`` of the ray.
+def kummer_pair(eta: float, shifted: bool, s: list[float]) -> tuple[list[complex], list[complex]]:
+    """The Kummer pair of a closed-form component at the points y = -i s of the ray.
 
     The pair is the one :func:`susy_ces.highprec.kummer_walk` names for
-    ``(eta, shifted)``; ``y = -i s``, s >= 0, may take any shape, and both
-    returned arrays take it.  The distinct s go to the walk in ascending
+    ``(eta, shifted)``; both returned lists follow ``s`` (s >= 0, any
+    order, repeats allowed).  The distinct s go to the walk in ascending
     order, so a point's bits do not depend on what it is sent with: a
     lone point is a one-point walk, one series loop for both functions.
 
     Raises
     ------
     SeriesRangeExceeded
-        if any |y| exceeds the series viability bound.
+        if any s exceeds the series viability bound.
     """
-    s = (-_flat_z(y).imag).tolist()
+    _refuse_past(max(s, default=0.0))
     grid = sorted(set(s))
     walk = kummer_walk(eta, shifted, grid)
     at = {v: k for k, v in enumerate(grid)}
-    return tuple(np.array([v[at[x]] for x in s], dtype=complex).reshape(np.shape(y))
-                 for v in (walk.p, walk.q))
+    idx = [at[v] for v in s]
+    return [walk.p[k] for k in idx], [walk.q[k] for k in idx]
 
 
 def kummer_transform(p: CHFParams, z):
@@ -152,8 +161,10 @@ def kummer_transform(p: CHFParams, z):
     A different sum from the one :func:`chf_1f1` runs, so it provides an
     independent value to compare against it.
     """
-    zf = _flat_z(z)
-    return _shaped_like(np.exp(zf) * _series(p.b - p.a, p.b, -zf), z, p)
+    zs, shape = _flat_z(z)
+    vals = _series(p.b - p.a, p.b, [-v for v in zs])
+    # |z| <= SERIES_ZMAX keeps e^z far inside the double range
+    return shaped(_finite([cmath.exp(v) * f for v, f in zip(zs, vals)], p), shape, complex)
 
 
 def chf_1f1_deriv(p: CHFParams, z):
@@ -164,13 +175,15 @@ def chf_1f1_deriv(p: CHFParams, z):
     DoubleRangeExceeded
         if the derivative's magnitude is above the largest double.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        d = (p.a / p.b) * chf_1f1(CHFParams(p.a + 1, p.b + 1), z)
-    if not np.all(np.isfinite(d)):
+    zs, shape = _flat_z(z)
+    q = CHFParams(p.a + 1, p.b + 1)
+    c = p.a / p.b
+    d = [c * v for v in _finite(_series(q.a, q.b, zs), q)]
+    if not all(map(cmath.isfinite, d)):
         raise DoubleRangeExceeded(
             f"1F1'({p.a!r}, {p.b!r}; z) exceeds the double range "
             f"(magnitude above {sys.float_info.max:.4g})")
-    return d
+    return shaped(d, shape, complex)
 
 
 # ---------------------------------------------------------------------------

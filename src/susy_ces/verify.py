@@ -224,9 +224,10 @@ def series_solution_Z(p: cf.SolutionParams, branch: cf.Branch, sector: Sector,
     come from the first-order system, so relations that the system implies
     hold only as far as the components really solve it.
     """
-    r1, r2, d1, d2 = series_components(p, branch, x)
+    _, _, d1, d2 = series_components(p, branch, x)
     sg = 1j * sector.sign
-    return cf.SolutionSample(x, cf.PHASE_M4 * (r1 + sg * r2), cf.PHASE_M4 * (d1 + sg * d2))
+    return cf.SolutionSample(x, cf.solution_Z(p, branch, sector, x).value,
+                             cf.PHASE_M4 * (d1 + sg * d2))
 
 
 def check_rtilde_system(tol: float = 1e-12) -> CheckReport:

@@ -99,12 +99,16 @@ def test_solution_assembly_from_components():
         for sec in Sector:
             z = cf.solution_Z(p, br, sec, x)
             sg = 1j * sec.sign
-            assert np.array_equal(z.value, PHASE_M4 * (r1 + sg * r2))
-            assert np.array_equal(z.derivative, PHASE_M4 * (d1 + sg * d2))
+            # assembled point by point in Python complex, not by numpy's
+            # array loops, which fuse multiply and add
+            for i, (a, b, da, db) in enumerate(zip(r1.tolist(), r2.tolist(),
+                                                   d1.tolist(), d2.tolist())):
+                assert z.value[i] == PHASE_M4 * (a + sg * b)
+                assert z.derivative[i] == PHASE_M4 * (da + sg * db)
 
 
 def test_one_point_matches_its_table_row_bit_for_bit():
-    # a lone x runs the same 1-d numpy loops as a row of a grid
+    # a lone x runs the same per-point loop as a row of a grid
     omega = 2.0
     x = np.linspace(0.1, 29.0 / omega, 41)
     for ratio in (0.05, 0.2, 0.35, 0.5):  # m^2 / omega
@@ -354,3 +358,17 @@ def test_values_beyond_the_double_range_raise_a_typed_error(m, omega, x, evaluat
                 evaluate(p, xs)
             assert isinstance(exc.value, OverflowError)
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_an_overflow_error_from_the_math_modules_is_reported_as_double_range(monkeypatch):
+    # cmath and math raise OverflowError where arithmetic would give inf:
+    # both reach the caller as the one typed error, scalar or array
+    def boom(*args):
+        raise OverflowError("math range error")
+
+    p = cf.solution_params(1.0, 1.0)
+    monkeypatch.setattr(cmath, "exp", boom)
+    for xs in (2.5, np.array([1.0, 2.5])):
+        with pytest.raises(DoubleRangeExceeded, match="double range") as exc:
+            cf.solution_Z(p, Branch.I, Sector.MINUS, xs)
+        assert isinstance(exc.value.__cause__, OverflowError)
