@@ -13,11 +13,8 @@ gate the output:
 * the fixed-point series summed at 500 fractional bits: every row must
   agree with it to within 1e-14 relative.
 
-The committed table is older than this generator.  It came from the
-fixed-point series through a float conversion that rounded twice, and 9
-of its 24 rows are 1 ulp off the correctly rounded values written here,
-well inside the 1e-15 the tests allow.  Running the script rewrites
-those 9 rows.
+The committed table is this script's output, so every row is the
+correctly rounded value and ``specfun/golden-table`` reads 0.
 
 Run from the repository root:
 

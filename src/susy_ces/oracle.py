@@ -9,16 +9,29 @@ the same numbers, so agreement is evidence rather than tautology.
 
 The integrator steps Z'' = q(x) Z, q(x) = m^2/x +- (m/2) x^(-3/2) -
 omega^2, by the Taylor series of Z summed to degree ``ORDER`` (Corliss &
-Chang, ACM TOMS 8 (1982) 114; Jorba & Zou, Exp. Math. 14 (2005) 99).  q
-has closed-form Taylor coefficients, so the series' terms follow a
-recurrence from the state (Z, Z') alone, written afresh here in float.
-Steps reach at most a quarter of the way to the singular origin; in
-the oscillatory zone a step spans about 3 radians and costs 35-65 us
-(2-core Xeon, Python 3.11), pure Python on scalar complex pairs.  Every
-step is error-controlled: there is no fixed-step mode.  A call returns
-only the segment endpoint, which is hit exactly by clamping the final
-step; callers that need several points (the phase ladder in
-:mod:`susy_ces.scattering`) chain segments.
+Chang, ACM TOMS 8 (1982) 114; Jorba & Zou, Exp. Math. 14 (2005) 99).  It
+steps in s = sqrt(x), where the half-integer power goes away and the
+equation has polynomial coefficients,
+
+    s Z_ss - Z_s = 4 (m^2 s + c - omega^2 s^3) Z,   c = +-m/2,
+
+so the Taylor coefficients z_n of Z at s0 follow a fixed five-term
+recurrence from the state (Z, Z_s) alone, written afresh here in float:
+
+    s0 (n+1)(n+2) z_{n+2} = -(n+1)(n-1) z_{n+1}
+                            + 4 (p0 z_n + p1 z_{n-1} + p2 z_{n-2} + p3 z_{n-3}),
+
+p0 = m^2 s0 + c - omega^2 s0^3, p1 = m^2 - 3 omega^2 s0^2,
+p2 = -3 omega^2 s0, p3 = -omega^2, and dZ/dx = Z_s / (2 s).  The series'
+radius is s0 (the origin is singular), so a step reaches at most
+min(1/2, (rel_tol 2^-30)^(1/ORDER)) of s0.  In the oscillatory zone a
+step of degree 31 spans about 5 radians of the wave and costs about
+16 us (2-core Xeon, Python 3.11), pure Python on float pairs.  Every step
+is error-controlled: there is no fixed-step mode.  A call returns only
+the segment endpoint: its last step lands on s1 = sqrt(x1), correctly
+rounded, whose exact square lies within sqrt(2) ulp of x1 (2^-52
+relative), and the state is reported at x1.  Callers that need several
+points (the phase ladder in :mod:`susy_ces.scattering`) chain segments.
 
 The potentials are singular at the origin, so integration domains are
 floored at ``x >= ORIGIN_FLOOR_COEFF / m**2``; seed data comes from the
@@ -28,7 +41,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import operator
 import sys
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
@@ -52,22 +64,28 @@ ABS_TOL = 1e-12
 #: accepted plus rejected steps one segment may take
 MAX_STEPS = 10_000_000
 
-#: degree of the Taylor polynomial one step sums
-ORDER = 24
-#: 1 / ((n + 1)(n + 2)), n = 0 .. ORDER - 2: the divisors of the recurrence
-_INV = tuple(1.0 / ((n + 1) * (n + 2)) for n in range(ORDER - 1))
-#: binom(-3/2, k), k = 1 .. ORDER - 2: the Taylor coefficients of (1 + t)^(-3/2)
-_BINOM = tuple(math.prod((-1.5 - j) / (j + 1) for j in range(k)) for k in range(1, ORDER - 1))
-#: n as floats, n = 0 .. ORDER: the weights of the derivative's sum
-_NS = tuple(float(n) for n in range(ORDER + 1))
-#: q's expansion is cut, within a step, at the first k whose terms fall
-#: below rel_tol times this share of the scale mm/x + |c| x^(-3/2) + ee
-_Q_CUT = 2.0 ** -10
+#: degree of the Taylor polynomial one step sums; ORDER - 1 is a multiple
+#: of 5, since a pass of the kernel's loop makes five terms
+ORDER = 31
+#: the recurrence's weights for five terms w_{n+2} a pass: -(n + 1)(n - 1),
+#: 1 / ((n + 1)(n + 2)) and n + 2, for n = 0 .. ORDER - 2
+_REC = tuple(tuple(v for n in range(k, k + 5)
+                   for v in (-(n + 1.0) * (n - 1.0), 1.0 / ((n + 1) * (n + 2)), n + 2.0))
+             for k in range(0, ORDER - 1, 5))
+#: a wave e^(kt) has its degree-ORDER term at rel_tol where
+#: k|t| = (ORDER! rel_tol)^(1/ORDER); a segment's first trial step takes
+#: 0.8 of that, since the wave chirps in s.  On 14 ladder solves, 5 first
+#: trials fail at 0.8, and 156 at the full length
+_FIRST_REACH = 0.8 * math.exp(math.lgamma(ORDER + 1.0) / ORDER)
+#: share of the reach-to-origin s a step may take: min(1/2, (rel_tol
+#: _REACH_TOL)^(1/ORDER)), so the singular part of the tail stays far
+#: below the tolerance
+_REACH_TOL = 2.0 ** -30
 
 
 @dataclass(frozen=True)
 class ODEProblem:
-    """Second-order problem Z'' = q(x) Z; the integrator carries (Z, Z').
+    """Second-order problem Z'' = q(x) Z; the integrator takes and returns (Z, Z').
 
     ``q(x) = mm/x + c x^(-3/2) - ee`` is V(x) - omega^2 with the constants
     ``coeffs = (mm, c, ee) = (m^2, sign m/2, omega^2)``, built by
@@ -112,91 +130,110 @@ def _integrate_rhs(coeffs: tuple[float, float, float], x0: float, x1: float,
                    y0: tuple[complex, complex], *, rel_tol: float = 1e-10) -> ODESolution:
     """Adaptive Taylor core for Z'' = q(x) Z, q(x) = mm/x + c x^(-3/2) - ee.
 
-    A step of length h from x sums the scaled terms w_n = Z^(n)(x) h^n / n!
-    up to n = ORDER, w_0 = Z, w_1 = h Z' and
+    It steps in s = sqrt(x), where the equation reads
+    s Z_ss - Z_s = 4 (mm s + c - ee s^3) Z with polynomial coefficients.
+    A step of length h from s sums the scaled terms w_n = z_n h^n up to
+    n = ORDER, z_n being the Taylor coefficients of Z at s: w_0 = Z,
+    w_1 = h Z_s and
 
-        w_{n+2} = sum_k Q_k w_{n-k} / ((n + 1)(n + 2)),   Q_k = q_k h^(k+2),
+        (n + 1)(n + 2) w_{n+2} = -(n + 1)(n - 1) (h/s) w_{n+1}
+                                 + sum_{k=0..3} Q_k w_{n-k},
 
-    q_k being q's Taylor coefficients at x: q_0 = q(x), and for k >= 1
-    mm (-1)^k / x^(k+1) plus c binom(-3/2, k) x^(-3/2-k).  A step reaches
-    at most x/4 (q is singular at 0), so the Q_k fall at least 3-fold per
-    k, and they are cut at the first k whose terms fall below
-    ``rel_tol * _Q_CUT`` of q's scale h^2 (mm/x + |c| x^(-3/2) + ee): the
-    cut tail then moves the step by a small share of its tolerance.  With
-    mm = c = 0 (the free wave) q is constant and the step is unbounded.
-    The step is accepted when its last two terms stay below ``rel_tol``
-    times max(|Z|, |Z_new|) plus ``ABS_TOL``.  Since each w_n scales as
-    h^n, those terms give the next step length directly.
+    Q_k = 4 p_k h^(k+2) / s, with p_0 = mm s + c - ee s^3,
+    p_1 = mm - 3 ee s^2, p_2 = -3 ee s and p_3 = -ee.  The series' radius
+    is s (the origin is singular), so a step reaches at most
+    min(1/2, (rel_tol _REACH_TOL)^(1/ORDER)) of it.  The step is accepted
+    when its last two terms stay below ``rel_tol`` times
+    max(|Z|, |Z_new|) plus ``ABS_TOL``.  Since each w_n scales as h^n,
+    those terms give the next step length; the first trial step comes
+    from q's local wavenumber.  Z' = Z_s / (2 s).
     """
     if x1 == x0:
         raise InvalidParams("empty integration interval")
     if not 0 < rel_tol < 1:
         raise InvalidParams(f"rel_tol={rel_tol!r} must lie in (0, 1)")
-    mm, c, ee = coeffs
-    free = mm == 0.0 and c == 0.0
-    sqrt, mul, ab, max_steps = math.sqrt, operator.mul, ABS_TOL, MAX_STEPS
-    inv, binom, ns = _INV, _BINOM, _NS
-    p1, p2 = 1.0 / (ORDER - 1), 1.0 / ORDER
-    cut = rel_tol * _Q_CUT
-    tiny = 16 * sys.float_info.epsilon
-    direction = 1.0 if x1 > x0 else -1.0
-    x = x0
+    if not (0.0 < x0 < math.inf and 0.0 < x1 < math.inf):
+        raise InvalidParams(f"segment [{x0!r}, {x1!r}] must lie in 0 < x < inf: "
+                            f"the integrator steps in s = sqrt(x)")
     z, dz = complex(y0[0]), complex(y0[1])
     if not (cmath.isfinite(z) and cmath.isfinite(dz)):
         raise InvalidParams(f"initial state ({z!r}, {dz!r}) must be finite")
-    h = abs(x1 - x0)  # a first try; its terms size the step if it fails
+    mm, c, ee = coeffs
+    hypot, ab, max_steps, rec = math.hypot, ABS_TOL, MAX_STEPS, _REC
+    p1, p2 = 1.0 / (ORDER - 1), 1.0 / ORDER
+    tiny = 16 * sys.float_info.epsilon
+    reach = min(0.5, (rel_tol * _REACH_TOL) ** p2)
+    s, s1 = math.sqrt(x0), math.sqrt(x1)
+    direction = 1.0 if s1 > s else -1.0
+    # the state (Z, Z_s) as four floats: float arithmetic runs about twice
+    # as fast as complex in CPython
+    zr, zi = z.real, z.imag
+    zsr, zsi = 2.0 * s * dz.real, 2.0 * s * dz.imag
+    # the first trial step is sized from q's local wavenumber, 2 s sqrt|q|
+    # in s
+    k = 2.0 * s * math.sqrt(abs(mm / x0 + c / (x0 * s) - ee))
+    h = _FIRST_REACH * rel_tol ** p2 / k if k > 0.0 else math.inf
 
     n_steps = 0
     n_rej = 0
-    while x != x1:
+    while s != s1:
         if n_steps + n_rej >= max_steps:
-            raise MaxStepsExceeded(f"exceeded {max_steps} steps at x={x:.6g}")
-        if not free:
-            h = min(h, 0.25 * abs(x))
-        rem = (x1 - x) * direction
-        is_last = rem <= h
-        hs = x1 - x if is_last else h * direction
-        if abs(hs) <= tiny * max(abs(x), 1e-300):
-            raise StepSizeUnderflow(f"step underflow at x={x:.6g} (h={h:.3g})")
-        h2 = hs * hs
-        if free:
-            qs = [-ee * h2]
-        else:
-            # the same expression as ODEProblem.q, so Q_0 rounds q(x) alike
-            a, b = mm / x, c / (x * sqrt(x))
-            qs = [(a + b - ee) * h2]
-            drop = cut * (a + abs(b) + ee) * h2
-            r = hs / x
-            ta, tb = a * h2, b * h2
-            for bk in binom:
-                ta *= -r
-                tb *= r
-                tk = tb * bk
-                if abs(ta) + abs(tk) < drop:
-                    break
-                qs.append(ta + tk)
-        w = [z, hs * dz]
-        for n, d in enumerate(inv):
-            w.append(sum(map(mul, qs, w[n::-1])) * d)
-        zn = sum(reversed(w))
-        dzn = sum(map(mul, ns, w)) / hs
-        if not abs(zn) + abs(dzn) < math.inf:
-            raise DoubleRangeExceeded(f"the solution passes the largest double near x={x:.6g}")
-        e1, e2 = abs(w[-2]), abs(w[-1])
-        u, v = abs(z), abs(zn)
+            raise MaxStepsExceeded(f"exceeded {max_steps} steps at x={s * s:.6g}")
+        h = min(h, reach * s)
+        is_last = (s1 - s) * direction <= h
+        hs = s1 - s if is_last else h * direction
+        if abs(hs) <= tiny * s:
+            raise StepSizeUnderflow(f"step underflow at x={s * s:.6g} (h={h:.3g} in sqrt(x))")
+        g = hs / s
+        q0 = 4.0 * hs * g * (mm * s + c - ee * s * s * s)
+        q1 = 4.0 * hs * hs * g * (mm - 3.0 * ee * s * s)
+        q2 = -12.0 * ee * hs * hs * hs * hs
+        q3 = q2 * hs / (3.0 * s)
+        # the window w_{n-3} .. w_{n+1} rotates through the names a .. e
+        ar = br = cr = ai = bi = ci = 0.0
+        dr, di, er, ei = zr, zi, hs * zsr, hs * zsi
+        sr, si, tr, ti = dr + er, di + ei, er, ei
+        for a0, d0, n0, a1, d1, n1, a2, d2, n2, a3, d3, n3, a4, d4, n4 in rec:
+            t = a0 * g
+            ar = (t * er + q0 * dr + q1 * cr + q2 * br + q3 * ar) * d0
+            ai = (t * ei + q0 * di + q1 * ci + q2 * bi + q3 * ai) * d0
+            t = a1 * g
+            br = (t * ar + q0 * er + q1 * dr + q2 * cr + q3 * br) * d1
+            bi = (t * ai + q0 * ei + q1 * di + q2 * ci + q3 * bi) * d1
+            t = a2 * g
+            cr = (t * br + q0 * ar + q1 * er + q2 * dr + q3 * cr) * d2
+            ci = (t * bi + q0 * ai + q1 * ei + q2 * di + q3 * ci) * d2
+            t = a3 * g
+            dr = (t * cr + q0 * br + q1 * ar + q2 * er + q3 * dr) * d3
+            di = (t * ci + q0 * bi + q1 * ai + q2 * ei + q3 * di) * d3
+            t = a4 * g
+            er = (t * dr + q0 * cr + q1 * br + q2 * ar + q3 * er) * d4
+            ei = (t * di + q0 * ci + q1 * bi + q2 * ai + q3 * ei) * d4
+            sr += ar + br + cr + dr + er
+            si += ai + bi + ci + di + ei
+            tr += n0 * ar + n1 * br + n2 * cr + n3 * dr + n4 * er
+            ti += n0 * ai + n1 * bi + n2 * ci + n3 * di + n4 * ei
+        tr /= hs
+        ti /= hs
+        if not abs(sr) + abs(si) + abs(tr) + abs(ti) < math.inf:
+            raise DoubleRangeExceeded(
+                f"the solution passes the largest double near x={s * s:.6g}")
+        # the last two terms are w_{ORDER-1} = d and w_ORDER = e
+        e1, e2 = hypot(dr, di), hypot(er, ei)
+        u, v = hypot(zr, zi), hypot(sr, si)
         scale = ab + rel_tol * (v if v > u else u)
         # the step that would put both last terms at the scale
         rho = min((scale / e1) ** p1 if e1 > 0.0 else math.inf,
                   (scale / e2) ** p2 if e2 > 0.0 else math.inf)
         if e1 <= scale and e2 <= scale:
-            x = x1 if is_last else x + hs
-            z, dz = zn, dzn
+            s = s1 if is_last else s + hs
+            zr, zi, zsr, zsi = sr, si, tr, ti
             n_steps += 1
         else:
             n_rej += 1
         h = abs(hs) * min(0.9 * rho, 10.0)
 
-    return ODESolution(x, z, dz, n_steps, n_rej)
+    return ODESolution(x1, complex(zr, zi), complex(zsr, zsi) / (2.0 * s), n_steps, n_rej)
 
 
 def integrate(problem: ODEProblem, x0: float, x1: float, z0: complex,

@@ -338,26 +338,29 @@ def check_critical_structure(tol: float = 1e-12) -> CheckReport:
 
 def check_free_wave(tol: float = 1e-8) -> CheckReport:
     w = 1.7
-    sol = oracle._integrate_rhs((0.0, 0.0, w * w), 0.0, 25.0, (1.0 + 0j, 1j * w))
-    err = abs(sol.value - cmath.exp(1j * w * 25.0))
+    sol = oracle._integrate_rhs((0.0, 0.0, w * w), 1.0, 25.0, (1.0 + 0j, 1j * w))
+    err = abs(sol.value - cmath.exp(1j * w * (25.0 - 1.0)))
     return _report("oracle/free-wave", err, tol,
-                   f"exp(i w x) propagated over 25 units, {sol.n_steps} steps")
+                   f"exp(i w (x - 1)) propagated from x = 1 to 25, {sol.n_steps} steps")
 
 
 def check_convergence_order(tol: float = 0.0) -> CheckReport:
-    w = 1.3
-    errs = []
-    # single free-wave steps of 6 and 4.8 radians, whose truncation errors
-    # (~1e-6 and ~1e-8) stand far above rounding
-    for h in (6.0 / w, 4.8 / w):
-        s = oracle._integrate_rhs((0.0, 0.0, w * w), 0.0, h, (1.0 + 0j, 1j * w),
+    w, s0 = 1.3, 5.0
+    errs, hs = [], []
+    # single free-wave steps of 7 and 5.6 radians from x = 25, whose
+    # truncation errors (~4e-8 and ~4e-11) stand far above rounding
+    for phase in (7.0, 5.6):
+        x1 = (s0 + phase / (2.0 * w * s0)) ** 2
+        s = oracle._integrate_rhs((0.0, 0.0, w * w), s0 * s0, x1, (1.0 + 0j, 1j * w),
                                   rel_tol=1e-3)
-        errs.append(abs(s.value - cmath.exp(1j * w * h)) if s.n_steps == 1 else math.nan)
-    # error ~ h^(p+1) for a method of order p
-    order = math.log(errs[0] / errs[1]) / math.log(6.0 / 4.8) - 1.0
+        errs.append(abs(s.value - cmath.exp(1j * w * (x1 - s0 * s0)))
+                    if s.n_steps == 1 else math.nan)
+        hs.append(math.sqrt(x1) - s0)
+    # error ~ h^(p+1) for a method of order p, h the step in sqrt(x)
+    order = math.log(errs[0] / errs[1]) / math.log(hs[0] / hs[1]) - 1.0
     # a NaN order (a step rejected or split) fails the check
     return _report("oracle/convergence-order", 0.0 if order >= 4.0 else 4.0 - order, tol,
-                   f"empirical order {order:.2f} from single steps of 6 and 4.8 "
+                   f"empirical order {order:.2f} from single steps of 7 and 5.6 "
                    f"radians (need >= 4)")
 
 

@@ -62,42 +62,38 @@ def test_problem_construction_and_q():
         schrodinger_problem(1.0, 1.0, "minus")
 
 
-def _reference_step(prob, x0, h, y0, order, rel_tol, dps=40):
-    """(Z, Z') after one Taylor step of degree ``order``, summed in mpmath.
+def _reference_step(prob, x0, x1, y0, order, dps=40):
+    """(Z, Z') after one Taylor step of degree ``order`` in s = sqrt(x),
+    from s0 = sqrt(x0) to s1 = sqrt(x1) as doubles, summed in mpmath.
 
-    q_0 is the double problem.q(x0), as the kernel takes it; q_k for k >= 1
-    is mm (-1)^k / x0^(k+1) + c binom(-3/2, k) x0^(-3/2-k), at ``dps``
-    digits, up to the first k whose two parts, times h^(k+2), fall below
-    rel_tol * _Q_CUT * h^2 (mm/x0 + |c| x0^(-3/2) + ee).
+    The coefficients z_n of Z at s0 follow s0 (n+1)(n+2) z_{n+2} =
+    -(n+1)(n-1) z_{n+1} + 4 sum_k p_k z_{n-k}, p = (mm s0 + c - ee s0^3,
+    mm - 3 ee s0^2, -3 ee s0, -ee), at ``dps`` digits; Z' = Z_s / (2 s1).
     """
     mm, c, ee = prob.coeffs
+    s0, s1 = math.sqrt(x0), math.sqrt(x1)
     with mpmath.workdps(dps):
-        x, hm = mpmath.mpf(x0), mpmath.mpf(h)
-        q = [mpmath.mpf(prob.q(x0))]
-        cut = rel_tol * oracle._Q_CUT * (mm / x + abs(c) * x ** -1.5 + ee)
-        for k in range(1, order - 1):
-            ta = mm * (-1) ** k / x ** (k + 1)
-            tb = c * mpmath.binomial(-1.5, k) * x ** (-1.5 - k)
-            if (abs(ta) + abs(tb)) * abs(hm) ** k < cut:
-                break
-            q.append(ta + tb)
-        w = [mpmath.mpc(y0[0]), hm * mpmath.mpc(y0[1])]
+        s, h = mpmath.mpf(s0), mpmath.mpf(s1) - mpmath.mpf(s0)
+        p = (mm * s + c - ee * s ** 3, mm - 3 * ee * s ** 2, -3 * ee * s, -ee)
+        z = [mpmath.mpc(y0[0]), 2 * s * mpmath.mpc(y0[1])]
         for n in range(order - 1):
-            acc = mpmath.fsum(q[k] * hm ** k * w[n - k] for k in range(min(n + 1, len(q))))
-            w.append(hm ** 2 * acc / ((n + 1) * (n + 2)))
-        return (complex(mpmath.fsum(w)),
-                complex(mpmath.fsum(n * wn for n, wn in enumerate(w)) / hm))
+            acc = 4 * mpmath.fsum(p[k] * z[n - k] for k in range(min(n + 1, 4)))
+            z.append((acc - (n + 1) * (n - 1) * z[n + 1]) / (s * (n + 1) * (n + 2)))
+        zs = mpmath.fsum(n * zn * h ** (n - 1) for n, zn in enumerate(z) if n)
+        return (complex(mpmath.fsum(zn * h ** n for n, zn in enumerate(z))),
+                complex(zs / (2 * mpmath.mpf(s1))))
 
 
 def _one_step_cases():
     y0 = (1.0 + 0.5j, 0.3 - 1.0j)
-    # an oscillatory step of about 6 radians, forward and backward: its
-    # last term (~1e-5) dwarfs rounding, so the degree is pinned
+    # an oscillatory step of about 7 radians, forward and backward: its
+    # last terms (1e-8 to 1e-6) dwarf rounding, so the degree is pinned
     prob = schrodinger_problem(1.0, 1.0, Sector.MINUS)
-    yield "(1, 1) MINUS 40->46", prob, 40.0, 46.0, y0, 1e-3
-    yield "(1, 1) MINUS 46->40", prob, 46.0, 40.0, y0, 1e-3
-    # a step of exactly x0/4 near the barrier, where the cut keeps every q_k
-    yield "(2, 0.5) PLUS 8->10", schrodinger_problem(2.0, 0.5, Sector.PLUS), 8.0, 10.0, \
+    yield "(1, 1) MINUS 40->47", prob, 40.0, 47.0, y0, 1e-3
+    yield "(1, 1) MINUS 47->40", prob, 47.0, 40.0, y0, 1e-3
+    # a step of 0.2 s0 near the barrier, next to the reach 0.21 s0 at
+    # rel_tol 1e-12, where the h/s0 terms of the recurrence weigh most
+    yield "(2, 0.5) PLUS 8->11.5", schrodinger_problem(2.0, 0.5, Sector.PLUS), 8.0, 11.5, \
         y0, 1e-12
 
 
@@ -108,7 +104,7 @@ def test_one_step_matches_the_series_reference():
         scale = max(1.0, abs(got.value), abs(got.derivative))
         for order, agree in ((oracle.ORDER, True), (oracle.ORDER - 1, False),
                              (oracle.ORDER + 1, False)):
-            ref = _reference_step(prob, x0, x1 - x0, y0, order, rel_tol)
+            ref = _reference_step(prob, x0, x1, y0, order)
             gap = max(abs(got.value - ref[0]), abs(got.derivative - ref[1])) / scale
             if agree:
                 assert gap < 1e-13, (name, gap)
@@ -116,26 +112,36 @@ def test_one_step_matches_the_series_reference():
                 assert gap > 1e-8, (name, order, gap)
 
 
+def test_segments_must_lie_in_positive_x():
+    # the kernel steps in s = sqrt(x); public integrate floors x higher
+    for x0, x1 in ((0.0, 1.0), (1.0, 0.0), (-1.0, 1.0), (1.0, -4.0), (math.nan, 1.0)):
+        with pytest.raises(InvalidParams, match="sqrt"):
+            oracle._integrate_rhs((1.0, -0.5, 1.0), x0, x1, (1.0 + 0j, 0j))
+
+
 def test_free_wave_accuracy():
     w = 1.7
-    sol = oracle._integrate_rhs((0.0, 0.0, w * w), 0.0, 25.0, (1.0 + 0j, 1j * w))
-    assert abs(sol.value - cmath.exp(1j * w * 25.0)) < 1e-8
+    sol = oracle._integrate_rhs((0.0, 0.0, w * w), 1.0, 25.0, (1.0 + 0j, 1j * w))
+    assert abs(sol.value - cmath.exp(1j * w * (25.0 - 1.0))) < 1e-8
     assert sol.x == 25.0
     assert sol.n_steps > 0
 
 
 def test_empirical_convergence_order():
-    # single free-wave steps of 6 and 4.8 radians: the truncation error
-    # (~1e-6 and ~1e-8) stands far above rounding and scales as h^(p+1)
-    w = 1.3
-    errs = []
-    for h in (6.0 / w, 4.8 / w):
-        s = oracle._integrate_rhs((0.0, 0.0, w * w), 0.0, h, (1.0 + 0j, 1j * w),
+    # single free-wave steps of 7 and 5.6 radians from x0 = 25: the
+    # truncation error (~4e-8 and ~4e-11) stands far above rounding and
+    # scales as h^(p+1), h the step in s = sqrt(x)
+    w, s0 = 1.3, 5.0
+    errs, hs = [], []
+    for phase in (7.0, 5.6):
+        x1 = (s0 + phase / (2.0 * w * s0)) ** 2
+        s = oracle._integrate_rhs((0.0, 0.0, w * w), s0 * s0, x1, (1.0 + 0j, 1j * w),
                                   rel_tol=1e-3)
         assert s.n_steps == 1 and s.n_rejected == 0
-        errs.append(abs(s.value - cmath.exp(1j * w * h)))
-    order = math.log(errs[0] / errs[1]) / math.log(6.0 / 4.8) - 1.0
-    assert 23.5 < order < 24.5  # degree-24 Taylor steps
+        errs.append(abs(s.value - cmath.exp(1j * w * (x1 - s0 * s0))))
+        hs.append(math.sqrt(x1) - s0)
+    order = math.log(errs[0] / errs[1]) / math.log(hs[0] / hs[1]) - 1.0
+    assert oracle.ORDER - 0.5 < order < oracle.ORDER + 0.5
 
 
 @pytest.mark.parametrize("branch", list(Branch))
@@ -174,6 +180,19 @@ def test_tolerance_scaling():
     assert errs[1e-12] < 1e-9
 
 
+def test_chained_segments_match_one_segment():
+    # eight segments land on sqrt(x1) eight times; one segment once
+    prob = schrodinger_problem(1.0, 1.0, Sector.MINUS)
+    one = integrate(prob, 640.0, 1280.0, 1.0 + 0j, 1j)
+    x, z, dz = 640.0, 1.0 + 0j, 1j
+    for k in range(1, 9):
+        sol = integrate(prob, x, 640.0 + 80.0 * k, z, dz)
+        x, z, dz = sol.x, sol.value, sol.derivative
+    assert x == one.x == 1280.0
+    assert abs(z - one.value) <= 1e-9 * abs(one.value)
+    assert abs(dz - one.derivative) <= 1e-9 * abs(one.derivative)
+
+
 def test_origin_floor_guard():
     prob = schrodinger_problem(1.0, 1.0, Sector.MINUS)
     with pytest.raises(DomainError):
@@ -183,7 +202,8 @@ def test_origin_floor_guard():
 
 
 def test_max_steps_guard(monkeypatch):
-    monkeypatch.setattr(oracle, "MAX_STEPS", 10)
+    # the segment takes 8 steps
+    monkeypatch.setattr(oracle, "MAX_STEPS", 4)
     prob = schrodinger_problem(2.0, 0.5, Sector.PLUS)
     with pytest.raises(MaxStepsExceeded):
         integrate(prob, 1.0, 25.0, 1.0 + 0j, 0j)

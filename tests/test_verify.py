@@ -42,10 +42,14 @@ def test_report_pass_is_exactly_the_threshold_comparison():
     assert rep.passed  # boundary counts as pass
 
 
-def test_tolerance_override_fails_everything():
+def test_tolerance_override_reaches_every_check():
     reports = verify.run_suite("specfun", tol_override=1e-30)
-    assert all(not r.passed for r in reports)
     assert all(r.tolerance == 1e-30 for r in reports)
+    # the golden table reproduces its correctly rounded values exactly, so
+    # its error of 0 meets even 1e-30; every other check misses it
+    assert [r.name for r in reports if r.passed] == ["specfun/golden-table"]
+    assert all(r.max_error == 0.0 for r in reports if r.passed)
+    assert all(r.max_error > 1e-30 for r in reports if not r.passed)
 
 
 def test_tolerance_override_loose_passes_everything():
@@ -63,3 +67,9 @@ def test_nonconvergence_maps_to_failed_report(monkeypatch):
     assert not reports[0].passed
     assert math.isinf(reports[0].max_error)
     assert "synthetic divergence" in reports[0].details
+
+
+def test_ode_closedform_agreement_stays_near_rounding():
+    # the integrator reads 4.4e-15 here, near rounding; the check's own
+    # tolerance, 1e-7, would let it lose seven digits unseen
+    assert verify.check_ode_vs_closedform().max_error <= 1e-13
