@@ -31,12 +31,17 @@ first-order system (DLMF 13.2-13.3), summed in the same integer fixed
 point from exact dyadic constants and seeded by the same loop, with a
 rigorous error radius: a majorant bound on each step's tail, the
 rounding of its terms carried through the recurrence, and a log-norm
-bound on the transition for the incoming radius.  A value, from a lone
-point's loop or from the carried pair, is rounded only where its error
-box, widened by the series' own bound, rounds to one double; every other
+bound on the transition for the incoming radius.  A step that reaches a
+power of two past its start serves every point on the way: each is the
+sum of the step's terms at its fraction f < 1 of the reach, by Horner's
+rule with shifts for the division, and its radius is the step's plus
+the terms it cuts off and its roundings.  A value, from a lone point's
+loop or from the carried pair, is rounded only where its error box,
+widened by the series' own bound, rounds to one double; every other
 value is the per-point series, so each output equals
-``chf_series_fixed`` bit for bit.  A step costs about 20 terms where the
-series needs about 2.7 |z|.
+``chf_series_fixed`` bit for bit.  On a table of 256 points to |z| = 59
+a step of about 31 terms serves 7 points at about 28 terms each, where
+the series needs about 2.7 |z|.
 
 No third-party extended-precision library is involved: Python's
 integers carry the whole sum.
@@ -83,7 +88,8 @@ SAFE_BITS = 53 + 16
 #: bits added to the predicted cancellation when sizing the width; they pay
 #: for the safe bits and the n**2 growth of the truncation bound (n ~ 2**8)
 _WIDTH_GUARD = SAFE_BITS + 16
-_LOG2E = 1.0 / math.log(2.0)
+_LN2 = math.log(2.0)
+_LOG2E = 1.0 / _LN2
 
 
 def _fixed_sum(a: complex, b: float, z: complex, bits: int, *,
@@ -214,9 +220,11 @@ def _series(a: complex, b: float, z: complex,
 #: bits the carried state keeps beyond ``SAFE_BITS`` and its predicted error
 #: growth: rounding over thousands of steps, and values below the seed's
 _WALK_GUARD = 12
-#: cost of one Taylor term of the pair in series terms (two complex rows,
-#: four roundings, against one complex row and two roundings)
-_TERM_COST = 2.0
+#: one Taylor term of the pair, and one term of a point's evaluation from
+#: a step's terms, counted in series terms (about 1.5 us): 2.7 and 0.75 us
+#: measured at 100-bit widths, the latter plus about 3 us a point
+_REC_COST = 1.8
+_EVAL_COST = 0.5
 #: Taylor steps never reach past this fraction of the distance to z = 0
 _STEP_REACH = 0.25
 #: width that costs as much as a second series sum: at the widths the walk
@@ -234,8 +242,9 @@ class Walk(NamedTuple):
     q: list[complex]
     continued: int    # points whose two values the carried state certified
     seeds: int        # points where a state started from the series
-    steps: int        # Taylor steps, sub-steps included
+    steps: int        # Taylor steps (expansions), sub-steps included
     terms: int        # Taylor terms summed over all steps
+    evals: int        # terms evaluated for the points inside a step's reach
     sums: int         # series loops run, seeds included
 
 
@@ -268,17 +277,62 @@ def _reach(s0: float, s1: float) -> float:
     return t if t - s0 <= _STEP_REACH * s0 else math.nextafter(t, 0.0)
 
 
-def _step_cost(s0: float, s1: float, width: int) -> float:
-    """Taylor steps from s0 to s1, counted in series terms (inf if out of reach)."""
-    cost = 0.0
-    for _ in range(64):
-        if s0 >= s1:
-            return cost
-        t = _reach(s0, s1)
-        r = (t - s0) / s0
-        cost += _TERM_COST * ((width + 16) / -math.log2(r) + 2.7 * (t - s0) + 4.0)
-        s0 = t
-    return math.inf
+def _terms(bits: float, y: float) -> float:
+    """Taylor terms of reach y until they fall ``bits`` binary orders: about
+    the n with log n! - n log y = bits log 2 (one Newton step)."""
+    b = bits * _LN2
+    ly = math.log(y)
+    n = math.e * y + b / max(1.0, math.log(b) - ly)
+    return n - (math.lgamma(n + 1.0) - n * ly - b) / (math.log(n + 0.5) - ly)
+
+
+def _plan(s0: float, s: list[float], k: int, bits: float, eta: float) -> tuple[float, float, int]:
+    """The next step from s0 towards s[k:]: (cost per point in series
+    terms, end t, points reached).
+
+    A step of reach D takes ``_terms(bits, x D)`` terms, x = 1 + (eta /
+    s0)**(1/2) / 4, and a point inside it as many evaluation terms at its
+    own reach (the mean over its octave) plus 4.  The end is s[k], after
+    sub-steps where it lies out of reach, or s0 plus a power of two: the
+    cheapest per point, the powers tried upwards until one that adds
+    points costs more per point.
+    """
+    x = 1.0 + 0.25 * math.sqrt(eta / s0)
+    s1 = s[k]
+    t = _reach(s0, s1)
+    if t < s1:
+        cost, a = 0.0, s0
+        for _ in range(64):
+            b = _reach(a, s1)
+            cost += _REC_COST * _terms(bits, x * (b - a))
+            if b == s1:
+                return cost, t, 0
+            a = b
+        return math.inf, t, 0
+    d = s1 - s0
+    low = _terms(bits, x * d)
+    best = (_REC_COST * low, s1, 1)
+    e = math.frexp(d)[1]
+    top = math.frexp(s0)[1] - 3          # 2**top <= _STEP_REACH s0
+    n, m, evals, last = len(s), 0, 0.0, math.inf
+    while e <= top:
+        reach = math.ldexp(1.0, e)
+        end = s0 + reach
+        if end - s0 != reach:
+            break                        # s0's last bit falls off past a power of two
+        high = _terms(bits, x * reach)
+        j = m
+        while k + m < n and s[k + m] <= end:
+            m += 1
+        evals += (m - j) * (0.5 * (low + high) + 4.0)
+        per = (_REC_COST * high + _EVAL_COST * evals) / m
+        if per < best[0]:
+            best = (per, end, m)
+        elif per > last and m > j:
+            break
+        low, last = high, per
+        e += 1
+    return best
 
 
 def _lost_bits(pair, s: float) -> int | None:
@@ -368,8 +422,9 @@ def _seed(pair, s: float, width: int, c: float) -> _State:
     return _State(s, width, ints, max(err_p, c * err_q), c)
 
 
-def _step(eta: float, shifted: bool, st: _State, s1: float) -> tuple[_State, int]:
-    """Carry the state to s1 by one Taylor step; returns it and the terms summed.
+def _step(eta: float, shifted: bool, st: _State, s1: float) -> tuple[_State, list]:
+    """Carry the state to s1 by one Taylor step; returns it and the terms
+    u_0 .. u_N it summed, each a tuple of the four integers.
 
     The terms are integers at the state's scale, each rounded once per
     component; the recurrence's constants are exact dyadic rationals.  The
@@ -407,7 +462,7 @@ def _step(eta: float, shifted: bool, st: _State, s1: float) -> tuple[_State, int
     # flooring the part of num over 2**sh first and then dividing by the
     # small 2 q1 floors the same as one division by the product
     pr, pi, qr, qi = st.ints
-    sum_pr, sum_pi, sum_qr, sum_qi = pr, pi, qr, qi
+    terms = [st.ints]
     dn, dd = big_d * big_s, big_d * big_d
     if shifted:
         e2 = 2 * e
@@ -436,10 +491,7 @@ def _step(eta: float, shifted: bool, st: _State, s1: float) -> tuple[_State, int
         xr0, xi0 = xr, xi
         pr, pi = (ar + q1) // q1x2, (ai + q1) // q1x2
         qr, qi = (br + q1) // q1x2, (bi + q1) // q1x2
-        sum_pr += pr
-        sum_pi += pi
-        sum_qr += qr
-        sum_qi += qi
+        terms.append((pr, pi, qr, qi))
         n += 1
         # stop once two terms in a row have every component within 8 and 16
         small = -8 <= pr <= 8 and -8 <= pi <= 8 and -8 <= qr <= 8 and -8 <= qi <= 8
@@ -472,7 +524,56 @@ def _step(eta: float, shifted: bool, st: _State, s1: float) -> tuple[_State, int
         eps = (math.exp(d * mu) * eps + e_sum + tail) * (1.0 + 2.0 ** -40)
     else:
         eps = math.inf
-    return _State(s1, st.width, (sum_pr, sum_pi, sum_qr, sum_qi), eps, c), n
+    return _State(s1, st.width, tuple(map(sum, zip(*terms))), eps, c), terms
+
+
+def _inside(st: _State, new: _State, terms: list, s: list[float]) -> tuple[list, int]:
+    """(ints, radius) of the pair at each st.s < s_j < new.s from the terms
+    of the step between them, and the terms evaluated.
+
+    The reach Delta = new.s - st.s is a power of two; the pair at s_j is
+    the sum of u_n f**n, f = (s_j - st.s) / Delta, by Horner's rule, each
+    product by f an integer product and a shift rounded half up, cut off
+    at the first N where f**(N+1) times a bound on the later terms is one
+    unit.  As f < 1, each part of the step's radius (incoming radius
+    times exp(D mu), carried rounding, tail) bounds its part at s_j; the
+    cut-off terms and the N roundings are added.
+    """
+    cm = max(1.0, new.c)
+    rest = [0.0] * len(terms)      # bounds on |u_(n+1)| + |u_(n+2)| + ...
+    acc = 0.0
+    for n in range(len(terms) - 1, 0, -1):
+        pr, pi, qr, qi = terms[n]
+        acc += math.ldexp(1.5 * cm, (abs(pr) | abs(pi) | abs(qr) | abs(qi)).bit_length())
+        rest[n - 1] = acc
+    n0, k0 = _dyadic(st.s)
+    frac, e = math.frexp(new.s - st.s)        # exact: new.s <= 1.25 st.s
+    if frac != 0.5:
+        raise ValueError(f"the step {st.s!r} -> {new.s!r} does not reach a power of two")
+    e -= 1
+    out, used = [], 0
+    for x in s:
+        nx, kx = _dyadic(x)
+        k = max(k0, kx)
+        g = (nx << (k - kx)) - (n0 << (k - k0))
+        sh = k + e                  # f = g / 2**sh
+        f = math.ldexp(g, -sh) * (1.0 + 2.0 ** -50)
+        n, p = 0, f
+        while p * rest[n] > 1.0:
+            n += 1
+            p *= f
+        half = 1 << (sh - 1)
+        pr, pi, qr, qi = terms[n]
+        for j in range(n - 1, -1, -1):
+            ur, ui, vr, vi = terms[j]
+            pr = ur + ((pr * g + half) >> sh)
+            pi = ui + ((pi * g + half) >> sh)
+            qr = vr + ((qr * g + half) >> sh)
+            qi = vi + ((qi * g + half) >> sh)
+        used += n
+        out.append(((pr, pi, qr, qi),
+                    (new.eps + p * rest[n] + 0.7072 * cm * n) * (1.0 + 2.0 ** -40)))
+    return out, used
 
 
 def _round53(n: int) -> int:
@@ -548,10 +649,13 @@ def kummer_walk(eta: float, shifted: bool, s: list[float]) -> Walk:
     ``shifted`` (M(a, 1/2; z), M(a, 3/2; z)) with a = 1/2 + i eta.  Each
     output equals :func:`chf_series_fixed` at that point.  Where Taylor
     steps of the pair's first-order system are cheaper than a point's
-    own pair loop, a state seeded from :func:`_pair_sum` is carried from
-    point to point, each step reaching at most a quarter of the way from
-    z0 to z = 0 (longer gaps take sub-steps), with a rigorous error
-    radius; a value is taken from it only where the radius, plus the
+    own pair loop, a state seeded from :func:`_pair_sum` is carried
+    along the grid with a rigorous error radius, each step reaching at
+    most a quarter of the way from z0 to z = 0.  A step either lands on
+    the next point, after sub-steps across a longer gap, or reaches a
+    power of two past z0 and gives every point on the way from its terms
+    (:func:`_inside`); :func:`_plan` picks the cheaper per point.  A
+    value is taken from the state only where the radius, plus the
     series' own bound, certifies the rounding.  Every other point takes
     :func:`_point`, and a value neither certifies takes its own series.
     """
@@ -565,49 +669,74 @@ def kummer_walk(eta: float, shifted: bool, s: list[float]) -> Walk:
         grow[k] = (grow[k + 1] + (s[k + 1] - s[k]) * 2.0 * eta / c[k]
                    + math.log(c[k + 1] / c[k]))
     out_p, out_q = [], []
-    continued = seeds = steps = terms = sums = 0
+    continued = seeds = steps = terms = evals = sums = 0
     st = None
-    for k, s1 in enumerate(s):
-        if st is not None and _step_cost(st.s, s1, st.width) <= _series_cost(s1):
-            try:
-                while st.s < s1:
-                    st, used = _step(eta, shifted, st, _reach(st.s, s1))
-                    steps += 1
-                    terms += used
-            except NonConvergence:   # the series still answers
+    k = 0
+    while k < n:
+        s1 = s[k]
+        got = []          # (ints, radius) of the carried pair at s[k], s[k + 1], ...
+        if st is not None and st.s == s1:
+            got = [(st.ints, st.eps)]
+        elif st is not None:
+            bits = max(map(abs, st.ints)).bit_length() - 3
+            cost, t, m = _plan(st.s, s, k, bits, eta)
+            if cost > _series_cost(s1):
                 st = None
-        else:
+            else:
+                try:
+                    while m == 0:
+                        st, us = _step(eta, shifted, st, t)
+                        steps += 1
+                        terms += len(us) - 1
+                        t, m = _plan(st.s, s, k, bits, eta)[1:]
+                    new, us = _step(eta, shifted, st, t)
+                    steps += 1
+                    terms += len(us) - 1
+                    short = m if t > s[k + m - 1] else m - 1   # points before t
+                    if short:
+                        got, used = _inside(st, new, us, s[k:k + short])
+                        evals += used
+                    st = new
+                    got += [(st.ints, st.eps)] * (m - short)
+                except NonConvergence:   # the series still answers
+                    st = None
+        if not got:
             st = None
             width = (SAFE_BITS + _WALK_GUARD + math.ceil(grow[k] * _LOG2E)
                      + (n - k).bit_length())
             if (k + 1 < n and s1 > 0.0
-                    and _step_cost(s1, s[k + 1], width) < _series_cost(s[k + 1])):
+                    and _plan(s1, s, k + 1, width, eta)[0] < _series_cost(s[k + 1])):
                 st = _seed(pair, s1, width, c[k])
                 seeds += 1
                 sums += 1 if _lost_bits(pair, s1) is not None else 2
+                got = [(st.ints, st.eps)]
         if st is not None and not st.eps < math.inf:
-            st = None
-        vals = [None, None]
-        if st is not None:
-            pr, pi, qr, qi = st.ints
-            # M(0, 1/2; z) = 1: its zero imaginary part has no box that rounds
-            # to one double, and the state carries it exactly anyway
-            vals = [1 + 0j if a == 0 else _certain(pr, pi, int(st.eps) + 1, st.width),
-                    _certain(qr, qi, int(st.eps / st.c) + 1, st.width)]
-            size = min((abs(pr) + abs(pi)).bit_length(),
-                       (abs(qr) + abs(qi)).bit_length() + math.log2(st.c))
-            if None in vals and math.log2(st.eps) + SAFE_BITS + 8 > size:
-                st = None     # the radius outgrew the values: seed again
-        continued += None not in vals
-        if vals == [None, None]:
-            p, q, used = _point(pair, s1)
-            sums += used
-        else:
-            for j, ab in enumerate(pair):
-                if vals[j] is None:
-                    vals[j], used = _series(*ab, complex(0.0, -s1))
-                    sums += used
-            p, q = vals
-        out_p.append(p)
-        out_q.append(q)
-    return Walk(out_p, out_q, continued, seeds, steps, terms, sums)
+            st, got = None, []
+        if got:
+            width, cw = st.width, st.c
+        for ints, eps in got or [(None, 0.0)]:
+            vals = [None, None]
+            if ints is not None:
+                pr, pi, qr, qi = ints
+                # M(0, 1/2; z) = 1: its zero imaginary part has no box that
+                # rounds to one double, and the state carries it exactly anyway
+                vals = [1 + 0j if a == 0 else _certain(pr, pi, int(eps) + 1, width),
+                        _certain(qr, qi, int(eps / cw) + 1, width)]
+                size = min((abs(pr) + abs(pi)).bit_length(),
+                           (abs(qr) + abs(qi)).bit_length() + math.log2(cw))
+                if None in vals and math.log2(eps) + SAFE_BITS + 8 > size:
+                    st = None     # the radius outgrew the values: seed again
+            continued += None not in vals
+            if vals == [None, None]:
+                p, q, used = _point(pair, s[k])
+                sums += used
+            else:
+                for j, ab in enumerate(pair):
+                    if vals[j] is None:
+                        vals[j], used = _series(*ab, complex(0.0, -s[k]))
+                        sums += used
+                p, q = vals
+            out_p.append(p)
+            out_q.append(q)
+            k += 1
+    return Walk(out_p, out_q, continued, seeds, steps, terms, evals, sums)

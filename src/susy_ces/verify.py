@@ -248,7 +248,7 @@ def check_rtilde_system(tol: float = 1e-12) -> CheckReport:
 
 def check_grid_continuation(tol: float = 0.0) -> CheckReport:
     worst = 0.0
-    points = continued = seeds = steps = terms = sums = 0
+    points = continued = seeds = steps = terms = evals = sums = 0
     for m, omega in _FAMILIES:
         p = cf.solution_params(m, omega)
         hi = 29.5 / omega
@@ -265,13 +265,15 @@ def check_grid_continuation(tol: float = 0.0) -> CheckReport:
                 seeds += walk.seeds
                 steps += walk.steps
                 terms += walk.terms
+                evals += walk.evals
                 sums += walk.sums
     return _report("closedform/grid-continuation", worst, tol,
                    f"grid vs lone-point components, bit for bit, 3 families x 2 branches "
                    f"x linear and log grids of 64: {continued} of {points} points "
                    f"continued, {points - continued} fall back to the series ({seeds} seeds); "
-                   f"{terms / max(steps, 1):.1f} Taylor terms per step over {steps} steps; "
-                   f"{sums} series loops")
+                   f"{steps} Taylor expansions of {terms / max(steps, 1):.1f} terms, "
+                   f"{(continued - seeds) / max(steps, 1):.1f} points each, "
+                   f"{evals} terms evaluated inside their reach; {sums} series loops")
 
 
 def check_hermite_lambda(tol: float = 2.0) -> CheckReport:
@@ -358,10 +360,12 @@ def check_convergence_order(tol: float = 0.0) -> CheckReport:
         hs.append(math.sqrt(x1) - s0)
     # error ~ h^(p+1) for a method of order p, h the step in sqrt(x)
     order = math.log(errs[0] / errs[1]) / math.log(hs[0] / hs[1]) - 1.0
-    # a NaN order (a step rejected or split) fails the check
-    return _report("oracle/convergence-order", 0.0 if order >= 4.0 else 4.0 - order, tol,
+    # the kernel's degree to within half an order; a NaN order (a step
+    # rejected or split) fails the check
+    miss = abs(order - oracle.ORDER)
+    return _report("oracle/convergence-order", 0.0 if miss <= 0.5 else miss - 0.5, tol,
                    f"empirical order {order:.2f} from single steps of 7 and 5.6 "
-                   f"radians (need >= 4)")
+                   f"radians (need {oracle.ORDER} +- 0.5)")
 
 
 def check_ode_vs_closedform(tol: float = 1e-7) -> CheckReport:

@@ -17,6 +17,9 @@ settings.register_profile(
     derandomize=True,
     suppress_health_check=[HealthCheck.too_slow],
 )
+# ``pytest --hypothesis-profile=ci`` runs 20 times the examples: the tests
+# whose count follows the profile take max_examples // 5 (20 and 400)
+settings.register_profile("ci", settings.get_profile("suite"), max_examples=2000)
 settings.load_profile("suite")
 
 _ACCEPTANCE_LINES: list[str] = []

@@ -151,11 +151,11 @@ def test_one_series_loop_per_point(branch, monkeypatch):
     assert len(sums) == 1
     assert highprec.kummer_walk(p.a1.imag, branch is Branch.II, [15.0]).sums == 1
     # a grid takes lone points while that is cheaper, then seeds a state
-    # (one loop) and steps: 7 points plus a seed over |y| in [1, 40], and
-    # 28 plus a seed plus one value whose rounding the radius leaves open
+    # (one loop) and steps: 4 points plus a seed over |y| in [1, 40], and
+    # 3 plus a seed plus one value whose rounding the radius leaves open
     # over |y| in (0, 59]
-    for x, want in ((np.linspace(0.5, 20.0, 16), 8),
-                    (np.linspace(29.5 / 256, 29.5, 256), 30)):
+    for x, want in ((np.linspace(0.5, 20.0, 16), 5),
+                    (np.linspace(29.5 / 256, 29.5, 256), 5)):
         sums.clear()
         cf.solution_Z(p, branch, Sector.PLUS, x)
         assert len(sums) == want
@@ -163,14 +163,19 @@ def test_one_series_loop_per_point(branch, monkeypatch):
         assert highprec.kummer_walk(p.a1.imag, branch is Branch.II, s).sums == want
 
 
-@settings(max_examples=20)
+@settings(max_examples=settings.default.max_examples // 5)
 @given(eta=st.floats(1e-3, 16.0), omega=st.floats(0.25, 4.0),
        ends=st.lists(st.floats(-6.0, math.log10(59.9)), min_size=2, max_size=2, unique=True),
-       n=st.integers(2, 300), kind=st.sampled_from(("linear", "log", "unsorted", "repeated")),
+       n=st.integers(2, 300), kind=st.sampled_from(("linear", "log", "unsorted", "repeated", "dense")),
        seed=st.integers(0, 2**32 - 1), branch=st.sampled_from(list(Branch)))
 def test_grid_rows_equal_lone_points(eta, omega, ends, n, kind, seed, branch):
-    # continued or summed, each value of a grid is the lone point's, bit for bit
+    # continued or summed, each value of a grid is the lone point's, bit for
+    # bit; a dense grid, a table's of up to 1,000 points from |y| = hi / n to
+    # hi, has many points in the reach of each step
     lo, hi = sorted(10.0 ** np.array(ends))
+    if kind == "dense":
+        n = 100 + 3 * n
+        kind, lo, hi = "linear", max(hi, 8.0) / n, max(hi, 8.0)
     rng = np.random.default_rng(seed)
     if kind == "log":
         y = np.geomspace(lo, hi, n)

@@ -1,14 +1,15 @@
 """The fixed-point 1F1 series: correct rounding against mpmath, the width
 check, the single final rounding and the term budget; the continuation
-of a Kummer pair: the series' bits, a radius that bounds the error, and
-the rounding certificate."""
+of a Kummer pair: the series' bits, a radius that bounds the error at
+each step and at each point inside its reach, the exact recurrence and
+Horner sums, the walk's work, and the rounding certificate."""
 import math
 import random
 from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from susy_ces import highprec
@@ -88,7 +89,8 @@ def test_kummer_walk_is_the_series_bit_for_bit(eta, shifted):
     for (aa, b), got in (((a, 0.5), walk.p), ((a if shifted else a + 1.0, 1.5), walk.q)):
         assert got == [chf_series_fixed(aa, b, complex(0.0, -x)) for x in s]
     assert walk.seeds >= 1 and walk.continued > len(s) // 2
-    assert walk.steps >= walk.continued - walk.seeds
+    # the linear part takes several points from each step's terms
+    assert 0 < walk.steps < walk.continued - walk.seeds and walk.evals > 0
 
 
 @pytest.mark.parametrize("shifted", [False, True])
@@ -189,19 +191,73 @@ def test_walk_radius_bounds_the_error(monkeypatch):
     # every carried state lies within its radius of mpmath's pair at 60 digits
     states = []
     real = highprec._step
-    monkeypatch.setattr(highprec, "_step",
-                        lambda *a: states.append(real(*a)[0]) or states[-1:] + [0])
+
+    def step(*args):
+        new, terms = real(*args)
+        states.append(new)
+        return new, terms
+
+    monkeypatch.setattr(highprec, "_step", step)
     eta = 4.0
     kummer_walk(eta, False, [59.0 * k / 64 for k in range(1, 65)])
-    assert len(states) > 40
+    assert len(states) > 10
     with mpmath.workdps(60):
         a = mpmath.mpc(0, eta)
-        for st in states[::6]:
+        for st in states:
             z = mpmath.mpc(0, -st.s)
             p = [mpmath.mpf(v) / 2 ** st.width for v in st.ints]
             err = max(abs(mpmath.mpc(p[0], p[1]) - mpmath.hyp1f1(a, 0.5, z)),
                       st.c * abs(mpmath.mpc(p[2], p[3]) - mpmath.hyp1f1(a + 1, 1.5, z)))
             assert err * 2 ** st.width <= st.eps
+
+
+def _error(eta, shifted, s, ints, width, c):
+    """max(|P - P'|, c |Q - Q'|) * 2**width of the integers against mpmath's
+    pair at 60 digits (the norm of the walk's radii)."""
+    with mpmath.workdps(60):
+        z = mpmath.mpc(0, -s)
+        a = mpmath.mpc(0.5 if shifted else 0, eta)
+        p = mpmath.hyp1f1(a, 0.5, z)
+        q = mpmath.hyp1f1(a if shifted else a + 1, 1.5, z)
+        got = [mpmath.mpf(v) / 2 ** width for v in ints]
+        err = max(abs(mpmath.mpc(got[0], got[1]) - p), c * abs(mpmath.mpc(got[2], got[3]) - q))
+        return err * 2 ** width
+
+
+@pytest.mark.parametrize("shifted", [False, True])
+@pytest.mark.parametrize("eta", [0.025, 0.5, 4.0, 16.0])
+def test_inside_radius_bounds_the_error(eta, shifted, monkeypatch):
+    # every point a step gives from its terms on a dense grid lies within its
+    # radius of mpmath's pair at 60 digits
+    seen = []
+    real = highprec._inside
+
+    def inside(st, new, terms, s):
+        out, used = real(st, new, terms, s)
+        seen.extend((x, ints, eps, new.width, new.c) for x, (ints, eps) in zip(s, out))
+        return out, used
+
+    monkeypatch.setattr(highprec, "_inside", inside)
+    kummer_walk(eta, shifted, [59.0 * k / 512 for k in range(1, 513)])
+    assert len(seen) > 300
+    for x, ints, eps, width, c in seen[::29] + seen[-1:]:
+        assert _error(eta, shifted, x, ints, width, c) <= eps
+
+
+@settings(max_examples=settings.default.max_examples // 5)
+@given(eta=st.floats(1e-3, 16.0), shifted=st.booleans(), s0=st.floats(1.0, 59.0),
+       e=st.integers(-6, 3), fs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3))
+def test_inside_radius_bounds_the_error_anywhere(eta, shifted, s0, e, fs):
+    # a step of any reach at any s0, and points anywhere inside it
+    reach = 2.0 ** e
+    assume(reach <= 0.25 * s0 and (s0 + reach) - s0 == reach)
+    pts = sorted(x for x in {s0 + f * reach for f in fs} if s0 < x < s0 + reach)
+    assume(pts)
+    state = highprec._seed(_pair(eta, shifted), s0, 100, highprec._norm_weight(eta, s0))
+    new, terms = highprec._step(eta, shifted, state, s0 + reach)
+    out, _ = highprec._inside(state, new, terms, pts)
+    for x, (ints, eps) in zip(pts, out):
+        assert _error(eta, shifted, x, ints, new.width, new.c) <= eps
 
 
 def test_certain_rounds_like_int_to_float():
@@ -244,6 +300,7 @@ def _reference_step(eta, shifted, ints, s0, s1, n_terms):
     p, q = (Fraction(ints[0]), Fraction(ints[1])), (Fraction(ints[2]), Fraction(ints[3]))
     p0 = q0 = (Fraction(0), Fraction(0))
     sums = [ints[0], ints[1], ints[2], ints[3]]
+    terms = [tuple(ints)]
     for n in range(n_terms):
         f = d / ((n + 1) * s0)
         if shifted:
@@ -260,7 +317,8 @@ def _reference_step(eta, shifted, ints, s0, s1, n_terms):
         q = tuple(Fraction(_round_half_up(v)) for v in qn)
         for j, v in enumerate(p + q):
             sums[j] += int(v)
-    return tuple(sums)
+        terms.append(tuple(int(v) for v in p + q))
+    return tuple(sums), terms
 
 
 @pytest.mark.parametrize("eta,shifted,s0,s1", [
@@ -272,5 +330,60 @@ def test_step_is_the_rounded_exact_recurrence(eta, shifted, s0, s1):
     pair = ((a, 0.5), (a if shifted else a + 1.0, 1.5))
     c = highprec._norm_weight(eta, s0)
     st = highprec._seed(pair, s0, 100, c)
-    new, n = highprec._step(eta, shifted, st, s1)
-    assert new.ints == _reference_step(eta, shifted, st.ints, s0, s1, n)
+    new, terms = highprec._step(eta, shifted, st, s1)
+    assert (new.ints, terms) == _reference_step(eta, shifted, st.ints, s0, s1, len(terms) - 1)
+
+
+def _reference_inside(terms, f, cm):
+    """Horner's rule on a step's terms with exact rationals, each product by
+    f rounded half up, cut off at the first N where f**(N+1) times the
+    bound 1.5 cm 2**bits on each later term falls to one unit."""
+    bound = [Fraction(1.5 * cm) * 2 ** (abs(pr) | abs(pi) | abs(qr) | abs(qi)).bit_length()
+             for pr, pi, qr, qi in terms]
+    n = 0
+    while f ** (n + 1) * sum(bound[n + 1:]) > 1:
+        n += 1
+    acc = terms[n]
+    for u in reversed(terms[:n]):
+        acc = tuple(v + _round_half_up(w * f) for v, w in zip(u, acc))
+    return acc, n
+
+
+@pytest.mark.parametrize("eta,shifted,s0,e", [
+    (0.5, False, 30.0, 1), (0.5, True, 30.0, 1), (0.025, True, 4.0, -1),
+    (2.0, False, 2.75, -2), (16.0, False, 12.3, 0), (3.0, True, 40.0, 3)])
+def test_inside_is_the_rounded_exact_horner(eta, shifted, s0, e):
+    state = highprec._seed(_pair(eta, shifted), s0, 100, highprec._norm_weight(eta, s0))
+    new, terms = highprec._step(eta, shifted, state, s0 + 2.0 ** e)
+    pts = [s0 + 2.0 ** e * k / 7 for k in range(1, 7)]
+    out, used = highprec._inside(state, new, terms, pts)
+    cm, total = max(1.0, new.c), 0
+    for x, (ints, eps) in zip(pts, out):
+        want, n = _reference_inside(terms, (Fraction(x) - Fraction(s0)) / Fraction(2) ** e, cm)
+        assert ints == want
+        # the radius adds n products' rounding to the step's own
+        assert eps >= new.eps + 0.7072 * cm * n
+        total += n
+    assert used == total
+
+
+def test_inside_refuses_a_reach_off_a_power_of_two():
+    # 1.0 past s0 = 7.222656250000001 rounds to 8.22265625: no shifts divide by it
+    s0 = 7.222656250000001
+    assert (s0 + 1.0) - s0 != 1.0
+    state = highprec._seed(_pair(0.5, True), s0, 100, highprec._norm_weight(0.5, s0))
+    new, terms = highprec._step(0.5, True, state, s0 + 1.0)
+    with pytest.raises(ValueError):
+        highprec._inside(state, new, terms, [s0 + 0.5])
+    assert highprec._plan(s0, [s0 + 0.25 * k for k in range(1, 9)], 0, 100, 0.5)[1] < s0 + 1.0
+
+
+@pytest.mark.parametrize("shifted,counts", [(False, (41, 1282, 6758, 252, 5)),
+                                            (True, (41, 1313, 6907, 252, 5))])
+def test_walk_work_is_pinned(shifted, counts):
+    # a 256-point linear grid to |y| = 59 at eta = 0.5: steps (expansions),
+    # their Taylor terms, the terms evaluated inside their reach, points
+    # continued and series loops (3 lone points, the seed, one value the
+    # radius leaves open)
+    walk = kummer_walk(0.5, shifted, [59.0 * k / 256 for k in range(1, 257)])
+    assert (walk.steps, walk.terms, walk.evals, walk.continued, walk.sums) == counts

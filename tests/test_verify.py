@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from susy_ces import verify
+from susy_ces import oracle, verify
 from susy_ces.errors import InvalidParams, NotConverged
 
 
@@ -33,6 +33,15 @@ def test_specfun_suite_passes():
 def test_oracle_suite_passes():
     for r in verify.run_suite("oracle"):
         assert r.passed, f"{r.name}: {r.max_error:.3e} > {r.tolerance:.1e}"
+
+
+def test_convergence_order_check_needs_the_kernels_degree(monkeypatch):
+    # with one five-term pass fewer the kernel sums to degree ORDER - 5: its
+    # steps still pass rel_tol 1e-3, but the check reads the lower order
+    assert verify.check_convergence_order().passed
+    monkeypatch.setattr(oracle, "_REC", oracle._REC[:-1])
+    rep = verify.check_convergence_order()
+    assert not rep.passed and rep.max_error > 3.0, rep.details
 
 
 def test_report_pass_is_exactly_the_threshold_comparison():
