@@ -25,23 +25,25 @@ both read
 one exact integer division that cancels log2(1 / (2 eta s)) bits where
 2 eta s < 1; the loop sums that much wider, and where that would cost
 more than a second sum (eta s = 0 included, 0/0 in the shifted pair) Q
-takes its own series.  A lone point is that one loop.  Along a grid the
-walk carries the pair from point to point by Taylor steps of its
-first-order system (DLMF 13.2-13.3), summed in the same integer fixed
-point from exact dyadic constants and seeded by the same loop, with a
+takes its own series.  A point no carried state covers runs that loop
+at most once: at the walk's width where it seeds a state, else at a
+lone point's.  Along a grid the walk carries the pair from point to
+point by Taylor steps of its first-order system (DLMF 13.2-13.3), summed
+in the same integer fixed point from exact dyadic constants, with a
 rigorous error radius: a majorant bound on each step's tail, the
 rounding of its terms carried through the recurrence, and a log-norm
 bound on the transition for the incoming radius.  A step that reaches a
 power of two past its start serves every point on the way: each is the
 sum of the step's terms at its fraction f < 1 of the reach, by Horner's
 rule with shifts for the division, and its radius is the step's plus
-the terms it cuts off and its roundings.  A value, from a lone point's
-loop or from the carried pair, is rounded only where its error box,
-widened by the series' own bound, rounds to one double; every other
-value is the per-point series, so each output equals
-``chf_series_fixed`` bit for bit.  On a table of 256 points to |z| = 59
-a step of about 31 terms serves 7 points at about 28 terms each, where
-the series needs about 2.7 |z|.
+the terms it cuts off and its roundings.  Every value, lone, seeded,
+carried or inside a step, is rounded in one place, and only where its
+error box, widened by the series' own bound, rounds to one double under
+the series' own rounding (``_int_to_float``); every other value is the
+per-point series, so each output equals ``chf_series_fixed`` bit for
+bit.  On a table of 256 points to |z| = 59 a step of about 31 terms
+serves 7 points at about 28 terms each, where the series needs about
+2.7 |z|.
 
 No third-party extended-precision library is involved: Python's
 integers carry the whole sum.
@@ -65,21 +67,19 @@ def _dyadic(x: float) -> tuple[int, int]:
     return num, den.bit_length() - 1
 
 
-def _round_div(n: int, d: int) -> int:
-    """Round-half-away-from-zero integer division, d > 0."""
-    if n >= 0:
-        return (2 * n + d) // (2 * d)
-    return -((-2 * n + d) // (2 * d))
-
-
 def _int_to_float(n: int, shift: int) -> float:
-    """Return the float nearest n * 2**shift without intermediate overflow."""
-    if n == 0:
-        return 0.0
+    """The float nearest n * 2**shift, without intermediate overflow.
+
+    n is rounded once to 53 significant bits, ties away from zero, by a
+    shift; the scaling by 2**shift is then exact inside the normal range.
+    Raises OverflowError past the largest double.
+    """
     drop = n.bit_length() - 53
     if drop <= 0:
         return math.ldexp(float(n), shift)
-    return math.ldexp(float(_round_div(n, 1 << drop)), shift + drop)
+    half = 1 << (drop - 1)
+    m = (n + half) >> drop if n > 0 else -((half - n) >> drop)
+    return math.ldexp(float(m), shift + drop)
 
 
 #: bits of the sum the fixed-point route resolves: a double's 53 plus 16
@@ -416,12 +416,6 @@ def _pair_sum(pair, s: float, width: int) -> tuple[tuple[int, ...], float, float
     return (tuple(ints), *(1.5 * math.ldexp(e, -sh) + 0.71 for e in errs))
 
 
-def _seed(pair, s: float, width: int, c: float) -> _State:
-    """The pair at z = -i s from :func:`_pair_sum`, carried at ``width`` bits."""
-    ints, err_p, err_q = _pair_sum(pair, s, width)
-    return _State(s, width, ints, max(err_p, c * err_q), c)
-
-
 def _step(eta: float, shifted: bool, st: _State, s1: float) -> tuple[_State, list]:
     """Carry the state to s1 by one Taylor step; returns it and the terms
     u_0 .. u_N it summed, each a tuple of the four integers.
@@ -576,88 +570,54 @@ def _inside(st: _State, new: _State, terms: list, s: list[float]) -> tuple[list,
     return out, used
 
 
-def _round53(n: int) -> int:
-    """n > 2**53 rounded half away from zero to 53 significant bits, as _int_to_float does."""
-    drop = n.bit_length() - 53
-    return ((n + (1 << (drop - 1))) >> drop) << drop
-
-
 def _certain(re: int, im: int, rad: int, width: int) -> complex | None:
     """The complex double every point of the box re ± rad', im ± rad' rounds to.
 
     rad' adds to ``rad`` the series' own error bound, which
     :func:`chf_series_fixed` keeps ``SAFE_BITS`` below the larger
     component, so the per-point series lies in the box as well: where the
-    whole box rounds to one double, so does the series.  The rounding is
-    :func:`_int_to_float`'s, applied to both ends of each side, each at
-    its own exponent, so a side that crosses a power of two is certain
-    when both ends round to that power.
+    whole box rounds to one double, so does the series.  A side is
+    certain where :func:`_int_to_float`, the series' own rounding, gives
+    one double at both its ends: that rounding is monotone, so every point
+    between them, the series' value among them, rounds there too, a side
+    that crosses a power of two included.  None where a side is not
+    certain, reaches zero, or lies past the double range.
     """
     e = rad + ((max(abs(re), abs(im)) + rad) >> (SAFE_BITS - 3)) + 1
     out = []
     for x in (re, im):
-        lo, hi = abs(x) - e, abs(x) + e
-        if lo <= 0 or lo.bit_length() <= 53:
-            return None
-        r = _round53(lo)
-        if r != _round53(hi):
+        lo = abs(x) - e
+        if lo <= 0:
             return None
         try:
-            out.append(math.ldexp(float(r) if x > 0 else -float(r), -width))
+            v = _int_to_float(lo, -width)
+            if v != _int_to_float(lo + 2 * e, -width):
+                return None
         except OverflowError:
             return None
+        out.append(v if x > 0 else -v)
     return complex(*out)
 
 
-def _point(pair, s: float) -> tuple[complex, complex, int]:
-    """The pair at one point z = -i s, bit for bit the series', and the loops run.
-
-    One loop of :func:`_pair_sum` gives both values.  Each must stand
-    ``SAFE_BITS`` above its bound, else the pair is summed once more, as
-    much wider as the shortfall asks; each is then rounded where its box
-    rounds to one double (:func:`_certain`), and otherwise taken from its
-    own series.  Where :func:`_lost_bits` finds the division too dear,
-    both values are their own series.
-    """
-    vals, loops = [None, None], 0
-    if _lost_bits(pair, s) is not None:
-        width = _POINT_WIDTH
-        for _ in range(2):
-            ints, err_p, err_q = _pair_sum(pair, s, width)
-            loops += 1
-            if not err_q < math.inf:
-                break
-            short = SAFE_BITS - min((abs(x) | abs(y)).bit_length() - math.log2(e)
-                                    for x, y, e in ((*ints[:2], err_p), (*ints[2:], err_q)))
-            if short <= 0:
-                vals = [_certain(*ints[:2], math.ceil(err_p), width),
-                        _certain(*ints[2:], math.ceil(err_q), width)]
-                break
-            width += math.ceil(short) + 8
-    z = complex(0.0, -s)
-    for k, (a, b) in enumerate(pair):
-        if vals[k] is None:
-            vals[k], used = _series(a, b, z)
-            loops += used
-    return vals[0], vals[1], loops
-
-
 def kummer_walk(eta: float, shifted: bool, s: list[float]) -> Walk:
-    """A Kummer pair at z = -i s for ascending s >= 0, bit for bit the series'.
+    """A Kummer pair at z = -i s for strictly ascending s >= 0, bit for bit the series'.
 
     The pair is (M(a, 1/2; z), M(a+1, 3/2; z)) with a = i eta, or with
     ``shifted`` (M(a, 1/2; z), M(a, 3/2; z)) with a = 1/2 + i eta.  Each
-    output equals :func:`chf_series_fixed` at that point.  Where Taylor
-    steps of the pair's first-order system are cheaper than a point's
-    own pair loop, a state seeded from :func:`_pair_sum` is carried
-    along the grid with a rigorous error radius, each step reaching at
-    most a quarter of the way from z0 to z = 0.  A step either lands on
-    the next point, after sub-steps across a longer gap, or reaches a
-    power of two past z0 and gives every point on the way from its terms
-    (:func:`_inside`); :func:`_plan` picks the cheaper per point.  A
-    value is taken from the state only where the radius, plus the
-    series' own bound, certifies the rounding.  Every other point takes
-    :func:`_point`, and a value neither certifies takes its own series.
+    output equals :func:`chf_series_fixed` at that point.  A point no
+    carried state covers runs at most one :func:`_pair_sum`: at the
+    walk's width where Taylor steps of the pair's first-order system then
+    cost less than lone points (:func:`_plan`), and the result becomes the
+    state, else at ``_POINT_WIDTH``, and none where :func:`_lost_bits`
+    finds the division too dear.  The state is carried along the grid
+    with a rigorous error radius, each step reaching at most a quarter of
+    the way from z0 to z = 0.  A step either lands on the next point,
+    after sub-steps across a longer gap, or reaches a power of two past z0
+    and gives every point on the way from its terms (:func:`_inside`);
+    :func:`_plan` picks the cheaper per point.  Every value, lone,
+    seeded, carried or inside a step, is rounded by :func:`_certain` where
+    its radius, plus the series' own bound, certifies the rounding; a
+    value that does not certify takes its own :func:`_series`.
     """
     a = complex(0.5 if shifted else 0.0, eta)
     pair = ((a, 0.5), (a if shifted else a + 1.0, 1.5))
@@ -668,16 +628,14 @@ def kummer_walk(eta: float, shifted: bool, s: list[float]) -> Walk:
     for k in range(n - 2, -1, -1):
         grow[k] = (grow[k + 1] + (s[k + 1] - s[k]) * 2.0 * eta / c[k]
                    + math.log(c[k + 1] / c[k]))
-    out_p, out_q = [], []
+    out_p, out_q = [], []     # None where no box certified the value
     continued = seeds = steps = terms = evals = sums = 0
     st = None
-    k = 0
-    while k < n:
+    while len(out_p) < n:
+        k = len(out_p)
         s1 = s[k]
-        got = []          # (ints, radius) of the carried pair at s[k], s[k + 1], ...
-        if st is not None and st.s == s1:
-            got = [(st.ints, st.eps)]
-        elif st is not None:
+        got = []          # (ints, radius of P, of Q, units 2**-width) at s[k], s[k + 1], ...
+        if st is not None:
             bits = max(map(abs, st.ints)).bit_length() - 3
             cost, t, m = _plan(st.s, s, k, bits, eta)
             if cost > _series_cost(s1):
@@ -694,49 +652,53 @@ def kummer_walk(eta: float, shifted: bool, s: list[float]) -> Walk:
                     terms += len(us) - 1
                     short = m if t > s[k + m - 1] else m - 1   # points before t
                     if short:
-                        got, used = _inside(st, new, us, s[k:k + short])
+                        inner, used = _inside(st, new, us, s[k:k + short])
                         evals += used
+                        got = [(ints, eps, eps / new.c) for ints, eps in inner]
                     st = new
-                    got += [(st.ints, st.eps)] * (m - short)
+                    got += [(st.ints, st.eps, st.eps / st.c)] * (m - short)
                 except NonConvergence:   # the series still answers
                     st = None
-        if not got:
-            st = None
+        if st is None:
             width = (SAFE_BITS + _WALK_GUARD + math.ceil(grow[k] * _LOG2E)
                      + (n - k).bit_length())
-            if (k + 1 < n and s1 > 0.0
-                    and _plan(s1, s, k + 1, width, eta)[0] < _series_cost(s[k + 1])):
-                st = _seed(pair, s1, width, c[k])
-                seeds += 1
-                sums += 1 if _lost_bits(pair, s1) is not None else 2
-                got = [(st.ints, st.eps)]
-        if st is not None and not st.eps < math.inf:
-            st, got = None, []
-        if got:
+            seed = (k + 1 < n and s1 > 0.0
+                    and _plan(s1, s, k + 1, width, eta)[0] < _series_cost(s[k + 1]))
+            lost = _lost_bits(pair, s1)
+            if seed or lost is not None:
+                if not seed:
+                    width = _POINT_WIDTH
+                ints, err_p, err_q = _pair_sum(pair, s1, width)
+                sums += 1 if lost is not None else 2
+                if seed:
+                    st = _State(s1, width, ints, max(err_p, c[k] * err_q), c[k])
+                    seeds += 1
+                    err_p, err_q = st.eps, st.eps / st.c
+                got = [(ints, err_p, err_q)]
+            else:
+                out_p.append(None)
+                out_q.append(None)
+        carried = st is not None
+        if carried:
             width, cw = st.width, st.c
-        for ints, eps in got or [(None, 0.0)]:
+        for (pr, pi, qr, qi), rp, rq in got:
             vals = [None, None]
-            if ints is not None:
-                pr, pi, qr, qi = ints
+            if rp < math.inf and rq < math.inf:
                 # M(0, 1/2; z) = 1: its zero imaginary part has no box that
                 # rounds to one double, and the state carries it exactly anyway
-                vals = [1 + 0j if a == 0 else _certain(pr, pi, int(eps) + 1, width),
-                        _certain(qr, qi, int(eps / cw) + 1, width)]
+                vals = [1 + 0j if a == 0 else _certain(pr, pi, int(rp) + 1, width),
+                        _certain(qr, qi, int(rq) + 1, width)]
+            if carried and None in vals:
                 size = min((abs(pr) + abs(pi)).bit_length(),
                            (abs(qr) + abs(qi)).bit_length() + math.log2(cw))
-                if None in vals and math.log2(eps) + SAFE_BITS + 8 > size:
+                if math.log2(rp) + SAFE_BITS + 8 > size:
                     st = None     # the radius outgrew the values: seed again
-            continued += None not in vals
-            if vals == [None, None]:
-                p, q, used = _point(pair, s[k])
+            continued += carried and None not in vals
+            out_p.append(vals[0])
+            out_q.append(vals[1])
+    for out, (ak, b) in zip((out_p, out_q), pair):
+        for k, v in enumerate(out):
+            if v is None:
+                out[k], used = _series(ak, b, complex(0.0, -s[k]))
                 sums += used
-            else:
-                for j, ab in enumerate(pair):
-                    if vals[j] is None:
-                        vals[j], used = _series(*ab, complex(0.0, -s[k]))
-                        sums += used
-                p, q = vals
-            out_p.append(p)
-            out_q.append(q)
-            k += 1
     return Walk(out_p, out_q, continued, seeds, steps, terms, evals, sums)

@@ -41,8 +41,7 @@ from typing import NamedTuple
 
 from ._points import flat, shaped
 from .errors import (ArgumentTooSmall, DoubleRangeExceeded, InvalidParams,
-                     NonConvergence, PoleAtNonPositiveInteger,
-                     SeriesRangeExceeded)
+                     PoleAtNonPositiveInteger, SeriesRangeExceeded)
 from .highprec import chf_series_fixed, kummer_walk
 
 # only the benchmark tracer looks this up; it goes with its highprec.dd boundary
@@ -107,9 +106,12 @@ def _flat_z(z) -> tuple[list[complex], tuple | None]:
     return zs, shape
 
 
-def _finite(vals: list[complex], p: CHFParams) -> list[complex]:
+def _in_double_range(vals: list[complex], what: str) -> list[complex]:
+    """``vals``, unless a product of series values left the double range."""
     if not all(map(cmath.isfinite, vals)):
-        raise NonConvergence(f"series produced non-finite values for a={p.a!r}, b={p.b!r}")
+        raise DoubleRangeExceeded(
+            f"{what} exceeds the double range "
+            f"(magnitude above {sys.float_info.max:.4g})")
     return vals
 
 
@@ -128,9 +130,11 @@ def chf_1f1(p: CHFParams, z):
         if any |z| exceeds the series viability bound.
     NonConvergence
         if the series fails to meet its tolerance within the term budget.
+    DoubleRangeExceeded
+        if a value's magnitude is above the largest double.
     """
     zs, shape = _flat_z(z)
-    return shaped(_finite(_series(p.a, p.b, zs), p), shape, complex)
+    return shaped(_series(p.a, p.b, zs), shape, complex)
 
 
 def kummer_pair(eta: float, shifted: bool, s: list[float]) -> tuple[list[complex], list[complex]]:
@@ -160,11 +164,17 @@ def kummer_transform(p: CHFParams, z):
 
     A different sum from the one :func:`chf_1f1` runs, so it provides an
     independent value to compare against it.
+
+    Raises
+    ------
+    DoubleRangeExceeded
+        if the sum or its product with e^z is above the largest double.
     """
     zs, shape = _flat_z(z)
     vals = _series(p.b - p.a, p.b, [-v for v in zs])
-    # |z| <= SERIES_ZMAX keeps e^z far inside the double range
-    return shaped(_finite([cmath.exp(v) * f for v, f in zip(zs, vals)], p), shape, complex)
+    # |z| <= SERIES_ZMAX keeps e^z itself far inside the double range
+    out = [cmath.exp(v) * f for v, f in zip(zs, vals)]
+    return shaped(_in_double_range(out, f"1F1({p.a!r}, {p.b!r}; z)"), shape, complex)
 
 
 def chf_1f1_deriv(p: CHFParams, z):
@@ -178,12 +188,8 @@ def chf_1f1_deriv(p: CHFParams, z):
     zs, shape = _flat_z(z)
     q = CHFParams(p.a + 1, p.b + 1)
     c = p.a / p.b
-    d = [c * v for v in _finite(_series(q.a, q.b, zs), q)]
-    if not all(map(cmath.isfinite, d)):
-        raise DoubleRangeExceeded(
-            f"1F1'({p.a!r}, {p.b!r}; z) exceeds the double range "
-            f"(magnitude above {sys.float_info.max:.4g})")
-    return shaped(d, shape, complex)
+    d = [c * v for v in _series(q.a, q.b, zs)]
+    return shaped(_in_double_range(d, f"1F1'({p.a!r}, {p.b!r}; z)"), shape, complex)
 
 
 # ---------------------------------------------------------------------------

@@ -130,7 +130,7 @@ def test_one_point_matches_its_table_row_bit_for_bit():
 def test_one_series_loop_per_point(branch, monkeypatch):
     # a lone point is a one-point walk: one series loop gives M of both
     # components, the second divided out of the first's terms, with
-    # neither a seed, a Taylor step nor a second series; the derivatives
+    # neither a seeded state, a Taylor step nor a second series; the derivatives
     # come from the first-order system, not from M'
     def refuse(name):
         def call(*args, **kw):
@@ -145,7 +145,7 @@ def test_one_series_loop_per_point(branch, monkeypatch):
                         lambda *args, **kw: sums.append(args) or real_sum(*args, **kw))
     p = cf.solution_params(1.0, 1.0)
     with monkeypatch.context() as mp:
-        for name in ("_seed", "_step", "_series", "chf_series_fixed"):
+        for name in ("_State", "_step", "_series", "chf_series_fixed"):
             mp.setattr(highprec, name, refuse(name))
         cf.solution_Z(p, branch, Sector.PLUS, 7.5)
     assert len(sums) == 1

@@ -122,6 +122,14 @@ def _pair(eta, shifted):
     return (a, 0.5), (a if shifted else a + 1.0, 1.5)
 
 
+def _state(eta, shifted, s0, width=100):
+    """The state a walk seeds at s0: one pair loop at ``width`` bits, its
+    radius max(|P error|, c |Q error|) in the walk's norm."""
+    c = highprec._norm_weight(eta, s0)
+    ints, err_p, err_q = highprec._pair_sum(_pair(eta, shifted), s0, width)
+    return highprec._State(s0, width, ints, max(err_p, c * err_q), c)
+
+
 def _hex(values):
     return [(v.real.hex(), v.imag.hex()) for v in values]
 
@@ -174,6 +182,47 @@ def test_lone_point_takes_two_series_where_the_division_fails(eta, s, monkeypatc
         assert _hex(walk.p + walk.q) == \
             _hex([chf_series_fixed(a, b, z) for a, b in _pair(eta, shifted)])
         assert walk.sums == 2
+
+
+@settings(max_examples=settings.default.max_examples // 5)
+@given(eta=st.one_of(st.just(0.0), st.floats(1e-6, 16.0)), shifted=st.booleans(),
+       kind=st.sampled_from(("lone", "linear", "log")), hi=st.floats(0.0, 59.9),
+       n=st.integers(2, 100))
+def test_uncertified_values_take_the_series(eta, shifted, kind, hi, n):
+    # with no box certified, every value (lone, seeded, carried or inside a
+    # step) is its own series, and the loops counted are the pair loops
+    # plus the series' loops; only M(0, 1/2) = 1 is taken from the state
+    if kind == "lone":
+        s = [hi]
+    else:
+        assume(hi >= 1e-3)
+        f = (lambda k: k / n) if kind == "linear" else (lambda k: 10.0 ** (4.0 * (k / n - 1.0)))
+        s = sorted({hi * f(k) for k in range(1, n + 1)})
+    pairs, series = [], []
+    real_pair, real_series = highprec._pair_sum, highprec._series
+
+    def count_pair(pair, x, width):
+        pairs.append(1 if highprec._lost_bits(pair, x) is not None else 2)
+        return real_pair(pair, x, width)
+
+    def count_series(a, b, z, bits=None):
+        value, loops = real_series(a, b, z, bits)
+        series.append((b, -z.imag, loops))
+        return value, loops
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(highprec, "_certain", lambda *args: None)
+        mp.setattr(highprec, "_pair_sum", count_pair)
+        mp.setattr(highprec, "_series", count_series)
+        walk = kummer_walk(eta, shifted, s)
+    (a, _), (a2, _) = _pair(eta, shifted)
+    assert _hex(walk.p) == _hex([chf_series_fixed(a, 0.5, complex(0.0, -x)) for x in s])
+    assert _hex(walk.q) == _hex([chf_series_fixed(a2, 1.5, complex(0.0, -x)) for x in s])
+    assert sorted(x for b, x, _ in series if b == 1.5) == s
+    p_series = sorted(x for b, x, _ in series if b == 0.5)
+    assert p_series == s if a != 0 else set(p_series) <= set(s)
+    assert walk.sums == sum(pairs) + sum(loops for *_, loops in series)
+    assert walk.continued == 0
 
 
 def test_walk_falls_back_when_a_step_does_not_converge(monkeypatch):
@@ -253,7 +302,7 @@ def test_inside_radius_bounds_the_error_anywhere(eta, shifted, s0, e, fs):
     assume(reach <= 0.25 * s0 and (s0 + reach) - s0 == reach)
     pts = sorted(x for x in {s0 + f * reach for f in fs} if s0 < x < s0 + reach)
     assume(pts)
-    state = highprec._seed(_pair(eta, shifted), s0, 100, highprec._norm_weight(eta, s0))
+    state = _state(eta, shifted, s0)
     new, terms = highprec._step(eta, shifted, state, s0 + reach)
     out, _ = highprec._inside(state, new, terms, pts)
     for x, (ints, eps) in zip(pts, out):
@@ -326,10 +375,7 @@ def _reference_step(eta, shifted, ints, s0, s1, n_terms):
     (0.025, True, 1.0, 1.25), (2.0, False, 2.75, 3.265625), (0.25, False, 3.75, 4.21875),
     (16.0, False, 12.3, 14.1), (3.0, True, 40.0, 40.5)])
 def test_step_is_the_rounded_exact_recurrence(eta, shifted, s0, s1):
-    a = complex(0.5 if shifted else 0.0, eta)
-    pair = ((a, 0.5), (a if shifted else a + 1.0, 1.5))
-    c = highprec._norm_weight(eta, s0)
-    st = highprec._seed(pair, s0, 100, c)
+    st = _state(eta, shifted, s0)
     new, terms = highprec._step(eta, shifted, st, s1)
     assert (new.ints, terms) == _reference_step(eta, shifted, st.ints, s0, s1, len(terms) - 1)
 
@@ -353,7 +399,7 @@ def _reference_inside(terms, f, cm):
     (0.5, False, 30.0, 1), (0.5, True, 30.0, 1), (0.025, True, 4.0, -1),
     (2.0, False, 2.75, -2), (16.0, False, 12.3, 0), (3.0, True, 40.0, 3)])
 def test_inside_is_the_rounded_exact_horner(eta, shifted, s0, e):
-    state = highprec._seed(_pair(eta, shifted), s0, 100, highprec._norm_weight(eta, s0))
+    state = _state(eta, shifted, s0)
     new, terms = highprec._step(eta, shifted, state, s0 + 2.0 ** e)
     pts = [s0 + 2.0 ** e * k / 7 for k in range(1, 7)]
     out, used = highprec._inside(state, new, terms, pts)
@@ -371,7 +417,7 @@ def test_inside_refuses_a_reach_off_a_power_of_two():
     # 1.0 past s0 = 7.222656250000001 rounds to 8.22265625: no shifts divide by it
     s0 = 7.222656250000001
     assert (s0 + 1.0) - s0 != 1.0
-    state = highprec._seed(_pair(0.5, True), s0, 100, highprec._norm_weight(0.5, s0))
+    state = _state(0.5, True, s0)
     new, terms = highprec._step(0.5, True, state, s0 + 1.0)
     with pytest.raises(ValueError):
         highprec._inside(state, new, terms, [s0 + 0.5])

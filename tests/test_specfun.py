@@ -14,6 +14,7 @@ from susy_ces import closedform as cf
 from susy_ces import specfun as sf
 from susy_ces.errors import (
     ArgumentTooSmall,
+    DoubleRangeExceeded,
     InvalidParams,
     PoleAtNonPositiveInteger,
     SeriesRangeExceeded,
@@ -180,6 +181,14 @@ def test_kummer_transform_agrees_with_direct_sum():
         for z in (-3j, 24j, -17j, 4.0 + 3.0j, 7.0, -9.0 + 2.0j):
             worst = max(worst, rel(sf.chf_1f1(p, z), sf.kummer_transform(p, z)))
     assert worst < 1e-11
+
+
+@pytest.mark.parametrize("f", [sf.chf_1f1, sf.kummer_transform, sf.chf_1f1_deriv])
+def test_values_past_the_double_range_are_typed(f):
+    # 1F1(2000, 1/2; 60) is about 9e313: the direct sum, the transformed sum
+    # times e^60 and the derivative all name the double range
+    with pytest.raises(DoubleRangeExceeded):
+        f(sf.CHFParams(2000.0, 0.5), 60.0)
 
 
 def test_derivative_matches_central_difference():
