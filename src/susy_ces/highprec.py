@@ -23,10 +23,11 @@ both read
     Q = (K + i sigma s P) / (2 eta s),   sigma = 1 shifted, 0 otherwise,
 
 one exact integer division that cancels log2(1 / (2 eta s)) bits where
-2 eta s < 1; the loop sums that much wider, and where that would cost
-more than a second sum (eta s = 0 included, 0/0 in the shifted pair) Q
-takes its own series.  A point no carried state covers runs that loop
-at most once: at the walk's width where it seeds a state, else at a
+2 eta s < 1; the loop sums that much wider.  Where that would cost more
+than a second sum, at eta s < 2**-801 (eta s = 0 included, 0/0 in the
+shifted pair), the point neither sums the pair nor seeds a state: P and
+Q take their own series.  Any other point no carried state covers runs
+that loop once: at the walk's width where it seeds a state, else at a
 lone point's.  Along a grid the walk carries the pair from point to
 point by Taylor steps of its first-order system (DLMF 13.2-13.3), summed
 in the same integer fixed point from exact dyadic constants, with a
@@ -295,7 +296,9 @@ def _plan(s0: float, s: list[float], k: int, bits: float, eta: float) -> tuple[f
     own reach (the mean over its octave) plus 4.  The end is s[k], after
     sub-steps where it lies out of reach, or s0 plus a power of two: the
     cheapest per point, the powers tried upwards until one that adds
-    points costs more per point.
+    points costs more per point.  ``bits`` is the width of the state the
+    walk carries or would seed: the terms are counted until they fall
+    that many binary orders, whatever the size of the pair.
     """
     x = 1.0 + 0.25 * math.sqrt(eta / s0)
     s1 = s[k]
@@ -337,7 +340,8 @@ def _plan(s0: float, s: list[float], k: int, bits: float, eta: float) -> tuple[f
 
 def _lost_bits(pair, s: float) -> int | None:
     """Bits the division by 2 eta s cancels when Q is taken from P's loop at
-    z = -i s, or None where a second series sum costs less (eta s = 0)."""
+    z = -i s, or None where a second series sum costs less: eta s below
+    2**-801, eta s = 0 included."""
     gain = 2.0 * pair[0][0].imag * s
     if not gain > 0.0:
         return None
@@ -359,10 +363,10 @@ def _rounding(a: complex, b: float, s: float, n: int, peak: int, bits: int) -> f
     Term k carries the half-unit roundings of terms j <= k, each scaled by
     t_k / t_j.  For these pairs the term ratios fall with k from k = 1 on,
     so |t_k / t_j| <= R = max(1, max_k |t_k| / |t_1|) for 1 <= j <= k, and
-    the n terms carry at most n**2 R / 2 units, t_1 = a z / b.
+    the n terms carry at most n**2 R / 2 units, t_1 = a z / b, which is
+    not zero where :func:`_pair_sum` sums (eta s > 0).
     """
-    t1 = abs(a) * s / b
-    return n * n * (max(1.0, _ldexp(1.0, peak - bits) / t1) if t1 else 1.0)
+    return n * n * max(1.0, _ldexp(1.0, peak - bits) / (abs(a) * s / b))
 
 
 def _pair_sum(pair, s: float, width: int) -> tuple[tuple[int, ...], float, float]:
@@ -372,48 +376,37 @@ def _pair_sum(pair, s: float, width: int) -> tuple[tuple[int, ...], float, float
     units of 2**-width (inf past the double range).  One loop of
     :func:`_fixed_sum` gives P and K = z P', and Q is divided out of them
     exactly, as the module docstring states; its bound charges K's
-    rounding (n times P's), K's tail and the division.  Where
-    :func:`_lost_bits` finds the division too dear, P and Q take a loop
-    each.  The loops run ``ceil(s log2 e)`` bits wider than ``width``, to
-    absorb the cancellation, and stop once their terms fall ``width + 8``
-    bits below the sum; the one loop adds to both the bits the division
-    cancels and those of n.  By then the terms at least halve (they have
-    fallen further than they rose), so the tails of P and K stay below 2
-    and 2 (n + 1) times the last term.
+    rounding (n times P's), K's tail and the division, which needs
+    :func:`_lost_bits` to be an int (eta s > 0).  The loop runs ``ceil(s
+    log2 e)`` bits wider than ``width``, to absorb the cancellation, and
+    stops once its terms fall ``width + 8`` bits below the sum; both add
+    the bits the division cancels and those of n.  By then the terms at
+    least halve (they have fallen further than they rose), so the tails
+    of P and K stay below 2 and 2 (n + 1) times the last term.
     """
+    (a, b), (a2, _) = pair
+    sigma = 1 if a2 == a else 0                 # the shifted pair
     z = complex(0.0, -s)
     nb = int(3.0 * s + 40.0).bit_length()          # n < 3 s + 40 terms
     lost = _lost_bits(pair, s)
-    bits = width + math.ceil(s * _LOG2E) + 2 * nb + 4
-    if lost is not None:
-        bits += lost + nb
+    bits = width + math.ceil(s * _LOG2E) + 3 * nb + 4 + lost
     sh = bits - width
     half = 1 << (sh - 1)
-    ints, errs = [], []
-    if lost is None:
-        for a, b in pair:
-            sr, si, _, _, peak, n = _fixed_sum(a, b, z, bits, stop_bits=width + 8)
-            tail = _ldexp(2.0, (abs(sr) | abs(si)).bit_length() - width - 8)
-            ints += [(sr + half) >> sh, (si + half) >> sh]
-            errs.append(_rounding(a, b, s, n, peak, bits) + tail)
-    else:
-        (a, b), (a2, _) = pair
-        sigma = 1 if a2 == a else 0                 # the shifted pair
-        stop = width + 8 + lost + nb
-        sr, si, kr, ki, peak, n = _fixed_sum(a, b, z, bits, stop_bits=stop)
-        tail = _ldexp(2.0, (abs(sr) | abs(si)).bit_length() - stop)
-        rnd = _rounding(a, b, s, n, peak, bits)
-        # Q = (K + i sigma s P) / (2 eta s), with s = ns / 2**ks and
-        # eta = ne / 2**ke, rounded half up once at scale 2**width
-        ne, ke = _dyadic(a.imag)
-        ns, ks = _dyadic(s)
-        d = (ne * ns) << (sh + 1)
-        nr = ((kr << ks) - sigma * ns * si) << (ke + 1)
-        ni = ((ki << ks) + sigma * ns * sr) << (ke + 1)
-        ints = [(sr + half) >> sh, (si + half) >> sh, (nr + d) // (2 * d), (ni + d) // (2 * d)]
-        errs = [rnd + tail, (n * rnd + (n + 1) * tail + sigma * s * (rnd + tail))
-                / (2.0 * a.imag * s)]
-    return (tuple(ints), *(1.5 * math.ldexp(e, -sh) + 0.71 for e in errs))
+    stop = width + 8 + lost + nb
+    sr, si, kr, ki, peak, n = _fixed_sum(a, b, z, bits, stop_bits=stop)
+    tail = _ldexp(2.0, (abs(sr) | abs(si)).bit_length() - stop)
+    rnd = _rounding(a, b, s, n, peak, bits)
+    # Q = (K + i sigma s P) / (2 eta s), with s = ns / 2**ks and
+    # eta = ne / 2**ke, rounded half up once at scale 2**width
+    ne, ke = _dyadic(a.imag)
+    ns, ks = _dyadic(s)
+    d = (ne * ns) << (sh + 1)
+    nr = ((kr << ks) - sigma * ns * si) << (ke + 1)
+    ni = ((ki << ks) + sigma * ns * sr) << (ke + 1)
+    ints = ((sr + half) >> sh, (si + half) >> sh, (nr + d) // (2 * d), (ni + d) // (2 * d))
+    errs = (rnd + tail, (n * rnd + (n + 1) * tail + sigma * s * (rnd + tail))
+            / (2.0 * a.imag * s))
+    return (ints, *(1.5 * math.ldexp(e, -sh) + 0.71 for e in errs))
 
 
 def _step(eta: float, shifted: bool, st: _State, s1: float) -> tuple[_State, list]:
@@ -605,11 +598,12 @@ def kummer_walk(eta: float, shifted: bool, s: list[float]) -> Walk:
     The pair is (M(a, 1/2; z), M(a+1, 3/2; z)) with a = i eta, or with
     ``shifted`` (M(a, 1/2; z), M(a, 3/2; z)) with a = 1/2 + i eta.  Each
     output equals :func:`chf_series_fixed` at that point.  A point no
-    carried state covers runs at most one :func:`_pair_sum`: at the
-    walk's width where Taylor steps of the pair's first-order system then
-    cost less than lone points (:func:`_plan`), and the result becomes the
-    state, else at ``_POINT_WIDTH``, and none where :func:`_lost_bits`
-    finds the division too dear.  The state is carried along the grid
+    carried state covers runs one :func:`_pair_sum`: at the walk's width
+    where Taylor steps of the pair's first-order system then cost less
+    than lone points (:func:`_plan`), and the result becomes the state,
+    else at ``_POINT_WIDTH``; where :func:`_lost_bits` finds the division
+    too dear it runs none, and P and Q take their own series.  Every step
+    is priced at the state's width.  The state is carried along the grid
     with a rigorous error radius, each step reaching at most a quarter of
     the way from z0 to z = 0.  A step either lands on the next point,
     after sub-steps across a longer gap, or reaches a power of two past z0
@@ -636,8 +630,7 @@ def kummer_walk(eta: float, shifted: bool, s: list[float]) -> Walk:
         s1 = s[k]
         got = []          # (ints, radius of P, of Q, units 2**-width) at s[k], s[k + 1], ...
         if st is not None:
-            bits = max(map(abs, st.ints)).bit_length() - 3
-            cost, t, m = _plan(st.s, s, k, bits, eta)
+            cost, t, m = _plan(st.s, s, k, st.width, eta)
             if cost > _series_cost(s1):
                 st = None
             else:
@@ -646,7 +639,7 @@ def kummer_walk(eta: float, shifted: bool, s: list[float]) -> Walk:
                         st, us = _step(eta, shifted, st, t)
                         steps += 1
                         terms += len(us) - 1
-                        t, m = _plan(st.s, s, k, bits, eta)[1:]
+                        t, m = _plan(st.s, s, k, st.width, eta)[1:]
                     new, us = _step(eta, shifted, st, t)
                     steps += 1
                     terms += len(us) - 1
@@ -660,16 +653,14 @@ def kummer_walk(eta: float, shifted: bool, s: list[float]) -> Walk:
                 except NonConvergence:   # the series still answers
                     st = None
         if st is None:
-            width = (SAFE_BITS + _WALK_GUARD + math.ceil(grow[k] * _LOG2E)
-                     + (n - k).bit_length())
-            seed = (k + 1 < n and s1 > 0.0
-                    and _plan(s1, s, k + 1, width, eta)[0] < _series_cost(s[k + 1]))
-            lost = _lost_bits(pair, s1)
-            if seed or lost is not None:
+            if _lost_bits(pair, s1) is not None:
+                width = (SAFE_BITS + _WALK_GUARD + math.ceil(grow[k] * _LOG2E)
+                         + (n - k).bit_length())
+                seed = k + 1 < n and _plan(s1, s, k + 1, width, eta)[0] < _series_cost(s[k + 1])
                 if not seed:
                     width = _POINT_WIDTH
                 ints, err_p, err_q = _pair_sum(pair, s1, width)
-                sums += 1 if lost is not None else 2
+                sums += 1
                 if seed:
                     st = _State(s1, width, ints, max(err_p, c[k] * err_q), c[k])
                     seeds += 1
@@ -684,10 +675,7 @@ def kummer_walk(eta: float, shifted: bool, s: list[float]) -> Walk:
         for (pr, pi, qr, qi), rp, rq in got:
             vals = [None, None]
             if rp < math.inf and rq < math.inf:
-                # M(0, 1/2; z) = 1: its zero imaginary part has no box that
-                # rounds to one double, and the state carries it exactly anyway
-                vals = [1 + 0j if a == 0 else _certain(pr, pi, int(rp) + 1, width),
-                        _certain(qr, qi, int(rq) + 1, width)]
+                vals = [_certain(pr, pi, int(rp) + 1, width), _certain(qr, qi, int(rq) + 1, width)]
             if carried and None in vals:
                 size = min((abs(pr) + abs(pi)).bit_length(),
                            (abs(qr) + abs(qi)).bit_length() + math.log2(cw))

@@ -98,10 +98,6 @@ class ODEProblem:
     x_floor: float
     coeffs: tuple[float, float, float]
 
-    def q(self, x: float) -> float:
-        mm, c, ee = self.coeffs
-        return mm / x + c / (x * math.sqrt(x)) - ee
-
 
 def schrodinger_problem(m: float, omega: float, sector: Sector) -> ODEProblem:
     m = float(m)

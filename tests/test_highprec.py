@@ -95,26 +95,29 @@ def test_kummer_walk_is_the_series_bit_for_bit(eta, shifted):
 
 @pytest.mark.parametrize("shifted", [False, True])
 def test_kummer_walk_at_eta_zero_is_the_series(shifted):
-    # eta = 0 is a1 when m**2 underflows; the unshifted P is then M(0, 1/2) = 1
+    # eta = 0 is a1 when m**2 underflows; the unshifted P is then M(0, 1/2) = 1.
+    # Q cannot be divided out of P's terms there, so no point sums the pair
+    # or seeds a state: each value takes its own series
     s = [59.0 * k / 64 for k in range(1, 65)] + [59.0 * 1.1 ** -k for k in range(1, 30)]
     s = sorted(s)
     walk = kummer_walk(0.0, shifted, s)
     a = complex(0.5 if shifted else 0.0, 0.0)
     for (aa, b), got in (((a, 0.5), walk.p), ((a if shifted else a + 1.0, 1.5), walk.q)):
-        assert got == [chf_series_fixed(aa, b, complex(0.0, -x)) for x in s]
-    assert walk.seeds >= 1 and walk.steps >= 1
-
-
-def test_kummer_walk_continues_at_eta_zero():
-    # P = M(0, 1/2; z) = 1 is an exact power of two with a zero imaginary
-    # part: the walk must still take its grid from the carried state
-    s = [59.0 * k / 256 for k in range(1, 257)]
-    walk = kummer_walk(0.0, False, s)
-    assert walk.continued > 0
-    for (a, b), got in (((0j, 0.5), walk.p), ((1 + 0j, 1.5), walk.q)):
-        want = [chf_series_fixed(a, b, complex(0.0, -x)) for x in s]
+        want = [chf_series_fixed(aa, b, complex(0.0, -x)) for x in s]
         assert [(v.real.hex(), v.imag.hex()) for v in got] == \
             [(v.real.hex(), v.imag.hex()) for v in want]
+    assert walk.seeds == walk.steps == walk.continued == 0
+    assert walk.sums == 2 * len(s)
+
+
+@pytest.mark.parametrize("shifted", [False, True])
+@pytest.mark.parametrize("eta", [1.62, 2.0])
+def test_kummer_walk_seeds_once(eta, shifted):
+    # every step is priced at the state's width, as the seed decision is, so
+    # a state seeded where |M| is large is carried rather than dropped and
+    # seeded again at the next point
+    walk = kummer_walk(eta, shifted, [59.0 * k / 256 for k in range(1, 257)])
+    assert walk.seeds == 1
 
 
 def _pair(eta, shifted):
@@ -123,8 +126,9 @@ def _pair(eta, shifted):
 
 
 def _state(eta, shifted, s0, width=100):
-    """The state a walk seeds at s0: one pair loop at ``width`` bits, its
-    radius max(|P error|, c |Q error|) in the walk's norm."""
+    """The state a walk seeds at s0: one pair loop at ``width`` bits, Q
+    divided out of P's terms, and its radius max(|P error|, c |Q error|)
+    in the walk's norm."""
     c = highprec._norm_weight(eta, s0)
     ints, err_p, err_q = highprec._pair_sum(_pair(eta, shifted), s0, width)
     return highprec._State(s0, width, ints, max(err_p, c * err_q), c)
@@ -152,13 +156,14 @@ def test_pair_loop_is_two_series_bit_for_bit(eta, s, shifted):
     (1e-6, 30.0, False), (1e-6, 30.0, True), (0.02, 1e-3, False), (3.0, 0.25, True),
     (1e-12, 5.0, False), (1e-9, 20.0, True)])
 def test_pair_sum_bounds_its_error(eta, s, shifted):
+    # at points where the division is cheap enough to sum the pair at all,
     # P and the Q divided out of P's terms lie within their bounds of
     # mpmath's values at 60 digits, and at the width a lone point sums at
     # the values stand SAFE_BITS above the bounds
     pair = _pair(eta, shifted)
+    assert highprec._lost_bits(pair, s) is not None
     width = highprec._POINT_WIDTH
     ints, err_p, err_q = highprec._pair_sum(pair, s, width)
-    assert highprec._lost_bits(pair, s) is not None
     with mpmath.workdps(60):
         z = mpmath.mpc(0, -s)
         for (a, b), (re, im), err in zip(pair, (ints[:2], ints[2:]), (err_p, err_q)):
@@ -190,8 +195,9 @@ def test_lone_point_takes_two_series_where_the_division_fails(eta, s, monkeypatc
        n=st.integers(2, 100))
 def test_uncertified_values_take_the_series(eta, shifted, kind, hi, n):
     # with no box certified, every value (lone, seeded, carried or inside a
-    # step) is its own series, and the loops counted are the pair loops
-    # plus the series' loops; only M(0, 1/2) = 1 is taken from the state
+    # step) is its own series, and the loops counted are the pair loops,
+    # summed only where Q can be divided out of P's terms, plus the
+    # series' loops
     if kind == "lone":
         s = [hi]
     else:
@@ -202,7 +208,8 @@ def test_uncertified_values_take_the_series(eta, shifted, kind, hi, n):
     real_pair, real_series = highprec._pair_sum, highprec._series
 
     def count_pair(pair, x, width):
-        pairs.append(1 if highprec._lost_bits(pair, x) is not None else 2)
+        assert highprec._lost_bits(pair, x) is not None
+        pairs.append(1)
         return real_pair(pair, x, width)
 
     def count_series(a, b, z, bits=None):
@@ -218,9 +225,8 @@ def test_uncertified_values_take_the_series(eta, shifted, kind, hi, n):
     (a, _), (a2, _) = _pair(eta, shifted)
     assert _hex(walk.p) == _hex([chf_series_fixed(a, 0.5, complex(0.0, -x)) for x in s])
     assert _hex(walk.q) == _hex([chf_series_fixed(a2, 1.5, complex(0.0, -x)) for x in s])
-    assert sorted(x for b, x, _ in series if b == 1.5) == s
-    p_series = sorted(x for b, x, _ in series if b == 0.5)
-    assert p_series == s if a != 0 else set(p_series) <= set(s)
+    for b in (0.5, 1.5):
+        assert sorted(x for bb, x, _ in series if bb == b) == s
     assert walk.sums == sum(pairs) + sum(loops for *_, loops in series)
     assert walk.continued == 0
 
@@ -330,6 +336,8 @@ def test_certain_rounds_like_int_to_float():
     # a box across a rounding boundary, (2**53 + 1/2) * 2**8, is uncertain
     tie = ((1 << 53) + 1) << 7
     assert highprec._certain(tie, 1 << 61, 1, 8) is None
+    # a box past the double range is uncertain, not an OverflowError
+    assert highprec._certain(1 << 1200, 1 << 1200, 1, 60) is None
 
 
 def _round_half_up(x: Fraction) -> int:

@@ -25,6 +25,8 @@ def test_integrator_config_validation():
     for rel_tol in (0.0, 2.0):
         with pytest.raises(InvalidParams):
             integrate(prob, 1.0, 2.0, 1.0 + 0j, 0j, rel_tol=rel_tol)
+    with pytest.raises(InvalidParams):
+        integrate(prob, 2.0, 2.0, 1.0 + 0j, 0j)
 
 
 def test_non_finite_states_are_typed_errors():
@@ -42,7 +44,8 @@ def test_problem_construction_and_q():
     prob = schrodinger_problem(1.0, 1.0, Sector.MINUS)
     assert prob.x_floor == 1e-3
     assert schrodinger_problem(3.0, 1.0, Sector.PLUS).x_floor == 1e-3 / 9.0
-    # q precomputes the constants of V - omega^2: the same double as potential.V
+    # coeffs are the constants of V - omega^2: q(x) from them is the same
+    # double as potential.V
     from susy_ces.potential import V
     rng = np.random.default_rng(7)
     cases = [(m, w, x) for m in (0.05, 1.0, 5.0) for w in (0.3, 1.0, 2.7)
@@ -52,8 +55,9 @@ def test_problem_construction_and_q():
     for m, omega, x in cases:
         m, omega, x = float(m), float(omega), float(x)
         for sector in Sector:
-            prob = schrodinger_problem(m, omega, sector)
-            assert prob.q(x) == float(V(x, m, sector)) - omega * omega, (m, omega, x)
+            mm, c, ee = schrodinger_problem(m, omega, sector).coeffs
+            q = mm / x + c / (x * math.sqrt(x)) - ee
+            assert q == float(V(x, m, sector)) - omega * omega, (m, omega, x)
     with pytest.raises(InvalidParams):
         schrodinger_problem(-1.0, 1.0, Sector.MINUS)
     with pytest.raises(InvalidParams):
@@ -250,6 +254,9 @@ def test_frobenius_is_correctly_rounded():
 def test_frobenius_guards():
     with pytest.raises(InvalidParams):
         oracle.frobenius_series_solution(0.5j, 0.25, -2j)
+    for a, y in ((complex(math.nan, 0.5), -2j), (0.5j, complex(0.0, math.inf))):
+        with pytest.raises(InvalidParams):
+            oracle.frobenius_series_solution(a, 0.0, y)
     with pytest.raises(NonConvergence):
         oracle.frobenius_series_solution(0.5j, 0.0, -20j, max_terms=5)
 

@@ -101,6 +101,9 @@ def test_susy_phase_offset_landmarks():
     assert math.pi - 1e-8 < susy_phase_offset(-1e-9, 1.0) <= math.pi
     # ... while the repulsive side sits near -pi (same angle mod 2 pi)
     assert abs(susy_phase_offset(1e-9, 1.0) + math.pi) < 1e-8
+    for w, omega in ((math.nan, 1.0), (-1.0, 0.0)):
+        with pytest.raises(InvalidParams):
+            susy_phase_offset(w, omega)
 
 
 def test_offset_identity_on_synthetic_ladder():

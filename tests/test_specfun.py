@@ -83,6 +83,10 @@ def test_golden_dir_env_override(tmp_path, monkeypatch):
     assert abs(rows[0].f - direct[0].f) == pytest.approx(1e-3, rel=1e-6)
     monkeypatch.delenv("SUSY_CES_GOLDEN_DIR")
     assert sf.golden_dir() != tmp_path
+    # a table with its header and no rows is refused
+    (tmp_path / "chf.csv").write_text(lines[0] + "\n")
+    with pytest.raises(InvalidParams):
+        sf.load_golden_chf(tmp_path / "chf.csv")
 
 
 # ---------------------------------------------------------------------------
@@ -118,6 +122,9 @@ def test_series_range_guard():
         sf.chf_1f1(p, np.array([-2j, 75j]))
     with pytest.raises(InvalidParams):
         sf.chf_1f1(p, complex(math.inf, 0.0))
+    # finite z whose modulus overflows the double range
+    with pytest.raises(SeriesRangeExceeded):
+        sf.chf_1f1(p, complex(1.7e308, 1.7e308))
     # the boundary itself is allowed and routed to the fixed-point ladder
     v = sf.chf_1f1(p, -60j)
     assert cmath.isfinite(v)
@@ -225,6 +232,8 @@ def test_log_gamma_poles():
     for z in (0.0, -1.0, -7.0, complex(-3.0, 0.0)):
         with pytest.raises(PoleAtNonPositiveInteger):
             sf.log_gamma(z)
+    with pytest.raises(InvalidParams):
+        sf.log_gamma(math.nan)
 
 
 def test_log_gamma_matches_scipy_principal_branch():
