@@ -15,9 +15,7 @@ with %.17g (full round-trip precision).
 """
 from __future__ import annotations
 
-import csv
 import dataclasses
-import io
 import json
 import math
 import sys
@@ -37,10 +35,6 @@ _SECTORS = {"plus": Sector.PLUS, "minus": Sector.MINUS}
 _BRANCHES = {"I": Branch.I, "II": Branch.II}
 
 
-def _g(v: float) -> str:
-    return "%.17g" % v
-
-
 def _emit(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text)
@@ -48,13 +42,12 @@ def _emit(text: str, out: str | None) -> None:
         click.echo(text, nl=False)
 
 
-def _csv_text(header: list[str], rows: list[list]) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    for r in rows:
-        w.writerow([_g(v) if isinstance(v, float) else v for v in r])
-    return buf.getvalue()
+def _csv_text(header: list[str], rows: list[tuple[float, ...]]) -> str:
+    """The header, then one line of %.17g values per row: no header name and
+    no formatted float holds a comma, a quote or a line break, so no field
+    needs quoting."""
+    fmt = ",".join(["%.17g"] * len(header)) + "\n"
+    return ",".join(header) + "\n" + "".join([fmt % r for r in rows])
 
 
 def _config_errors(f):
@@ -192,11 +185,11 @@ def phase(m, omega, x_match, tol, part, x_limit, fmt, out):
         }
         _emit(json.dumps(payload, indent=2) + "\n", out)
     elif fmt == "csv":
-        rows = [[float(v) for v in r] for r in zip(res.x, res.raw, res.accelerated)]
+        rows = list(zip(res.x.tolist(), res.raw.tolist(), res.accelerated.tolist()))
         _emit(_csv_text(["x", "difference", "accelerated"], rows), out)
     else:
-        lines = [f"phase-shift difference ladder, m={_g(m)}, omega={_g(omega)}, "
-                 f"x_match={_g(res.x_match)}"]
+        lines = [f"phase-shift difference ladder, m={m:.17g}, omega={omega:.17g}, "
+                 f"x_match={res.x_match:.17g}"]
         lines.append(f"{'x':>12s} {'difference':>20s} {'accelerated':>20s}")
         for x, d, acc in zip(res.x, res.raw, res.accelerated):
             lines.append(f"{x:12.1f} {d:20.12f} {acc:20.12f}")
@@ -227,7 +220,7 @@ def figures(out_dir, points):
         "fig2_vminus_m2.csv": ("V", V(x, 2.0, Sector.MINUS)),
     }
     for name, (col, ys) in sorted(files.items()):
-        rows = [[float(xi), float(yi)] for xi, yi in zip(x, ys)]
+        rows = list(zip(x.tolist(), ys.tolist()))
         (d / name).write_text(_csv_text(["x", col], rows))
         click.echo(f"wrote {d / name}")
 

@@ -13,6 +13,7 @@ import pytest
 from click.testing import CliRunner
 
 import susy_ces
+from susy_ces import cli
 from susy_ces import closedform as cf
 from susy_ces import potential
 from susy_ces.cli import main
@@ -34,6 +35,32 @@ def runner():
 def parse_csv(text):
     rows = list(csv.reader(io.StringIO(text)))
     return rows[0], rows[1:]
+
+
+def _csv_writer_text(header, rows):
+    """The CSV a csv.writer prints: LF line ends, %.17g floats."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    w.writerows([["%.17g" % v for v in r] for r in rows])
+    return buf.getvalue()
+
+
+_EDGE_FLOATS = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+                1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1e22, 1e-7]
+
+
+@pytest.mark.parametrize("header", [
+    ["x", "V", "Z_re", "Z_im", "dZ_re", "dZ_im"],      # table
+    ["x", "difference", "accelerated"],                # phase --format csv
+    ["x", "W"], ["x", "V"],                            # figures
+])
+def test_csv_text_is_the_csv_writers_bytes(header):
+    n = len(header)
+    rows = [tuple(_EDGE_FLOATS[(i + j) % len(_EDGE_FLOATS)] for j in range(n))
+            for i in range(len(_EDGE_FLOATS))]
+    assert cli._csv_text(header, rows) == _csv_writer_text(header, rows)
+    assert cli._csv_text(header, []) == _csv_writer_text(header, [])
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ each step and at each point inside its reach, the exact recurrence and
 Horner sums, the walk's work, and the rounding certificate."""
 import math
 import random
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -340,6 +341,72 @@ def test_certain_rounds_like_int_to_float():
     assert highprec._certain(1 << 1200, 1 << 1200, 1, 60) is None
 
 
+def _reference_certain(re, im, rad, width):
+    """The certificate as two roundings per side: both ends of each side,
+    widened by the series' own bound, through :func:`_int_to_float`."""
+    e = rad + ((max(abs(re), abs(im)) + rad) >> (highprec.SAFE_BITS - 3)) + 1
+    out = []
+    for x in (re, im):
+        lo = abs(x) - e
+        if lo <= 0:
+            return None
+        try:
+            v = _int_to_float(lo, -width)
+            if v != _int_to_float(lo + 2 * e, -width):
+                return None
+        except OverflowError:
+            return None
+        out.append(v if x > 0 else -v)
+    return complex(*out)
+
+
+def _agrees_with_reference_certain(re, im, rad, width):
+    """_certain is the reference's answer, None included; where the
+    reference's double is subnormal it may also be None (two ends that
+    round apart at 53 bits can land on one subnormal double)."""
+    want = _reference_certain(re, im, rad, width)
+    got = highprec._certain(re, im, rad, width)
+    subnormal = want is not None and min(abs(want.real), abs(want.imag)) < sys.float_info.min
+    assert got == want or (subnormal and got is None), (re, im, rad, width, got, want)
+    return got
+
+
+_SIDES = st.builds(lambda sign, m, shift: sign * (m << shift), st.sampled_from((-1, 1)),
+                   st.integers(1, (1 << 70) - 1), st.integers(0, 2200))
+
+
+@settings(max_examples=settings.default.max_examples // 5)
+@given(re=_SIDES, im=_SIDES, rad=st.integers(0, 1 << 40), width=st.integers(-1200, 3300))
+def test_certain_agrees_with_two_roundings(re, im, rad, width):
+    _agrees_with_reference_certain(re, im, rad, width)
+
+
+@pytest.mark.parametrize("re,im,rad,width,want", [
+    # 2**60 - 3 and 2**60 + 3 sit on either side of 2**60 and both round to it
+    ((1 << 60), 3 << 58, 2, 60, complex(1.0, 0.75)),
+    # 2**60 - 100 rounds to 2**60 - 2**7 at its 53 bits, 2**60 + 100 to 2**60
+    ((1 << 60), -(1 << 60), 99, 60, None),
+    # 2**56 - 3 and 2**56 - 1 both carry to 2**53 at their 53 bits (drop 3)
+    ((1 << 56) - 2, -(1 << 56) + 2, 0, 56, complex(1.0, -1.0)),
+    # lo = 4 (2**53 + 1) + 2 is a tie and rounds away from zero, as hi does
+    ((((1 << 53) + 1) << 2) + 4, 1 << 60, 1, 2, complex(float(((1 << 53) + 2) << 2) / 4, 2.0 ** 58)),
+    # hi = 4 (2**53 + 1) + 2 is a tie and rounds up, lo rounds down
+    ((((1 << 53) + 1) << 2), 1 << 60, 1, 2, None),
+    # a side below 53 bits is exact, and its two ends differ
+    ((1 << 52) + 5, 1 << 60, 1, 0, None),
+    # past the double range: None, not an OverflowError
+    ((1 << 1100), 1 << 60, 1, 60, None),
+    ((1 << 1100) - (1 << 1040), 1 << 60, 1, 76, None),
+    # just inside it: the largest double
+    ((1 << 1024) - (1 << 971), (1 << 1024) - (1 << 971), 1, 0,
+     complex(sys.float_info.max, sys.float_info.max)),
+    # a side that reaches zero
+    (3, 1 << 60, 2, 0, None),
+])
+def test_certain_fixed_boxes(re, im, rad, width, want):
+    assert _agrees_with_reference_certain(re, im, rad, width) == want
+
+
 def _round_half_up(x: Fraction) -> int:
     return math.floor(x + Fraction(1, 2))
 
@@ -419,6 +486,57 @@ def test_inside_is_the_rounded_exact_horner(eta, shifted, s0, e):
         assert eps >= new.eps + 0.7072 * cm * n
         total += n
     assert used == total
+
+
+def _inside_is_horner(terms, s0, e, pts, c=1.0):
+    """_inside on a step of reach 2**e from s0 with the given terms gives
+    at each point the ints and the cut-off of _reference_inside."""
+    reach = 2.0 ** e
+    state = highprec._State(s0, 100, terms[0], 1.0, c)
+    new = highprec._State(s0 + reach, 100, terms[0], 1.0, c)
+    out, used = highprec._inside(state, new, terms, pts)
+    total = 0
+    for x, (ints, _) in zip(pts, out):
+        want, n = _reference_inside(terms, (Fraction(x) - Fraction(s0)) / Fraction(reach),
+                                    max(1.0, c))
+        assert ints == want
+        total += n
+    assert used == total
+
+
+_COMPONENTS = st.integers(-(1 << 300), 1 << 300) | st.sampled_from((0, 1, -1, (1 << 300) - 1))
+
+
+@settings(max_examples=settings.default.max_examples // 5)
+@given(terms=st.lists(st.tuples(*[_COMPONENTS] * 4), min_size=1, max_size=40),
+       s0=st.floats(1.0, 59.0), e=st.integers(-6, 3),
+       fs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
+def test_inside_lanes_are_the_exact_horner(terms, s0, e, fs):
+    # any terms, signs mixed, at points with different dyadic exponents
+    reach = 2.0 ** e
+    assume(reach <= 0.25 * s0 and (s0 + reach) - s0 == reach)
+    pts = sorted(x for x in {s0 + f * reach for f in fs} if s0 < x < s0 + reach)
+    assume(pts)
+    _inside_is_horner(terms, s0, e, pts)
+
+
+@pytest.mark.parametrize("lane", range(4))
+def test_inside_lanes_at_their_extremes(lane):
+    big = (1 << 200) - 1
+    one = [0, 0, 0, 0]
+    for sign in (1, -1):
+        one[lane] = sign * big
+        # one component at the largest magnitude, the others zero, summed
+        # with f = g / 2**sh, g = 2**sh - 1, just below 1: the partial sums
+        # reach 40 times the term, next to the lanes' bias
+        x = math.nextafter(3.5, 0.0)
+        _inside_is_horner([tuple(one)] * 40, 3.0, -1, [x])
+        # mixed signs, at points of dyadic exponents 2, 3, 5 and 51 in one call
+        mixed = [tuple(sign * (-1) ** (j + c) * (big >> (j + c)) for c in range(4))
+                 for j in range(30)]
+        _inside_is_horner(mixed, 3.0, -1, [3.03125, 3.1, 3.125, 3.25, x], c=2.5)
+        # a single interior point
+        _inside_is_horner(mixed, 3.0, -1, [3.25])
 
 
 def test_inside_refuses_a_reach_off_a_power_of_two():
