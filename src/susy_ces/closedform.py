@@ -9,8 +9,24 @@ hypergeometric pieces in the variable y = -2 i omega x:
     Z_pm = e^{-i pi/4} ( rtilde_1 +- i rtilde_2 )
 
 with the PLUS combination solving V_plus and MINUS solving V_minus.
-Two independent branches (different component parameterisations) give
-linearly independent solutions whose Wronskian is an exact constant.
+Two branches (different component parameterisations) give linearly
+independent solutions whose Wronskian is an exact constant:
+
+    branch I :  rtilde_1 = h M(a1, 1/2; y)       rtilde_2 = c2 h s M(a1+1, 3/2; y)
+    branch II:  rtilde_1 = h s M(a2, 3/2; y)     rtilde_2 = c2 h M(a2, 1/2; y)
+
+with h = e^{-y/2} and s = y^{1/2}.  Both come from the one pair
+P = M(a2, 1/2; y), Q = M(a2, 3/2; y).  Kummer's transformation
+M(a, b; y) = e^y M(b - a, b; -y) (DLMF 13.2.39), with conj M(a, b; y) =
+M(conj a, b; conj y) for real b and conj y = -y on the ray, gives
+h M(a1, 1/2; y) = conj(h P) and h M(a1+1, 3/2; y) = conj(h Q).  As
+c2^II conj(c2^I s) = s for eta = m^2 / (2 omega), this makes
+
+    Z^II_pm = pm c2^II conj(Z^I_pm):
+
+the second branch is the complex conjugate of the first, up to a
+constant.  It holds because V_pm is real, so the conjugate of a
+solution at the real energy omega^2 solves the same equation.
 
 All square roots of y follow one fixed convention,
 y^{1/2} = sqrt(2 omega x) e^{-i pi/4}, consistent with principal powers
@@ -19,11 +35,10 @@ between the components, which is the single easiest way to break every
 identity downstream, so the convention lives in exactly one place here.
 
 Derivatives come from the partners' coupled first-order system (never
-from finite differences), so each branch needs only the two Kummer
-functions of its components, which one call of
-:func:`susy_ces.specfun.kummer_pair` returns for any ``x``: a lone point
-takes both from one series loop, a grid carries the pair along it, with
-the same bits.  The assembly is one loop over the points in Python
+from finite differences), so either branch needs only P and Q, which one
+call of :func:`susy_ces.specfun.kummer_pair` returns for any ``x``: a
+lone point takes both from one series loop, a grid carries the pair
+along it, with the same bits.  The assembly is one loop over the points in Python
 ``complex`` for a lone point and a grid alike: a scalar ``x`` gives
 Python scalars, an array ndarrays of its shape (:mod:`susy_ces._points`),
 and numpy is imported only for those.
@@ -140,8 +155,8 @@ def _components(p: SolutionParams, branch: Branch,
     w, m = p.omega, p.m
     c2 = coupling_constants(p, branch).c2
     ys = [2.0 * w * v for v in xs]                  # |y|, y = -i |y|
-    shifted = branch is Branch.II
-    m_half, m_3half = kummer_pair(p.a1.imag, shifted, ys)
+    conj = branch is Branch.I                       # branch I is conj(h P), conj(h Q)
+    m_half, m_3half = kummer_pair(p.a1.imag, ys)
     exp, sqrt = cmath.exp, math.sqrt
     ph_re, ph_im = PHASE_M4.real, PHASE_M4.imag
     out = []
@@ -149,13 +164,13 @@ def _components(p: SolutionParams, branch: Branch,
         for v, y, mh, m3 in zip(xs, ys, m_half, m_3half):
             h = exp(complex(0.0, 0.5 * y))          # e^{-y/2}
             r = sqrt(y)
-            hs = h * complex(r * ph_re, r * ph_im)  # h y^{1/2}
-            if shifted:
-                r1 = hs * m3
-                r2 = c2 * (h * mh)
+            s = complex(r * ph_re, r * ph_im)       # y^{1/2}
+            if conj:
+                r1 = (h * mh).conjugate()
+                r2 = c2 * (s * (h * m3).conjugate())
             else:
-                r1 = h * mh
-                r2 = c2 * (hs * m3)
+                r1 = (h * s) * m3
+                r2 = c2 * (h * mh)
             wx = -m / sqrt(v)                       # W(x)
             out.append((r1, r2, 1j * (w * r1 + wx * r2), -1j * (w * r2 + wx * r1)))
     except OverflowError as e:   # cmath and math raise; arithmetic gives inf
@@ -172,8 +187,8 @@ def _finite(p: SolutionParams, cols) -> None:
 def components(p: SolutionParams, branch: Branch, x):
     """(rtilde_1, rtilde_2, d rtilde_1/dx, d rtilde_2/dx), each shaped like ``x``.
 
-    Takes the two M of the branch from :func:`specfun.kummer_pair` and
-    returns every component at once: it is the one accessor for them.
+    Takes P and Q from :func:`specfun.kummer_pair` and returns every
+    component at once: it is the one accessor for them.
     Every point, a lone one included, is assembled by the same loop in
     Python ``complex``, and the pair's values do not depend on the grid
     either, so a point's bits do not depend on how many it is sent with.
@@ -181,8 +196,10 @@ def components(p: SolutionParams, branch: Branch, x):
 
     Recipe (h = e^{-y/2}, s = y^{1/2} = sqrt(2 omega x) e^{-i pi/4}, W = -m/sqrt(x)):
 
-        branch I :  r1 = h M(a1, 1/2; y)           r2 = c2 h s M(a1+1, 3/2; y)
-        branch II:  r1 = h s M(a1+1/2, 3/2; y)     r2 = c2 h M(a2, 1/2; y)
+        P = M(a2, 1/2; y), Q = M(a2, 3/2; y)
+        branch I :  r1 = h M(a1, 1/2; y) = conj(h P)
+                    r2 = c2 h s M(a1+1, 3/2; y) = c2 s conj(h Q)
+        branch II:  r1 = h s Q                     r2 = c2 h P
         system   :  r1' = i (omega r1 + W r2)      r2' = -i (omega r2 + W r1)
     """
     xs, shape = _check_x(x)

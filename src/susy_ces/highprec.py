@@ -9,26 +9,26 @@ microseconds per term, and every value ``specfun`` returns is its sum or
 bit for bit equal to it.  The final rounding to complex double happens
 once, so the result is correctly rounded.
 
-``kummer_walk`` evaluates the two Kummer functions of a closed-form
-component pair, P = M(a, 1/2; z) and its contiguous partner Q with
-b = 3/2, on a grid of the ray z = -i s; it is the one place that spells
-the pair out.  One series loop gives both: Q is an exact combination of
-P's own terms t_k through K = sum k t_k = z P' (DLMF section 13.3).  With
-a = i eta, M' = (a/b) M(a+1, b+1) gives Q = M(a+1, 3/2) = P' / (2a) =
-K / (2 a z); with a = 1/2 + i eta, the contiguous relation 13.3.2 at
-b = 1/2, with M(a, -1/2) = P - 2K from (z^(b-1) M)' = (b-1) z^(b-2)
-M(a, b-1), gives Q = M(a, 3/2) = (K - z P) / (2 i eta z).  On the ray
-both read
+``kummer_walk`` evaluates the Kummer pair both closed-form branches are
+built from, P = M(a, 1/2; z) and Q = M(a, 3/2; z) with a = 1/2 + i eta,
+on a grid of the ray z = -i s; it is the one place that spells the pair
+out.  (Branch I's functions, M(i eta, 1/2; z) and M(1 + i eta, 3/2; z),
+are e^z times the pair's conjugates by Kummer's transformation, DLMF
+13.2.39.)  One series loop gives both: Q is an exact combination of P's own
+terms t_k through K = sum k t_k = z P' (DLMF section 13.3).  The
+contiguous relation 13.3.2 at b = 1/2, with M(a, -1/2) = P - 2K from
+(z^(b-1) M)' = (b-1) z^(b-2) M(a, b-1), gives Q = (K - z P) / (2 i eta
+z), which on the ray reads
 
-    Q = (K + i sigma s P) / (2 eta s),   sigma = 1 shifted, 0 otherwise,
+    Q = (K + i s P) / (2 eta s),
 
 one exact integer division that cancels log2(1 / (2 eta s)) bits where
 2 eta s < 1; the loop sums that much wider.  Where that would cost more
-than a second sum, at eta s < 2**-801 (eta s = 0 included, 0/0 in the
-shifted pair), the point neither sums the pair nor seeds a state: P and
-Q take their own series.  Any other point no carried state covers runs
-that loop once: at the walk's width where it seeds a state, else at a
-lone point's.  Along a grid the walk carries the pair from point to
+than a second sum, at eta s < 2**-801 (eta s = 0, where it is 0/0,
+included), the point neither sums the pair nor seeds a state: P and Q
+take their own series.  Any other point no carried state covers runs that loop once:
+at the walk's width where it seeds a state, else at a lone point's.
+Along a grid the walk carries the pair from point to
 point by Taylor steps of its first-order system (DLMF 13.2-13.3), summed
 in the same integer fixed point from exact dyadic constants, with a
 rigorous error radius: a majorant bound on each step's tail, the
@@ -215,11 +215,9 @@ def _series(a: complex, b: float, z: complex,
 # ---------------------------------------------------------------------------
 # continuation of a Kummer pair along the ray z = -i s
 #
-# Both pairs Y = (P, Q) the closed form needs obey z Y' = (A0 + A1 z) Y,
-# A0 = [[0, 0], [1/2, -1/2]] (DLMF 13.3), with a = i eta:
-#   unshifted:  P = M(a, 1/2),     Q = M(a+1, 3/2),  A1 = [[0, 2a], [0, 1]]
-#   shifted:    P = M(a+1/2, 1/2), Q = M(a+1/2, 3/2), A1 = [[1, 2a], [0, 0]]
-# Re-centred at z0 the Taylor terms u_n = Y_n Delta^n obey
+# The pair Y = (P, Q) = (M(a, 1/2), M(a, 3/2)), a = 1/2 + i eta, obeys
+# z Y' = (A0 + A1 z) Y, A0 = [[0, 0], [1/2, -1/2]], A1 = [[1, 2 i eta], [0, 0]]
+# (DLMF 13.3).  Re-centred at z0 the Taylor terms u_n = Y_n Delta^n obey
 #   u_{n+1} = Delta / (z0 (n+1)) ((A0 + A1 z0 - n) u_n + Delta A1 u_{n-1}),
 # and on the ray Delta / z0 = D / s0 is real.  Error radii are kept in the
 # norm max(|P|, c |Q|), with c chosen per step to minimise the growth bound.
@@ -349,11 +347,11 @@ def _plan(s0: float, s: list[float], k: int, bits: float, eta: float) -> tuple[f
     return best
 
 
-def _lost_bits(pair, s: float) -> int | None:
+def _lost_bits(eta: float, s: float) -> int | None:
     """Bits the division by 2 eta s cancels when Q is taken from P's loop at
     z = -i s, or None where a second series sum costs less: eta s below
     2**-801, eta s = 0 included."""
-    gain = 2.0 * pair[0][0].imag * s
+    gain = 2.0 * eta * s
     if not gain > 0.0:
         return None
     lost = max(0, math.ceil(-math.log2(gain)))
@@ -372,7 +370,7 @@ def _rounding(a: complex, b: float, s: float, n: int, peak: int, bits: int) -> f
     """Bound on the rounding error of :func:`_fixed_sum` at z = -i s, units 2**-bits.
 
     Term k carries the half-unit roundings of terms j <= k, each scaled by
-    t_k / t_j.  For these pairs the term ratios fall with k from k = 1 on,
+    t_k / t_j.  For the pair's P the term ratios fall with k from k = 1 on,
     so |t_k / t_j| <= R = max(1, max_k |t_k| / |t_1|) for 1 <= j <= k, and
     the n terms carry at most n**2 R / 2 units, t_1 = a z / b, which is
     not zero where :func:`_pair_sum` sums (eta s > 0).
@@ -380,7 +378,7 @@ def _rounding(a: complex, b: float, s: float, n: int, peak: int, bits: int) -> f
     return n * n * max(1.0, _ldexp(1.0, peak - bits) / (abs(a) * s / b))
 
 
-def _pair_sum(pair, s: float, width: int) -> tuple[tuple[int, ...], float, float]:
+def _pair_sum(eta: float, s: float, width: int) -> tuple[tuple[int, ...], float, float]:
     """P and Q at z = -i s as integers at scale 2**width, with error bounds.
 
     Returns the four integers and bounds on the errors of P and of Q in
@@ -395,32 +393,30 @@ def _pair_sum(pair, s: float, width: int) -> tuple[tuple[int, ...], float, float
     least halve (they have fallen further than they rose), so the tails
     of P and K stay below 2 and 2 (n + 1) times the last term.
     """
-    (a, b), (a2, _) = pair
-    sigma = 1 if a2 == a else 0                 # the shifted pair
+    a = complex(0.5, eta)
     z = complex(0.0, -s)
     nb = int(3.0 * s + 40.0).bit_length()          # n < 3 s + 40 terms
-    lost = _lost_bits(pair, s)
+    lost = _lost_bits(eta, s)
     bits = width + math.ceil(s * _LOG2E) + 3 * nb + 4 + lost
     sh = bits - width
     half = 1 << (sh - 1)
     stop = width + 8 + lost + nb
-    sr, si, kr, ki, peak, n = _fixed_sum(a, b, z, bits, stop_bits=stop)
+    sr, si, kr, ki, peak, n = _fixed_sum(a, 0.5, z, bits, stop_bits=stop)
     tail = _ldexp(2.0, (abs(sr) | abs(si)).bit_length() - stop)
-    rnd = _rounding(a, b, s, n, peak, bits)
-    # Q = (K + i sigma s P) / (2 eta s), with s = ns / 2**ks and
-    # eta = ne / 2**ke, rounded half up once at scale 2**width
-    ne, ke = _dyadic(a.imag)
+    rnd = _rounding(a, 0.5, s, n, peak, bits)
+    # Q = (K + i s P) / (2 eta s), with s = ns / 2**ks and eta = ne / 2**ke,
+    # rounded half up once at scale 2**width
+    ne, ke = _dyadic(eta)
     ns, ks = _dyadic(s)
     d = (ne * ns) << (sh + 1)
-    nr = ((kr << ks) - sigma * ns * si) << (ke + 1)
-    ni = ((ki << ks) + sigma * ns * sr) << (ke + 1)
+    nr = ((kr << ks) - ns * si) << (ke + 1)
+    ni = ((ki << ks) + ns * sr) << (ke + 1)
     ints = ((sr + half) >> sh, (si + half) >> sh, (nr + d) // (2 * d), (ni + d) // (2 * d))
-    errs = (rnd + tail, (n * rnd + (n + 1) * tail + sigma * s * (rnd + tail))
-            / (2.0 * a.imag * s))
+    errs = (rnd + tail, (n * rnd + (n + 1) * tail + s * (rnd + tail)) / (2.0 * eta * s))
     return (ints, *(1.5 * math.ldexp(e, -sh) + 0.71 for e in errs))
 
 
-def _step(eta: float, shifted: bool, st: _State, s1: float) -> tuple[_State, list]:
+def _step(eta: float, st: _State, s1: float) -> tuple[_State, list]:
     """Carry the state to s1 by one Taylor step; returns it and the terms
     u_0 .. u_N it summed, each a tuple of the four integers.
 
@@ -446,12 +442,8 @@ def _step(eta: float, shifted: bool, st: _State, s1: float) -> tuple[_State, lis
     r = d / s0
     mu = max(2.0 * eta / c, (c - 1.0) / (2.0 * s0))
     # ||A0 + A1 z0 - n|| <= n + beta and ||Delta A1|| <= d alpha, scaled rows
-    if shifted:
-        beta = max(s0 + 2.0 * eta * s0 / c, 0.5 * c + 0.5)
-        alpha = 1.0 + 2.0 * eta / c
-    else:
-        beta = max(2.0 * eta * s0 / c, 0.5 * c + 0.5 + s0)
-        alpha = max(2.0 * eta / c, 1.0)
+    beta = max(s0 + 2.0 * eta * s0 / c, 0.5 * c + 0.5)
+    alpha = 1.0 + 2.0 * eta / c
     rda = r * d * alpha
     # from this term on, m_n = max(|u_n|, |u_{n-1}| / 2) halves per term
     n_min = math.ceil((r * max(beta, 1.0) + 2.0 * rda - 0.5) / (0.5 - r)) + 1
@@ -461,31 +453,20 @@ def _step(eta: float, shifted: bool, st: _State, s1: float) -> tuple[_State, lis
     # small 2 q1 floors the same as one division by the product
     pr, pi, qr, qi = st.ints
     terms = [st.ints]
-    dn, dd = big_d * big_s, big_d * big_d
-    if shifted:
-        e2 = 2 * e
-        dn2, dd2 = 2 * dn, 2 * dd
-    else:
-        e4dn, e4dd = 4 * e * dn, 4 * e * dd
+    dn2, dd2 = 2 * big_d * big_s, 2 * big_d * big_d
+    e2 = 2 * e
     sh = shift - 1
     q1, q1x2 = big_s, 2 * big_s
-    xr0 = xi0 = nd2 = 0      # Q_{n-1} (unshifted) or 2^ee (2 eta Q - i P)_{n-1}; 2 n D
+    xr0 = xi0 = nd2 = 0      # 2^ee (2 eta Q - i P)_{n-1}; 2 n D
     odd = 1
     quiet = False
     n = 0
     while True:
-        if shifted:
-            xr, xi = e2 * qr + (pi << ee), e2 * qi - (pr << ee)
-            ar = ((dn2 * xr + dd2 * xr0) >> sh) - nd2 * pr
-            ai = ((dn2 * xi + dd2 * xi0) >> sh) - nd2 * pi
-            # Q_{n+1} = D (P - (2n+1) Q) / (2 (n+1) s0)
-            br, bi = big_d * (pr - odd * qr), big_d * (pi - odd * qi)
-        else:
-            xr, xi = qr, qi
-            ar = ((e4dn * xr + e4dd * xr0) >> sh) - nd2 * pr
-            ai = ((e4dn * xi + e4dd * xi0) >> sh) - nd2 * pi
-            br = big_d * (pr - odd * qr) + ((dn * qi + dd * xi0) >> (k - 1))
-            bi = big_d * (pi - odd * qi) + ((-dn * qr - dd * xr0) >> (k - 1))
+        xr, xi = e2 * qr + (pi << ee), e2 * qi - (pr << ee)
+        ar = ((dn2 * xr + dd2 * xr0) >> sh) - nd2 * pr
+        ai = ((dn2 * xi + dd2 * xi0) >> sh) - nd2 * pi
+        # Q_{n+1} = D (P - (2n+1) Q) / (2 (n+1) s0)
+        br, bi = big_d * (pr - odd * qr), big_d * (pi - odd * qi)
         xr0, xi0 = xr, xi
         pr, pi = (ar + q1) // q1x2, (ai + q1) // q1x2
         qr, qi = (br + q1) // q1x2, (bi + q1) // q1x2
@@ -634,11 +615,10 @@ def _certain(re: int, im: int, rad: int, width: int) -> complex | None:
     return complex(*out)
 
 
-def kummer_walk(eta: float, shifted: bool, s: list[float]) -> Walk:
-    """A Kummer pair at z = -i s for strictly ascending s >= 0, bit for bit the series'.
+def kummer_walk(eta: float, s: list[float]) -> Walk:
+    """The Kummer pair at z = -i s for strictly ascending s >= 0, bit for bit the series'.
 
-    The pair is (M(a, 1/2; z), M(a+1, 3/2; z)) with a = i eta, or with
-    ``shifted`` (M(a, 1/2; z), M(a, 3/2; z)) with a = 1/2 + i eta.  Each
+    The pair is (M(a, 1/2; z), M(a, 3/2; z)) with a = 1/2 + i eta.  Each
     output equals :func:`chf_series_fixed` at that point.  A point no
     carried state covers runs one :func:`_pair_sum`: at the walk's width
     where Taylor steps of the pair's first-order system then cost less
@@ -655,8 +635,6 @@ def kummer_walk(eta: float, shifted: bool, s: list[float]) -> Walk:
     its radius, plus the series' own bound, certifies the rounding; a
     value that does not certify takes its own :func:`_series`.
     """
-    a = complex(0.5 if shifted else 0.0, eta)
-    pair = ((a, 0.5), (a if shifted else a + 1.0, 1.5))
     n = len(s)
     # predicted growth of the radius, in nats, from each point to the last
     c = [_norm_weight(eta, x) for x in s]
@@ -678,11 +656,11 @@ def kummer_walk(eta: float, shifted: bool, s: list[float]) -> Walk:
             else:
                 try:
                     while m == 0:
-                        st, us = _step(eta, shifted, st, t)
+                        st, us = _step(eta, st, t)
                         steps += 1
                         terms += len(us) - 1
                         t, m = _plan(st.s, s, k, st.width, eta)[1:]
-                    new, us = _step(eta, shifted, st, t)
+                    new, us = _step(eta, st, t)
                     steps += 1
                     terms += len(us) - 1
                     short = m if t > s[k + m - 1] else m - 1   # points before t
@@ -695,13 +673,13 @@ def kummer_walk(eta: float, shifted: bool, s: list[float]) -> Walk:
                 except NonConvergence:   # the series still answers
                     st = None
         if st is None:
-            if _lost_bits(pair, s1) is not None:
+            if _lost_bits(eta, s1) is not None:
                 width = (SAFE_BITS + _WALK_GUARD + math.ceil(grow[k] * _LOG2E)
                          + (n - k).bit_length())
                 seed = k + 1 < n and _plan(s1, s, k + 1, width, eta)[0] < _series_cost(s[k + 1])
                 if not seed:
                     width = _POINT_WIDTH
-                ints, err_p, err_q = _pair_sum(pair, s1, width)
+                ints, err_p, err_q = _pair_sum(eta, s1, width)
                 sums += 1
                 if seed:
                     st = _State(s1, width, ints, max(err_p, c[k] * err_q), c[k])
@@ -726,9 +704,10 @@ def kummer_walk(eta: float, shifted: bool, s: list[float]) -> Walk:
             continued += carried and None not in vals
             out_p.append(vals[0])
             out_q.append(vals[1])
-    for out, (ak, b) in zip((out_p, out_q), pair):
+    a = complex(0.5, eta)
+    for out, b in zip((out_p, out_q), (0.5, 1.5)):
         for k, v in enumerate(out):
             if v is None:
-                out[k], used = _series(ak, b, complex(0.0, -s[k]))
+                out[k], used = _series(a, b, complex(0.0, -s[k]))
                 sums += used
     return Walk(out_p, out_q, continued, seeds, steps, terms, evals, sums)

@@ -13,12 +13,13 @@ by |z| ~ 30.  Every point is therefore summed by the one kernel
 :func:`susy_ces.highprec.chf_series_fixed`, in exact integer fixed point
 at a width sized from that predicted cancellation and checked against
 the truncation bound afterwards, then rounded once to complex double.
-:func:`kummer_pair` returns the same bits for the two Kummer functions
-of a closed-form component, at any number of points on the ray: it hands
-them to :func:`susy_ces.highprec.kummer_walk`, which carries the pair
-along the grid and sums the series only where that is cheaper or the
-rounding cannot be certified.  A lone point is one series loop: the
-partner with b = 3/2 is divided out of the terms of M(a, 1/2).
+:func:`kummer_pair` returns the same bits for M(1/2 + i eta, 1/2; z) and
+M(1/2 + i eta, 3/2; z), the one pair both closed-form branches are built
+from, at any number of points on the ray: it hands them to
+:func:`susy_ces.highprec.kummer_walk`, which carries the pair along the
+grid and sums the series only where that is cheaper or the rounding
+cannot be certified.  A lone point is one series loop: the partner with
+b = 3/2 is divided out of the terms of M(a, 1/2).
 A scalar z gives a Python ``complex``, an array of them an ndarray of
 its shape; every value is computed in Python, point by point.
 Values past the largest double raise ``DoubleRangeExceeded``.  It refuses
@@ -137,14 +138,14 @@ def chf_1f1(p: CHFParams, z):
     return shaped(_series(p.a, p.b, zs), shape, complex)
 
 
-def kummer_pair(eta: float, shifted: bool, s: list[float]) -> tuple[list[complex], list[complex]]:
-    """The Kummer pair of a closed-form component at the points y = -i s of the ray.
+def kummer_pair(eta: float, s: list[float]) -> tuple[list[complex], list[complex]]:
+    """M(1/2 + i eta, 1/2; y) and M(1/2 + i eta, 3/2; y) at the points y = -i s of the ray.
 
-    The pair is the one :func:`susy_ces.highprec.kummer_walk` names for
-    ``(eta, shifted)``; both returned lists follow ``s`` (s >= 0, any
-    order, repeats allowed).  The distinct s go to the walk in ascending
-    order, so a point's bits do not depend on what it is sent with: a
-    lone point is a one-point walk, one series loop for both functions.
+    Both returned lists follow ``s`` (s >= 0, any order, repeats
+    allowed).  The distinct s go to :func:`susy_ces.highprec.kummer_walk`
+    in ascending order, so a point's bits do not depend on what it is sent
+    with: a lone point is a one-point walk, one series loop for both
+    functions.
 
     Raises
     ------
@@ -153,7 +154,7 @@ def kummer_pair(eta: float, shifted: bool, s: list[float]) -> tuple[list[complex
     """
     _refuse_past(max(s, default=0.0))
     grid = sorted(set(s))
-    walk = kummer_walk(eta, shifted, grid)
+    walk = kummer_walk(eta, grid)
     at = {v: k for k, v in enumerate(grid)}
     idx = [at[v] for v in s]
     return [walk.p[k] for k in idx], [walk.q[k] for k in idx]

@@ -259,17 +259,18 @@ def check_grid_continuation(tol: float = 0.0) -> CheckReport:
                 for i, xi in enumerate(x.tolist()):
                     for lone, row in zip(cf.components(p, br, xi), rows):
                         worst = max(worst, abs(complex(lone) - complex(row[i])))
-                walk = highprec.kummer_walk(p.a1.imag, br is cf.Branch.II, s)
-                points += len(s)
-                continued += walk.continued
-                seeds += walk.seeds
-                steps += walk.steps
-                terms += walk.terms
-                evals += walk.evals
-                sums += walk.sums
+            walk = highprec.kummer_walk(p.a1.imag, s)
+            points += len(s)
+            continued += walk.continued
+            seeds += walk.seeds
+            steps += walk.steps
+            terms += walk.terms
+            evals += walk.evals
+            sums += walk.sums
     return _report("closedform/grid-continuation", worst, tol,
-                   f"grid vs lone-point components, bit for bit, 3 families x 2 branches "
-                   f"x linear and log grids of 64: {continued} of {points} points "
+                   f"grid vs lone-point components of both branches, bit for bit, 3 families "
+                   f"x linear and log grids of 64; one walk of the pair per grid serves "
+                   f"both branches: {continued} of {points} points "
                    f"continued, {points - continued} fall back to the series ({seeds} seeds); "
                    f"{steps} Taylor expansions of {terms / max(steps, 1):.1f} terms, "
                    f"{(continued - seeds) / max(steps, 1):.1f} points each, "

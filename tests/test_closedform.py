@@ -149,7 +149,7 @@ def test_one_series_loop_per_point(branch, monkeypatch):
             mp.setattr(highprec, name, refuse(name))
         cf.solution_Z(p, branch, Sector.PLUS, 7.5)
     assert len(sums) == 1
-    assert highprec.kummer_walk(p.a1.imag, branch is Branch.II, [15.0]).sums == 1
+    assert highprec.kummer_walk(p.a1.imag, [15.0]).sums == 1
     # a grid takes lone points while that is cheaper, then seeds a state
     # (one loop) and steps: 4 points plus a seed over |y| in [1, 40], and
     # 3 plus a seed plus one value whose rounding the radius leaves open
@@ -160,7 +160,52 @@ def test_one_series_loop_per_point(branch, monkeypatch):
         cf.solution_Z(p, branch, Sector.PLUS, x)
         assert len(sums) == want
         s = (2.0 * x).tolist()
-        assert highprec.kummer_walk(p.a1.imag, branch is Branch.II, s).sums == want
+        assert highprec.kummer_walk(p.a1.imag, s).sums == want
+
+
+@settings(max_examples=settings.default.max_examples // 5)
+@given(eta=st.one_of(st.just(0.0), st.floats(1e-6, 16.0)), omega=st.floats(0.25, 4.0),
+       log_y=st.floats(-6.0, math.log10(60.0)))
+def test_branch_i_is_the_recipe_and_branch_ii_its_conjugate(eta, omega, log_y):
+    # both branches come from the one pair M(a2, 1/2), M(a2, 3/2): branch I
+    # is its conjugate by Kummer's transformation.  Held against the recipe
+    # summed through chf_1f1, M(a1, 1/2) and M(a1+1, 3/2) with no walk, and
+    # Z^II = +-c2^II conj(Z^I); eta = 0 is m**2 underflowing
+    m = math.sqrt(2.0 * omega * eta) if eta > 0.0 else 1e-170
+    p = cf.solution_params(m, omega)
+    x = 10.0 ** log_y / (2.0 * omega)
+    y = cf.y_of_x(x, omega)
+    h = cmath.exp(-0.5 * y)
+    s = math.sqrt(2.0 * omega * x) * PHASE_M4
+    c2 = cf.coupling_constants(p, Branch.I).c2
+    want = (h * specfun.chf_1f1(CHFParams(p.a1, 0.5), y),
+            c2 * h * s * specfun.chf_1f1(CHFParams(p.a1 + 1.0, 1.5), y))
+    for got, r in zip(cf.components(p, Branch.I, x), want):
+        assert abs(got - r) <= 1e-13 * max(1.0, abs(r))
+    c2_ii = cf.coupling_constants(p, Branch.II).c2
+    for sec in Sector:
+        z_i = cf.solution_Z(p, Branch.I, sec, x).value
+        z_ii = cf.solution_Z(p, Branch.II, sec, x).value
+        assert abs(z_ii - sec.sign * c2_ii * z_i.conjugate()) <= 1e-13 * max(1.0, abs(z_ii))
+
+
+@pytest.mark.parametrize("branch", list(Branch))
+def test_small_eta_takes_one_loop(branch, monkeypatch):
+    # at small eta both branches take the one pair, whose Q is divided out
+    # of P's terms and certifies: a lone point at eta = 1e-5 is one loop,
+    # and a 256-point table to |y| = 59 at eta = 1e-6 a handful
+    walks = []
+    real = specfun.kummer_walk
+    monkeypatch.setattr(specfun, "kummer_walk",
+                        lambda *args: walks.append(real(*args)) or walks[-1])
+    omega = 1.0
+    p = cf.solution_params(math.sqrt(2.0 * omega * 1e-5), omega)
+    for y in (0.01, 0.5, 5.0, 30.0, 59.0):
+        cf.components(p, branch, y / (2.0 * omega))
+        assert walks[-1].sums == 1
+    p = cf.solution_params(math.sqrt(2.0 * omega * 1e-6), omega)
+    cf.components(p, branch, np.linspace(59.0 / 256, 59.0, 256) / (2.0 * omega))
+    assert walks[-1].sums <= 8
 
 
 @settings(max_examples=settings.default.max_examples // 5)

@@ -81,57 +81,53 @@ def test_series_fixed_nonconvergence_raises(monkeypatch):
         chf_series_fixed(0.5j, 0.5, -30j)
 
 
-@pytest.mark.parametrize("eta,shifted", [(0.025, True), (0.5, False), (16.0, True)])
-def test_kummer_walk_is_the_series_bit_for_bit(eta, shifted):
+@pytest.mark.parametrize("eta", [0.025, 0.5, 16.0])
+def test_kummer_walk_is_the_series_bit_for_bit(eta):
     s = [59.0 * k / 128 for k in range(1, 129)] + [59.0 * 1.1 ** -k for k in range(1, 40)]
     s = sorted(s)
-    walk = kummer_walk(eta, shifted, s)
-    a = complex(0.5 if shifted else 0.0, eta)
-    for (aa, b), got in (((a, 0.5), walk.p), ((a if shifted else a + 1.0, 1.5), walk.q)):
-        assert got == [chf_series_fixed(aa, b, complex(0.0, -x)) for x in s]
+    walk = kummer_walk(eta, s)
+    for (a, b), got in zip(_pair(eta), (walk.p, walk.q)):
+        assert got == [chf_series_fixed(a, b, complex(0.0, -x)) for x in s]
     assert walk.seeds >= 1 and walk.continued > len(s) // 2
     # the linear part takes several points from each step's terms
     assert 0 < walk.steps < walk.continued - walk.seeds and walk.evals > 0
 
 
-@pytest.mark.parametrize("shifted", [False, True])
-def test_kummer_walk_at_eta_zero_is_the_series(shifted):
-    # eta = 0 is a1 when m**2 underflows; the unshifted P is then M(0, 1/2) = 1.
-    # Q cannot be divided out of P's terms there, so no point sums the pair
-    # or seeds a state: each value takes its own series
+def test_kummer_walk_at_eta_zero_is_the_series():
+    # eta = 0 is a1 when m**2 underflows; P is then M(1/2, 1/2) = e^z.
+    # Q cannot be divided out of P's terms there (0/0), so no point sums the
+    # pair or seeds a state: each value takes its own series
     s = [59.0 * k / 64 for k in range(1, 65)] + [59.0 * 1.1 ** -k for k in range(1, 30)]
     s = sorted(s)
-    walk = kummer_walk(0.0, shifted, s)
-    a = complex(0.5 if shifted else 0.0, 0.0)
-    for (aa, b), got in (((a, 0.5), walk.p), ((a if shifted else a + 1.0, 1.5), walk.q)):
-        want = [chf_series_fixed(aa, b, complex(0.0, -x)) for x in s]
+    walk = kummer_walk(0.0, s)
+    for (a, b), got in zip(_pair(0.0), (walk.p, walk.q)):
+        want = [chf_series_fixed(a, b, complex(0.0, -x)) for x in s]
         assert [(v.real.hex(), v.imag.hex()) for v in got] == \
             [(v.real.hex(), v.imag.hex()) for v in want]
     assert walk.seeds == walk.steps == walk.continued == 0
     assert walk.sums == 2 * len(s)
 
 
-@pytest.mark.parametrize("shifted", [False, True])
 @pytest.mark.parametrize("eta", [1.62, 2.0])
-def test_kummer_walk_seeds_once(eta, shifted):
+def test_kummer_walk_seeds_once(eta):
     # every step is priced at the state's width, as the seed decision is, so
     # a state seeded where |M| is large is carried rather than dropped and
     # seeded again at the next point
-    walk = kummer_walk(eta, shifted, [59.0 * k / 256 for k in range(1, 257)])
+    walk = kummer_walk(eta, [59.0 * k / 256 for k in range(1, 257)])
     assert walk.seeds == 1
 
 
-def _pair(eta, shifted):
-    a = complex(0.5 if shifted else 0.0, eta)
-    return (a, 0.5), (a if shifted else a + 1.0, 1.5)
+def _pair(eta):
+    a = complex(0.5, eta)
+    return (a, 0.5), (a, 1.5)
 
 
-def _state(eta, shifted, s0, width=100):
+def _state(eta, s0, width=100):
     """The state a walk seeds at s0: one pair loop at ``width`` bits, Q
     divided out of P's terms, and its radius max(|P error|, c |Q error|)
     in the walk's norm."""
     c = highprec._norm_weight(eta, s0)
-    ints, err_p, err_q = highprec._pair_sum(_pair(eta, shifted), s0, width)
+    ints, err_p, err_q = highprec._pair_sum(eta, s0, width)
     return highprec._State(s0, width, ints, max(err_p, c * err_q), c)
 
 
@@ -141,60 +137,71 @@ def _hex(values):
 
 @settings(max_examples=300)
 @given(eta=st.one_of(st.just(0.0), st.floats(1e-6, 16.0)),
-       s=st.one_of(st.just(0.0), st.floats(0.0, 60.0)), shifted=st.booleans())
-def test_pair_loop_is_two_series_bit_for_bit(eta, s, shifted):
+       s=st.one_of(st.just(0.0), st.floats(0.0, 60.0)))
+def test_pair_loop_is_two_series_bit_for_bit(eta, s):
     # a lone point sums P's series once and divides Q out of its terms;
     # each value is chf_series_fixed's, bit for bit
-    walk = kummer_walk(eta, shifted, [s])
+    walk = kummer_walk(eta, [s])
     z = complex(0.0, -s)
-    want = [chf_series_fixed(a, b, z) for a, b in _pair(eta, shifted)]
+    want = [chf_series_fixed(a, b, z) for a, b in _pair(eta)]
     assert _hex(walk.p + walk.q) == _hex(want)
     assert walk.sums >= 1 and (walk.continued, walk.seeds, walk.steps) == (0, 0, 0)
 
 
-@pytest.mark.parametrize("eta,s,shifted", [
+def _mp_pair(eta, s, direct):
+    """mpmath's P and Q at z = -i s, at the working precision: directly, or
+    from branch I's functions M(i eta, 1/2) and M(1 + i eta, 3/2) by Kummer's
+    transformation, M(a, b; z) = e^z conj(M(b - conj(a), b; z)) on the ray."""
+    z = mpmath.mpc(0, -s)
+    if direct:
+        a = mpmath.mpc(0.5, eta)
+        return mpmath.hyp1f1(a, 0.5, z), mpmath.hyp1f1(a, 1.5, z)
+    a = mpmath.mpc(0, eta)
+    return (mpmath.exp(z) * mpmath.conj(mpmath.hyp1f1(a, 0.5, z)),
+            mpmath.exp(z) * mpmath.conj(mpmath.hyp1f1(a + 1, 1.5, z)))
+
+
+@pytest.mark.parametrize("eta,s,direct", [
     (0.5, 40.0, False), (0.5, 40.0, True), (16.0, 59.0, False), (16.0, 7.3, True),
     (1e-6, 30.0, False), (1e-6, 30.0, True), (0.02, 1e-3, False), (3.0, 0.25, True),
     (1e-12, 5.0, False), (1e-9, 20.0, True)])
-def test_pair_sum_bounds_its_error(eta, s, shifted):
+def test_pair_sum_bounds_its_error(eta, s, direct):
     # at points where the division is cheap enough to sum the pair at all,
     # P and the Q divided out of P's terms lie within their bounds of
-    # mpmath's values at 60 digits, and at the width a lone point sums at
-    # the values stand SAFE_BITS above the bounds
-    pair = _pair(eta, shifted)
-    assert highprec._lost_bits(pair, s) is not None
+    # mpmath's values at 60 digits, taken directly or from branch I's
+    # functions, and at the width a lone point sums at the values stand
+    # SAFE_BITS above the bounds
+    assert highprec._lost_bits(eta, s) is not None
     width = highprec._POINT_WIDTH
-    ints, err_p, err_q = highprec._pair_sum(pair, s, width)
+    ints, err_p, err_q = highprec._pair_sum(eta, s, width)
     with mpmath.workdps(60):
-        z = mpmath.mpc(0, -s)
-        for (a, b), (re, im), err in zip(pair, (ints[:2], ints[2:]), (err_p, err_q)):
-            want = mpmath.hyp1f1(mpmath.mpc(a.real, a.imag), b, z) * 2 ** width
+        for want, (re, im), err in zip(_mp_pair(eta, s, direct), (ints[:2], ints[2:]),
+                                       (err_p, err_q)):
+            want *= 2 ** width
             assert abs(mpmath.mpc(re, im) - want) <= err
             assert err * 2 ** highprec.SAFE_BITS < abs(want)
 
 
 @pytest.mark.parametrize("eta,s", [(0.0, 30.0), (1e-300, 30.0), (0.5, 1e-250), (0.5, 0.0)])
 def test_lone_point_takes_two_series_where_the_division_fails(eta, s, monkeypatch):
-    # at eta s = 0 (0/0 in the shifted pair) or where 2 eta s would cancel
-    # more bits than a second sum costs, each value takes its own series
+    # at eta s = 0 (0/0) or where 2 eta s would cancel more bits than a
+    # second sum costs, each value takes its own series
     def refuse(*args):
         raise AssertionError("_pair_sum called")
 
     monkeypatch.setattr(highprec, "_pair_sum", refuse)
-    for shifted in (False, True):
-        assert highprec._lost_bits(_pair(eta, shifted), s) is None
-        walk = kummer_walk(eta, shifted, [s])
-        z = complex(0.0, -s)
-        assert _hex(walk.p + walk.q) == \
-            _hex([chf_series_fixed(a, b, z) for a, b in _pair(eta, shifted)])
-        assert walk.sums == 2
+    assert highprec._lost_bits(eta, s) is None
+    walk = kummer_walk(eta, [s])
+    z = complex(0.0, -s)
+    assert _hex(walk.p + walk.q) == _hex([chf_series_fixed(a, b, z) for a, b in _pair(eta)])
+    assert walk.sums == 2
 
 
 @settings(max_examples=settings.default.max_examples // 5)
-@given(eta=st.one_of(st.just(0.0), st.floats(1e-6, 16.0)), shifted=st.booleans(),
+@given(eta=st.one_of(st.just(0.0), st.floats(1e-6, 16.0)),
        kind=st.sampled_from(("lone", "linear", "log")), hi=st.floats(0.0, 59.9),
        n=st.integers(2, 100))
-def test_uncertified_values_take_the_series(eta, shifted, kind, hi, n):
+def test_uncertified_values_take_the_series(eta, kind, hi, n):
     # with no box certified, every value (lone, seeded, carried or inside a
     # step) is its own series, and the loops counted are the pair loops,
     # summed only where Q can be divided out of P's terms, plus the
@@ -208,10 +215,10 @@ def test_uncertified_values_take_the_series(eta, shifted, kind, hi, n):
     pairs, series = [], []
     real_pair, real_series = highprec._pair_sum, highprec._series
 
-    def count_pair(pair, x, width):
-        assert highprec._lost_bits(pair, x) is not None
+    def count_pair(eta, x, width):
+        assert highprec._lost_bits(eta, x) is not None
         pairs.append(1)
-        return real_pair(pair, x, width)
+        return real_pair(eta, x, width)
 
     def count_series(a, b, z, bits=None):
         value, loops = real_series(a, b, z, bits)
@@ -222,10 +229,9 @@ def test_uncertified_values_take_the_series(eta, shifted, kind, hi, n):
         mp.setattr(highprec, "_certain", lambda *args: None)
         mp.setattr(highprec, "_pair_sum", count_pair)
         mp.setattr(highprec, "_series", count_series)
-        walk = kummer_walk(eta, shifted, s)
-    (a, _), (a2, _) = _pair(eta, shifted)
-    assert _hex(walk.p) == _hex([chf_series_fixed(a, 0.5, complex(0.0, -x)) for x in s])
-    assert _hex(walk.q) == _hex([chf_series_fixed(a2, 1.5, complex(0.0, -x)) for x in s])
+        walk = kummer_walk(eta, s)
+    for (a, b), got in zip(_pair(eta), (walk.p, walk.q)):
+        assert _hex(got) == _hex([chf_series_fixed(a, b, complex(0.0, -x)) for x in s])
     for b in (0.5, 1.5):
         assert sorted(x for bb, x, _ in series if bb == b) == s
     assert walk.sums == sum(pairs) + sum(loops for *_, loops in series)
@@ -238,8 +244,8 @@ def test_walk_falls_back_when_a_step_does_not_converge(monkeypatch):
 
     monkeypatch.setattr(highprec, "_step", no_step)
     s = [59.0 * k / 32 for k in range(1, 33)]
-    walk = kummer_walk(0.5, False, s)
-    assert walk.p == [chf_series_fixed(0.5j, 0.5, complex(0.0, -x)) for x in s]
+    walk = kummer_walk(0.5, s)
+    assert walk.p == [chf_series_fixed(0.5 + 0.5j, 0.5, complex(0.0, -x)) for x in s]
     assert walk.steps == 0 and walk.seeds > 0
 
 
@@ -255,36 +261,28 @@ def test_walk_radius_bounds_the_error(monkeypatch):
 
     monkeypatch.setattr(highprec, "_step", step)
     eta = 4.0
-    kummer_walk(eta, False, [59.0 * k / 64 for k in range(1, 65)])
+    kummer_walk(eta, [59.0 * k / 64 for k in range(1, 65)])
     assert len(states) > 10
-    with mpmath.workdps(60):
-        a = mpmath.mpc(0, eta)
-        for st in states:
-            z = mpmath.mpc(0, -st.s)
-            p = [mpmath.mpf(v) / 2 ** st.width for v in st.ints]
-            err = max(abs(mpmath.mpc(p[0], p[1]) - mpmath.hyp1f1(a, 0.5, z)),
-                      st.c * abs(mpmath.mpc(p[2], p[3]) - mpmath.hyp1f1(a + 1, 1.5, z)))
-            assert err * 2 ** st.width <= st.eps
+    for st in states:
+        assert _error(eta, st.s, st.ints, st.width, st.c) <= st.eps
 
 
-def _error(eta, shifted, s, ints, width, c):
+def _error(eta, s, ints, width, c, direct=True):
     """max(|P - P'|, c |Q - Q'|) * 2**width of the integers against mpmath's
-    pair at 60 digits (the norm of the walk's radii)."""
+    pair at 60 digits (the norm of the walk's radii), see :func:`_mp_pair`."""
     with mpmath.workdps(60):
-        z = mpmath.mpc(0, -s)
-        a = mpmath.mpc(0.5 if shifted else 0, eta)
-        p = mpmath.hyp1f1(a, 0.5, z)
-        q = mpmath.hyp1f1(a if shifted else a + 1, 1.5, z)
+        p, q = _mp_pair(eta, s, direct)
         got = [mpmath.mpf(v) / 2 ** width for v in ints]
         err = max(abs(mpmath.mpc(got[0], got[1]) - p), c * abs(mpmath.mpc(got[2], got[3]) - q))
         return err * 2 ** width
 
 
-@pytest.mark.parametrize("shifted", [False, True])
+@pytest.mark.parametrize("direct", [False, True])
 @pytest.mark.parametrize("eta", [0.025, 0.5, 4.0, 16.0])
-def test_inside_radius_bounds_the_error(eta, shifted, monkeypatch):
+def test_inside_radius_bounds_the_error(eta, direct, monkeypatch):
     # every point a step gives from its terms on a dense grid lies within its
-    # radius of mpmath's pair at 60 digits
+    # radius of mpmath's pair at 60 digits, taken directly or from branch I's
+    # functions
     seen = []
     real = highprec._inside
 
@@ -294,26 +292,26 @@ def test_inside_radius_bounds_the_error(eta, shifted, monkeypatch):
         return out, used
 
     monkeypatch.setattr(highprec, "_inside", inside)
-    kummer_walk(eta, shifted, [59.0 * k / 512 for k in range(1, 513)])
+    kummer_walk(eta, [59.0 * k / 512 for k in range(1, 513)])
     assert len(seen) > 300
     for x, ints, eps, width, c in seen[::29] + seen[-1:]:
-        assert _error(eta, shifted, x, ints, width, c) <= eps
+        assert _error(eta, x, ints, width, c, direct) <= eps
 
 
 @settings(max_examples=settings.default.max_examples // 5)
-@given(eta=st.floats(1e-3, 16.0), shifted=st.booleans(), s0=st.floats(1.0, 59.0),
+@given(eta=st.floats(1e-3, 16.0), s0=st.floats(1.0, 59.0),
        e=st.integers(-6, 3), fs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3))
-def test_inside_radius_bounds_the_error_anywhere(eta, shifted, s0, e, fs):
+def test_inside_radius_bounds_the_error_anywhere(eta, s0, e, fs):
     # a step of any reach at any s0, and points anywhere inside it
     reach = 2.0 ** e
     assume(reach <= 0.25 * s0 and (s0 + reach) - s0 == reach)
     pts = sorted(x for x in {s0 + f * reach for f in fs} if s0 < x < s0 + reach)
     assume(pts)
-    state = _state(eta, shifted, s0)
-    new, terms = highprec._step(eta, shifted, state, s0 + reach)
+    state = _state(eta, s0)
+    new, terms = highprec._step(eta, state, s0 + reach)
     out, _ = highprec._inside(state, new, terms, pts)
     for x, (ints, eps) in zip(pts, out):
-        assert _error(eta, shifted, x, ints, new.width, new.c) <= eps
+        assert _error(eta, x, ints, new.width, new.c) <= eps
 
 
 def test_certain_rounds_like_int_to_float():
@@ -411,11 +409,11 @@ def _round_half_up(x: Fraction) -> int:
     return math.floor(x + Fraction(1, 2))
 
 
-def _reference_step(eta, shifted, ints, s0, s1, n_terms):
+def _reference_step(eta, ints, s0, s1, n_terms):
     """The Taylor step summed with exact rationals, each term rounded half up.
 
     u_{n+1} = D / ((n+1) s0) ((A0 + A1 z0 - n) u_n + Delta A1 u_{n-1}) on
-    z = -i s, written out per pair; complex numbers are (re, im) pairs.
+    z = -i s, written out; complex numbers are (re, im) pairs.
     """
     d, s0, eta = Fraction(s1) - Fraction(s0), Fraction(s0), Fraction(eta)
     mul = lambda a, b: (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
@@ -427,15 +425,9 @@ def _reference_step(eta, shifted, ints, s0, s1, n_terms):
     terms = [tuple(ints)]
     for n in range(n_terms):
         f = d / ((n + 1) * s0)
-        if shifted:
-            g, g0 = (add(sc(2 * eta, x), mul((0, -1), y)) for x, y in ((q, p), (q0, p0)))
-            pn = sc(f, add(sc(-n, p), sc(s0, g), sc(d, g0)))
-            qn = sc(f, add(sc(Fraction(1, 2), p), sc(-(Fraction(1, 2) + n), q)))
-        else:
-            t = add(sc(s0, q), sc(d, q0))
-            pn = sc(f, add(sc(-n, p), sc(2 * eta, t)))
-            qn = sc(f, add(sc(Fraction(1, 2), p), sc(-(Fraction(1, 2) + n), q),
-                           mul((0, -1), t)))
+        g, g0 = (add(sc(2 * eta, x), mul((0, -1), y)) for x, y in ((q, p), (q0, p0)))
+        pn = sc(f, add(sc(-n, p), sc(s0, g), sc(d, g0)))
+        qn = sc(f, add(sc(Fraction(1, 2), p), sc(-(Fraction(1, 2) + n), q)))
         p0, q0 = p, q
         p = tuple(Fraction(_round_half_up(v)) for v in pn)
         q = tuple(Fraction(_round_half_up(v)) for v in qn)
@@ -445,14 +437,13 @@ def _reference_step(eta, shifted, ints, s0, s1, n_terms):
     return tuple(sums), terms
 
 
-@pytest.mark.parametrize("eta,shifted,s0,s1", [
-    (0.5, False, 30.0, 30.0 + 59 / 256), (0.5, True, 30.0, 30.0 + 59 / 256),
-    (0.025, True, 1.0, 1.25), (2.0, False, 2.75, 3.265625), (0.25, False, 3.75, 4.21875),
-    (16.0, False, 12.3, 14.1), (3.0, True, 40.0, 40.5)])
-def test_step_is_the_rounded_exact_recurrence(eta, shifted, s0, s1):
-    st = _state(eta, shifted, s0)
-    new, terms = highprec._step(eta, shifted, st, s1)
-    assert (new.ints, terms) == _reference_step(eta, shifted, st.ints, s0, s1, len(terms) - 1)
+@pytest.mark.parametrize("eta,s0,s1", [
+    (0.5, 30.0, 30.0 + 59 / 256), (0.025, 1.0, 1.25), (2.0, 2.75, 3.265625),
+    (0.25, 3.75, 4.21875), (16.0, 12.3, 14.1), (3.0, 40.0, 40.5)])
+def test_step_is_the_rounded_exact_recurrence(eta, s0, s1):
+    st = _state(eta, s0)
+    new, terms = highprec._step(eta, st, s1)
+    assert (new.ints, terms) == _reference_step(eta, st.ints, s0, s1, len(terms) - 1)
 
 
 def _reference_inside(terms, f, cm):
@@ -470,12 +461,11 @@ def _reference_inside(terms, f, cm):
     return acc, n
 
 
-@pytest.mark.parametrize("eta,shifted,s0,e", [
-    (0.5, False, 30.0, 1), (0.5, True, 30.0, 1), (0.025, True, 4.0, -1),
-    (2.0, False, 2.75, -2), (16.0, False, 12.3, 0), (3.0, True, 40.0, 3)])
-def test_inside_is_the_rounded_exact_horner(eta, shifted, s0, e):
-    state = _state(eta, shifted, s0)
-    new, terms = highprec._step(eta, shifted, state, s0 + 2.0 ** e)
+@pytest.mark.parametrize("eta,s0,e", [
+    (0.5, 30.0, 1), (0.025, 4.0, -1), (2.0, 2.75, -2), (16.0, 12.3, 0), (3.0, 40.0, 3)])
+def test_inside_is_the_rounded_exact_horner(eta, s0, e):
+    state = _state(eta, s0)
+    new, terms = highprec._step(eta, state, s0 + 2.0 ** e)
     pts = [s0 + 2.0 ** e * k / 7 for k in range(1, 7)]
     out, used = highprec._inside(state, new, terms, pts)
     cm, total = max(1.0, new.c), 0
@@ -543,19 +533,18 @@ def test_inside_refuses_a_reach_off_a_power_of_two():
     # 1.0 past s0 = 7.222656250000001 rounds to 8.22265625: no shifts divide by it
     s0 = 7.222656250000001
     assert (s0 + 1.0) - s0 != 1.0
-    state = _state(0.5, True, s0)
-    new, terms = highprec._step(0.5, True, state, s0 + 1.0)
+    state = _state(0.5, s0)
+    new, terms = highprec._step(0.5, state, s0 + 1.0)
     with pytest.raises(ValueError):
         highprec._inside(state, new, terms, [s0 + 0.5])
     assert highprec._plan(s0, [s0 + 0.25 * k for k in range(1, 9)], 0, 100, 0.5)[1] < s0 + 1.0
 
 
-@pytest.mark.parametrize("shifted,counts", [(False, (41, 1282, 6758, 252, 5)),
-                                            (True, (41, 1313, 6907, 252, 5))])
-def test_walk_work_is_pinned(shifted, counts):
+def test_walk_work_is_pinned():
     # a 256-point linear grid to |y| = 59 at eta = 0.5: steps (expansions),
     # their Taylor terms, the terms evaluated inside their reach, points
     # continued and series loops (3 lone points, the seed, one value the
     # radius leaves open)
-    walk = kummer_walk(0.5, shifted, [59.0 * k / 256 for k in range(1, 257)])
-    assert (walk.steps, walk.terms, walk.evals, walk.continued, walk.sums) == counts
+    walk = kummer_walk(0.5, [59.0 * k / 256 for k in range(1, 257)])
+    assert (walk.steps, walk.terms, walk.evals, walk.continued, walk.sums) == \
+        (41, 1313, 6907, 252, 5)
