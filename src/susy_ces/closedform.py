@@ -144,35 +144,39 @@ def coupling_constants(p: SolutionParams, branch: Branch) -> CouplingConstants:
     raise InvalidParams(f"branch={branch!r} is not a Branch")
 
 
-def _components(p: SolutionParams, branch: Branch,
-                xs: list[float]) -> list[tuple[complex, complex, complex, complex]]:
-    """(rtilde_1, rtilde_2, d rtilde_1/dx, d rtilde_2/dx) at each checked point.
+def _components(p: SolutionParams, branches: tuple[Branch, ...],
+                xs: list[float]) -> list[list[tuple[complex, complex, complex, complex]]]:
+    """(rtilde_1, rtilde_2, d rtilde_1/dx, d rtilde_2/dx) at each checked
+    point, for each of ``branches``, all from one walk of the pair.
 
     Unchecked: a value past the double range comes out non-finite, and
     so does every value assembled from it, so callers check what they
     return.
     """
     w, m = p.omega, p.m
-    c2 = coupling_constants(p, branch).c2
+    c2s = [coupling_constants(p, branch).c2 for branch in branches]
     ys = [2.0 * w * v for v in xs]                  # |y|, y = -i |y|
-    conj = branch is Branch.I                       # branch I is conj(h P), conj(h Q)
     m_half, m_3half = kummer_pair(p.a1.imag, ys)
     exp, sqrt = cmath.exp, math.sqrt
     ph_re, ph_im = PHASE_M4.real, PHASE_M4.imag
     out = []
     try:
-        for v, y, mh, m3 in zip(xs, ys, m_half, m_3half):
-            h = exp(complex(0.0, 0.5 * y))          # e^{-y/2}
-            r = sqrt(y)
-            s = complex(r * ph_re, r * ph_im)       # y^{1/2}
-            if conj:
-                r1 = (h * mh).conjugate()
-                r2 = c2 * (s * (h * m3).conjugate())
-            else:
-                r1 = (h * s) * m3
-                r2 = c2 * (h * mh)
-            wx = -m / sqrt(v)                       # W(x)
-            out.append((r1, r2, 1j * (w * r1 + wx * r2), -1j * (w * r2 + wx * r1)))
+        for branch, c2 in zip(branches, c2s):
+            conj = branch is Branch.I               # branch I is conj(h P), conj(h Q)
+            rows = []
+            for v, y, mh, m3 in zip(xs, ys, m_half, m_3half):
+                h = exp(complex(0.0, 0.5 * y))      # e^{-y/2}
+                r = sqrt(y)
+                s = complex(r * ph_re, r * ph_im)   # y^{1/2}
+                if conj:
+                    r1 = (h * mh).conjugate()
+                    r2 = c2 * (s * (h * m3).conjugate())
+                else:
+                    r1 = (h * s) * m3
+                    r2 = c2 * (h * mh)
+                wx = -m / sqrt(v)                   # W(x)
+                rows.append((r1, r2, 1j * (w * r1 + wx * r2), -1j * (w * r2 + wx * r1)))
+            out.append(rows)
     except OverflowError as e:   # cmath and math raise; arithmetic gives inf
         raise _range_error(p) from e
     return out
@@ -203,7 +207,7 @@ def components(p: SolutionParams, branch: Branch, x):
         system   :  r1' = i (omega r1 + W r2)      r2' = -i (omega r2 + W r1)
     """
     xs, shape = _check_x(x)
-    cols = list(zip(*_components(p, branch, xs))) or [()] * 4
+    cols = list(zip(*_components(p, (branch,), xs)[0])) or [()] * 4
     _finite(p, cols)
     return tuple(shaped(list(col), shape, complex) for col in cols)
 
@@ -220,17 +224,19 @@ class SolutionSample(NamedTuple):
     derivative: complex | np.ndarray
 
 
-def _solution(p: SolutionParams, branch: Branch, sector: Sector,
-              xs: list[float]) -> tuple[list[complex], list[complex]]:
-    """Z and dZ/dx at each checked point."""
+def _solution(p: SolutionParams, branches: tuple[Branch, ...], sector: Sector,
+              xs: list[float]) -> list[tuple[list[complex], list[complex]]]:
+    """Z and dZ/dx at each checked point, for each of ``branches``."""
     if not isinstance(sector, Sector):
         raise InvalidParams(f"sector={sector!r} is not a Sector")
     sg = 1j * sector.sign
-    rows = _components(p, branch, xs)
-    z = [PHASE_M4 * (r1 + sg * r2) for r1, r2, _, _ in rows]
-    dz = [PHASE_M4 * (dr1 + sg * dr2) for _, _, dr1, dr2 in rows]
-    _finite(p, (z, dz))
-    return z, dz
+    out = []
+    for rows in _components(p, branches, xs):
+        z = [PHASE_M4 * (r1 + sg * r2) for r1, r2, _, _ in rows]
+        dz = [PHASE_M4 * (dr1 + sg * dr2) for _, _, dr1, dr2 in rows]
+        _finite(p, (z, dz))
+        out.append((z, dz))
+    return out
 
 
 def solution_Z(p: SolutionParams, branch: Branch, sector: Sector, x) -> SolutionSample:
@@ -240,7 +246,7 @@ def solution_Z(p: SolutionParams, branch: Branch, sector: Sector, x) -> Solution
     MINUS solves V_minus, at energy omega^2.
     """
     xs, shape = _check_x(x)
-    z, dz = _solution(p, branch, sector, xs)
+    (z, dz), = _solution(p, (branch,), sector, xs)
     return SolutionSample(shaped(xs, shape), shaped(z, shape, complex),
                           shaped(dz, shape, complex))
 
@@ -248,8 +254,7 @@ def solution_Z(p: SolutionParams, branch: Branch, sector: Sector, x) -> Solution
 def wronskian_Z(p: SolutionParams, sector: Sector, x):
     """W_x[Z^I, Z^II] = Z^I dZ^II/dx - Z^II dZ^I/dx, evaluated pointwise."""
     xs, shape = _check_x(x)
-    zi, dzi = _solution(p, Branch.I, sector, xs)
-    zii, dzii = _solution(p, Branch.II, sector, xs)
+    (zi, dzi), (zii, dzii) = _solution(p, (Branch.I, Branch.II), sector, xs)
     return shaped([a * d - b * c for a, c, b, d in zip(zi, dzi, zii, dzii)], shape, complex)
 
 

@@ -33,11 +33,13 @@ point by Taylor steps of its first-order system (DLMF 13.2-13.3), summed
 in the same integer fixed point from exact dyadic constants, with a
 rigorous error radius: a majorant bound on each step's tail, the
 rounding of its terms carried through the recurrence, and a log-norm
-bound on the transition for the incoming radius.  A step that reaches a
-power of two past its start serves every point on the way: each is the
-sum of the step's terms at its fraction f = g / 2**sh < 1 of the reach,
-by Horner's rule with shifts for the division, and its radius is the
-step's plus the terms it cuts off and its roundings.  Horner runs on one
+bound on the transition for the incoming radius.  A step reaches at most
+a quarter of the way to z = 0; a point further on is one no carried
+state covers.  A step that reaches a power of two past its start serves
+every point on the way: each is the sum of the step's terms at its
+fraction f = g / 2**sh < 1 of the reach, by Horner's rule with shifts
+for the division, and its radius is the step's plus the terms it cuts
+off and its roundings.  Horner runs on one
 integer that packs the four components as lanes, each offset by a bias
 above every partial sum, so that one product, one addition, one shift
 and one mask round all four products by f at once, each exactly as
@@ -252,7 +254,7 @@ class Walk(NamedTuple):
     q: list[complex]
     continued: int    # points whose two values the carried state certified
     seeds: int        # points where a state started from the series
-    steps: int        # Taylor steps (expansions), sub-steps included
+    steps: int        # Taylor steps (expansions)
     terms: int        # Taylor terms summed over all steps
     evals: int        # terms evaluated for the points inside a step's reach
     sums: int         # series loops run, seeds included
@@ -280,13 +282,6 @@ def _series_cost(s: float) -> float:
     return 1.2 * (2.7 * s + 30.0)
 
 
-def _reach(s0: float, s1: float) -> float:
-    """The end of the next step from s0 towards s1: s1, or the largest double
-    within ``_STEP_REACH`` s0 of s0 (both differences are exact)."""
-    t = min(s1, (1.0 + _STEP_REACH) * s0)
-    return t if t - s0 <= _STEP_REACH * s0 else math.nextafter(t, 0.0)
-
-
 def _terms(bits: float, y: float) -> float:
     """Taylor terms of reach y until they fall ``bits`` binary orders: about
     the n with log n! - n log y = bits log 2 (one Newton step)."""
@@ -302,26 +297,19 @@ def _plan(s0: float, s: list[float], k: int, bits: float, eta: float) -> tuple[f
 
     A step of reach D takes ``_terms(bits, x D)`` terms, x = 1 + (eta /
     s0)**(1/2) / 4, and a point inside it as many evaluation terms at its
-    own reach (the mean over its octave) plus 4.  The end is s[k], after
-    sub-steps where it lies out of reach, or s0 plus a power of two: the
-    cheapest per point, the powers tried upwards until one that adds
-    points costs more per point.  ``bits`` is the width of the state the
-    walk carries or would seed: the terms are counted until they fall
-    that many binary orders, whatever the size of the pair.
+    own reach (the mean over its octave) plus 4.  The end is s[k], or s0
+    plus a power of two: the cheapest per point, the powers tried upwards
+    until one that adds points costs more per point.  Where s[k] lies
+    more than ``_STEP_REACH`` s0 past s0 the cost is infinite and no
+    point is reached: no step goes there.  ``bits`` is the width of the
+    state the walk carries or would seed: the terms are counted until
+    they fall that many binary orders, whatever the size of the pair.
     """
-    x = 1.0 + 0.25 * math.sqrt(eta / s0)
     s1 = s[k]
-    t = _reach(s0, s1)
-    if t < s1:
-        cost, a = 0.0, s0
-        for _ in range(64):
-            b = _reach(a, s1)
-            cost += _REC_COST * _terms(bits, x * (b - a))
-            if b == s1:
-                return cost, t, 0
-            a = b
-        return math.inf, t, 0
     d = s1 - s0
+    if d > _STEP_REACH * s0:
+        return math.inf, s1, 0
+    x = 1.0 + 0.25 * math.sqrt(eta / s0)
     low = _terms(bits, x * d)
     best = (_REC_COST * low, s1, 1)
     e = math.frexp(d)[1]
@@ -488,15 +476,10 @@ def _step(eta: float, st: _State, s1: float) -> tuple[_State, list]:
     # + delta, c1 = r (n - 1 + beta) / n, c2 = r d alpha / n
     cm = max(1.0, c)
     delta = 0.7072 * cm
-    gamma = r * max(beta, 1.0) + rda
-    if gamma < 1.0:
-        e_prev = e_cur = delta / (1.0 - gamma)
-        e_sum = n * e_cur
-    else:
-        e_prev = e_cur = e_sum = 0.0
-        for j in range(1, n + 1):
-            e_prev, e_cur = e_cur, (r * (j - 1 + beta) * e_cur + rda * e_prev) / j + delta
-            e_sum += e_cur
+    e_prev = e_cur = e_sum = 0.0
+    for j in range(1, n + 1):
+        e_prev, e_cur = e_cur, (r * (j - 1 + beta) * e_cur + rda * e_prev) / j + delta
+        e_sum += e_cur
     # m_n = max(|u_n|, |u_{n-1}| / 2) halves from here on, |u| <= 2 cm max|component|
     tail = max(16.0 * cm + e_cur, 16.0 * cm + 0.5 * e_prev)
     if d * mu < 700.0:
@@ -627,8 +610,8 @@ def kummer_walk(eta: float, s: list[float]) -> Walk:
     too dear it runs none, and P and Q take their own series.  Every step
     is priced at the state's width.  The state is carried along the grid
     with a rigorous error radius, each step reaching at most a quarter of
-    the way from z0 to z = 0.  A step either lands on the next point,
-    after sub-steps across a longer gap, or reaches a power of two past z0
+    the way from z0 to z = 0: a point past that reach drops the state.  A
+    step either lands on the next point or reaches a power of two past z0
     and gives every point on the way from its terms (:func:`_inside`);
     :func:`_plan` picks the cheaper per point.  Every value, lone,
     seeded, carried or inside a step, is rounded by :func:`_certain` where
@@ -655,11 +638,6 @@ def kummer_walk(eta: float, s: list[float]) -> Walk:
                 st = None
             else:
                 try:
-                    while m == 0:
-                        st, us = _step(eta, st, t)
-                        steps += 1
-                        terms += len(us) - 1
-                        t, m = _plan(st.s, s, k, st.width, eta)[1:]
                     new, us = _step(eta, st, t)
                     steps += 1
                     terms += len(us) - 1
@@ -691,16 +669,11 @@ def kummer_walk(eta: float, s: list[float]) -> Walk:
                 out_q.append(None)
         carried = st is not None
         if carried:
-            width, cw = st.width, st.c
+            width = st.width
         for (pr, pi, qr, qi), rp, rq in got:
             vals = [None, None]
             if rp < math.inf and rq < math.inf:
                 vals = [_certain(pr, pi, int(rp) + 1, width), _certain(qr, qi, int(rq) + 1, width)]
-            if carried and None in vals:
-                size = min((abs(pr) + abs(pi)).bit_length(),
-                           (abs(qr) + abs(qi)).bit_length() + math.log2(cw))
-                if math.log2(rp) + SAFE_BITS + 8 > size:
-                    st = None     # the radius outgrew the values: seed again
             continued += carried and None not in vals
             out_p.append(vals[0])
             out_q.append(vals[1])

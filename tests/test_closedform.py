@@ -281,6 +281,24 @@ def test_wronskian_constant_on_viable_grid(m, omega):
         assert np.max(np.abs(wr - ex)) / abs(ex) < 1e-8
 
 
+@pytest.mark.parametrize("sec", list(Sector))
+def test_wronskian_walks_the_pair_once(sec, monkeypatch):
+    # both branches are assembled from one walk of the pair, and the result
+    # is Z^I dZ^II - Z^II dZ^I from solution_Z of each branch, bit for bit
+    p = cf.solution_params(1.0, 1.0)
+    x = np.linspace(29.5 / 256, 29.5, 256)
+    zi, zii = (cf.solution_Z(p, br, sec, x) for br in (Branch.I, Branch.II))
+    want = [a * d - b * c for a, c, b, d in zip(zi.value.tolist(), zi.derivative.tolist(),
+                                                zii.value.tolist(), zii.derivative.tolist())]
+    walks = []
+    real = specfun.kummer_walk
+    monkeypatch.setattr(specfun, "kummer_walk", lambda *args: walks.append(args) or real(*args))
+    got = cf.wronskian_Z(p, sec, x)
+    assert len(walks) == 1
+    assert [(v.real.hex(), v.imag.hex()) for v in got.tolist()] == \
+        [(v.real.hex(), v.imag.hex()) for v in want]
+
+
 def test_intertwining_relations():
     # with the system's derivatives the relations hold by construction, so
     # take the independent ones, dM/dy = (a/b) M(a+1, b+1; y)

@@ -2,7 +2,8 @@
 check, the single final rounding and the term budget; the continuation
 of a Kummer pair: the series' bits, a radius that bounds the error at
 each step and at each point inside its reach, the exact recurrence and
-Horner sums, the walk's work, and the rounding certificate."""
+Horner sums, the walk's work, steps that each serve a grid point, and
+the rounding certificate."""
 import math
 import random
 import sys
@@ -10,7 +11,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from susy_ces import highprec
@@ -249,8 +250,43 @@ def test_walk_falls_back_when_a_step_does_not_converge(monkeypatch):
     assert walk.steps == 0 and walk.seeds > 0
 
 
-def test_walk_radius_bounds_the_error(monkeypatch):
-    # every carried state lies within its radius of mpmath's pair at 60 digits
+_SPARSE = [1.0, 1.3, 1.7, 2.2, 2.9, 3.8, 5.0, 6.5, 8.5, 11.0, 14.5, 19.0, 25.0, 32.0, 42.0, 55.0]
+
+
+def _grid(kind, hi, n):
+    """n points to |y| = hi, evenly spaced or over four decades."""
+    f = (lambda k: k / n) if kind == "linear" else (lambda k: 10.0 ** (4.0 * (k / n - 1.0)))
+    return sorted({hi * f(k) for k in range(1, n + 1)})
+
+
+@settings(max_examples=settings.default.max_examples // 5)
+@given(eta=st.floats(1e-6, 16.0),
+       s=st.builds(_grid, st.sampled_from(("linear", "log")), st.floats(1e-3, 59.9),
+                   st.integers(2, 64)))
+@example(eta=0.5, s=_SPARSE)
+def test_every_step_serves_a_point(eta, s):
+    # a Taylor step goes only where it gives a grid point: each step
+    # s0 -> s1 has one in (s0, s1], and the values are the series' bits
+    steps = []
+    real = highprec._step
+
+    def step(eta, st, s1):
+        steps.append((st.s, s1))
+        return real(eta, st, s1)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(highprec, "_step", step)
+        walk = kummer_walk(eta, s)
+    for s0, s1 in steps:
+        assert any(s0 < x <= s1 for x in s), (s0, s1)
+    for (a, b), got in zip(_pair(eta), (walk.p, walk.q)):
+        assert _hex(got) == _hex([chf_series_fixed(a, b, complex(0.0, -x)) for x in s])
+
+
+@pytest.mark.parametrize("eta", [0.025, 0.5, 4.0, 16.0])
+def test_walk_radius_bounds_the_error(eta, monkeypatch):
+    # every carried state lies within its radius of mpmath's pair at 60
+    # digits, on steps of reach below 1 and above
     states = []
     real = highprec._step
 
@@ -260,7 +296,6 @@ def test_walk_radius_bounds_the_error(monkeypatch):
         return new, terms
 
     monkeypatch.setattr(highprec, "_step", step)
-    eta = 4.0
     kummer_walk(eta, [59.0 * k / 64 for k in range(1, 65)])
     assert len(states) > 10
     for st in states:
@@ -548,3 +583,7 @@ def test_walk_work_is_pinned():
     walk = kummer_walk(0.5, [59.0 * k / 256 for k in range(1, 257)])
     assert (walk.steps, walk.terms, walk.evals, walk.continued, walk.sums) == \
         (41, 1313, 6907, 252, 5)
+    # a sparse grid, each gap more than a quarter of its start: no step
+    # reaches the next point, and every point takes its own pair loop
+    walk = kummer_walk(0.5, _SPARSE)
+    assert (walk.steps, walk.seeds, walk.sums) == (0, 0, 16)
