@@ -224,18 +224,23 @@ class SolutionSample(NamedTuple):
     derivative: complex | np.ndarray
 
 
-def _solution(p: SolutionParams, branches: tuple[Branch, ...], sector: Sector,
-              xs: list[float]) -> list[tuple[list[complex], list[complex]]]:
-    """Z and dZ/dx at each checked point, for each of ``branches``."""
-    if not isinstance(sector, Sector):
-        raise InvalidParams(f"sector={sector!r} is not a Sector")
-    sg = 1j * sector.sign
+def _solution(p: SolutionParams, branches: tuple[Branch, ...], sectors: tuple[Sector, ...],
+              xs: list[float]) -> list[list[tuple[list[complex], list[complex]]]]:
+    """Z and dZ/dx at each checked point, for each of ``branches`` and,
+    in each, for each of ``sectors``, all from one walk of the pair."""
+    for sector in sectors:
+        if not isinstance(sector, Sector):
+            raise InvalidParams(f"sector={sector!r} is not a Sector")
     out = []
     for rows in _components(p, branches, xs):
-        z = [PHASE_M4 * (r1 + sg * r2) for r1, r2, _, _ in rows]
-        dz = [PHASE_M4 * (dr1 + sg * dr2) for _, _, dr1, dr2 in rows]
-        _finite(p, (z, dz))
-        out.append((z, dz))
+        per_sector = []
+        for sector in sectors:
+            sg = 1j * sector.sign
+            z = [PHASE_M4 * (r1 + sg * r2) for r1, r2, _, _ in rows]
+            dz = [PHASE_M4 * (dr1 + sg * dr2) for _, _, dr1, dr2 in rows]
+            _finite(p, (z, dz))
+            per_sector.append((z, dz))
+        out.append(per_sector)
     return out
 
 
@@ -246,7 +251,7 @@ def solution_Z(p: SolutionParams, branch: Branch, sector: Sector, x) -> Solution
     MINUS solves V_minus, at energy omega^2.
     """
     xs, shape = _check_x(x)
-    (z, dz), = _solution(p, (branch,), sector, xs)
+    [(z, dz)], = _solution(p, (branch,), (sector,), xs)
     return SolutionSample(shaped(xs, shape), shaped(z, shape, complex),
                           shaped(dz, shape, complex))
 
@@ -254,7 +259,7 @@ def solution_Z(p: SolutionParams, branch: Branch, sector: Sector, x) -> Solution
 def wronskian_Z(p: SolutionParams, sector: Sector, x):
     """W_x[Z^I, Z^II] = Z^I dZ^II/dx - Z^II dZ^I/dx, evaluated pointwise."""
     xs, shape = _check_x(x)
-    (zi, dzi), (zii, dzii) = _solution(p, (Branch.I, Branch.II), sector, xs)
+    [(zi, dzi)], [(zii, dzii)] = _solution(p, (Branch.I, Branch.II), (sector,), xs)
     return shaped([a * d - b * c for a, c, b, d in zip(zi, dzi, zii, dzii)], shape, complex)
 
 

@@ -35,7 +35,11 @@ rigorous error radius: a majorant bound on each step's tail, the
 rounding of its terms carried through the recurrence, and a log-norm
 bound on the transition for the incoming radius.  A step reaches at most
 a quarter of the way to z = 0; a point further on is one no carried
-state covers.  A step that reaches a power of two past its start serves
+state covers, and a point seeds a state exactly where a step from it
+reaches the next point.  The step is read off the grid, with no price
+to weigh: it reaches the largest power of two R within that quarter
+where two or more points lie within R, else it lands on the next
+point.  A step that reaches a power of two past its start serves
 every point on the way: each is the sum of the step's terms at its
 fraction f = g / 2**sh < 1 of the reach, by Horner's rule with shifts
 for the division, and its radius is the step's plus the terms it cuts
@@ -60,6 +64,7 @@ from __future__ import annotations
 
 import math
 import sys
+from bisect import bisect_right
 from itertools import accumulate, repeat
 from typing import NamedTuple
 
@@ -97,8 +102,7 @@ SAFE_BITS = 53 + 16
 #: bits added to the predicted cancellation when sizing the width; they pay
 #: for the safe bits and the n**2 growth of the truncation bound (n ~ 2**8)
 _WIDTH_GUARD = SAFE_BITS + 16
-_LN2 = math.log(2.0)
-_LOG2E = 1.0 / _LN2
+_LOG2E = 1.0 / math.log(2.0)
 
 
 def _fixed_sum(a: complex, b: float, z: complex, bits: int, *,
@@ -227,16 +231,6 @@ def _series(a: complex, b: float, z: complex,
 #: bits the carried state keeps beyond ``SAFE_BITS`` and its predicted error
 #: growth: rounding over thousands of steps, and values below the seed's
 _WALK_GUARD = 12
-#: one Taylor term of the pair, and one term of a point's evaluation from
-#: a step's terms, counted in series terms (about 1.5 us): 2.7 and 0.75 us
-#: measured at 100-bit widths, the latter plus about 3 us a point.  On four
-#: packed lanes an evaluation term takes 0.49 us against 1.1 us for the four
-#: components apart, beside 1.1 us a series term (thread time on the grid
-#: workload's steps, 2-core Xeon, Python 3.11): about 0.45 series terms.
-#: The price stays at 0.5: at 0.35 a 256-point table takes a quarter fewer
-#: steps and a sixth more evaluation terms, at no clear gain in time
-_REC_COST = 1.8
-_EVAL_COST = 0.5
 #: Taylor steps never reach past this fraction of the distance to z = 0
 _STEP_REACH = 0.25
 #: width that costs as much as a second series sum: at the widths the walk
@@ -273,66 +267,21 @@ def _norm_weight(eta: float, s: float) -> float:
     return 0.5 * (1.0 + math.sqrt(1.0 + 16.0 * eta * s))
 
 
-def _series_cost(s: float) -> float:
-    """One lone point's pair loop at |z| = s, counted in series terms.
+def _plan(s0: float, s: list[float], k: int) -> tuple[float, int]:
+    """The next step from s0 towards s[k:]: (end t, points reached).
 
-    Measured against two default series sums, 2 (2.7 s + 25): 0.8 of them
-    at s near 1 and 0.6 at s = 40-60, the point's wider sum and K's two
-    additions per term included."""
-    return 1.2 * (2.7 * s + 30.0)
-
-
-def _terms(bits: float, y: float) -> float:
-    """Taylor terms of reach y until they fall ``bits`` binary orders: about
-    the n with log n! - n log y = bits log 2 (one Newton step)."""
-    b = bits * _LN2
-    ly = math.log(y)
-    n = math.e * y + b / max(1.0, math.log(b) - ly)
-    return n - (math.lgamma(n + 1.0) - n * ly - b) / (math.log(n + 0.5) - ly)
-
-
-def _plan(s0: float, s: list[float], k: int, bits: float, eta: float) -> tuple[float, float, int]:
-    """The next step from s0 towards s[k:]: (cost per point in series
-    terms, end t, points reached).
-
-    A step of reach D takes ``_terms(bits, x D)`` terms, x = 1 + (eta /
-    s0)**(1/2) / 4, and a point inside it as many evaluation terms at its
-    own reach (the mean over its octave) plus 4.  The end is s[k], or s0
-    plus a power of two: the cheapest per point, the powers tried upwards
-    until one that adds points costs more per point.  Where s[k] lies
-    more than ``_STEP_REACH`` s0 past s0 the cost is infinite and no
-    point is reached: no step goes there.  ``bits`` is the width of the
-    state the walk carries or would seed: the terms are counted until
-    they fall that many binary orders, whatever the size of the pair.
+    Let R be the largest power of two within ``_STEP_REACH`` s0.  Where
+    two or more points lie within R of s0 and s0 + R is exact, the step
+    ends there and serves them all.  Else it lands on s[k] if s[k] lies
+    within ``_STEP_REACH`` s0 of s0; else no point is reached: no step
+    goes there.
     """
-    s1 = s[k]
-    d = s1 - s0
-    if d > _STEP_REACH * s0:
-        return math.inf, s1, 0
-    x = 1.0 + 0.25 * math.sqrt(eta / s0)
-    low = _terms(bits, x * d)
-    best = (_REC_COST * low, s1, 1)
-    e = math.frexp(d)[1]
-    top = math.frexp(s0)[1] - 3          # 2**top <= _STEP_REACH s0
-    n, m, evals, last = len(s), 0, 0.0, math.inf
-    while e <= top:
-        reach = math.ldexp(1.0, e)
-        end = s0 + reach
-        if end - s0 != reach:
-            break                        # s0's last bit falls off past a power of two
-        high = _terms(bits, x * reach)
-        j = m
-        while k + m < n and s[k + m] <= end:
-            m += 1
-        evals += (m - j) * (0.5 * (low + high) + 4.0)
-        per = (_REC_COST * high + _EVAL_COST * evals) / m
-        if per < best[0]:
-            best = (per, end, m)
-        elif per > last and m > j:
-            break
-        low, last = high, per
-        e += 1
-    return best
+    reach = math.ldexp(1.0, math.frexp(s0)[1] - 3)     # R <= _STEP_REACH s0 = s0 / 4 < 2 R
+    end = s0 + reach
+    m = bisect_right(s, end, k) - k
+    if m >= 2 and end - s0 == reach:
+        return end, m
+    return s[k], int(s[k] - s0 <= _STEP_REACH * s0)
 
 
 def _lost_bits(eta: float, s: float) -> int | None:
@@ -604,19 +553,20 @@ def kummer_walk(eta: float, s: list[float]) -> Walk:
     The pair is (M(a, 1/2; z), M(a, 3/2; z)) with a = 1/2 + i eta.  Each
     output equals :func:`chf_series_fixed` at that point.  A point no
     carried state covers runs one :func:`_pair_sum`: at the walk's width
-    where Taylor steps of the pair's first-order system then cost less
-    than lone points (:func:`_plan`), and the result becomes the state,
-    else at ``_POINT_WIDTH``; where :func:`_lost_bits` finds the division
-    too dear it runs none, and P and Q take their own series.  Every step
-    is priced at the state's width.  The state is carried along the grid
-    with a rigorous error radius, each step reaching at most a quarter of
-    the way from z0 to z = 0: a point past that reach drops the state.  A
-    step either lands on the next point or reaches a power of two past z0
-    and gives every point on the way from its terms (:func:`_inside`);
-    :func:`_plan` picks the cheaper per point.  Every value, lone,
-    seeded, carried or inside a step, is rounded by :func:`_certain` where
-    its radius, plus the series' own bound, certifies the rounding; a
-    value that does not certify takes its own :func:`_series`.
+    where a Taylor step of the pair's first-order system from it would
+    reach the next point, and the result becomes the state, else at
+    ``_POINT_WIDTH``; where :func:`_lost_bits` finds the division too
+    dear it runs none, and P and Q take their own series.  The state is
+    carried along the grid with a rigorous error radius, each step
+    reaching at most a quarter of the way from z0 to z = 0: a point past
+    that reach drops the state.  :func:`_plan` reads each step off the
+    grid: it reaches the largest power of two within that quarter where
+    two or more points lie on the way, and gives each of them from its
+    terms (:func:`_inside`), else it lands on the next point.  Every
+    value, lone, seeded, carried or inside a step, is rounded by
+    :func:`_certain` where its radius, plus the series' own bound,
+    certifies the rounding; a value that does not certify takes its own
+    :func:`_series`.
     """
     n = len(s)
     # predicted growth of the radius, in nats, from each point to the last
@@ -633,8 +583,8 @@ def kummer_walk(eta: float, s: list[float]) -> Walk:
         s1 = s[k]
         got = []          # (ints, radius of P, of Q, units 2**-width) at s[k], s[k + 1], ...
         if st is not None:
-            cost, t, m = _plan(st.s, s, k, st.width, eta)
-            if cost > _series_cost(s1):
+            t, m = _plan(st.s, s, k)
+            if not m:
                 st = None
             else:
                 try:
@@ -652,11 +602,11 @@ def kummer_walk(eta: float, s: list[float]) -> Walk:
                     st = None
         if st is None:
             if _lost_bits(eta, s1) is not None:
-                width = (SAFE_BITS + _WALK_GUARD + math.ceil(grow[k] * _LOG2E)
-                         + (n - k).bit_length())
-                seed = k + 1 < n and _plan(s1, s, k + 1, width, eta)[0] < _series_cost(s[k + 1])
-                if not seed:
-                    width = _POINT_WIDTH
+                seed = k + 1 < n and _plan(s1, s, k + 1)[1] > 0
+                width = _POINT_WIDTH
+                if seed:
+                    width = (SAFE_BITS + _WALK_GUARD + math.ceil(grow[k] * _LOG2E)
+                             + (n - k).bit_length())
                 ints, err_p, err_q = _pair_sum(eta, s1, width)
                 sums += 1
                 if seed:

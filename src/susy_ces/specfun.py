@@ -17,8 +17,9 @@ the truncation bound afterwards, then rounded once to complex double.
 M(1/2 + i eta, 3/2; z), the one pair both closed-form branches are built
 from, at any number of points on the ray: it hands them to
 :func:`susy_ces.highprec.kummer_walk`, which carries the pair along the
-grid and sums the series only where that is cheaper or the rounding
-cannot be certified.  A lone point is one series loop: the partner with
+grid and sums the series only at points out of a Taylor step's reach
+(a quarter of the way to z = 0) or where the rounding cannot be
+certified.  A lone point is one series loop: the partner with
 b = 3/2 is divided out of the terms of M(a, 1/2).
 A scalar z gives a Python ``complex``, an array of them an ndarray of
 its shape; every value is computed in Python, point by point.

@@ -299,9 +299,19 @@ def check_schrodinger_fd(tol: float = 1e-6) -> CheckReport:
     for m, omega in ((1.0, 1.0),):
         p = cf.solution_params(m, omega)
         x = np.linspace(0.1, min(20.0, 29.0 / omega), 40)
+        zs = {}   # stencil grid -> Z of each branch and sector, from one walk
+
+        def z_all(xx):
+            key = xx.tobytes()
+            if key not in zs:
+                sols = cf._solution(p, tuple(cf.Branch), tuple(Sector), xx.tolist())
+                zs[key] = {(br, sec): np.array(z) for br, per_branch in zip(cf.Branch, sols)
+                           for sec, (z, _) in zip(Sector, per_branch)}
+            return zs[key]
+
         for br in cf.Branch:
             for sec in Sector:
-                zf = lambda xx: cf.solution_Z(p, br, sec, xx).value
+                zf = lambda xx: z_all(xx)[br, sec]
                 vf = lambda xx: potential.V(xx, m, sec)
                 res = oracle.residual_schrodinger(zf, vf, p.energy, x)
                 worst = max(worst, float(np.max(res)))

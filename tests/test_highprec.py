@@ -283,6 +283,47 @@ def test_every_step_serves_a_point(eta, s):
         assert _hex(got) == _hex([chf_series_fixed(a, b, complex(0.0, -x)) for x in s])
 
 
+@settings(max_examples=settings.default.max_examples // 5)
+@given(eta=st.floats(1e-6, 16.0),
+       s=st.one_of(
+           st.builds(_grid, st.sampled_from(("linear", "log")), st.floats(1e-3, 59.9),
+                     st.integers(2, 128)),
+           st.lists(st.floats(1e-3, 59.9), min_size=2, max_size=128, unique=True).map(sorted)))
+@example(eta=16.0, s=[59.0 * k / 256 for k in range(1, 257)])
+@example(eta=0.5, s=[1.0, 1.2, 1.4, 3.0, 3.5])      # drops a state and seeds again
+def test_walk_follows_the_reach_rule(eta, s):
+    # every step reaches at most a quarter of its start, and ends past a
+    # grid point only at the largest power of two within that quarter,
+    # serving two points or more; a pair loop after the first point runs
+    # only where the gap from the point before is out of a step's reach
+    steps, loops = [], []
+    real_step, real_pair = highprec._step, highprec._pair_sum
+
+    def step(eta, st, s1):
+        steps.append((st.s, s1))
+        return real_step(eta, st, s1)
+
+    def pair(eta, x, width):
+        loops.append(x)
+        return real_pair(eta, x, width)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(highprec, "_step", step)
+        mp.setattr(highprec, "_pair_sum", pair)
+        walk = kummer_walk(eta, s)
+    for s0, s1 in steps:
+        d = s1 - s0
+        assert d <= s0 / 4, (s0, s1)
+        if s1 not in s:
+            assert math.frexp(d)[0] == 0.5 and 2.0 * d > s0 / 4, (s0, s1)
+            assert sum(s0 < x <= s1 for x in s) >= 2, (s0, s1)
+    for x in loops:
+        k = s.index(x)
+        assert k == 0 or s[k] - s[k - 1] > s[k - 1] / 4, (s[k - 1], x)
+    for (a, b), got in zip(_pair(eta), (walk.p, walk.q)):
+        assert _hex(got) == _hex([chf_series_fixed(a, b, complex(0.0, -x)) for x in s])
+
+
 @pytest.mark.parametrize("eta", [0.025, 0.5, 4.0, 16.0])
 def test_walk_radius_bounds_the_error(eta, monkeypatch):
     # every carried state lies within its radius of mpmath's pair at 60
@@ -572,7 +613,7 @@ def test_inside_refuses_a_reach_off_a_power_of_two():
     new, terms = highprec._step(0.5, state, s0 + 1.0)
     with pytest.raises(ValueError):
         highprec._inside(state, new, terms, [s0 + 0.5])
-    assert highprec._plan(s0, [s0 + 0.25 * k for k in range(1, 9)], 0, 100, 0.5)[1] < s0 + 1.0
+    assert highprec._plan(s0, [s0 + 0.25 * k for k in range(1, 9)], 0)[0] < s0 + 1.0
 
 
 def test_walk_work_is_pinned():
@@ -582,7 +623,7 @@ def test_walk_work_is_pinned():
     # radius leaves open)
     walk = kummer_walk(0.5, [59.0 * k / 256 for k in range(1, 257)])
     assert (walk.steps, walk.terms, walk.evals, walk.continued, walk.sums) == \
-        (41, 1313, 6907, 252, 5)
+        (25, 922, 9349, 252, 5)
     # a sparse grid, each gap more than a quarter of its start: no step
     # reaches the next point, and every point takes its own pair loop
     walk = kummer_walk(0.5, _SPARSE)
