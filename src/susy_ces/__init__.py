@@ -40,11 +40,10 @@ from .potential import (CriticalStructure, Sector, V, V_deriv,
                         V_from_superpotential, ces_residual, critical_structure,
                         shape_invariance_gap, superpotential,
                         superpotential_deriv)
-from .scattering import (PhaseConfig, PhaseDifferenceResult, PhaseExtraction,
-                         coulomb_eta, local_phase, phase_difference,
-                         susy_phase_offset)
-from .specfun import (CHFParams, chf_1f1, chf_1f1_deriv, chf_asymptotic,
-                      kummer_transform, load_golden_chf, log_gamma)
+from .scattering import (PhaseDifferenceResult, PhaseExtraction, coulomb_eta,
+                         local_phase, phase_difference, susy_phase_offset)
+from .specfun import (chf_1f1, chf_1f1_deriv, chf_asymptotic, kummer_transform,
+                      load_golden_chf, log_gamma)
 
 
 def __getattr__(name: str):
@@ -67,14 +66,14 @@ __all__ = [
     "solution_Z", "wronskian_Z", "wronskian_exact", "hermite_lambda",
     "susy_map",
     # specfun
-    "CHFParams", "chf_1f1", "chf_1f1_deriv", "kummer_transform",
-    "chf_asymptotic", "log_gamma", "load_golden_chf",
+    "chf_1f1", "chf_1f1_deriv", "kummer_transform", "chf_asymptotic",
+    "log_gamma", "load_golden_chf",
     # oracle
     "ODEProblem", "ODESolution", "schrodinger_problem",
     "integrate", "frobenius_series_solution", "residual_schrodinger",
     # scattering
-    "PhaseConfig", "PhaseExtraction", "PhaseDifferenceResult", "coulomb_eta",
-    "local_phase", "phase_difference", "susy_phase_offset",
+    "PhaseExtraction", "PhaseDifferenceResult", "coulomb_eta", "local_phase",
+    "phase_difference", "susy_phase_offset",
     # verification
     "CheckReport", "run_suite",
     # errors

@@ -15,7 +15,6 @@ with %.17g (full round-trip precision).
 """
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import sys
@@ -28,7 +27,7 @@ from . import __version__
 from .closedform import Branch, solution_Z, solution_params
 from .errors import NotConverged, SusyCesError
 from .potential import Sector, V, superpotential
-from .scattering import PhaseConfig, phase_difference
+from .scattering import phase_difference
 from .verify import run_suite
 
 _SECTORS = {"plus": Sector.PLUS, "minus": Sector.MINUS}
@@ -130,7 +129,7 @@ def verify(suite, rel_tol, fmt, out):
     """Run cross-check suites; exit 1 if any check fails."""
     reports = run_suite(suite, tol_override=rel_tol)
     if fmt == "json":
-        _emit(json.dumps([dataclasses.asdict(r) for r in reports], indent=2) + "\n", out)
+        _emit(json.dumps([r._asdict() for r in reports], indent=2) + "\n", out)
     else:
         lines = []
         for r in reports:
@@ -161,10 +160,10 @@ def verify(suite, rel_tol, fmt, out):
 @_config_errors
 def phase(m, omega, x_match, tol, part, x_limit, fmt, out):
     """Tail-corrected phase-shift difference between the two sectors."""
-    cfg = PhaseConfig(x_match=x_match, tol=tol, part=part, x_limit=x_limit)
     failed = None
     try:
-        res = phase_difference(m, omega, cfg)
+        res = phase_difference(m, omega, x_match=x_match, tol=tol, part=part,
+                               x_limit=x_limit)
     except NotConverged as e:
         res = e.result
         failed = str(e)

@@ -50,7 +50,6 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -76,8 +75,7 @@ class Branch(Enum):
     II = "II"
 
 
-@dataclass(frozen=True)
-class SolutionParams:
+class SolutionParams(NamedTuple):
     """Derived constants for one (m, omega) solution family.
 
     ``a1``/``a2`` are the hypergeometric parameters; ``hermite lambda``

@@ -42,7 +42,6 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from typing import Callable, NamedTuple
 
@@ -83,8 +82,7 @@ _FIRST_REACH = 0.8 * math.exp(math.lgamma(ORDER + 1.0) / ORDER)
 _REACH_TOL = 2.0 ** -30
 
 
-@dataclass(frozen=True)
-class ODEProblem:
+class ODEProblem(NamedTuple):
     """Second-order problem Z'' = q(x) Z; the integrator takes and returns (Z, Z').
 
     ``q(x) = mm/x + c x^(-3/2) - ee`` is V(x) - omega^2 with the constants
@@ -269,6 +267,9 @@ _SAFE_DIGITS = 17 + 8
 #: digits added to the predicted cancellation when sizing the precision:
 #: the safe digits plus 12 for the n**2 growth of the rounding error
 _PREC_GUARD = _SAFE_DIGITS + 12
+#: term budget of one Frobenius sum; inside the series range of the
+#: closed forms (|y| <= 60) a few hundred suffice
+FROBENIUS_MAX_TERMS = 4000
 _LOG10E = math.log10(math.e)
 
 
@@ -277,8 +278,8 @@ def _exponent(re: Decimal, im: Decimal) -> float:
     return max(re.adjusted() if re else -math.inf, im.adjusted() if im else -math.inf)
 
 
-def _frobenius_sum(a: complex, sigma: float, y: complex, prec: int,
-                   max_terms: int) -> tuple[Decimal, Decimal, float, int]:
+def _frobenius_sum(a: complex, sigma: float, y: complex,
+                   prec: int) -> tuple[Decimal, Decimal, float, int]:
     """(sr, si, peak, n): the sum sr + i si at ``prec`` significant digits,
     the decimal exponent of its largest term and the n terms summed.
 
@@ -292,7 +293,7 @@ def _frobenius_sum(a: complex, sigma: float, y: complex, prec: int,
         s0, half = Decimal(sigma), Decimal(0.5)
         tr, ti = sr, si = Decimal(1), Decimal(0)
         peak = hits = 0
-        for k in range(max_terms):
+        for k in range(FROBENIUS_MAX_TERMS):
             # t_{k+1} = t_k (c + a) y / ((c + 1)(c + 1/2)), c = k + sigma exactly
             c = s0 + k
             nr = ar + c
@@ -307,12 +308,11 @@ def _frobenius_sum(a: complex, sigma: float, y: complex, prec: int,
             if hits >= 2:
                 return sr, si, peak, k + 2
     raise NonConvergence(
-        f"Frobenius series did not converge within {max_terms} terms "
+        f"Frobenius series did not converge within {FROBENIUS_MAX_TERMS} terms "
         f"(a={a!r}, sigma={sigma}, |y|={abs(y):.3g})")
 
 
-def frobenius_series_solution(a: complex, sigma: float, y: complex, *,
-                              max_terms: int = 4000) -> complex:
+def frobenius_series_solution(a: complex, sigma: float, y: complex) -> complex:
     """Frobenius solution f_sigma(y) = y^sigma sum_k c_k y^k, c_0 = 1.
 
     The coefficients obey c_{k+1} = c_k (k + sigma + a) /
@@ -332,13 +332,13 @@ def frobenius_series_solution(a: complex, sigma: float, y: complex, *,
     if not (cmath.isfinite(a) and cmath.isfinite(y)):
         raise InvalidParams(f"a={a!r} and y={y!r} must be finite")
     prec = _PREC_GUARD + math.ceil(abs(y) * _LOG10E)
-    sr, si, peak, n = _frobenius_sum(a, sigma, y, prec, max_terms)
+    sr, si, peak, n = _frobenius_sum(a, sigma, y, prec)
     # digits the sum stands above the bound; a zero sum counts as one
     # unit in the last digit of the peak term
     above = max(_exponent(sr, si) - peak + prec, 0) - 2 * len(str(n)) - 1
     if above < _SAFE_DIGITS:
         prec += _SAFE_DIGITS - above + 2
-        sr, si, _, _ = _frobenius_sum(a, sigma, y, prec, max_terms)
+        sr, si, _, _ = _frobenius_sum(a, sigma, y, prec)
     val = complex(float(sr), float(si))
     return val if sigma == 0.0 else cmath.sqrt(y) * val
 

@@ -18,8 +18,8 @@ holds bit-for-bit, not merely to rounding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from ._points import flat, shaped
 from .errors import DomainError, InvalidParams
@@ -135,8 +135,7 @@ def shape_invariance_gap(x, m: float):
     return shaped([_v(m, 1.0, v) - _v(-m, -1.0, v) for v in xs], shape)
 
 
-@dataclass(frozen=True)
-class CriticalStructure:
+class CriticalStructure(NamedTuple):
     """Landmarks of the MINUS-sector potential for m > 0.
 
     V_minus rises from -inf, crosses zero at ``zero_x`` = 1/(4 m^2),

@@ -42,7 +42,6 @@ asymptotic limit is never assumed anywhere in this module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, NamedTuple
 
 from .closedform import Branch, SolutionSample, solution_Z, solution_params, susy_map
@@ -56,8 +55,8 @@ if TYPE_CHECKING:
     import numpy as np
 
 __all__ = [
-    "PhaseConfig", "PhaseExtraction", "PhaseDifferenceResult", "coulomb_eta",
-    "local_phase", "phase_difference", "susy_phase_offset",
+    "PhaseExtraction", "PhaseDifferenceResult", "coulomb_eta", "local_phase",
+    "phase_difference", "susy_phase_offset",
 ]
 
 _EPS = 2.0 ** -52
@@ -94,38 +93,6 @@ def _mod_pi(d: float) -> float:
     return d
 
 
-@dataclass(frozen=True)
-class PhaseConfig:
-    """Knobs of the phase-difference ladder.
-
-    ``x_match``: ladder base, finite and positive, rungs at x_match 2^k;
-    defaults to max(20/omega, 2.5 m^2/omega^2), i.e. in the oscillatory
-    region and past the barrier.  It is also the seed point unless it
-    lies beyond the 1F1 series range; then the seed moves inward to the
-    edge of that range (:func:`seed_point`).
-    ``x_limit``: the ladder's one budget, the largest x a rung may reach,
-    finite and positive; ``None`` means x_match 2^14, i.e. 14 rungs.
-    ``part``: which real solution to track, the real or imaginary part
-    of the complex pair; both must give the same limit (useful as a
-    consistency check).
-    """
-
-    x_match: float | None = None
-    tol: float = 1e-3
-    part: str = "re"
-    x_limit: float | None = None
-
-    def __post_init__(self):
-        if self.part not in ("re", "im"):
-            raise InvalidParams(f"part={self.part!r} must be 're' or 'im'")
-        for name in ("x_match", "x_limit"):
-            v = getattr(self, name)
-            if not (v is None or 0.0 < v < math.inf):
-                raise InvalidParams(f"{name}={v!r} must be a positive finite real")
-        if not (self.tol > 0):
-            raise InvalidParams("tol must be positive")
-
-
 def local_phase(m: float, omega: float, x: float, u: float, du: float) -> PhaseExtraction:
     """Phase of a real solution sample (u, u') at x, mod pi.
 
@@ -157,8 +124,7 @@ def local_phase(m: float, omega: float, x: float, u: float, du: float) -> PhaseE
     return PhaseExtraction(x, raw, corrected)
 
 
-@dataclass(frozen=True)
-class PhaseDifferenceResult:
+class PhaseDifferenceResult(NamedTuple):
     """Ladder history and tail-corrected estimate of delta_minus - delta_plus.
 
     ``raw`` holds the per-point differences d_k in [0, pi); ``accelerated``
@@ -180,8 +146,8 @@ class PhaseDifferenceResult:
     estimate: float
     residual: float
     converged: bool
-    ode_steps: int = field(default=0, compare=False)
-    ode_rejected: int = field(default=0, compare=False)
+    ode_steps: int = 0
+    ode_rejected: int = 0
 
 
 def default_x_match(m: float, omega: float) -> float:
@@ -196,8 +162,9 @@ def seed_point(x_match: float, omega: float) -> float:
     return min(x_match, (1.0 - 4.0 * _EPS) * SERIES_ZMAX / (2.0 * omega))
 
 
-def phase_difference(m: float, omega: float,
-                     cfg: PhaseConfig | None = None) -> PhaseDifferenceResult:
+def phase_difference(m: float, omega: float, *, x_match: float | None = None,
+                     tol: float = 1e-3, part: str = "re",
+                     x_limit: float | None = None) -> PhaseDifferenceResult:
     """Tail-corrected phase-shift difference of the two sectors at energy omega^2.
 
     Seeds from the branch-I closed form at the match point, or at the
@@ -205,15 +172,32 @@ def phase_difference(m: float, omega: float,
     hypergeometric evaluation is needed in the far zone; the integrator
     runs at its default tolerances.  Raises :class:`NotConverged` (with
     the partial result attached as ``err.result``) if the ladder reaches
-    ``cfg.x_limit`` before the last three values, each rung read against
-    ``susy_phase_offset(W(x_k), omega)``, lie within ``cfg.tol`` of each
+    ``x_limit`` before the last three values, each rung read against
+    ``susy_phase_offset(W(x_k), omega)``, lie within ``tol`` of each
     other with at least four rungs taken.
-    """
-    cfg = cfg or PhaseConfig()
-    p = solution_params(m, omega)
-    x_match = float(cfg.x_match) if cfg.x_match is not None else default_x_match(m, omega)
 
-    x_limit = cfg.x_limit or x_match * 2.0 ** _DEFAULT_DOUBLINGS
+    ``x_match``: ladder base, finite and positive, rungs at x_match 2^k;
+    defaults to max(20/omega, 2.5 m^2/omega^2), i.e. in the oscillatory
+    region and past the barrier.  It is also the seed point unless it
+    lies beyond the 1F1 series range; then the seed moves inward to the
+    edge of that range (:func:`seed_point`).
+    ``x_limit``: the ladder's one budget, the largest x a rung may reach,
+    finite and positive; ``None`` means x_match 2^14, i.e. 14 rungs.
+    ``part``: which real solution to track, the real or imaginary part
+    of the complex pair; both must give the same limit (useful as a
+    consistency check).
+    """
+    if part not in ("re", "im"):
+        raise InvalidParams(f"part={part!r} must be 're' or 'im'")
+    for name, v in (("x_match", x_match), ("x_limit", x_limit)):
+        if not (v is None or 0.0 < v < math.inf):
+            raise InvalidParams(f"{name}={v!r} must be a positive finite real")
+    if not (tol > 0):
+        raise InvalidParams("tol must be positive")
+    p = solution_params(m, omega)
+    x_match = float(x_match) if x_match is not None else default_x_match(m, omega)
+
+    x_limit = x_limit or x_match * 2.0 ** _DEFAULT_DOUBLINGS
     # rung k >= 1 sits at x_match 2^k <= x_limit: compare binary exponents,
     # then mantissas, so the count is exact and needs no loop
     (fm, em), (fl, el) = math.frexp(x_match), math.frexp(x_limit)
@@ -229,7 +213,7 @@ def phase_difference(m: float, omega: float,
     prob_p = schrodinger_problem(m, omega, Sector.PLUS)
 
     def extract(x, z, dz):
-        if cfg.part == "re":
+        if part == "re":
             u, du = z.real, dz.real
         else:
             u, du = z.imag, dz.imag
@@ -265,7 +249,7 @@ def phase_difference(m: float, omega: float,
         accs.append(d - 0.5 * (offset - math.pi))
         if len(accs) >= 3:
             residual = max(accs[-3:]) - min(accs[-3:])
-            if len(accs) >= 4 and residual < cfg.tol:
+            if len(accs) >= 4 and residual < tol:
                 converged = True
                 break
 
@@ -278,7 +262,7 @@ def phase_difference(m: float, omega: float,
         ode_rejected=rejected)
     if not converged:
         raise NotConverged(
-            f"phase difference not converged to {cfg.tol:g} within the ladder "
+            f"phase difference not converged to {tol:g} within the ladder "
             f"(last residual {residual:.3g})", result=result)
     return result
 

@@ -36,7 +36,6 @@ import csv
 import math
 import os
 import sys
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import NamedTuple
@@ -63,22 +62,14 @@ def _is_nonpositive_integer(x: float) -> bool:
     return x <= 0.0 and float(x).is_integer()
 
 
-@dataclass(frozen=True)
-class CHFParams:
-    """Parameters (a, b) of 1F1(a, b; z); ``b`` must avoid the poles at 0, -1, -2, ..."""
-
-    a: complex
-    b: float
-
-    def __post_init__(self):
-        a = complex(self.a)
-        b = float(self.b)
-        if not (cmath.isfinite(a) and math.isfinite(b)):
-            raise InvalidParams(f"non-finite CHF parameters a={self.a!r}, b={self.b!r}")
-        if _is_nonpositive_integer(b):
-            raise InvalidParams(f"b={b} is a non-positive integer (series pole)")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+def _params(a, b) -> tuple[complex, float]:
+    """(a, b) of 1F1(a, b; z) as complex and float; ``b`` must avoid the poles at 0, -1, -2, ..."""
+    ca, fb = complex(a), float(b)
+    if not (cmath.isfinite(ca) and math.isfinite(fb)):
+        raise InvalidParams(f"non-finite CHF parameters a={a!r}, b={b!r}")
+    if _is_nonpositive_integer(fb):
+        raise InvalidParams(f"b={fb} is a non-positive integer (series pole)")
+    return ca, fb
 
 
 def _series(a: complex, b: float, zs: list[complex]) -> list[complex]:
@@ -117,7 +108,7 @@ def _in_double_range(vals: list[complex], what: str) -> list[complex]:
     return vals
 
 
-def chf_1f1(p: CHFParams, z):
+def chf_1f1(a: complex, b: float, z):
     """Kummer's function 1F1(a, b; z) for complex a, z and real b.
 
     Accepts a complex scalar ``z``, which gives a ``complex``, or an
@@ -135,8 +126,9 @@ def chf_1f1(p: CHFParams, z):
     DoubleRangeExceeded
         if a value's magnitude is above the largest double.
     """
+    a, b = _params(a, b)
     zs, shape = _flat_z(z)
-    return shaped(_series(p.a, p.b, zs), shape, complex)
+    return shaped(_series(a, b, zs), shape, complex)
 
 
 def kummer_pair(eta: float, s: list[float]) -> tuple[list[complex], list[complex]]:
@@ -161,7 +153,7 @@ def kummer_pair(eta: float, s: list[float]) -> tuple[list[complex], list[complex
     return [walk.p[k] for k in idx], [walk.q[k] for k in idx]
 
 
-def kummer_transform(p: CHFParams, z):
+def kummer_transform(a: complex, b: float, z):
     """Evaluate 1F1(a, b; z) as e^z 1F1(b-a, b; -z).
 
     A different sum from the one :func:`chf_1f1` runs, so it provides an
@@ -172,14 +164,15 @@ def kummer_transform(p: CHFParams, z):
     DoubleRangeExceeded
         if the sum or its product with e^z is above the largest double.
     """
+    a, b = _params(a, b)
     zs, shape = _flat_z(z)
-    vals = _series(p.b - p.a, p.b, [-v for v in zs])
+    vals = _series(b - a, b, [-v for v in zs])
     # |z| <= SERIES_ZMAX keeps e^z itself far inside the double range
     out = [cmath.exp(v) * f for v, f in zip(zs, vals)]
-    return shaped(_in_double_range(out, f"1F1({p.a!r}, {p.b!r}; z)"), shape, complex)
+    return shaped(_in_double_range(out, f"1F1({a!r}, {b!r}; z)"), shape, complex)
 
 
-def chf_1f1_deriv(p: CHFParams, z):
+def chf_1f1_deriv(a: complex, b: float, z):
     """d/dz 1F1(a, b; z) = (a/b) 1F1(a+1, b+1; z).
 
     Raises
@@ -187,11 +180,11 @@ def chf_1f1_deriv(p: CHFParams, z):
     DoubleRangeExceeded
         if the derivative's magnitude is above the largest double.
     """
+    a, b = _params(a, b)
     zs, shape = _flat_z(z)
-    q = CHFParams(p.a + 1, p.b + 1)
-    c = p.a / p.b
-    d = [c * v for v in _series(q.a, q.b, zs)]
-    return shaped(_in_double_range(d, f"1F1'({p.a!r}, {p.b!r}; z)"), shape, complex)
+    c = a / b
+    d = [c * v for v in _series(a + 1, b + 1, zs)]
+    return shaped(_in_double_range(d, f"1F1'({a!r}, {b!r}; z)"), shape, complex)
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +260,7 @@ class AsymptoticResult(NamedTuple):
     error_estimate: float
 
 
-def chf_asymptotic(p: CHFParams, z: complex) -> AsymptoticResult:
+def chf_asymptotic(a: complex, b: float, z: complex) -> AsymptoticResult:
     """Large-|z| two-branch expansion of 1F1(a, b; z), cross-check only.
 
     Sums both formal series to their optimal truncation, or until a term
@@ -283,10 +276,10 @@ def chf_asymptotic(p: CHFParams, z: complex) -> AsymptoticResult:
     ArgumentTooSmall
         if |z| < ASYMPTOTIC_MIN_ABS_Z, where optimal truncation is too loose.
     """
+    a, b = _params(a, b)
     z = complex(z)
     if abs(z) < ASYMPTOTIC_MIN_ABS_Z:
         raise ArgumentTooSmall(f"|z| = {abs(z):.4g} < {ASYMPTOTIC_MIN_ABS_Z:g}")
-    a, b = p.a, p.b
     eps = sys.float_info.epsilon
 
     def opt_sum(p1: complex, p2: complex, zz: complex) -> tuple[complex, float]:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,8 +26,7 @@ from .potential import Sector
 __all__ = ["CheckReport", "SUITES", "run_suite"]
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     name: str
     passed: bool
     max_error: float
@@ -54,7 +53,7 @@ def check_golden_table(tol: float = 1e-10) -> CheckReport:
     rows = specfun.load_golden_chf()
     worst = 0.0
     for r in rows:
-        v = specfun.chf_1f1(specfun.CHFParams(r.a, r.b), r.z)
+        v = specfun.chf_1f1(r.a, r.b, r.z)
         worst = max(worst, abs(v - r.f) / max(1.0, abs(r.f)))
     return _report("specfun/golden-table", worst, tol,
                    f"{len(rows)} frozen reference values")
@@ -64,10 +63,9 @@ def check_kummer_consistency(tol: float = 1e-10) -> CheckReport:
     worst = 0.0
     n = 0
     for a, b in _PROBE_PARAMS:
-        p = specfun.CHFParams(a, b)
         for z in _PROBE_Z:
-            direct = specfun.chf_1f1(p, z)
-            transf = specfun.kummer_transform(p, z)
+            direct = specfun.chf_1f1(a, b, z)
+            transf = specfun.kummer_transform(a, b, z)
             worst = max(worst, abs(direct - transf) / max(1.0, abs(direct)))
             n += 1
     return _report("specfun/kummer-consistency", worst, tol,
@@ -78,10 +76,9 @@ def check_derivative_fd(tol: float = 1e-7) -> CheckReport:
     worst = 0.0
     h = 1e-6
     for a, b in _PROBE_PARAMS:
-        p = specfun.CHFParams(a, b)
         for z in (-3j, -20j, 2 + 2j, -8 + 1j, 5.0):
-            fd = (specfun.chf_1f1(p, z + h) - specfun.chf_1f1(p, z - h)) / (2 * h)
-            an = specfun.chf_1f1_deriv(p, z)
+            fd = (specfun.chf_1f1(a, b, z + h) - specfun.chf_1f1(a, b, z - h)) / (2 * h)
+            an = specfun.chf_1f1_deriv(a, b, z)
             worst = max(worst, abs(fd - an) / max(1.0, abs(an)))
     return _report("specfun/derivative-fd", worst, tol,
                    "analytic parameter-shift derivative vs central difference")
@@ -105,14 +102,13 @@ def check_chf_wronskian(tol: float = 1e-9) -> CheckReport:
     # pair M(a,b;z) and z^{1-b} M(a-b+1, 2-b; z): Wronskian (1-b) z^{-b} e^z
     worst = 0.0
     for a, b in ((0.5j, 0.5), (1 + 1j, 2.5), (0.5 + 0.5j, 1.5), (2j, 0.5)):
-        p1 = specfun.CHFParams(a, b)
-        p2 = specfun.CHFParams(a - b + 1.0, 2.0 - b)
+        a2, b2 = a - b + 1.0, 2.0 - b
         for z in (-3j, -20j, -40j, 1 + 1j, -6 + 2j, 4.0):
             z = complex(z)
-            f1 = specfun.chf_1f1(p1, z)
-            d1 = specfun.chf_1f1_deriv(p1, z)
-            f2r = specfun.chf_1f1(p2, z)
-            d2r = specfun.chf_1f1_deriv(p2, z)
+            f1 = specfun.chf_1f1(a, b, z)
+            d1 = specfun.chf_1f1_deriv(a, b, z)
+            f2r = specfun.chf_1f1(a2, b2, z)
+            d2r = specfun.chf_1f1_deriv(a2, b2, z)
             zp = z ** (1.0 - b)
             f2 = zp * f2r
             d2 = zp * d2r + (1.0 - b) * zp / z * f2r
@@ -126,10 +122,9 @@ def check_chf_wronskian(tol: float = 1e-9) -> CheckReport:
 def check_asymptotic_overlap(tol: float = 1e-9) -> CheckReport:
     worst = 0.0
     for a, b in _PROBE_PARAMS:
-        p = specfun.CHFParams(a, b)
         for z in (-30j, -55j, 50j, 28 + 28j, -40 - 10j, -59j):
-            val, _ = specfun.chf_asymptotic(p, z)
-            ser = specfun.chf_1f1(p, z)
+            val, _ = specfun.chf_asymptotic(a, b, z)
+            ser = specfun.chf_1f1(a, b, z)
             worst = max(worst, abs(val - ser) / max(1.0, abs(ser)))
     return _report("specfun/asymptotic-overlap", worst, tol,
                    "large-|z| expansion vs series where both are viable")
@@ -175,8 +170,7 @@ def check_intertwining(tol: float = 1e-8) -> CheckReport:
         x = np.logspace(-2, math.log10(25.0 / omega), 40)
         wx = potential.superpotential(x, m)
         for br in cf.Branch:
-            zp = series_solution_Z(p, br, Sector.PLUS, x)
-            zm = series_solution_Z(p, br, Sector.MINUS, x)
+            zp, zm = _series_Z(p, br, (Sector.PLUS, Sector.MINUS), x)
             sc = np.maximum(1.0, np.abs(zp.value) + np.abs(zm.value))
             r1 = np.abs((zm.derivative + wx * zm.value) - 1j * omega * zp.value) / sc
             r2 = np.abs((zp.derivative - wx * zp.value) - 1j * omega * zm.value) / sc
@@ -210,8 +204,7 @@ def series_components(p: cf.SolutionParams, branch: cf.Branch, x: np.ndarray):
         ab = ((p.a2, 1.5), (p.a2, 0.5))
     dr = []
     for ri, (a, b) in zip(r, ab):
-        par = specfun.CHFParams(a, b)
-        dlog = specfun.chf_1f1_deriv(par, y) / specfun.chf_1f1(par, y)
+        dlog = specfun.chf_1f1_deriv(a, b, y) / specfun.chf_1f1(a, b, y)
         dr.append(-2j * p.omega * ri * (dlog - 0.5 + (0.5 * b - 0.25) / y))
     return (*r, *dr)
 
@@ -224,10 +217,15 @@ def series_solution_Z(p: cf.SolutionParams, branch: cf.Branch, sector: Sector,
     come from the first-order system, so relations that the system implies
     hold only as far as the components really solve it.
     """
+    return _series_Z(p, branch, (sector,), x)[0]
+
+
+def _series_Z(p: cf.SolutionParams, branch: cf.Branch, sectors: tuple[Sector, ...],
+              x: np.ndarray) -> list[cf.SolutionSample]:
+    """:func:`series_solution_Z` in each of ``sectors``, from one :func:`series_components`."""
     _, _, d1, d2 = series_components(p, branch, x)
-    sg = 1j * sector.sign
-    return cf.SolutionSample(x, cf.solution_Z(p, branch, sector, x).value,
-                             cf.PHASE_M4 * (d1 + sg * d2))
+    return [cf.SolutionSample(x, cf.solution_Z(p, branch, sec, x).value,
+                              cf.PHASE_M4 * (d1 + 1j * sec.sign * d2)) for sec in sectors]
 
 
 def check_rtilde_system(tol: float = 1e-12) -> CheckReport:
@@ -254,11 +252,11 @@ def check_grid_continuation(tol: float = 0.0) -> CheckReport:
         hi = 29.5 / omega
         for x in (np.linspace(hi / 64, hi, 64), np.logspace(-4, math.log10(hi), 64)):
             s = np.unique(-cf.y_of_x(x, omega).imag).tolist()
-            for br in cf.Branch:
-                rows = cf.components(p, br, x)
-                for i, xi in enumerate(x.tolist()):
-                    for lone, row in zip(cf.components(p, br, xi), rows):
-                        worst = max(worst, abs(complex(lone) - complex(row[i])))
+            xs = x.tolist()
+            grid = cf._components(p, tuple(cf.Branch), xs)
+            for i, xi in enumerate(xs):
+                for (lone,), rows in zip(cf._components(p, tuple(cf.Branch), [xi]), grid):
+                    worst = max(worst, *(abs(a - b) for a, b in zip(lone, rows[i])))
             walk = highprec.kummer_walk(p.a1.imag, s)
             points += len(s)
             continued += walk.continued
@@ -404,9 +402,9 @@ def check_frobenius(tol: float = 1e-12) -> CheckReport:
             for x in (0.3, 1.0, 5.0, 15.0):
                 y = -2j * omega * x
                 f0 = oracle.frobenius_series_solution(a, 0.0, y)
-                g0 = specfun.chf_1f1(specfun.CHFParams(a, 0.5), y)
+                g0 = specfun.chf_1f1(a, 0.5, y)
                 fh = oracle.frobenius_series_solution(a, 0.5, y)
-                gh = cmath.sqrt(y) * specfun.chf_1f1(specfun.CHFParams(a + 0.5, 1.5), y)
+                gh = cmath.sqrt(y) * specfun.chf_1f1(a + 0.5, 1.5, y)
                 worst = max(worst, abs(f0 - g0) / max(1.0, abs(g0)),
                             abs(fh - gh) / max(1.0, abs(gh)))
     return _report("oracle/frobenius-agreement", worst, tol,

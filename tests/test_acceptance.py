@@ -165,8 +165,7 @@ def test_c07_phase_difference_reaches_half_pi(record_property):
     for m, omega in ((1.0, 1.0), (0.5, 2.0)):
         x_budget = 1e4 * max(1.0, m * m) / omega
         try:
-            res = scattering.phase_difference(
-                m, omega, scattering.PhaseConfig(x_limit=x_budget))
+            res = scattering.phase_difference(m, omega, x_limit=x_budget)
         except NotConverged as e:
             res = e.result  # budget hit first; judge the partial estimate
         assert res is not None and res.x.size > 0

@@ -15,7 +15,7 @@ from susy_ces.closedform import PHASE_M4, PHASE_P4, Branch
 from susy_ces.errors import (DomainError, DoubleRangeExceeded, InvalidParams,
                              SeriesRangeExceeded)
 from susy_ces.potential import Sector
-from susy_ces.specfun import CHFParams, chf_1f1_deriv
+from susy_ces.specfun import chf_1f1_deriv
 from susy_ces.verify import series_components, series_solution_Z, wronskian_grid
 
 FAMILIES = ((1.0, 1.0), (2.0, 0.5), (0.5, 2.0))
@@ -150,10 +150,10 @@ def test_one_series_loop_per_point(branch, monkeypatch):
         cf.solution_Z(p, branch, Sector.PLUS, 7.5)
     assert len(sums) == 1
     assert highprec.kummer_walk(p.a1.imag, [15.0]).sums == 1
-    # a grid takes lone points while that is cheaper, then seeds a state
-    # (one loop) and steps: 4 points plus a seed over |y| in [1, 40], and
-    # 3 plus a seed plus one value whose rounding the radius leaves open
-    # over |y| in (0, 59]
+    # a grid takes lone points until a step from one would reach the next,
+    # then seeds a state (one loop) and steps: 4 points plus a seed over
+    # |y| in [1, 40], and 3 plus a seed plus one value whose rounding the
+    # radius leaves open over |y| in (0, 59]
     for x, want in ((np.linspace(0.5, 20.0, 16), 5),
                     (np.linspace(29.5 / 256, 29.5, 256), 5)):
         sums.clear()
@@ -178,8 +178,8 @@ def test_branch_i_is_the_recipe_and_branch_ii_its_conjugate(eta, omega, log_y):
     h = cmath.exp(-0.5 * y)
     s = math.sqrt(2.0 * omega * x) * PHASE_M4
     c2 = cf.coupling_constants(p, Branch.I).c2
-    want = (h * specfun.chf_1f1(CHFParams(p.a1, 0.5), y),
-            c2 * h * s * specfun.chf_1f1(CHFParams(p.a1 + 1.0, 1.5), y))
+    want = (h * specfun.chf_1f1(p.a1, 0.5, y),
+            c2 * h * s * specfun.chf_1f1(p.a1 + 1.0, 1.5, y))
     for got, r in zip(cf.components(p, Branch.I, x), want):
         assert abs(got - r) <= 1e-13 * max(1.0, abs(r))
     c2_ii = cf.coupling_constants(p, Branch.II).c2
@@ -404,7 +404,7 @@ def _solution(p, x):
 
 
 def _deriv(p, x):
-    return chf_1f1_deriv(CHFParams(p.a1, 0.5), cf.y_of_x(x, p.omega))
+    return chf_1f1_deriv(p.a1, 0.5, cf.y_of_x(x, p.omega))
 
 
 @pytest.mark.parametrize("m, omega, x, evaluate", [

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import susy_ces
-from susy_ces import Branch, CHFParams, Sector, V, chf_1f1, components, solution_Z, y_of_x
+from susy_ces import Branch, Sector, V, chf_1f1, components, solution_Z, y_of_x
 from susy_ces import closedform as cf
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -66,7 +66,7 @@ CALLS = {
     "components": (lambda x: components(P, Branch.II, x)[1], complex),
     "y_of_x": (lambda x: y_of_x(x, 1.0), complex),
     "V": (lambda x: V(x, 1.0, Sector.MINUS), float),
-    "chf_1f1": (lambda x: chf_1f1(CHFParams(0.5j, 0.5), _on_ray(x)), complex),
+    "chf_1f1": (lambda x: chf_1f1(0.5j, 0.5, _on_ray(x)), complex),
 }
 
 

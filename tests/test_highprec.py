@@ -30,7 +30,7 @@ _SERIES_PROBES = [
 
 
 @pytest.mark.parametrize("a,b,z", _SERIES_PROBES)
-def test_series_dd_agrees_with_fixed_point(a, b, z):
+def test_series_fixed_is_mpmath_correctly_rounded(a, b, z):
     """The fixed-point sum is mpmath's 60-digit value correctly rounded."""
     with mpmath.workdps(60):
         want = complex(mpmath.hyp1f1(a, b, z))
@@ -111,9 +111,9 @@ def test_kummer_walk_at_eta_zero_is_the_series():
 
 @pytest.mark.parametrize("eta", [1.62, 2.0])
 def test_kummer_walk_seeds_once(eta):
-    # every step is priced at the state's width, as the seed decision is, so
-    # a state seeded where |M| is large is carried rather than dropped and
-    # seeded again at the next point
+    # steps are read off the grid alone, with no price to weigh at the
+    # state's width, so a state seeded where |M| is large is carried rather
+    # than dropped and seeded again at the next point
     walk = kummer_walk(eta, [59.0 * k / 256 for k in range(1, 257)])
     assert walk.seeds == 1
 

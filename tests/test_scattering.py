@@ -14,7 +14,7 @@ from susy_ces.errors import (
     NotConverged,
     TooCloseToTurningRegion,
 )
-from susy_ces.scattering import PhaseConfig, phase_difference, susy_phase_offset
+from susy_ces.scattering import phase_difference, susy_phase_offset
 from susy_ces.specfun import SERIES_ZMAX
 
 HALF_PI = 0.5 * math.pi
@@ -73,22 +73,33 @@ def test_local_phase_guards():
 
 def test_phase_config_validation():
     with pytest.raises(InvalidParams):
-        PhaseConfig(part="abs")
+        phase_difference(1.0, 1.0, part="abs")
     with pytest.raises(InvalidParams):
-        PhaseConfig(tol=0.0)
+        phase_difference(1.0, 1.0, tol=0.0)
 
 
 @pytest.mark.parametrize("x_limit", [math.nan, math.inf, 0.0, -1.0])
 def test_phase_config_rejects_bad_x_limit(x_limit):
     # x_limit is the ladder's only budget, so it must be a finite positive x
     with pytest.raises(InvalidParams):
-        PhaseConfig(x_limit=x_limit)
+        phase_difference(1.0, 1.0, x_limit=x_limit)
 
 
 @pytest.mark.parametrize("x_match", [math.nan, math.inf, 0.0, -1.0])
 def test_phase_config_rejects_bad_x_match(x_match):
     with pytest.raises(InvalidParams):
-        PhaseConfig(x_match=x_match)
+        phase_difference(1.0, 1.0, x_match=x_match)
+
+
+def test_keywords_are_checked_before_any_solve(monkeypatch):
+    def solve(*args, **kwargs):
+        raise AssertionError("a solve ran before the keywords were checked")
+
+    monkeypatch.setattr(sc, "solution_Z", solve)
+    monkeypatch.setattr(sc, "integrate", solve)
+    for kw in ({"part": "abs"}, {"tol": 0.0}, {"x_match": math.nan}, {"x_limit": -1.0}):
+        with pytest.raises(InvalidParams):
+            phase_difference(1.0, 1.0, **kw)
 
 
 def test_susy_phase_offset_landmarks():
@@ -167,7 +178,7 @@ def test_phase_difference_converges_at_strong_coupling(m, omega):
     # m^2/omega = 16 and 18: seeded at the edge of the series range, the
     # ladder runs out to x ~ 2e4 and 9e4 within the criterion-07 budget
     x_limit = 1e4 * max(1.0, m * m) / omega
-    res = phase_difference(m, omega, PhaseConfig(x_limit=x_limit))
+    res = phase_difference(m, omega, x_limit=x_limit)
     assert res.converged
     assert np.all(res.x <= x_limit)
     assert abs(res.estimate - HALF_PI) < 1e-3
@@ -175,8 +186,8 @@ def test_phase_difference_converges_at_strong_coupling(m, omega):
 
 def test_phase_difference_imaginary_part_agrees():
     for m in (0.5, 1.0):  # m^2/omega = 0.125 and 0.5
-        re_part = phase_difference(m, 2.0, PhaseConfig(part="re"))
-        im_part = phase_difference(m, 2.0, PhaseConfig(part="im"))
+        re_part = phase_difference(m, 2.0, part="re")
+        im_part = phase_difference(m, 2.0, part="im")
         assert im_part.converged
         assert abs(im_part.estimate - HALF_PI) < 1e-3
         assert abs(im_part.estimate - re_part.estimate) < 2e-3
@@ -184,7 +195,7 @@ def test_phase_difference_imaginary_part_agrees():
 
 def test_phase_difference_budget_exhaustion():
     with pytest.raises(NotConverged) as exc:
-        phase_difference(0.5, 2.0, PhaseConfig(x_limit=50.0))
+        phase_difference(0.5, 2.0, x_limit=50.0)
     res = exc.value.result
     assert res is not None
     assert not res.converged
@@ -196,7 +207,7 @@ def test_phase_difference_budget_exhaustion():
 def test_phase_difference_too_few_points():
     with pytest.raises(NotConverged):
         # x_match = 10: two rungs, at x = 20 and 40
-        phase_difference(0.5, 2.0, PhaseConfig(x_limit=10.0 * 2 ** 2))
+        phase_difference(0.5, 2.0, x_limit=10.0 * 2 ** 2)
 
 
 @given(st.floats(1e-3, 1e3))
@@ -213,7 +224,7 @@ def test_phase_difference_seeds_inside_the_series_range(m, omega):
     # 2 omega x_match = 80 and 90: the seed moves in to |y| = 60, the rungs stay
     x_match = sc.default_x_match(m, omega)
     with pytest.raises(NotConverged) as exc:
-        phase_difference(m, omega, PhaseConfig(x_limit=x_match * 2 ** 3))
+        phase_difference(m, omega, x_limit=x_match * 2 ** 3)
     res = exc.value.result
     assert 2.0 * omega * res.x_match > SERIES_ZMAX
     assert np.array_equal(res.x, res.x_match * np.array([2.0, 4.0, 8.0]))
@@ -223,4 +234,4 @@ def test_phase_difference_seeds_inside_the_series_range(m, omega):
 
 def test_phase_difference_rejects_turning_region_seed():
     with pytest.raises(TooCloseToTurningRegion):
-        phase_difference(1.0, 1.0, PhaseConfig(x_match=1.0))
+        phase_difference(1.0, 1.0, x_match=1.0)

@@ -45,7 +45,7 @@ FROZEN = [
 
 @pytest.mark.parametrize("a,b,z,f", FROZEN)
 def test_frozen_reference_values(a, b, z, f):
-    got = sf.chf_1f1(sf.CHFParams(a, b), z)
+    got = sf.chf_1f1(a, b, z)
     assert rel(got, f) < 1e-13
 
 
@@ -54,7 +54,7 @@ def test_golden_table_loaded_and_reproduced():
     assert len(rows) == 24
     worst = 0.0
     for r in rows:
-        got = sf.chf_1f1(sf.CHFParams(r.a, r.b), r.z)
+        got = sf.chf_1f1(r.a, r.b, r.z)
         worst = max(worst, rel(got, r.f))
     assert worst < 1e-12
 
@@ -94,51 +94,47 @@ def test_golden_dir_env_override(tmp_path, monkeypatch):
 
 
 def test_trivial_values():
-    p = sf.CHFParams(1 + 1j, 0.5)
-    assert sf.chf_1f1(p, 0j) == 1.0 + 0j
-    assert sf.chf_1f1(sf.CHFParams(0.0, 0.5), 3j) == 1.0 + 0j
+    p = (1 + 1j, 0.5)
+    assert sf.chf_1f1(*p, 0j) == 1.0 + 0j
+    assert sf.chf_1f1(0.0, 0.5, 3j) == 1.0 + 0j
     # a == b collapses to exp(z)
-    pe = sf.CHFParams(1.5, 1.5)
-    assert rel(sf.chf_1f1(pe, 2.0 + 1.0j), cmath.exp(2.0 + 1.0j)) < 1e-14
+    pe = (1.5, 1.5)
+    assert rel(sf.chf_1f1(*pe, 2.0 + 1.0j), cmath.exp(2.0 + 1.0j)) < 1e-14
 
 
 def test_param_validation():
-    with pytest.raises(InvalidParams):
-        sf.CHFParams(1.0, 0.0)
-    with pytest.raises(InvalidParams):
-        sf.CHFParams(1.0, -3.0)
-    with pytest.raises(InvalidParams):
-        sf.CHFParams(complex("nan"), 0.5)
-    with pytest.raises(InvalidParams):
-        sf.CHFParams(1.0, math.inf)
-    sf.CHFParams(1.0, 0.5)  # valid half-integer
+    for f in (sf.chf_1f1, sf.chf_1f1_deriv, sf.kummer_transform, sf.chf_asymptotic):
+        for a, b in ((1.0, 0.0), (1.0, -3.0), (complex("nan"), 0.5), (1.0, math.inf)):
+            with pytest.raises(InvalidParams):
+                f(a, b, -30j)
+        f(1.0, 0.5, -30j)  # valid half-integer
 
 
 def test_series_range_guard():
-    p = sf.CHFParams(0.5j, 0.5)
+    p = (0.5j, 0.5)
     with pytest.raises(SeriesRangeExceeded):
-        sf.chf_1f1(p, 61j)
+        sf.chf_1f1(*p, 61j)
     with pytest.raises(SeriesRangeExceeded):
-        sf.chf_1f1(p, np.array([-2j, 75j]))
+        sf.chf_1f1(*p, np.array([-2j, 75j]))
     with pytest.raises(InvalidParams):
-        sf.chf_1f1(p, complex(math.inf, 0.0))
+        sf.chf_1f1(*p, complex(math.inf, 0.0))
     # finite z whose modulus overflows the double range
     with pytest.raises(SeriesRangeExceeded):
-        sf.chf_1f1(p, complex(1.7e308, 1.7e308))
+        sf.chf_1f1(*p, complex(1.7e308, 1.7e308))
     # the boundary itself is allowed and routed to the fixed-point ladder
-    v = sf.chf_1f1(p, -60j)
+    v = sf.chf_1f1(*p, -60j)
     assert cmath.isfinite(v)
 
 
 def test_array_shape_round_trip():
-    p = sf.CHFParams(0.5j, 0.5)
+    p = (0.5j, 0.5)
     z = np.array([[-2j, -38j], [33j, 5 + 5j]])
-    out = sf.chf_1f1(p, z)
+    out = sf.chf_1f1(*p, z)
     assert out.shape == z.shape
     for idx in np.ndindex(z.shape):
-        scalar = sf.chf_1f1(p, complex(z[idx]))
+        scalar = sf.chf_1f1(*p, complex(z[idx]))
         assert rel(out[idx], scalar) < 1e-13
-    assert isinstance(sf.chf_1f1(p, -2j), complex)
+    assert isinstance(sf.chf_1f1(*p, -2j), complex)
 
 
 def _component_families(m, omega):
@@ -152,10 +148,9 @@ def test_single_point_width_meets_double_precision(m, omega):
     # the width grows with |z|; 59.9 sits just inside the refusal bound
     worst = 0.0
     for a, b in _component_families(m, omega):
-        p = sf.CHFParams(a, b)
         for r in (0.5, 20.0, 40.0, 40.5, 59.9):
             z = complex(0.0, -r)
-            worst = max(worst, rel(sf.chf_1f1(p, z), mp_hyp1f1(a, b, z), floor=0.0))
+            worst = max(worst, rel(sf.chf_1f1(a, b, z), mp_hyp1f1(a, b, z), floor=0.0))
     assert worst < 4e-16
 
 
@@ -172,7 +167,7 @@ def test_negative_real_half_plane_is_correctly_rounded():
         z = cmath.rect(rng.uniform(0.5, 60.0), theta)
         if z.real >= 0.0:
             continue
-        worst = max(worst, rel(sf.chf_1f1(sf.CHFParams(a, b), z),
+        worst = max(worst, rel(sf.chf_1f1(a, b, z),
                                mp_hyp1f1(a, b, z), floor=0.0))
     assert worst < 4e-16
 
@@ -184,9 +179,8 @@ def test_negative_real_half_plane_is_correctly_rounded():
 def test_kummer_transform_agrees_with_direct_sum():
     worst = 0.0
     for a, b in ((0.5j, 0.5), (1 + 1j, 2.5), (-0.3 + 0.2j, 1.2)):
-        p = sf.CHFParams(a, b)
         for z in (-3j, 24j, -17j, 4.0 + 3.0j, 7.0, -9.0 + 2.0j):
-            worst = max(worst, rel(sf.chf_1f1(p, z), sf.kummer_transform(p, z)))
+            worst = max(worst, rel(sf.chf_1f1(a, b, z), sf.kummer_transform(a, b, z)))
     assert worst < 1e-11
 
 
@@ -195,23 +189,22 @@ def test_values_past_the_double_range_are_typed(f):
     # 1F1(2000, 1/2; 60) is about 9e313: the direct sum, the transformed sum
     # times e^60 and the derivative all name the double range
     with pytest.raises(DoubleRangeExceeded):
-        f(sf.CHFParams(2000.0, 0.5), 60.0)
+        f(2000.0, 0.5, 60.0)
 
 
 def test_derivative_matches_central_difference():
     h = 1e-6
     for a, b in ((0.5j, 0.5), (1 + 1j, 2.5), (-0.3 + 0.2j, 1.2)):
-        p = sf.CHFParams(a, b)
         for z in (-3j, -20j, 2 + 2j, 5.0):
-            fd = (sf.chf_1f1(p, z + h) - sf.chf_1f1(p, z - h)) / (2 * h)
-            an = sf.chf_1f1_deriv(p, z)
+            fd = (sf.chf_1f1(a, b, z + h) - sf.chf_1f1(a, b, z - h)) / (2 * h)
+            an = sf.chf_1f1_deriv(a, b, z)
             assert rel(an, fd) < 1e-7
 
 
 def test_derivative_of_constant_series_is_zero():
-    p = sf.CHFParams(0.0, 0.5)
-    assert sf.chf_1f1_deriv(p, 3j) == 0j
-    out = sf.chf_1f1_deriv(p, np.array([1j, 2j]))
+    p = (0.0, 0.5)
+    assert sf.chf_1f1_deriv(*p, 3j) == 0j
+    out = sf.chf_1f1_deriv(*p, np.array([1j, 2j]))
     assert np.all(out == 0)
 
 
@@ -273,10 +266,9 @@ def test_log_gamma_reflection():
 def test_asymptotic_agrees_with_series_in_overlap():
     worst = 0.0
     for a, b in ((0.5j, 0.5), (1 + 0.5j, 1.5), (-0.3 + 0.2j, 1.2)):
-        p = sf.CHFParams(a, b)
         for z in (-30j, -55j, 50j, 28 + 28j, -40 - 10j):
-            val, err_est = sf.chf_asymptotic(p, z)
-            ser = sf.chf_1f1(p, z)
+            val, err_est = sf.chf_asymptotic(a, b, z)
+            ser = sf.chf_1f1(a, b, z)
             worst = max(worst, rel(val, ser))
             assert err_est < 1e-6 * max(1.0, abs(val))
     assert worst < 1e-9
@@ -288,12 +280,12 @@ def test_asymptotic_error_estimate_bounds_the_actual_error():
     with mpmath.workdps(40):
         for eta in (0.0, 0.025, 0.25, 1.0, 4.0, 8.0, 16.0):
             for k in (0, 1, 2):
-                p = sf.CHFParams(complex(k, eta), k + 0.5)
+                a, b = complex(k, eta), k + 0.5
                 for y in (60.0, 100.0, 500.0, 2000.0, 1e4):
-                    val, err_est = sf.chf_asymptotic(p, -1j * y)
+                    val, err_est = sf.chf_asymptotic(a, b, -1j * y)
                     if err_est >= 1e-6 * abs(val):
                         continue
-                    ref = complex(mpmath.hyp1f1(mpmath.mpc(p.a), p.b, mpmath.mpc(0, -y)))
+                    ref = complex(mpmath.hyp1f1(mpmath.mpc(a), b, mpmath.mpc(0, -y)))
                     assert abs(val - ref) <= err_est, (eta, k, y)
                     checked += 1
     assert checked >= 90
@@ -302,18 +294,18 @@ def test_asymptotic_error_estimate_bounds_the_actual_error():
 def test_asymptotic_boundary_ray():
     # phase(z) == -pi/2 exactly: the recessive/dominant sign split must
     # treat the negative imaginary axis consistently with its neighborhood
-    p = sf.CHFParams(0.5j, 0.5)
-    on_ray = sf.chf_asymptotic(p, -50j).value
-    near = sf.chf_asymptotic(p, complex(-1e-9, -50.0)).value
+    p = (0.5j, 0.5)
+    on_ray = sf.chf_asymptotic(*p, -50j).value
+    near = sf.chf_asymptotic(*p, complex(-1e-9, -50.0)).value
     assert rel(on_ray, near) < 1e-9
-    assert rel(on_ray, sf.chf_1f1(p, -50j)) < 1e-9
+    assert rel(on_ray, sf.chf_1f1(*p, -50j)) < 1e-9
 
 
 def test_asymptotic_small_argument_guard():
-    p = sf.CHFParams(0.5j, 0.5)
+    p = (0.5j, 0.5)
     with pytest.raises(ArgumentTooSmall):
-        sf.chf_asymptotic(p, 10j)
-    sf.chf_asymptotic(p, 26j)  # just above the default floor
+        sf.chf_asymptotic(*p, 10j)
+    sf.chf_asymptotic(*p, 26j)  # just above the default floor
 
 
 # ---------------------------------------------------------------------------
@@ -327,9 +319,9 @@ moderate_z = st.builds(complex, st.floats(-18, 18), st.floats(-18, 18))
 @settings(max_examples=60)
 def test_contiguous_relation_property(a, b, z):
     """M(a,b;z) - M(a-1,b;z) = (z/b) M(a,b+1;z)."""
-    m1 = sf.chf_1f1(sf.CHFParams(a, b), z)
-    m0 = sf.chf_1f1(sf.CHFParams(a - 1.0, b), z)
-    mr = sf.chf_1f1(sf.CHFParams(a, b + 1.0), z)
+    m1 = sf.chf_1f1(a, b, z)
+    m0 = sf.chf_1f1(a - 1.0, b, z)
+    mr = sf.chf_1f1(a, b + 1.0, z)
     lhs = m1 - m0
     rhs = (z / b) * mr
     scale = max(1.0, abs(m1), abs(m0), abs(rhs))
@@ -341,8 +333,7 @@ def test_contiguous_relation_property(a, b, z):
 def test_kummer_round_trip_property(a, b, t):
     """On the imaginary axis the direct and transformed sums are
     genuinely different computations that must agree."""
-    p = sf.CHFParams(a, b)
     z = complex(0.0, t)
-    direct = sf.chf_1f1(p, z)
-    transf = sf.kummer_transform(p, z)
+    direct = sf.chf_1f1(a, b, z)
+    transf = sf.kummer_transform(a, b, z)
     assert abs(direct - transf) <= 1e-11 * max(1.0, abs(direct))

@@ -1,5 +1,5 @@
 """Cross-check suite plumbing: report structure, suite routing,
-tolerance override, and a live run of the fast suites."""
+tolerance override, and a live run of every suite."""
 import math
 
 import pytest
@@ -32,6 +32,16 @@ def test_specfun_suite_passes():
 
 def test_oracle_suite_passes():
     for r in verify.run_suite("oracle"):
+        assert r.passed, f"{r.name}: {r.max_error:.3e} > {r.tolerance:.1e}"
+
+
+def test_closedform_suite_passes():
+    for r in verify.run_suite("closedform"):
+        assert r.passed, f"{r.name}: {r.max_error:.3e} > {r.tolerance:.1e}"
+
+
+def test_scattering_suite_passes():
+    for r in verify.run_suite("scattering"):
         assert r.passed, f"{r.name}: {r.max_error:.3e} > {r.tolerance:.1e}"
 
 
