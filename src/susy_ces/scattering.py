@@ -14,18 +14,19 @@ phases, where the log terms cancel identically and the drift is a clean
 
 :func:`phase_difference` therefore:
 
-1. seeds both sectors at one point from the closed form (the MINUS
-   solution and its first-order SUSY image, so the pair is genuinely the
-   *same* scattering state in both sectors): the match point, or the
-   largest x the 1F1 series reaches (2 omega x <= SERIES_ZMAX) if that
-   is nearer the origin;
-2. multiplies the mapped sample by i before taking real parts — the
+1. seeds the MINUS sector at one point from the closed form: the match
+   point, or the largest x the 1F1 series reaches (2 omega x <=
+   SERIES_ZMAX) if that is nearer the origin;
+2. pushes that sample outward along a doubling ladder x_k = x_match 2^k
+   with the adaptive integrator, one segment per rung (segment endpoints
+   exact, no interpolation);
+3. reads the PLUS sample at each rung as the first-order SUSY image of
+   the MINUS one (:func:`closedform.susy_map`), so the pair is exactly
+   the *same* scattering state in both sectors and only one sector is
+   integrated, and multiplies it by i before taking real parts — the
    ladder operator maps Re Z_minus onto Im Z_plus, and skipping this
    rotation pairs unrelated real solutions whose phase difference
    converges to the wrong constant;
-3. pushes both samples outward along a doubling ladder x_k = x_match 2^k
-   with the adaptive integrator, one segment per rung (segment endpoints
-   exact, no interpolation);
 4. subtracts the tail the ladder operator's phase rotation predicts,
    A_k = d_k - (susy_phase_offset(W(x_k), omega) - pi)/2, which leaves
    only the O(eta/(omega x)) oscillatory wiggle.
@@ -132,9 +133,9 @@ class PhaseDifferenceResult(NamedTuple):
     ``estimate`` its last entry; ``residual`` the spread max - min of its
     last three entries (the stopping measure and the error estimate, read
     from the data alone, not from any assumed limit; inf before three
-    rungs); ``ode_steps`` and
-    ``ode_rejected`` the integrator steps accepted and rejected over both
-    sectors and all rungs.
+    rungs); ``ode_steps`` and ``ode_rejected`` the integrator steps
+    accepted and rejected over all rungs, in the one sector integrated
+    (MINUS; PLUS is its SUSY image at each rung).
     """
 
     m: float
@@ -167,14 +168,17 @@ def phase_difference(m: float, omega: float, *, x_match: float | None = None,
                      x_limit: float | None = None) -> PhaseDifferenceResult:
     """Tail-corrected phase-shift difference of the two sectors at energy omega^2.
 
-    Seeds from the branch-I closed form at the match point, or at the
-    edge of the series range if the match point lies beyond it, so no
-    hypergeometric evaluation is needed in the far zone; the integrator
-    runs at its default tolerances.  Raises :class:`NotConverged` (with
-    the partial result attached as ``err.result``) if the ladder reaches
-    ``x_limit`` before the last three values, each rung read against
-    ``susy_phase_offset(W(x_k), omega)``, lie within ``tol`` of each
-    other with at least four rungs taken.
+    Seeds the MINUS sector from the branch-I closed form at the match
+    point, or at the edge of the series range if the match point lies
+    beyond it, so no hypergeometric evaluation is needed in the far zone;
+    the integrator carries it from rung to rung at its default
+    tolerances, and the PLUS sample at each rung is its SUSY image
+    (:func:`closedform.susy_map`), not a second integration.  Raises
+    :class:`NotConverged` (with the partial result attached as
+    ``err.result``) if the ladder reaches ``x_limit`` before the last
+    three values, each rung read against ``susy_phase_offset(W(x_k),
+    omega)``, lie within ``tol`` of each other with at least four rungs
+    taken.
 
     ``x_match``: ladder base, finite and positive, rungs at x_match 2^k;
     defaults to max(20/omega, 2.5 m^2/omega^2), i.e. in the oscillatory
@@ -203,14 +207,8 @@ def phase_difference(m: float, omega: float, *, x_match: float | None = None,
     (fm, em), (fl, el) = math.frexp(x_match), math.frexp(x_limit)
     n_rungs = max(0, el - em - (fm > fl))
 
-    x_seed = seed_point(x_match, p.omega)
-    zm = solution_Z(p, Branch.I, Sector.MINUS, x_seed)
-    zp = susy_map(p, zm, Sector.MINUS)
-    # rotate the mapped sector: Re(i Z_plus) is the ladder image of Re(Z_minus)
-    zp = SolutionSample(zp.x, 1j * zp.value, 1j * zp.derivative)
-
+    zm = solution_Z(p, Branch.I, Sector.MINUS, seed_point(x_match, p.omega))
     prob_m = schrodinger_problem(m, omega, Sector.MINUS)
-    prob_p = schrodinger_problem(m, omega, Sector.PLUS)
 
     def extract(x, z, dz):
         if part == "re":
@@ -223,23 +221,19 @@ def phase_difference(m: float, omega: float, *, x_match: float | None = None,
     raws: list[float] = []
     accs: list[float] = []
     steps = rejected = 0
-    x_prev = x_seed
-    ym = (zm.value, zm.derivative)
-    yp = (zp.value, zp.derivative)
     residual = math.inf
     converged = False
     for k in range(1, n_rungs + 1):
         xk = math.ldexp(x_match, k)
-        sm = integrate(prob_m, x_prev, xk, ym[0], ym[1])
-        sp = integrate(prob_p, x_prev, xk, yp[0], yp[1])
-        ym = (sm.value, sm.derivative)
-        yp = (sp.value, sp.derivative)
-        steps += sm.n_steps + sp.n_steps
-        rejected += sm.n_rejected + sp.n_rejected
-        x_prev = xk
+        sm = integrate(prob_m, zm.x, xk, zm.value, zm.derivative)
+        steps += sm.n_steps
+        rejected += sm.n_rejected
+        zm = SolutionSample(xk, sm.value, sm.derivative)
+        zp = susy_map(p, zm, Sector.MINUS)
 
-        dm = extract(xk, ym[0], ym[1])
-        dp = extract(xk, yp[0], yp[1])
+        dm = extract(xk, zm.value, zm.derivative)
+        # rotate the mapped sector: Re(i Z_plus) is the ladder image of Re(Z_minus)
+        dp = extract(xk, 1j * zp.value, 1j * zp.derivative)
         d = math.fmod(dm.delta_log_corrected - dp.delta_log_corrected, math.pi)
         if d < 0.0:
             d += math.pi

@@ -99,12 +99,15 @@ def _flat_z(z) -> tuple[list[complex], tuple | None]:
     return zs, shape
 
 
+def _range_error(what: str) -> DoubleRangeExceeded:
+    return DoubleRangeExceeded(
+        f"{what} exceeds the double range (magnitude above {sys.float_info.max:.4g})")
+
+
 def _in_double_range(vals: list[complex], what: str) -> list[complex]:
     """``vals``, unless a product of series values left the double range."""
     if not all(map(cmath.isfinite, vals)):
-        raise DoubleRangeExceeded(
-            f"{what} exceeds the double range "
-            f"(magnitude above {sys.float_info.max:.4g})")
+        raise _range_error(what)
     return vals
 
 
@@ -275,6 +278,8 @@ def chf_asymptotic(a: complex, b: float, z: complex) -> AsymptoticResult:
     ------
     ArgumentTooSmall
         if |z| < ASYMPTOTIC_MIN_ABS_Z, where optimal truncation is too loose.
+    DoubleRangeExceeded
+        if a branch's prefactor or the value is above the largest double.
     """
     a, b = _params(a, b)
     z = complex(z)
@@ -297,24 +302,29 @@ def chf_asymptotic(a: complex, b: float, z: complex) -> AsymptoticResult:
 
     sgn = 1.0 if cmath.phase(z) > -math.pi / 2 else -1.0
     logz = cmath.log(z)
-    # (sum, truncation error, prefactor, log terms of the coefficient); e^z
-    # stands apart, as its |z|-sized phase would cost |z| eps in a sum
+    # (sum, truncation error, exponent of the prefactor, log terms of the
+    # coefficient); e^z stands apart, as its |z|-sized phase would cost |z|
+    # eps in a sum
     branches = []
     if not _rgamma_is_zero(b - a):
-        branches.append((*opt_sum(a, a - b + 1.0, -z), 1.0, (
+        branches.append((*opt_sum(a, a - b + 1.0, -z), 0j, (
             log_gamma(b), -log_gamma(b - a), sgn * 1j * math.pi * a, -a * logz)))
     if not _rgamma_is_zero(a):
-        branches.append((*opt_sum(b - a, 1.0 - a, z), cmath.exp(z), (
+        branches.append((*opt_sum(b - a, 1.0 - a, z), z, (
             log_gamma(b), -log_gamma(a), (a - b) * logz)))
+    what = f"1F1({a!r}, {b!r}; {z!r})"
     value = 0j
     err = 0.0
     for s, e, lead, logs in branches:
+        try:
+            c = cmath.exp(lead) * cmath.exp(sum(logs))
+        except OverflowError:   # a factor of c alone is past the largest double
+            raise _range_error(what) from None
         # relative error of c: eps of each log term's size, 40 eps for each
         # log_gamma (its measured accuracy), and 16 eps for the sum s
-        c = lead * cmath.exp(sum(logs))
         value += c * s
         err += abs(c) * (e + eps * (96.0 + sum(map(abs, logs))) * abs(s))
-    return AsymptoticResult(value, err)
+    return AsymptoticResult(_in_double_range([value], what)[0], err)
 
 
 # ---------------------------------------------------------------------------

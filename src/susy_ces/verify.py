@@ -444,6 +444,32 @@ def check_phase_difference(tol: float = 1e-3) -> CheckReport:
                    f"estimate {res.estimate:.6f} at x = {res.x[-1]:.0f}")
 
 
+def check_ladder_sectors_agree(tol: float = 1e-8) -> CheckReport:
+    # the ladder integrates MINUS alone and reads PLUS through the SUSY map;
+    # here PLUS is integrated too, from the mapped seed, and must match
+    rungs = 8
+    worst = 0.0
+    for m, omega in ((0.5, 2.0), (1.0, 2.0)):
+        p = cf.solution_params(m, omega)
+        x_match = scattering.default_x_match(m, omega)
+        zm = cf.solution_Z(p, cf.Branch.I, Sector.MINUS, scattering.seed_point(x_match, omega))
+        zp = cf.susy_map(p, zm, Sector.MINUS)
+        probs = [oracle.schrodinger_problem(m, omega, sec) for sec in (Sector.MINUS, Sector.PLUS)]
+        for k in range(1, rungs + 1):
+            xk = math.ldexp(x_match, k)
+            sols = [oracle.integrate(prob, z.x, xk, z.value, z.derivative)
+                    for prob, z in zip(probs, (zm, zp))]
+            zm, zp = (cf.SolutionSample(xk, s.value, s.derivative) for s in sols)
+            mapped = cf.susy_map(p, zm, Sector.MINUS)
+            size = abs(mapped.value) + abs(mapped.derivative) / omega
+            worst = max(worst, abs(zp.value - mapped.value) / size,
+                        abs(zp.derivative - mapped.derivative) / omega / size)
+    return _report("scattering/ladder-sectors-agree", worst, tol,
+                   f"PLUS integrated from the mapped seed vs the SUSY map of the MINUS "
+                   f"integration, value and derivative/omega, {rungs} ladder rungs at "
+                   f"(m, omega) = (1/2, 2) and (1, 2)")
+
+
 SUITES: dict[str, tuple] = {
     "specfun": (check_golden_table, check_kummer_consistency, check_derivative_fd,
                 check_loggamma_reflection, check_chf_wronskian, check_asymptotic_overlap),
@@ -452,7 +478,7 @@ SUITES: dict[str, tuple] = {
                    check_hermite_lambda, check_small_x_limit, check_critical_structure),
     "oracle": (check_free_wave, check_convergence_order, check_ode_vs_closedform,
                check_frobenius),
-    "scattering": (check_offset_identity, check_phase_difference),
+    "scattering": (check_offset_identity, check_phase_difference, check_ladder_sectors_agree),
 }
 
 

@@ -160,6 +160,17 @@ def test_phase_difference_at_coupling_one_half():
     assert abs(res.estimate - HALF_PI) < 1e-3
 
 
+@pytest.mark.parametrize("m, omega, steps, estimate", [
+    (0.5, 2.0, 60, 1.5708211957687452), (1.0, 2.0, 247, 1.5708785957588574)])
+def test_phase_difference_integrates_one_sector(m, omega, steps, estimate):
+    # PLUS is the SUSY image of MINUS at each rung, not a second solve: the
+    # step counts are half of what integrating both sectors took (120, 494),
+    # and the estimates are those of the two-sector ladder to 1e-9
+    res = phase_difference(m, omega)
+    assert res.ode_steps == steps
+    assert abs(res.estimate - estimate) <= 1e-9
+
+
 @pytest.mark.parametrize("m, omega", [(math.sqrt(r * 1.5), 1.5) for r in (0.05, 0.2, 0.35, 0.5)]
                          + [(1.0, 1.0), (0.5, 2.0)])
 def test_phase_difference_residual_covers_the_error(m, omega):

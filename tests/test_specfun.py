@@ -308,6 +308,24 @@ def test_asymptotic_small_argument_guard():
     sf.chf_asymptotic(*p, 26j)  # just above the default floor
 
 
+def test_asymptotic_past_the_double_range_is_typed():
+    # |1F1(1/2 + 256 i, 1/2; -1280 i)| is about 8.8e348: a branch's prefactor
+    # alone overflows, and the error names the point
+    with pytest.raises(DoubleRangeExceeded, match=r"1F1\(\(0\.5\+256j\), 0\.5; .*1280j\)"):
+        sf.chf_asymptotic(0.5 + 256j, 0.5, -1280j)
+    # 1F1(3, 1/2; 700) is about 1.2e311: e^700 is a double, the value is not
+    with pytest.raises(DoubleRangeExceeded):
+        sf.chf_asymptotic(3.0, 0.5, 700.0)
+    # at eta = 200 the true value, about 6.9e272, is still a double: a finite
+    # value comes back, its error estimate (of the value's own size, as the
+    # expansion is far from asymptotic there) covering the actual error
+    a, b, z = 0.5 + 200j, 0.5, -1280j
+    val, err_est = sf.chf_asymptotic(a, b, z)
+    with mpmath.workdps(40):
+        ref = complex(mpmath.hyp1f1(mpmath.mpc(a), b, mpmath.mpc(z)))
+    assert abs(val - ref) <= err_est
+
+
 # ---------------------------------------------------------------------------
 # property-based identities
 
