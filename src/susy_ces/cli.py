@@ -120,7 +120,7 @@ def table(m, omega, sector, branch, x_min, x_max, points, spacing, fmt, out):
                                             "scattering", "all"]),
               default="all", show_default=True)
 @click.option("--rel-tol", type=float, default=None,
-              help="override every check tolerance with this value")
+              help="override every check tolerance with this value (finite, >= 0)")
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text",
               show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)

@@ -9,24 +9,26 @@ the same numbers, so agreement is evidence rather than tautology.
 
 The integrator steps Z'' = q(x) Z, q(x) = m^2/x +- (m/2) x^(-3/2) -
 omega^2, by the Taylor series of Z summed to degree ``ORDER`` (Corliss &
-Chang, ACM TOMS 8 (1982) 114; Jorba & Zou, Exp. Math. 14 (2005) 99).  It
-steps in s = sqrt(x), where the half-integer power goes away and the
-equation has polynomial coefficients,
+Chang, ACM TOMS 8 (1982) 114; Jorba & Zou, Exp. Math. 14 (2005) 99).  q
+is real, so the real and imaginary parts of Z are real solutions each,
+and the kernel steps them one at a time as real solutions u.  It steps
+in s = sqrt(x), where the half-integer power goes away and the equation
+has polynomial coefficients,
 
-    s Z_ss - Z_s = 4 (m^2 s + c - omega^2 s^3) Z,   c = +-m/2,
+    s u_ss - u_s = 4 (m^2 s + c - omega^2 s^3) u,   c = +-m/2,
 
-so the Taylor coefficients z_n of Z at s0 follow a fixed five-term
-recurrence from the state (Z, Z_s) alone, written afresh here in float:
+so the Taylor coefficients z_n of u at s0 follow a fixed five-term
+recurrence from the state (u, u_s) alone, written afresh here in float:
 
     s0 (n+1)(n+2) z_{n+2} = -(n+1)(n-1) z_{n+1}
                             + 4 (p0 z_n + p1 z_{n-1} + p2 z_{n-2} + p3 z_{n-3}),
 
 p0 = m^2 s0 + c - omega^2 s0^3, p1 = m^2 - 3 omega^2 s0^2,
-p2 = -3 omega^2 s0, p3 = -omega^2, and dZ/dx = Z_s / (2 s).  The series'
+p2 = -3 omega^2 s0, p3 = -omega^2, and du/dx = u_s / (2 s).  The series'
 radius is s0 (the origin is singular), so a step reaches at most
 min(1/2, (rel_tol 2^-30)^(1/ORDER)) of s0.  In the oscillatory zone a
 step of degree 31 spans about 5 radians of the wave and costs about
-16 us (2-core Xeon, Python 3.11), pure Python on float pairs.  Every step
+10 us (2-core Xeon, Python 3.11), pure Python on floats.  Every step
 is error-controlled: there is no fixed-step mode.  A call returns only
 the segment endpoint: its last step lands on s1 = sqrt(x1), correctly
 rounded, whose exact square lies within sqrt(2) ulp of x1 (2^-52
@@ -60,7 +62,7 @@ __all__ = [
 ORIGIN_FLOOR_COEFF = 1e-3
 #: absolute floor of the integrator's per-step error scale
 ABS_TOL = 1e-12
-#: accepted plus rejected steps one segment may take
+#: accepted plus rejected steps one segment may take, over both parts
 MAX_STEPS = 10_000_000
 
 #: degree of the Taylor polynomial one step sums; ORDER - 1 is a multiple
@@ -111,7 +113,8 @@ def schrodinger_problem(m: float, omega: float, sector: Sector) -> ODEProblem:
 
 
 class ODESolution(NamedTuple):
-    """Endpoint (x, Z, Z') of one integration segment and its step counts."""
+    """Endpoint (x, Z, Z') of one integration segment and its step counts,
+    added over the parts of Z: each part is a real solution of its own."""
 
     x: float
     value: complex
@@ -124,11 +127,16 @@ def _integrate_rhs(coeffs: tuple[float, float, float], x0: float, x1: float,
                    y0: tuple[complex, complex], *, rel_tol: float = 1e-10) -> ODESolution:
     """Adaptive Taylor core for Z'' = q(x) Z, q(x) = mm/x + c x^(-3/2) - ee.
 
+    q is real, so the real and imaginary parts of Z each solve the
+    equation: each part is stepped as a real solution u of its own, and
+    the step counts add.  A part whose value and derivative are both
+    exactly 0 stays 0 and takes no steps.
+
     It steps in s = sqrt(x), where the equation reads
-    s Z_ss - Z_s = 4 (mm s + c - ee s^3) Z with polynomial coefficients.
+    s u_ss - u_s = 4 (mm s + c - ee s^3) u with polynomial coefficients.
     A step of length h from s sums the scaled terms w_n = z_n h^n up to
-    n = ORDER, z_n being the Taylor coefficients of Z at s: w_0 = Z,
-    w_1 = h Z_s and
+    n = ORDER, z_n being the Taylor coefficients of u at s: w_0 = u,
+    w_1 = h u_s and
 
         (n + 1)(n + 2) w_{n+2} = -(n + 1)(n - 1) (h/s) w_{n+1}
                                  + sum_{k=0..3} Q_k w_{n-k},
@@ -138,9 +146,9 @@ def _integrate_rhs(coeffs: tuple[float, float, float], x0: float, x1: float,
     is s (the origin is singular), so a step reaches at most
     min(1/2, (rel_tol _REACH_TOL)^(1/ORDER)) of it.  The step is accepted
     when its last two terms stay below ``rel_tol`` times
-    max(|Z|, |Z_new|) plus ``ABS_TOL``.  Since each w_n scales as h^n,
+    max(|u|, |u_new|) plus ``ABS_TOL``.  Since each w_n scales as h^n,
     those terms give the next step length; the first trial step comes
-    from q's local wavenumber.  Z' = Z_s / (2 s).
+    from q's local wavenumber.  u' = u_s / (2 s).
     """
     if x1 == x0:
         raise InvalidParams("empty integration interval")
@@ -152,91 +160,81 @@ def _integrate_rhs(coeffs: tuple[float, float, float], x0: float, x1: float,
     z, dz = complex(y0[0]), complex(y0[1])
     if not (cmath.isfinite(z) and cmath.isfinite(dz)):
         raise InvalidParams(f"initial state ({z!r}, {dz!r}) must be finite")
-    mm, c, ee = coeffs
-    hypot, ab, max_steps, rec = math.hypot, ABS_TOL, MAX_STEPS, _REC
+    mm, cm, ee = coeffs
+    ab, max_steps, rec = ABS_TOL, MAX_STEPS, _REC
     p1, p2 = 1.0 / (ORDER - 1), 1.0 / ORDER
     tiny = 16 * sys.float_info.epsilon
     reach = min(0.5, (rel_tol * _REACH_TOL) ** p2)
-    s, s1 = math.sqrt(x0), math.sqrt(x1)
-    direction = 1.0 if s1 > s else -1.0
-    # the state (Z, Z_s) as four floats: float arithmetic runs about twice
-    # as fast as complex in CPython
-    zr, zi = z.real, z.imag
-    zsr, zsi = 2.0 * s * dz.real, 2.0 * s * dz.imag
+    s0, s1 = math.sqrt(x0), math.sqrt(x1)
+    direction = 1.0 if s1 > s0 else -1.0
     # the first trial step is sized from q's local wavenumber, 2 s sqrt|q|
     # in s
-    k = 2.0 * s * math.sqrt(abs(mm / x0 + c / (x0 * s) - ee))
-    h = _FIRST_REACH * rel_tol ** p2 / k if k > 0.0 else math.inf
+    k = 2.0 * s0 * math.sqrt(abs(mm / x0 + cm / (x0 * s0) - ee))
+    h0 = _FIRST_REACH * rel_tol ** p2 / k if k > 0.0 else math.inf
 
+    parts = []
     n_steps = 0
     n_rej = 0
-    while s != s1:
-        if n_steps + n_rej >= max_steps:
-            raise MaxStepsExceeded(f"exceeded {max_steps} steps at x={s * s:.6g}")
-        h = min(h, reach * s)
-        is_last = (s1 - s) * direction <= h
-        hs = s1 - s if is_last else h * direction
-        if abs(hs) <= tiny * s:
-            raise StepSizeUnderflow(f"step underflow at x={s * s:.6g} (h={h:.3g} in sqrt(x))")
-        g = hs / s
-        q0 = 4.0 * hs * g * (mm * s + c - ee * s * s * s)
-        q1 = 4.0 * hs * hs * g * (mm - 3.0 * ee * s * s)
-        q2 = -12.0 * ee * hs * hs * hs * hs
-        q3 = q2 * hs / (3.0 * s)
-        # the window w_{n-3} .. w_{n+1} rotates through the names a .. e
-        ar = br = cr = ai = bi = ci = 0.0
-        dr, di, er, ei = zr, zi, hs * zsr, hs * zsi
-        sr, si, tr, ti = dr + er, di + ei, er, ei
-        for a0, d0, n0, a1, d1, n1, a2, d2, n2, a3, d3, n3, a4, d4, n4 in rec:
-            t = a0 * g
-            ar = (t * er + q0 * dr + q1 * cr + q2 * br + q3 * ar) * d0
-            ai = (t * ei + q0 * di + q1 * ci + q2 * bi + q3 * ai) * d0
-            t = a1 * g
-            br = (t * ar + q0 * er + q1 * dr + q2 * cr + q3 * br) * d1
-            bi = (t * ai + q0 * ei + q1 * di + q2 * ci + q3 * bi) * d1
-            t = a2 * g
-            cr = (t * br + q0 * ar + q1 * er + q2 * dr + q3 * cr) * d2
-            ci = (t * bi + q0 * ai + q1 * ei + q2 * di + q3 * ci) * d2
-            t = a3 * g
-            dr = (t * cr + q0 * br + q1 * ar + q2 * er + q3 * dr) * d3
-            di = (t * ci + q0 * bi + q1 * ai + q2 * ei + q3 * di) * d3
-            t = a4 * g
-            er = (t * dr + q0 * cr + q1 * br + q2 * ar + q3 * er) * d4
-            ei = (t * di + q0 * ci + q1 * bi + q2 * ai + q3 * ei) * d4
-            sr += ar + br + cr + dr + er
-            si += ai + bi + ci + di + ei
-            tr += n0 * ar + n1 * br + n2 * cr + n3 * dr + n4 * er
-            ti += n0 * ai + n1 * bi + n2 * ci + n3 * di + n4 * ei
-        tr /= hs
-        ti /= hs
-        if not abs(sr) + abs(si) + abs(tr) + abs(ti) < math.inf:
-            raise DoubleRangeExceeded(
-                f"the solution passes the largest double near x={s * s:.6g}")
-        # the last two terms are w_{ORDER-1} = d and w_ORDER = e
-        e1, e2 = hypot(dr, di), hypot(er, ei)
-        u, v = hypot(zr, zi), hypot(sr, si)
-        scale = ab + rel_tol * (v if v > u else u)
-        # the step that would put both last terms at the scale
-        rho = min((scale / e1) ** p1 if e1 > 0.0 else math.inf,
-                  (scale / e2) ** p2 if e2 > 0.0 else math.inf)
-        if e1 <= scale and e2 <= scale:
-            s = s1 if is_last else s + hs
-            zr, zi, zsr, zsi = sr, si, tr, ti
-            n_steps += 1
-        else:
-            n_rej += 1
-        h = abs(hs) * min(0.9 * rho, 10.0)
-
-    return ODESolution(x1, complex(zr, zi), complex(zsr, zsi) / (2.0 * s), n_steps, n_rej)
+    for u, du in ((z.real, dz.real), (z.imag, dz.imag)):
+        s, h, us = s0, h0, 2.0 * s0 * du
+        while s != s1 and (u != 0.0 or us != 0.0):
+            if n_steps + n_rej >= max_steps:
+                raise MaxStepsExceeded(f"exceeded {max_steps} steps at x={s * s:.6g}")
+            h = min(h, reach * s)
+            is_last = (s1 - s) * direction <= h
+            hs = s1 - s if is_last else h * direction
+            if abs(hs) <= tiny * s:
+                raise StepSizeUnderflow(
+                    f"step underflow at x={s * s:.6g} (h={h:.3g} in sqrt(x))")
+            g = hs / s
+            q0 = 4.0 * hs * g * (mm * s + cm - ee * s * s * s)
+            q1 = 4.0 * hs * hs * g * (mm - 3.0 * ee * s * s)
+            q2 = -12.0 * ee * hs * hs * hs * hs
+            q3 = q2 * hs / (3.0 * s)
+            # the window w_{n-3} .. w_{n+1} rotates through the names
+            # a .. e; v and t sum the new u and h times the new u_s
+            a = b = c = 0.0
+            d, e = u, hs * us
+            v, t = d + e, e
+            for a0, d0, n0, a1, d1, n1, a2, d2, n2, a3, d3, n3, a4, d4, n4 in rec:
+                a = (a0 * g * e + q0 * d + q1 * c + q2 * b + q3 * a) * d0
+                b = (a1 * g * a + q0 * e + q1 * d + q2 * c + q3 * b) * d1
+                c = (a2 * g * b + q0 * a + q1 * e + q2 * d + q3 * c) * d2
+                d = (a3 * g * c + q0 * b + q1 * a + q2 * e + q3 * d) * d3
+                e = (a4 * g * d + q0 * c + q1 * b + q2 * a + q3 * e) * d4
+                v += a + b + c + d + e
+                t += n0 * a + n1 * b + n2 * c + n3 * d + n4 * e
+            t /= hs
+            if not abs(v) + abs(t) < math.inf:
+                raise DoubleRangeExceeded(
+                    f"the solution passes the largest double near x={s * s:.6g}")
+            # the last two terms are w_{ORDER-1} = d and w_ORDER = e
+            e1, e2 = abs(d), abs(e)
+            scale = ab + rel_tol * max(abs(u), abs(v))
+            # the step that would put both last terms at the scale
+            rho = min((scale / e1) ** p1 if e1 > 0.0 else math.inf,
+                      (scale / e2) ** p2 if e2 > 0.0 else math.inf)
+            if e1 <= scale and e2 <= scale:
+                s = s1 if is_last else s + hs
+                u, us = v, t
+                n_steps += 1
+            else:
+                n_rej += 1
+            h = abs(hs) * min(0.9 * rho, 10.0)
+        parts.append((u, us / (2.0 * s1)))
+    (ur, dur), (ui, dui) = parts
+    return ODESolution(x1, complex(ur, ui), complex(dur, dui), n_steps, n_rej)
 
 
 def integrate(problem: ODEProblem, x0: float, x1: float, z0: complex,
               dz0: complex, *, rel_tol: float = 1e-10) -> ODESolution:
     """Propagate (Z, Z') from x0 to x1 (either direction) adaptively.
 
+    The real and imaginary parts of Z are each a real solution, stepped
+    on its own; a part that is exactly 0 stays 0 and takes no steps.
     Each step's last two Taylor terms must stay below ``rel_tol`` times
-    the state's size plus ``ABS_TOL``.  Returns the state at exactly x1
-    with the step counts of the segment.
+    that part's size plus ``ABS_TOL``.  Returns the state at exactly x1
+    with the step counts of the segment, added over the parts.
 
     Raises DomainError if the segment leaves the singularity-guarded
     domain x >= problem.x_floor.

@@ -16,17 +16,19 @@ phases, where the log terms cancel identically and the drift is a clean
 
 1. seeds the MINUS sector at one point from the closed form: the match
    point, or the largest x the 1F1 series reaches (2 omega x <=
-   SERIES_ZMAX) if that is nearer the origin;
-2. pushes that sample outward along a doubling ladder x_k = x_match 2^k
-   with the adaptive integrator, one segment per rung (segment endpoints
-   exact, no interpolation);
+   SERIES_ZMAX) if that is nearer the origin.  V- is real, so the real
+   and imaginary parts of that complex solution are real solutions each;
+   the seed keeps the one ``part`` names;
+2. pushes that real sample outward along a doubling ladder
+   x_k = x_match 2^k with the adaptive integrator, one segment per rung
+   (segment endpoints exact, no interpolation);
 3. reads the PLUS sample at each rung as the first-order SUSY image of
    the MINUS one (:func:`closedform.susy_map`), so the pair is exactly
    the *same* scattering state in both sectors and only one sector is
    integrated, and multiplies it by i before taking real parts — the
-   ladder operator maps Re Z_minus onto Im Z_plus, and skipping this
-   rotation pairs unrelated real solutions whose phase difference
-   converges to the wrong constant;
+   ladder operator maps a real Z_minus onto an imaginary Z_plus, and
+   skipping this rotation pairs unrelated real solutions whose phase
+   difference converges to the wrong constant;
 4. subtracts the tail the ladder operator's phase rotation predicts,
    A_k = d_k - (susy_phase_offset(W(x_k), omega) - pi)/2, which leaves
    only the O(eta/(omega x)) oscillatory wiggle.
@@ -134,8 +136,8 @@ class PhaseDifferenceResult(NamedTuple):
     last three entries (the stopping measure and the error estimate, read
     from the data alone, not from any assumed limit; inf before three
     rungs); ``ode_steps`` and ``ode_rejected`` the integrator steps
-    accepted and rejected over all rungs, in the one sector integrated
-    (MINUS; PLUS is its SUSY image at each rung).
+    accepted and rejected over all rungs, for the one real solution
+    integrated (MINUS; PLUS is its SUSY image at each rung).
     """
 
     m: float
@@ -168,11 +170,12 @@ def phase_difference(m: float, omega: float, *, x_match: float | None = None,
                      x_limit: float | None = None) -> PhaseDifferenceResult:
     """Tail-corrected phase-shift difference of the two sectors at energy omega^2.
 
-    Seeds the MINUS sector from the branch-I closed form at the match
-    point, or at the edge of the series range if the match point lies
-    beyond it, so no hypergeometric evaluation is needed in the far zone;
-    the integrator carries it from rung to rung at its default
-    tolerances, and the PLUS sample at each rung is its SUSY image
+    Seeds the MINUS sector from the real or imaginary part (``part``) of
+    the branch-I closed form at the match point, or at the edge of the
+    series range if the match point lies beyond it, so no hypergeometric
+    evaluation is needed in the far zone; the integrator carries that
+    one real solution from rung to rung at its default tolerances, and
+    the PLUS sample at each rung is its SUSY image
     (:func:`closedform.susy_map`), not a second integration.  Raises
     :class:`NotConverged` (with the partial result attached as
     ``err.result``) if the ladder reaches ``x_limit`` before the last
@@ -188,7 +191,7 @@ def phase_difference(m: float, omega: float, *, x_match: float | None = None,
     ``x_limit``: the ladder's one budget, the largest x a rung may reach,
     finite and positive; ``None`` means x_match 2^14, i.e. 14 rungs.
     ``part``: which real solution to track, the real or imaginary part
-    of the complex pair; both must give the same limit (useful as a
+    of the branch-I solution; both must give the same limit (useful as a
     consistency check).
     """
     if part not in ("re", "im"):
@@ -207,15 +210,13 @@ def phase_difference(m: float, omega: float, *, x_match: float | None = None,
     (fm, em), (fl, el) = math.frexp(x_match), math.frexp(x_limit)
     n_rungs = max(0, el - em - (fm > fl))
 
-    zm = solution_Z(p, Branch.I, Sector.MINUS, seed_point(x_match, p.omega))
+    seed = solution_Z(p, Branch.I, Sector.MINUS, seed_point(x_match, p.omega))
+    # V- is real, so the part of the seed that ``part`` names is a real
+    # solution on its own: the ladder integrates that one alone
+    u, du = ((seed.value.real, seed.derivative.real) if part == "re"
+             else (seed.value.imag, seed.derivative.imag))
+    zm = SolutionSample(seed.x, complex(u), complex(du))
     prob_m = schrodinger_problem(m, omega, Sector.MINUS)
-
-    def extract(x, z, dz):
-        if part == "re":
-            u, du = z.real, dz.real
-        else:
-            u, du = z.imag, dz.imag
-        return local_phase(m, omega, x, u, du)
 
     xs: list[float] = []
     raws: list[float] = []
@@ -231,9 +232,10 @@ def phase_difference(m: float, omega: float, *, x_match: float | None = None,
         zm = SolutionSample(xk, sm.value, sm.derivative)
         zp = susy_map(p, zm, Sector.MINUS)
 
-        dm = extract(xk, zm.value, zm.derivative)
-        # rotate the mapped sector: Re(i Z_plus) is the ladder image of Re(Z_minus)
-        dp = extract(xk, 1j * zp.value, 1j * zp.derivative)
+        dm = local_phase(m, omega, xk, zm.value.real, zm.derivative.real)
+        # rotate the mapped sector: i Z_plus is the real ladder image of Z_minus
+        iz, idz = 1j * zp.value, 1j * zp.derivative
+        dp = local_phase(m, omega, xk, iz.real, idz.real)
         d = math.fmod(dm.delta_log_corrected - dp.delta_log_corrected, math.pi)
         if d < 0.0:
             d += math.pi

@@ -175,6 +175,14 @@ def test_verify_text_and_failure_exit(runner):
     assert "1/6 checks passed" in res.output
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_verify_rejects_a_tolerance_no_check_can_be_read_against(runner, tol):
+    # exit 1 is kept for checks that ran and missed
+    res = runner.invoke(main, ["verify", "--suite", "specfun", "--rel-tol", tol])
+    assert res.exit_code == 2, res.output
+    assert "FAIL" not in res.output
+
+
 def test_verify_pass_text(runner):
     res = runner.invoke(main, ["verify", "--suite", "specfun"])
     assert res.exit_code == 0

@@ -104,7 +104,8 @@ def _one_step_cases():
 def test_one_step_matches_the_series_reference():
     for name, prob, x0, x1, y0, rel_tol in _one_step_cases():
         got = oracle._integrate_rhs(prob.coeffs, x0, x1, y0, rel_tol=rel_tol)
-        assert (got.x, got.n_steps, got.n_rejected) == (x1, 1, 0), name
+        # one step for each part of the complex state
+        assert (got.x, got.n_steps, got.n_rejected) == (x1, 2, 0), name
         scale = max(1.0, abs(got.value), abs(got.derivative))
         for order, agree in ((oracle.ORDER, True), (oracle.ORDER - 1, False),
                              (oracle.ORDER + 1, False)):
@@ -114,6 +115,24 @@ def test_one_step_matches_the_series_reference():
                 assert gap < 1e-13, (name, gap)
             elif "(1, 1)" in name:
                 assert gap > 1e-8, (name, order, gap)
+
+
+def test_complex_state_integrates_as_two_real_solutions():
+    # q is real, so each part of Z is a real solution stepped on its own
+    prob = schrodinger_problem(1.0, 1.0, Sector.MINUS)
+    z0, dz0 = 0.7 - 1.3j, -0.4 + 0.9j
+    both = integrate(prob, 40.0, 95.0, z0, dz0)
+    re = integrate(prob, 40.0, 95.0, z0.real, dz0.real)
+    im = integrate(prob, 40.0, 95.0, z0.imag, dz0.imag)
+    assert both.value == complex(re.value.real, im.value.real)
+    assert both.derivative == complex(re.derivative.real, im.derivative.real)
+    assert both.n_steps == re.n_steps + im.n_steps > 0
+    assert both.n_rejected == re.n_rejected + im.n_rejected
+    # a real state takes only its real part's steps: its imaginary part
+    # stays exactly 0
+    assert (re.value.imag, re.derivative.imag) == (0.0, 0.0)
+    # a zero state stays zero and takes no steps
+    assert integrate(prob, 40.0, 95.0, 0j, 0j) == (95.0, 0j, 0j, 0, 0)
 
 
 def test_segments_must_lie_in_positive_x():
@@ -132,16 +151,16 @@ def test_free_wave_accuracy():
 
 
 def test_empirical_convergence_order():
-    # single free-wave steps of 7 and 5.6 radians from x0 = 25: the
-    # truncation error (~4e-8 and ~4e-11) stands far above rounding and
-    # scales as h^(p+1), h the step in s = sqrt(x)
+    # single free-wave steps of 7 and 5.6 radians from x0 = 25, one for
+    # each part of the wave: the truncation error (~4e-8 and ~4e-11) stands
+    # far above rounding and scales as h^(p+1), h the step in s = sqrt(x)
     w, s0 = 1.3, 5.0
     errs, hs = [], []
     for phase in (7.0, 5.6):
         x1 = (s0 + phase / (2.0 * w * s0)) ** 2
         s = oracle._integrate_rhs((0.0, 0.0, w * w), s0 * s0, x1, (1.0 + 0j, 1j * w),
                                   rel_tol=1e-3)
-        assert s.n_steps == 1 and s.n_rejected == 0
+        assert s.n_steps == 2 and s.n_rejected == 0
         errs.append(abs(s.value - cmath.exp(1j * w * (x1 - s0 * s0))))
         hs.append(math.sqrt(x1) - s0)
     order = math.log(errs[0] / errs[1]) / math.log(hs[0] / hs[1]) - 1.0

@@ -160,13 +160,22 @@ def test_phase_difference_at_coupling_one_half():
     assert abs(res.estimate - HALF_PI) < 1e-3
 
 
-@pytest.mark.parametrize("m, omega, steps, estimate", [
-    (0.5, 2.0, 60, 1.5708211957687452), (1.0, 2.0, 247, 1.5708785957588574)])
-def test_phase_difference_integrates_one_sector(m, omega, steps, estimate):
+_ONE_SECTOR = [(0.5, 2.0, "re", 60, 1.5708211957687452),
+               (1.0, 2.0, "re", 247, 1.5708785957588574),
+               (1.0, 1.0, "re", 999, 1.5708020327719778),
+               (1.0, 2.0, "im", 247, 1.570948445193197)]
+
+
+@pytest.mark.parametrize("m, omega, part, steps, estimate", _ONE_SECTOR,
+                         ids=["-".join(str(v) for v in c if v != "re") for c in _ONE_SECTOR])
+def test_phase_difference_integrates_one_sector(m, omega, part, steps, estimate):
     # PLUS is the SUSY image of MINUS at each rung, not a second solve: the
     # step counts are half of what integrating both sectors took (120, 494),
-    # and the estimates are those of the two-sector ladder to 1e-9
-    res = phase_difference(m, omega)
+    # and the estimates are those of the two-sector ladder to 1e-9.  Only
+    # the real solution ``part`` names is integrated: the (1, 1) and
+    # imaginary-part values are those of the ladder that integrated the
+    # complex MINUS solution, to 1e-9
+    res = phase_difference(m, omega, part=part)
     assert res.ode_steps == steps
     assert abs(res.estimate - estimate) <= 1e-9
 
@@ -184,7 +193,11 @@ def test_phase_difference_residual_covers_the_error(m, omega):
     assert abs(res.estimate - HALF_PI) <= res.residual
 
 
-@pytest.mark.parametrize("m, omega", [(4.0, 1.0), (3.0, 0.5)])
+#: estimates of the ladder that integrated the complex MINUS solution
+_STRONG = {(4.0, 1.0): 1.5711489756322417, (3.0, 0.5): 1.5706783460457436}
+
+
+@pytest.mark.parametrize("m, omega", list(_STRONG))
 def test_phase_difference_converges_at_strong_coupling(m, omega):
     # m^2/omega = 16 and 18: seeded at the edge of the series range, the
     # ladder runs out to x ~ 2e4 and 9e4 within the criterion-07 budget
@@ -193,6 +206,7 @@ def test_phase_difference_converges_at_strong_coupling(m, omega):
     assert res.converged
     assert np.all(res.x <= x_limit)
     assert abs(res.estimate - HALF_PI) < 1e-3
+    assert abs(res.estimate - _STRONG[m, omega]) <= 1e-9
 
 
 def test_phase_difference_imaginary_part_agrees():

@@ -76,6 +76,20 @@ def test_tolerance_override_loose_passes_everything():
     assert all(r.passed for r in reports)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+def test_tolerance_override_must_be_finite_and_non_negative(tol):
+    # a nan or negative tolerance would fail every check without a miss
+    with pytest.raises(InvalidParams):
+        verify.run_suite("specfun", tol_override=tol)
+
+
+def test_tolerance_override_zero_is_accepted():
+    # several checks use tolerance 0 by design; the golden table meets it
+    reports = verify.run_suite("specfun", tol_override=0.0)
+    assert all(r.tolerance == 0.0 for r in reports)
+    assert [r.name for r in reports if r.passed] == ["specfun/golden-table"]
+
+
 def test_nonconvergence_maps_to_failed_report(monkeypatch):
     def check_always_diverges(tol: float = 1e-3):
         raise NotConverged("synthetic divergence")
