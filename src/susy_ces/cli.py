@@ -146,30 +146,23 @@ def verify(suite, rel_tol, fmt, out):
 @main.command()
 @click.option("--m", type=float, required=True)
 @click.option("--omega", type=float, required=True)
-@click.option("--x-match", type=float, default=None,
-              help="ladder base, rungs at x_match*2^k; also the seed unless 2*omega*x_match "
-                   "exceeds the series bound (default: past barrier and 20/omega)")
 @click.option("--tol", type=float, default=1e-3, show_default=True,
               help="convergence tolerance on successive tail-corrected values")
-@click.option("--part", type=click.Choice(["re", "im"]), default="re", show_default=True)
 @click.option("--x-limit", type=float, default=None,
-              help="largest ladder point, finite and > 0 (default: x_match*2^14, 14 rungs)")
+              help="largest ladder point, finite and at least the first rung 2*x_match "
+                   "(default: x_match*2^14, 14 rungs; x_match = max(20/omega, 2.5*m^2/omega^2))")
 @click.option("--format", "fmt", type=click.Choice(["text", "csv", "json"]),
               default="text", show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 @_config_errors
-def phase(m, omega, x_match, tol, part, x_limit, fmt, out):
+def phase(m, omega, tol, x_limit, fmt, out):
     """Tail-corrected phase-shift difference between the two sectors."""
     failed = None
     try:
-        res = phase_difference(m, omega, x_match=x_match, tol=tol, part=part,
-                               x_limit=x_limit)
+        res = phase_difference(m, omega, tol=tol, x_limit=x_limit)
     except NotConverged as e:
         res = e.result
         failed = str(e)
-    if res is None or res.x.size == 0:
-        click.echo(f"error: {failed or 'no ladder points computed'}", err=True)
-        sys.exit(2)
 
     if fmt == "json":
         payload = {

@@ -356,8 +356,11 @@ def residual_schrodinger(zfunc: Callable, vfunc: Callable, energy: float, x):
     second derivative is the five-point central stencil
     (-1, 16, -30, 16, -1) / (12 h^2), so the residual floor is set by
     sample noise amplified by ~5.3/h^2; with analytic samples at 1e-15
-    and h = 1e-3 this sits around 1e-8 relative.
+    and h = 1e-3 this sits around 1e-8 relative.  ``energy`` scales the
+    residual, so it must be finite and > 0 (:class:`InvalidParams`).
     """
+    if not 0.0 < energy < math.inf:
+        raise InvalidParams(f"energy={energy!r} must be a positive finite real")
     h = _STENCIL_H
     xs, shape = flat(x)
     if any(v - 2 * h <= 0 for v in xs):

@@ -17,33 +17,46 @@ phases, where the log terms cancel identically and the drift is a clean
 1. seeds the MINUS sector at one point from the closed form: the match
    point, or the largest x the 1F1 series reaches (2 omega x <=
    SERIES_ZMAX) if that is nearer the origin.  V- is real, so the real
-   and imaginary parts of that complex solution are real solutions each;
-   the seed keeps the one ``part`` names;
+   part of that complex solution is a real solution on its own, and the
+   seed keeps it;
 2. pushes that real sample outward along a doubling ladder
-   x_k = x_match 2^k with the adaptive integrator, one segment per rung
-   (segment endpoints exact, no interpolation);
+   x_k = x_match 2^k, k >= 1, with the adaptive integrator, one segment
+   per rung (segment endpoints exact, no interpolation); the base
+   x_match = max(20/omega, 2.5 m^2/omega^2) lies in the oscillatory
+   region and past the barrier (:func:`default_x_match`);
 3. reads the PLUS sample at each rung as the first-order SUSY image of
    the MINUS one (:func:`closedform.susy_map`), so the pair is exactly
    the *same* scattering state in both sectors and only one sector is
-   integrated, and multiplies it by i before taking real parts — the
-   ladder operator maps a real Z_minus onto an imaginary Z_plus, and
-   skipping this rotation pairs unrelated real solutions whose phase
-   difference converges to the wrong constant;
+   integrated.  The ladder operator maps the real Z_minus = u onto an
+   imaginary Z_plus, whose real image is (v, v') = -Im (Z_plus, Z_plus');
+   the rung is the phase of one ratio,
+   d_k = arg((u' + i omega u) / (v' + i omega v)) mod pi, in [0, pi),
+   so the omega x and log terms of the two sectors are never formed;
 4. subtracts the tail the ladder operator's phase rotation predicts,
    A_k = d_k - (susy_phase_offset(W(x_k), omega) - pi)/2, which leaves
    only the O(eta/(omega x)) oscillatory wiggle.
 
+Step 4 leaves an algebraic function of the one sample (u, u') at x_k:
+with eps_k = W^2 u / ((W + i omega)(u' + i omega u)),
+
+    A_k = pi/2 - arg(1 + eps_k),   |A_k - pi/2| <= arcsin(m^2/(omega^2 x_k)),
+
+for any real solution u, since |eps_k| <= m^2/(omega^2 x_k).  So the
+limit pi/2 follows from the SUSY map alone, whichever scattering state
+is carried; what the data decide is how fast the rungs approach it.
 Convergence is declared from the data alone: the spread max - min of the
 last three corrected values falls below ``tol``, with at least four
 ladder points.  The wiggle alternates in sign, so the spread brackets
 the limit where one successive difference may not.  It is reported as
 ``residual``, an error estimate rather than a proof: it covered the
 error at m^2/omega from 0.02 to 4, but under-reads it by up to 1.6x at
-m^2/omega = 8 and 16.  The correction vanishes as W -> 0, so the known
-asymptotic limit is never assumed anywhere in this module.
+m^2/omega = 8 and 16, inside the bound above.  The correction vanishes
+as W -> 0, so the known asymptotic limit is never assumed anywhere in
+this module.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -130,14 +143,16 @@ def local_phase(m: float, omega: float, x: float, u: float, du: float) -> PhaseE
 class PhaseDifferenceResult(NamedTuple):
     """Ladder history and tail-corrected estimate of delta_minus - delta_plus.
 
-    ``raw`` holds the per-point differences d_k in [0, pi); ``accelerated``
-    the same rungs with the SUSY tail subtracted, one entry per rung;
-    ``estimate`` its last entry; ``residual`` the spread max - min of its
-    last three entries (the stopping measure and the error estimate, read
-    from the data alone, not from any assumed limit; inf before three
-    rungs); ``ode_steps`` and ``ode_rejected`` the integrator steps
-    accepted and rejected over all rungs, for the one real solution
-    integrated (MINUS; PLUS is its SUSY image at each rung).
+    ``x_match`` is the ladder base :func:`default_x_match` (m, omega),
+    derived, not chosen; the rungs sit at x_match 2^k.  ``raw`` holds the
+    per-point differences d_k in [0, pi); ``accelerated`` the same rungs
+    with the SUSY tail subtracted, one entry per rung; ``estimate`` its
+    last entry; ``residual`` the spread max - min of its last three
+    entries (the stopping measure and the error estimate, read from the
+    data alone, not from any assumed limit; inf before three rungs);
+    ``ode_steps`` and ``ode_rejected`` the integrator steps accepted and
+    rejected over all rungs, for the one real solution integrated
+    (MINUS; PLUS is its SUSY image at each rung).
     """
 
     m: float
@@ -154,6 +169,7 @@ class PhaseDifferenceResult(NamedTuple):
 
 
 def default_x_match(m: float, omega: float) -> float:
+    """Ladder base max(20/omega, 2.5 m^2/omega^2): oscillatory and past the barrier."""
     return max(20.0 / omega, 2.5 * (m * m) / (omega * omega))
 
 
@@ -165,58 +181,47 @@ def seed_point(x_match: float, omega: float) -> float:
     return min(x_match, (1.0 - 4.0 * _EPS) * SERIES_ZMAX / (2.0 * omega))
 
 
-def phase_difference(m: float, omega: float, *, x_match: float | None = None,
-                     tol: float = 1e-3, part: str = "re",
+def phase_difference(m: float, omega: float, *, tol: float = 1e-3,
                      x_limit: float | None = None) -> PhaseDifferenceResult:
     """Tail-corrected phase-shift difference of the two sectors at energy omega^2.
 
-    Seeds the MINUS sector from the real or imaginary part (``part``) of
-    the branch-I closed form at the match point, or at the edge of the
-    series range if the match point lies beyond it, so no hypergeometric
-    evaluation is needed in the far zone; the integrator carries that
-    one real solution from rung to rung at its default tolerances, and
-    the PLUS sample at each rung is its SUSY image
-    (:func:`closedform.susy_map`), not a second integration.  Raises
-    :class:`NotConverged` (with the partial result attached as
-    ``err.result``) if the ladder reaches ``x_limit`` before the last
-    three values, each rung read against ``susy_phase_offset(W(x_k),
-    omega)``, lie within ``tol`` of each other with at least four rungs
-    taken.
+    Seeds the MINUS sector from the real part of the branch-I closed form
+    at :func:`seed_point`, so no hypergeometric evaluation is needed in
+    the far zone; the integrator carries that one real solution along
+    rungs x_match 2^k, k >= 1, at its default tolerances, with
+    x_match = :func:`default_x_match`, and the PLUS sample at each rung
+    is its SUSY image (:func:`closedform.susy_map`), not a second
+    integration.  Raises :class:`NotConverged` (with the partial result
+    attached as ``err.result``) if the ladder reaches ``x_limit`` before
+    the last three values, each rung read against
+    ``susy_phase_offset(W(x_k), omega)``, lie within ``tol`` of each
+    other with at least four rungs taken.
 
-    ``x_match``: ladder base, finite and positive, rungs at x_match 2^k;
-    defaults to max(20/omega, 2.5 m^2/omega^2), i.e. in the oscillatory
-    region and past the barrier.  It is also the seed point unless it
-    lies beyond the 1F1 series range; then the seed moves inward to the
-    edge of that range (:func:`seed_point`).
     ``x_limit``: the ladder's one budget, the largest x a rung may reach,
-    finite and positive; ``None`` means x_match 2^14, i.e. 14 rungs.
-    ``part``: which real solution to track, the real or imaginary part
-    of the branch-I solution; both must give the same limit (useful as a
-    consistency check).
+    finite and not below the first rung 2 x_match; ``None`` means
+    x_match 2^14, i.e. 14 rungs.
     """
-    if part not in ("re", "im"):
-        raise InvalidParams(f"part={part!r} must be 're' or 'im'")
-    for name, v in (("x_match", x_match), ("x_limit", x_limit)):
-        if not (v is None or 0.0 < v < math.inf):
-            raise InvalidParams(f"{name}={v!r} must be a positive finite real")
+    if not (x_limit is None or 0.0 < x_limit < math.inf):
+        raise InvalidParams(f"x_limit={x_limit!r} must be a positive finite real")
     if not (tol > 0):
         raise InvalidParams("tol must be positive")
     p = solution_params(m, omega)
-    x_match = float(x_match) if x_match is not None else default_x_match(m, omega)
+    x_match = default_x_match(p.m, p.omega)
 
     x_limit = x_limit or x_match * 2.0 ** _DEFAULT_DOUBLINGS
     # rung k >= 1 sits at x_match 2^k <= x_limit: compare binary exponents,
     # then mantissas, so the count is exact and needs no loop
     (fm, em), (fl, el) = math.frexp(x_match), math.frexp(x_limit)
-    n_rungs = max(0, el - em - (fm > fl))
+    n_rungs = el - em - (fm > fl)
+    if n_rungs < 1:
+        raise InvalidParams(f"x_limit={x_limit!r} is below the ladder's first rung "
+                            f"x = {2.0 * x_match:.17g}")
 
     seed = solution_Z(p, Branch.I, Sector.MINUS, seed_point(x_match, p.omega))
-    # V- is real, so the part of the seed that ``part`` names is a real
-    # solution on its own: the ladder integrates that one alone
-    u, du = ((seed.value.real, seed.derivative.real) if part == "re"
-             else (seed.value.imag, seed.derivative.imag))
-    zm = SolutionSample(seed.x, complex(u), complex(du))
-    prob_m = schrodinger_problem(m, omega, Sector.MINUS)
+    # V- is real, so the real part of the seed is a real solution on its
+    # own: the ladder integrates that one alone
+    zm = SolutionSample(seed.x, complex(seed.value.real), complex(seed.derivative.real))
+    prob_m = schrodinger_problem(p.m, p.omega, Sector.MINUS)
 
     xs: list[float] = []
     raws: list[float] = []
@@ -231,12 +236,11 @@ def phase_difference(m: float, omega: float, *, x_match: float | None = None,
         rejected += sm.n_rejected
         zm = SolutionSample(xk, sm.value, sm.derivative)
         zp = susy_map(p, zm, Sector.MINUS)
-
-        dm = local_phase(m, omega, xk, zm.value.real, zm.derivative.real)
-        # rotate the mapped sector: i Z_plus is the real ladder image of Z_minus
-        iz, idz = 1j * zp.value, 1j * zp.derivative
-        dp = local_phase(m, omega, xk, iz.real, idz.real)
-        d = math.fmod(dm.delta_log_corrected - dp.delta_log_corrected, math.pi)
+        # the ladder operator maps the real Z_minus onto an imaginary Z_plus,
+        # and (v, v') = -Im (Z_plus, Z_plus') is its real image; the sector
+        # difference is one ratio's phase, read mod pi into [0, pi)
+        d = cmath.phase(complex(zm.derivative.real, p.omega * zm.value.real)
+                        / complex(-zp.derivative.imag, -p.omega * zp.value.imag))
         if d < 0.0:
             d += math.pi
         xs.append(xk)
@@ -253,9 +257,8 @@ def phase_difference(m: float, omega: float, *, x_match: float | None = None,
     result = PhaseDifferenceResult(
         m=m, omega=omega, x_match=x_match,
         x=np.array(xs), raw=np.array(raws), accelerated=np.array(accs),
-        estimate=accs[-1] if accs else math.nan,
-        residual=residual, converged=converged, ode_steps=steps,
-        ode_rejected=rejected)
+        estimate=accs[-1], residual=residual, converged=converged,
+        ode_steps=steps, ode_rejected=rejected)
     if not converged:
         raise NotConverged(
             f"phase difference not converged to {tol:g} within the ladder "

@@ -276,6 +276,8 @@ def chf_asymptotic(a: complex, b: float, z: complex) -> AsymptoticResult:
 
     Raises
     ------
+    InvalidParams
+        if a, b or z is not finite, or b is a series pole.
     ArgumentTooSmall
         if |z| < ASYMPTOTIC_MIN_ABS_Z, where optimal truncation is too loose.
     DoubleRangeExceeded
@@ -283,6 +285,8 @@ def chf_asymptotic(a: complex, b: float, z: complex) -> AsymptoticResult:
     """
     a, b = _params(a, b)
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise InvalidParams(f"z={z!r} is not finite")
     if abs(z) < ASYMPTOTIC_MIN_ABS_Z:
         raise ArgumentTooSmall(f"|z| = {abs(z):.4g} < {ASYMPTOTIC_MIN_ABS_Z:g}")
     eps = sys.float_info.epsilon

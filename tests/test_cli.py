@@ -280,6 +280,15 @@ def test_phase_beyond_series_range_prints_ladder_and_exits_1(runner):
     assert "converged: False" in res.output
 
 
+def test_phase_x_limit_below_the_first_rung_exits_2(runner):
+    # x_match = 10: the first rung is x = 20, so a budget of 15 holds none
+    res = runner.invoke(main, ["phase", "--m", "0.5", "--omega", "2",
+                               "--x-limit", "15"])
+    assert res.exit_code == 2
+    assert "first rung x = 20" in res.stderr
+    assert res.stdout == ""
+
+
 def test_phase_invalid_params_exit_2(runner):
     res = runner.invoke(main, ["phase", "--m", "-1", "--omega", "2"])
     assert res.exit_code == 2

@@ -303,3 +303,12 @@ def test_residual_detects_correct_and_wrong_solutions():
 def test_residual_domain_guard():
     with pytest.raises(DomainError):
         oracle.residual_schrodinger(np.sin, lambda xx: 0.0 * xx, 1.0, 1e-4)
+
+
+@pytest.mark.parametrize("energy", [0.0, -1.0, math.nan, math.inf])
+def test_residual_refuses_an_energy_that_is_not_positive_and_finite(energy):
+    # the residual is relative to the energy: 0 divided by zero, and -1
+    # returned a "relative residual" of -2
+    with pytest.raises(InvalidParams, match="energy"):
+        oracle.residual_schrodinger(np.sin, lambda xx: 0.0 * xx, energy,
+                                    np.linspace(1.0, 2.0, 3))

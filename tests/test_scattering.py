@@ -1,4 +1,5 @@
 """Phase extraction, the phase-difference ladder, and the closed-form offset."""
+import cmath
 import math
 
 import numpy as np
@@ -6,14 +7,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from susy_ces import oracle
 from susy_ces import scattering as sc
-from susy_ces.closedform import y_of_x
+from susy_ces.closedform import Branch, solution_params, solution_Z, y_of_x
 from susy_ces.errors import (
     DegenerateSample,
     InvalidParams,
     NotConverged,
     TooCloseToTurningRegion,
 )
+from susy_ces.potential import Sector, superpotential
 from susy_ces.scattering import phase_difference, susy_phase_offset
 from susy_ces.specfun import SERIES_ZMAX
 
@@ -73,8 +76,6 @@ def test_local_phase_guards():
 
 def test_phase_config_validation():
     with pytest.raises(InvalidParams):
-        phase_difference(1.0, 1.0, part="abs")
-    with pytest.raises(InvalidParams):
         phase_difference(1.0, 1.0, tol=0.0)
 
 
@@ -85,19 +86,14 @@ def test_phase_config_rejects_bad_x_limit(x_limit):
         phase_difference(1.0, 1.0, x_limit=x_limit)
 
 
-@pytest.mark.parametrize("x_match", [math.nan, math.inf, 0.0, -1.0])
-def test_phase_config_rejects_bad_x_match(x_match):
-    with pytest.raises(InvalidParams):
-        phase_difference(1.0, 1.0, x_match=x_match)
-
-
 def test_keywords_are_checked_before_any_solve(monkeypatch):
     def solve(*args, **kwargs):
         raise AssertionError("a solve ran before the keywords were checked")
 
     monkeypatch.setattr(sc, "solution_Z", solve)
     monkeypatch.setattr(sc, "integrate", solve)
-    for kw in ({"part": "abs"}, {"tol": 0.0}, {"x_match": math.nan}, {"x_limit": -1.0}):
+    # x_match = 20 at (1, 1): a budget of 39 holds no rung, the first is x = 40
+    for kw in ({"tol": 0.0}, {"x_limit": -1.0}, {"x_limit": 39.0}):
         with pytest.raises(InvalidParams):
             phase_difference(1.0, 1.0, **kw)
 
@@ -160,22 +156,19 @@ def test_phase_difference_at_coupling_one_half():
     assert abs(res.estimate - HALF_PI) < 1e-3
 
 
-_ONE_SECTOR = [(0.5, 2.0, "re", 60, 1.5708211957687452),
-               (1.0, 2.0, "re", 247, 1.5708785957588574),
-               (1.0, 1.0, "re", 999, 1.5708020327719778),
-               (1.0, 2.0, "im", 247, 1.570948445193197)]
+_ONE_SECTOR = [(0.5, 2.0, 60, 1.5708211957687452),
+               (1.0, 2.0, 247, 1.5708785957588574),
+               (1.0, 1.0, 999, 1.5708020327719778)]
 
 
-@pytest.mark.parametrize("m, omega, part, steps, estimate", _ONE_SECTOR,
-                         ids=["-".join(str(v) for v in c if v != "re") for c in _ONE_SECTOR])
-def test_phase_difference_integrates_one_sector(m, omega, part, steps, estimate):
+@pytest.mark.parametrize("m, omega, steps, estimate", _ONE_SECTOR)
+def test_phase_difference_integrates_one_sector(m, omega, steps, estimate):
     # PLUS is the SUSY image of MINUS at each rung, not a second solve: the
     # step counts are half of what integrating both sectors took (120, 494),
     # and the estimates are those of the two-sector ladder to 1e-9.  Only
-    # the real solution ``part`` names is integrated: the (1, 1) and
-    # imaginary-part values are those of the ladder that integrated the
-    # complex MINUS solution, to 1e-9
-    res = phase_difference(m, omega, part=part)
+    # the real part of the seed is integrated: the (1, 1) value is that of
+    # the ladder that integrated the complex MINUS solution, to 1e-9
+    res = phase_difference(m, omega)
     assert res.ode_steps == steps
     assert abs(res.estimate - estimate) <= 1e-9
 
@@ -209,13 +202,27 @@ def test_phase_difference_converges_at_strong_coupling(m, omega):
     assert abs(res.estimate - _STRONG[m, omega]) <= 1e-9
 
 
-def test_phase_difference_imaginary_part_agrees():
-    for m in (0.5, 1.0):  # m^2/omega = 0.125 and 0.5
-        re_part = phase_difference(m, 2.0, part="re")
-        im_part = phase_difference(m, 2.0, part="im")
-        assert im_part.converged
-        assert abs(im_part.estimate - HALF_PI) < 1e-3
-        assert abs(im_part.estimate - re_part.estimate) < 2e-3
+_IDENTITY = [(0.5, 2.0, None), (1.0, 2.0, None), (1.0, 1.0, None)] + [
+    (m, omega, 1e4 * max(1.0, m * m) / omega) for m, omega in _STRONG]
+
+
+@pytest.mark.parametrize("m, omega, x_limit", _IDENTITY)
+def test_each_rung_is_one_function_of_the_minus_sample(m, omega, x_limit):
+    # read through the SUSY map, every rung is A_k = pi/2 - arg(1 + eps_k),
+    # eps_k = W^2 u / ((W + i omega)(u' + i omega u)), for any real solution
+    # u of V-, and |eps_k| <= m^2/(omega^2 x_k) bounds its distance from pi/2
+    res = phase_difference(m, omega, x_limit=x_limit)
+    p = solution_params(m, omega)
+    seed = solution_Z(p, Branch.I, Sector.MINUS, sc.seed_point(res.x_match, omega))
+    prob = oracle.schrodinger_problem(m, omega, Sector.MINUS)
+    x, u, du = seed.x, complex(seed.value.real), complex(seed.derivative.real)
+    for xk, acc in zip(res.x.tolist(), res.accelerated.tolist()):
+        sol = oracle.integrate(prob, x, xk, u, du)
+        x, u, du = xk, sol.value, sol.derivative
+        w = superpotential(xk, m)
+        eps = w * w * u.real / ((w + 1j * omega) * complex(du.real, omega * u.real))
+        assert abs(acc - (HALF_PI - cmath.phase(1.0 + eps))) <= 1e-14
+        assert abs(acc - HALF_PI) <= math.asin(m * m / (omega * omega * xk))
 
 
 def test_phase_difference_budget_exhaustion():
@@ -256,7 +263,3 @@ def test_phase_difference_seeds_inside_the_series_range(m, omega):
     assert np.all(np.isfinite(res.raw))
     assert res.ode_steps > 0
 
-
-def test_phase_difference_rejects_turning_region_seed():
-    with pytest.raises(TooCloseToTurningRegion):
-        phase_difference(1.0, 1.0, x_match=1.0)

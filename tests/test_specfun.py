@@ -308,6 +308,15 @@ def test_asymptotic_small_argument_guard():
     sf.chf_asymptotic(*p, 26j)  # just above the default floor
 
 
+@pytest.mark.parametrize("z", [complex(math.nan, 0.0), complex(math.inf, 0.0),
+                               complex(0.0, math.inf), complex(0.0, -math.inf)])
+def test_asymptotic_refuses_non_finite_z(z):
+    # as the other 1F1 functions do: a typed refusal, not a bare ValueError
+    # or OverflowError from sizing the sum
+    with pytest.raises(InvalidParams, match="not finite"):
+        sf.chf_asymptotic(0.5j, 0.5, z)
+
+
 def test_asymptotic_past_the_double_range_is_typed():
     # |1F1(1/2 + 256 i, 1/2; -1280 i)| is about 8.8e348: a branch's prefactor
     # alone overflows, and the error names the point
