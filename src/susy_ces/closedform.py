@@ -42,8 +42,10 @@ along it, with the same bits.  The assembly is one loop over the points in Pytho
 ``complex`` for a lone point and a grid alike: a scalar ``x`` gives
 Python scalars, an array ndarrays of its shape (:mod:`susy_ces._points`),
 and numpy is imported only for those.
-``specfun`` refuses |y| = 2 omega x > ``SERIES_ZMAX`` (60); beyond that
-use ODE propagation (:mod:`susy_ces.oracle`).
+The public functions refuse |y| = 2 omega x > ``SERIES_ZMAX`` (60), as
+``kummer_pair`` does; the private assembly takes the pair function as an
+argument, so :mod:`susy_ces.scattering` assembles the far points from
+:func:`susy_ces.specfun.asymptotic_pair` with the same recipe.
 """
 from __future__ import annotations
 
@@ -142,10 +144,11 @@ def coupling_constants(p: SolutionParams, branch: Branch) -> CouplingConstants:
     raise InvalidParams(f"branch={branch!r} is not a Branch")
 
 
-def _components(p: SolutionParams, branches: tuple[Branch, ...],
-                xs: list[float]) -> list[list[tuple[complex, complex, complex, complex]]]:
+def _components(p: SolutionParams, branches: tuple[Branch, ...], xs: list[float],
+                pair=kummer_pair) -> list[list[tuple[complex, complex, complex, complex]]]:
     """(rtilde_1, rtilde_2, d rtilde_1/dx, d rtilde_2/dx) at each checked
-    point, for each of ``branches``, all from one walk of the pair.
+    point, for each of ``branches``, all from one call of ``pair`` (eta, |y|),
+    which returns P and Q at the points.
 
     Unchecked: a value past the double range comes out non-finite, and
     so does every value assembled from it, so callers check what they
@@ -154,7 +157,7 @@ def _components(p: SolutionParams, branches: tuple[Branch, ...],
     w, m = p.omega, p.m
     c2s = [coupling_constants(p, branch).c2 for branch in branches]
     ys = [2.0 * w * v for v in xs]                  # |y|, y = -i |y|
-    m_half, m_3half = kummer_pair(p.a1.imag, ys)
+    m_half, m_3half = pair(p.a1.imag, ys)
     exp, sqrt = cmath.exp, math.sqrt
     ph_re, ph_im = PHASE_M4.real, PHASE_M4.imag
     out = []
@@ -223,14 +226,14 @@ class SolutionSample(NamedTuple):
 
 
 def _solution(p: SolutionParams, branches: tuple[Branch, ...], sectors: tuple[Sector, ...],
-              xs: list[float]) -> list[list[tuple[list[complex], list[complex]]]]:
+              xs: list[float], pair=kummer_pair) -> list[list[tuple[list[complex], list[complex]]]]:
     """Z and dZ/dx at each checked point, for each of ``branches`` and,
-    in each, for each of ``sectors``, all from one walk of the pair."""
+    in each, for each of ``sectors``, all from one call of ``pair``."""
     for sector in sectors:
         if not isinstance(sector, Sector):
             raise InvalidParams(f"sector={sector!r} is not a Sector")
     out = []
-    for rows in _components(p, branches, xs):
+    for rows in _components(p, branches, xs, pair):
         per_sector = []
         for sector in sectors:
             sg = 1j * sector.sign

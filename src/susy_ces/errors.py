@@ -30,9 +30,11 @@ class ArgumentTooSmall(SusyCesError, ValueError):
 class SeriesRangeExceeded(SusyCesError, ValueError):
     """|z| exceeds the range where the power series retains accuracy.
 
-    Callers that need values beyond the bound seed inside it and carry the
-    solution outward with :func:`susy_ces.oracle.integrate`, as
-    :func:`susy_ces.scattering.phase_difference` does.
+    Also raised by :func:`susy_ces.specfun.asymptotic_pair` where the
+    large-|z| expansion is not certified.  Callers that need values beyond
+    the bound read them from that expansion, or seed inside the bound and
+    carry the solution outward with :func:`susy_ces.oracle.integrate`;
+    :func:`susy_ces.scattering.phase_difference` does both.
     """
 
 

@@ -33,7 +33,10 @@ is error-controlled: there is no fixed-step mode.  A call returns only
 the segment endpoint: its last step lands on s1 = sqrt(x1), correctly
 rounded, whose exact square lies within sqrt(2) ulp of x1 (2^-52
 relative), and the state is reported at x1.  Callers that need several
-points (the phase ladder in :mod:`susy_ces.scattering`) chain segments.
+points chain segments: the phase ladder in :mod:`susy_ces.scattering`
+does so for the rungs its large-|y| closed form cannot certify, and the
+``scattering/ladder-routes-agree`` check in :mod:`susy_ces.verify` out to
+every rung, as evidence for the rungs it does read from the closed form.
 
 The potentials are singular at the origin, so integration domains are
 floored at ``x >= ORIGIN_FLOOR_COEFF / m**2``; seed data comes from the

@@ -14,20 +14,24 @@ phases, where the log terms cancel identically and the drift is a clean
 
 :func:`phase_difference` therefore:
 
-1. seeds the MINUS sector at one point from the closed form: the match
-   point, or the largest x the 1F1 series reaches (2 omega x <=
-   SERIES_ZMAX) if that is nearer the origin.  V- is real, so the real
-   part of that complex solution is a real solution on its own, and the
-   seed keeps it;
-2. pushes that real sample outward along a doubling ladder
-   x_k = x_match 2^k, k >= 1, with the adaptive integrator, one segment
-   per rung (segment endpoints exact, no interpolation); the base
-   x_match = max(20/omega, 2.5 m^2/omega^2) lies in the oscillatory
-   region and past the barrier (:func:`default_x_match`);
+1. places a doubling ladder x_k = x_match 2^k, k >= 1, with the base
+   x_match = max(20/omega, 2.5 m^2/omega^2) in the oscillatory region and
+   past the barrier (:func:`default_x_match`), so every rung has
+   |y| = 2 omega x_k >= 80, past the 1F1 series range;
+2. reads the MINUS sample at each rung as the real part of the branch-I
+   closed form (V- is real, so that real part is a real solution on its
+   own), its pair M(1/2 + i eta, 1/2 or 3/2; y) taken from the large-|y|
+   expansion (:func:`susy_ces.specfun.asymptotic_pair`) where that
+   expansion certifies it.  Where it does not (the first rungs at eta of
+   20 or more, s not far enough past eta^2), the rung falls back to the
+   integrator: it carries the last sample, or on the first such rung the
+   closed form's real part at :func:`seed_point` inside the series range,
+   out to x_k, one segment per rung (segment endpoints exact, no
+   interpolation);
 3. reads the PLUS sample at each rung as the first-order SUSY image of
    the MINUS one (:func:`closedform.susy_map`), so the pair is exactly
    the *same* scattering state in both sectors and only one sector is
-   integrated.  The ladder operator maps the real Z_minus = u onto an
+   evaluated.  The ladder operator maps the real Z_minus = u onto an
    imaginary Z_plus, whose real image is (v, v') = -Im (Z_plus, Z_plus');
    the rung is the phase of one ratio,
    d_k = arg((u' + i omega u) / (v' + i omega v)) mod pi, in [0, pi),
@@ -60,12 +64,13 @@ import cmath
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
-from .closedform import Branch, SolutionSample, solution_Z, solution_params, susy_map
-from .errors import (DegenerateSample, InvalidParams, NotConverged,
-                     TooCloseToTurningRegion)
+from .closedform import (Branch, SolutionParams, SolutionSample, _solution, solution_Z,
+                         solution_params, susy_map)
+from .errors import (DegenerateSample, DoubleRangeExceeded, InvalidParams, NotConverged,
+                     SeriesRangeExceeded, TooCloseToTurningRegion)
 from .oracle import integrate, schrodinger_problem
 from .potential import Sector, superpotential
-from .specfun import SERIES_ZMAX
+from .specfun import SERIES_ZMAX, asymptotic_pair
 
 if TYPE_CHECKING:
     import numpy as np
@@ -151,8 +156,9 @@ class PhaseDifferenceResult(NamedTuple):
     entries (the stopping measure and the error estimate, read from the
     data alone, not from any assumed limit; inf before three rungs);
     ``ode_steps`` and ``ode_rejected`` the integrator steps accepted and
-    rejected over all rungs, for the one real solution integrated
-    (MINUS; PLUS is its SUSY image at each rung).
+    rejected over the rungs that fell back to the integrator (none where
+    the large-|y| expansion certifies every rung), for the one real
+    solution carried (MINUS; PLUS is its SUSY image at each rung).
     """
 
     m: float
@@ -181,17 +187,28 @@ def seed_point(x_match: float, omega: float) -> float:
     return min(x_match, (1.0 - 4.0 * _EPS) * SERIES_ZMAX / (2.0 * omega))
 
 
+def _far_sample(p: SolutionParams, x: float) -> SolutionSample:
+    """Real part of the branch-I MINUS closed form at x, from the large-|y| expansion.
+
+    Raises SeriesRangeExceeded where :func:`specfun.asymptotic_pair` does
+    not certify the pair, DoubleRangeExceeded past the largest double.
+    """
+    [[(z, dz)]] = _solution(p, (Branch.I,), (Sector.MINUS,), [x], asymptotic_pair)
+    return SolutionSample(x, complex(z[0].real), complex(dz[0].real))
+
+
 def phase_difference(m: float, omega: float, *, tol: float = 1e-3,
                      x_limit: float | None = None) -> PhaseDifferenceResult:
     """Tail-corrected phase-shift difference of the two sectors at energy omega^2.
 
-    Seeds the MINUS sector from the real part of the branch-I closed form
-    at :func:`seed_point`, so no hypergeometric evaluation is needed in
-    the far zone; the integrator carries that one real solution along
-    rungs x_match 2^k, k >= 1, at its default tolerances, with
-    x_match = :func:`default_x_match`, and the PLUS sample at each rung
+    Reads one real MINUS solution, the real part of the branch-I closed
+    form, at rungs x_match 2^k, k >= 1, with x_match =
+    :func:`default_x_match`: from the large-|y| expansion wherever it is
+    certified, else carried there by the integrator at its default
+    tolerances, from the last sample or, on the first such rung, from
+    the closed form at :func:`seed_point`.  The PLUS sample at each rung
     is its SUSY image (:func:`closedform.susy_map`), not a second
-    integration.  Raises :class:`NotConverged` (with the partial result
+    solution.  Raises :class:`NotConverged` (with the partial result
     attached as ``err.result``) if the ladder reaches ``x_limit`` before
     the last three values, each rung read against
     ``susy_phase_offset(W(x_k), omega)``, lie within ``tol`` of each
@@ -217,24 +234,29 @@ def phase_difference(m: float, omega: float, *, tol: float = 1e-3,
         raise InvalidParams(f"x_limit={x_limit!r} is below the ladder's first rung "
                             f"x = {2.0 * x_match:.17g}")
 
-    seed = solution_Z(p, Branch.I, Sector.MINUS, seed_point(x_match, p.omega))
-    # V- is real, so the real part of the seed is a real solution on its
-    # own: the ladder integrates that one alone
-    zm = SolutionSample(seed.x, complex(seed.value.real), complex(seed.derivative.real))
-    prob_m = schrodinger_problem(p.m, p.omega, Sector.MINUS)
-
     xs: list[float] = []
     raws: list[float] = []
     accs: list[float] = []
     steps = rejected = 0
     residual = math.inf
     converged = False
+    zm = None   # the last MINUS sample, read or carried
     for k in range(1, n_rungs + 1):
         xk = math.ldexp(x_match, k)
-        sm = integrate(prob_m, zm.x, xk, zm.value, zm.derivative)
-        steps += sm.n_steps
-        rejected += sm.n_rejected
-        zm = SolutionSample(xk, sm.value, sm.derivative)
+        try:
+            zm = _far_sample(p, xk)
+        except (SeriesRangeExceeded, DoubleRangeExceeded):
+            if zm is None:
+                # V- is real, so the real part of the seed is a real
+                # solution on its own: the fallback carries that one alone
+                seed = solution_Z(p, Branch.I, Sector.MINUS, seed_point(x_match, p.omega))
+                zm = SolutionSample(seed.x, complex(seed.value.real),
+                                    complex(seed.derivative.real))
+            sm = integrate(schrodinger_problem(p.m, p.omega, Sector.MINUS),
+                           zm.x, xk, zm.value, zm.derivative)
+            steps += sm.n_steps
+            rejected += sm.n_rejected
+            zm = SolutionSample(xk, sm.value, sm.derivative)
         zp = susy_map(p, zm, Sector.MINUS)
         # the ladder operator maps the real Z_minus onto an imaginary Z_plus,
         # and (v, v') = -Im (Z_plus, Z_plus') is its real image; the sector

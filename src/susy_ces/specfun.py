@@ -2,9 +2,9 @@
 
 Everything the closed-form solutions and their checks need: the Kummer
 function 1F1(a, b; z) for complex ``a``/``z`` and real ``b``, its
-derivative, a principal-branch complex log-gamma, and two routes kept
-solely as cross-checks: the Kummer transformation and a large-|z|
-asymptotic expansion.
+derivative, a principal-branch complex log-gamma, the Kummer
+transformation (kept solely as a cross-check) and a large-|z| asymptotic
+expansion, which serves the far region of the ray.
 
 The evaluator sums the defining series directly at every z.  On the
 physically relevant ray (purely imaginary z) the series loses roughly
@@ -24,10 +24,12 @@ b = 3/2 is divided out of the terms of M(a, 1/2).
 A scalar z gives a Python ``complex``, an array of them an ndarray of
 its shape; every value is computed in Python, point by point.
 Values past the largest double raise ``DoubleRangeExceeded``.  It refuses
-|z| > ``SERIES_ZMAX`` outright: callers needing the far region seed
-inside the bound and carry the solution outward by ODE propagation
-(:func:`susy_ces.oracle.integrate`), as
-:func:`susy_ces.scattering.phase_difference` does.
+|z| > ``SERIES_ZMAX`` outright.  Past the bound the same pair comes from
+:func:`asymptotic_pair`, the large-|z| expansion (DLMF 13.7.2) at the
+points where its own error estimate certifies it to ``FAR_TOL``; where it
+does not, callers seed inside the bound and carry the solution outward by
+ODE propagation (:func:`susy_ces.oracle.integrate`).
+:func:`susy_ces.scattering.phase_difference` reads its rungs that way.
 """
 from __future__ import annotations
 
@@ -50,10 +52,13 @@ chf_series_dd = None
 
 #: refusal bound for the series evaluator.  At |z| = 60 the cancellation
 #: ratio reaches ~1e26, which the fixed-point sum absorbs with tens of
-#: digits to spare; past it the contract sends callers to ODE propagation.
+#: digits to spare; past it callers take :func:`asymptotic_pair` where that
+#: certifies the pair, ODE propagation elsewhere.
 SERIES_ZMAX = 60.0
 #: below this |z| the asymptotic expansion's optimal truncation is too loose
 ASYMPTOTIC_MIN_ABS_Z = 25.0
+#: relative error bound :func:`asymptotic_pair` certifies its values to
+FAR_TOL = 2.0 ** -40
 
 _GOLDEN_ENV = "SUSY_CES_GOLDEN_DIR"
 
@@ -154,6 +159,36 @@ def kummer_pair(eta: float, s: list[float]) -> tuple[list[complex], list[complex
     at = {v: k for k, v in enumerate(grid)}
     idx = [at[v] for v in s]
     return [walk.p[k] for k in idx], [walk.q[k] for k in idx]
+
+
+def asymptotic_pair(eta: float, s: list[float]) -> tuple[list[complex], list[complex]]:
+    """M(1/2 + i eta, 1/2; y) and M(1/2 + i eta, 3/2; y) at y = -i s, from the large-|y| expansion.
+
+    The same pair as :func:`kummer_pair`, past its range: each value is
+    one :func:`chf_asymptotic` call, kept only when its error estimate is
+    at most ``FAR_TOL`` times its magnitude.
+
+    Raises
+    ------
+    SeriesRangeExceeded
+        if the expansion does not certify a value to ``FAR_TOL``: s not
+        far enough past eta^2.
+    ArgumentTooSmall
+        if an s is below ASYMPTOTIC_MIN_ABS_Z.
+    DoubleRangeExceeded
+        if a value's magnitude is above the largest double.
+    """
+    a = complex(0.5, eta)
+    out: tuple[list[complex], list[complex]] = ([], [])
+    for v in s:
+        for b, vals in zip((0.5, 1.5), out):
+            r = chf_asymptotic(a, b, complex(0.0, -v))
+            if not r.error_estimate <= FAR_TOL * abs(r.value):
+                raise SeriesRangeExceeded(
+                    f"|y| = {v:.4g} at eta = {eta:.4g}: the large-|y| expansion of "
+                    f"1F1(a, {b:g}; y) is not certified to FAR_TOL = {FAR_TOL:.3g}")
+            vals.append(r.value)
+    return out
 
 
 def kummer_transform(a: complex, b: float, z):
@@ -264,15 +299,16 @@ class AsymptoticResult(NamedTuple):
 
 
 def chf_asymptotic(a: complex, b: float, z: complex) -> AsymptoticResult:
-    """Large-|z| two-branch expansion of 1F1(a, b; z), cross-check only.
+    """Large-|z| two-branch expansion of 1F1(a, b; z).
 
     Sums both formal series to their optimal truncation, or until a term
     falls below eps of the sum; ``error_estimate`` bounds the absolute
     error, rounding of the coefficients included.  The recessive
     z^{-a} branch carries the factor e^{+i pi a} for arg z > -pi/2 and
     e^{-i pi a} otherwise (the boundary ray arg z = -pi/2 belongs to the
-    lower sector).  Never used by the primary evaluator: its role is to
-    corroborate series and ODE values in the overlap region.
+    lower sector).  :func:`asymptotic_pair` reads the closed form's pair
+    from it past the series range; at smaller |z| it corroborates series
+    and ODE values in the overlap region.
 
     Raises
     ------

@@ -446,8 +446,8 @@ def check_phase_difference(tol: float = 1e-3) -> CheckReport:
 
 
 def check_ladder_sectors_agree(tol: float = 1e-8) -> CheckReport:
-    # the ladder integrates MINUS alone and reads PLUS through the SUSY map;
-    # here PLUS is integrated too, from the mapped seed, and must match
+    # the ladder carries MINUS alone and reads PLUS through the SUSY map;
+    # here both are integrated, PLUS from the mapped seed, and must match
     rungs = 8
     worst = 0.0
     for m, omega in ((0.5, 2.0), (1.0, 2.0)):
@@ -471,6 +471,31 @@ def check_ladder_sectors_agree(tol: float = 1e-8) -> CheckReport:
                    f"(m, omega) = (1/2, 2) and (1, 2)")
 
 
+def check_ladder_routes_agree(tol: float = 1e-8) -> CheckReport:
+    # the ladder reads its rungs from the closed form's large-|y| expansion;
+    # here the integrator carries the real part of the seed out to the same
+    # rungs, and the two MINUS samples must match
+    worst = 0.0
+    for m, omega, rungs in ((0.5, 2.0, 8), (1.0, 2.0, 8), (3.0, 0.5, 10)):
+        p = cf.solution_params(m, omega)
+        x_match = scattering.default_x_match(m, omega)
+        seed = cf.solution_Z(p, cf.Branch.I, Sector.MINUS, scattering.seed_point(x_match, omega))
+        x, u, du = seed.x, complex(seed.value.real), complex(seed.derivative.real)
+        prob = oracle.schrodinger_problem(m, omega, Sector.MINUS)
+        for k in range(1, rungs + 1):
+            xk = math.ldexp(x_match, k)
+            sol = oracle.integrate(prob, x, xk, u, du)
+            x, u, du = xk, sol.value, sol.derivative
+            far = scattering._far_sample(p, xk)
+            size = abs(far.value) + abs(far.derivative) / omega
+            worst = max(worst, abs(u - far.value) / size,
+                        abs(du - far.derivative) / omega / size)
+    return _report("scattering/ladder-routes-agree", worst, tol,
+                   "MINUS integrated from the seed vs the large-|y| closed form the ladder "
+                   "reads, value and derivative/omega, 8 rungs at (m, omega) = (1/2, 2) "
+                   "and (1, 2), 10 at (3, 1/2) out to x = 92160")
+
+
 SUITES: dict[str, tuple] = {
     "specfun": (check_golden_table, check_kummer_consistency, check_derivative_fd,
                 check_loggamma_reflection, check_chf_wronskian, check_asymptotic_overlap),
@@ -479,7 +504,8 @@ SUITES: dict[str, tuple] = {
                    check_hermite_lambda, check_small_x_limit, check_critical_structure),
     "oracle": (check_free_wave, check_convergence_order, check_ode_vs_closedform,
                check_frobenius),
-    "scattering": (check_offset_identity, check_phase_difference, check_ladder_sectors_agree),
+    "scattering": (check_offset_identity, check_phase_difference, check_ladder_sectors_agree,
+                   check_ladder_routes_agree),
 }
 
 

@@ -242,7 +242,8 @@ def test_phase_json(runner):
     assert payload["x_match"] == 10.0
     assert len(payload["raw"]) == len(payload["x"])
     assert len(payload["accelerated"]) == len(payload["x"])
-    assert isinstance(payload["ode_steps"], int) and payload["ode_steps"] > 0
+    # every rung is read from the closed form: the integrator takes no step
+    assert isinstance(payload["ode_steps"], int) and payload["ode_steps"] == 0
     assert isinstance(payload["ode_rejected"], int) and payload["ode_rejected"] >= 0
 
 
@@ -269,8 +270,9 @@ def test_phase_not_converged_exits_1_with_partial_output(runner):
 
 
 def test_phase_beyond_series_range_prints_ladder_and_exits_1(runner):
-    # default x_match = 40 puts |y| = 80 past the series bound; the seed moves inward;
-    # --x-limit 320 = 40 * 2^3 stops the ladder after three rungs
+    # default x_match = 40 puts |y| = 80 past the series bound; the rungs are read
+    # from the large-|y| expansion; --x-limit 320 = 40 * 2^3 stops the ladder
+    # after three rungs
     res = runner.invoke(main, ["phase", "--m", "4", "--omega", "1",
                                "--x-limit", "320"])
     assert res.exit_code == 1

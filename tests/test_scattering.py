@@ -7,16 +7,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from susy_ces import oracle
 from susy_ces import scattering as sc
-from susy_ces.closedform import Branch, solution_params, solution_Z, y_of_x
+from susy_ces.closedform import solution_params, y_of_x
 from susy_ces.errors import (
     DegenerateSample,
     InvalidParams,
     NotConverged,
+    SeriesRangeExceeded,
     TooCloseToTurningRegion,
 )
-from susy_ces.potential import Sector, superpotential
+from susy_ces.potential import superpotential
 from susy_ces.scattering import phase_difference, susy_phase_offset
 from susy_ces.specfun import SERIES_ZMAX
 
@@ -91,6 +91,7 @@ def test_keywords_are_checked_before_any_solve(monkeypatch):
         raise AssertionError("a solve ran before the keywords were checked")
 
     monkeypatch.setattr(sc, "solution_Z", solve)
+    monkeypatch.setattr(sc, "asymptotic_pair", solve)
     monkeypatch.setattr(sc, "integrate", solve)
     # x_match = 20 at (1, 1): a budget of 39 holds no rung, the first is x = 40
     for kw in ({"tol": 0.0}, {"x_limit": -1.0}, {"x_limit": 39.0}):
@@ -144,8 +145,9 @@ def test_phase_difference_converges_to_half_pi():
     assert res.estimate == res.accelerated[-1]
     assert res.residual <= 1e-3
     assert abs(res.estimate - HALF_PI) < 1e-3
-    assert res.ode_steps > 0
-    assert res.ode_rejected >= 0
+    # every rung is read from the closed form's large-|y| expansion
+    assert res.ode_steps == 0
+    assert res.ode_rejected == 0
 
 
 def test_phase_difference_at_coupling_one_half():
@@ -156,20 +158,20 @@ def test_phase_difference_at_coupling_one_half():
     assert abs(res.estimate - HALF_PI) < 1e-3
 
 
-_ONE_SECTOR = [(0.5, 2.0, 60, 1.5708211957687452),
-               (1.0, 2.0, 247, 1.5708785957588574),
-               (1.0, 1.0, 999, 1.5708020327719778)]
+_ONE_SECTOR = [(0.5, 2.0, 1.5708211957687452),
+               (1.0, 2.0, 1.5708785957588574),
+               (1.0, 1.0, 1.5708020327719778)]
 
 
-@pytest.mark.parametrize("m, omega, steps, estimate", _ONE_SECTOR)
-def test_phase_difference_integrates_one_sector(m, omega, steps, estimate):
-    # PLUS is the SUSY image of MINUS at each rung, not a second solve: the
-    # step counts are half of what integrating both sectors took (120, 494),
-    # and the estimates are those of the two-sector ladder to 1e-9.  Only
-    # the real part of the seed is integrated: the (1, 1) value is that of
-    # the ladder that integrated the complex MINUS solution, to 1e-9
+@pytest.mark.parametrize("m, omega, estimate", _ONE_SECTOR)
+def test_phase_difference_integrates_one_sector(m, omega, estimate):
+    # PLUS is the SUSY image of MINUS at each rung, not a second solve, and
+    # MINUS is read from the closed form at every rung: no step is taken.
+    # The estimates are those of the two-sector ladder to 1e-9; the (1, 1)
+    # value is that of the ladder that integrated the complex MINUS
+    # solution, to 1e-9
     res = phase_difference(m, omega)
-    assert res.ode_steps == steps
+    assert res.ode_steps == 0
     assert abs(res.estimate - estimate) <= 1e-9
 
 
@@ -181,6 +183,7 @@ def test_phase_difference_residual_covers_the_error(m, omega):
     # of the error (5.6e-4)
     res = phase_difference(m, omega)
     assert res.converged and res.x.size >= 4
+    assert res.ode_steps == 0
     spread = res.accelerated[-3:]
     assert res.residual == spread.max() - spread.min()
     assert abs(res.estimate - HALF_PI) <= res.residual
@@ -192,14 +195,44 @@ _STRONG = {(4.0, 1.0): 1.5711489756322417, (3.0, 0.5): 1.5706783460457436}
 
 @pytest.mark.parametrize("m, omega", list(_STRONG))
 def test_phase_difference_converges_at_strong_coupling(m, omega):
-    # m^2/omega = 16 and 18: seeded at the edge of the series range, the
-    # ladder runs out to x ~ 2e4 and 9e4 within the criterion-07 budget
+    # m^2/omega = 16 and 18: the ladder reads every rung from the closed
+    # form, out to x ~ 2e4 and 9e4 within the criterion-07 budget
     x_limit = 1e4 * max(1.0, m * m) / omega
     res = phase_difference(m, omega, x_limit=x_limit)
     assert res.converged
     assert np.all(res.x <= x_limit)
+    assert res.ode_steps == 0
     assert abs(res.estimate - HALF_PI) < 1e-3
     assert abs(res.estimate - _STRONG[m, omega]) <= 1e-9
+
+
+#: (rungs refused, steps, estimate) at m^2/omega = 64 and 100; the
+#: estimates are those of the ladder that integrated from the seed out to
+#: every rung
+_FALLBACK = {(8.0, 1.0): (1, 43, 1.5713853409863858),
+             (10.0, 1.0): (2, 160, 1.5707346974331153)}
+
+
+@pytest.mark.parametrize("m, omega", list(_FALLBACK))
+def test_phase_difference_falls_back_where_the_expansion_refuses(m, omega):
+    # eta = 32 and 50: the expansion refuses the first one or two rungs,
+    # which the integrator reaches from the seed; the rungs it certifies
+    # take no step
+    n_refused, steps, estimate = _FALLBACK[m, omega]
+    x_limit = 1e4 * max(1.0, m * m) / omega
+    res = phase_difference(m, omega, x_limit=x_limit)
+    assert res.converged
+    assert res.ode_steps == steps
+    assert abs(res.estimate - HALF_PI) < 1e-3
+    assert abs(res.estimate - estimate) <= 1e-9
+    p = solution_params(m, omega)
+    refused = []
+    for xk in res.x.tolist():
+        try:
+            sc._far_sample(p, xk)
+        except SeriesRangeExceeded:
+            refused.append(xk)
+    assert refused == res.x[:n_refused].tolist()
 
 
 _IDENTITY = [(0.5, 2.0, None), (1.0, 2.0, None), (1.0, 1.0, None)] + [
@@ -213,12 +246,9 @@ def test_each_rung_is_one_function_of_the_minus_sample(m, omega, x_limit):
     # u of V-, and |eps_k| <= m^2/(omega^2 x_k) bounds its distance from pi/2
     res = phase_difference(m, omega, x_limit=x_limit)
     p = solution_params(m, omega)
-    seed = solution_Z(p, Branch.I, Sector.MINUS, sc.seed_point(res.x_match, omega))
-    prob = oracle.schrodinger_problem(m, omega, Sector.MINUS)
-    x, u, du = seed.x, complex(seed.value.real), complex(seed.derivative.real)
     for xk, acc in zip(res.x.tolist(), res.accelerated.tolist()):
-        sol = oracle.integrate(prob, x, xk, u, du)
-        x, u, du = xk, sol.value, sol.derivative
+        far = sc._far_sample(p, xk)
+        u, du = far.value, far.derivative
         w = superpotential(xk, m)
         eps = w * w * u.real / ((w + 1j * omega) * complex(du.real, omega * u.real))
         assert abs(acc - (HALF_PI - cmath.phase(1.0 + eps))) <= 1e-14
@@ -251,9 +281,10 @@ def test_seed_point_stays_inside_the_series_range(omega):
     assert sc.seed_point(inside, omega) == inside
 
 
-@pytest.mark.parametrize("m, omega", [(4.0, 1.0), (3.0, 0.5)])
+@pytest.mark.parametrize("m, omega", [(8.0, 1.0)])
 def test_phase_difference_seeds_inside_the_series_range(m, omega):
-    # 2 omega x_match = 80 and 90: the seed moves in to |y| = 60, the rungs stay
+    # 2 omega x_match = 320: the expansion refuses the first rung (|y| = 640,
+    # eta = 32), so the seed moves in to |y| = 60; the rungs stay
     x_match = sc.default_x_match(m, omega)
     with pytest.raises(NotConverged) as exc:
         phase_difference(m, omega, x_limit=x_match * 2 ** 3)
@@ -261,5 +292,5 @@ def test_phase_difference_seeds_inside_the_series_range(m, omega):
     assert 2.0 * omega * res.x_match > SERIES_ZMAX
     assert np.array_equal(res.x, res.x_match * np.array([2.0, 4.0, 8.0]))
     assert np.all(np.isfinite(res.raw))
-    assert res.ode_steps > 0
+    assert res.ode_steps == 43
 

@@ -335,6 +335,40 @@ def test_asymptotic_past_the_double_range_is_typed():
     assert abs(val - ref) <= err_est
 
 
+_PAIR_ETA = (0.025, 0.5, 8.0, 16.0, 32.0)
+_PAIR_S = (80.0, 160.0, 640.0, 10240.0)
+
+
+def test_asymptotic_pair_is_within_far_tol_wherever_it_certifies():
+    # M(1/2 + i eta, 1/2 and 3/2; -i s) against mpmath at 40 digits
+    refused = []
+    for eta in _PAIR_ETA:
+        for s in _PAIR_S:
+            try:
+                p, q = sf.asymptotic_pair(eta, [s])
+            except SeriesRangeExceeded:
+                refused.append((eta, s))
+                continue
+            a = complex(0.5, eta)
+            for got, b in ((p[0], 0.5), (q[0], 1.5)):
+                want = mp_hyp1f1(a, b, complex(0.0, -s))
+                assert abs(got - want) <= sf.FAR_TOL * abs(want), (eta, s, b)
+    # the expansion holds once s is well past eta^2
+    assert refused == [(16.0, 80.0), (16.0, 160.0), (32.0, 80.0), (32.0, 160.0),
+                       (32.0, 640.0)]
+
+
+@pytest.mark.parametrize("eta, s", [(16.0, 160.0), (32.0, 640.0)])
+def test_asymptotic_pair_refuses_what_it_cannot_certify(eta, s):
+    with pytest.raises(SeriesRangeExceeded, match=rf"\|y\| = {s:g} at eta = {eta:g}.*FAR_TOL"):
+        sf.asymptotic_pair(eta, [s])
+
+
+def test_asymptotic_pair_past_the_double_range_is_typed():
+    with pytest.raises(DoubleRangeExceeded):
+        sf.asymptotic_pair(250.0, [1e4])
+
+
 # ---------------------------------------------------------------------------
 # property-based identities
 

@@ -18,7 +18,7 @@ def test_suite_names_and_sizes():
     assert len(verify.SUITES["specfun"]) == 6
     assert len(verify.SUITES["closedform"]) == 9
     assert len(verify.SUITES["oracle"]) == 4
-    assert len(verify.SUITES["scattering"]) == 3
+    assert len(verify.SUITES["scattering"]) == 4
 
 
 def test_specfun_suite_passes():
