@@ -281,10 +281,25 @@ def test_seed_point_stays_inside_the_series_range(omega):
     assert sc.seed_point(inside, omega) == inside
 
 
-@pytest.mark.parametrize("m, omega", [(8.0, 1.0)])
-def test_phase_difference_seeds_inside_the_series_range(m, omega):
-    # 2 omega x_match = 320: the expansion refuses the first rung (|y| = 640,
-    # eta = 32), so the seed moves in to |y| = 60; the rungs stay
+# (seed calls, ODE steps) on three rungs where 2 omega x_match is past the series
+_SEEDED = {(4.0, 1.0): (0, 0), (3.0, 0.5): (0, 0), (8.0, 1.0): (1, 43)}
+
+
+@pytest.mark.parametrize("m, omega", list(_SEEDED))
+def test_phase_difference_seeds_inside_the_series_range(m, omega, monkeypatch):
+    # 2 omega x_match = 80, 90 and 320: the expansion certifies every rung at
+    # (4, 1) and (3, 0.5), so no seed is formed; at (8, 1) it refuses the
+    # first rung (|y| = 640, eta = 32), so the seed moves in to |y| = 60.
+    # Either way the rungs stay
+    n_seeds, steps = _SEEDED[m, omega]
+    seeds = []
+    solution_z = sc.solution_Z
+
+    def counted(p, branch, sector, x):
+        seeds.append(x)
+        return solution_z(p, branch, sector, x)
+
+    monkeypatch.setattr(sc, "solution_Z", counted)
     x_match = sc.default_x_match(m, omega)
     with pytest.raises(NotConverged) as exc:
         phase_difference(m, omega, x_limit=x_match * 2 ** 3)
@@ -292,5 +307,8 @@ def test_phase_difference_seeds_inside_the_series_range(m, omega):
     assert 2.0 * omega * res.x_match > SERIES_ZMAX
     assert np.array_equal(res.x, res.x_match * np.array([2.0, 4.0, 8.0]))
     assert np.all(np.isfinite(res.raw))
-    assert res.ode_steps == 43
+    assert res.ode_steps == steps
+    assert len(seeds) == n_seeds
+    for x in seeds:
+        assert abs(complex(y_of_x(x, omega))) <= SERIES_ZMAX
 
