@@ -45,7 +45,8 @@ and numpy is imported only for those.
 The public functions refuse |y| = 2 omega x > ``SERIES_ZMAX`` (60), as
 ``kummer_pair`` does; the private assembly takes the pair function as an
 argument, so :mod:`susy_ces.scattering` assembles the far points from
-:func:`susy_ces.specfun.asymptotic_pair` with the same recipe.
+the pair function :func:`susy_ces.specfun.asymptotic_pair_for` returns,
+with the same recipe.
 """
 from __future__ import annotations
 

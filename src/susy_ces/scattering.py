@@ -21,8 +21,9 @@ phases, where the log terms cancel identically and the drift is a clean
 2. reads the MINUS sample at each rung as the real part of the branch-I
    closed form (V- is real, so that real part is a real solution on its
    own), its pair M(1/2 + i eta, 1/2 or 3/2; y) taken from the large-|y|
-   expansion (:func:`susy_ces.specfun.asymptotic_pair`) where that
-   expansion certifies it.  Where it does not (the first rungs at eta of
+   expansion (:func:`susy_ces.specfun.asymptotic_pair_for`, whose
+   log-Gamma terms are computed once per solve) where that expansion
+   certifies it.  Where it does not (the first rungs at eta of
    20 or more, s not far enough past eta^2), the rung falls back to the
    integrator: it carries the last sample, or on the first such rung the
    closed form's real part at :func:`seed_point` inside the series range,
@@ -62,6 +63,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from typing import TYPE_CHECKING, NamedTuple
 
 from .closedform import (Branch, SolutionParams, SolutionSample, _solution, solution_Z,
@@ -70,7 +72,7 @@ from .errors import (DegenerateSample, DoubleRangeExceeded, InvalidParams, NotCo
                      SeriesRangeExceeded, TooCloseToTurningRegion)
 from .oracle import integrate, schrodinger_problem
 from .potential import Sector, superpotential
-from .specfun import SERIES_ZMAX, asymptotic_pair
+from .specfun import SERIES_ZMAX, asymptotic_pair_for
 
 if TYPE_CHECKING:
     import numpy as np
@@ -175,8 +177,13 @@ class PhaseDifferenceResult(NamedTuple):
 
 
 def default_x_match(m: float, omega: float) -> float:
-    """Ladder base max(20/omega, 2.5 m^2/omega^2): oscillatory and past the barrier."""
-    return max(20.0 / omega, 2.5 * (m * m) / (omega * omega))
+    """Ladder base max(20/omega, 2.5 m^2/omega^2): oscillatory and past the barrier.
+
+    inf where it passes the largest double.  The ratio m/omega is squared,
+    as omega^2 alone underflows to 0 from omega ~ 1e-162.
+    """
+    r = m / omega
+    return max(20.0 / omega, 2.5 * (r * r))
 
 
 def seed_point(x_match: float, omega: float) -> float:
@@ -187,13 +194,14 @@ def seed_point(x_match: float, omega: float) -> float:
     return min(x_match, (1.0 - 4.0 * _EPS) * SERIES_ZMAX / (2.0 * omega))
 
 
-def _far_sample(p: SolutionParams, x: float) -> SolutionSample:
+def _far_sample(p: SolutionParams, x: float, pair) -> SolutionSample:
     """Real part of the branch-I MINUS closed form at x, from the large-|y| expansion.
 
-    Raises SeriesRangeExceeded where :func:`specfun.asymptotic_pair` does
-    not certify the pair, DoubleRangeExceeded past the largest double.
+    ``pair`` is :func:`specfun.asymptotic_pair_for` (eta), built once per
+    solve.  Raises SeriesRangeExceeded where it does not certify the pair,
+    DoubleRangeExceeded past the largest double.
     """
-    [[(z, dz)]] = _solution(p, (Branch.I,), (Sector.MINUS,), [x], asymptotic_pair)
+    [[(z, dz)]] = _solution(p, (Branch.I,), (Sector.MINUS,), [x], pair)
     return SolutionSample(x, complex(z[0].real), complex(dz[0].real))
 
 
@@ -216,7 +224,9 @@ def phase_difference(m: float, omega: float, *, tol: float = 1e-3,
 
     ``x_limit``: the ladder's one budget, the largest x a rung may reach,
     finite and not below the first rung 2 x_match; ``None`` means
-    x_match 2^14, i.e. 14 rungs.
+    x_match 2^14, i.e. 14 rungs.  Raises :class:`DoubleRangeExceeded`
+    where the first rung, or with ``None`` the last, is past the largest
+    double.
     """
     if not (x_limit is None or 0.0 < x_limit < math.inf):
         raise InvalidParams(f"x_limit={x_limit!r} must be a positive finite real")
@@ -224,8 +234,13 @@ def phase_difference(m: float, omega: float, *, tol: float = 1e-3,
         raise InvalidParams("tol must be positive")
     p = solution_params(m, omega)
     x_match = default_x_match(p.m, p.omega)
-
-    x_limit = x_limit or x_match * 2.0 ** _DEFAULT_DOUBLINGS
+    if x_limit is None:
+        x_limit = x_match * 2.0 ** _DEFAULT_DOUBLINGS
+    if math.isinf(max(2.0 * x_match, x_limit)):
+        raise DoubleRangeExceeded(
+            f"the ladder's rungs x_match 2^k pass the largest double "
+            f"({sys.float_info.max:.4g}) at m={m!r}, omega={omega!r}: "
+            f"x_match = {x_match:.4g}")
     # rung k >= 1 sits at x_match 2^k <= x_limit: compare binary exponents,
     # then mantissas, so the count is exact and needs no loop
     (fm, em), (fl, el) = math.frexp(x_match), math.frexp(x_limit)
@@ -234,6 +249,8 @@ def phase_difference(m: float, omega: float, *, tol: float = 1e-3,
         raise InvalidParams(f"x_limit={x_limit!r} is below the ladder's first rung "
                             f"x = {2.0 * x_match:.17g}")
 
+    # the expansion's log-Gamma terms, computed once for every rung
+    far = asymptotic_pair_for(p.a1.imag)
     xs: list[float] = []
     raws: list[float] = []
     accs: list[float] = []
@@ -244,7 +261,7 @@ def phase_difference(m: float, omega: float, *, tol: float = 1e-3,
     for k in range(1, n_rungs + 1):
         xk = math.ldexp(x_match, k)
         try:
-            zm = _far_sample(p, xk)
+            zm = _far_sample(p, xk, far)
         except (SeriesRangeExceeded, DoubleRangeExceeded):
             if zm is None:
                 # V- is real, so the real part of the seed is a real
@@ -301,6 +318,13 @@ def susy_phase_offset(w: float, omega: float) -> float:
     w = float(w)
     if not (math.isfinite(w) and math.isfinite(omega) and omega > 0.0):
         raise InvalidParams(f"w={w!r}, omega={omega!r} invalid")
+    # the offset is homogeneous in (w, omega): where the larger of the two
+    # is far from 1, both are scaled by one power of two (exact), so that
+    # no product below leaves the double range
+    big = max(abs(w), omega)
+    if not 2.0 ** -500 <= big <= 2.0 ** 500:
+        e = math.frexp(big)[1]
+        w, omega = math.ldexp(w, -e), math.ldexp(omega, -e)
     # (w - i omega)/(w + i omega) = (w^2 - omega^2 - 2 i omega w)/(w^2 + omega^2);
     # normalise -0.0 so the w -> 0 limit lands on +pi, matching the physical
     # approach through negative superpotential values

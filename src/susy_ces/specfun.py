@@ -30,6 +30,11 @@ points where its own error estimate certifies it to ``FAR_TOL``; where it
 does not, callers seed inside the bound and carry the solution outward by
 ODE propagation (:func:`susy_ces.oracle.integrate`).
 :func:`susy_ces.scattering.phase_difference` reads its rungs that way.
+The expansion (:func:`chf_asymptotic`) is computed in two parts: the
+checks and log-Gamma terms of its coefficients once per (a, b), the sums
+and exponentials once per point.  :func:`asymptotic_pair_for` keeps the
+first part for both b of the pair at one eta, so a ladder solve computes
+it once, and shares each point's z and log z between the two b.
 """
 from __future__ import annotations
 
@@ -40,7 +45,7 @@ import os
 import sys
 from importlib import resources
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from ._points import flat, shaped
 from .errors import (ArgumentTooSmall, DoubleRangeExceeded, InvalidParams,
@@ -61,6 +66,7 @@ ASYMPTOTIC_MIN_ABS_Z = 25.0
 FAR_TOL = 2.0 ** -40
 
 _GOLDEN_ENV = "SUSY_CES_GOLDEN_DIR"
+_EPS = sys.float_info.epsilon
 
 
 def _is_nonpositive_integer(x: float) -> bool:
@@ -161,12 +167,52 @@ def kummer_pair(eta: float, s: list[float]) -> tuple[list[complex], list[complex
     return [walk.p[k] for k in idx], [walk.q[k] for k in idx]
 
 
+def asymptotic_pair_for(eta: float) -> Callable[[float, list[float]],
+                                                 tuple[list[complex], list[complex]]]:
+    """:func:`asymptotic_pair` at one ``eta``, its per-(a, b) part computed once.
+
+    Returns a pair function ``pair(eta, s)`` with the signature of
+    :func:`asymptotic_pair`, for the ``eta`` given here (its own ``eta``
+    argument is not read): the checks and the
+    log-Gamma terms of the expansion for b = 1/2 and b = 3/2 are computed
+    in this call, and each call of ``pair`` does only the per-point work, z
+    and log z once per point for both b.  A ladder solve builds one and
+    reads every rung from it.
+
+    Raises
+    ------
+    InvalidParams
+        if ``eta`` is not finite.
+    """
+    a = complex(0.5, eta)
+    bs = (0.5, 1.5)
+    parts = [_ab_part(a, b) for b in bs]
+
+    def pair(_eta: float, s: list[float]) -> tuple[list[complex], list[complex]]:
+        out: tuple[list[complex], list[complex]] = ([], [])
+        for v in s:
+            at = _z_part(complex(0.0, -v))
+            for b, part, vals in zip(bs, parts, out):
+                r = _expand(part, at)
+                if not r.error_estimate <= FAR_TOL * abs(r.value):
+                    raise SeriesRangeExceeded(
+                        f"|y| = {v:.4g} at eta = {eta:.4g}: the large-|y| expansion of "
+                        f"1F1(a, {b:g}; y) is not certified to FAR_TOL = {FAR_TOL:.3g}")
+                vals.append(r.value)
+        return out
+
+    return pair
+
+
 def asymptotic_pair(eta: float, s: list[float]) -> tuple[list[complex], list[complex]]:
     """M(1/2 + i eta, 1/2; y) and M(1/2 + i eta, 3/2; y) at y = -i s, from the large-|y| expansion.
 
     The same pair as :func:`kummer_pair`, past its range: each value is
-    one :func:`chf_asymptotic` call, kept only when its error estimate is
-    at most ``FAR_TOL`` times its magnitude.
+    the value :func:`chf_asymptotic` gives, bit for bit, kept only when its
+    error estimate is at most ``FAR_TOL`` times its magnitude.  The
+    per-(a, b) part of the expansion is computed once per call, the
+    per-point part once per point for both b (:func:`asymptotic_pair_for`,
+    which keeps the first part for further calls at the same eta).
 
     Raises
     ------
@@ -175,20 +221,12 @@ def asymptotic_pair(eta: float, s: list[float]) -> tuple[list[complex], list[com
         far enough past eta^2.
     ArgumentTooSmall
         if an s is below ASYMPTOTIC_MIN_ABS_Z.
+    InvalidParams
+        if eta or an s is not finite.
     DoubleRangeExceeded
         if a value's magnitude is above the largest double.
     """
-    a = complex(0.5, eta)
-    out: tuple[list[complex], list[complex]] = ([], [])
-    for v in s:
-        for b, vals in zip((0.5, 1.5), out):
-            r = chf_asymptotic(a, b, complex(0.0, -v))
-            if not r.error_estimate <= FAR_TOL * abs(r.value):
-                raise SeriesRangeExceeded(
-                    f"|y| = {v:.4g} at eta = {eta:.4g}: the large-|y| expansion of "
-                    f"1F1(a, {b:g}; y) is not certified to FAR_TOL = {FAR_TOL:.3g}")
-            vals.append(r.value)
-    return out
+    return asymptotic_pair_for(eta)(eta, s)
 
 
 def kummer_transform(a: complex, b: float, z):
@@ -249,22 +287,39 @@ def _stirling(w: complex) -> complex:
     return s
 
 
+def _one_minus_exp(u: float, v: float) -> complex:
+    """1 - e^(u + i v) for u <= 0, without cancellation.
+
+    The real part is 1 - e^u cos v = -expm1(u) cos v + 2 sin^2(v/2): while
+    u <= 0 it is at least a third of the two terms' sizes, so it keeps its
+    relative accuracy where 1 - e^(u + i v) itself rounds to 0 (u + i v
+    within 2^-53 of 0).
+    """
+    h = math.sin(0.5 * v)
+    return complex(2.0 * h * h - math.expm1(u) * math.cos(v), -math.exp(u) * math.sin(v))
+
+
 def _logsinpi(z: complex) -> complex:
     """A logarithm of sin(pi z), overflow-safe, continuous off the real axis."""
+    # e^{+-2 i pi z} depends on re z mod 1 only; reduced to [-1/2, 1/2],
+    # its distance to the nearest integer is exact
+    f = 2.0 * math.pi * math.remainder(z.real, 1.0)
     if z.imag >= 0:
         # sin(pi z) = (i/2) e^{-i pi z} (1 - e^{2 i pi z})
         return (1j * math.pi / 2 - math.log(2.0) - 1j * math.pi * z
-                + cmath.log(1.0 - cmath.exp(2j * math.pi * z)))
+                + cmath.log(_one_minus_exp(-2.0 * math.pi * z.imag, f)))
     return (-1j * math.pi / 2 - math.log(2.0) + 1j * math.pi * z
-            + cmath.log(1.0 - cmath.exp(-2j * math.pi * z)))
+            + cmath.log(_one_minus_exp(2.0 * math.pi * z.imag, -f)))
 
 
 def log_gamma(z) -> complex:
     """Principal-branch log Gamma(z) for complex z.
 
     Stirling's series after an upward shift to |z| >= 12, with the
-    reflection formula for re(z) < 1/2.  Relative accuracy is better than
-    1e-12 for |z| <= 100 (in practice near machine precision).
+    reflection formula for re(z) < 1/2.  For |z| <= 100 the error is at
+    most 2e-14 of max(1, |log Gamma(z)|) against mpmath, next to the poles
+    too (n + i 10^-k, down to k = 300): relative to |log Gamma(z)| itself
+    it grows near its zeros z = 1, 2.
 
     Raises
     ------
@@ -298,6 +353,90 @@ class AsymptoticResult(NamedTuple):
     error_estimate: float
 
 
+def _ab_part(a, b) -> tuple:
+    """The part of :func:`chf_asymptotic` that (a, b) fix: the checked a and
+    b, then for each branch, recessive and dominant, (p1, p2, log_c,
+    log_c_abs), or None where its 1/Gamma factor vanishes.  Its series is
+    sum_k (p1)_k (p2)_k / (k! zz^k); log_c is the sum of its coefficient's
+    log-Gamma terms and log_c_abs the sum of their magnitudes, for the error
+    estimate.  A plain tuple: a NamedTuple class would add its creation to
+    every import."""
+    a, b = _params(a, b)
+    lg_b = log_gamma(b)
+    recessive = dominant = None
+    # each coefficient's log terms are summed from 0 in the order _expand
+    # continues the sum, so that the split changes no bit
+    if not _rgamma_is_zero(b - a):
+        lg = -log_gamma(b - a)
+        recessive = (a, a - b + 1.0, sum((lg_b, lg)), abs(lg_b) + abs(lg))
+    if not _rgamma_is_zero(a):
+        lg = -log_gamma(a)
+        dominant = (b - a, 1.0 - a, sum((lg_b, lg)), abs(lg_b) + abs(lg))
+    return a, b, recessive, dominant
+
+
+def _z_part(z) -> tuple[complex, int, float, complex]:
+    """The part of :func:`chf_asymptotic` that z fixes: z, the term budget of
+    each sum, the sector sign (+1 for arg z > -pi/2, else -1) and log z."""
+    z = complex(z)
+    if not cmath.isfinite(z):
+        raise InvalidParams(f"z={z!r} is not finite")
+    r = abs(z)
+    if r < ASYMPTOTIC_MIN_ABS_Z:
+        raise ArgumentTooSmall(f"|z| = {r:.4g} < {ASYMPTOTIC_MIN_ABS_Z:g}")
+    sgn = 1.0 if cmath.phase(z) > -math.pi / 2 else -1.0
+    return z, 2 * int(r) + 30, sgn, cmath.log(z)
+
+
+def _opt_sum(p1: complex, p2: complex, zz: complex, terms: int) -> tuple[complex, float]:
+    """The formal series in 1/zz to its optimal truncation, and the size of its last term."""
+    t = 1.0 + 0j
+    s = t
+    best = abs(t)
+    for k in range(terms):
+        t = t * (p1 + k) * (p2 + k) / ((k + 1) * zz)
+        # optimal truncation, or the last term added fell below eps |s|
+        if abs(t) >= best or best < _EPS * abs(s):
+            break
+        s += t
+        best = abs(t)
+    return s, best
+
+
+def _expand(ab: tuple, at: tuple[complex, int, float, complex]) -> AsymptoticResult:
+    """:func:`chf_asymptotic` from its per-(a, b) and per-z parts."""
+    a, b, recessive, dominant = ab
+    z, terms, sgn, logz = at
+    # (sum, truncation error, exponent of the prefactor, log of the
+    # coefficient, the sum of its terms' magnitudes); e^z stands apart, as
+    # its |z|-sized phase would cost |z| eps in a sum
+    branches = []
+    if recessive is not None:
+        p1, p2, log_c, log_c_abs = recessive
+        t_sector, t_power = sgn * 1j * math.pi * a, -a * logz
+        branches.append((*_opt_sum(p1, p2, -z, terms), 0j, log_c + t_sector + t_power,
+                         log_c_abs + abs(t_sector) + abs(t_power)))
+    if dominant is not None:
+        p1, p2, log_c, log_c_abs = dominant
+        t_power = (a - b) * logz
+        branches.append((*_opt_sum(p1, p2, z, terms), z, log_c + t_power,
+                         log_c_abs + abs(t_power)))
+    value = 0j
+    err = 0.0
+    for s, trunc, lead, log_c, log_c_abs in branches:
+        try:
+            c = cmath.exp(lead) * cmath.exp(log_c)
+        except OverflowError:   # a factor of c alone is past the largest double
+            raise _range_error(f"1F1({a!r}, {b!r}; {z!r})") from None
+        # relative error of c: eps of each log term's size, 40 eps for each
+        # log_gamma (its measured accuracy), and 16 eps for the sum s
+        value += c * s
+        err += abs(c) * (trunc + _EPS * (96.0 + log_c_abs) * abs(s))
+    if not cmath.isfinite(value):
+        raise _range_error(f"1F1({a!r}, {b!r}; {z!r})")
+    return AsymptoticResult(value, err)
+
+
 def chf_asymptotic(a: complex, b: float, z: complex) -> AsymptoticResult:
     """Large-|z| two-branch expansion of 1F1(a, b; z).
 
@@ -310,6 +449,13 @@ def chf_asymptotic(a: complex, b: float, z: complex) -> AsymptoticResult:
     from it past the series range; at smaller |z| it corroborates series
     and ODE values in the overlap region.
 
+    The work splits in two parts, computed in that order: one fixed by
+    (a, b), which checks them and takes the log-Gamma terms of both
+    branches' coefficients, log Gamma of b, b - a and a, and one fixed by z,
+    which checks it, takes its sector and log z, sums both series and
+    forms the exponentials.  :func:`asymptotic_pair_for` keeps the first
+    part for many points.
+
     Raises
     ------
     InvalidParams
@@ -319,52 +465,7 @@ def chf_asymptotic(a: complex, b: float, z: complex) -> AsymptoticResult:
     DoubleRangeExceeded
         if a branch's prefactor or the value is above the largest double.
     """
-    a, b = _params(a, b)
-    z = complex(z)
-    if not cmath.isfinite(z):
-        raise InvalidParams(f"z={z!r} is not finite")
-    if abs(z) < ASYMPTOTIC_MIN_ABS_Z:
-        raise ArgumentTooSmall(f"|z| = {abs(z):.4g} < {ASYMPTOTIC_MIN_ABS_Z:g}")
-    eps = sys.float_info.epsilon
-
-    def opt_sum(p1: complex, p2: complex, zz: complex) -> tuple[complex, float]:
-        t = 1.0 + 0j
-        s = t
-        best = abs(t)
-        for k in range(2 * int(abs(zz)) + 30):
-            t = t * (p1 + k) * (p2 + k) / ((k + 1) * zz)
-            # optimal truncation, or the last term added fell below eps |s|
-            if abs(t) >= best or best < eps * abs(s):
-                break
-            s += t
-            best = abs(t)
-        return s, best
-
-    sgn = 1.0 if cmath.phase(z) > -math.pi / 2 else -1.0
-    logz = cmath.log(z)
-    # (sum, truncation error, exponent of the prefactor, log terms of the
-    # coefficient); e^z stands apart, as its |z|-sized phase would cost |z|
-    # eps in a sum
-    branches = []
-    if not _rgamma_is_zero(b - a):
-        branches.append((*opt_sum(a, a - b + 1.0, -z), 0j, (
-            log_gamma(b), -log_gamma(b - a), sgn * 1j * math.pi * a, -a * logz)))
-    if not _rgamma_is_zero(a):
-        branches.append((*opt_sum(b - a, 1.0 - a, z), z, (
-            log_gamma(b), -log_gamma(a), (a - b) * logz)))
-    what = f"1F1({a!r}, {b!r}; {z!r})"
-    value = 0j
-    err = 0.0
-    for s, e, lead, logs in branches:
-        try:
-            c = cmath.exp(lead) * cmath.exp(sum(logs))
-        except OverflowError:   # a factor of c alone is past the largest double
-            raise _range_error(what) from None
-        # relative error of c: eps of each log term's size, 40 eps for each
-        # log_gamma (its measured accuracy), and 16 eps for the sum s
-        value += c * s
-        err += abs(c) * (e + eps * (96.0 + sum(map(abs, logs))) * abs(s))
-    return AsymptoticResult(_in_double_range([value], what)[0], err)
+    return _expand(_ab_part(a, b), _z_part(z))
 
 
 # ---------------------------------------------------------------------------

@@ -482,11 +482,12 @@ def check_ladder_routes_agree(tol: float = 1e-8) -> CheckReport:
         seed = cf.solution_Z(p, cf.Branch.I, Sector.MINUS, scattering.seed_point(x_match, omega))
         x, u, du = seed.x, complex(seed.value.real), complex(seed.derivative.real)
         prob = oracle.schrodinger_problem(m, omega, Sector.MINUS)
+        pair = specfun.asymptotic_pair_for(p.a1.imag)
         for k in range(1, rungs + 1):
             xk = math.ldexp(x_match, k)
             sol = oracle.integrate(prob, x, xk, u, du)
             x, u, du = xk, sol.value, sol.derivative
-            far = scattering._far_sample(p, xk)
+            far = scattering._far_sample(p, xk, pair)
             size = abs(far.value) + abs(far.derivative) / omega
             worst = max(worst, abs(u - far.value) / size,
                         abs(du - far.derivative) / omega / size)

@@ -291,6 +291,24 @@ def test_phase_x_limit_below_the_first_rung_exits_2(runner):
     assert res.stdout == ""
 
 
+@pytest.mark.parametrize("omega", ["1e-300", "1e-160"])
+def test_phase_rungs_past_the_double_range_exit_2(runner, omega):
+    # x_match = 2.5 m^2/omega^2 is past the largest double
+    res = runner.invoke(main, ["phase", "--m", "1", "--omega", omega])
+    assert res.exit_code == 2
+    assert "rungs x_match 2^k pass the largest double" in res.stderr
+    assert res.stdout == ""
+
+
+@pytest.mark.parametrize("m, omega", [("1e-9", "1"), ("1", "1e300")])
+def test_phase_at_vanishing_eta(runner, m, omega):
+    res = runner.invoke(main, ["phase", "--m", m, "--omega", omega, "--format", "json"])
+    assert res.exit_code == 0, res.stderr
+    out = json.loads(res.stdout)
+    assert out["converged"] is True
+    assert abs(out["estimate"] - 0.5 * math.pi) <= 1e-3
+
+
 def test_phase_invalid_params_exit_2(runner):
     res = runner.invoke(main, ["phase", "--m", "-1", "--omega", "2"])
     assert res.exit_code == 2

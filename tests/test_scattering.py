@@ -8,9 +8,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from susy_ces import scattering as sc
+from susy_ces import specfun
 from susy_ces.closedform import solution_params, y_of_x
 from susy_ces.errors import (
     DegenerateSample,
+    DoubleRangeExceeded,
     InvalidParams,
     NotConverged,
     SeriesRangeExceeded,
@@ -18,7 +20,7 @@ from susy_ces.errors import (
 )
 from susy_ces.potential import superpotential
 from susy_ces.scattering import phase_difference, susy_phase_offset
-from susy_ces.specfun import SERIES_ZMAX
+from susy_ces.specfun import SERIES_ZMAX, asymptotic_pair_for
 
 HALF_PI = 0.5 * math.pi
 
@@ -91,7 +93,7 @@ def test_keywords_are_checked_before_any_solve(monkeypatch):
         raise AssertionError("a solve ran before the keywords were checked")
 
     monkeypatch.setattr(sc, "solution_Z", solve)
-    monkeypatch.setattr(sc, "asymptotic_pair", solve)
+    monkeypatch.setattr(sc, "asymptotic_pair_for", solve)
     monkeypatch.setattr(sc, "integrate", solve)
     # x_match = 20 at (1, 1): a budget of 39 holds no rung, the first is x = 40
     for kw in ({"tol": 0.0}, {"x_limit": -1.0}, {"x_limit": 39.0}):
@@ -226,10 +228,11 @@ def test_phase_difference_falls_back_where_the_expansion_refuses(m, omega):
     assert abs(res.estimate - HALF_PI) < 1e-3
     assert abs(res.estimate - estimate) <= 1e-9
     p = solution_params(m, omega)
+    pair = asymptotic_pair_for(p.a1.imag)
     refused = []
     for xk in res.x.tolist():
         try:
-            sc._far_sample(p, xk)
+            sc._far_sample(p, xk, pair)
         except SeriesRangeExceeded:
             refused.append(xk)
     assert refused == res.x[:n_refused].tolist()
@@ -246,13 +249,72 @@ def test_each_rung_is_one_function_of_the_minus_sample(m, omega, x_limit):
     # u of V-, and |eps_k| <= m^2/(omega^2 x_k) bounds its distance from pi/2
     res = phase_difference(m, omega, x_limit=x_limit)
     p = solution_params(m, omega)
+    pair = asymptotic_pair_for(p.a1.imag)
     for xk, acc in zip(res.x.tolist(), res.accelerated.tolist()):
-        far = sc._far_sample(p, xk)
+        far = sc._far_sample(p, xk, pair)
         u, du = far.value, far.derivative
         w = superpotential(xk, m)
         eps = w * w * u.real / ((w + 1j * omega) * complex(du.real, omega * u.real))
         assert abs(acc - (HALF_PI - cmath.phase(1.0 + eps))) <= 1e-14
         assert abs(acc - HALF_PI) <= math.asin(m * m / (omega * omega * xk))
+
+
+@pytest.mark.parametrize("m, omega", [(1e-9, 1.0), (3e-9, 2.0), (1.0, 1e300)])
+def test_phase_difference_at_vanishing_eta(m, omega):
+    # eta = 5e-19, 2.25e-18 and 5e-301: the expansion's log_gamma(-i eta)
+    # sits next to the pole at 0, and at omega = 1e300 the tail offset's
+    # products pass the largest double unless scaled
+    res = phase_difference(m, omega)
+    assert res.converged
+    assert res.ode_steps == 0
+    assert abs(res.estimate - HALF_PI) <= 1e-3
+
+
+@pytest.mark.parametrize("m, omega", [(1e-150, 1e-300), (1e150, 1e300)])
+def test_phase_difference_depends_on_the_coupling_alone(m, omega):
+    # m^2/omega = 1, as at (1, 1), with omega^2 and m^2 past the double
+    # range: omega only rescales x, so the rungs read the same values
+    ref = phase_difference(1.0, 1.0)
+    res = phase_difference(m, omega)
+    assert res.converged and res.x.size == ref.x.size
+    assert abs(res.estimate - ref.estimate) <= 1e-12
+
+
+@pytest.mark.parametrize("m, omega", [(1.0, 1e-300), (1.0, 1e-160),
+                                      (math.sqrt(2e-304), 2e-304)])
+def test_phase_difference_rungs_past_the_double_range_are_typed(m, omega):
+    # x_match = 2.5 m^2/omega^2 is past the largest double at the first two
+    # (omega^2 alone underflows to 0 at the first); at the third x_match =
+    # 20/omega = 1e305 is a double, but the default budget x_match 2^14 is not
+    with pytest.raises(DoubleRangeExceeded, match=r"rungs x_match 2\^k pass the largest double"):
+        phase_difference(m, omega)
+
+
+def test_phase_difference_within_a_budget_below_the_largest_double():
+    # x_match = 1e305: a budget of four rungs is all doubles
+    with pytest.raises(NotConverged) as exc:
+        phase_difference(math.sqrt(2e-304), 2e-304, x_limit=1e305 * 2 ** 4)
+    assert exc.value.result.x.tolist() == [1e305 * 2.0 ** k for k in (1, 2, 3, 4)]
+
+
+@pytest.mark.parametrize("m, omega, x_limit, rungs", [(0.5, 2.0, None, 4),
+                                                     (3.0, 0.5, 92160.0, 10)])
+def test_log_gamma_calls_per_solve_do_not_grow_with_the_rungs(m, omega, x_limit, rungs,
+                                                             monkeypatch):
+    # the expansion's log-Gamma terms are computed once per solve: three for
+    # each of b = 1/2 and 3/2, and log_gamma(-i eta) reflects to
+    # log_gamma(1 + i eta)
+    calls = []
+    log_gamma = specfun.log_gamma
+
+    def counted(z):
+        calls.append(z)
+        return log_gamma(z)
+
+    monkeypatch.setattr(specfun, "log_gamma", counted)
+    res = phase_difference(m, omega, x_limit=x_limit)
+    assert res.converged and res.x.size == rungs
+    assert len(calls) == 7
 
 
 def test_phase_difference_budget_exhaustion():

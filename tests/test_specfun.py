@@ -243,6 +243,18 @@ def test_log_gamma_matches_scipy_principal_branch():
     assert checked > 300
 
 
+@pytest.mark.parametrize("n", [0, -1, -2])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_log_gamma_next_to_its_poles_matches_mpmath(n, sign):
+    # z = n +- i 10^-k: e^{+-2 i pi z} is within 2^-53 of 1 from k = 17, so
+    # 1 - e^{+-2 i pi z} must not be formed by subtraction
+    with mpmath.workdps(40):
+        for k in range(1, 301):
+            z = complex(n, sign * 10.0 ** -k)
+            ref = complex(mpmath.loggamma(mpmath.mpc(z)))
+            assert rel(sf.log_gamma(z), ref, floor=0.0) <= 4e-15, k
+
+
 def test_log_gamma_recurrence():
     for z in (0.3 + 0.7j, 2.5 - 4j, 11.0 + 0.25j, 0.75):
         z = complex(z)
@@ -367,6 +379,45 @@ def test_asymptotic_pair_refuses_what_it_cannot_certify(eta, s):
 def test_asymptotic_pair_past_the_double_range_is_typed():
     with pytest.raises(DoubleRangeExceeded):
         sf.asymptotic_pair(250.0, [1e4])
+
+
+def _bits(vals):
+    return [(v.real.hex(), v.imag.hex()) for v in vals]
+
+
+def _pair_or_refusal(eta, s):
+    try:
+        return tuple(map(_bits, sf.asymptotic_pair(eta, s)))
+    except SeriesRangeExceeded as e:
+        return str(e)
+
+
+@given(eta=st.floats(0.0, 40.0), s=st.lists(st.floats(25.0, 1e5), min_size=1, max_size=3),
+       other=st.floats(0.0, 40.0))
+@settings(max_examples=settings.default.max_examples // 5)
+def test_asymptotic_pair_is_chf_asymptotic_bit_for_bit(eta, s, other):
+    # the pair shares each point's z, |z| and log z between b = 1/2 and 3/2
+    # and keeps the log-Gamma terms for the call: the values and the
+    # certification read from error_estimate are those of one
+    # chf_asymptotic call per value, and no earlier call changes them
+    got = _pair_or_refusal(eta, s)
+    a = complex(0.5, eta)
+    want = ([], [])
+    refusal = None
+    for v in s:
+        for b, vals in zip((0.5, 1.5), want):
+            r = sf.chf_asymptotic(a, b, complex(0.0, -v))
+            vals.append(r.value)
+            if refusal is None and not r.error_estimate <= sf.FAR_TOL * abs(r.value):
+                refusal = (f"|y| = {v:.4g} at eta = {eta:.4g}: the large-|y| "
+                           f"expansion of 1F1(a, {b:g}; y)")
+    if refusal is None:
+        assert got == tuple(map(_bits, want))
+    else:
+        assert got.startswith(refusal)
+    _pair_or_refusal(other, s[::-1])
+    _pair_or_refusal(eta, s[::-1])
+    assert _pair_or_refusal(eta, s) == got
 
 
 # ---------------------------------------------------------------------------
