@@ -12,8 +12,8 @@ Public layers:
 * :mod:`susy_ces.oracle` — adaptive ODE integration, a Frobenius-series
   second opinion, finite-difference residuals: verification that shares
   no code with the closed form.
-* :mod:`susy_ces.scattering` — local phases and the sector phase-shift
-  difference, read against the closed-form SUSY tail.
+* :mod:`susy_ces.scattering` — the sector phase-shift difference, read
+  against the closed-form SUSY tail.
 * :mod:`susy_ces.verify` / :mod:`susy_ces.cli` — check suites and the
   ``susy-ces`` command-line tool.
 
@@ -29,19 +29,17 @@ from .closedform import (Branch, CouplingConstants, SolutionParams,
                          SolutionSample, components, coupling_constants,
                          hermite_lambda, solution_Z, solution_params, susy_map,
                          wronskian_Z, wronskian_exact, y_of_x)
-from .errors import (ArgumentTooSmall, DegenerateSample, DomainError,
-                     DoubleRangeExceeded, InvalidParams, MaxStepsExceeded, NonConvergence,
-                     NotConverged, PoleAtNonPositiveInteger,
-                     SeriesRangeExceeded, StepSizeUnderflow, SusyCesError,
-                     TooCloseToTurningRegion)
+from .errors import (ArgumentTooSmall, DomainError, DoubleRangeExceeded, InvalidParams,
+                     MaxStepsExceeded, NonConvergence, NotConverged,
+                     PoleAtNonPositiveInteger, SeriesRangeExceeded, StepSizeUnderflow,
+                     SusyCesError)
 from .oracle import (ODEProblem, ODESolution, frobenius_series_solution,
                      integrate, residual_schrodinger, schrodinger_problem)
 from .potential import (CriticalStructure, Sector, V, V_deriv,
                         V_from_superpotential, ces_residual, critical_structure,
                         shape_invariance_gap, superpotential,
                         superpotential_deriv)
-from .scattering import (PhaseDifferenceResult, PhaseExtraction, coulomb_eta,
-                         local_phase, phase_difference, susy_phase_offset)
+from .scattering import PhaseDifferenceResult, phase_difference, susy_phase_offset
 from .specfun import (chf_1f1, chf_1f1_deriv, chf_asymptotic, kummer_transform,
                       load_golden_chf, log_gamma)
 
@@ -72,13 +70,11 @@ __all__ = [
     "ODEProblem", "ODESolution", "schrodinger_problem",
     "integrate", "frobenius_series_solution", "residual_schrodinger",
     # scattering
-    "PhaseExtraction", "PhaseDifferenceResult", "coulomb_eta", "local_phase",
-    "phase_difference", "susy_phase_offset",
+    "PhaseDifferenceResult", "phase_difference", "susy_phase_offset",
     # verification
     "CheckReport", "run_suite",
     # errors
     "SusyCesError", "DomainError", "InvalidParams", "PoleAtNonPositiveInteger",
     "ArgumentTooSmall", "SeriesRangeExceeded", "NonConvergence",
-    "StepSizeUnderflow", "MaxStepsExceeded", "TooCloseToTurningRegion",
-    "DegenerateSample", "NotConverged", "DoubleRangeExceeded",
+    "StepSizeUnderflow", "MaxStepsExceeded", "NotConverged", "DoubleRangeExceeded",
 ]

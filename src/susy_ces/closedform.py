@@ -98,7 +98,10 @@ class SolutionParams(NamedTuple):
 
 
 def solution_params(m: float, omega: float) -> SolutionParams:
-    """Validate (m, omega) and assemble the solution constants."""
+    """Validate (m, omega) and assemble the solution constants.
+
+    DoubleRangeExceeded where m^2 or eta = m^2/(2 omega) is past the double range.
+    """
     m = float(m)
     omega = float(omega)
     if not (math.isfinite(m) and m > 0.0):
@@ -106,6 +109,10 @@ def solution_params(m: float, omega: float) -> SolutionParams:
     if not (math.isfinite(omega) and omega > 0.0):
         raise InvalidParams(f"omega={omega!r} must be a positive finite real")
     a1 = complex(0.0, (0.5 * (m * m)) / omega)
+    if not cmath.isfinite(a1):
+        raise DoubleRangeExceeded(
+            f"eta = m^2/(2 omega) is not a finite double at m={m!r}, omega={omega!r}: "
+            f"m^2 or eta passes the largest double ({sys.float_info.max:.4g})")
     return SolutionParams(m=m, omega=omega, a1=a1, a2=a1 + 0.5, b=0.5,
                           energy=omega * omega)
 

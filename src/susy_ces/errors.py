@@ -30,8 +30,9 @@ class ArgumentTooSmall(SusyCesError, ValueError):
 class SeriesRangeExceeded(SusyCesError, ValueError):
     """|z| exceeds the range where the power series retains accuracy.
 
-    Also raised by :func:`susy_ces.specfun.asymptotic_pair` where the
-    large-|z| expansion is not certified.  Callers that need values beyond
+    Also raised by the pair function of
+    :func:`susy_ces.specfun.asymptotic_pair_for` where the large-|z|
+    expansion is not certified.  Callers that need values beyond
     the bound read them from that expansion, or seed inside the bound and
     carry the solution outward with :func:`susy_ces.oracle.integrate`;
     :func:`susy_ces.scattering.phase_difference` does both.
@@ -52,14 +53,6 @@ class StepSizeUnderflow(SusyCesError, ArithmeticError):
 
 class MaxStepsExceeded(SusyCesError, ArithmeticError):
     """The adaptive integrator exhausted its step budget."""
-
-
-class TooCloseToTurningRegion(SusyCesError, ValueError):
-    """Phase extraction was attempted before the solution is asymptotic."""
-
-
-class DegenerateSample(SusyCesError, ValueError):
-    """A sample carries no usable signal (e.g. u and u' both zero)."""
 
 
 class NotConverged(SusyCesError, ArithmeticError):

@@ -1,4 +1,4 @@
-"""Scattering phases and the partner-potential phase-shift difference.
+"""The partner-potential phase-shift difference.
 
 The potentials fall off like m^2/x, so outgoing waves carry the usual
 slow logarithmic distortion: a real solution behaves asymptotically as
@@ -6,10 +6,9 @@ slow logarithmic distortion: a real solution behaves asymptotically as
     u(x) ~ sin( omega x - eta log(2 omega x) + delta + o(1) ),
     eta = m^2 / (2 omega).
 
-:func:`local_phase` reads the phase of a (u, u') sample at one point;
-the log term is undone explicitly, everything else is finite-x drift.
-The observable of interest is the *difference* of the two sectors'
-phases, where the log terms cancel identically and the drift is a clean
+The observable is the *difference* of the two sectors' phases, read at
+one x from one ratio of the two samples, so the omega x and log terms
+common to both cancel before they are formed; what is left is a clean
 (m/omega) x^{-1/2} tail plus O(1/x) oscillatory wiggle.
 
 :func:`phase_difference` therefore:
@@ -34,9 +33,8 @@ phases, where the log terms cancel identically and the drift is a clean
    the *same* scattering state in both sectors and only one sector is
    evaluated.  The ladder operator maps the real Z_minus = u onto an
    imaginary Z_plus, whose real image is (v, v') = -Im (Z_plus, Z_plus');
-   the rung is the phase of one ratio,
-   d_k = arg((u' + i omega u) / (v' + i omega v)) mod pi, in [0, pi),
-   so the omega x and log terms of the two sectors are never formed;
+   the rung is the phase of one ratio (:func:`_sector_difference`),
+   d_k = arg((u' + i omega u) / (v' + i omega v)) mod pi, in [0, pi);
 4. subtracts the tail the ladder operator's phase rotation predicts,
    A_k = d_k - (susy_phase_offset(W(x_k), omega) - pi)/2, which leaves
    only the O(eta/(omega x)) oscillatory wiggle.
@@ -68,8 +66,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .closedform import (Branch, SolutionParams, SolutionSample, _solution, solution_Z,
                          solution_params, susy_map)
-from .errors import (DegenerateSample, DoubleRangeExceeded, InvalidParams, NotConverged,
-                     SeriesRangeExceeded, TooCloseToTurningRegion)
+from .errors import DoubleRangeExceeded, InvalidParams, NotConverged, SeriesRangeExceeded
 from .oracle import integrate, schrodinger_problem
 from .potential import Sector, superpotential
 from .specfun import SERIES_ZMAX, asymptotic_pair_for
@@ -77,74 +74,11 @@ from .specfun import SERIES_ZMAX, asymptotic_pair_for
 if TYPE_CHECKING:
     import numpy as np
 
-__all__ = [
-    "PhaseExtraction", "PhaseDifferenceResult", "coulomb_eta", "local_phase",
-    "phase_difference", "susy_phase_offset",
-]
+__all__ = ["PhaseDifferenceResult", "phase_difference", "susy_phase_offset"]
 
 _EPS = 2.0 ** -52
-#: smallest omega x at which a sample is read as an asymptotic sinusoid
-_MIN_X_OMEGA = 20.0
 #: rungs of the ladder when no x_limit is given: x_limit = x_match 2^14
 _DEFAULT_DOUBLINGS = 14
-
-
-def coulomb_eta(m: float, omega: float) -> float:
-    """Sommerfeld parameter eta = m^2 / (2 omega) of the 1/x tail."""
-    m = float(m)
-    omega = float(omega)
-    if not (math.isfinite(m) and math.isfinite(omega) and omega > 0.0):
-        raise InvalidParams(f"m={m!r}, omega={omega!r} invalid")
-    return (m * m) / (2.0 * omega)
-
-
-class PhaseExtraction(NamedTuple):
-    """Local phase at one point, with and without the log correction."""
-
-    x: float
-    delta_raw: float
-    delta_log_corrected: float
-
-
-def _mod_pi(d: float) -> float:
-    """Reduce to the half-open interval (-pi/2, pi/2]."""
-    d = math.fmod(d, math.pi)
-    if d > 0.5 * math.pi:
-        d -= math.pi
-    elif d <= -0.5 * math.pi:
-        d += math.pi
-    return d
-
-
-def local_phase(m: float, omega: float, x: float, u: float, du: float) -> PhaseExtraction:
-    """Phase of a real solution sample (u, u') at x, mod pi.
-
-    delta_raw           = atan2(omega u, u') - omega x          (mod pi)
-    delta_log_corrected = delta_raw + eta log(2 omega x)        (mod pi)
-
-    Individual phases are only defined mod pi (a real solution and its
-    negative are the same ray); downstream differences inherit that.
-
-    Raises
-    ------
-    TooCloseToTurningRegion
-        if omega x < 20 or x < 2 m^2/omega^2, where the
-        asymptotic sinusoid model underlying the formula does not hold.
-    DegenerateSample
-        if u = u' = 0 (no phase information).
-    """
-    m = float(m)
-    omega = float(omega)
-    x = float(x)
-    if omega * x < _MIN_X_OMEGA or x < 2.0 * (m * m) / (omega * omega):
-        raise TooCloseToTurningRegion(
-            f"x={x:.4g} too small for phase extraction at m={m:.4g}, omega={omega:.4g}")
-    if u == 0.0 and du == 0.0:
-        raise DegenerateSample(f"u = u' = 0 at x={x:.4g}")
-    eta = coulomb_eta(m, omega)
-    raw = _mod_pi(math.atan2(omega * u, du) - omega * x)
-    corrected = _mod_pi(raw + eta * math.log(2.0 * omega * x))
-    return PhaseExtraction(x, raw, corrected)
 
 
 class PhaseDifferenceResult(NamedTuple):
@@ -192,6 +126,19 @@ def seed_point(x_match: float, omega: float) -> float:
     The 4 eps margin keeps the rounded |y| at or below SERIES_ZMAX.
     """
     return min(x_match, (1.0 - 4.0 * _EPS) * SERIES_ZMAX / (2.0 * omega))
+
+
+def _sector_difference(u: float, du: float, v: float, dv: float, omega: float) -> float:
+    """arg((u' + i omega u) / (v' + i omega v)) mod pi, in [0, pi).
+
+    The phase difference of two real solutions sampled at one x: for
+    sinusoids u ~ sin(omega x + a), v ~ sin(omega x + b) it is a - b mod
+    pi, and the omega x and log terms common to both never form.
+    """
+    d = cmath.phase(complex(du, omega * u) / complex(dv, omega * v))
+    if d < 0.0:
+        d += math.pi
+    return d
 
 
 def _far_sample(p: SolutionParams, x: float, pair) -> SolutionSample:
@@ -276,12 +223,9 @@ def phase_difference(m: float, omega: float, *, tol: float = 1e-3,
             zm = SolutionSample(xk, sm.value, sm.derivative)
         zp = susy_map(p, zm, Sector.MINUS)
         # the ladder operator maps the real Z_minus onto an imaginary Z_plus,
-        # and (v, v') = -Im (Z_plus, Z_plus') is its real image; the sector
-        # difference is one ratio's phase, read mod pi into [0, pi)
-        d = cmath.phase(complex(zm.derivative.real, p.omega * zm.value.real)
-                        / complex(-zp.derivative.imag, -p.omega * zp.value.imag))
-        if d < 0.0:
-            d += math.pi
+        # and (v, v') = -Im (Z_plus, Z_plus') is its real image
+        d = _sector_difference(zm.value.real, zm.derivative.real,
+                               -zp.value.imag, -zp.derivative.imag, p.omega)
         xs.append(xk)
         raws.append(d)
         offset = susy_phase_offset(superpotential(xk, p.m), p.omega)

@@ -25,16 +25,16 @@ A scalar z gives a Python ``complex``, an array of them an ndarray of
 its shape; every value is computed in Python, point by point.
 Values past the largest double raise ``DoubleRangeExceeded``.  It refuses
 |z| > ``SERIES_ZMAX`` outright.  Past the bound the same pair comes from
-:func:`asymptotic_pair`, the large-|z| expansion (DLMF 13.7.2) at the
-points where its own error estimate certifies it to ``FAR_TOL``; where it
-does not, callers seed inside the bound and carry the solution outward by
-ODE propagation (:func:`susy_ces.oracle.integrate`).
+:func:`asymptotic_pair_for`, the large-|z| expansion (DLMF 13.7.2) at
+the points where its own error estimate certifies it to ``FAR_TOL``;
+where it does not, callers seed inside the bound and carry the solution
+outward by ODE propagation (:func:`susy_ces.oracle.integrate`).
 :func:`susy_ces.scattering.phase_difference` reads its rungs that way.
 The expansion (:func:`chf_asymptotic`) is computed in two parts: the
 checks and log-Gamma terms of its coefficients once per (a, b), the sums
-and exponentials once per point.  :func:`asymptotic_pair_for` keeps the
-first part for both b of the pair at one eta, so a ladder solve computes
-it once, and shares each point's z and log z between the two b.
+and exponentials once per point.  :func:`asymptotic_pair_for` computes
+the first part once for both b at one eta, so once per ladder solve,
+and shares each point's z and log z between the two b.
 """
 from __future__ import annotations
 
@@ -57,12 +57,12 @@ chf_series_dd = None
 
 #: refusal bound for the series evaluator.  At |z| = 60 the cancellation
 #: ratio reaches ~1e26, which the fixed-point sum absorbs with tens of
-#: digits to spare; past it callers take :func:`asymptotic_pair` where that
-#: certifies the pair, ODE propagation elsewhere.
+#: digits to spare; past it callers take :func:`asymptotic_pair_for` where
+#: that certifies the pair, ODE propagation elsewhere.
 SERIES_ZMAX = 60.0
 #: below this |z| the asymptotic expansion's optimal truncation is too loose
 ASYMPTOTIC_MIN_ABS_Z = 25.0
-#: relative error bound :func:`asymptotic_pair` certifies its values to
+#: relative error bound :func:`asymptotic_pair_for` certifies its values to
 FAR_TOL = 2.0 ** -40
 
 _GOLDEN_ENV = "SUSY_CES_GOLDEN_DIR"
@@ -169,20 +169,26 @@ def kummer_pair(eta: float, s: list[float]) -> tuple[list[complex], list[complex
 
 def asymptotic_pair_for(eta: float) -> Callable[[float, list[float]],
                                                  tuple[list[complex], list[complex]]]:
-    """:func:`asymptotic_pair` at one ``eta``, its per-(a, b) part computed once.
+    """M(1/2 + i eta, 1/2 and 3/2; y) past the series range, from the large-|y| expansion.
 
-    Returns a pair function ``pair(eta, s)`` with the signature of
-    :func:`asymptotic_pair`, for the ``eta`` given here (its own ``eta``
-    argument is not read): the checks and the
-    log-Gamma terms of the expansion for b = 1/2 and b = 3/2 are computed
-    in this call, and each call of ``pair`` does only the per-point work, z
-    and log z once per point for both b.  A ladder solve builds one and
-    reads every rung from it.
+    Returns ``pair(eta, s)``, the pair at y = -i s for each s, as
+    :func:`kummer_pair` gives it inside its range, for the ``eta`` given
+    here (its own ``eta`` is not read).  Each value is that of
+    :func:`chf_asymptotic`, bit for bit, kept only where its error estimate
+    is at most ``FAR_TOL`` times its magnitude.  This call computes the
+    checks and log-Gamma terms for both b, ``pair`` z and log z once per
+    point; a ladder solve builds one and reads every rung from it.
 
     Raises
     ------
     InvalidParams
-        if ``eta`` is not finite.
+        if ``eta``, or (from ``pair``) an s, is not finite.
+    SeriesRangeExceeded
+        from ``pair``, for a value not certified: s not far enough past eta^2.
+    ArgumentTooSmall
+        from ``pair``, if an s is below ASYMPTOTIC_MIN_ABS_Z.
+    DoubleRangeExceeded
+        from ``pair``, if a value or a prefactor is above the largest double.
     """
     a = complex(0.5, eta)
     bs = (0.5, 1.5)
@@ -202,31 +208,6 @@ def asymptotic_pair_for(eta: float) -> Callable[[float, list[float]],
         return out
 
     return pair
-
-
-def asymptotic_pair(eta: float, s: list[float]) -> tuple[list[complex], list[complex]]:
-    """M(1/2 + i eta, 1/2; y) and M(1/2 + i eta, 3/2; y) at y = -i s, from the large-|y| expansion.
-
-    The same pair as :func:`kummer_pair`, past its range: each value is
-    the value :func:`chf_asymptotic` gives, bit for bit, kept only when its
-    error estimate is at most ``FAR_TOL`` times its magnitude.  The
-    per-(a, b) part of the expansion is computed once per call, the
-    per-point part once per point for both b (:func:`asymptotic_pair_for`,
-    which keeps the first part for further calls at the same eta).
-
-    Raises
-    ------
-    SeriesRangeExceeded
-        if the expansion does not certify a value to ``FAR_TOL``: s not
-        far enough past eta^2.
-    ArgumentTooSmall
-        if an s is below ASYMPTOTIC_MIN_ABS_Z.
-    InvalidParams
-        if eta or an s is not finite.
-    DoubleRangeExceeded
-        if a value's magnitude is above the largest double.
-    """
-    return asymptotic_pair_for(eta)(eta, s)
 
 
 def kummer_transform(a: complex, b: float, z):
@@ -445,7 +426,7 @@ def chf_asymptotic(a: complex, b: float, z: complex) -> AsymptoticResult:
     error, rounding of the coefficients included.  The recessive
     z^{-a} branch carries the factor e^{+i pi a} for arg z > -pi/2 and
     e^{-i pi a} otherwise (the boundary ray arg z = -pi/2 belongs to the
-    lower sector).  :func:`asymptotic_pair` reads the closed form's pair
+    lower sector).  :func:`asymptotic_pair_for` reads the closed form's pair
     from it past the series range; at smaller |z| it corroborates series
     and ODE values in the overlap region.
 

@@ -417,24 +417,23 @@ def check_frobenius(tol: float = 1e-12) -> CheckReport:
 
 
 def check_offset_identity(tol: float = 1e-12) -> CheckReport:
+    # |W|/omega from 1e-12 to 1e2: the ladder's rungs reach 5.6e-11 at (1e-9, 1)
     rng = np.random.default_rng(5)
     worst = 0.0
     for _ in range(200):
-        wv = -(10.0 ** rng.uniform(-3.0, 1.0))
         om = 10.0 ** rng.uniform(-1.0, 1.0)
+        wv = -om * 10.0 ** rng.uniform(-12.0, 2.0)
         d0 = rng.uniform(-1.5, 1.5)
         x = 40.0 / om
         um = math.sin(om * x + d0)
         dum = om * math.cos(om * x + d0)
         up = (dum + wv * um) / om
         dup = (-om * om * um + wv * dum) / om
-        em = scattering.local_phase(0.0, om, x, um, dum).delta_raw
-        ep = scattering.local_phase(0.0, om, x, up, dup).delta_raw
-        gap = abs(math.remainder(2.0 * (em - ep) - scattering.susy_phase_offset(wv, om),
-                                 2.0 * math.pi))
+        d = scattering._sector_difference(um, dum, up, dup, om)
+        gap = abs(math.remainder(2.0 * d - scattering.susy_phase_offset(wv, om), 2.0 * math.pi))
         worst = max(worst, gap)
     return _report("scattering/offset-identity", worst, tol,
-                   "constant-superpotential sinusoid mapping vs closed-form offset")
+                   "constant-superpotential sinusoid mapping, read by the rung ratio, vs offset")
 
 
 def check_phase_difference(tol: float = 1e-3) -> CheckReport:

@@ -309,6 +309,13 @@ def test_phase_at_vanishing_eta(runner, m, omega):
     assert abs(out["estimate"] - 0.5 * math.pi) <= 1e-3
 
 
+def test_phase_past_the_double_range_of_eta_exits_2(runner):
+    res = runner.invoke(main, ["phase", "--m", "1e300", "--omega", "1e300"])
+    assert res.exit_code == 2
+    assert "eta = m^2/(2 omega) is not a finite double" in res.stderr
+    assert res.stdout == ""
+
+
 def test_phase_invalid_params_exit_2(runner):
     res = runner.invoke(main, ["phase", "--m", "-1", "--omega", "2"])
     assert res.exit_code == 2

@@ -40,6 +40,18 @@ def test_solution_params_validation():
             cf.solution_params(m, omega)
 
 
+@pytest.mark.parametrize("m, omega", [(1e300, 1e300), (1e200, 1e300), (1e160, 1.0)])
+def test_solution_params_past_the_double_range_of_eta(m, omega):
+    # m^2 or eta = m^2/(2 omega) is past the largest double: refused where
+    # eta is formed, with the inputs named, not passed on as a1 = inf j
+    with pytest.raises(DoubleRangeExceeded, match=r"eta = m\^2/\(2 omega\)") as exc:
+        cf.solution_params(m, omega)
+    assert f"m={m!r}, omega={omega!r}" in str(exc.value)
+    # omega^2 past it is not refused: the energy is inf, eta a double
+    p = cf.solution_params(1.0, 1e300)
+    assert p.a1 == 5e-301j and p.energy == math.inf
+
+
 def test_phase_constants():
     assert PHASE_M4 == pytest.approx(cmath.exp(-0.25j * math.pi), rel=1e-15)
     assert PHASE_P4 * PHASE_M4 == pytest.approx(1.0, rel=1e-15)

@@ -10,14 +10,7 @@ from hypothesis import strategies as st
 from susy_ces import scattering as sc
 from susy_ces import specfun
 from susy_ces.closedform import solution_params, y_of_x
-from susy_ces.errors import (
-    DegenerateSample,
-    DoubleRangeExceeded,
-    InvalidParams,
-    NotConverged,
-    SeriesRangeExceeded,
-    TooCloseToTurningRegion,
-)
+from susy_ces.errors import DoubleRangeExceeded, InvalidParams, NotConverged, SeriesRangeExceeded
 from susy_ces.potential import superpotential
 from susy_ces.scattering import phase_difference, susy_phase_offset
 from susy_ces.specfun import SERIES_ZMAX, asymptotic_pair_for
@@ -25,55 +18,10 @@ from susy_ces.specfun import SERIES_ZMAX, asymptotic_pair_for
 HALF_PI = 0.5 * math.pi
 
 
-def test_coulomb_eta_values():
-    assert sc.coulomb_eta(1.0, 1.0) == 0.5
-    assert sc.coulomb_eta(2.0, 0.5) == 4.0
-    assert sc.coulomb_eta(0.5, 2.0) == 0.0625
-    with pytest.raises(InvalidParams):
-        sc.coulomb_eta(1.0, 0.0)
-    with pytest.raises(InvalidParams):
-        sc.coulomb_eta(math.nan, 1.0)
-
-
 def test_default_x_match_values():
     assert sc.default_x_match(1.0, 1.0) == 20.0
     assert sc.default_x_match(0.5, 2.0) == 10.0
     assert sc.default_x_match(2.0, 0.5) == 40.0
-
-
-def test_local_phase_recovers_synthetic_coulomb_wave():
-    # u = sin(omega x - eta ln(2 omega x) + delta0) at large x must yield
-    # delta_log_corrected ~ delta0 (mod pi)
-    m, omega, delta0 = 1.0, 1.0, 0.7
-    eta = sc.coulomb_eta(m, omega)
-    for x in (1e5, 1e6):
-        theta = omega * x - eta * math.log(2.0 * omega * x) + delta0
-        u = math.sin(theta)
-        du = (omega - eta / x) * math.cos(theta)
-        out = sc.local_phase(m, omega, x, u, du)
-        assert out.x == x
-        gap = abs(math.remainder(out.delta_log_corrected - delta0, math.pi))
-        assert gap < 5.0 / (omega * x)
-
-
-def test_local_phase_plane_wave():
-    # pure sinusoid (m -> 0 limit): raw phase is exact up to rounding
-    omega, delta0 = 2.0, -0.4
-    x = 123.0
-    u = math.sin(omega * x + delta0)
-    du = omega * math.cos(omega * x + delta0)
-    out = sc.local_phase(0.0, omega, x, u, du)
-    assert abs(math.remainder(out.delta_raw - delta0, math.pi)) < 1e-10
-    assert out.delta_log_corrected == out.delta_raw  # eta = 0
-
-
-def test_local_phase_guards():
-    with pytest.raises(TooCloseToTurningRegion):
-        sc.local_phase(1.0, 1.0, 5.0, 1.0, 0.0)          # omega x < 20
-    with pytest.raises(TooCloseToTurningRegion):
-        sc.local_phase(5.0, 1.0, 25.0, 1.0, 0.0)         # x < 2 m^2/omega^2
-    with pytest.raises(DegenerateSample):
-        sc.local_phase(1.0, 1.0, 50.0, 0.0, 0.0)
 
 
 def test_phase_config_validation():
@@ -118,20 +66,21 @@ def test_susy_phase_offset_landmarks():
 
 def test_offset_identity_on_synthetic_ladder():
     """Mapping a sinusoid through (d/dx + w) shifts its phase by exactly
-    half the closed-form offset (mod pi)."""
+    half the closed-form offset (mod pi), read by the ladder's rung ratio
+    at |w|/omega from 1e-12 (the ladder reaches 5.6e-11) to 1e2."""
     rng = np.random.default_rng(42)
     for _ in range(50):
-        wv = -(10.0 ** rng.uniform(-3.0, 1.0))
         om = 10.0 ** rng.uniform(-1.0, 1.0)
+        wv = -om * 10.0 ** rng.uniform(-12.0, 2.0)
         d0 = rng.uniform(-1.5, 1.5)
         x = 40.0 / om
         um = math.sin(om * x + d0)
         dum = om * math.cos(om * x + d0)
         up = (dum + wv * um) / om
         dup = (-om * om * um + wv * dum) / om
-        em = sc.local_phase(0.0, om, x, um, dum).delta_raw
-        ep = sc.local_phase(0.0, om, x, up, dup).delta_raw
-        gap = math.remainder(2.0 * (em - ep) - susy_phase_offset(wv, om), 2.0 * math.pi)
+        d = sc._sector_difference(um, dum, up, dup, om)
+        assert 0.0 <= d < math.pi
+        gap = math.remainder(2.0 * d - susy_phase_offset(wv, om), 2.0 * math.pi)
         assert abs(gap) < 1e-12
 
 
@@ -238,6 +187,18 @@ def test_phase_difference_falls_back_where_the_expansion_refuses(m, omega):
     assert refused == res.x[:n_refused].tolist()
 
 
+@pytest.mark.parametrize("r", [300.0, 350.0])
+def test_phase_difference_falls_back_past_the_expansions_frontier(r):
+    # m^2/omega = 300 and 350 (eta = 150 and 175): the expansion refuses
+    # the first three and four rungs, which the integrator carries.  From
+    # eta ~ 150 it also refuses rungs far past s ~ eta^2 (s ~ 4e6 on at
+    # eta = 175), so a ladder based past that frontier still meets refusals
+    res = phase_difference(math.sqrt(r), 1.0)
+    assert res.converged
+    assert res.ode_steps > 0
+    assert abs(res.estimate - HALF_PI) <= 1e-3
+
+
 _IDENTITY = [(0.5, 2.0, None), (1.0, 2.0, None), (1.0, 1.0, None)] + [
     (m, omega, 1e4 * max(1.0, m * m) / omega) for m, omega in _STRONG]
 
@@ -278,6 +239,15 @@ def test_phase_difference_depends_on_the_coupling_alone(m, omega):
     res = phase_difference(m, omega)
     assert res.converged and res.x.size == ref.x.size
     assert abs(res.estimate - ref.estimate) <= 1e-12
+
+
+def test_phase_difference_past_the_double_range_of_eta_is_typed():
+    # m^2 = 1e600: eta is refused where it is formed, naming the inputs
+    # rather than the CHF parameter it would have become
+    with pytest.raises(DoubleRangeExceeded, match=r"eta = m\^2/\(2 omega\).*m=1e\+300"):
+        phase_difference(1e300, 1e300)
+    res = phase_difference(1e-200, 1.0)     # eta = 5e-401 underflows to 0
+    assert res.converged and abs(res.estimate - HALF_PI) <= 1e-3
 
 
 @pytest.mark.parametrize("m, omega", [(1.0, 1e-300), (1.0, 1e-160),

@@ -349,22 +349,24 @@ def test_asymptotic_past_the_double_range_is_typed():
 
 _PAIR_ETA = (0.025, 0.5, 8.0, 16.0, 32.0)
 _PAIR_S = (80.0, 160.0, 640.0, 10240.0)
+#: where the ladder's later rungs read the expansion, up to m^2/omega = 300:
+#: s = 1.1 eta^2 2^k, past the frontier s ~ eta^2
+_PAIR_FAR = [(eta, 1.1 * eta * eta * 2.0 ** k) for eta in (64.0, 128.0, 150.0) for k in (1, 6)]
 
 
 def test_asymptotic_pair_is_within_far_tol_wherever_it_certifies():
     # M(1/2 + i eta, 1/2 and 3/2; -i s) against mpmath at 40 digits
     refused = []
-    for eta in _PAIR_ETA:
-        for s in _PAIR_S:
-            try:
-                p, q = sf.asymptotic_pair(eta, [s])
-            except SeriesRangeExceeded:
-                refused.append((eta, s))
-                continue
-            a = complex(0.5, eta)
-            for got, b in ((p[0], 0.5), (q[0], 1.5)):
-                want = mp_hyp1f1(a, b, complex(0.0, -s))
-                assert abs(got - want) <= sf.FAR_TOL * abs(want), (eta, s, b)
+    for eta, s in [(eta, s) for eta in _PAIR_ETA for s in _PAIR_S] + _PAIR_FAR:
+        try:
+            p, q = sf.asymptotic_pair_for(eta)(eta, [s])
+        except SeriesRangeExceeded:
+            refused.append((eta, s))
+            continue
+        a = complex(0.5, eta)
+        for got, b in ((p[0], 0.5), (q[0], 1.5)):
+            want = mp_hyp1f1(a, b, complex(0.0, -s))
+            assert abs(got - want) <= sf.FAR_TOL * abs(want), (eta, s, b)
     # the expansion holds once s is well past eta^2
     assert refused == [(16.0, 80.0), (16.0, 160.0), (32.0, 80.0), (32.0, 160.0),
                        (32.0, 640.0)]
@@ -373,12 +375,12 @@ def test_asymptotic_pair_is_within_far_tol_wherever_it_certifies():
 @pytest.mark.parametrize("eta, s", [(16.0, 160.0), (32.0, 640.0)])
 def test_asymptotic_pair_refuses_what_it_cannot_certify(eta, s):
     with pytest.raises(SeriesRangeExceeded, match=rf"\|y\| = {s:g} at eta = {eta:g}.*FAR_TOL"):
-        sf.asymptotic_pair(eta, [s])
+        sf.asymptotic_pair_for(eta)(eta, [s])
 
 
 def test_asymptotic_pair_past_the_double_range_is_typed():
     with pytest.raises(DoubleRangeExceeded):
-        sf.asymptotic_pair(250.0, [1e4])
+        sf.asymptotic_pair_for(250.0)(250.0, [1e4])
 
 
 def _bits(vals):
@@ -387,7 +389,7 @@ def _bits(vals):
 
 def _pair_or_refusal(eta, s):
     try:
-        return tuple(map(_bits, sf.asymptotic_pair(eta, s)))
+        return tuple(map(_bits, sf.asymptotic_pair_for(eta)(eta, s)))
     except SeriesRangeExceeded as e:
         return str(e)
 
