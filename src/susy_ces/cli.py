@@ -150,7 +150,8 @@ def verify(suite, rel_tol, fmt, out):
               help="convergence tolerance on successive tail-corrected values")
 @click.option("--x-limit", type=float, default=None,
               help="largest ladder point, finite and at least the first rung 2*x_match "
-                   "(default: x_match*2^14, 14 rungs; x_match = max(20/omega, 2.5*m^2/omega^2))")
+                   "(default: x_match*2^14, 14 rungs; x_match = "
+                   "max(20/omega, 2.5*m^2/omega^2, 0.275*eta^2/omega), eta = m^2/(2*omega))")
 @click.option("--format", "fmt", type=click.Choice(["text", "csv", "json"]),
               default="text", show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
@@ -173,7 +174,7 @@ def phase(m, omega, tol, x_limit, fmt, out):
             # inf before the third rung, which JSON cannot carry
             "residual": res.residual if math.isfinite(res.residual) else None,
             "converged": res.converged,
-            "ode_steps": res.ode_steps, "ode_rejected": res.ode_rejected,
+            "bound": res.bound,
         }
         _emit(json.dumps(payload, indent=2) + "\n", out)
     elif fmt == "csv":

@@ -33,9 +33,9 @@ class SeriesRangeExceeded(SusyCesError, ValueError):
     Also raised by the pair function of
     :func:`susy_ces.specfun.asymptotic_pair_for` where the large-|z|
     expansion is not certified.  Callers that need values beyond
-    the bound read them from that expansion, or seed inside the bound and
-    carry the solution outward with :func:`susy_ces.oracle.integrate`;
-    :func:`susy_ces.scattering.phase_difference` does both.
+    the bound read them from that expansion, as
+    :func:`susy_ces.scattering.phase_difference` does, or seed inside the
+    bound and carry the solution outward with :func:`susy_ces.oracle.integrate`.
     """
 
 

@@ -14,20 +14,17 @@ common to both cancel before they are formed; what is left is a clean
 :func:`phase_difference` therefore:
 
 1. places a doubling ladder x_k = x_match 2^k, k >= 1, with the base
-   x_match = max(20/omega, 2.5 m^2/omega^2) in the oscillatory region and
-   past the barrier (:func:`default_x_match`), so every rung has
-   |y| = 2 omega x_k >= 80, past the 1F1 series range;
+   x_match = max(20/omega, 2.5 m^2/omega^2, 0.275 eta^2/omega) in the
+   oscillatory region, past the barrier and past the large-|y|
+   expansion's frontier (:func:`default_x_match`), so every rung has
+   |y| = 2 omega x_k >= max(80, 1.1 eta^2), past the 1F1 series range;
 2. reads the MINUS sample at each rung as the real part of the branch-I
    closed form (V- is real, so that real part is a real solution on its
    own), its pair M(1/2 + i eta, 1/2 or 3/2; y) taken from the large-|y|
    expansion (:func:`susy_ces.specfun.asymptotic_pair_for`, whose
-   log-Gamma terms are computed once per solve) where that expansion
-   certifies it.  Where it does not (the first rungs at eta of
-   20 or more, s not far enough past eta^2), the rung falls back to the
-   integrator: it carries the last sample, or on the first such rung the
-   closed form's real part at :func:`seed_point` inside the series range,
-   out to x_k, one segment per rung (segment endpoints exact, no
-   interpolation);
+   log-Gamma terms are computed once per solve).  That pair is certified
+   up to one exact factor per branch and a power of two, so each rung is
+   the exact sample of some real solution, which is all step 4 needs;
 3. reads the PLUS sample at each rung as the first-order SUSY image of
    the MINUS one (:func:`closedform.susy_map`), so the pair is exactly
    the *same* scattering state in both sectors and only one sector is
@@ -51,11 +48,12 @@ Convergence is declared from the data alone: the spread max - min of the
 last three corrected values falls below ``tol``, with at least four
 ladder points.  The wiggle alternates in sign, so the spread brackets
 the limit where one successive difference may not.  It is reported as
-``residual``, an error estimate rather than a proof: it covered the
+``residual``, an error estimate rather than a proof: it covers the
 error at m^2/omega from 0.02 to 4, but under-reads it by up to 1.6x at
-m^2/omega = 8 and 16, inside the bound above.  The correction vanishes
-as W -> 0, so the known asymptotic limit is never assumed anywhere in
-this module.
+m^2/omega = 8 and 16.  The bound above, at the last rung, is reported
+as ``bound``: the accuracy the result is proven to have.  The correction
+vanishes as W -> 0, so the known asymptotic limit is never assumed
+anywhere in this module.
 """
 from __future__ import annotations
 
@@ -64,19 +62,19 @@ import math
 import sys
 from typing import TYPE_CHECKING, NamedTuple
 
-from .closedform import (Branch, SolutionParams, SolutionSample, _solution, solution_Z,
-                         solution_params, susy_map)
-from .errors import DoubleRangeExceeded, InvalidParams, NotConverged, SeriesRangeExceeded
-from .oracle import integrate, schrodinger_problem
+from .closedform import Branch, SolutionParams, SolutionSample, _solution, solution_params, susy_map
+# solution_Z, integrate: only the benchmark tracer looks them up; they go with its wrapping by name
+from .closedform import solution_Z  # noqa: F401
+from .errors import DoubleRangeExceeded, InvalidParams, NotConverged
+from .oracle import integrate  # noqa: F401
 from .potential import Sector, superpotential
-from .specfun import SERIES_ZMAX, asymptotic_pair_for
+from .specfun import asymptotic_pair_for
 
 if TYPE_CHECKING:
     import numpy as np
 
 __all__ = ["PhaseDifferenceResult", "phase_difference", "susy_phase_offset"]
 
-_EPS = 2.0 ** -52
 #: rungs of the ladder when no x_limit is given: x_limit = x_match 2^14
 _DEFAULT_DOUBLINGS = 14
 
@@ -91,10 +89,11 @@ class PhaseDifferenceResult(NamedTuple):
     last entry; ``residual`` the spread max - min of its last three
     entries (the stopping measure and the error estimate, read from the
     data alone, not from any assumed limit; inf before three rungs);
-    ``ode_steps`` and ``ode_rejected`` the integrator steps accepted and
-    rejected over the rungs that fell back to the integrator (none where
-    the large-|y| expansion certifies every rung), for the one real
-    solution carried (MINUS; PLUS is its SUSY image at each rung).
+    ``bound`` the proven bound arcsin(min(1, m^2/(omega^2 x))) on the
+    last rung's distance from pi/2 (its rounding in doubles, a few eps,
+    comes on top).  ``ode_steps`` and ``ode_rejected``
+    are always 0: every rung is read from the closed form, and only the
+    benchmark still reads them.
     """
 
     m: float
@@ -106,26 +105,25 @@ class PhaseDifferenceResult(NamedTuple):
     estimate: float
     residual: float
     converged: bool
+    bound: float
     ode_steps: int = 0
     ode_rejected: int = 0
 
 
 def default_x_match(m: float, omega: float) -> float:
-    """Ladder base max(20/omega, 2.5 m^2/omega^2): oscillatory and past the barrier.
+    """Ladder base max(20/omega, 2.5 m^2/omega^2, 0.275 eta^2/omega).
 
-    inf where it passes the largest double.  The ratio m/omega is squared,
-    as omega^2 alone underflows to 0 from omega ~ 1e-162.
+    Oscillatory, past the barrier, and with the first rung at |y| =
+    4 omega x_match >= 1.1 eta^2, past the point where the large-|y|
+    expansion's first term ratio |a (a + 1/2)|/|y| falls below 1; the third
+    term is the largest only from m^2/omega ~ 36.  inf where it passes the
+    largest double.  The ratio m/omega is squared, as omega^2 alone
+    underflows to 0 from omega ~ 1e-162, and eta^2/omega is eta r^2/2.
     """
     r = m / omega
-    return max(20.0 / omega, 2.5 * (r * r))
-
-
-def seed_point(x_match: float, omega: float) -> float:
-    """x_match, or the largest x with |y| = 2 omega x inside the series range.
-
-    The 4 eps margin keeps the rounded |y| at or below SERIES_ZMAX.
-    """
-    return min(x_match, (1.0 - 4.0 * _EPS) * SERIES_ZMAX / (2.0 * omega))
+    r2 = r * r
+    eta = 0.5 * (m * m) / omega
+    return max(20.0 / omega, 2.5 * r2, 0.1375 * eta * r2)
 
 
 def _sector_difference(u: float, du: float, v: float, dv: float, omega: float) -> float:
@@ -145,8 +143,9 @@ def _far_sample(p: SolutionParams, x: float, pair) -> SolutionSample:
     """Real part of the branch-I MINUS closed form at x, from the large-|y| expansion.
 
     ``pair`` is :func:`specfun.asymptotic_pair_for` (eta), built once per
-    solve.  Raises SeriesRangeExceeded where it does not certify the pair,
-    DoubleRangeExceeded past the largest double.
+    solve; the pair it returns is that of an exact solution, so the sample
+    is that of a real solution of V-.  Raises SeriesRangeExceeded where the
+    pair is not certified.
     """
     [[(z, dz)]] = _solution(p, (Branch.I,), (Sector.MINUS,), [x], pair)
     return SolutionSample(x, complex(z[0].real), complex(dz[0].real))
@@ -158,16 +157,14 @@ def phase_difference(m: float, omega: float, *, tol: float = 1e-3,
 
     Reads one real MINUS solution, the real part of the branch-I closed
     form, at rungs x_match 2^k, k >= 1, with x_match =
-    :func:`default_x_match`: from the large-|y| expansion wherever it is
-    certified, else carried there by the integrator at its default
-    tolerances, from the last sample or, on the first such rung, from
-    the closed form at :func:`seed_point`.  The PLUS sample at each rung
-    is its SUSY image (:func:`closedform.susy_map`), not a second
-    solution.  Raises :class:`NotConverged` (with the partial result
-    attached as ``err.result``) if the ladder reaches ``x_limit`` before
-    the last three values, each rung read against
-    ``susy_phase_offset(W(x_k), omega)``, lie within ``tol`` of each
-    other with at least four rungs taken.
+    :func:`default_x_match`, every rung from the large-|y| expansion.  The
+    PLUS sample at each rung is its SUSY image
+    (:func:`closedform.susy_map`), not a second solution.  Raises
+    :class:`NotConverged` (with the partial result attached as
+    ``err.result``) if the ladder reaches ``x_limit`` before the last
+    three values, each rung read against ``susy_phase_offset(W(x_k),
+    omega)``, lie within ``tol`` of each other with at least four rungs
+    taken.
 
     ``x_limit``: the ladder's one budget, the largest x a rung may reach,
     finite and not below the first rung 2 x_match; ``None`` means
@@ -201,26 +198,11 @@ def phase_difference(m: float, omega: float, *, tol: float = 1e-3,
     xs: list[float] = []
     raws: list[float] = []
     accs: list[float] = []
-    steps = rejected = 0
     residual = math.inf
     converged = False
-    zm = None   # the last MINUS sample, read or carried
     for k in range(1, n_rungs + 1):
         xk = math.ldexp(x_match, k)
-        try:
-            zm = _far_sample(p, xk, far)
-        except (SeriesRangeExceeded, DoubleRangeExceeded):
-            if zm is None:
-                # V- is real, so the real part of the seed is a real
-                # solution on its own: the fallback carries that one alone
-                seed = solution_Z(p, Branch.I, Sector.MINUS, seed_point(x_match, p.omega))
-                zm = SolutionSample(seed.x, complex(seed.value.real),
-                                    complex(seed.derivative.real))
-            sm = integrate(schrodinger_problem(p.m, p.omega, Sector.MINUS),
-                           zm.x, xk, zm.value, zm.derivative)
-            steps += sm.n_steps
-            rejected += sm.n_rejected
-            zm = SolutionSample(xk, sm.value, sm.derivative)
+        zm = _far_sample(p, xk, far)
         zp = susy_map(p, zm, Sector.MINUS)
         # the ladder operator maps the real Z_minus onto an imaginary Z_plus,
         # and (v, v') = -Im (Z_plus, Z_plus') is its real image
@@ -237,11 +219,12 @@ def phase_difference(m: float, omega: float, *, tol: float = 1e-3,
                 break
 
     import numpy as np
+    r = p.m / p.omega
     result = PhaseDifferenceResult(
         m=m, omega=omega, x_match=x_match,
         x=np.array(xs), raw=np.array(raws), accelerated=np.array(accs),
         estimate=accs[-1], residual=residual, converged=converged,
-        ode_steps=steps, ode_rejected=rejected)
+        bound=math.asin(min(1.0, r * (r / xs[-1]))))
     if not converged:
         raise NotConverged(
             f"phase difference not converged to {tol:g} within the ladder "

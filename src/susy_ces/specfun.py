@@ -25,16 +25,12 @@ A scalar z gives a Python ``complex``, an array of them an ndarray of
 its shape; every value is computed in Python, point by point.
 Values past the largest double raise ``DoubleRangeExceeded``.  It refuses
 |z| > ``SERIES_ZMAX`` outright.  Past the bound the same pair comes from
-:func:`asymptotic_pair_for`, the large-|z| expansion (DLMF 13.7.2) at
-the points where its own error estimate certifies it to ``FAR_TOL``;
-where it does not, callers seed inside the bound and carry the solution
-outward by ODE propagation (:func:`susy_ces.oracle.integrate`).
-:func:`susy_ces.scattering.phase_difference` reads its rungs that way.
-The expansion (:func:`chf_asymptotic`) is computed in two parts: the
-checks and log-Gamma terms of its coefficients once per (a, b), the sums
-and exponentials once per point.  :func:`asymptotic_pair_for` computes
-the first part once for both b at one eta, so once per ladder solve,
-and shares each point's z and log z between the two b.
+:func:`asymptotic_pair_for`, the large-|z| expansion (DLMF 13.7.2),
+certified to ``FAR_TOL`` up to one exact factor per branch and a shared
+power of two, at the points where its error estimate allows (|z| past
+about eta^2); :func:`susy_ces.scattering.phase_difference` reads every
+rung that way.  :func:`chf_asymptotic` is the same expansion for any
+(a, b), certified as it stands.
 """
 from __future__ import annotations
 
@@ -57,13 +53,16 @@ chf_series_dd = None
 
 #: refusal bound for the series evaluator.  At |z| = 60 the cancellation
 #: ratio reaches ~1e26, which the fixed-point sum absorbs with tens of
-#: digits to spare; past it callers take :func:`asymptotic_pair_for` where
-#: that certifies the pair, ODE propagation elsewhere.
+#: digits to spare; past it callers take :func:`asymptotic_pair_for`.
 SERIES_ZMAX = 60.0
 #: below this |z| the asymptotic expansion's optimal truncation is too loose
 ASYMPTOTIC_MIN_ABS_Z = 25.0
 #: relative error bound :func:`asymptotic_pair_for` certifies its values to
 FAR_TOL = 2.0 ** -40
+#: past e^700 (the largest double is about e^709.8) the pair's shared factors are scaled
+_LOG_BIG = 700.0
+_LOG_2 = math.log(2.0)
+_SQRT_PI = math.sqrt(math.pi)
 
 _GOLDEN_ENV = "SUSY_CES_GOLDEN_DIR"
 _EPS = sys.float_info.epsilon
@@ -171,13 +170,30 @@ def asymptotic_pair_for(eta: float) -> Callable[[float, list[float]],
                                                  tuple[list[complex], list[complex]]]:
     """M(1/2 + i eta, 1/2 and 3/2; y) past the series range, from the large-|y| expansion.
 
-    Returns ``pair(eta, s)``, the pair at y = -i s for each s, as
+    Returns ``pair(eta, s)``, the pair (P, Q) at y = -i s for each s, as
     :func:`kummer_pair` gives it inside its range, for the ``eta`` given
-    here (its own ``eta`` is not read).  Each value is that of
-    :func:`chf_asymptotic`, bit for bit, kept only where its error estimate
-    is at most ``FAR_TOL`` times its magnitude.  This call computes the
-    checks and log-Gamma terms for both b, ``pair`` z and log z once per
-    point; a ladder solve builds one and reads every rung from it.
+    here (its own ``eta`` is not read).
+
+    Each (P, Q) is certified to ``FAR_TOL`` up to one exact factor per
+    branch and a shared power of two: to ``FAR_TOL`` of each value, it is
+    2^-e (f_r R + f_d D), with R and D the exact recessive and dominant
+    branch pairs of DLMF 13.2.41/13.7.2, and f_r, f_d within eps times the
+    size of their branch's shared log terms of 1 (about 1e3 eps at
+    eta = 200).  Each branch alone satisfies the pair relation
+    Q = (P' - P)/(2 i eta), so (P, Q) is exactly the pair of another
+    solution, which is all the phase ladder reads.  e is 0 wherever the
+    shared factors stay below e^700 (eta up to about 223); up to eta = 200
+    the values are within ``FAR_TOL`` of M itself as well, as the tests
+    check against mpmath for s up to 1.8e8.
+
+    The factor a branch shares between b = 1/2 and 3/2, the sector term and
+    z^{-a} over Gamma(1 - i eta) (recessive) or e^z z^{i eta} over Gamma(a)
+    (dominant), is formed once a point and multiplied into both b.  What
+    differs between them, Gamma(b), -i eta (1/Gamma(-i eta) =
+    -i eta/Gamma(1 - i eta)), 1/z and the sums, is charged to the error
+    estimate, and a value is kept only where that estimate is at most
+    ``FAR_TOL`` of it.  This call computes the two log-Gamma terms; a
+    ladder solve builds one ``pair`` and reads every rung from it.
 
     Raises
     ------
@@ -187,24 +203,44 @@ def asymptotic_pair_for(eta: float) -> Callable[[float, list[float]],
         from ``pair``, for a value not certified: s not far enough past eta^2.
     ArgumentTooSmall
         from ``pair``, if an s is below ASYMPTOTIC_MIN_ABS_Z.
-    DoubleRangeExceeded
-        from ``pair``, if a value or a prefactor is above the largest double.
     """
-    a = complex(0.5, eta)
-    bs = (0.5, 1.5)
-    parts = [_ab_part(a, b) for b in bs]
+    a, _ = _params(complex(0.5, eta), 0.5)
+    eta, ieta = a.imag, a - 0.5
+    lg_r, lg_d = log_gamma(1.0 - ieta), log_gamma(a)
+    # per b: b, Gamma(b), the recessive sum's (p1, p2) and factor, and the
+    # dominant sum's (p1, p2); the dominant factor is 1 or 1/z
+    parts = ((0.5, _SQRT_PI, (a, 1.0 + ieta), -ieta, (-ieta, 0.5 - ieta)),
+             (1.5, 0.5 * _SQRT_PI, (a, ieta), 1.0, (1.0 - ieta, 0.5 - ieta)))
 
     def pair(_eta: float, s: list[float]) -> tuple[list[complex], list[complex]]:
         out: tuple[list[complex], list[complex]] = ([], [])
         for v in s:
-            at = _z_part(complex(0.0, -v))
-            for b, part, vals in zip(bs, parts, out):
-                r = _expand(part, at)
-                if not r.error_estimate <= FAR_TOL * abs(r.value):
+            z, terms, sgn, logz = _z_part(complex(0.0, -v))
+            # the logs of the shared factors, their parts summed exactly
+            lr, li = logz.real, logz.imag
+            log_r = complex(math.fsum((-sgn * math.pi * eta, -0.5 * lr, eta * li, -lg_r.real)),
+                            math.fsum((0.5 * sgn * math.pi, -0.5 * li, -eta * lr, -lg_r.imag)))
+            log_d = complex(-eta * li - lg_d.real, eta * lr - lg_d.imag)
+            # past e^700, 2^n with n = round(big / ln 2) is divided out; the
+            # remainder is exact, so the larger factor keeps a modulus near 1
+            big = max(log_r.real, log_d.real)
+            scale = big - math.remainder(big, _LOG_2) if big > _LOG_BIG else 0.0
+            f_r = cmath.exp(log_r - scale)
+            # e^z apart: its phase, exact as z is, would cost |z| eps in a sum
+            f_d = cmath.exp(z) * cmath.exp(log_d - scale)
+            for (b, g, rec, x_r, dom), x_d, vals in zip(parts, (1.0, 1.0 / z), out):
+                c_r, c_d = f_r * (g * x_r), f_d * (g * x_d)
+                s_r, t_r = _opt_sum(*rec, -z, terms)
+                s_d, t_d = _opt_sum(*dom, z, terms)
+                value = c_r * s_r + c_d * s_d
+                # 16 eps for each sum, 8 for its factor and product
+                err = (abs(c_r) * (t_r + 24.0 * _EPS * abs(s_r))
+                       + abs(c_d) * (t_d + 24.0 * _EPS * abs(s_d)))
+                if not err <= FAR_TOL * abs(value):
                     raise SeriesRangeExceeded(
                         f"|y| = {v:.4g} at eta = {eta:.4g}: the large-|y| expansion of "
                         f"1F1(a, {b:g}; y) is not certified to FAR_TOL = {FAR_TOL:.3g}")
-                vals.append(r.value)
+                vals.append(value)
         return out
 
     return pair
@@ -263,6 +299,8 @@ def _stirling(w: complex) -> complex:
     w2 = w * w
     p = w
     for j, b2j in enumerate(_BERNOULLI, start=1):
+        if not cmath.isfinite(p):   # |w| past ~1e16: this term and the rest are 0
+            break
         s += b2j / (2 * j * (2 * j - 1)) / p
         p *= w2
     return s
@@ -334,31 +372,9 @@ class AsymptoticResult(NamedTuple):
     error_estimate: float
 
 
-def _ab_part(a, b) -> tuple:
-    """The part of :func:`chf_asymptotic` that (a, b) fix: the checked a and
-    b, then for each branch, recessive and dominant, (p1, p2, log_c,
-    log_c_abs), or None where its 1/Gamma factor vanishes.  Its series is
-    sum_k (p1)_k (p2)_k / (k! zz^k); log_c is the sum of its coefficient's
-    log-Gamma terms and log_c_abs the sum of their magnitudes, for the error
-    estimate.  A plain tuple: a NamedTuple class would add its creation to
-    every import."""
-    a, b = _params(a, b)
-    lg_b = log_gamma(b)
-    recessive = dominant = None
-    # each coefficient's log terms are summed from 0 in the order _expand
-    # continues the sum, so that the split changes no bit
-    if not _rgamma_is_zero(b - a):
-        lg = -log_gamma(b - a)
-        recessive = (a, a - b + 1.0, sum((lg_b, lg)), abs(lg_b) + abs(lg))
-    if not _rgamma_is_zero(a):
-        lg = -log_gamma(a)
-        dominant = (b - a, 1.0 - a, sum((lg_b, lg)), abs(lg_b) + abs(lg))
-    return a, b, recessive, dominant
-
-
 def _z_part(z) -> tuple[complex, int, float, complex]:
-    """The part of :func:`chf_asymptotic` that z fixes: z, the term budget of
-    each sum, the sector sign (+1 for arg z > -pi/2, else -1) and log z."""
+    """The checked z of the large-|z| expansion, the term budget of each
+    sum, the sector sign (+1 for arg z > -pi/2, else -1) and log z."""
     z = complex(z)
     if not cmath.isfinite(z):
         raise InvalidParams(f"z={z!r} is not finite")
@@ -384,24 +400,45 @@ def _opt_sum(p1: complex, p2: complex, zz: complex, terms: int) -> tuple[complex
     return s, best
 
 
-def _expand(ab: tuple, at: tuple[complex, int, float, complex]) -> AsymptoticResult:
-    """:func:`chf_asymptotic` from its per-(a, b) and per-z parts."""
-    a, b, recessive, dominant = ab
-    z, terms, sgn, logz = at
+def chf_asymptotic(a: complex, b: float, z: complex) -> AsymptoticResult:
+    """Large-|z| two-branch expansion of 1F1(a, b; z).
+
+    Sums both formal series to their optimal truncation, or until a term
+    falls below eps of the sum; ``error_estimate`` bounds the absolute
+    error, rounding of the coefficients included.  The recessive
+    z^{-a} branch carries the factor e^{+i pi a} for arg z > -pi/2 and
+    e^{-i pi a} otherwise (the boundary ray arg z = -pi/2 belongs to the
+    lower sector).  At smaller |z| it corroborates series and ODE values in
+    the overlap region; :func:`asymptotic_pair_for` is the same expansion
+    for the closed form's pair, certified per branch.
+
+    Raises
+    ------
+    InvalidParams
+        if a, b or z is not finite, or b is a series pole.
+    ArgumentTooSmall
+        if |z| < ASYMPTOTIC_MIN_ABS_Z, where optimal truncation is too loose.
+    DoubleRangeExceeded
+        if a branch's prefactor or the value is above the largest double.
+    """
+    a, b = _params(a, b)
+    z, terms, sgn, logz = _z_part(z)
+    lg_b = log_gamma(b)
     # (sum, truncation error, exponent of the prefactor, log of the
     # coefficient, the sum of its terms' magnitudes); e^z stands apart, as
     # its |z|-sized phase would cost |z| eps in a sum
     branches = []
-    if recessive is not None:
-        p1, p2, log_c, log_c_abs = recessive
+    if not _rgamma_is_zero(b - a):
+        lg = -log_gamma(b - a)
         t_sector, t_power = sgn * 1j * math.pi * a, -a * logz
-        branches.append((*_opt_sum(p1, p2, -z, terms), 0j, log_c + t_sector + t_power,
-                         log_c_abs + abs(t_sector) + abs(t_power)))
-    if dominant is not None:
-        p1, p2, log_c, log_c_abs = dominant
+        branches.append((*_opt_sum(a, a - b + 1.0, -z, terms), 0j,
+                         lg_b + lg + t_sector + t_power,
+                         abs(lg_b) + abs(lg) + abs(t_sector) + abs(t_power)))
+    if not _rgamma_is_zero(a):
+        lg = -log_gamma(a)
         t_power = (a - b) * logz
-        branches.append((*_opt_sum(p1, p2, z, terms), z, log_c + t_power,
-                         log_c_abs + abs(t_power)))
+        branches.append((*_opt_sum(b - a, 1.0 - a, z, terms), z, lg_b + lg + t_power,
+                         abs(lg_b) + abs(lg) + abs(t_power)))
     value = 0j
     err = 0.0
     for s, trunc, lead, log_c, log_c_abs in branches:
@@ -416,37 +453,6 @@ def _expand(ab: tuple, at: tuple[complex, int, float, complex]) -> AsymptoticRes
     if not cmath.isfinite(value):
         raise _range_error(f"1F1({a!r}, {b!r}; {z!r})")
     return AsymptoticResult(value, err)
-
-
-def chf_asymptotic(a: complex, b: float, z: complex) -> AsymptoticResult:
-    """Large-|z| two-branch expansion of 1F1(a, b; z).
-
-    Sums both formal series to their optimal truncation, or until a term
-    falls below eps of the sum; ``error_estimate`` bounds the absolute
-    error, rounding of the coefficients included.  The recessive
-    z^{-a} branch carries the factor e^{+i pi a} for arg z > -pi/2 and
-    e^{-i pi a} otherwise (the boundary ray arg z = -pi/2 belongs to the
-    lower sector).  :func:`asymptotic_pair_for` reads the closed form's pair
-    from it past the series range; at smaller |z| it corroborates series
-    and ODE values in the overlap region.
-
-    The work splits in two parts, computed in that order: one fixed by
-    (a, b), which checks them and takes the log-Gamma terms of both
-    branches' coefficients, log Gamma of b, b - a and a, and one fixed by z,
-    which checks it, takes its sector and log z, sums both series and
-    forms the exponentials.  :func:`asymptotic_pair_for` keeps the first
-    part for many points.
-
-    Raises
-    ------
-    InvalidParams
-        if a, b or z is not finite, or b is a series pole.
-    ArgumentTooSmall
-        if |z| < ASYMPTOTIC_MIN_ABS_Z, where optimal truncation is too loose.
-    DoubleRangeExceeded
-        if a branch's prefactor or the value is above the largest double.
-    """
-    return _expand(_ab_part(a, b), _z_part(z))
 
 
 # ---------------------------------------------------------------------------

@@ -444,6 +444,14 @@ def check_phase_difference(tol: float = 1e-3) -> CheckReport:
                    f"estimate {res.estimate:.6f} at x = {res.x[-1]:.0f}")
 
 
+def _seed_point(x_match: float, omega: float) -> float:
+    """x_match, or the largest x with |y| = 2 omega x inside the series range.
+
+    The 4 eps margin keeps the rounded |y| at or below SERIES_ZMAX.
+    """
+    return min(x_match, (1.0 - 4.0 * 2.0 ** -52) * specfun.SERIES_ZMAX / (2.0 * omega))
+
+
 def check_ladder_sectors_agree(tol: float = 1e-8) -> CheckReport:
     # the ladder carries MINUS alone and reads PLUS through the SUSY map;
     # here both are integrated, PLUS from the mapped seed, and must match
@@ -452,7 +460,7 @@ def check_ladder_sectors_agree(tol: float = 1e-8) -> CheckReport:
     for m, omega in ((0.5, 2.0), (1.0, 2.0)):
         p = cf.solution_params(m, omega)
         x_match = scattering.default_x_match(m, omega)
-        zm = cf.solution_Z(p, cf.Branch.I, Sector.MINUS, scattering.seed_point(x_match, omega))
+        zm = cf.solution_Z(p, cf.Branch.I, Sector.MINUS, _seed_point(x_match, omega))
         zp = cf.susy_map(p, zm, Sector.MINUS)
         probs = [oracle.schrodinger_problem(m, omega, sec) for sec in (Sector.MINUS, Sector.PLUS)]
         for k in range(1, rungs + 1):
@@ -473,12 +481,13 @@ def check_ladder_sectors_agree(tol: float = 1e-8) -> CheckReport:
 def check_ladder_routes_agree(tol: float = 1e-8) -> CheckReport:
     # the ladder reads its rungs from the closed form's large-|y| expansion;
     # here the integrator carries the real part of the seed out to the same
-    # rungs, and the two MINUS samples must match
+    # rungs, and the two MINUS samples must match.  At (8, 1) the base is
+    # the expansion's frontier term 0.275 eta^2/omega
     worst = 0.0
-    for m, omega, rungs in ((0.5, 2.0, 8), (1.0, 2.0, 8), (3.0, 0.5, 10)):
+    for m, omega, rungs in ((0.5, 2.0, 8), (1.0, 2.0, 8), (3.0, 0.5, 10), (8.0, 1.0, 4)):
         p = cf.solution_params(m, omega)
         x_match = scattering.default_x_match(m, omega)
-        seed = cf.solution_Z(p, cf.Branch.I, Sector.MINUS, scattering.seed_point(x_match, omega))
+        seed = cf.solution_Z(p, cf.Branch.I, Sector.MINUS, _seed_point(x_match, omega))
         x, u, du = seed.x, complex(seed.value.real), complex(seed.derivative.real)
         prob = oracle.schrodinger_problem(m, omega, Sector.MINUS)
         pair = specfun.asymptotic_pair_for(p.a1.imag)
@@ -493,7 +502,7 @@ def check_ladder_routes_agree(tol: float = 1e-8) -> CheckReport:
     return _report("scattering/ladder-routes-agree", worst, tol,
                    "MINUS integrated from the seed vs the large-|y| closed form the ladder "
                    "reads, value and derivative/omega, 8 rungs at (m, omega) = (1/2, 2) "
-                   "and (1, 2), 10 at (3, 1/2) out to x = 92160")
+                   "and (1, 2), 10 at (3, 1/2) out to x = 92160, 4 at (8, 1)")
 
 
 SUITES: dict[str, tuple] = {

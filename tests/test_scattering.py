@@ -4,13 +4,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from susy_ces import scattering as sc
 from susy_ces import specfun
-from susy_ces.closedform import solution_params, y_of_x
-from susy_ces.errors import DoubleRangeExceeded, InvalidParams, NotConverged, SeriesRangeExceeded
+from susy_ces.closedform import solution_params
+from susy_ces.errors import DoubleRangeExceeded, InvalidParams, NotConverged
 from susy_ces.potential import superpotential
 from susy_ces.scattering import phase_difference, susy_phase_offset
 from susy_ces.specfun import SERIES_ZMAX, asymptotic_pair_for
@@ -22,6 +20,13 @@ def test_default_x_match_values():
     assert sc.default_x_match(1.0, 1.0) == 20.0
     assert sc.default_x_match(0.5, 2.0) == 10.0
     assert sc.default_x_match(2.0, 0.5) == 40.0
+    # m^2/omega = 36 is still 2.5 m^2/omega^2; from 64 on the first rung
+    # sits at |y| = 4 omega x_match = 1.1 eta^2
+    assert sc.default_x_match(6.0, 1.0) == 90.0
+    for m, omega in ((8.0, 1.0), (10.0, 1.0), (1e3, 1.0), (20.0, 0.5)):
+        eta = 0.5 * m * m / omega
+        assert math.isclose(4.0 * omega * sc.default_x_match(m, omega), 1.1 * eta * eta,
+                            rel_tol=1e-15)
 
 
 def test_phase_config_validation():
@@ -40,9 +45,7 @@ def test_keywords_are_checked_before_any_solve(monkeypatch):
     def solve(*args, **kwargs):
         raise AssertionError("a solve ran before the keywords were checked")
 
-    monkeypatch.setattr(sc, "solution_Z", solve)
     monkeypatch.setattr(sc, "asymptotic_pair_for", solve)
-    monkeypatch.setattr(sc, "integrate", solve)
     # x_match = 20 at (1, 1): a budget of 39 holds no rung, the first is x = 40
     for kw in ({"tol": 0.0}, {"x_limit": -1.0}, {"x_limit": 39.0}):
         with pytest.raises(InvalidParams):
@@ -140,14 +143,18 @@ def test_phase_difference_residual_covers_the_error(m, omega):
     assert abs(res.estimate - HALF_PI) <= res.residual
 
 
-#: estimates of the ladder that integrated the complex MINUS solution
-_STRONG = {(4.0, 1.0): 1.5711489756322417, (3.0, 0.5): 1.5706783460457436}
+#: estimates of the ladder that integrated the complex MINUS solution at
+#: (4, 1) and (3, 1/2), and, at (8, 1) and (10, 1), of the ladder that
+#: integrated the seed's real part out to each of the same rungs (they
+#: agreed to 4.2e-12 and 5.0e-12)
+_STRONG = {(4.0, 1.0): 1.5711489756322417, (3.0, 0.5): 1.5706783460457436,
+           (8.0, 1.0): 1.5709106433552393, (10.0, 1.0): 1.5706888645830597}
 
 
 @pytest.mark.parametrize("m, omega", list(_STRONG))
 def test_phase_difference_converges_at_strong_coupling(m, omega):
-    # m^2/omega = 16 and 18: the ladder reads every rung from the closed
-    # form, out to x ~ 2e4 and 9e4 within the criterion-07 budget
+    # m^2/omega = 16, 18, 64 and 100: the ladder reads every rung from the
+    # closed form, within the criterion-07 budget
     x_limit = 1e4 * max(1.0, m * m) / omega
     res = phase_difference(m, omega, x_limit=x_limit)
     assert res.converged
@@ -157,46 +164,35 @@ def test_phase_difference_converges_at_strong_coupling(m, omega):
     assert abs(res.estimate - _STRONG[m, omega]) <= 1e-9
 
 
-#: (rungs refused, steps, estimate) at m^2/omega = 64 and 100; the
-#: estimates are those of the ladder that integrated from the seed out to
-#: every rung
-_FALLBACK = {(8.0, 1.0): (1, 43, 1.5713853409863858),
-             (10.0, 1.0): (2, 160, 1.5707346974331153)}
+#: (m^2/omega, omega): past m^2/omega ~ 36 the base is the expansion's frontier.
+#: One case at omega = 3; from 3e20 on, log|M| ~ pi eta rounds by many powers of two
+_FAR = [(r, 1.0) for r in (64.0, 100.0, 256.0, 300.0, 350.0, 400.0, 900.0, 2500.0, 1e4, 1e6)]
+_FAR += [(256.0, 3.0), (3e20, 1.0), (1.2e55, 1.0), (1e100, 1.0)]
 
 
-@pytest.mark.parametrize("m, omega", list(_FALLBACK))
-def test_phase_difference_falls_back_where_the_expansion_refuses(m, omega):
-    # eta = 32 and 50: the expansion refuses the first one or two rungs,
-    # which the integrator reaches from the seed; the rungs it certifies
-    # take no step
-    n_refused, steps, estimate = _FALLBACK[m, omega]
-    x_limit = 1e4 * max(1.0, m * m) / omega
-    res = phase_difference(m, omega, x_limit=x_limit)
+@pytest.mark.parametrize("r, omega", _FAR)
+def test_phase_difference_reads_every_rung_from_the_expansion(r, omega, monkeypatch):
+    # eta = 32 to 5e99: the first rung sits at |y| = 1.1 eta^2, where the
+    # expansion certifies the pair up to a factor per branch (and, past
+    # eta ~ 223, a power of two); no rung takes the integrator
+    def refuse(*args, **kwargs):
+        raise AssertionError("the ladder integrated")
+
+    monkeypatch.setattr(sc, "integrate", refuse)
+    res = phase_difference(math.sqrt(r * omega), omega)
     assert res.converged
-    assert res.ode_steps == steps
-    assert abs(res.estimate - HALF_PI) < 1e-3
-    assert abs(res.estimate - estimate) <= 1e-9
-    p = solution_params(m, omega)
-    pair = asymptotic_pair_for(p.a1.imag)
-    refused = []
-    for xk in res.x.tolist():
-        try:
-            sc._far_sample(p, xk, pair)
-        except SeriesRangeExceeded:
-            refused.append(xk)
-    assert refused == res.x[:n_refused].tolist()
+    assert res.ode_steps == 0 and res.ode_rejected == 0
+    assert abs(res.estimate - HALF_PI) <= min(1e-3, res.bound)
 
 
-@pytest.mark.parametrize("r", [300.0, 350.0])
-def test_phase_difference_falls_back_past_the_expansions_frontier(r):
-    # m^2/omega = 300 and 350 (eta = 150 and 175): the expansion refuses
-    # the first three and four rungs, which the integrator carries.  From
-    # eta ~ 150 it also refuses rungs far past s ~ eta^2 (s ~ 4e6 on at
-    # eta = 175), so a ladder based past that frontier still meets refusals
+@pytest.mark.parametrize("r", [0.05, 0.5, 1.0, 8.0, 16.0, 36.0])
+def test_phase_difference_bound_covers_the_error(r):
+    # the residual under-read the error at m^2/omega = 8 and 16 (2.1e-4
+    # against 3.4e-4, 2.7e-4 against 3.5e-4); the bound is proven, and it is
+    # arcsin(m^2/(omega^2 x)) at the last rung
     res = phase_difference(math.sqrt(r), 1.0)
-    assert res.converged
-    assert res.ode_steps > 0
-    assert abs(res.estimate - HALF_PI) <= 1e-3
+    assert math.isclose(res.bound, math.asin(r / res.x[-1]), rel_tol=1e-15)
+    assert abs(res.estimate - HALF_PI) <= res.bound
 
 
 _IDENTITY = [(0.5, 2.0, None), (1.0, 2.0, None), (1.0, 1.0, None)] + [
@@ -271,9 +267,9 @@ def test_phase_difference_within_a_budget_below_the_largest_double():
                                                      (3.0, 0.5, 92160.0, 10)])
 def test_log_gamma_calls_per_solve_do_not_grow_with_the_rungs(m, omega, x_limit, rungs,
                                                              monkeypatch):
-    # the expansion's log-Gamma terms are computed once per solve: three for
-    # each of b = 1/2 and 3/2, and log_gamma(-i eta) reflects to
-    # log_gamma(1 + i eta)
+    # the expansion's log-Gamma terms are computed once per solve: those of
+    # its two shared factors, Gamma(1 - i eta) and Gamma(a); Gamma(1/2) and
+    # Gamma(3/2) are sqrt(pi) and sqrt(pi)/2
     calls = []
     log_gamma = specfun.log_gamma
 
@@ -284,7 +280,7 @@ def test_log_gamma_calls_per_solve_do_not_grow_with_the_rungs(m, omega, x_limit,
     monkeypatch.setattr(specfun, "log_gamma", counted)
     res = phase_difference(m, omega, x_limit=x_limit)
     assert res.converged and res.x.size == rungs
-    assert len(calls) == 7
+    assert len(calls) == 2
 
 
 def test_phase_difference_budget_exhaustion():
@@ -304,34 +300,15 @@ def test_phase_difference_too_few_points():
         phase_difference(0.5, 2.0, x_limit=10.0 * 2 ** 2)
 
 
-@given(st.floats(1e-3, 1e3))
-def test_seed_point_stays_inside_the_series_range(omega):
-    x = sc.seed_point(1e6, omega)
-    assert abs(complex(y_of_x(x, omega))) <= SERIES_ZMAX
-    assert 2.0 * omega * x > SERIES_ZMAX * (1.0 - 1e-14)
-    inside = 0.5 * SERIES_ZMAX / (2.0 * omega)
-    assert sc.seed_point(inside, omega) == inside
-
-
-# (seed calls, ODE steps) on three rungs where 2 omega x_match is past the series
-_SEEDED = {(4.0, 1.0): (0, 0), (3.0, 0.5): (0, 0), (8.0, 1.0): (1, 43)}
-
-
-@pytest.mark.parametrize("m, omega", list(_SEEDED))
+@pytest.mark.parametrize("m, omega", [(4.0, 1.0), (3.0, 0.5)])
 def test_phase_difference_seeds_inside_the_series_range(m, omega, monkeypatch):
-    # 2 omega x_match = 80, 90 and 320: the expansion certifies every rung at
-    # (4, 1) and (3, 0.5), so no seed is formed; at (8, 1) it refuses the
-    # first rung (|y| = 640, eta = 32), so the seed moves in to |y| = 60.
-    # Either way the rungs stay
-    n_seeds, steps = _SEEDED[m, omega]
-    seeds = []
-    solution_z = sc.solution_Z
+    # 2 omega x_match = 80 and 90, past the series range: the ladder forms
+    # no seed inside it (no series-range closed form is called), and reads
+    # its rungs x_match 2^k from the expansion
+    def refuse(*args, **kwargs):
+        raise AssertionError("a seed was formed")
 
-    def counted(p, branch, sector, x):
-        seeds.append(x)
-        return solution_z(p, branch, sector, x)
-
-    monkeypatch.setattr(sc, "solution_Z", counted)
+    monkeypatch.setattr(sc, "solution_Z", refuse)
     x_match = sc.default_x_match(m, omega)
     with pytest.raises(NotConverged) as exc:
         phase_difference(m, omega, x_limit=x_match * 2 ** 3)
@@ -339,8 +316,4 @@ def test_phase_difference_seeds_inside_the_series_range(m, omega, monkeypatch):
     assert 2.0 * omega * res.x_match > SERIES_ZMAX
     assert np.array_equal(res.x, res.x_match * np.array([2.0, 4.0, 8.0]))
     assert np.all(np.isfinite(res.raw))
-    assert res.ode_steps == steps
-    assert len(seeds) == n_seeds
-    for x in seeds:
-        assert abs(complex(y_of_x(x, omega))) <= SERIES_ZMAX
-
+    assert res.ode_steps == 0

@@ -3,9 +3,13 @@ tolerance override, and a live run of every suite."""
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from susy_ces import oracle, verify
+from susy_ces.closedform import y_of_x
 from susy_ces.errors import InvalidParams, NotConverged
+from susy_ces.specfun import SERIES_ZMAX
 
 
 def test_unknown_suite_rejected():
@@ -43,6 +47,16 @@ def test_closedform_suite_passes():
 def test_scattering_suite_passes():
     for r in verify.run_suite("scattering"):
         assert r.passed, f"{r.name}: {r.max_error:.3e} > {r.tolerance:.1e}"
+
+
+@given(st.floats(1e-3, 1e3))
+def test_seed_point_stays_inside_the_series_range(omega):
+    # the ladder checks seed their integrations at the edge of the series range
+    x = verify._seed_point(1e6, omega)
+    assert abs(complex(y_of_x(x, omega))) <= SERIES_ZMAX
+    assert 2.0 * omega * x > SERIES_ZMAX * (1.0 - 1e-14)
+    inside = 0.5 * SERIES_ZMAX / (2.0 * omega)
+    assert verify._seed_point(inside, omega) == inside
 
 
 def test_convergence_order_check_needs_the_kernels_degree(monkeypatch):
