@@ -28,7 +28,7 @@ from .closedform import Branch, solution_Z, solution_params
 from .errors import NotConverged, SusyCesError
 from .potential import Sector, V, superpotential
 from .scattering import phase_difference
-from .verify import run_suite
+from .verify import SUITES, run_suite
 
 _SECTORS = {"plus": Sector.PLUS, "minus": Sector.MINUS}
 _BRANCHES = {"I": Branch.I, "II": Branch.II}
@@ -116,18 +116,15 @@ def table(m, omega, sector, branch, x_min, x_max, points, spacing, fmt, out):
 
 
 @main.command()
-@click.option("--suite", type=click.Choice(["specfun", "closedform", "oracle",
-                                            "scattering", "all"]),
-              default="all", show_default=True)
-@click.option("--rel-tol", type=float, default=None,
-              help="override every check tolerance with this value (finite, >= 0)")
+@click.option("--suite", type=click.Choice([*SUITES, "all"]), default="all",
+              show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text",
               show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 @_config_errors
-def verify(suite, rel_tol, fmt, out):
+def verify(suite, fmt, out):
     """Run cross-check suites; exit 1 if any check fails."""
-    reports = run_suite(suite, tol_override=rel_tol)
+    reports = run_suite(suite)
     if fmt == "json":
         _emit(json.dumps([r._asdict() for r in reports], indent=2) + "\n", out)
     else:

@@ -33,10 +33,11 @@ is error-controlled: there is no fixed-step mode.  A call returns only
 the segment endpoint: its last step lands on s1 = sqrt(x1), correctly
 rounded, whose exact square lies within sqrt(2) ulp of x1 (2^-52
 relative), and the state is reported at x1.  Callers that need several
-points chain segments: the phase ladder in :mod:`susy_ces.scattering`
-does so for the rungs its large-|y| closed form cannot certify, and the
-``scattering/ladder-routes-agree`` check in :mod:`susy_ces.verify` out to
-every rung, as evidence for the rungs it does read from the closed form.
+points chain segments.  The phase ladder in :mod:`susy_ces.scattering`
+takes no integrator step; the ``scattering/ladder-routes-agree`` check
+in :mod:`susy_ces.verify` chains segments out to its rungs, as evidence
+for the rungs it reads from the large-|y| closed form alone, and
+``scattering/ladder-sectors-agree`` carries both sectors to them.
 
 The potentials are singular at the origin, so integration domains are
 floored at ``x >= ORIGIN_FLOOR_COEFF / m**2``; seed data comes from the
@@ -78,8 +79,9 @@ _REC = tuple(tuple(v for n in range(k, k + 5)
              for k in range(0, ORDER - 1, 5))
 #: a wave e^(kt) has its degree-ORDER term at rel_tol where
 #: k|t| = (ORDER! rel_tol)^(1/ORDER); a segment's first trial step takes
-#: 0.8 of that, since the wave chirps in s.  On 14 ladder solves, 5 first
-#: trials fail at 0.8, and 156 at the full length
+#: 0.8 of that, since the wave chirps in s.  On the 62 rung-to-rung
+#: segments of verify's two ladder checks, 94 first trials (one per
+#: nonzero part), 1 fails at 0.8, and 93 at the full length
 _FIRST_REACH = 0.8 * math.exp(math.lgamma(ORDER + 1.0) / ORDER)
 #: share of the reach-to-origin s a step may take: min(1/2, (rel_tol
 #: _REACH_TOL)^(1/ORDER)), so the singular part of the tail stays far

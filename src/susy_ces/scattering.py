@@ -170,7 +170,8 @@ def phase_difference(m: float, omega: float, *, tol: float = 1e-3,
     finite and not below the first rung 2 x_match; ``None`` means
     x_match 2^14, i.e. 14 rungs.  Raises :class:`DoubleRangeExceeded`
     where the first rung, or with ``None`` the last, is past the largest
-    double.
+    double, and where the last rung of the budget is a double but its
+    |y| = 2 omega x_k is not.
     """
     if not (x_limit is None or 0.0 < x_limit < math.inf):
         raise InvalidParams(f"x_limit={x_limit!r} must be a positive finite real")
@@ -192,6 +193,14 @@ def phase_difference(m: float, omega: float, *, tol: float = 1e-3,
     if n_rungs < 1:
         raise InvalidParams(f"x_limit={x_limit!r} is below the ladder's first rung "
                             f"x = {2.0 * x_match:.17g}")
+    # each rung is read at |y| = 2 omega x_k, which can pass the largest
+    # double where x_k does not; the last rung of the budget has the largest
+    x_last = math.ldexp(x_match, n_rungs)
+    if math.isinf(2.0 * p.omega * x_last):
+        raise DoubleRangeExceeded(
+            f"the ladder's rungs pass the largest double ({sys.float_info.max:.4g}) "
+            f"in |y| = 2 omega x_k at m={m!r}, omega={omega!r}: the budget's last "
+            f"rung is x = {x_last:.4g}")
 
     # the expansion's log-Gamma terms, computed once for every rung
     far = asymptotic_pair_for(p.a1.imag)

@@ -4,9 +4,8 @@ Each check pits two independent routes to the same quantity against
 each other (series vs transformed series, closed form vs integrator,
 analytic derivative vs finite difference, ...) and reduces the outcome
 to a :class:`CheckReport`.  A report passes iff ``max_error <=
-tolerance``; the optional ``tol_override`` argument substitutes every
-check's tolerance, which is occasionally useful to see the actual error
-landscape (or to confirm that failures propagate, by making it absurd).
+tolerance``, each check's tolerance being fixed in the check itself;
+every report carries its ``max_error``, pass or fail.
 
 All randomness is seeded: two runs of a suite see identical inputs.
 """
@@ -20,8 +19,9 @@ import numpy as np
 
 from . import closedform as cf
 from . import highprec, oracle, potential, scattering, specfun
+from ._points import shaped
 from .errors import InvalidParams, NotConverged
-from .potential import Sector
+from .potential import Sector, _check_x
 
 __all__ = ["CheckReport", "SUITES", "run_suite"]
 
@@ -49,17 +49,17 @@ _PROBE_Z = [-2j, -4j, -25j, -55j, 40j, 3 + 4j, -15 + 5j, 7.0, -12.0]
 # specfun suite
 
 
-def check_golden_table(tol: float = 1e-10) -> CheckReport:
+def check_golden_table() -> CheckReport:
     rows = specfun.load_golden_chf()
     worst = 0.0
     for r in rows:
         v = specfun.chf_1f1(r.a, r.b, r.z)
         worst = max(worst, abs(v - r.f) / max(1.0, abs(r.f)))
-    return _report("specfun/golden-table", worst, tol,
+    return _report("specfun/golden-table", worst, 1e-10,
                    f"{len(rows)} frozen reference values")
 
 
-def check_kummer_consistency(tol: float = 1e-10) -> CheckReport:
+def check_kummer_consistency() -> CheckReport:
     worst = 0.0
     n = 0
     for a, b in _PROBE_PARAMS:
@@ -68,11 +68,11 @@ def check_kummer_consistency(tol: float = 1e-10) -> CheckReport:
             transf = specfun.kummer_transform(a, b, z)
             worst = max(worst, abs(direct - transf) / max(1.0, abs(direct)))
             n += 1
-    return _report("specfun/kummer-consistency", worst, tol,
+    return _report("specfun/kummer-consistency", worst, 1e-10,
                    f"direct vs transformed series at {n} points")
 
 
-def check_derivative_fd(tol: float = 1e-7) -> CheckReport:
+def check_derivative_fd() -> CheckReport:
     worst = 0.0
     h = 1e-6
     for a, b in _PROBE_PARAMS:
@@ -80,11 +80,11 @@ def check_derivative_fd(tol: float = 1e-7) -> CheckReport:
             fd = (specfun.chf_1f1(a, b, z + h) - specfun.chf_1f1(a, b, z - h)) / (2 * h)
             an = specfun.chf_1f1_deriv(a, b, z)
             worst = max(worst, abs(fd - an) / max(1.0, abs(an)))
-    return _report("specfun/derivative-fd", worst, tol,
+    return _report("specfun/derivative-fd", worst, 1e-7,
                    "analytic parameter-shift derivative vs central difference")
 
 
-def check_loggamma_reflection(tol: float = 1e-10) -> CheckReport:
+def check_loggamma_reflection() -> CheckReport:
     rng = np.random.default_rng(20240817)
     worst = 0.0
     for _ in range(200):
@@ -94,11 +94,11 @@ def check_loggamma_reflection(tol: float = 1e-10) -> CheckReport:
         lhs = np.exp(specfun.log_gamma(z) + specfun.log_gamma(1.0 - z))
         rhs = math.pi / np.sin(math.pi * z)
         worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
-    return _report("specfun/loggamma-reflection", worst, tol,
+    return _report("specfun/loggamma-reflection", worst, 1e-10,
                    "exp(lg z + lg(1-z)) vs pi/sin(pi z), 200 random points")
 
 
-def check_chf_wronskian(tol: float = 1e-9) -> CheckReport:
+def check_chf_wronskian() -> CheckReport:
     # pair M(a,b;z) and z^{1-b} M(a-b+1, 2-b; z): Wronskian (1-b) z^{-b} e^z
     worst = 0.0
     for a, b in ((0.5j, 0.5), (1 + 1j, 2.5), (0.5 + 0.5j, 1.5), (2j, 0.5)):
@@ -115,18 +115,18 @@ def check_chf_wronskian(tol: float = 1e-9) -> CheckReport:
             wr = f1 * d2 - f2 * d1
             exact = (1.0 - b) * z ** (-b) * np.exp(z)
             worst = max(worst, abs(wr - exact) / max(1.0, abs(exact)))
-    return _report("specfun/chf-wronskian", worst, tol,
+    return _report("specfun/chf-wronskian", worst, 1e-9,
                    "pair Wronskian vs (1-b) z^-b e^z")
 
 
-def check_asymptotic_overlap(tol: float = 1e-9) -> CheckReport:
+def check_asymptotic_overlap() -> CheckReport:
     worst = 0.0
     for a, b in _PROBE_PARAMS:
         for z in (-30j, -55j, 50j, 28 + 28j, -40 - 10j, -59j):
             val, _ = specfun.chf_asymptotic(a, b, z)
             ser = specfun.chf_1f1(a, b, z)
             worst = max(worst, abs(val - ser) / max(1.0, abs(ser)))
-    return _report("specfun/asymptotic-overlap", worst, tol,
+    return _report("specfun/asymptotic-overlap", worst, 1e-9,
                    "large-|z| expansion vs series where both are viable")
 
 
@@ -136,8 +136,8 @@ def check_asymptotic_overlap(tol: float = 1e-9) -> CheckReport:
 _FAMILIES = ((1.0, 1.0), (2.0, 0.5), (0.5, 2.0))
 
 
-def wronskian_grid(m: float, omega: float, n: int = 50) -> np.ndarray:
-    """Log grid on which the Wronskian check is well conditioned.
+def wronskian_grid(m: float, omega: float) -> np.ndarray:
+    """50-point log grid on which the Wronskian check is well conditioned.
 
     Inside the centrifugal barrier the two solutions grow like
     exp(4 m sqrt(x)) and the constant Wronskian is obtained by
@@ -147,10 +147,10 @@ def wronskian_grid(m: float, omega: float, n: int = 50) -> np.ndarray:
     """
     hi = min(29.0 / omega, (3.6 / m) ** 2)
     lo = min(1e-6 / (m * m), hi / 100.0)
-    return np.logspace(math.log10(lo), math.log10(hi), n)
+    return np.logspace(math.log10(lo), math.log10(hi), 50)
 
 
-def check_wronskian_constancy(tol: float = 1e-8) -> CheckReport:
+def check_wronskian_constancy() -> CheckReport:
     worst = 0.0
     for m, omega in _FAMILIES:
         p = cf.solution_params(m, omega)
@@ -159,11 +159,11 @@ def check_wronskian_constancy(tol: float = 1e-8) -> CheckReport:
             wr = cf.wronskian_Z(p, sec, x)
             ex = cf.wronskian_exact(p, sec)
             worst = max(worst, float(np.max(np.abs(wr - ex)) / abs(ex)))
-    return _report("closedform/wronskian-constancy", worst, tol,
+    return _report("closedform/wronskian-constancy", worst, 1e-8,
                    "W[Z^I, Z^II] vs exact constant, 50 log points x 3 families x 2 sectors")
 
 
-def check_intertwining(tol: float = 1e-8) -> CheckReport:
+def check_intertwining() -> CheckReport:
     worst = 0.0
     for m, omega in _FAMILIES:
         p = cf.solution_params(m, omega)
@@ -175,17 +175,17 @@ def check_intertwining(tol: float = 1e-8) -> CheckReport:
             r1 = np.abs((zm.derivative + wx * zm.value) - 1j * omega * zp.value) / sc
             r2 = np.abs((zp.derivative - wx * zp.value) - 1j * omega * zm.value) / sc
             worst = max(worst, float(np.max(r1)), float(np.max(r2)))
-    return _report("closedform/intertwining", worst, tol,
+    return _report("closedform/intertwining", worst, 1e-8,
                    "(d/dx +- W) ladder maps between sectors with coefficient i omega, "
                    "series derivatives")
 
 
-def check_shape_invariance(tol: float = 0.0) -> CheckReport:
+def check_shape_invariance() -> CheckReport:
     worst = 0.0
     x = np.logspace(-8, 8, 10_000)
     for m in (1.0, 2.0, 0.5, 1.75, 0.3183098861837907):
         worst = max(worst, float(np.max(np.abs(potential.shape_invariance_gap(x, m)))))
-    return _report("closedform/shape-invariance", worst, tol,
+    return _report("closedform/shape-invariance", worst, 0.0,
                    "V_plus(x, m) == V_minus(x, -m) bit-for-bit on 1e4-point log grid")
 
 
@@ -222,13 +222,17 @@ def series_solution_Z(p: cf.SolutionParams, branch: cf.Branch, sector: Sector,
 
 def _series_Z(p: cf.SolutionParams, branch: cf.Branch, sectors: tuple[Sector, ...],
               x: np.ndarray) -> list[cf.SolutionSample]:
-    """:func:`series_solution_Z` in each of ``sectors``, from one :func:`series_components`."""
+    """:func:`series_solution_Z` in each of ``sectors``, from one :func:`series_components`
+    and one closed-form evaluation of every sector's value."""
+    xs, shape = _check_x(x)
     _, _, d1, d2 = series_components(p, branch, x)
-    return [cf.SolutionSample(x, cf.solution_Z(p, branch, sec, x).value,
-                              cf.PHASE_M4 * (d1 + 1j * sec.sign * d2)) for sec in sectors]
+    [per_sector] = cf._solution(p, (branch,), sectors, xs)
+    return [cf.SolutionSample(x, shaped(z, shape, complex),
+                              cf.PHASE_M4 * (d1 + 1j * sec.sign * d2))
+            for sec, (z, _) in zip(sectors, per_sector)]
 
 
-def check_rtilde_system(tol: float = 1e-12) -> CheckReport:
+def check_rtilde_system() -> CheckReport:
     worst = 0.0
     for m, omega in _FAMILIES:
         p = cf.solution_params(m, omega)
@@ -240,11 +244,11 @@ def check_rtilde_system(tol: float = 1e-12) -> CheckReport:
             e1 = np.abs(d1 - 1j * omega * r1 - 1j * wx * r2) / sc
             e2 = np.abs(d2 + 1j * omega * r2 + 1j * wx * r1) / sc
             worst = max(worst, float(np.max(e1)), float(np.max(e2)))
-    return _report("closedform/rtilde-system", worst, tol,
+    return _report("closedform/rtilde-system", worst, 1e-12,
                    "series derivatives of the components satisfy the first-order system")
 
 
-def check_grid_continuation(tol: float = 0.0) -> CheckReport:
+def check_grid_continuation() -> CheckReport:
     worst = 0.0
     points = continued = seeds = steps = terms = evals = sums = 0
     for m, omega in _FAMILIES:
@@ -265,7 +269,7 @@ def check_grid_continuation(tol: float = 0.0) -> CheckReport:
             terms += walk.terms
             evals += walk.evals
             sums += walk.sums
-    return _report("closedform/grid-continuation", worst, tol,
+    return _report("closedform/grid-continuation", worst, 0.0,
                    f"grid vs lone-point components of both branches, bit for bit, 3 families "
                    f"x linear and log grids of 64; one walk of the pair per grid serves "
                    f"both branches: {continued} of {points} points "
@@ -275,7 +279,7 @@ def check_grid_continuation(tol: float = 0.0) -> CheckReport:
                    f"{evals} terms evaluated inside their reach; {sums} series loops")
 
 
-def check_hermite_lambda(tol: float = 2.0) -> CheckReport:
+def check_hermite_lambda() -> CheckReport:
     rng = np.random.default_rng(11)
     worst = 0.0
     for _ in range(100):
@@ -288,11 +292,11 @@ def check_hermite_lambda(tol: float = 2.0) -> CheckReport:
             du = abs(lam.imag - ref.imag) / max(np.spacing(abs(ref.imag)), 5e-324)
             du = max(du, abs(lam.real - ref.real) / max(np.spacing(max(abs(ref.real), 1.0)), 5e-324))
             worst = max(worst, float(du))
-    return _report("closedform/hermite-lambda", worst, tol,
+    return _report("closedform/hermite-lambda", worst, 2.0,
                    "lambda_j vs -4 a_j in ulps, 100 random (m, omega)")
 
 
-def check_schrodinger_fd(tol: float = 1e-6) -> CheckReport:
+def check_schrodinger_fd() -> CheckReport:
     worst = 0.0
     for m, omega in ((1.0, 1.0),):
         p = cf.solution_params(m, omega)
@@ -313,11 +317,11 @@ def check_schrodinger_fd(tol: float = 1e-6) -> CheckReport:
                 vf = lambda xx: potential.V(xx, m, sec)
                 res = oracle.residual_schrodinger(zf, vf, p.energy, x)
                 worst = max(worst, float(np.max(res)))
-    return _report("closedform/schrodinger-fd-residual", worst, tol,
+    return _report("closedform/schrodinger-fd-residual", worst, 1e-6,
                    "five-point stencil residual of the closed form, (m, omega) = (1, 1)")
 
 
-def check_small_x_limit(tol: float = 1e-4) -> CheckReport:
+def check_small_x_limit() -> CheckReport:
     worst = 0.0
     x0 = 1e-10
     for m, omega in _FAMILIES:
@@ -328,18 +332,18 @@ def check_small_x_limit(tol: float = 1e-4) -> CheckReport:
             zii = cf.solution_Z(p, cf.Branch.II, sec, x0)
             want = cf.PHASE_M4 * sec.sign * 1j * cf.coupling_constants(p, cf.Branch.II).c2
             worst = max(worst, abs(complex(zii.value) - want))
-    return _report("closedform/small-x-limit", worst, tol,
+    return _report("closedform/small-x-limit", worst, 1e-4,
                    "x -> 0 values of both branches at x = 1e-10")
 
 
-def check_critical_structure(tol: float = 1e-12) -> CheckReport:
+def check_critical_structure() -> CheckReport:
     worst = 0.0
     for m in (1.0, 2.0, 0.5, 3.25):
         cs = potential.critical_structure(m)
         worst = max(worst, abs(float(potential.V(cs.zero_x, m, Sector.MINUS))) / m ** 4)
         worst = max(worst, abs(float(potential.V_deriv(cs.max_x, m, Sector.MINUS))) / m ** 6)
         worst = max(worst, abs(float(potential.V(cs.max_x, m, Sector.MINUS)) - cs.max_value) / m ** 4)
-    return _report("closedform/critical-structure", worst, tol,
+    return _report("closedform/critical-structure", worst, 1e-12,
                    "V_minus zero/maximum land on the closed-form landmarks")
 
 
@@ -347,15 +351,15 @@ def check_critical_structure(tol: float = 1e-12) -> CheckReport:
 # oracle suite
 
 
-def check_free_wave(tol: float = 1e-8) -> CheckReport:
+def check_free_wave() -> CheckReport:
     w = 1.7
     sol = oracle._integrate_rhs((0.0, 0.0, w * w), 1.0, 25.0, (1.0 + 0j, 1j * w))
     err = abs(sol.value - cmath.exp(1j * w * (25.0 - 1.0)))
-    return _report("oracle/free-wave", err, tol,
+    return _report("oracle/free-wave", err, 1e-8,
                    f"exp(i w (x - 1)) propagated from x = 1 to 25, {sol.n_steps} steps")
 
 
-def check_convergence_order(tol: float = 0.0) -> CheckReport:
+def check_convergence_order() -> CheckReport:
     w, s0 = 1.3, 5.0
     errs, hs = [], []
     # single free-wave steps of 7 and 5.6 radians from x = 25, whose
@@ -373,12 +377,12 @@ def check_convergence_order(tol: float = 0.0) -> CheckReport:
     # the kernel's degree to within half an order; a NaN order (a step
     # rejected or split) fails the check
     miss = abs(order - oracle.ORDER)
-    return _report("oracle/convergence-order", 0.0 if miss <= 0.5 else miss - 0.5, tol,
+    return _report("oracle/convergence-order", 0.0 if miss <= 0.5 else miss - 0.5, 0.0,
                    f"empirical order {order:.2f} from single steps of 7 and 5.6 "
                    f"radians (need {oracle.ORDER} +- 0.5)")
 
 
-def check_ode_vs_closedform(tol: float = 1e-7) -> CheckReport:
+def check_ode_vs_closedform() -> CheckReport:
     worst = 0.0
     p = cf.solution_params(1.0, 1.0)
     for br in cf.Branch:
@@ -391,11 +395,11 @@ def check_ode_vs_closedform(tol: float = 1e-7) -> CheckReport:
             worst = max(worst,
                         abs(sol.value - complex(ref.value)) / max(1.0, abs(complex(ref.value))),
                         abs(sol.derivative - complex(ref.derivative)) / max(1.0, abs(complex(ref.derivative))))
-    return _report("oracle/closedform-agreement", worst, tol,
+    return _report("oracle/closedform-agreement", worst, 1e-7,
                    "adaptive integration 1 -> 10 vs closed form, 4 branch/sector combos")
 
 
-def check_frobenius(tol: float = 1e-12) -> CheckReport:
+def check_frobenius() -> CheckReport:
     worst = 0.0
     for m, omega in _FAMILIES + ((1.3, 0.7),):
         p = cf.solution_params(m, omega)
@@ -408,7 +412,7 @@ def check_frobenius(tol: float = 1e-12) -> CheckReport:
                 gh = cmath.sqrt(y) * specfun.chf_1f1(a + 0.5, 1.5, y)
                 worst = max(worst, abs(f0 - g0) / max(1.0, abs(g0)),
                             abs(fh - gh) / max(1.0, abs(gh)))
-    return _report("oracle/frobenius-agreement", worst, tol,
+    return _report("oracle/frobenius-agreement", worst, 1e-12,
                    "ODE power series vs hypergeometric evaluator, both exponents")
 
 
@@ -416,7 +420,7 @@ def check_frobenius(tol: float = 1e-12) -> CheckReport:
 # scattering suite
 
 
-def check_offset_identity(tol: float = 1e-12) -> CheckReport:
+def check_offset_identity() -> CheckReport:
     # |W|/omega from 1e-12 to 1e2: the ladder's rungs reach 5.6e-11 at (1e-9, 1)
     rng = np.random.default_rng(5)
     worst = 0.0
@@ -432,14 +436,14 @@ def check_offset_identity(tol: float = 1e-12) -> CheckReport:
         d = scattering._sector_difference(um, dum, up, dup, om)
         gap = abs(math.remainder(2.0 * d - scattering.susy_phase_offset(wv, om), 2.0 * math.pi))
         worst = max(worst, gap)
-    return _report("scattering/offset-identity", worst, tol,
+    return _report("scattering/offset-identity", worst, 1e-12,
                    "constant-superpotential sinusoid mapping, read by the rung ratio, vs offset")
 
 
-def check_phase_difference(tol: float = 1e-3) -> CheckReport:
+def check_phase_difference() -> CheckReport:
     runs = [scattering.phase_difference(m, omega) for m, omega in ((0.5, 2.0), (1.0, 2.0))]
     res = max(runs, key=lambda r: abs(r.estimate - 0.5 * math.pi))
-    return _report("scattering/phase-difference-halfpi", abs(res.estimate - 0.5 * math.pi), tol,
+    return _report("scattering/phase-difference-halfpi", abs(res.estimate - 0.5 * math.pi), 1e-3,
                    f"worst of (m, omega) = (1/2, 2) and (1, 2) is ({res.m:g}, {res.omega:g}): "
                    f"estimate {res.estimate:.6f} at x = {res.x[-1]:.0f}")
 
@@ -452,7 +456,7 @@ def _seed_point(x_match: float, omega: float) -> float:
     return min(x_match, (1.0 - 4.0 * 2.0 ** -52) * specfun.SERIES_ZMAX / (2.0 * omega))
 
 
-def check_ladder_sectors_agree(tol: float = 1e-8) -> CheckReport:
+def check_ladder_sectors_agree() -> CheckReport:
     # the ladder carries MINUS alone and reads PLUS through the SUSY map;
     # here both are integrated, PLUS from the mapped seed, and must match
     rungs = 8
@@ -472,13 +476,13 @@ def check_ladder_sectors_agree(tol: float = 1e-8) -> CheckReport:
             size = abs(mapped.value) + abs(mapped.derivative) / omega
             worst = max(worst, abs(zp.value - mapped.value) / size,
                         abs(zp.derivative - mapped.derivative) / omega / size)
-    return _report("scattering/ladder-sectors-agree", worst, tol,
+    return _report("scattering/ladder-sectors-agree", worst, 1e-8,
                    f"PLUS integrated from the mapped seed vs the SUSY map of the MINUS "
                    f"integration, value and derivative/omega, {rungs} ladder rungs at "
                    f"(m, omega) = (1/2, 2) and (1, 2)")
 
 
-def check_ladder_routes_agree(tol: float = 1e-8) -> CheckReport:
+def check_ladder_routes_agree() -> CheckReport:
     # the ladder reads its rungs from the closed form's large-|y| expansion;
     # here the integrator carries the real part of the seed out to the same
     # rungs, and the two MINUS samples must match.  At (8, 1) the base is
@@ -499,7 +503,7 @@ def check_ladder_routes_agree(tol: float = 1e-8) -> CheckReport:
             size = abs(far.value) + abs(far.derivative) / omega
             worst = max(worst, abs(u - far.value) / size,
                         abs(du - far.derivative) / omega / size)
-    return _report("scattering/ladder-routes-agree", worst, tol,
+    return _report("scattering/ladder-routes-agree", worst, 1e-8,
                    "MINUS integrated from the seed vs the large-|y| closed form the ladder "
                    "reads, value and derivative/omega, 8 rungs at (m, omega) = (1/2, 2) "
                    "and (1, 2), 10 at (3, 1/2) out to x = 92160, 4 at (8, 1)")
@@ -518,15 +522,8 @@ SUITES: dict[str, tuple] = {
 }
 
 
-def run_suite(suite: str, tol_override: float | None = None) -> list[CheckReport]:
-    """Run one named suite (or ``all``); reports come back sorted by name.
-
-    ``tol_override`` must be finite and >= 0 (0 is a tolerance several
-    checks use by design); anything else raises InvalidParams rather than
-    failing every check.
-    """
-    if tol_override is not None and not 0.0 <= tol_override < math.inf:
-        raise InvalidParams(f"tol_override={tol_override!r} must be finite and >= 0")
+def run_suite(suite: str) -> list[CheckReport]:
+    """Run one named suite (or ``all``); reports come back sorted by name."""
     if suite == "all":
         checks = [c for s in SUITES.values() for c in s]
     elif suite in SUITES:
@@ -537,10 +534,8 @@ def run_suite(suite: str, tol_override: float | None = None) -> list[CheckReport
     reports = []
     for chk in checks:
         try:
-            rep = chk() if tol_override is None else chk(tol_override)
+            reports.append(chk())
         except NotConverged as e:
-            rep = _report(chk.__name__.replace("check_", "unconverged/"),
-                          math.inf, tol_override if tol_override is not None else 0.0,
-                          str(e))
-        reports.append(rep)
+            reports.append(_report(chk.__name__.replace("check_", "unconverged/"),
+                                   math.inf, 0.0, str(e)))
     return sorted(reports, key=lambda r: r.name)

@@ -56,7 +56,7 @@ def test_c02_wronskian_constant(record_property):
     worst = 0.0
     for m, omega in FAMILIES:
         p = cf.solution_params(m, omega)
-        x = verify.wronskian_grid(m, omega, n=50)
+        x = verify.wronskian_grid(m, omega)
         for sec in Sector:
             wr = cf.wronskian_Z(p, sec, x)
             ex = cf.wronskian_exact(p, sec)

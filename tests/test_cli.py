@@ -15,7 +15,7 @@ from click.testing import CliRunner
 import susy_ces
 from susy_ces import cli
 from susy_ces import closedform as cf
-from susy_ces import potential
+from susy_ces import potential, verify
 from susy_ces.cli import main
 from susy_ces.potential import Sector
 
@@ -165,22 +165,30 @@ def test_verify_specfun_json(runner):
                for r in reports)
 
 
-def test_verify_text_and_failure_exit(runner):
-    res = runner.invoke(main, ["verify", "--suite", "specfun",
-                               "--rel-tol", "1e-30"])
+def test_verify_text_and_failure_exit(runner, monkeypatch):
+    # a suite of one check that passes and one that misses its tolerance
+    missed = verify._report("demo/missed", 2.0, 1.0, "synthetic miss")
+    monkeypatch.setitem(verify.SUITES, "specfun",
+                        (verify.check_golden_table, lambda: missed))
+    res = runner.invoke(main, ["verify", "--suite", "specfun"])
     assert res.exit_code == 1
-    # only the golden table, reproduced exactly, meets 1e-30
-    assert res.output.count("FAIL") == 5
+    assert res.output.count("FAIL") == 1
+    assert "FAIL  demo/missed" in res.output
     assert "PASS  specfun/golden-table" in res.output
-    assert "1/6 checks passed" in res.output
+    assert "1/2 checks passed" in res.output
 
 
-@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
-def test_verify_rejects_a_tolerance_no_check_can_be_read_against(runner, tol):
-    # exit 1 is kept for checks that ran and missed
-    res = runner.invoke(main, ["verify", "--suite", "specfun", "--rel-tol", tol])
-    assert res.exit_code == 2, res.output
-    assert "FAIL" not in res.output
+def test_verify_takes_no_tolerance(runner):
+    # every check keeps its own tolerance: no option can replace it
+    assert [o for p in cli.verify.params for o in p.opts] == ["--suite", "--format", "--out"]
+    res = runner.invoke(main, ["verify", "--help"])
+    assert res.exit_code == 0
+    assert "tol" not in res.output
+
+
+def test_verify_suite_choices_are_the_suites():
+    choices = next(p.type.choices for p in cli.verify.params if p.name == "suite")
+    assert list(choices) == [*verify.SUITES, "all"]
 
 
 def test_verify_pass_text(runner):
@@ -299,6 +307,13 @@ def test_phase_rungs_past_the_double_range_exit_2(runner, omega):
     res = runner.invoke(main, ["phase", "--m", "1", "--omega", omega])
     assert res.exit_code == 2
     assert "rungs x_match 2^k pass the largest double" in res.stderr
+    assert res.stdout == ""
+
+
+def test_phase_rungs_past_the_double_range_in_y_exit_2(runner):
+    res = runner.invoke(main, ["phase", "--m", "1.4e130", "--omega", "1e100"])
+    assert res.exit_code == 2
+    assert "in |y| = 2 omega x_k" in res.stderr
     assert res.stdout == ""
 
 

@@ -256,6 +256,14 @@ def test_phase_difference_rungs_past_the_double_range_are_typed(m, omega):
         phase_difference(m, omega)
 
 
+@pytest.mark.parametrize("x_limit", [None, 1e300])
+def test_phase_difference_rungs_past_the_double_range_in_y_are_typed(x_limit):
+    # x_match = 2.6e219 and every rung of the budget are doubles, but
+    # |y| = 2 omega x_k with omega = 1e100 is not
+    with pytest.raises(DoubleRangeExceeded, match=r"largest double .* in \|y\| = 2 omega x_k"):
+        phase_difference(1.4e130, 1e100, x_limit=x_limit)
+
+
 def test_phase_difference_within_a_budget_below_the_largest_double():
     # x_match = 1e305: a budget of four rungs is all doubles
     with pytest.raises(NotConverged) as exc:

@@ -1,14 +1,18 @@
 """Cross-check suite plumbing: report structure, suite routing,
-tolerance override, and a live run of every suite."""
+the fixed tolerance of every check, and a live run of every suite."""
+import inspect
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from susy_ces import oracle, verify
+from susy_ces import closedform as cf
+from susy_ces import oracle, specfun, verify
 from susy_ces.closedform import y_of_x
 from susy_ces.errors import InvalidParams, NotConverged
+from susy_ces.potential import Sector
 from susy_ces.specfun import SERIES_ZMAX
 
 
@@ -59,6 +63,24 @@ def test_seed_point_stays_inside_the_series_range(omega):
     assert verify._seed_point(inside, omega) == inside
 
 
+@pytest.mark.parametrize("branch", list(cf.Branch))
+def test_series_samples_walk_the_pair_once_for_every_sector(branch, monkeypatch):
+    # one walk gives series_components its components and one more every
+    # sector's value, whatever the number of sectors; the values are
+    # solution_Z's, bit for bit
+    p = cf.solution_params(1.0, 1.0)
+    x = np.linspace(29.5 / 256, 29.5, 256)
+    want = [cf.solution_Z(p, branch, sec, x).value for sec in Sector]
+    walks = []
+    real = specfun.kummer_walk
+    monkeypatch.setattr(specfun, "kummer_walk", lambda *args: walks.append(args) or real(*args))
+    got = verify._series_Z(p, branch, tuple(Sector), x)
+    assert len(walks) == 2
+    for g, w in zip(got, want):
+        assert [(v.real.hex(), v.imag.hex()) for v in g.value.tolist()] == \
+            [(v.real.hex(), v.imag.hex()) for v in w.tolist()]
+
+
 def test_convergence_order_check_needs_the_kernels_degree(monkeypatch):
     # with one five-term pass fewer the kernel sums to degree ORDER - 5: its
     # steps still pass rel_tol 1e-3, but the check reads the lower order
@@ -75,37 +97,42 @@ def test_report_pass_is_exactly_the_threshold_comparison():
     assert rep.passed  # boundary counts as pass
 
 
-def test_tolerance_override_reaches_every_check():
-    reports = verify.run_suite("specfun", tol_override=1e-30)
-    assert all(r.tolerance == 1e-30 for r in reports)
-    # the golden table reproduces its correctly rounded values exactly, so
-    # its error of 0 meets even 1e-30; every other check misses it
-    assert [r.name for r in reports if r.passed] == ["specfun/golden-table"]
-    assert all(r.max_error == 0.0 for r in reports if r.passed)
-    assert all(r.max_error > 1e-30 for r in reports if not r.passed)
+#: every check's own tolerance; a change to one is a change to what PASS means
+TOLERANCES = {
+    "specfun/golden-table": 1e-10, "specfun/kummer-consistency": 1e-10,
+    "specfun/derivative-fd": 1e-7, "specfun/loggamma-reflection": 1e-10,
+    "specfun/chf-wronskian": 1e-9, "specfun/asymptotic-overlap": 1e-9,
+    "closedform/schrodinger-fd-residual": 1e-6, "closedform/wronskian-constancy": 1e-8,
+    "closedform/intertwining": 1e-8, "closedform/shape-invariance": 0.0,
+    "closedform/rtilde-system": 1e-12, "closedform/grid-continuation": 0.0,
+    "closedform/hermite-lambda": 2.0, "closedform/small-x-limit": 1e-4,
+    "closedform/critical-structure": 1e-12,
+    "oracle/free-wave": 1e-8, "oracle/convergence-order": 0.0,
+    "oracle/closedform-agreement": 1e-7, "oracle/frobenius-agreement": 1e-12,
+    "scattering/offset-identity": 1e-12, "scattering/phase-difference-halfpi": 1e-3,
+    "scattering/ladder-sectors-agree": 1e-8, "scattering/ladder-routes-agree": 1e-8,
+}
 
 
-def test_tolerance_override_loose_passes_everything():
-    reports = verify.run_suite("specfun", tol_override=1e6)
-    assert all(r.passed for r in reports)
+def test_every_check_keeps_its_own_tolerance():
+    reports = verify.run_suite("all")
+    assert {r.name: r.tolerance for r in reports} == TOLERANCES
 
 
-@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
-def test_tolerance_override_must_be_finite_and_non_negative(tol):
-    # a nan or negative tolerance would fail every check without a miss
-    with pytest.raises(InvalidParams):
-        verify.run_suite("specfun", tol_override=tol)
+def test_no_check_and_no_suite_run_takes_a_setting():
+    assert list(inspect.signature(verify.run_suite).parameters) == ["suite"]
+    for checks in verify.SUITES.values():
+        for chk in checks:
+            assert not inspect.signature(chk).parameters, chk.__name__
 
 
-def test_tolerance_override_zero_is_accepted():
-    # several checks use tolerance 0 by design; the golden table meets it
-    reports = verify.run_suite("specfun", tol_override=0.0)
-    assert all(r.tolerance == 0.0 for r in reports)
-    assert [r.name for r in reports if r.passed] == ["specfun/golden-table"]
+def test_golden_table_reproduces_exactly():
+    # the frozen values are correctly rounded, and the evaluator returns them
+    assert verify.check_golden_table().max_error == 0.0
 
 
 def test_nonconvergence_maps_to_failed_report(monkeypatch):
-    def check_always_diverges(tol: float = 1e-3):
+    def check_always_diverges():
         raise NotConverged("synthetic divergence")
 
     monkeypatch.setitem(verify.SUITES, "synthetic", (check_always_diverges,))
@@ -113,6 +140,8 @@ def test_nonconvergence_maps_to_failed_report(monkeypatch):
     assert len(reports) == 1
     assert not reports[0].passed
     assert math.isinf(reports[0].max_error)
+    assert reports[0].tolerance == 0.0
+    assert reports[0].name == "unconverged/always_diverges"
     assert "synthetic divergence" in reports[0].details
 
 
