@@ -4,8 +4,10 @@
 Imports the package and makes scalar calls through every layer that
 must not need numpy: ``solution_params``, ``solution_Z`` for both
 branches and both sectors, ``components``, ``susy_map``, ``y_of_x``,
-``V``, ``superpotential`` and ``oracle.integrate`` on a
-``schrodinger_problem`` segment.  numpy is blocked in ``sys.modules``
+``V``, ``superpotential``, ``oracle.integrate`` on a
+``schrodinger_problem`` segment, and the ladder's far-field pair
+``specfun.asymptotic_pair_for(0.5)(0.5, [100.0])`` against
+``highprec.kummer_walk(0.5, [100.0])``.  numpy is blocked in ``sys.modules``
 first, so any import of it fails, and ``susy_ces.verify`` (which needs
 numpy) must stay unloaded.  Exits non-zero on any failure.
 
@@ -20,6 +22,8 @@ sys.modules["numpy"] = None  # an import of numpy now raises ImportError
 from susy_ces import (Branch, Sector, V, components, integrate,  # noqa: E402
                       schrodinger_problem, solution_params, solution_Z,
                       superpotential, susy_map, y_of_x)
+from susy_ces.highprec import kummer_walk  # noqa: E402
+from susy_ces.specfun import FAR_TOL, asymptotic_pair_for  # noqa: E402
 
 OTHER = {Sector.PLUS: Sector.MINUS, Sector.MINUS: Sector.PLUS}
 
@@ -41,6 +45,12 @@ far = integrate(schrodinger_problem(1.0, 1.0, Sector.MINUS), 1.0, 10.0,
                 seed.value, seed.derivative)
 want = solution_Z(p, Branch.I, Sector.MINUS, 10.0).value
 assert abs(far.value - want) <= 1e-7 * abs(want), (far.value, want)
+
+# past the series range the ladder reads the pair from the large-|y| expansion
+walk = kummer_walk(0.5, [100.0])
+for got, want in zip(asymptotic_pair_for(0.5)(0.5, [100.0]), (walk.p, walk.q)):
+    assert type(got[0]) is complex
+    assert abs(got[0] - want[0]) <= FAR_TOL * abs(want[0]), (got, want)
 
 assert "susy_ces.verify" not in sys.modules
 print(f"stdlib only: {len(sys.modules)} modules loaded")

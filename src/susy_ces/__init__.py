@@ -40,8 +40,7 @@ from .potential import (CriticalStructure, Sector, V, V_deriv,
                         shape_invariance_gap, superpotential,
                         superpotential_deriv)
 from .scattering import PhaseDifferenceResult, phase_difference, susy_phase_offset
-from .specfun import (chf_1f1, chf_1f1_deriv, chf_asymptotic, kummer_transform,
-                      load_golden_chf, log_gamma)
+from .specfun import chf_1f1, chf_1f1_deriv, kummer_transform, load_golden_chf, log_gamma
 
 
 def __getattr__(name: str):
@@ -64,8 +63,7 @@ __all__ = [
     "solution_Z", "wronskian_Z", "wronskian_exact", "hermite_lambda",
     "susy_map",
     # specfun
-    "chf_1f1", "chf_1f1_deriv", "kummer_transform", "chf_asymptotic",
-    "log_gamma", "load_golden_chf",
+    "chf_1f1", "chf_1f1_deriv", "kummer_transform", "log_gamma", "load_golden_chf",
     # oracle
     "ODEProblem", "ODESolution", "schrodinger_problem",
     "integrate", "frobenius_series_solution", "residual_schrodinger",

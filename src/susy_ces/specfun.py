@@ -3,8 +3,8 @@
 Everything the closed-form solutions and their checks need: the Kummer
 function 1F1(a, b; z) for complex ``a``/``z`` and real ``b``, its
 derivative, a principal-branch complex log-gamma, the Kummer
-transformation (kept solely as a cross-check) and a large-|z| asymptotic
-expansion, which serves the far region of the ray.
+transformation (kept solely as a cross-check) and, for the far region
+of the ray, the large-|z| asymptotic expansion of the closed form's pair.
 
 The evaluator sums the defining series directly at every z.  On the
 physically relevant ray (purely imaginary z) the series loses roughly
@@ -29,8 +29,7 @@ Values past the largest double raise ``DoubleRangeExceeded``.  It refuses
 certified to ``FAR_TOL`` up to one exact factor per branch and a shared
 power of two, at the points where its error estimate allows (|z| past
 about eta^2); :func:`susy_ces.scattering.phase_difference` reads every
-rung that way.  :func:`chf_asymptotic` is the same expansion for any
-(a, b), certified as it stands.
+rung that way.
 """
 from __future__ import annotations
 
@@ -109,15 +108,11 @@ def _flat_z(z) -> tuple[list[complex], tuple | None]:
     return zs, shape
 
 
-def _range_error(what: str) -> DoubleRangeExceeded:
-    return DoubleRangeExceeded(
-        f"{what} exceeds the double range (magnitude above {sys.float_info.max:.4g})")
-
-
 def _in_double_range(vals: list[complex], what: str) -> list[complex]:
     """``vals``, unless a product of series values left the double range."""
     if not all(map(cmath.isfinite, vals)):
-        raise _range_error(what)
+        raise DoubleRangeExceeded(
+            f"{what} exceeds the double range (magnitude above {sys.float_info.max:.4g})")
     return vals
 
 
@@ -164,6 +159,21 @@ def kummer_pair(eta: float, s: list[float]) -> tuple[list[complex], list[complex
     at = {v: k for k, v in enumerate(grid)}
     idx = [at[v] for v in s]
     return [walk.p[k] for k in idx], [walk.q[k] for k in idx]
+
+
+def _opt_sum(p1: complex, p2: complex, zz: complex, terms: int) -> tuple[complex, float]:
+    """The formal series in 1/zz to its optimal truncation, and the size of its last term."""
+    t = 1.0 + 0j
+    s = t
+    best = abs(t)
+    for k in range(terms):
+        t = t * (p1 + k) * (p2 + k) / ((k + 1) * zz)
+        # optimal truncation, or the last term added fell below eps |s|
+        if abs(t) >= best or best < _EPS * abs(s):
+            break
+        s += t
+        best = abs(t)
+    return s, best
 
 
 def asymptotic_pair_for(eta: float) -> Callable[[float, list[float]],
@@ -215,11 +225,17 @@ def asymptotic_pair_for(eta: float) -> Callable[[float, list[float]],
     def pair(_eta: float, s: list[float]) -> tuple[list[complex], list[complex]]:
         out: tuple[list[complex], list[complex]] = ([], [])
         for v in s:
-            z, terms, sgn, logz = _z_part(complex(0.0, -v))
-            # the logs of the shared factors, their parts summed exactly
+            if not math.isfinite(v):
+                raise InvalidParams(f"s={v!r} is not finite")
+            if not v >= ASYMPTOTIC_MIN_ABS_Z:
+                raise ArgumentTooSmall(f"s = {v:.4g} < {ASYMPTOTIC_MIN_ABS_Z:g}")
+            z = complex(0.0, -v)
+            terms, logz = 2 * int(v) + 30, cmath.log(z)
+            # the logs of the shared factors, their parts summed exactly; on
+            # the ray arg z = -pi/2 the recessive sector term is e^{-i pi a}
             lr, li = logz.real, logz.imag
-            log_r = complex(math.fsum((-sgn * math.pi * eta, -0.5 * lr, eta * li, -lg_r.real)),
-                            math.fsum((0.5 * sgn * math.pi, -0.5 * li, -eta * lr, -lg_r.imag)))
+            log_r = complex(math.fsum((math.pi * eta, -0.5 * lr, eta * li, -lg_r.real)),
+                            math.fsum((-0.5 * math.pi, -0.5 * li, -eta * lr, -lg_r.imag)))
             log_d = complex(-eta * li - lg_d.real, eta * lr - lg_d.imag)
             # past e^700, 2^n with n = round(big / ln 2) is divided out; the
             # remainder is exact, so the larger factor keeps a modulus near 1
@@ -358,101 +374,6 @@ def log_gamma(z) -> complex:
         acc += cmath.log(w)
         w += 1.0
     return _stirling(w) - acc
-
-
-def _rgamma_is_zero(z: complex) -> bool:
-    # 1/Gamma vanishes exactly at the poles of Gamma
-    return z.imag == 0.0 and _is_nonpositive_integer(z.real)
-
-
-class AsymptoticResult(NamedTuple):
-    """Truncated asymptotic value plus an absolute error estimate."""
-
-    value: complex
-    error_estimate: float
-
-
-def _z_part(z) -> tuple[complex, int, float, complex]:
-    """The checked z of the large-|z| expansion, the term budget of each
-    sum, the sector sign (+1 for arg z > -pi/2, else -1) and log z."""
-    z = complex(z)
-    if not cmath.isfinite(z):
-        raise InvalidParams(f"z={z!r} is not finite")
-    r = abs(z)
-    if r < ASYMPTOTIC_MIN_ABS_Z:
-        raise ArgumentTooSmall(f"|z| = {r:.4g} < {ASYMPTOTIC_MIN_ABS_Z:g}")
-    sgn = 1.0 if cmath.phase(z) > -math.pi / 2 else -1.0
-    return z, 2 * int(r) + 30, sgn, cmath.log(z)
-
-
-def _opt_sum(p1: complex, p2: complex, zz: complex, terms: int) -> tuple[complex, float]:
-    """The formal series in 1/zz to its optimal truncation, and the size of its last term."""
-    t = 1.0 + 0j
-    s = t
-    best = abs(t)
-    for k in range(terms):
-        t = t * (p1 + k) * (p2 + k) / ((k + 1) * zz)
-        # optimal truncation, or the last term added fell below eps |s|
-        if abs(t) >= best or best < _EPS * abs(s):
-            break
-        s += t
-        best = abs(t)
-    return s, best
-
-
-def chf_asymptotic(a: complex, b: float, z: complex) -> AsymptoticResult:
-    """Large-|z| two-branch expansion of 1F1(a, b; z).
-
-    Sums both formal series to their optimal truncation, or until a term
-    falls below eps of the sum; ``error_estimate`` bounds the absolute
-    error, rounding of the coefficients included.  The recessive
-    z^{-a} branch carries the factor e^{+i pi a} for arg z > -pi/2 and
-    e^{-i pi a} otherwise (the boundary ray arg z = -pi/2 belongs to the
-    lower sector).  At smaller |z| it corroborates series and ODE values in
-    the overlap region; :func:`asymptotic_pair_for` is the same expansion
-    for the closed form's pair, certified per branch.
-
-    Raises
-    ------
-    InvalidParams
-        if a, b or z is not finite, or b is a series pole.
-    ArgumentTooSmall
-        if |z| < ASYMPTOTIC_MIN_ABS_Z, where optimal truncation is too loose.
-    DoubleRangeExceeded
-        if a branch's prefactor or the value is above the largest double.
-    """
-    a, b = _params(a, b)
-    z, terms, sgn, logz = _z_part(z)
-    lg_b = log_gamma(b)
-    # (sum, truncation error, exponent of the prefactor, log of the
-    # coefficient, the sum of its terms' magnitudes); e^z stands apart, as
-    # its |z|-sized phase would cost |z| eps in a sum
-    branches = []
-    if not _rgamma_is_zero(b - a):
-        lg = -log_gamma(b - a)
-        t_sector, t_power = sgn * 1j * math.pi * a, -a * logz
-        branches.append((*_opt_sum(a, a - b + 1.0, -z, terms), 0j,
-                         lg_b + lg + t_sector + t_power,
-                         abs(lg_b) + abs(lg) + abs(t_sector) + abs(t_power)))
-    if not _rgamma_is_zero(a):
-        lg = -log_gamma(a)
-        t_power = (a - b) * logz
-        branches.append((*_opt_sum(b - a, 1.0 - a, z, terms), z, lg_b + lg + t_power,
-                         abs(lg_b) + abs(lg) + abs(t_power)))
-    value = 0j
-    err = 0.0
-    for s, trunc, lead, log_c, log_c_abs in branches:
-        try:
-            c = cmath.exp(lead) * cmath.exp(log_c)
-        except OverflowError:   # a factor of c alone is past the largest double
-            raise _range_error(f"1F1({a!r}, {b!r}; {z!r})") from None
-        # relative error of c: eps of each log term's size, 40 eps for each
-        # log_gamma (its measured accuracy), and 16 eps for the sum s
-        value += c * s
-        err += abs(c) * (trunc + _EPS * (96.0 + log_c_abs) * abs(s))
-    if not cmath.isfinite(value):
-        raise _range_error(f"1F1({a!r}, {b!r}; {z!r})")
-    return AsymptoticResult(value, err)
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,9 @@ import numpy as np
 
 from . import closedform as cf
 from . import highprec, oracle, potential, scattering, specfun
-from ._points import shaped
-from .errors import InvalidParams, NotConverged
-from .potential import Sector, _check_x
+from ._points import flat, shaped
+from .errors import InvalidParams, NotConverged, SeriesRangeExceeded
+from .potential import Sector
 
 __all__ = ["CheckReport", "SUITES", "run_suite"]
 
@@ -120,14 +120,26 @@ def check_chf_wronskian() -> CheckReport:
 
 
 def check_asymptotic_overlap() -> CheckReport:
-    worst = 0.0
-    for a, b in _PROBE_PARAMS:
-        for z in (-30j, -55j, 50j, 28 + 28j, -40 - 10j, -59j):
-            val, _ = specfun.chf_asymptotic(a, b, z)
-            ser = specfun.chf_1f1(a, b, z)
-            worst = max(worst, abs(val - ser) / max(1.0, abs(ser)))
-    return _report("specfun/asymptotic-overlap", worst, 1e-9,
-                   "large-|z| expansion vs series where both are viable")
+    # the pair the ladder reads past the series range, against the exact
+    # series walk inside it and past it
+    etas, ss = (0.025, 0.5, 1.0, 2.0, 4.0), (40.0, 59.0, 100.0, 250.0, 500.0)
+    worst, n = 0.0, 0
+    for eta in etas:
+        pair = specfun.asymptotic_pair_for(eta)
+        for s in ss:
+            try:
+                (p,), (q,) = pair(eta, [s])
+            except SeriesRangeExceeded:   # refused: not compared
+                continue
+            walk = highprec.kummer_walk(eta, [s])
+            for got, want in ((p, walk.p[0]), (q, walk.q[0])):
+                worst = max(worst, abs(got - want) / abs(want))
+                n += 1
+    # a pair that refused every value has not passed
+    return _report("specfun/asymptotic-overlap", worst if n else math.inf, 1e-9,
+                   f"large-|y| pair (asymptotic_pair_for) vs the series walk (kummer_walk): "
+                   f"{n} of {2 * len(etas) * len(ss)} values compared; P and Q at eta in "
+                   f"{etas}, s in {ss}")
 
 
 # ---------------------------------------------------------------------------
@@ -222,14 +234,22 @@ def series_solution_Z(p: cf.SolutionParams, branch: cf.Branch, sector: Sector,
 
 def _series_Z(p: cf.SolutionParams, branch: cf.Branch, sectors: tuple[Sector, ...],
               x: np.ndarray) -> list[cf.SolutionSample]:
-    """:func:`series_solution_Z` in each of ``sectors``, from one :func:`series_components`
-    and one closed-form evaluation of every sector's value."""
-    xs, shape = _check_x(x)
-    _, _, d1, d2 = series_components(p, branch, x)
-    [per_sector] = cf._solution(p, (branch,), sectors, xs)
-    return [cf.SolutionSample(x, shaped(z, shape, complex),
-                              cf.PHASE_M4 * (d1 + 1j * sec.sign * d2))
-            for sec, (z, _) in zip(sectors, per_sector)]
+    """:func:`series_solution_Z` in each of ``sectors``, all from one :func:`series_components`.
+
+    Each value is formed from the components in Python ``complex`` with
+    :func:`closedform.solution_Z`'s expression, so its bits are the same.
+    """
+    r1, r2, d1, d2 = series_components(p, branch, x)
+    (c1, shape), (c2, _) = flat(r1, complex), flat(r2, complex)
+    out = []
+    for sec in sectors:
+        if not isinstance(sec, Sector):
+            raise InvalidParams(f"sector={sec!r} is not a Sector")
+        sg = 1j * sec.sign
+        z = [cf.PHASE_M4 * (a + sg * b) for a, b in zip(c1, c2)]
+        cf._finite(p, (z,))
+        out.append(cf.SolutionSample(x, shaped(z, shape, complex), cf.PHASE_M4 * (d1 + sg * d2)))
+    return out
 
 
 def check_rtilde_system() -> CheckReport:

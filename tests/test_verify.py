@@ -2,6 +2,7 @@
 the fixed tolerance of every check, and a live run of every suite."""
 import inspect
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from susy_ces import closedform as cf
 from susy_ces import oracle, specfun, verify
 from susy_ces.closedform import y_of_x
-from susy_ces.errors import InvalidParams, NotConverged
+from susy_ces.errors import InvalidParams, NotConverged, SeriesRangeExceeded
 from susy_ces.potential import Sector
 from susy_ces.specfun import SERIES_ZMAX
 
@@ -65,9 +66,9 @@ def test_seed_point_stays_inside_the_series_range(omega):
 
 @pytest.mark.parametrize("branch", list(cf.Branch))
 def test_series_samples_walk_the_pair_once_for_every_sector(branch, monkeypatch):
-    # one walk gives series_components its components and one more every
-    # sector's value, whatever the number of sectors; the values are
-    # solution_Z's, bit for bit
+    # one walk gives series_components its components, and every sector's
+    # value is formed from them, whatever the number of sectors; the values
+    # are solution_Z's, bit for bit
     p = cf.solution_params(1.0, 1.0)
     x = np.linspace(29.5 / 256, 29.5, 256)
     want = [cf.solution_Z(p, branch, sec, x).value for sec in Sector]
@@ -75,10 +76,55 @@ def test_series_samples_walk_the_pair_once_for_every_sector(branch, monkeypatch)
     real = specfun.kummer_walk
     monkeypatch.setattr(specfun, "kummer_walk", lambda *args: walks.append(args) or real(*args))
     got = verify._series_Z(p, branch, tuple(Sector), x)
-    assert len(walks) == 2
+    assert len(walks) == 1
     for g, w in zip(got, want):
         assert [(v.real.hex(), v.imag.hex()) for v in g.value.tolist()] == \
             [(v.real.hex(), v.imag.hex()) for v in w.tolist()]
+
+
+def test_series_samples_refuse_a_non_sector():
+    p = cf.solution_params(1.0, 1.0)
+    with pytest.raises(InvalidParams, match="is not a Sector"):
+        verify.series_solution_Z(p, cf.Branch.I, "PLUS", 2.0)
+
+
+def _compared(rep):
+    return int(re.search(r"(\d+) of \d+ values compared", rep.details).group(1))
+
+
+def test_asymptotic_overlap_compares_the_ladders_pair():
+    # the pair refusing every point would pass on nothing compared
+    rep = verify.check_asymptotic_overlap()
+    assert rep.passed and rep.max_error <= specfun.FAR_TOL, rep.details
+    assert _compared(rep) >= 40
+
+
+def test_asymptotic_overlap_fails_on_a_pair_off_by_1e_8(monkeypatch):
+    real = specfun.asymptotic_pair_for
+
+    def off(eta):
+        pair = real(eta)
+
+        def scaled(e, s):
+            p, q = pair(e, s)
+            return [v * (1.0 + 1e-8) for v in p], q
+        return scaled
+
+    monkeypatch.setattr(specfun, "asymptotic_pair_for", off)
+    rep = verify.check_asymptotic_overlap()
+    assert not rep.passed and rep.max_error > 5e-9, rep.details
+    assert _compared(rep) >= 40
+
+
+def test_asymptotic_overlap_fails_on_a_pair_that_refuses_everything(monkeypatch):
+    def refuse(eta):
+        def pair(e, s):
+            raise SeriesRangeExceeded("refused")
+        return pair
+
+    monkeypatch.setattr(specfun, "asymptotic_pair_for", refuse)
+    rep = verify.check_asymptotic_overlap()
+    assert not rep.passed and _compared(rep) == 0, rep.details
 
 
 def test_convergence_order_check_needs_the_kernels_degree(monkeypatch):
