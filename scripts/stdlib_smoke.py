@@ -5,11 +5,12 @@ Imports the package and makes scalar calls through every layer that
 must not need numpy: ``solution_params``, ``solution_Z`` for both
 branches and both sectors, ``components``, ``susy_map``, ``y_of_x``,
 ``V``, ``superpotential``, ``oracle.integrate`` on a
-``schrodinger_problem`` segment, and the ladder's far-field pair
+``schrodinger_problem`` segment, the ladder's far-field pair
 ``specfun.asymptotic_pair_for(0.5)(0.5, [100.0])`` against
-``highprec.kummer_walk(0.5, [100.0])``.  numpy is blocked in ``sys.modules``
-first, so any import of it fails, and ``susy_ces.verify`` (which needs
-numpy) must stay unloaded.  Exits non-zero on any failure.
+``highprec.kummer_walk(0.5, [100.0])``, and the ladder's rung sample
+``closedform._ladder_sample`` read from that pair.  numpy is blocked in
+``sys.modules`` first, so any import of it fails, and ``susy_ces.verify``
+(which needs numpy) must stay unloaded.  Exits non-zero on any failure.
 
     PYTHONPATH=src python -S scripts/stdlib_smoke.py
 
@@ -22,6 +23,7 @@ sys.modules["numpy"] = None  # an import of numpy now raises ImportError
 from susy_ces import (Branch, Sector, V, components, integrate,  # noqa: E402
                       schrodinger_problem, solution_params, solution_Z,
                       superpotential, susy_map, y_of_x)
+from susy_ces.closedform import _ladder_sample  # noqa: E402
 from susy_ces.highprec import kummer_walk  # noqa: E402
 from susy_ces.specfun import FAR_TOL, asymptotic_pair_for  # noqa: E402
 
@@ -51,6 +53,10 @@ walk = kummer_walk(0.5, [100.0])
 for got, want in zip(asymptotic_pair_for(0.5)(0.5, [100.0]), (walk.p, walk.q)):
     assert type(got[0]) is complex
     assert abs(got[0] - want[0]) <= FAR_TOL * abs(want[0]), (got, want)
+
+# a rung's (u, u'/omega, v, v'/omega) at |y| = 100, (m, omega) = (1, 1)
+sample = _ladder_sample(p, 50.0, -1.0 / 50.0 ** 0.5, asymptotic_pair_for(0.5))
+assert len(sample) == 4 and all(type(v) is float for v in sample), sample
 
 assert "susy_ces.verify" not in sys.modules
 print(f"stdlib only: {len(sys.modules)} modules loaded")

@@ -35,18 +35,13 @@ between the components, which is the single easiest way to break every
 identity downstream, so the convention lives in exactly one place here.
 
 Derivatives come from the partners' coupled first-order system (never
-from finite differences), so either branch needs only P and Q, which one
-call of :func:`susy_ces.specfun.kummer_pair` returns for any ``x``: a
-lone point takes both from one series loop, a grid carries the pair
-along it, with the same bits.  The assembly is one loop over the points in Python
-``complex`` for a lone point and a grid alike: a scalar ``x`` gives
-Python scalars, an array ndarrays of its shape (:mod:`susy_ces._points`),
-and numpy is imported only for those.
+from finite differences), so either branch needs only P and Q, from one
+call of :func:`susy_ces.specfun.kummer_pair` for any ``x``, assembled by
+one loop in Python ``complex`` for a lone point and a grid alike
+(:mod:`susy_ces._points`), so a point's bits never depend on the grid.
 The public functions refuse |y| = 2 omega x > ``SERIES_ZMAX`` (60), as
-``kummer_pair`` does; the private assembly takes the pair function as an
-argument, so :mod:`susy_ces.scattering` assembles the far points from
-the pair function :func:`susy_ces.specfun.asymptotic_pair_for` returns,
-with the same recipe.
+``kummer_pair`` does; :func:`_ladder_sample` reads the phase ladder's
+real samples from any pair function, in real arithmetic and with no c2.
 """
 from __future__ import annotations
 
@@ -152,11 +147,10 @@ def coupling_constants(p: SolutionParams, branch: Branch) -> CouplingConstants:
     raise InvalidParams(f"branch={branch!r} is not a Branch")
 
 
-def _components(p: SolutionParams, branches: tuple[Branch, ...], xs: list[float],
-                pair=kummer_pair) -> list[list[tuple[complex, complex, complex, complex]]]:
+def _components(p: SolutionParams, branches: tuple[Branch, ...],
+                xs: list[float]) -> list[list[tuple[complex, complex, complex, complex]]]:
     """(rtilde_1, rtilde_2, d rtilde_1/dx, d rtilde_2/dx) at each checked
-    point, for each of ``branches``, all from one call of ``pair`` (eta, |y|),
-    which returns P and Q at the points.
+    point, for each of ``branches``, all from one call of :func:`kummer_pair`.
 
     Unchecked: a value past the double range comes out non-finite, and
     so does every value assembled from it, so callers check what they
@@ -165,7 +159,7 @@ def _components(p: SolutionParams, branches: tuple[Branch, ...], xs: list[float]
     w, m = p.omega, p.m
     c2s = [coupling_constants(p, branch).c2 for branch in branches]
     ys = [2.0 * w * v for v in xs]                  # |y|, y = -i |y|
-    m_half, m_3half = pair(p.a1.imag, ys)
+    m_half, m_3half = kummer_pair(p.a1.imag, ys)
     exp, sqrt = cmath.exp, math.sqrt
     ph_re, ph_im = PHASE_M4.real, PHASE_M4.imag
     out = []
@@ -200,12 +194,9 @@ def _finite(p: SolutionParams, cols) -> None:
 def components(p: SolutionParams, branch: Branch, x):
     """(rtilde_1, rtilde_2, d rtilde_1/dx, d rtilde_2/dx), each shaped like ``x``.
 
-    Takes P and Q from :func:`specfun.kummer_pair` and returns every
-    component at once: it is the one accessor for them.
-    Every point, a lone one included, is assembled by the same loop in
-    Python ``complex``, and the pair's values do not depend on the grid
-    either, so a point's bits do not depend on how many it is sent with.
-    A scalar ``x`` gives Python ``complex`` values, an array ndarrays.
+    The one accessor for them, all from one :func:`specfun.kummer_pair`
+    call; a point's bits do not depend on how many it is sent with.  A
+    scalar ``x`` gives Python ``complex`` values, an array ndarrays.
 
     Recipe (h = e^{-y/2}, s = y^{1/2} = sqrt(2 omega x) e^{-i pi/4}, W = -m/sqrt(x)):
 
@@ -234,14 +225,14 @@ class SolutionSample(NamedTuple):
 
 
 def _solution(p: SolutionParams, branches: tuple[Branch, ...], sectors: tuple[Sector, ...],
-              xs: list[float], pair=kummer_pair) -> list[list[tuple[list[complex], list[complex]]]]:
+              xs: list[float]) -> list[list[tuple[list[complex], list[complex]]]]:
     """Z and dZ/dx at each checked point, for each of ``branches`` and,
-    in each, for each of ``sectors``, all from one call of ``pair``."""
+    in each, for each of ``sectors``, all from one call of :func:`kummer_pair`."""
     for sector in sectors:
         if not isinstance(sector, Sector):
             raise InvalidParams(f"sector={sector!r} is not a Sector")
     out = []
-    for rows in _components(p, branches, xs, pair):
+    for rows in _components(p, branches, xs):
         per_sector = []
         for sector in sectors:
             sg = 1j * sector.sign
@@ -263,6 +254,30 @@ def solution_Z(p: SolutionParams, branch: Branch, sector: Sector, x) -> Solution
     [(z, dz)], = _solution(p, (branch,), (sector,), xs)
     return SolutionSample(shaped(xs, shape), shaped(z, shape, complex),
                           shaped(dz, shape, complex))
+
+
+def _ladder_sample(p: SolutionParams, x: float, w: float,
+                   pair) -> tuple[float, float, float, float]:
+    """(u, u'/omega, v, v'/omega) at one x: u = Re Z^I_- and its real SUSY image v = -Im Z^I_+.
+
+    ``w`` is W(x)/omega, and ``pair`` (eta, [|y|]) gives P and Q at x:
+    :func:`kummer_pair`, or past the series range the function
+    :func:`specfun.asymptotic_pair_for` builds.  As c2 y^{1/2} = 2 i sqrt(eta s),
+    s = |y|, Z^I_-+ = e^{-i pi/4} conj(h (P +- R)) with R = 2 sqrt(eta) sqrt(s) Q
+    (eta s alone can pass the largest double), and the first-order system
+    gives u'/omega = v - w u and v'/omega = w v - u: the four values stay
+    doubles where omega u' does not.  Raises DoubleRangeExceeded where one is not finite.
+    """
+    s = 2.0 * p.omega * x
+    (pp,), (qq,) = pair(p.a1.imag, [s])
+    h = cmath.exp(complex(0.0, 0.5 * s))            # e^{-y/2}, y = -i s
+    r = (2.0 * (math.sqrt(p.a1.imag) * math.sqrt(s))) * qq
+    u = (PHASE_M4 * (h * (pp + r)).conjugate()).real
+    v = -(PHASE_M4 * (h * (pp - r)).conjugate()).imag
+    out = (u, v - w * u, v, w * v - u)
+    if not all(map(math.isfinite, out)):
+        raise _range_error(p)
+    return out
 
 
 def wronskian_Z(p: SolutionParams, sector: Sector, x):

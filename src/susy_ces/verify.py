@@ -209,6 +209,7 @@ def series_components(p: cf.SolutionParams, branch: cf.Branch, x: np.ndarray):
     M' = (a/b) M(a+1, b+1; y) from :func:`specfun.chf_1f1_deriv`.
     """
     y = cf.y_of_x(x, p.omega)
+    ys, shape = flat(y, complex)
     r = cf.components(p, branch, x)[:2]
     if branch is cf.Branch.I:
         ab = ((p.a1, 0.5), (p.a1 + 1.0, 1.5))
@@ -216,8 +217,11 @@ def series_components(p: cf.SolutionParams, branch: cf.Branch, x: np.ndarray):
         ab = ((p.a2, 1.5), (p.a2, 0.5))
     dr = []
     for ri, (a, b) in zip(r, ab):
-        dlog = specfun.chf_1f1_deriv(a, b, y) / specfun.chf_1f1(a, b, y)
-        dr.append(-2j * p.omega * ri * (dlog - 0.5 + (0.5 * b - 0.25) / y))
+        # point by point in Python complex, so a point's bits do not depend on the grid
+        cols = [flat(c, complex)[0] for c in (ri, specfun.chf_1f1_deriv(a, b, y),
+                                              specfun.chf_1f1(a, b, y))]
+        dr.append(shaped([-2j * p.omega * rv * (dm / mv - 0.5 + (0.5 * b - 0.25) / yv)
+                          for rv, dm, mv, yv in zip(*cols, ys)], shape, complex))
     return (*r, *dr)
 
 
@@ -236,19 +240,20 @@ def _series_Z(p: cf.SolutionParams, branch: cf.Branch, sectors: tuple[Sector, ..
               x: np.ndarray) -> list[cf.SolutionSample]:
     """:func:`series_solution_Z` in each of ``sectors``, all from one :func:`series_components`.
 
-    Each value is formed from the components in Python ``complex`` with
-    :func:`closedform.solution_Z`'s expression, so its bits are the same.
+    Each value and derivative is formed point by point in Python ``complex``
+    with :func:`closedform.solution_Z`'s expression, so the values' bits are the same.
     """
-    r1, r2, d1, d2 = series_components(p, branch, x)
-    (c1, shape), (c2, _) = flat(r1, complex), flat(r2, complex)
+    (c1, shape), (c2, _), (e1, _), (e2, _) = (flat(c, complex)
+                                               for c in series_components(p, branch, x))
     out = []
     for sec in sectors:
         if not isinstance(sec, Sector):
             raise InvalidParams(f"sector={sec!r} is not a Sector")
         sg = 1j * sec.sign
         z = [cf.PHASE_M4 * (a + sg * b) for a, b in zip(c1, c2)]
+        dz = [cf.PHASE_M4 * (a + sg * b) for a, b in zip(e1, e2)]
         cf._finite(p, (z,))
-        out.append(cf.SolutionSample(x, shaped(z, shape, complex), cf.PHASE_M4 * (d1 + sg * d2)))
+        out.append(cf.SolutionSample(x, shaped(z, shape, complex), shaped(dz, shape, complex)))
     return out
 
 
@@ -453,7 +458,7 @@ def check_offset_identity() -> CheckReport:
         dum = om * math.cos(om * x + d0)
         up = (dum + wv * um) / om
         dup = (-om * om * um + wv * dum) / om
-        d = scattering._sector_difference(um, dum, up, dup, om)
+        d = scattering._sector_difference(um, dum / om, up, dup / om)
         gap = abs(math.remainder(2.0 * d - scattering.susy_phase_offset(wv, om), 2.0 * math.pi))
         worst = max(worst, gap)
     return _report("scattering/offset-identity", worst, 1e-12,
@@ -519,10 +524,9 @@ def check_ladder_routes_agree() -> CheckReport:
             xk = math.ldexp(x_match, k)
             sol = oracle.integrate(prob, x, xk, u, du)
             x, u, du = xk, sol.value, sol.derivative
-            far = scattering._far_sample(p, xk, pair)
-            size = abs(far.value) + abs(far.derivative) / omega
-            worst = max(worst, abs(u - far.value) / size,
-                        abs(du - far.derivative) / omega / size)
+            fu, fdu, _, _ = cf._ladder_sample(p, xk, -m / (omega * math.sqrt(xk)), pair)
+            size = abs(fu) + abs(fdu)
+            worst = max(worst, abs(u - fu) / size, abs(du / omega - fdu) / size)
     return _report("scattering/ladder-routes-agree", worst, 1e-8,
                    "MINUS integrated from the seed vs the large-|y| closed form the ladder "
                    "reads, value and derivative/omega, 8 rungs at (m, omega) = (1/2, 2) "

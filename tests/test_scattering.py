@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from susy_ces import closedform as cf
 from susy_ces import scattering as sc
 from susy_ces import specfun
 from susy_ces.closedform import solution_params
 from susy_ces.errors import DoubleRangeExceeded, InvalidParams, NotConverged
-from susy_ces.potential import superpotential
+from susy_ces.potential import Sector, superpotential
 from susy_ces.scattering import phase_difference, susy_phase_offset
 from susy_ces.specfun import SERIES_ZMAX, asymptotic_pair_for
 
@@ -81,7 +82,7 @@ def test_offset_identity_on_synthetic_ladder():
         dum = om * math.cos(om * x + d0)
         up = (dum + wv * um) / om
         dup = (-om * om * um + wv * dum) / om
-        d = sc._sector_difference(um, dum, up, dup, om)
+        d = sc._sector_difference(um, dum / om, up, dup / om)
         assert 0.0 <= d < math.pi
         gap = math.remainder(2.0 * d - susy_phase_offset(wv, om), 2.0 * math.pi)
         assert abs(gap) < 1e-12
@@ -185,11 +186,13 @@ def test_phase_difference_reads_every_rung_from_the_expansion(r, omega, monkeypa
     assert abs(res.estimate - HALF_PI) <= min(1e-3, res.bound)
 
 
-@pytest.mark.parametrize("r", [0.05, 0.5, 1.0, 8.0, 16.0, 36.0])
+@pytest.mark.parametrize("r", [0.05, 0.5, 0.785, 1.0, 8.0, 8.493139300018205, 16.0, 36.0,
+                               64.64960441834442])
 def test_phase_difference_bound_covers_the_error(r):
-    # the residual under-read the error at m^2/omega = 8 and 16 (2.1e-4
-    # against 3.4e-4, 2.7e-4 against 3.5e-4); the bound is proven, and it is
-    # arcsin(m^2/(omega^2 x)) at the last rung
+    # the residual under-reads the error at m^2/omega = 8 and 16 (2.1e-4
+    # against 3.4e-4, 2.7e-4 against 3.5e-4), 0.785 (6.3e-4 against
+    # 1.14e-3), 8.49 (by 9.7x) and 64.6 (5.4e-4 against 3.34e-3); the bound
+    # is proven, and it is arcsin(m^2/(omega^2 x)) at the last rung
     res = phase_difference(math.sqrt(r), 1.0)
     assert math.isclose(res.bound, math.asin(r / res.x[-1]), rel_tol=1e-15)
     assert abs(res.estimate - HALF_PI) <= res.bound
@@ -208,12 +211,48 @@ def test_each_rung_is_one_function_of_the_minus_sample(m, omega, x_limit):
     p = solution_params(m, omega)
     pair = asymptotic_pair_for(p.a1.imag)
     for xk, acc in zip(res.x.tolist(), res.accelerated.tolist()):
-        far = sc._far_sample(p, xk, pair)
-        u, du = far.value, far.derivative
-        w = superpotential(xk, m)
-        eps = w * w * u.real / ((w + 1j * omega) * complex(du.real, omega * u.real))
+        w = superpotential(xk, m) / omega
+        u, du, _, _ = cf._ladder_sample(p, xk, w, pair)
+        eps = w * w * u / ((w + 1j) * complex(du, u))
         assert abs(acc - (HALF_PI - cmath.phase(1.0 + eps))) <= 1e-14
         assert abs(acc - HALF_PI) <= math.asin(m * m / (omega * omega * xk))
+
+
+@pytest.mark.parametrize("m, omega", [(1e120, 1e100), (1e130, 1e110)])
+def test_phase_difference_where_the_complex_assembly_overflows(m, omega):
+    # eta = 5e139 and 5e149: omega c2 y^{1/2} Q of the complex assembly
+    # passes the largest double, and eta |y| does too, but the rung's four
+    # values (u, u'/omega, v, v'/omega) and sqrt(eta) sqrt(|y|) do not
+    res = phase_difference(m, omega)
+    assert res.converged
+    assert abs(res.estimate - HALF_PI) <= min(1e-3, res.bound)
+
+
+@pytest.mark.parametrize("m, omega", [(0.5, 2.0), (1.0, 1.0), (3.0, 0.5), (4.0, 1.0)])
+def test_ladder_sample_is_the_real_minus_solution_and_its_susy_image(m, omega):
+    # inside the series range, on kummer_pair: u and u'/omega are the real
+    # parts of the branch-I MINUS closed form, v and v'/omega minus the
+    # imaginary parts of its SUSY image
+    p = solution_params(m, omega)
+    for y in (1.0, 7.5, 23.0, 41.0, SERIES_ZMAX):
+        x = y / (2.0 * omega)
+        zm = cf.solution_Z(p, cf.Branch.I, Sector.MINUS, x)
+        zp = cf.susy_map(p, zm, Sector.MINUS)
+        want = (zm.value.real, zm.derivative.real / omega,
+                -zp.value.imag, -zp.derivative.imag / omega)
+        got = cf._ladder_sample(p, x, -m / (omega * math.sqrt(x)), specfun.kummer_pair)
+        assert all(type(v) is float for v in got)
+        gap = max(abs(g - w) for g, w in zip(got, want)) / max(map(abs, want))
+        assert gap <= 1e-14, (x, got, want)
+
+
+def test_ladder_sample_past_the_double_range_is_typed():
+    def huge(eta, s):
+        return [1e308 + 0j], [1e308 + 0j]        # R = 20 Q passes the largest double
+
+    p = solution_params(1.0, 1.0)
+    with pytest.raises(DoubleRangeExceeded, match="exceeds the double range"):
+        cf._ladder_sample(p, 100.0, -0.1, huge)
 
 
 @pytest.mark.parametrize("m, omega", [(1e-9, 1.0), (3e-9, 2.0), (1.0, 1e300)])

@@ -82,6 +82,21 @@ def test_series_samples_walk_the_pair_once_for_every_sector(branch, monkeypatch)
             [(v.real.hex(), v.imag.hex()) for v in w.tolist()]
 
 
+@pytest.mark.parametrize("branch", list(cf.Branch))
+def test_series_components_of_a_grid_are_those_of_its_lone_points(branch):
+    # the series derivatives are formed point by point in Python complex,
+    # as are the sectors' derivatives from them, so no bit depends on the grid
+    p = cf.solution_params(1.0, 1.0)
+    x = np.linspace(29.5 / 200, 29.5, 200)
+    grid = [c.tolist() for c in verify.series_components(p, branch, x)]
+    grid += [z.derivative.tolist() for z in verify._series_Z(p, branch, tuple(Sector), x)]
+    for i, xi in enumerate(x.tolist()):
+        lone = list(verify.series_components(p, branch, xi))
+        lone += [z.derivative for z in verify._series_Z(p, branch, tuple(Sector), xi)]
+        assert [(v.real.hex(), v.imag.hex()) for v in lone] == \
+            [(col[i].real.hex(), col[i].imag.hex()) for col in grid], xi
+
+
 def test_series_samples_refuse_a_non_sector():
     p = cf.solution_params(1.0, 1.0)
     with pytest.raises(InvalidParams, match="is not a Sector"):
