@@ -184,7 +184,7 @@ def phase(m, omega, tol, x_limit, fmt, out):
         for x, d, acc in zip(res.x, res.raw, res.accelerated):
             lines.append(f"{x:12.1f} {d:20.12f} {acc:20.12f}")
         lines.append(f"estimate: {res.estimate!r}  residual: {res.residual:.3e}  "
-                     f"converged: {res.converged}")
+                     f"bound: {res.bound:.3e}  converged: {res.converged}")
         _emit("\n".join(lines) + "\n", out)
     if failed is not None:
         click.echo(f"not converged: {failed}", err=True)

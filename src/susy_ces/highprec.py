@@ -50,12 +50,12 @@ and one mask round all four products by f at once, each exactly as
 alone.  Every value, lone, seeded, carried or inside a step, is rounded
 in one place, and only where its error box, widened by the series' own
 bound, rounds to one double under the series' own rounding
-(``_int_to_float``): both ends of each side are rounded to 53 bits by
-integer shifts and compared, and only the value they agree on becomes a
-float.  Every other value is the per-point series, so each output
-equals ``chf_series_fixed`` bit for bit.  On a table of 256 points to
-|z| = 59 at eta = 1/2 a step of about 37 terms serves 10 points at
-about 38 terms each, where the series needs about 2.7 |z|.
+(``_int_to_float``): both ends of each side are rounded by it and
+compared, and only the double they agree on is kept.  Every other value
+is the per-point series, so each output equals ``chf_series_fixed`` bit
+for bit.  On a table of 256 points to |z| = 59 at eta = 1/2 a step of
+about 37 terms serves 10 points at about 38 terms each, where the
+series needs about 2.7 |z|.
 
 No third-party extended-precision library is involved: Python's
 integers carry the whole sum.
@@ -515,14 +515,11 @@ def _certain(re: int, im: int, rad: int, width: int) -> complex | None:
     component, so the per-point series lies in the box as well: where the
     whole box rounds to one double, so does the series.  A side is
     certain where both its ends, |x| - rad' and |x| + rad', round to one
-    integer under the series' own rounding (:func:`_int_to_float`: to 53
-    significant bits by a shift, ties away from zero), compared as
-    integers before any float is formed: that rounding is monotone, so
-    every point between them, the series' value among them, rounds there
-    too, a side that crosses a power of two included.  None where a side
-    is not certain, reaches zero, or lies past the double range; in the
-    subnormal range, where the scaling to double rounds again, two ends
-    that differ give None even if both would land on one double.
+    double under the series' own rounding, :func:`_int_to_float`: that
+    rounding is monotone, so every point between them, the series' value
+    among them, rounds there too, a side that crosses a power of two or
+    lies in the subnormal range included.  None where a side is not
+    certain, reaches zero, or lies past the double range.
     """
     e = rad + ((max(abs(re), abs(im)) + rad) >> (SAFE_BITS - 3)) + 1
     out = []
@@ -530,17 +527,10 @@ def _certain(re: int, im: int, rad: int, width: int) -> complex | None:
         lo = abs(x) - e
         if lo <= 0:
             return None
-        hi = lo + 2 * e
-        # lo < hi, so they round alike only once both have more than 53 bits
-        dh = hi.bit_length() - 53
-        dl = lo.bit_length() - 53
-        if dl <= 0:
-            return None
-        m = (hi + (1 << (dh - 1))) >> dh
-        if (lo + (1 << (dl - 1))) >> dl != m << (dh - dl):
-            return None
         try:
-            v = math.ldexp(float(m), dh - width)
+            v = _int_to_float(lo, -width)
+            if v != _int_to_float(lo + 2 * e, -width):
+                return None
         except OverflowError:
             return None
         out.append(v if x > 0 else -v)

@@ -24,20 +24,21 @@ recurrence from the state (u, u_s) alone, written afresh here in float:
                             + 4 (p0 z_n + p1 z_{n-1} + p2 z_{n-2} + p3 z_{n-3}),
 
 p0 = m^2 s0 + c - omega^2 s0^3, p1 = m^2 - 3 omega^2 s0^2,
-p2 = -3 omega^2 s0, p3 = -omega^2, and du/dx = u_s / (2 s).  The series'
-radius is s0 (the origin is singular), so a step reaches at most
-min(1/2, (rel_tol 2^-30)^(1/ORDER)) of s0.  In the oscillatory zone a
-step of degree 31 spans about 5 radians of the wave and costs about
-10 us (2-core Xeon, Python 3.11), pure Python on floats.  Every step
-is error-controlled: there is no fixed-step mode.  A call returns only
-the segment endpoint: its last step lands on s1 = sqrt(x1), correctly
-rounded, whose exact square lies within sqrt(2) ulp of x1 (2^-52
-relative), and the state is reported at x1.  Callers that need several
-points chain segments.  The phase ladder in :mod:`susy_ces.scattering`
-takes no integrator step; the ``scattering/ladder-routes-agree`` check
-in :mod:`susy_ces.verify` chains segments out to its rungs, as evidence
-for the rungs it reads from the large-|y| closed form alone, and
-``scattering/ladder-sectors-agree`` carries both sectors to them.
+p2 = -3 omega^2 s0, p3 = -omega^2, and du/dx = u_s / (2 s).  One step
+is :func:`_taylor_step`.  The series' radius is s0 (the origin is
+singular), so a step reaches at most min(1/2, (REL_TOL 2^-30)^(1/ORDER))
+of s0, about 0.24 s0.  In the oscillatory zone a step of degree 31 spans
+about 5 radians of the wave and costs about 10 us (2-core Xeon, Python
+3.11), pure Python on floats.  The integrator controls every step
+against one fixed tolerance, ``REL_TOL``: there is no fixed-step mode
+and no tolerance setting.  A call returns only the segment endpoint: its
+last step lands on s1 = sqrt(x1), correctly rounded, whose exact square
+lies within sqrt(2) ulp of x1 (2^-52 relative), and the state is
+reported at x1.  Callers that need several points chain segments.  The
+phase ladder in :mod:`susy_ces.scattering` takes no integrator step; the
+``scattering/ladder-routes-agree`` check in :mod:`susy_ces.verify`
+chains segments of both sectors out to its rungs, as evidence for the
+rungs it reads from the large-|y| closed form alone.
 
 The potentials are singular at the origin, so integration domains are
 floored at ``x >= ORIGIN_FLOOR_COEFF / m**2``; seed data comes from the
@@ -64,7 +65,9 @@ __all__ = [
 
 #: integration domains must satisfy x >= ORIGIN_FLOOR_COEFF / m^2
 ORIGIN_FLOOR_COEFF = 1e-3
-#: absolute floor of the integrator's per-step error scale
+#: the integrator's per-step error scale: REL_TOL times the part's size
+#: plus ABS_TOL
+REL_TOL = 1e-10
 ABS_TOL = 1e-12
 #: accepted plus rejected steps one segment may take, over both parts
 MAX_STEPS = 10_000_000
@@ -77,16 +80,15 @@ ORDER = 31
 _REC = tuple(tuple(v for n in range(k, k + 5)
                    for v in (-(n + 1.0) * (n - 1.0), 1.0 / ((n + 1) * (n + 2)), n + 2.0))
              for k in range(0, ORDER - 1, 5))
-#: a wave e^(kt) has its degree-ORDER term at rel_tol where
-#: k|t| = (ORDER! rel_tol)^(1/ORDER); a segment's first trial step takes
-#: 0.8 of that, since the wave chirps in s.  On the 62 rung-to-rung
-#: segments of verify's two ladder checks, 94 first trials (one per
-#: nonzero part), 1 fails at 0.8, and 93 at the full length
-_FIRST_REACH = 0.8 * math.exp(math.lgamma(ORDER + 1.0) / ORDER)
-#: share of the reach-to-origin s a step may take: min(1/2, (rel_tol
-#: _REACH_TOL)^(1/ORDER)), so the singular part of the tail stays far
-#: below the tolerance
-_REACH_TOL = 2.0 ** -30
+#: a wave e^(kt) has its degree-ORDER term at REL_TOL where
+#: k|t| = (ORDER! REL_TOL)^(1/ORDER); a segment's first trial step takes
+#: 0.8 of that, since the wave chirps in s.  On the 60 rung-to-rung
+#: segments of verify's ladder check, each a real solution, 2 of the 60
+#: first trials fail at 0.8, and 58 at the full length
+_FIRST_REACH = 0.8 * math.exp(math.lgamma(ORDER + 1.0) / ORDER) * REL_TOL ** (1.0 / ORDER)
+#: share of the reach-to-origin s a step may take, so the singular part
+#: of the tail stays far below the tolerance: about 0.24
+_REACH = min(0.5, (REL_TOL * 2.0 ** -30) ** (1.0 / ORDER))
 
 
 class ODEProblem(NamedTuple):
@@ -128,37 +130,59 @@ class ODESolution(NamedTuple):
     n_rejected: int
 
 
+def _taylor_step(mm: float, cm: float, ee: float, s: float, hs: float, u: float,
+                 us: float) -> tuple[float, float, float, float]:
+    """One Taylor step of length hs in s = sqrt(x) for a real solution u.
+
+    The equation reads s u_ss - u_s = 4 (mm s + cm - ee s^3) u.  The step
+    from s sums the scaled terms w_n = z_n hs^n up to n = ORDER, z_n
+    being the Taylor coefficients of u at s: w_0 = u, w_1 = hs u_s and
+
+        (n + 1)(n + 2) w_{n+2} = -(n + 1)(n - 1) (hs/s) w_{n+1}
+                                 + sum_{k=0..3} Q_k w_{n-k},
+
+    Q_k = 4 p_k hs^(k+2) / s, with p_0 = mm s + cm - ee s^3,
+    p_1 = mm - 3 ee s^2, p_2 = -3 ee s and p_3 = -ee.  Returns
+    (u, u_s) at s + hs and the last two terms w_{ORDER-1} and w_ORDER.
+    """
+    g = hs / s
+    q0 = 4.0 * hs * g * (mm * s + cm - ee * s * s * s)
+    q1 = 4.0 * hs * hs * g * (mm - 3.0 * ee * s * s)
+    q2 = -12.0 * ee * hs * hs * hs * hs
+    q3 = q2 * hs / (3.0 * s)
+    # the window w_{n-3} .. w_{n+1} rotates through the names a .. e; v
+    # and t sum the new u and hs times the new u_s
+    a = b = c = 0.0
+    d, e = u, hs * us
+    v, t = d + e, e
+    for a0, d0, n0, a1, d1, n1, a2, d2, n2, a3, d3, n3, a4, d4, n4 in _REC:
+        a = (a0 * g * e + q0 * d + q1 * c + q2 * b + q3 * a) * d0
+        b = (a1 * g * a + q0 * e + q1 * d + q2 * c + q3 * b) * d1
+        c = (a2 * g * b + q0 * a + q1 * e + q2 * d + q3 * c) * d2
+        d = (a3 * g * c + q0 * b + q1 * a + q2 * e + q3 * d) * d3
+        e = (a4 * g * d + q0 * c + q1 * b + q2 * a + q3 * e) * d4
+        v += a + b + c + d + e
+        t += n0 * a + n1 * b + n2 * c + n3 * d + n4 * e
+    return v, t / hs, d, e
+
+
 def _integrate_rhs(coeffs: tuple[float, float, float], x0: float, x1: float,
-                   y0: tuple[complex, complex], *, rel_tol: float = 1e-10) -> ODESolution:
+                   y0: tuple[complex, complex]) -> ODESolution:
     """Adaptive Taylor core for Z'' = q(x) Z, q(x) = mm/x + c x^(-3/2) - ee.
 
     q is real, so the real and imaginary parts of Z each solve the
-    equation: each part is stepped as a real solution u of its own, and
-    the step counts add.  A part whose value and derivative are both
-    exactly 0 stays 0 and takes no steps.
-
-    It steps in s = sqrt(x), where the equation reads
-    s u_ss - u_s = 4 (mm s + c - ee s^3) u with polynomial coefficients.
-    A step of length h from s sums the scaled terms w_n = z_n h^n up to
-    n = ORDER, z_n being the Taylor coefficients of u at s: w_0 = u,
-    w_1 = h u_s and
-
-        (n + 1)(n + 2) w_{n+2} = -(n + 1)(n - 1) (h/s) w_{n+1}
-                                 + sum_{k=0..3} Q_k w_{n-k},
-
-    Q_k = 4 p_k h^(k+2) / s, with p_0 = mm s + c - ee s^3,
-    p_1 = mm - 3 ee s^2, p_2 = -3 ee s and p_3 = -ee.  The series' radius
-    is s (the origin is singular), so a step reaches at most
-    min(1/2, (rel_tol _REACH_TOL)^(1/ORDER)) of it.  The step is accepted
-    when its last two terms stay below ``rel_tol`` times
-    max(|u|, |u_new|) plus ``ABS_TOL``.  Since each w_n scales as h^n,
-    those terms give the next step length; the first trial step comes
-    from q's local wavenumber.  u' = u_s / (2 s).
+    equation: each part is stepped as a real solution u of its own by
+    :func:`_taylor_step`, in s = sqrt(x), and the step counts add.  A
+    part whose value and derivative are both exactly 0 stays 0 and takes
+    no steps.  The series' radius is s (the origin is singular), so a
+    step reaches at most ``_REACH`` of it.  The step is accepted when its
+    last two terms stay below ``REL_TOL`` times max(|u|, |u_new|) plus
+    ``ABS_TOL``.  Since the n-th term scales as h^n, those terms give the
+    next step length; the first trial step comes from q's local
+    wavenumber.  u' = u_s / (2 s).
     """
     if x1 == x0:
         raise InvalidParams("empty integration interval")
-    if not 0 < rel_tol < 1:
-        raise InvalidParams(f"rel_tol={rel_tol!r} must lie in (0, 1)")
     if not (0.0 < x0 < math.inf and 0.0 < x1 < math.inf):
         raise InvalidParams(f"segment [{x0!r}, {x1!r}] must lie in 0 < x < inf: "
                             f"the integrator steps in s = sqrt(x)")
@@ -166,16 +190,15 @@ def _integrate_rhs(coeffs: tuple[float, float, float], x0: float, x1: float,
     if not (cmath.isfinite(z) and cmath.isfinite(dz)):
         raise InvalidParams(f"initial state ({z!r}, {dz!r}) must be finite")
     mm, cm, ee = coeffs
-    ab, max_steps, rec = ABS_TOL, MAX_STEPS, _REC
+    max_steps = MAX_STEPS
     p1, p2 = 1.0 / (ORDER - 1), 1.0 / ORDER
     tiny = 16 * sys.float_info.epsilon
-    reach = min(0.5, (rel_tol * _REACH_TOL) ** p2)
     s0, s1 = math.sqrt(x0), math.sqrt(x1)
     direction = 1.0 if s1 > s0 else -1.0
     # the first trial step is sized from q's local wavenumber, 2 s sqrt|q|
     # in s
     k = 2.0 * s0 * math.sqrt(abs(mm / x0 + cm / (x0 * s0) - ee))
-    h0 = _FIRST_REACH * rel_tol ** p2 / k if k > 0.0 else math.inf
+    h0 = _FIRST_REACH / k if k > 0.0 else math.inf
 
     parts = []
     n_steps = 0
@@ -185,37 +208,18 @@ def _integrate_rhs(coeffs: tuple[float, float, float], x0: float, x1: float,
         while s != s1 and (u != 0.0 or us != 0.0):
             if n_steps + n_rej >= max_steps:
                 raise MaxStepsExceeded(f"exceeded {max_steps} steps at x={s * s:.6g}")
-            h = min(h, reach * s)
+            h = min(h, _REACH * s)
             is_last = (s1 - s) * direction <= h
             hs = s1 - s if is_last else h * direction
             if abs(hs) <= tiny * s:
                 raise StepSizeUnderflow(
                     f"step underflow at x={s * s:.6g} (h={h:.3g} in sqrt(x))")
-            g = hs / s
-            q0 = 4.0 * hs * g * (mm * s + cm - ee * s * s * s)
-            q1 = 4.0 * hs * hs * g * (mm - 3.0 * ee * s * s)
-            q2 = -12.0 * ee * hs * hs * hs * hs
-            q3 = q2 * hs / (3.0 * s)
-            # the window w_{n-3} .. w_{n+1} rotates through the names
-            # a .. e; v and t sum the new u and h times the new u_s
-            a = b = c = 0.0
-            d, e = u, hs * us
-            v, t = d + e, e
-            for a0, d0, n0, a1, d1, n1, a2, d2, n2, a3, d3, n3, a4, d4, n4 in rec:
-                a = (a0 * g * e + q0 * d + q1 * c + q2 * b + q3 * a) * d0
-                b = (a1 * g * a + q0 * e + q1 * d + q2 * c + q3 * b) * d1
-                c = (a2 * g * b + q0 * a + q1 * e + q2 * d + q3 * c) * d2
-                d = (a3 * g * c + q0 * b + q1 * a + q2 * e + q3 * d) * d3
-                e = (a4 * g * d + q0 * c + q1 * b + q2 * a + q3 * e) * d4
-                v += a + b + c + d + e
-                t += n0 * a + n1 * b + n2 * c + n3 * d + n4 * e
-            t /= hs
+            v, t, e1, e2 = _taylor_step(mm, cm, ee, s, hs, u, us)
             if not abs(v) + abs(t) < math.inf:
                 raise DoubleRangeExceeded(
                     f"the solution passes the largest double near x={s * s:.6g}")
-            # the last two terms are w_{ORDER-1} = d and w_ORDER = e
-            e1, e2 = abs(d), abs(e)
-            scale = ab + rel_tol * max(abs(u), abs(v))
+            e1, e2 = abs(e1), abs(e2)
+            scale = ABS_TOL + REL_TOL * max(abs(u), abs(v))
             # the step that would put both last terms at the scale
             rho = min((scale / e1) ** p1 if e1 > 0.0 else math.inf,
                       (scale / e2) ** p2 if e2 > 0.0 else math.inf)
@@ -232,12 +236,12 @@ def _integrate_rhs(coeffs: tuple[float, float, float], x0: float, x1: float,
 
 
 def integrate(problem: ODEProblem, x0: float, x1: float, z0: complex,
-              dz0: complex, *, rel_tol: float = 1e-10) -> ODESolution:
+              dz0: complex) -> ODESolution:
     """Propagate (Z, Z') from x0 to x1 (either direction) adaptively.
 
     The real and imaginary parts of Z are each a real solution, stepped
     on its own; a part that is exactly 0 stays 0 and takes no steps.
-    Each step's last two Taylor terms must stay below ``rel_tol`` times
+    Each step's last two Taylor terms must stay below ``REL_TOL`` times
     that part's size plus ``ABS_TOL``.  Returns the state at exactly x1
     with the step counts of the segment, added over the parts.
 
@@ -251,7 +255,7 @@ def integrate(problem: ODEProblem, x0: float, x1: float, z0: complex,
         raise DomainError(
             f"segment reaches x={lo:.3g} below the origin floor {problem.x_floor:.3g}")
     return _integrate_rhs(problem.coeffs, float(x0), float(x1),
-                          (complex(z0), complex(dz0)), rel_tol=rel_tol)
+                          (complex(z0), complex(dz0)))
 
 
 # ---------------------------------------------------------------------------

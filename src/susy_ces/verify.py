@@ -392,15 +392,14 @@ def check_convergence_order() -> CheckReport:
     # wave's real and imaginary parts take one step each
     for phase in (7.0, 5.6):
         x1 = (s0 + phase / (2.0 * w * s0)) ** 2
-        s = oracle._integrate_rhs((0.0, 0.0, w * w), s0 * s0, x1, (1.0 + 0j, 1j * w),
-                                  rel_tol=1e-3)
-        errs.append(abs(s.value - cmath.exp(1j * w * (x1 - s0 * s0)))
-                    if (s.n_steps, s.n_rejected) == (2, 0) else math.nan)
-        hs.append(math.sqrt(x1) - s0)
+        h = math.sqrt(x1) - s0
+        re, im = (oracle._taylor_step(0.0, 0.0, w * w, s0, h, u, us)[0]
+                  for u, us in ((1.0, 0.0), (0.0, 2.0 * s0 * w)))
+        errs.append(abs(complex(re, im) - cmath.exp(1j * w * (x1 - s0 * s0))))
+        hs.append(h)
     # error ~ h^(p+1) for a method of order p, h the step in sqrt(x)
     order = math.log(errs[0] / errs[1]) / math.log(hs[0] / hs[1]) - 1.0
-    # the kernel's degree to within half an order; a NaN order (a step
-    # rejected or split) fails the check
+    # the kernel's degree to within half an order
     miss = abs(order - oracle.ORDER)
     return _report("oracle/convergence-order", 0.0 if miss <= 0.5 else miss - 0.5, 0.0,
                    f"empirical order {order:.2f} from single steps of 7 and 5.6 "
@@ -481,56 +480,43 @@ def _seed_point(x_match: float, omega: float) -> float:
     return min(x_match, (1.0 - 4.0 * 2.0 ** -52) * specfun.SERIES_ZMAX / (2.0 * omega))
 
 
-def check_ladder_sectors_agree() -> CheckReport:
-    # the ladder carries MINUS alone and reads PLUS through the SUSY map;
-    # here both are integrated, PLUS from the mapped seed, and must match
-    rungs = 8
-    worst = 0.0
-    for m, omega in ((0.5, 2.0), (1.0, 2.0)):
-        p = cf.solution_params(m, omega)
-        x_match = scattering.default_x_match(m, omega)
-        zm = cf.solution_Z(p, cf.Branch.I, Sector.MINUS, _seed_point(x_match, omega))
-        zp = cf.susy_map(p, zm, Sector.MINUS)
-        probs = [oracle.schrodinger_problem(m, omega, sec) for sec in (Sector.MINUS, Sector.PLUS)]
-        for k in range(1, rungs + 1):
-            xk = math.ldexp(x_match, k)
-            sols = [oracle.integrate(prob, z.x, xk, z.value, z.derivative)
-                    for prob, z in zip(probs, (zm, zp))]
-            zm, zp = (cf.SolutionSample(xk, s.value, s.derivative) for s in sols)
-            mapped = cf.susy_map(p, zm, Sector.MINUS)
-            size = abs(mapped.value) + abs(mapped.derivative) / omega
-            worst = max(worst, abs(zp.value - mapped.value) / size,
-                        abs(zp.derivative - mapped.derivative) / omega / size)
-    return _report("scattering/ladder-sectors-agree", worst, 1e-8,
-                   f"PLUS integrated from the mapped seed vs the SUSY map of the MINUS "
-                   f"integration, value and derivative/omega, {rungs} ladder rungs at "
-                   f"(m, omega) = (1/2, 2) and (1, 2)")
-
-
 def check_ladder_routes_agree() -> CheckReport:
     # the ladder reads its rungs from the closed form's large-|y| expansion;
-    # here the integrator carries the real part of the seed out to the same
-    # rungs, and the two MINUS samples must match.  At (8, 1) the base is
-    # the expansion's frontier term 0.275 eta^2/omega
-    worst = 0.0
+    # here the integrator carries the real MINUS seed u and its real SUSY
+    # image v = (u' + W u)/omega, under PLUS, out to the same rungs, where
+    # (u, u'/omega, v, v'/omega) must match the ladder's sample and v the
+    # image of the integrated u.  At (8, 1) the base is the expansion's
+    # frontier term 0.275 eta^2/omega
+    worst = {"u": 0.0, "v": 0.0, "map": 0.0}
     for m, omega, rungs in ((0.5, 2.0, 8), (1.0, 2.0, 8), (3.0, 0.5, 10), (8.0, 1.0, 4)):
         p = cf.solution_params(m, omega)
         x_match = scattering.default_x_match(m, omega)
         seed = cf.solution_Z(p, cf.Branch.I, Sector.MINUS, _seed_point(x_match, omega))
-        x, u, du = seed.x, complex(seed.value.real), complex(seed.derivative.real)
-        prob = oracle.schrodinger_problem(m, omega, Sector.MINUS)
+        x, u, du = seed.x, seed.value.real, seed.derivative.real
+        wx = -m / math.sqrt(x)
+        v = (du + wx * u) / omega
+        dv = wx * v - omega * u
+        minus, plus = (oracle.schrodinger_problem(m, omega, sec)
+                       for sec in (Sector.MINUS, Sector.PLUS))
         pair = specfun.asymptotic_pair_for(p.a1.imag)
         for k in range(1, rungs + 1):
             xk = math.ldexp(x_match, k)
-            sol = oracle.integrate(prob, x, xk, u, du)
-            x, u, du = xk, sol.value, sol.derivative
-            fu, fdu, _, _ = cf._ladder_sample(p, xk, -m / (omega * math.sqrt(xk)), pair)
-            size = abs(fu) + abs(fdu)
-            worst = max(worst, abs(u - fu) / size, abs(du / omega - fdu) / size)
-    return _report("scattering/ladder-routes-agree", worst, 1e-8,
-                   "MINUS integrated from the seed vs the large-|y| closed form the ladder "
-                   "reads, value and derivative/omega, 8 rungs at (m, omega) = (1/2, 2) "
-                   "and (1, 2), 10 at (3, 1/2) out to x = 92160, 4 at (8, 1)")
+            su = oracle.integrate(minus, x, xk, u, du)
+            sv = oracle.integrate(plus, x, xk, v, dv)
+            x, wx = xk, -m / math.sqrt(xk)
+            u, du, v, dv = su.value.real, su.derivative.real, sv.value.real, sv.derivative.real
+            fu, fdu, fv, fdv = cf._ladder_sample(p, xk, wx / omega, pair)
+            size_u, size_v = abs(fu) + abs(fdu), abs(fv) + abs(fdv)
+            worst["u"] = max(worst["u"], abs(u - fu) / size_u, abs(du / omega - fdu) / size_u)
+            worst["v"] = max(worst["v"], abs(v - fv) / size_v, abs(dv / omega - fdv) / size_v)
+            worst["map"] = max(worst["map"], abs(v - (du + wx * u) / omega) / size_v)
+    return _report("scattering/ladder-routes-agree", max(worst.values()), 1e-8,
+                   "MINUS u integrated from the seed and PLUS v from its SUSY image vs the "
+                   "large-|y| closed form the ladder reads, value and derivative/omega "
+                   f"(u {worst['u']:.2e}, v {worst['v']:.2e}), and v vs the image "
+                   f"(u' + W u)/omega of the integrated u ({worst['map']:.2e}); 8 rungs at "
+                   "(m, omega) = (1/2, 2) and (1, 2), 10 at (3, 1/2) out to x = 92160, "
+                   "4 at (8, 1)")
 
 
 SUITES: dict[str, tuple] = {
@@ -541,8 +527,7 @@ SUITES: dict[str, tuple] = {
                    check_hermite_lambda, check_small_x_limit, check_critical_structure),
     "oracle": (check_free_wave, check_convergence_order, check_ode_vs_closedform,
                check_frobenius),
-    "scattering": (check_offset_identity, check_phase_difference, check_ladder_sectors_agree,
-                   check_ladder_routes_agree),
+    "scattering": (check_offset_identity, check_phase_difference, check_ladder_routes_agree),
 }
 
 

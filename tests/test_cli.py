@@ -257,6 +257,17 @@ def test_phase_json(runner):
     assert "ode_steps" not in payload and "ode_rejected" not in payload
 
 
+def test_phase_text_prints_the_proven_bound(runner):
+    # the residual is an estimate; the bound, the proven distance from pi/2,
+    # is printed next to it, the same number JSON carries
+    args = ["phase", "--m", "0.5", "--omega", "2"]
+    text = runner.invoke(main, args)
+    payload = json.loads(runner.invoke(main, args + ["--format", "json"]).output)
+    assert text.exit_code == 0
+    line = next(ln for ln in text.output.splitlines() if ln.startswith("estimate:"))
+    assert "residual: " in line and f"bound: {payload['bound']:.3e}" in line
+
+
 def test_phase_json_is_strict_before_the_third_rung(runner):
     # the ladder stops at x = 40 after two rungs, before the three-rung
     # spread exists: the residual is null, not the non-JSON Infinity

@@ -435,13 +435,10 @@ def _reference_certain(re, im, rad, width):
 
 
 def _agrees_with_reference_certain(re, im, rad, width):
-    """_certain is the reference's answer, None included; where the
-    reference's double is subnormal it may also be None (two ends that
-    round apart at 53 bits can land on one subnormal double)."""
+    """_certain is the reference's answer, None included."""
     want = _reference_certain(re, im, rad, width)
     got = highprec._certain(re, im, rad, width)
-    subnormal = want is not None and min(abs(want.real), abs(want.imag)) < sys.float_info.min
-    assert got == want or (subnormal and got is None), (re, im, rad, width, got, want)
+    assert got == want, (re, im, rad, width, got, want)
     return got
 
 
@@ -476,6 +473,8 @@ def test_certain_agrees_with_two_roundings(re, im, rad, width):
      complex(sys.float_info.max, sys.float_info.max)),
     # a side that reaches zero
     (3, 1 << 60, 2, 0, None),
+    # both ends, 3 * 2**139 -+ about 2**100, land on the subnormal 3 * 2**-1061
+    (3 << 139, 3 << 139, 1 << 100, 1200, complex(3 * 2.0 ** -1061, 3 * 2.0 ** -1061)),
 ])
 def test_certain_fixed_boxes(re, im, rad, width, want):
     assert _agrees_with_reference_certain(re, im, rad, width) == want

@@ -27,7 +27,7 @@ def test_suite_names_and_sizes():
     assert len(verify.SUITES["specfun"]) == 6
     assert len(verify.SUITES["closedform"]) == 9
     assert len(verify.SUITES["oracle"]) == 4
-    assert len(verify.SUITES["scattering"]) == 4
+    assert len(verify.SUITES["scattering"]) == 3
 
 
 def test_specfun_suite_passes():
@@ -143,12 +143,26 @@ def test_asymptotic_overlap_fails_on_a_pair_that_refuses_everything(monkeypatch)
 
 
 def test_convergence_order_check_needs_the_kernels_degree(monkeypatch):
-    # with one five-term pass fewer the kernel sums to degree ORDER - 5: its
-    # steps still pass rel_tol 1e-3, but the check reads the lower order
+    # with one five-term pass fewer the kernel sums to degree ORDER - 5, and
+    # the check reads the lower order from its single steps
     assert verify.check_convergence_order().passed
     monkeypatch.setattr(oracle, "_REC", oracle._REC[:-1])
     rep = verify.check_convergence_order()
     assert not rep.passed and rep.max_error > 3.0, rep.details
+
+
+def test_ladder_routes_check_fails_on_a_plus_sample_off_by_1e_7(monkeypatch):
+    # the integrated PLUS solution v must match the sample the ladder reads
+    real = cf._ladder_sample
+
+    def off(*args):
+        u, du, v, dv = real(*args)
+        return u, du, v * (1.0 + 1e-7), dv
+
+    assert verify.check_ladder_routes_agree().passed
+    monkeypatch.setattr(cf, "_ladder_sample", off)
+    rep = verify.check_ladder_routes_agree()
+    assert not rep.passed and rep.max_error > 5e-8, rep.details
 
 
 def test_report_pass_is_exactly_the_threshold_comparison():
@@ -171,7 +185,7 @@ TOLERANCES = {
     "oracle/free-wave": 1e-8, "oracle/convergence-order": 0.0,
     "oracle/closedform-agreement": 1e-7, "oracle/frobenius-agreement": 1e-12,
     "scattering/offset-identity": 1e-12, "scattering/phase-difference-halfpi": 1e-3,
-    "scattering/ladder-sectors-agree": 1e-8, "scattering/ladder-routes-agree": 1e-8,
+    "scattering/ladder-routes-agree": 1e-8,
 }
 
 
