@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
 """Run the scalar path of susy_ces on the standard library alone.
 
-Imports the package and makes scalar calls through every layer that
-must not need numpy: ``solution_params``, ``solution_Z`` for both
-branches and both sectors, ``components``, ``susy_map``, ``y_of_x``,
-``V``, ``superpotential``, ``oracle.integrate`` on a
-``schrodinger_problem`` segment, the ladder's far-field pair
-``specfun.asymptotic_pair_for(0.5)(0.5, [100.0])`` against
+Checks that ``import susy_ces`` alone loads no submodule and that
+``solution_params`` then loads neither ``oracle`` nor ``scattering``.
+Then makes scalar calls through every layer that must not need numpy:
+``solution_params``, ``solution_Z`` for both branches and both sectors,
+``components``, ``susy_map``, ``y_of_x``, ``V``, ``superpotential``,
+``oracle.integrate`` on a ``schrodinger_problem`` segment, the ladder's
+far-field pair ``specfun.asymptotic_pair_for(0.5)(0.5, [100.0])`` against
 ``highprec.kummer_walk(0.5, [100.0])``, and the ladder's rung sample
 ``closedform._ladder_sample`` read from that pair.  numpy is blocked in
 ``sys.modules`` first, so any import of it fails, and ``susy_ces.verify``
@@ -19,6 +20,14 @@ branches and both sectors, ``components``, ``susy_map``, ``y_of_x``,
 import sys
 
 sys.modules["numpy"] = None  # an import of numpy now raises ImportError
+
+# the namespace is lazy: a call loads only the modules it uses
+import susy_ces  # noqa: E402
+
+loaded = [m for m in sys.modules if m.startswith("susy_ces.")]
+assert loaded == [], loaded
+susy_ces.solution_params(1.0, 1.0)
+assert "susy_ces.oracle" not in sys.modules and "susy_ces.scattering" not in sys.modules
 
 from susy_ces import (Branch, Sector, V, components, integrate,  # noqa: E402
                       schrodinger_problem, solution_params, solution_Z,

@@ -17,62 +17,59 @@ Public layers:
 * :mod:`susy_ces.verify` / :mod:`susy_ces.cli` — check suites and the
   ``susy-ces`` command-line tool.
 
-Importing the package loads the standard library only, and every scalar
-call of the layers above stays on it.  numpy is imported when an array
-comes in or goes out, and by ``verify`` and ``cli``; ``CheckReport`` and
-``run_suite`` are therefore loaded from ``verify`` on first access.
+``import susy_ces`` loads no submodule: every public name, and every
+submodule named as an attribute, loads its module on first access (PEP
+562).  A call therefore compiles only the modules it uses:
+``solution_params`` loads ``closedform`` and the layers under it
+(``specfun``, ``highprec``, ``potential``), not ``oracle`` or
+``scattering``.  Every scalar call stays on the standard library; numpy
+is imported when an array comes in or goes out, and by ``verify`` and
+``cli``.
 """
+import importlib
 
 __version__ = "0.1.0"
 
-from .closedform import (Branch, CouplingConstants, SolutionParams,
-                         SolutionSample, components, coupling_constants,
-                         hermite_lambda, solution_Z, solution_params, susy_map,
-                         wronskian_Z, wronskian_exact, y_of_x)
-from .errors import (ArgumentTooSmall, DomainError, DoubleRangeExceeded, InvalidParams,
-                     MaxStepsExceeded, NonConvergence, NotConverged,
-                     PoleAtNonPositiveInteger, SeriesRangeExceeded, StepSizeUnderflow,
-                     SusyCesError)
-from .oracle import (ODEProblem, ODESolution, frobenius_series_solution,
-                     integrate, residual_schrodinger, schrodinger_problem)
-from .potential import (CriticalStructure, Sector, V, V_deriv,
-                        V_from_superpotential, ces_residual, critical_structure,
-                        shape_invariance_gap, superpotential,
-                        superpotential_deriv)
-from .scattering import PhaseDifferenceResult, phase_difference, susy_phase_offset
-from .specfun import chf_1f1, chf_1f1_deriv, kummer_transform, load_golden_chf, log_gamma
+#: each submodule and the public names the package exports from it
+_EXPORTS = {
+    "potential": (
+        "Sector", "CriticalStructure", "V", "V_deriv",
+        "V_from_superpotential", "superpotential", "superpotential_deriv",
+        "ces_residual", "shape_invariance_gap", "critical_structure"),
+    "closedform": (
+        "Branch", "SolutionParams", "SolutionSample", "CouplingConstants",
+        "solution_params", "coupling_constants", "y_of_x", "components",
+        "solution_Z", "wronskian_Z", "wronskian_exact", "hermite_lambda",
+        "susy_map"),
+    "specfun": ("chf_1f1", "chf_1f1_deriv", "kummer_transform", "log_gamma", "load_golden_chf"),
+    "oracle": (
+        "ODEProblem", "ODESolution", "schrodinger_problem",
+        "integrate", "frobenius_series_solution", "residual_schrodinger"),
+    "scattering": ("PhaseDifferenceResult", "phase_difference", "susy_phase_offset"),
+    "verify": ("CheckReport", "run_suite"),
+    "errors": (
+        "SusyCesError", "DomainError", "InvalidParams", "PoleAtNonPositiveInteger",
+        "ArgumentTooSmall", "SeriesRangeExceeded", "NonConvergence",
+        "StepSizeUnderflow", "MaxStepsExceeded", "NotConverged", "DoubleRangeExceeded"),
+    "highprec": (),
+    "_points": (),
+    "cli": (),
+}
+_ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = ["__version__", *_ORIGIN]
 
 
 def __getattr__(name: str):
-    # PEP 562: verify imports numpy, so its names load on first access
-    if name in ("CheckReport", "run_suite"):
-        from . import verify
-        return getattr(verify, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    if name in _EXPORTS:
+        # importing a submodule binds it in this namespace
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _ORIGIN:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_ORIGIN[name]}"), name)
+    globals()[name] = value
+    return value
 
 
-__all__ = [
-    "__version__",
-    # potential
-    "Sector", "CriticalStructure", "V", "V_deriv",
-    "V_from_superpotential", "superpotential", "superpotential_deriv",
-    "ces_residual", "shape_invariance_gap", "critical_structure",
-    # closed form
-    "Branch", "SolutionParams", "SolutionSample", "CouplingConstants",
-    "solution_params", "coupling_constants", "y_of_x", "components",
-    "solution_Z", "wronskian_Z", "wronskian_exact", "hermite_lambda",
-    "susy_map",
-    # specfun
-    "chf_1f1", "chf_1f1_deriv", "kummer_transform", "log_gamma", "load_golden_chf",
-    # oracle
-    "ODEProblem", "ODESolution", "schrodinger_problem",
-    "integrate", "frobenius_series_solution", "residual_schrodinger",
-    # scattering
-    "PhaseDifferenceResult", "phase_difference", "susy_phase_offset",
-    # verification
-    "CheckReport", "run_suite",
-    # errors
-    "SusyCesError", "DomainError", "InvalidParams", "PoleAtNonPositiveInteger",
-    "ArgumentTooSmall", "SeriesRangeExceeded", "NonConvergence",
-    "StepSizeUnderflow", "MaxStepsExceeded", "NotConverged", "DoubleRangeExceeded",
-]
+def __dir__():
+    return sorted({*globals(), *__all__, *_EXPORTS})

@@ -49,13 +49,15 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from decimal import Decimal, localcontext
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from ._points import flat, shaped
 from .errors import (DomainError, DoubleRangeExceeded, InvalidParams,
                      MaxStepsExceeded, NonConvergence, StepSizeUnderflow)
 from .potential import Sector
+
+if TYPE_CHECKING:
+    from decimal import Decimal
 
 __all__ = [
     "ODEProblem", "ODESolution", "schrodinger_problem",
@@ -294,6 +296,8 @@ def _frobenius_sum(a: complex, sigma: float, y: complex,
     stays below ~n**2 * 10**(peak + 1 - prec).  The sum ends once a term
     falls ``_SAFE_DIGITS`` decimal orders below it, twice in a row.
     """
+    from decimal import Decimal, localcontext  # here, so loading the module skips decimal
+
     with localcontext() as ctx:
         ctx.prec = prec
         ar, ai, yr, yi = (Decimal(v) for v in (a.real, a.imag, y.real, y.imag))

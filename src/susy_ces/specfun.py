@@ -34,18 +34,17 @@ rung that way.
 from __future__ import annotations
 
 import cmath
-import csv
 import math
-import os
 import sys
-from importlib import resources
-from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from ._points import flat, shaped
 from .errors import (ArgumentTooSmall, DoubleRangeExceeded, InvalidParams,
                      PoleAtNonPositiveInteger, SeriesRangeExceeded)
 from .highprec import chf_series_fixed, kummer_walk
+
+if TYPE_CHECKING:
+    from pathlib import Path
 
 # only the benchmark tracer looks this up; it goes with its highprec.dd boundary
 chf_series_dd = None
@@ -393,6 +392,11 @@ def golden_dir() -> Path:
     Defaults to the ``golden/`` data directory shipped with the package;
     the environment variable ``SUSY_CES_GOLDEN_DIR`` overrides it.
     """
+    # here, not at module level: only the golden tables need these modules
+    import os
+    from importlib import resources
+    from pathlib import Path
+
     env = os.environ.get(_GOLDEN_ENV)
     if env:
         return Path(env)
@@ -401,6 +405,8 @@ def golden_dir() -> Path:
 
 def load_golden_chf(path: Path | None = None) -> list[GoldenRow]:
     """Read the frozen 1F1 reference values (columns a_re,a_im,b,z_re,z_im,f_re,f_im)."""
+    import csv
+
     path = path or golden_dir() / "chf.csv"
     rows = []
     with open(path, newline="") as fh:

@@ -1,10 +1,12 @@
 """Every exported name resolves, and the scalar path needs nothing but the stdlib.
 
 A scalar in gives a Python ``complex``/``float`` out; an array in gives an
-ndarray of its shape.  ``import susy_ces`` and every scalar call below it
-load no numpy, and ``verify`` (which does) loads only on first access.
+ndarray of its shape.  ``import susy_ces`` loads no submodule, each name
+loads its module on first access, and no scalar call below it loads numpy
+(``verify`` does).
 """
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -39,6 +41,39 @@ def test_verify_names_load_lazily():
     assert ns["run_suite"] is verify.run_suite and ns["CheckReport"] is verify.CheckReport
     with pytest.raises(AttributeError):
         susy_ces.no_such_name
+
+
+#: a fresh interpreter: the modules a scalar call loads, then every
+#: submodule through the package namespace
+_FRESH = """\
+import json, sys
+import susy_ces
+facts = {"dir": sorted(dir(susy_ces))}
+susy_ces.solution_params(1.0, 1.0)
+facts["solution_params"] = sorted(sys.modules)
+susy_ces.phase_difference
+facts["phase_difference loads scattering"] = "susy_ces.scattering" in sys.modules
+facts["attributes"] = [getattr(susy_ces, name) is sys.modules["susy_ces." + name]
+                       for name in sys.argv[1:]]
+print(json.dumps(facts))
+"""
+SUBMODULES = ("closedform", "specfun", "highprec", "oracle", "potential",
+              "scattering", "errors", "_points", "verify", "cli")
+
+
+def test_a_scalar_call_loads_only_the_modules_it_uses():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    run = subprocess.run([sys.executable, "-c", _FRESH, *SUBMODULES],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    facts = json.loads(run.stdout)
+    assert set(susy_ces.__all__) <= set(facts["dir"])
+    loaded = set(facts["solution_params"])
+    assert {"susy_ces.closedform", "susy_ces.specfun", "susy_ces.highprec"} <= loaded
+    assert not loaded & {"susy_ces.oracle", "susy_ces.scattering", "susy_ces.verify",
+                         "decimal", "numpy"}
+    assert facts["phase_difference loads scattering"]
+    assert all(facts["attributes"])
 
 
 def test_scalar_path_runs_on_the_stdlib_alone():
