@@ -42,7 +42,9 @@ where two or more points lie within R, else it lands on the next
 point.  A step that reaches a power of two past its start serves
 every point on the way: each is the sum of the step's terms at its
 fraction f = g / 2**sh < 1 of the reach, by Horner's rule with shifts
-for the division, and its radius is the step's plus the terms it cuts
+for the division, cut off where the remaining terms fall to an eighth
+of what its certificate charges anyway (the step's radius, or the
+series' own bound), and its radius is the step's plus the terms it cuts
 off and its roundings.  Horner runs on one
 integer that packs the four components as lanes, each offset by a bias
 above every partial sum, so that one product, one addition, one shift
@@ -147,7 +149,10 @@ def _fixed_sum(a: complex, b: float, z: complex, bits: int, *,
     pi = (anr * zni + ani * znr) * bd
     dpr = da * znr * bd
     dpi = da * zni * bd
-    dq = da << sz
+    # the divisor is q 2**sd, q = dq (b + k)(k + 1) 2**bs; where b > 0, so
+    # q > 0, (x + half) // (q 2**sd) == ((x + half) >> sd) // q: floors compose
+    sd = sa + sz if bn > 0 else 0
+    dq = 1 << (sa + sz - sd)
     one = 1 << bits
     tr, ti = one, 0
     sr, si = one, 0
@@ -156,9 +161,10 @@ def _fixed_sum(a: complex, b: float, z: complex, bits: int, *,
     hits = 0
     for k in range(MAX_TERMS):
         q = dq * (bn + k * bd) * (k + 1)
-        half = q >> 1
-        # floor((x + q/2) / q): round to nearest, one half-unit error per term
-        tr, ti = (tr * pr - ti * pi + half) // q, (tr * pi + ti * pr + half) // q
+        half = (q << sd) >> 1
+        # floor((x + q 2**sd / 2) / (q 2**sd)): round to nearest, one
+        # half-unit error per term
+        tr, ti = ((tr * pr - ti * pi + half) >> sd) // q, ((tr * pi + ti * pr + half) >> sd) // q
         pr += dpr
         pi += dpi
         ur += sr
@@ -445,10 +451,14 @@ def _inside(st: _State, new: _State, terms: list, s: list[float]) -> tuple[list,
     The reach Delta = new.s - st.s is a power of two; the pair at s_j is
     the sum of u_n f**n, f = (s_j - st.s) / Delta = g / 2**sh, by Horner's
     rule, each product by f rounded half up, cut off at the first N where
-    f**(N+1) times a bound on the later terms is one unit.  As f < 1, each
-    part of the step's radius (incoming radius times exp(D mu), carried
-    rounding, tail) bounds its part at s_j; the cut-off terms and the N
-    roundings are added.
+    f**(N+1) times a bound on the later terms falls to max(1, eps / 8,
+    2**(t - SAFE_BITS)) units, eps the step's radius and t the bit length
+    of the smaller of P and Q at st.s.  Every point is charged eps, and
+    :func:`_certain` adds the series' own bound, about 2**(t - SAFE_BITS +
+    3); terms that take the tail below an eighth of either buy the
+    certificate nothing.  As f < 1, each part of the step's radius
+    (incoming radius times exp(D mu), carried rounding, tail) bounds its
+    part at s_j; the cut-off terms and the N roundings are added.
 
     The four components run as lanes of one integer: component c sits at
     bit c B, offset by bias = 2**lb > sum |u_n| + N, which bounds every
@@ -463,7 +473,11 @@ def _inside(st: _State, new: _State, terms: list, s: list[float]) -> tuple[list,
     same power of two floors the same.
     """
     cm = max(1.0, new.c)
-    tops = [max(map(abs, u)).bit_length() for u in terms]   # 2**tops[n] > |u_n|'s components
+    # 2**tops[n] > |u_n|'s components
+    tops = [(abs(pr) | abs(pi) | abs(qr) | abs(qi)).bit_length() for pr, pi, qr, qi in terms]
+    pr, pi, qr, qi = terms[0]
+    t = min((abs(pr) | abs(pi)).bit_length(), (abs(qr) | abs(qi)).bit_length())
+    budget = max(1.0, new.eps / 8.0, math.ldexp(1.0, t - SAFE_BITS))
     # bounds on |u_(n+1)| + |u_(n+2)| + ..., summed from the last term down
     rest = [*accumulate(map(math.ldexp, repeat(1.5 * cm), tops[:0:-1]))][::-1] + [0.0]
     n0, k0 = _dyadic(st.s)
@@ -479,7 +493,7 @@ def _inside(st: _State, new: _State, terms: list, s: list[float]) -> tuple[list,
         g = (nx << (k - kx)) - base
         f = math.ldexp(g, -sh) * (1.0 + 2.0 ** -50)
         n, p = 0, f
-        while p * rest[n] > 1.0:
+        while p * rest[n] > budget:
             n += 1
             p *= f
         cuts.append((g, n, p))
@@ -518,8 +532,13 @@ def _certain(re: int, im: int, rad: int, width: int) -> complex | None:
     double under the series' own rounding, :func:`_int_to_float`: that
     rounding is monotone, so every point between them, the series' value
     among them, rounds there too, a side that crosses a power of two or
-    lies in the subnormal range included.  None where a side is not
-    certain, reaches zero, or lies past the double range.
+    lies in the subnormal range included.  Where both ends have one bit
+    length above 53 and one 53-bit mantissa, that mantissa scaled is the
+    double both roundings return, and it is formed once; a side across a
+    power of two, of 53 bits or fewer, or with two mantissas (which the
+    subnormal range may still merge) compares the two roundings.  None
+    where a side is not certain, reaches zero, or lies past the double
+    range.
     """
     e = rad + ((max(abs(re), abs(im)) + rad) >> (SAFE_BITS - 3)) + 1
     out = []
@@ -527,9 +546,17 @@ def _certain(re: int, im: int, rad: int, width: int) -> complex | None:
         lo = abs(x) - e
         if lo <= 0:
             return None
+        hi = lo + 2 * e
+        drop = lo.bit_length() - 53
         try:
+            if drop > 0 and hi.bit_length() == lo.bit_length():
+                half = 1 << (drop - 1)
+                m = (lo + half) >> drop
+                if m == (hi + half) >> drop:    # one mantissa: both ends' double
+                    out.append(math.ldexp(m if x > 0 else -m, drop - width))
+                    continue
             v = _int_to_float(lo, -width)
-            if v != _int_to_float(lo + 2 * e, -width):
+            if v != _int_to_float(hi, -width):
                 return None
         except OverflowError:
             return None

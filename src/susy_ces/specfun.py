@@ -90,8 +90,8 @@ def _refuse_past(zmax: float) -> None:
     if zmax > SERIES_ZMAX:
         raise SeriesRangeExceeded(
             f"max|z| = {zmax:.4g} exceeds the series bound "
-            f"{SERIES_ZMAX:g}; seed inside it and use ODE propagation "
-            f"(oracle.integrate) for the far region")
+            f"{SERIES_ZMAX:g}; past it, phase_difference reads the pair "
+            f"through the large-|y| expansion (asymptotic_pair_for)")
 
 
 def _flat_z(z) -> tuple[list[complex], tuple | None]:

@@ -180,16 +180,15 @@ def check_intertwining() -> CheckReport:
     for m, omega in _FAMILIES:
         p = cf.solution_params(m, omega)
         x = np.logspace(-2, math.log10(25.0 / omega), 40)
-        wx = potential.superpotential(x, m)
         for br in cf.Branch:
             zp, zm = _series_Z(p, br, (Sector.PLUS, Sector.MINUS), x)
             sc = np.maximum(1.0, np.abs(zp.value) + np.abs(zm.value))
-            r1 = np.abs((zm.derivative + wx * zm.value) - 1j * omega * zp.value) / sc
-            r2 = np.abs((zp.derivative - wx * zp.value) - 1j * omega * zm.value) / sc
+            r1 = np.abs(cf.susy_map(p, zm, Sector.MINUS).value - zp.value) / sc
+            r2 = np.abs(cf.susy_map(p, zp, Sector.PLUS).value - zm.value) / sc
             worst = max(worst, float(np.max(r1)), float(np.max(r2)))
     return _report("closedform/intertwining", worst, 1e-8,
-                   "(d/dx +- W) ladder maps between sectors with coefficient i omega, "
-                   "series derivatives")
+                   "closedform.susy_map of each sector's series sample vs the partner "
+                   "sector's, series derivatives")
 
 
 def check_shape_invariance() -> CheckReport:

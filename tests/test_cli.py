@@ -140,7 +140,7 @@ def test_table_far_region_is_a_config_error(runner):
     res = runner.invoke(main, ["table", "--m", "1", "--omega", "1", "--x-max", "1000"])
     assert res.exit_code == 2
     assert "exceeds the series bound" in res.stderr
-    assert "ODE propagation" in res.stderr
+    assert "phase_difference reads the pair through the large-|y| expansion" in res.stderr
 
 
 def test_table_beyond_the_double_range_is_a_typed_error(runner):

@@ -76,6 +76,43 @@ def test_int_to_float_rounds_once():
     assert _int_to_float((m << 2) | 3, -2) == float(m + 1)
 
 
+def _reference_fixed_sum(a, b, z, bits, stop_bits):
+    """(sr, si) of _fixed_sum with one floor division per term component:
+    term k + 1 is floor((x + q // 2) / q), x / q = t_k (a + k) z / ((b +
+    k)(k + 1)) over q = 2**(sa + sz) (b + k)(k + 1) 2**sb, 2**-sa, 2**-sz
+    and 2**-sb the dyadic units of a, z and b."""
+    sa = max(Fraction(v).denominator for v in (a.real, a.imag)).bit_length() - 1
+    sz = max(Fraction(v).denominator for v in (z.real, z.imag)).bit_length() - 1
+    ar, ai, zr, zi = (int(Fraction(v) * 2 ** s) for v, s in
+                      ((a.real, sa), (a.imag, sa), (z.real, sz), (z.imag, sz)))
+    bn, bd = Fraction(b).numerator, Fraction(b).denominator
+    tr, ti, sr, si, hits = 1 << bits, 0, 1 << bits, 0, 0
+    for k in range(highprec.MAX_TERMS):
+        pr, pi = (ar + (k << sa)) * zr - ai * zi, (ar + (k << sa)) * zi + ai * zr
+        q = (bn + k * bd) * (k + 1) << (sa + sz)
+        tr, ti = ((tr * pr - ti * pi) * bd + q // 2) // q, ((tr * pi + ti * pr) * bd + q // 2) // q
+        sr, si = sr + tr, si + ti
+        tbits = (abs(tr) | abs(ti)).bit_length()
+        hits = hits + 1 if tbits == 0 or tbits + stop_bits <= (abs(sr) | abs(si)).bit_length() else 0
+        if hits == 2:
+            return sr, si
+
+
+_DYADIC = st.integers(-(1 << 12), 1 << 12).map(lambda n: n / 64) | st.floats(-30.0, 30.0)
+
+
+@settings(max_examples=settings.default.max_examples // 2)
+@given(a=st.builds(complex, _DYADIC, _DYADIC), z=st.builds(complex, _DYADIC, _DYADIC),
+       b=st.sampled_from((0.5, 1.5, 3.0, -0.5, -2.75)) | st.floats(0.05, 6.0),
+       bits=st.integers(8, 200), stop_bits=st.integers(4, 80))
+def test_fixed_sum_shifts_then_divides_as_one_division(a, b, z, bits, stop_bits):
+    # the power of two in each divisor is shifted out first, which floors
+    # the same where the rest of it is positive (b > 0); any other b keeps
+    # the one division
+    assert _fixed_sum(a, b, z, bits, stop_bits=stop_bits)[:2] == \
+        _reference_fixed_sum(a, b, z, bits, stop_bits)
+
+
 def test_series_fixed_nonconvergence_raises(monkeypatch):
     monkeypatch.setattr(highprec, "MAX_TERMS", 3)
     with pytest.raises(NonConvergence):
@@ -452,6 +489,29 @@ def test_certain_agrees_with_two_roundings(re, im, rad, width):
     _agrees_with_reference_certain(re, im, rad, width)
 
 
+#: boxes and the _int_to_float calls _certain makes on them
+_ROUNDINGS = [
+    # both sides one mantissa, 2**52 + 4, at bit lengths 81 and 91
+    ((1 << 80) + (1 << 30), -((1 << 90) + (1 << 40)), 1, 80,
+     complex(1.0 + 2.0 ** -50, -(2.0 ** 10 + 2.0 ** -40)), 0),
+    # one mantissa, 2**52 + 1, one ulp past the largest double: None
+    ((1 << 1024) + (1 << 972), (1 << 1024) + (1 << 972), 1, 0, None, 0),
+    # one mantissa, 3 * 2**51, scaled into the subnormal range
+    (3 << 139, 3 << 139, 1 << 60, 1200, complex(3 * 2.0 ** -1061, 3 * 2.0 ** -1061), 0),
+    # ends of 60 bits with mantissas 2**52 + 1 and 2**52 + 2, which the
+    # subnormal range merges into 2**-1070
+    ((1 << 59) + 192, (1 << 59) + 192, 63, 1129, complex(2.0 ** -1070, 2.0 ** -1070), 4),
+    # ends of 80 and 81 bits, across 2**80, both rounding to it
+    (1 << 80, 1 << 80, 1, 80, complex(1.0, 1.0), 4),
+    # sides of 41 bits, exact as integers, merged by the subnormal range
+    ((1 << 40) + (1 << 34), (1 << 40) + (1 << 34), 0, 1110,
+     complex(2.0 ** -1070, 2.0 ** -1070), 4),
+    # ends of one bit length either side of the tie (2**52 + 1.5) 2**28:
+    # two mantissas, two doubles
+    (((1 << 53) + 3) << 27, 1 << 80, 1, 80, None, 2),
+]
+
+
 @pytest.mark.parametrize("re,im,rad,width,want", [
     # 2**60 - 3 and 2**60 + 3 sit on either side of 2**60 and both round to it
     ((1 << 60), 3 << 58, 2, 60, complex(1.0, 0.75)),
@@ -475,9 +535,33 @@ def test_certain_agrees_with_two_roundings(re, im, rad, width):
     (3, 1 << 60, 2, 0, None),
     # both ends, 3 * 2**139 -+ about 2**100, land on the subnormal 3 * 2**-1061
     (3 << 139, 3 << 139, 1 << 100, 1200, complex(3 * 2.0 ** -1061, 3 * 2.0 ** -1061)),
+    *((re, im, rad, width, want) for re, im, rad, width, want, _ in _ROUNDINGS),
 ])
 def test_certain_fixed_boxes(re, im, rad, width, want):
     assert _agrees_with_reference_certain(re, im, rad, width) == want
+
+
+@pytest.mark.parametrize("re,im,rad,width,want,calls", [
+    *_ROUNDINGS,
+    # the largest double, both ends of each side at its mantissa
+    ((1 << 1024) - (1 << 971), (1 << 1024) - (1 << 971), 1, 0,
+     complex(sys.float_info.max, sys.float_info.max), 0),
+    # mantissas 4,096 apart, merged by the subnormal range
+    (3 << 139, 3 << 139, 1 << 100, 1200, complex(3 * 2.0 ** -1061, 3 * 2.0 ** -1061), 4),
+])
+def test_certain_rounds_once_where_both_ends_share_a_mantissa(monkeypatch, re, im, rad,
+                                                               width, want, calls):
+    # a side whose ends have one bit length above 53 and one mantissa is
+    # that mantissa scaled; any other side makes both ends floats
+    made = []
+
+    def counted(n, shift):
+        made.append(n)
+        return _int_to_float(n, shift)
+
+    monkeypatch.setattr(highprec, "_int_to_float", counted)
+    assert highprec._certain(re, im, rad, width) == want
+    assert len(made) == calls
 
 
 def _round_half_up(x: Fraction) -> int:
@@ -521,19 +605,31 @@ def test_step_is_the_rounded_exact_recurrence(eta, s0, s1):
     assert (new.ints, terms) == _reference_step(eta, st.ints, s0, s1, len(terms) - 1)
 
 
-def _reference_inside(terms, f, cm):
+def _reference_inside(terms, f, cm, eps):
     """Horner's rule on a step's terms with exact rationals, each product by
-    f rounded half up, cut off at the first N where f**(N+1) times the
-    bound 1.5 cm 2**bits on each later term falls to one unit."""
+    f rounded half up, cut off at the first N where the tail, f**(N+1)
+    times the bound 1.5 cm 2**bits on each later term, falls to the budget
+    max(1, eps / 8, 2**(t - SAFE_BITS)) of a step of radius ``eps``, t the
+    bit length of the smaller of P and Q in its first term; returns the
+    sum, N and that tail."""
     bound = [Fraction(1.5 * cm) * 2 ** (abs(pr) | abs(pi) | abs(qr) | abs(qi)).bit_length()
              for pr, pi, qr, qi in terms]
+    pr, pi, qr, qi = terms[0]
+    t = min((abs(pr) | abs(pi)).bit_length(), (abs(qr) | abs(qi)).bit_length())
+    budget = max(Fraction(1), Fraction(eps) / 8, Fraction(2) ** (t - highprec.SAFE_BITS))
     n = 0
-    while f ** (n + 1) * sum(bound[n + 1:]) > 1:
+    while f ** (n + 1) * sum(bound[n + 1:]) > budget:
         n += 1
     acc = terms[n]
     for u in reversed(terms[:n]):
         acc = tuple(v + _round_half_up(w * f) for v, w in zip(u, acc))
-    return acc, n
+    return acc, n, f ** (n + 1) * sum(bound[n + 1:])
+
+
+def _covers(eps, new_eps, tail, cm, n):
+    """A point's radius covers the step's, its cut-off tail and 0.7072 cm
+    per rounding."""
+    return Fraction(eps) >= Fraction(new_eps) + tail + Fraction(0.7072 * cm) * n
 
 
 @pytest.mark.parametrize("eta,s0,e", [
@@ -545,28 +641,32 @@ def test_inside_is_the_rounded_exact_horner(eta, s0, e):
     out, used = highprec._inside(state, new, terms, pts)
     cm, total = max(1.0, new.c), 0
     for x, (ints, eps) in zip(pts, out):
-        want, n = _reference_inside(terms, (Fraction(x) - Fraction(s0)) / Fraction(2) ** e, cm)
+        want, n, tail = _reference_inside(
+            terms, (Fraction(x) - Fraction(s0)) / Fraction(2) ** e, cm, new.eps)
         assert ints == want
-        # the radius adds n products' rounding to the step's own
-        assert eps >= new.eps + 0.7072 * cm * n
+        assert _covers(eps, new.eps, tail, cm, n)
         total += n
     assert used == total
 
 
-def _inside_is_horner(terms, s0, e, pts, c=1.0):
-    """_inside on a step of reach 2**e from s0 with the given terms gives
-    at each point the ints and the cut-off of _reference_inside."""
+def _inside_is_horner(terms, s0, e, pts, c=1.0, eps=1.0):
+    """_inside on a step of reach 2**e from s0 with the given terms and
+    radius gives at each point the ints and the cut-off of
+    _reference_inside, and a radius that covers its tail; returns the
+    terms it evaluated."""
     reach = 2.0 ** e
-    state = highprec._State(s0, 100, terms[0], 1.0, c)
-    new = highprec._State(s0 + reach, 100, terms[0], 1.0, c)
+    state = highprec._State(s0, 100, terms[0], eps, c)
+    new = highprec._State(s0 + reach, 100, terms[0], eps, c)
     out, used = highprec._inside(state, new, terms, pts)
     total = 0
-    for x, (ints, _) in zip(pts, out):
-        want, n = _reference_inside(terms, (Fraction(x) - Fraction(s0)) / Fraction(reach),
-                                    max(1.0, c))
+    for x, (ints, rad) in zip(pts, out):
+        want, n, tail = _reference_inside(
+            terms, (Fraction(x) - Fraction(s0)) / Fraction(reach), max(1.0, c), eps)
         assert ints == want
+        assert _covers(rad, eps, tail, max(1.0, c), n)
         total += n
     assert used == total
+    return used
 
 
 _COMPONENTS = st.integers(-(1 << 300), 1 << 300) | st.sampled_from((0, 1, -1, (1 << 300) - 1))
@@ -604,6 +704,21 @@ def test_inside_lanes_at_their_extremes(lane):
         _inside_is_horner(mixed, 3.0, -1, [3.25])
 
 
+def test_inside_cuts_where_the_tail_meets_the_budget():
+    # terms u_j = 2**(40 - j) at f = 1/2 leave a tail of 1.5 2**(40 - 2N):
+    # one unit is reached at N = 21, an eighth of a radius of 2**20 at 12
+    terms = [((1 << 40) >> j,) * 4 for j in range(41)]
+    assert _inside_is_horner(terms, 3.0, -1, [3.25]) == 21
+    assert _inside_is_horner(terms, 3.0, -1, [3.25], eps=2.0 ** 20) == 12
+    # u_j = 2**(110 - j) in every lane: 2**(111 - SAFE_BITS) is reached at
+    # N = 35; with Q zero the smaller of P and Q has no bits, and the cut
+    # is the unit's, 56
+    terms = [((1 << 110) >> j,) * 4 for j in range(111)]
+    assert _inside_is_horner(terms, 3.0, -1, [3.25]) == 35
+    terms = [((1 << 110) >> j,) * 2 + (0, 0) for j in range(111)]
+    assert _inside_is_horner(terms, 3.0, -1, [3.25]) == 56
+
+
 def test_inside_refuses_a_reach_off_a_power_of_two():
     # 1.0 past s0 = 7.222656250000001 rounds to 8.22265625: no shifts divide by it
     s0 = 7.222656250000001
@@ -622,7 +737,7 @@ def test_walk_work_is_pinned():
     # radius leaves open)
     walk = kummer_walk(0.5, [59.0 * k / 256 for k in range(1, 257)])
     assert (walk.steps, walk.terms, walk.evals, walk.continued, walk.sums) == \
-        (25, 922, 9349, 252, 5)
+        (25, 922, 7310, 252, 5)
     # a sparse grid, each gap more than a quarter of its start: no step
     # reaches the next point, and every point takes its own pair loop
     walk = kummer_walk(0.5, _SPARSE)
