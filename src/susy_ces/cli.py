@@ -144,10 +144,11 @@ def verify(suite, fmt, out):
 @click.option("--m", type=float, required=True)
 @click.option("--omega", type=float, required=True)
 @click.option("--tol", type=float, default=1e-3, show_default=True,
-              help="convergence tolerance on successive tail-corrected values")
+              help="stop at the first rung whose proven bound arcsin(m^2/(omega^2*x)) "
+                   "on its distance from pi/2 is below tol; must exceed 2^-40")
 @click.option("--x-limit", type=float, default=None,
               help="largest ladder point, finite and at least the first rung 2*x_match "
-                   "(default: x_match*2^14, 14 rungs; x_match = "
+                   "(default: none, only the bound stops the ladder; x_match = "
                    "max(20/omega, 2.5*m^2/omega^2, 0.275*eta^2/omega), eta = m^2/(2*omega))")
 @click.option("--format", "fmt", type=click.Choice(["text", "csv", "json"]),
               default="text", show_default=True)

@@ -40,17 +40,15 @@ with eps_k = W^2 u / ((W + i omega)(u' + i omega u)),
 for any real solution u, since |eps_k| <= m^2/(omega^2 x_k).  So the
 limit pi/2 follows from the SUSY map alone, whichever scattering state
 is carried; what the data decide is how fast the rungs approach it.
-Convergence is declared from the data alone: the spread max - min of the
-last three corrected values falls below ``tol``, with at least four
-ladder points.  The wiggle alternates in sign, so the spread usually
-brackets the limit where one successive difference may not.  It is
-reported as ``residual``, an error estimate rather than a proof: on
-2,000 log-spaced m^2/omega in [0.02, 1000] at omega = 1 it under-reads
-the error at 124, by up to 9.7x (5.2x inside [0.02, 4]), and 25 stop as
-converged more than 1e-3 from pi/2 (3.3e-3 at m^2/omega = 64.6).  The
-bound above, at the last rung, is reported as ``bound``: the accuracy
-the result is proven to have.  The correction vanishes as W -> 0, so
-the known asymptotic limit is never assumed anywhere in this module.
+The ladder stops on that bound: at the first rung where
+arcsin(min(1, m^2/(omega^2 x_k))) < ``tol``, reported as ``bound``, the
+accuracy the result is proven to have up to the rung's own rounding of a
+few eps (so ``tol`` must exceed :data:`TOL_FLOOR`).  The bound halves with
+each rung, so the ladder ends without a budget; only an explicit
+``x_limit`` ends it unconverged.  The spread of the last three rungs is
+reported as ``residual``, a cross-check read from the data alone that
+steers nothing.  The limit pi/2 is a consequence of the identity, never
+an input.
 """
 from __future__ import annotations
 
@@ -64,15 +62,21 @@ from .closedform import _ladder_sample, solution_params
 from .closedform import solution_Z, susy_map  # noqa: F401
 from .errors import DoubleRangeExceeded, InvalidParams, NotConverged
 from .oracle import integrate  # noqa: F401
-from .specfun import asymptotic_pair_for
+from .specfun import FAR_TOL, asymptotic_pair_for
 
 if TYPE_CHECKING:
     import numpy as np
 
 __all__ = ["PhaseDifferenceResult", "phase_difference", "susy_phase_offset"]
 
-#: rungs of the ladder when no x_limit is given: x_limit = x_match 2^14
-_DEFAULT_DOUBLINGS = 14
+#: tol must exceed this.  ``bound`` covers the exact A_k of the sample read:
+#: a pair within its FAR_TOL = 2^-40 certificate is still the exact sample
+#: of some real solution, and the bound holds for every one.  It does not
+#: cover the rung's own rounding in the ratio's phase and the offset, a few
+#: eps (at most 2.2 eps, 4.8e-16, on 8,700 rungs of random couplings).  The
+#: floor is FAR_TOL, the finest accuracy any value the ladder reads is
+#: certified to; above it that rounding is under 1/1000 of tol.
+TOL_FLOOR = FAR_TOL
 
 
 class PhaseDifferenceResult(NamedTuple):
@@ -82,12 +86,12 @@ class PhaseDifferenceResult(NamedTuple):
     derived, not chosen; the rungs sit at x_match 2^k.  ``raw`` holds the
     per-point differences d_k in [0, pi); ``accelerated`` the same rungs
     with the SUSY tail subtracted, one entry per rung; ``estimate`` its
-    last entry; ``residual`` the spread max - min of its last three
-    entries (the stopping measure and the error estimate, read from the
-    data alone, not from any assumed limit; inf before three rungs);
-    ``bound`` the proven bound arcsin(min(1, m^2/(omega^2 x))) on the
-    last rung's distance from pi/2 (its rounding in doubles, a few eps,
-    comes on top).  ``ode_steps`` and ``ode_rejected`` are always 0: every
+    last entry; ``bound`` the proven bound arcsin(min(1, m^2/(omega^2 x)))
+    on the last rung's distance from pi/2 (its rounding in doubles, a few
+    eps, comes on top), below ``tol`` exactly when ``converged``;
+    ``residual`` the spread max - min of its last three entries (inf
+    before three rungs), a cross-check from the data alone that no longer
+    steers anything.  ``ode_steps`` and ``ode_rejected`` are always 0: every
     rung is read from the closed form, and only the benchmark reads them.
     """
 
@@ -143,81 +147,68 @@ def phase_difference(m: float, omega: float, *, tol: float = 1e-3,
     form, at rungs x_match 2^k, k >= 1, with x_match =
     :func:`default_x_match`, every rung from the large-|y| expansion.  The
     PLUS sample at each rung is its SUSY image, not a second solution,
-    both read by :func:`closedform._ladder_sample`.  Raises
-    :class:`NotConverged` (with the partial result attached as
-    ``err.result``) if the ladder reaches ``x_limit`` before the last
-    three values, each rung read against ``susy_phase_offset(W(x_k),
-    omega)``, lie within ``tol`` of each other with at least four rungs
-    taken.
+    both read by :func:`closedform._ladder_sample`.  Stops at the first
+    rung whose proven bound arcsin(min(1, m^2/(omega^2 x_k))) is below
+    ``tol``, which must exceed :data:`TOL_FLOOR`.
 
-    ``x_limit``: the ladder's one budget, the largest x a rung may reach,
-    finite and not below the first rung 2 x_match; ``None`` means
-    x_match 2^14, i.e. 14 rungs.  Raises :class:`DoubleRangeExceeded`
-    where the first rung, or with ``None`` the last, is past the largest
-    double, and where the last rung of the budget is a double but its
-    |y| = 2 omega x_k is not.
+    ``x_limit``: the largest x a rung may reach, finite and not below the
+    first rung 2 x_match; ``None`` means only the bound stops the ladder.
+    Raises :class:`NotConverged` (with the partial result attached as
+    ``err.result``) if the next rung is past ``x_limit``, and
+    :class:`DoubleRangeExceeded` where the rung about to be read, or its
+    |y| = 2 omega x_k, is past the largest double.
     """
     if not (x_limit is None or 0.0 < x_limit < math.inf):
         raise InvalidParams(f"x_limit={x_limit!r} must be a positive finite real")
-    if not (tol > 0):
-        raise InvalidParams("tol must be positive")
+    if not (tol > TOL_FLOOR):
+        raise InvalidParams(f"tol={tol!r} must be above the ladder's rounding floor "
+                            f"TOL_FLOOR = 2^-40 = {TOL_FLOOR:.4g}")
     p = solution_params(m, omega)
     x_match = default_x_match(p.m, p.omega)
-    if x_limit is None:
-        x_limit = x_match * 2.0 ** _DEFAULT_DOUBLINGS
-    if math.isinf(max(2.0 * x_match, x_limit)):
-        raise DoubleRangeExceeded(
-            f"the ladder's rungs x_match 2^k pass the largest double "
-            f"({sys.float_info.max:.4g}) at m={m!r}, omega={omega!r}: "
-            f"x_match = {x_match:.4g}")
-    # rung k >= 1 sits at x_match 2^k <= x_limit: compare binary exponents,
-    # then mantissas, so the count is exact and needs no loop
-    (fm, em), (fl, el) = math.frexp(x_match), math.frexp(x_limit)
-    n_rungs = el - em - (fm > fl)
-    if n_rungs < 1:
+    # a first rung past the largest double is refused as such in the loop
+    if x_limit is not None and x_limit < 2.0 * x_match < math.inf:
         raise InvalidParams(f"x_limit={x_limit!r} is below the ladder's first rung "
                             f"x = {2.0 * x_match:.17g}")
-    # each rung is read at |y| = 2 omega x_k, which can pass the largest
-    # double where x_k does not; the last rung of the budget has the largest
-    x_last = math.ldexp(x_match, n_rungs)
-    if math.isinf(2.0 * p.omega * x_last):
-        raise DoubleRangeExceeded(
-            f"the ladder's rungs pass the largest double ({sys.float_info.max:.4g}) "
-            f"in |y| = 2 omega x_k at m={m!r}, omega={omega!r}: the budget's last "
-            f"rung is x = {x_last:.4g}")
 
     # the expansion's log-Gamma terms, computed once for every rung
     far = asymptotic_pair_for(p.a1.imag)
+    r = p.m / p.omega
     xs: list[float] = []
     raws: list[float] = []
     accs: list[float] = []
-    residual = math.inf
-    converged = False
-    for k in range(1, n_rungs + 1):
-        xk = math.ldexp(x_match, k)
+    xk = 2.0 * x_match
+    while True:
+        # doubling is exact, and gives inf rather than raising past the range
+        if math.isinf(2.0 * p.omega * xk):
+            raise DoubleRangeExceeded(
+                f"the ladder's rungs x_match 2^k pass the largest double "
+                f"({sys.float_info.max:.4g}) in x_k or in |y| = 2 omega x_k at "
+                f"m={m!r}, omega={omega!r}: rung k = {len(xs) + 1}, x_match = {x_match:.4g}")
         # W(x_k)/omega; omega sqrt(x_k) <= max(omega, |y|/2) is a double
         w = -p.m / (p.omega * math.sqrt(xk))
         d = _sector_difference(*_ladder_sample(p, xk, w, far))
         xs.append(xk)
         raws.append(d)
         accs.append(d - 0.5 * (susy_phase_offset(w, 1.0) - math.pi))
-        if len(accs) >= 3:
-            residual = max(accs[-3:]) - min(accs[-3:])
-            if len(accs) >= 4 and residual < tol:
-                converged = True
-                break
+        bound = math.asin(min(1.0, r * (r / xk)))
+        xk *= 2.0
+        if bound < tol or (x_limit is not None and xk > x_limit):
+            break
 
     import numpy as np
-    r = p.m / p.omega
+    converged = bound < tol
     result = PhaseDifferenceResult(
         m=m, omega=omega, x_match=x_match,
         x=np.array(xs), raw=np.array(raws), accelerated=np.array(accs),
-        estimate=accs[-1], residual=residual, converged=converged,
-        bound=math.asin(min(1.0, r * (r / xs[-1]))))
+        estimate=accs[-1],
+        residual=max(accs[-3:]) - min(accs[-3:]) if len(accs) >= 3 else math.inf,
+        converged=converged, bound=bound)
     if not converged:
         raise NotConverged(
-            f"phase difference not converged to {tol:g} within the ladder "
-            f"(last residual {residual:.3g})", result=result)
+            f"phase difference not converged to {tol:g} within x_limit = {x_limit:.6g}: "
+            f"the bound at the last of {len(xs)} rungs, x = {xs[-1]:.6g}, is {bound:.3g}, "
+            f"and it falls below tol only past x = {r * (r / math.sin(tol)):.6g}",
+            result=result)
     return result
 
 

@@ -468,7 +468,8 @@ def check_phase_difference() -> CheckReport:
     res = max(runs, key=lambda r: abs(r.estimate - 0.5 * math.pi))
     return _report("scattering/phase-difference-halfpi", abs(res.estimate - 0.5 * math.pi), 1e-3,
                    f"worst of (m, omega) = (1/2, 2) and (1, 2) is ({res.m:g}, {res.omega:g}): "
-                   f"estimate {res.estimate:.6f} at x = {res.x[-1]:.0f}")
+                   f"estimate {res.estimate:.6f} at x = {res.x[-1]:.0f}, {res.x.size} rungs, "
+                   f"bound {res.bound:.2e}")
 
 
 def _seed_point(x_match: float, omega: float) -> float:

@@ -344,6 +344,14 @@ def test_phase_past_the_double_range_of_eta_exits_2(runner):
     assert res.stdout == ""
 
 
+def test_phase_tol_at_the_rounding_floor_exits_2(runner):
+    # the bound does not cover a rung's own rounding, a few eps
+    res = runner.invoke(main, ["phase", "--m", "0.5", "--omega", "2", "--tol", "1e-13"])
+    assert res.exit_code == 2
+    assert "TOL_FLOOR = 2^-40 = 9.095e-13" in res.stderr
+    assert res.stdout == ""
+
+
 def test_phase_invalid_params_exit_2(runner):
     res = runner.invoke(main, ["phase", "--m", "-1", "--omega", "2"])
     assert res.exit_code == 2

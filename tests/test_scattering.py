@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from susy_ces import closedform as cf
 from susy_ces import scattering as sc
@@ -15,6 +17,9 @@ from susy_ces.scattering import phase_difference, susy_phase_offset
 from susy_ces.specfun import SERIES_ZMAX, asymptotic_pair_for
 
 HALF_PI = 0.5 * math.pi
+#: a rung's own rounding, which its bound does not cover: at most 2.2 eps
+#: measured, and at m^2/omega = 3e20 the one rung read is 1 ulp from pi/2
+ROUNDING = 4 * 2.0 ** -52
 
 
 def test_default_x_match_values():
@@ -31,8 +36,13 @@ def test_default_x_match_values():
 
 
 def test_phase_config_validation():
-    with pytest.raises(InvalidParams):
-        phase_difference(1.0, 1.0, tol=0.0)
+    # the bound does not cover a rung's own rounding, a few eps: at (3e-9, 2)
+    # a tol of 2e-20 stopped 1 ulp outside a bound of 1.4e-20
+    for tol in (0.0, -1.0, math.nan, 2e-20, sc.TOL_FLOOR):
+        with pytest.raises(InvalidParams, match=r"TOL_FLOOR = 2\^-40 = 9\.095e-13"):
+            phase_difference(3e-9, 2.0, tol=tol)
+    res = phase_difference(3e-9, 2.0, tol=2.0 * sc.TOL_FLOOR)
+    assert abs(res.estimate - HALF_PI) <= res.bound + ROUNDING < 2.0 * sc.TOL_FLOOR
 
 
 @pytest.mark.parametrize("x_limit", [math.nan, math.inf, 0.0, -1.0])
@@ -98,7 +108,7 @@ def test_phase_difference_converges_to_half_pi():
     assert np.all((res.raw >= 0.0) & (res.raw < math.pi))
     assert res.accelerated.size == res.x.size
     assert res.estimate == res.accelerated[-1]
-    assert res.residual <= 1e-3
+    assert res.bound < 1e-3
     assert abs(res.estimate - HALF_PI) < 1e-3
     # every rung is read from the closed form's large-|y| expansion
     assert res.ode_steps == 0
@@ -106,50 +116,68 @@ def test_phase_difference_converges_to_half_pi():
 
 
 def test_phase_difference_at_coupling_one_half():
-    # m^2/omega = 0.5: the stop must not fire while the estimate is still
-    # outside the tolerance of the limit
+    # m^2/omega = 0.5: the stop fires on the proven bound, 7.8e-4 at x = 320,
+    # never on an estimate still outside the tolerance of the limit
     res = phase_difference(1.0, 2.0)
     assert res.converged
     assert abs(res.estimate - HALF_PI) < 1e-3
 
 
-_ONE_SECTOR = [(0.5, 2.0, 1.5708211957687452),
-               (1.0, 2.0, 1.5708785957588574),
-               (1.0, 1.0, 1.5708020327719778)]
+#: the rung each ladder stops at, bit for bit: x = 80, 320 and 1280
+_ONE_SECTOR = [(0.5, 2.0, "0x1.922f06301a7c4p+0"),
+               (1.0, 2.0, "0x1.922cc6417a936p+0"),
+               (1.0, 1.0, "0x1.922e26175a675p+0")]
 
 
 @pytest.mark.parametrize("m, omega, estimate", _ONE_SECTOR)
 def test_phase_difference_integrates_one_sector(m, omega, estimate):
     # PLUS is the SUSY image of MINUS at each rung, not a second solve, and
     # MINUS is read from the closed form at every rung: no step is taken.
-    # The estimates are those of the two-sector ladder to 1e-9; the (1, 1)
-    # value is that of the ladder that integrated the complex MINUS
-    # solution, to 1e-9
+    # The two-sector ladder and the one that integrated the complex MINUS
+    # solution agreed with the rungs at x = 160, 640 and 5120 to 1e-9
     res = phase_difference(m, omega)
     assert res.ode_steps == 0
-    assert abs(res.estimate - estimate) <= 1e-9
+    assert res.estimate.hex() == estimate
 
 
 @pytest.mark.parametrize("m, omega", [(math.sqrt(r * 1.5), 1.5) for r in (0.05, 0.2, 0.35, 0.5)]
                          + [(1.0, 1.0), (0.5, 2.0)])
 def test_phase_difference_residual_covers_the_error(m, omega):
-    # the spread of the last three rungs is reported as the residual; at
-    # m^2/omega = 0.35 the last successive difference (2.2e-4) fell short
-    # of the error (5.6e-4)
+    # the spread of the last three rungs is reported as the residual, a
+    # cross-check that no longer stops the ladder (inf below three rungs, as
+    # at m^2/omega = 0.05); at these couplings it covers the error, as the
+    # proven bound does.  At m^2/omega = 0.35 the last successive difference
+    # (2.2e-4) once fell short of the error (5.6e-4)
     res = phase_difference(m, omega)
-    assert res.converged and res.x.size >= 4
+    assert res.converged
     assert res.ode_steps == 0
     spread = res.accelerated[-3:]
-    assert res.residual == spread.max() - spread.min()
-    assert abs(res.estimate - HALF_PI) <= res.residual
+    assert res.residual == (spread.max() - spread.min() if spread.size == 3 else math.inf)
+    assert abs(res.estimate - HALF_PI) <= min(res.residual, res.bound)
 
 
-#: estimates of the ladder that integrated the complex MINUS solution at
-#: (4, 1) and (3, 1/2), and, at (8, 1) and (10, 1), of the ladder that
-#: integrated the seed's real part out to each of the same rungs (they
-#: agreed to 4.2e-12 and 5.0e-12)
-_STRONG = {(4.0, 1.0): 1.5711489756322417, (3.0, 0.5): 1.5706783460457436,
-           (8.0, 1.0): 1.5709106433552393, (10.0, 1.0): 1.5706888645830597}
+@given(log_r=st.floats(math.log10(0.02), 3.0), log_omega=st.floats(-8.0, 8.0),
+       log_tol=st.floats(-9.0, -2.0))
+def test_a_converged_ladder_is_within_tol_of_half_pi(log_r, log_omega, log_tol):
+    # m^2/omega log-uniform in [0.02, 1000] over 16 decades of omega: the
+    # ladder stops at the first rung whose proven bound is below tol, so the
+    # estimate is too.  The spread of the last three rungs is only reported:
+    # as the stop, it let 25 of 2,000 couplings stop more than 1e-3 from pi/2
+    omega, tol = 10.0 ** log_omega, 10.0 ** log_tol
+    m = math.sqrt(10.0 ** log_r * omega)
+    res = phase_difference(m, omega, tol=tol)
+    r = m / omega
+    assert res.converged and res.bound < tol
+    assert abs(res.estimate - HALF_PI) < tol
+    assert res.x.size == 1 or math.asin(min(1.0, r * (r / res.x[-2]))) >= tol
+    spread = res.accelerated[-3:]
+    assert res.residual == (spread.max() - spread.min() if spread.size == 3 else math.inf)
+
+
+#: the rung each ladder stops at under the criterion-07 budget, bit for bit;
+#: ladders that integrated MINUS out to their rungs agreed with them to 1e-9
+_STRONG = {(4.0, 1.0): "0x1.9236d1bb7b2acp+0", (3.0, 0.5): "0x1.92234ccc9a23cp+0",
+           (8.0, 1.0): "0x1.9227332e2629ap+0", (10.0, 1.0): "0x1.922c77853b43ep+0"}
 
 
 @pytest.mark.parametrize("m, omega", list(_STRONG))
@@ -162,7 +190,7 @@ def test_phase_difference_converges_at_strong_coupling(m, omega):
     assert np.all(res.x <= x_limit)
     assert res.ode_steps == 0
     assert abs(res.estimate - HALF_PI) < 1e-3
-    assert abs(res.estimate - _STRONG[m, omega]) <= 1e-9
+    assert res.estimate.hex() == _STRONG[m, omega]
 
 
 #: (m^2/omega, omega): past m^2/omega ~ 36 the base is the expansion's frontier.
@@ -183,19 +211,27 @@ def test_phase_difference_reads_every_rung_from_the_expansion(r, omega, monkeypa
     res = phase_difference(math.sqrt(r * omega), omega)
     assert res.converged
     assert res.ode_steps == 0 and res.ode_rejected == 0
-    assert abs(res.estimate - HALF_PI) <= min(1e-3, res.bound)
+    assert abs(res.estimate - HALF_PI) <= min(1e-3, res.bound + ROUNDING)
 
 
-@pytest.mark.parametrize("r", [0.05, 0.5, 0.785, 1.0, 8.0, 8.493139300018205, 16.0, 36.0,
-                               64.64960441834442])
-def test_phase_difference_bound_covers_the_error(r):
-    # the residual under-reads the error at m^2/omega = 8 and 16 (2.1e-4
-    # against 3.4e-4, 2.7e-4 against 3.5e-4), 0.785 (6.3e-4 against
-    # 1.14e-3), 8.49 (by 9.7x) and 64.6 (5.4e-4 against 3.34e-3); the bound
-    # is proven, and it is arcsin(m^2/(omega^2 x)) at the last rung
-    res = phase_difference(math.sqrt(r), 1.0)
-    assert math.isclose(res.bound, math.asin(r / res.x[-1]), rel_tol=1e-15)
-    assert abs(res.estimate - HALF_PI) <= res.bound
+_BOUND_R = (0.05, 0.5, 0.785, 1.0, 8.0, 8.493139300018205, 16.0, 36.0, 64.64960441834442)
+
+
+# the cases at omega = 1 are named by m^2/omega
+@pytest.mark.parametrize("m, omega", [(math.sqrt(r), 1.0) for r in _BOUND_R]
+                         + [(1.936344747109495e31, 8.056437169303738e60)],
+                         ids=[str(r) for r in _BOUND_R]
+                         + ["1.936344747109495e+31-8.056437169303738e+60"])
+def test_phase_difference_bound_covers_the_error(m, omega):
+    # the bound is proven, arcsin(m^2/(omega^2 x)) at the last rung, and it
+    # stops the ladder.  The spread of the last three rungs, which stopped it
+    # before, under-read the error at m^2/omega = 8, 16, 8.49 (by 9.7x) and
+    # at 0.785, 64.6 and 46.5 (omega = 8.1e60), where it stopped 1.14e-3,
+    # 3.34e-3 and 3.94e-3 from pi/2
+    res = phase_difference(m, omega)
+    assert math.isclose(res.bound, math.asin(m * m / (omega * omega * res.x[-1])),
+                        rel_tol=1e-15)
+    assert abs(res.estimate - HALF_PI) <= res.bound < 1e-3
 
 
 _IDENTITY = [(0.5, 2.0, None), (1.0, 2.0, None), (1.0, 1.0, None)] + [
@@ -225,7 +261,7 @@ def test_phase_difference_where_the_complex_assembly_overflows(m, omega):
     # values (u, u'/omega, v, v'/omega) and sqrt(eta) sqrt(|y|) do not
     res = phase_difference(m, omega)
     assert res.converged
-    assert abs(res.estimate - HALF_PI) <= min(1e-3, res.bound)
+    assert abs(res.estimate - HALF_PI) <= min(1e-3, res.bound + ROUNDING)
 
 
 @pytest.mark.parametrize("m, omega", [(0.5, 2.0), (1.0, 1.0), (3.0, 0.5), (4.0, 1.0)])
@@ -285,22 +321,48 @@ def test_phase_difference_past_the_double_range_of_eta_is_typed():
     assert res.converged and abs(res.estimate - HALF_PI) <= 1e-3
 
 
-@pytest.mark.parametrize("m, omega", [(1.0, 1e-300), (1.0, 1e-160),
-                                      (math.sqrt(2e-304), 2e-304)])
-def test_phase_difference_rungs_past_the_double_range_are_typed(m, omega):
+@pytest.mark.parametrize("m, omega, rung", [(1.0, 1e-300, 1), (1.0, 1e-160, 1),
+                                           (math.sqrt(2e-304), 2e-304, 11)],
+                         ids=["1.0-1e-300", "1.0-1e-160", "1.414213562373095e-152-2e-304"])
+def test_phase_difference_rungs_past_the_double_range_are_typed(m, omega, rung):
     # x_match = 2.5 m^2/omega^2 is past the largest double at the first two
-    # (omega^2 alone underflows to 0 at the first); at the third x_match =
-    # 20/omega = 1e305 is a double, but the default budget x_match 2^14 is not
-    with pytest.raises(DoubleRangeExceeded, match=r"rungs x_match 2\^k pass the largest double"):
-        phase_difference(m, omega)
+    # (omega^2 alone underflows to 0 at the first), so the first rung is too;
+    # at the third x_match = 20/omega = 1e305, and at tol = 1e-6 the bound
+    # falls below tol only past x = 5e309: the eleventh rung is not a double
+    with pytest.raises(DoubleRangeExceeded, match=r"rungs x_match 2\^k pass the largest double"
+                                                  rf".*: rung k = {rung},"):
+        phase_difference(m, omega, tol=1e-6)
+
+
+def test_phase_difference_reads_rungs_up_to_the_largest_double():
+    # x_match = 1e305: at tol = 1e-3 the bound falls below tol past
+    # x = 5e306, at the sixth rung, before the rungs leave the double range
+    res = phase_difference(math.sqrt(2e-304), 2e-304)
+    assert res.converged and res.x.size == 6 and res.x[-1] == 6.4e306
+    assert abs(res.estimate - HALF_PI) <= res.bound < 1e-3
 
 
 @pytest.mark.parametrize("x_limit", [None, 1e300])
 def test_phase_difference_rungs_past_the_double_range_in_y_are_typed(x_limit):
-    # x_match = 2.6e219 and every rung of the budget are doubles, but
-    # |y| = 2 omega x_k with omega = 1e100 is not
+    # x_match = 2.6e219 and the first rung are doubles, but its |y| =
+    # 2 omega x_k with omega = 1e100 is not
     with pytest.raises(DoubleRangeExceeded, match=r"largest double .* in \|y\| = 2 omega x_k"):
         phase_difference(1.4e130, 1e100, x_limit=x_limit)
+
+
+def test_phase_difference_converges_before_its_budget_leaves_the_double_range():
+    # omega = 1e300: the budget's last rung, x = 5.6e299, has |y| = 2 omega x
+    # past the largest double, but the ladder stops at its first rung,
+    # x = 4e-299, and never reads it
+    res = phase_difference(1.0, 1e300, x_limit=1e300)
+    assert res.converged and res.x.tolist() == [4e-299]
+
+
+def test_a_budget_does_not_hide_a_first_rung_past_the_double_range():
+    # x_match = 2.5 m^2/omega^2 is inf: a finite x_limit is below the first
+    # rung, but the limit to name is the double range
+    with pytest.raises(DoubleRangeExceeded, match=r"rung k = 1, x_match = inf"):
+        phase_difference(1.0, 1e-300, x_limit=1e300)
 
 
 def test_phase_difference_within_a_budget_below_the_largest_double():
@@ -310,8 +372,8 @@ def test_phase_difference_within_a_budget_below_the_largest_double():
     assert exc.value.result.x.tolist() == [1e305 * 2.0 ** k for k in (1, 2, 3, 4)]
 
 
-@pytest.mark.parametrize("m, omega, x_limit, rungs", [(0.5, 2.0, None, 4),
-                                                     (3.0, 0.5, 92160.0, 10)])
+@pytest.mark.parametrize("m, omega, x_limit, rungs", [(0.5, 2.0, None, 3),
+                                                     (3.0, 0.5, 92160.0, 9)])
 def test_log_gamma_calls_per_solve_do_not_grow_with_the_rungs(m, omega, x_limit, rungs,
                                                              monkeypatch):
     # the expansion's log-Gamma terms are computed once per solve: those of
@@ -331,7 +393,10 @@ def test_log_gamma_calls_per_solve_do_not_grow_with_the_rungs(m, omega, x_limit,
 
 
 def test_phase_difference_budget_exhaustion():
-    with pytest.raises(NotConverged) as exc:
+    # the rungs are x = 20 and 40, and the bound falls below 1e-3 only past
+    # x = (m/omega)^2/sin(1e-3) = 62.5
+    with pytest.raises(NotConverged, match=r"within x_limit = 50: the bound at the last of 2 "
+                                           r"rungs, x = 40, is 0\.00156.* past x = 62\.5") as exc:
         phase_difference(0.5, 2.0, x_limit=50.0)
     res = exc.value.result
     assert res is not None
@@ -343,7 +408,7 @@ def test_phase_difference_budget_exhaustion():
 
 def test_phase_difference_too_few_points():
     with pytest.raises(NotConverged):
-        # x_match = 10: two rungs, at x = 20 and 40
+        # x_match = 10: two rungs, at x = 20 and 40, where the bound is 1.6e-3
         phase_difference(0.5, 2.0, x_limit=10.0 * 2 ** 2)
 
 

@@ -54,6 +54,14 @@ def test_scattering_suite_passes():
         assert r.passed, f"{r.name}: {r.max_error:.3e} > {r.tolerance:.1e}"
 
 
+def test_phase_difference_check_names_its_rungs_and_bound():
+    # the worse of the two, (1/2, 2), stops at x = 80, the third rung, where
+    # the bound is 7.8e-4
+    r = verify.check_phase_difference()
+    assert r.passed and r.tolerance == 1e-3
+    assert r.details.endswith("is (0.5, 2): estimate 1.571030 at x = 80, 3 rungs, bound 7.81e-04")
+
+
 @given(st.floats(1e-3, 1e3))
 def test_seed_point_stays_inside_the_series_range(omega):
     # the ladder checks seed their integrations at the edge of the series range
