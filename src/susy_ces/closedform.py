@@ -224,24 +224,27 @@ class SolutionSample(NamedTuple):
     derivative: complex | np.ndarray
 
 
+def _sectors(p: SolutionParams, rows, sectors: tuple[Sector, ...]
+             ) -> list[tuple[list[complex], list[complex]]]:
+    """Z_pm = e^{-i pi/4} (rtilde_1 +- i rtilde_2) and its derivative at each
+    point, for each of ``sectors``, from component rows (r1, r2, dr1, dr2)."""
+    out = []
+    for sector in sectors:
+        if not isinstance(sector, Sector):
+            raise InvalidParams(f"sector={sector!r} is not a Sector")
+        sg = 1j * sector.sign
+        z = [PHASE_M4 * (r1 + sg * r2) for r1, r2, _, _ in rows]
+        dz = [PHASE_M4 * (dr1 + sg * dr2) for _, _, dr1, dr2 in rows]
+        _finite(p, (z, dz))
+        out.append((z, dz))
+    return out
+
+
 def _solution(p: SolutionParams, branches: tuple[Branch, ...], sectors: tuple[Sector, ...],
               xs: list[float]) -> list[list[tuple[list[complex], list[complex]]]]:
     """Z and dZ/dx at each checked point, for each of ``branches`` and,
     in each, for each of ``sectors``, all from one call of :func:`kummer_pair`."""
-    for sector in sectors:
-        if not isinstance(sector, Sector):
-            raise InvalidParams(f"sector={sector!r} is not a Sector")
-    out = []
-    for rows in _components(p, branches, xs):
-        per_sector = []
-        for sector in sectors:
-            sg = 1j * sector.sign
-            z = [PHASE_M4 * (r1 + sg * r2) for r1, r2, _, _ in rows]
-            dz = [PHASE_M4 * (dr1 + sg * dr2) for _, _, dr1, dr2 in rows]
-            _finite(p, (z, dz))
-            per_sector.append((z, dz))
-        out.append(per_sector)
-    return out
+    return [_sectors(p, rows, sectors) for rows in _components(p, branches, xs)]
 
 
 def solution_Z(p: SolutionParams, branch: Branch, sector: Sector, x) -> SolutionSample:

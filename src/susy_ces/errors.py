@@ -57,7 +57,10 @@ class MaxStepsExceeded(SusyCesError, ArithmeticError):
 class NotConverged(SusyCesError, ArithmeticError):
     """A far-field extraction did not reach its tolerance.
 
-    The partial result (when one exists) is attached as ``result``.
+    Nothing in the package raises it any more: the phase ladder stops only
+    on its proven bound.  It stays exported because the benchmark's ladder
+    workload still names it.  A partial result, when one exists, is
+    attached as ``result``.
     """
 
     def __init__(self, message, result=None):

@@ -44,11 +44,10 @@ The ladder stops on that bound: at the first rung where
 arcsin(min(1, m^2/(omega^2 x_k))) < ``tol``, reported as ``bound``, the
 accuracy the result is proven to have up to the rung's own rounding of a
 few eps (so ``tol`` must exceed :data:`TOL_FLOOR`).  The bound halves with
-each rung, so the ladder ends without a budget; only an explicit
-``x_limit`` ends it unconverged.  The spread of the last three rungs is
-reported as ``residual``, a cross-check read from the data alone that
-steers nothing.  The limit pi/2 is a consequence of the identity, never
-an input.
+each rung, so the ladder ends without a budget, and ``tol`` is its only
+knob.  The spread of the last three rungs is reported as ``residual``, a
+cross-check read from the data alone that steers nothing.  The limit pi/2
+is a consequence of the identity, never an input.
 """
 from __future__ import annotations
 
@@ -60,7 +59,7 @@ from typing import TYPE_CHECKING, NamedTuple
 from .closedform import _ladder_sample, solution_params
 # solution_Z, susy_map, integrate: only the benchmark tracer looks them up by name
 from .closedform import solution_Z, susy_map  # noqa: F401
-from .errors import DoubleRangeExceeded, InvalidParams, NotConverged
+from .errors import DoubleRangeExceeded, InvalidParams
 from .oracle import integrate  # noqa: F401
 from .specfun import FAR_TOL, asymptotic_pair_for
 
@@ -88,11 +87,12 @@ class PhaseDifferenceResult(NamedTuple):
     with the SUSY tail subtracted, one entry per rung; ``estimate`` its
     last entry; ``bound`` the proven bound arcsin(min(1, m^2/(omega^2 x)))
     on the last rung's distance from pi/2 (its rounding in doubles, a few
-    eps, comes on top), below ``tol`` exactly when ``converged``;
-    ``residual`` the spread max - min of its last three entries (inf
-    before three rungs), a cross-check from the data alone that no longer
-    steers anything.  ``ode_steps`` and ``ode_rejected`` are always 0: every
-    rung is read from the closed form, and only the benchmark reads them.
+    eps, comes on top), below ``tol``; ``residual`` the spread max - min of
+    its last three entries (inf before three rungs), a cross-check from the
+    data alone that no longer steers anything.  ``converged`` is always
+    True and ``ode_steps`` and ``ode_rejected`` are always 0: the ladder
+    returns only once its bound is below ``tol``, every rung is read from
+    the closed form, and only the benchmark reads the three.
     """
 
     m: float
@@ -139,8 +139,7 @@ def _sector_difference(u: float, du: float, v: float, dv: float) -> float:
     return d
 
 
-def phase_difference(m: float, omega: float, *, tol: float = 1e-3,
-                     x_limit: float | None = None) -> PhaseDifferenceResult:
+def phase_difference(m: float, omega: float, *, tol: float = 1e-3) -> PhaseDifferenceResult:
     """Tail-corrected phase-shift difference of the two sectors at energy omega^2.
 
     Reads one real MINUS solution, the real part of the branch-I closed
@@ -151,24 +150,15 @@ def phase_difference(m: float, omega: float, *, tol: float = 1e-3,
     rung whose proven bound arcsin(min(1, m^2/(omega^2 x_k))) is below
     ``tol``, which must exceed :data:`TOL_FLOOR`.
 
-    ``x_limit``: the largest x a rung may reach, finite and not below the
-    first rung 2 x_match; ``None`` means only the bound stops the ladder.
-    Raises :class:`NotConverged` (with the partial result attached as
-    ``err.result``) if the next rung is past ``x_limit``, and
+    The bound halves with each rung, so no budget is needed.  Raises
     :class:`DoubleRangeExceeded` where the rung about to be read, or its
     |y| = 2 omega x_k, is past the largest double.
     """
-    if not (x_limit is None or 0.0 < x_limit < math.inf):
-        raise InvalidParams(f"x_limit={x_limit!r} must be a positive finite real")
     if not (tol > TOL_FLOOR):
         raise InvalidParams(f"tol={tol!r} must be above the ladder's rounding floor "
                             f"TOL_FLOOR = 2^-40 = {TOL_FLOOR:.4g}")
     p = solution_params(m, omega)
     x_match = default_x_match(p.m, p.omega)
-    # a first rung past the largest double is refused as such in the loop
-    if x_limit is not None and x_limit < 2.0 * x_match < math.inf:
-        raise InvalidParams(f"x_limit={x_limit!r} is below the ladder's first rung "
-                            f"x = {2.0 * x_match:.17g}")
 
     # the expansion's log-Gamma terms, computed once for every rung
     far = asymptotic_pair_for(p.a1.imag)
@@ -191,25 +181,17 @@ def phase_difference(m: float, omega: float, *, tol: float = 1e-3,
         raws.append(d)
         accs.append(d - 0.5 * (susy_phase_offset(w, 1.0) - math.pi))
         bound = math.asin(min(1.0, r * (r / xk)))
-        xk *= 2.0
-        if bound < tol or (x_limit is not None and xk > x_limit):
+        if bound < tol:
             break
+        xk *= 2.0
 
     import numpy as np
-    converged = bound < tol
-    result = PhaseDifferenceResult(
+    return PhaseDifferenceResult(
         m=m, omega=omega, x_match=x_match,
         x=np.array(xs), raw=np.array(raws), accelerated=np.array(accs),
         estimate=accs[-1],
         residual=max(accs[-3:]) - min(accs[-3:]) if len(accs) >= 3 else math.inf,
-        converged=converged, bound=bound)
-    if not converged:
-        raise NotConverged(
-            f"phase difference not converged to {tol:g} within x_limit = {x_limit:.6g}: "
-            f"the bound at the last of {len(xs)} rungs, x = {xs[-1]:.6g}, is {bound:.3g}, "
-            f"and it falls below tol only past x = {r * (r / math.sin(tol)):.6g}",
-            result=result)
-    return result
+        converged=True, bound=bound)
 
 
 def susy_phase_offset(w: float, omega: float) -> float:

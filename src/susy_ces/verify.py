@@ -20,7 +20,7 @@ import numpy as np
 from . import closedform as cf
 from . import highprec, oracle, potential, scattering, specfun
 from ._points import flat, shaped
-from .errors import InvalidParams, NotConverged, SeriesRangeExceeded
+from .errors import InvalidParams, SeriesRangeExceeded
 from .potential import Sector
 
 __all__ = ["CheckReport", "SUITES", "run_suite"]
@@ -239,21 +239,13 @@ def _series_Z(p: cf.SolutionParams, branch: cf.Branch, sectors: tuple[Sector, ..
               x: np.ndarray) -> list[cf.SolutionSample]:
     """:func:`series_solution_Z` in each of ``sectors``, all from one :func:`series_components`.
 
-    Each value and derivative is formed point by point in Python ``complex``
-    with :func:`closedform.solution_Z`'s expression, so the values' bits are the same.
+    Each sector is assembled by :func:`closedform.solution_Z`'s own code, so
+    the values' bits are the same.
     """
     (c1, shape), (c2, _), (e1, _), (e2, _) = (flat(c, complex)
                                                for c in series_components(p, branch, x))
-    out = []
-    for sec in sectors:
-        if not isinstance(sec, Sector):
-            raise InvalidParams(f"sector={sec!r} is not a Sector")
-        sg = 1j * sec.sign
-        z = [cf.PHASE_M4 * (a + sg * b) for a, b in zip(c1, c2)]
-        dz = [cf.PHASE_M4 * (a + sg * b) for a, b in zip(e1, e2)]
-        cf._finite(p, (z,))
-        out.append(cf.SolutionSample(x, shaped(z, shape, complex), shaped(dz, shape, complex)))
-    return out
+    return [cf.SolutionSample(x, shaped(z, shape, complex), shaped(dz, shape, complex))
+            for z, dz in cf._sectors(p, list(zip(c1, c2, e1, e2)), sectors)]
 
 
 def check_rtilde_system() -> CheckReport:
@@ -540,11 +532,4 @@ def run_suite(suite: str) -> list[CheckReport]:
     else:
         raise InvalidParams(f"unknown suite {suite!r}; choose from "
                             f"{sorted(SUITES)} or 'all'")
-    reports = []
-    for chk in checks:
-        try:
-            reports.append(chk())
-        except NotConverged as e:
-            reports.append(_report(chk.__name__.replace("check_", "unconverged/"),
-                                   math.inf, 0.0, str(e)))
-    return sorted(reports, key=lambda r: r.name)
+    return sorted((chk() for chk in checks), key=lambda r: r.name)

@@ -178,6 +178,21 @@ def test_verify_text_and_failure_exit(runner, monkeypatch):
     assert "1/2 checks passed" in res.output
 
 
+def test_verify_json_is_strict_where_a_check_reports_inf(runner, monkeypatch):
+    # a check that compares nothing reports inf (asymptotic-overlap, when its
+    # pair refuses every value): JSON carries null, not the non-JSON Infinity
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    empty = verify._report("demo/empty", math.inf, 1.0, "nothing compared")
+    monkeypatch.setitem(verify.SUITES, "specfun", (verify.check_golden_table, lambda: empty))
+    res = runner.invoke(main, ["verify", "--suite", "specfun", "--format", "json"])
+    assert res.exit_code == 1
+    reports = {r["name"]: r for r in json.loads(res.stdout, parse_constant=refuse)}
+    assert reports["demo/empty"]["max_error"] is None
+    assert reports["specfun/golden-table"]["max_error"] == 0.0
+
+
 def test_verify_takes_no_tolerance(runner):
     # every check keeps its own tolerance: no option can replace it
     assert [o for p in cli.verify.params for o in p.opts] == ["--suite", "--format", "--out"]
@@ -269,47 +284,33 @@ def test_phase_text_prints_the_proven_bound(runner):
 
 
 def test_phase_json_is_strict_before_the_third_rung(runner):
-    # the ladder stops at x = 40 after two rungs, before the three-rung
-    # spread exists: the residual is null, not the non-JSON Infinity
+    # at tol = 0.01 the ladder stops at x = 20 after one rung, before the
+    # three-rung spread exists: the residual is null, not the non-JSON Infinity
     def refuse(name):
         raise ValueError(f"{name} is not JSON")
 
     res = runner.invoke(main, ["phase", "--m", "0.5", "--omega", "2",
-                               "--x-limit", "40", "--format", "json"])
-    assert res.exit_code == 1
+                               "--tol", "0.01", "--format", "json"])
+    assert res.exit_code == 0
     payload = json.loads(res.stdout, parse_constant=refuse)
-    assert payload["residual"] is None and payload["converged"] is False
+    assert payload["residual"] is None and payload["converged"] is True
     assert len(payload["x"]) < 3
 
 
-def test_phase_not_converged_exits_1_with_partial_output(runner):
-    res = runner.invoke(main, ["phase", "--m", "0.5", "--omega", "2",
-                               "--x-limit", "50"])
-    assert res.exit_code == 1
-    assert "not converged" in res.stderr
-    assert "converged: False" in res.output   # partial ladder still printed
-
-
 def test_phase_beyond_series_range_prints_ladder_and_exits_1(runner):
-    # default x_match = 40 puts |y| = 80 past the series bound; the rungs are read
-    # from the large-|y| expansion; --x-limit 320 = 40 * 2^3 stops the ladder
-    # after three rungs
-    res = runner.invoke(main, ["phase", "--m", "4", "--omega", "1",
-                               "--x-limit", "320"])
-    assert res.exit_code == 1
+    # default x_match = 40 puts |y| = 80 past the series bound; the rungs are
+    # read from the large-|y| expansion, and the ladder converges (exit 0)
+    res = runner.invoke(main, ["phase", "--m", "4", "--omega", "1"])
+    assert res.exit_code == 0
     assert "series bound" not in res.stderr
-    assert "not converged" in res.stderr
     assert "x_match=40" in res.output
-    assert "converged: False" in res.output
+    assert "converged: True" in res.output
 
 
-def test_phase_x_limit_below_the_first_rung_exits_2(runner):
-    # x_match = 10: the first rung is x = 20, so a budget of 15 holds none
-    res = runner.invoke(main, ["phase", "--m", "0.5", "--omega", "2",
-                               "--x-limit", "15"])
-    assert res.exit_code == 2
-    assert "first rung x = 20" in res.stderr
-    assert res.stdout == ""
+def test_phase_has_no_budget_option():
+    # the proven bound is the ladder's only stop: tol is its one knob
+    assert [o for p in cli.phase.params for o in p.opts] == ["--m", "--omega", "--tol",
+                                                            "--format", "--out"]
 
 
 @pytest.mark.parametrize("omega", ["1e-300", "1e-160"])

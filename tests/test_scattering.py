@@ -11,7 +11,7 @@ from susy_ces import closedform as cf
 from susy_ces import scattering as sc
 from susy_ces import specfun
 from susy_ces.closedform import solution_params
-from susy_ces.errors import DoubleRangeExceeded, InvalidParams, NotConverged
+from susy_ces.errors import DoubleRangeExceeded, InvalidParams
 from susy_ces.potential import Sector, superpotential
 from susy_ces.scattering import phase_difference, susy_phase_offset
 from susy_ces.specfun import SERIES_ZMAX, asymptotic_pair_for
@@ -45,22 +45,13 @@ def test_phase_config_validation():
     assert abs(res.estimate - HALF_PI) <= res.bound + ROUNDING < 2.0 * sc.TOL_FLOOR
 
 
-@pytest.mark.parametrize("x_limit", [math.nan, math.inf, 0.0, -1.0])
-def test_phase_config_rejects_bad_x_limit(x_limit):
-    # x_limit is the ladder's only budget, so it must be a finite positive x
-    with pytest.raises(InvalidParams):
-        phase_difference(1.0, 1.0, x_limit=x_limit)
-
-
 def test_keywords_are_checked_before_any_solve(monkeypatch):
     def solve(*args, **kwargs):
         raise AssertionError("a solve ran before the keywords were checked")
 
     monkeypatch.setattr(sc, "asymptotic_pair_for", solve)
-    # x_match = 20 at (1, 1): a budget of 39 holds no rung, the first is x = 40
-    for kw in ({"tol": 0.0}, {"x_limit": -1.0}, {"x_limit": 39.0}):
-        with pytest.raises(InvalidParams):
-            phase_difference(1.0, 1.0, **kw)
+    with pytest.raises(InvalidParams):
+        phase_difference(1.0, 1.0, tol=0.0)
 
 
 def test_susy_phase_offset_landmarks():
@@ -183,11 +174,10 @@ _STRONG = {(4.0, 1.0): "0x1.9236d1bb7b2acp+0", (3.0, 0.5): "0x1.92234ccc9a23cp+0
 @pytest.mark.parametrize("m, omega", list(_STRONG))
 def test_phase_difference_converges_at_strong_coupling(m, omega):
     # m^2/omega = 16, 18, 64 and 100: the ladder reads every rung from the
-    # closed form, within the criterion-07 budget
-    x_limit = 1e4 * max(1.0, m * m) / omega
-    res = phase_difference(m, omega, x_limit=x_limit)
+    # closed form, and stops within the criterion-07 budget
+    res = phase_difference(m, omega)
     assert res.converged
-    assert np.all(res.x <= x_limit)
+    assert res.x[-1] <= 1e4 * max(1.0, m * m) / omega
     assert res.ode_steps == 0
     assert abs(res.estimate - HALF_PI) < 1e-3
     assert res.estimate.hex() == _STRONG[m, omega]
@@ -234,16 +224,19 @@ def test_phase_difference_bound_covers_the_error(m, omega):
     assert abs(res.estimate - HALF_PI) <= res.bound < 1e-3
 
 
+#: (m, omega, the largest x the ladder may reach or None): the strong
+#: couplings stop within the criterion-07 budget
 _IDENTITY = [(0.5, 2.0, None), (1.0, 2.0, None), (1.0, 1.0, None)] + [
     (m, omega, 1e4 * max(1.0, m * m) / omega) for m, omega in _STRONG]
 
 
-@pytest.mark.parametrize("m, omega, x_limit", _IDENTITY)
-def test_each_rung_is_one_function_of_the_minus_sample(m, omega, x_limit):
+@pytest.mark.parametrize("m, omega, x_budget", _IDENTITY)
+def test_each_rung_is_one_function_of_the_minus_sample(m, omega, x_budget):
     # read through the SUSY map, every rung is A_k = pi/2 - arg(1 + eps_k),
     # eps_k = W^2 u / ((W + i omega)(u' + i omega u)), for any real solution
     # u of V-, and |eps_k| <= m^2/(omega^2 x_k) bounds its distance from pi/2
-    res = phase_difference(m, omega, x_limit=x_limit)
+    res = phase_difference(m, omega)
+    assert x_budget is None or res.x[-1] <= x_budget
     p = solution_params(m, omega)
     pair = asymptotic_pair_for(p.a1.imag)
     for xk, acc in zip(res.x.tolist(), res.accelerated.tolist()):
@@ -342,39 +335,31 @@ def test_phase_difference_reads_rungs_up_to_the_largest_double():
     assert abs(res.estimate - HALF_PI) <= res.bound < 1e-3
 
 
-@pytest.mark.parametrize("x_limit", [None, 1e300])
-def test_phase_difference_rungs_past_the_double_range_in_y_are_typed(x_limit):
+def test_phase_difference_rungs_past_the_double_range_in_y_are_typed():
     # x_match = 2.6e219 and the first rung are doubles, but its |y| =
     # 2 omega x_k with omega = 1e100 is not
     with pytest.raises(DoubleRangeExceeded, match=r"largest double .* in \|y\| = 2 omega x_k"):
-        phase_difference(1.4e130, 1e100, x_limit=x_limit)
+        phase_difference(1.4e130, 1e100)
 
 
 def test_phase_difference_converges_before_its_budget_leaves_the_double_range():
-    # omega = 1e300: the budget's last rung, x = 5.6e299, has |y| = 2 omega x
-    # past the largest double, but the ladder stops at its first rung,
-    # x = 4e-299, and never reads it
-    res = phase_difference(1.0, 1e300, x_limit=1e300)
+    # omega = 1e300: a rung at x = 1e300 would have |y| = 2 omega x past the
+    # largest double, but the ladder stops at its first rung, x = 4e-299,
+    # and never reads one
+    res = phase_difference(1.0, 1e300)
     assert res.converged and res.x.tolist() == [4e-299]
 
 
 def test_a_budget_does_not_hide_a_first_rung_past_the_double_range():
-    # x_match = 2.5 m^2/omega^2 is inf: a finite x_limit is below the first
-    # rung, but the limit to name is the double range
+    # x_match = 2.5 m^2/omega^2 is inf: the limit to name is the double range
     with pytest.raises(DoubleRangeExceeded, match=r"rung k = 1, x_match = inf"):
-        phase_difference(1.0, 1e-300, x_limit=1e300)
+        phase_difference(1.0, 1e-300)
 
 
-def test_phase_difference_within_a_budget_below_the_largest_double():
-    # x_match = 1e305: a budget of four rungs is all doubles
-    with pytest.raises(NotConverged) as exc:
-        phase_difference(math.sqrt(2e-304), 2e-304, x_limit=1e305 * 2 ** 4)
-    assert exc.value.result.x.tolist() == [1e305 * 2.0 ** k for k in (1, 2, 3, 4)]
-
-
-@pytest.mark.parametrize("m, omega, x_limit, rungs", [(0.5, 2.0, None, 3),
-                                                     (3.0, 0.5, 92160.0, 9)])
-def test_log_gamma_calls_per_solve_do_not_grow_with_the_rungs(m, omega, x_limit, rungs,
+#: (m, omega, the largest x the ladder may reach or None, its rungs)
+@pytest.mark.parametrize("m, omega, x_budget, rungs", [(0.5, 2.0, None, 3),
+                                                      (3.0, 0.5, 92160.0, 9)])
+def test_log_gamma_calls_per_solve_do_not_grow_with_the_rungs(m, omega, x_budget, rungs,
                                                              monkeypatch):
     # the expansion's log-Gamma terms are computed once per solve: those of
     # its two shared factors, Gamma(1 - i eta) and Gamma(a); Gamma(1/2) and
@@ -387,29 +372,10 @@ def test_log_gamma_calls_per_solve_do_not_grow_with_the_rungs(m, omega, x_limit,
         return log_gamma(z)
 
     monkeypatch.setattr(specfun, "log_gamma", counted)
-    res = phase_difference(m, omega, x_limit=x_limit)
+    res = phase_difference(m, omega)
     assert res.converged and res.x.size == rungs
+    assert x_budget is None or res.x[-1] <= x_budget
     assert len(calls) == 2
-
-
-def test_phase_difference_budget_exhaustion():
-    # the rungs are x = 20 and 40, and the bound falls below 1e-3 only past
-    # x = (m/omega)^2/sin(1e-3) = 62.5
-    with pytest.raises(NotConverged, match=r"within x_limit = 50: the bound at the last of 2 "
-                                           r"rungs, x = 40, is 0\.00156.* past x = 62\.5") as exc:
-        phase_difference(0.5, 2.0, x_limit=50.0)
-    res = exc.value.result
-    assert res is not None
-    assert not res.converged
-    assert res.x.size >= 1
-    assert np.all(res.x <= 50.0)
-    assert np.all(np.isfinite(res.raw))
-
-
-def test_phase_difference_too_few_points():
-    with pytest.raises(NotConverged):
-        # x_match = 10: two rungs, at x = 20 and 40, where the bound is 1.6e-3
-        phase_difference(0.5, 2.0, x_limit=10.0 * 2 ** 2)
 
 
 @pytest.mark.parametrize("m, omega", [(4.0, 1.0), (3.0, 0.5)])
@@ -421,11 +387,8 @@ def test_phase_difference_seeds_inside_the_series_range(m, omega, monkeypatch):
         raise AssertionError("a seed was formed")
 
     monkeypatch.setattr(sc, "solution_Z", refuse)
-    x_match = sc.default_x_match(m, omega)
-    with pytest.raises(NotConverged) as exc:
-        phase_difference(m, omega, x_limit=x_match * 2 ** 3)
-    res = exc.value.result
+    res = phase_difference(m, omega)
     assert 2.0 * omega * res.x_match > SERIES_ZMAX
-    assert np.array_equal(res.x, res.x_match * np.array([2.0, 4.0, 8.0]))
+    assert np.array_equal(res.x[:3], res.x_match * np.array([2.0, 4.0, 8.0]))
     assert np.all(np.isfinite(res.raw))
     assert res.ode_steps == 0
