@@ -7,9 +7,9 @@ Then makes scalar calls through every layer that must not need numpy:
 ``solution_params``, ``solution_Z`` for both branches and both sectors,
 ``components``, ``susy_map``, ``y_of_x``, ``V``, ``superpotential``,
 ``oracle.integrate`` on a ``schrodinger_problem`` segment, the ladder's
-far-field pair ``specfun.asymptotic_pair_for(0.5)(0.5, [100.0])`` against
+far-field pair ``specfun.asymptotic_pair(0.5, [100.0])`` against
 ``highprec.kummer_walk(0.5, [100.0])``, and the ladder's rung sample
-``closedform._ladder_sample`` read from that pair.  numpy is blocked in
+``closedform._ladder_sample`` formed from that pair's values.  numpy is blocked in
 ``sys.modules`` first, so any import of it fails, and ``susy_ces.verify``
 (which needs numpy) must stay unloaded.  Exits non-zero on any failure.
 
@@ -34,7 +34,7 @@ from susy_ces import (Branch, Sector, V, components, integrate,  # noqa: E402
                       superpotential, susy_map, y_of_x)
 from susy_ces.closedform import _ladder_sample  # noqa: E402
 from susy_ces.highprec import kummer_walk  # noqa: E402
-from susy_ces.specfun import FAR_TOL, asymptotic_pair_for  # noqa: E402
+from susy_ces.specfun import FAR_TOL, asymptotic_pair  # noqa: E402
 
 OTHER = {Sector.PLUS: Sector.MINUS, Sector.MINUS: Sector.PLUS}
 
@@ -59,12 +59,14 @@ assert abs(far.value - want) <= 1e-7 * abs(want), (far.value, want)
 
 # past the series range the ladder reads the pair from the large-|y| expansion
 walk = kummer_walk(0.5, [100.0])
-for got, want in zip(asymptotic_pair_for(0.5)(0.5, [100.0]), (walk.p, walk.q)):
+pair = asymptotic_pair(0.5, [100.0])
+for got, want in zip(pair, (walk.p, walk.q)):
     assert type(got[0]) is complex
     assert abs(got[0] - want[0]) <= FAR_TOL * abs(want[0]), (got, want)
 
 # a rung's (u, u'/omega, v, v'/omega) at |y| = 100, (m, omega) = (1, 1)
-sample = _ladder_sample(p, 50.0, -1.0 / 50.0 ** 0.5, asymptotic_pair_for(0.5))
+(pp,), (qq,) = pair
+sample = _ladder_sample(p, 50.0, -1.0 / 50.0 ** 0.5, pp, qq)
 assert len(sample) == 4 and all(type(v) is float for v in sample), sample
 
 assert "susy_ces.verify" not in sys.modules

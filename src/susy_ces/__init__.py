@@ -49,8 +49,8 @@ _EXPORTS = {
     "verify": ("CheckReport", "run_suite"),
     "errors": (
         "SusyCesError", "DomainError", "InvalidParams", "PoleAtNonPositiveInteger",
-        "ArgumentTooSmall", "SeriesRangeExceeded", "NonConvergence",
-        "StepSizeUnderflow", "MaxStepsExceeded", "NotConverged", "DoubleRangeExceeded"),
+        "SeriesRangeExceeded", "NonConvergence", "StepSizeUnderflow",
+        "MaxStepsExceeded", "NotConverged", "DoubleRangeExceeded"),
     "highprec": (),
     "_points": (),
     "cli": (),

@@ -95,7 +95,7 @@ def table(m, omega, sector, branch, x_min, x_max, points, spacing, fmt, out):
     if spacing == "linear":
         x = np.linspace(x_min, x_max, points)
     else:
-        x = np.logspace(math.log10(x_min), math.log10(x_max), points)
+        x = np.geomspace(x_min, x_max, points)
     sec = _SECTORS[sector]
     p = solution_params(m, omega)
     v = V(x, m, sec)

@@ -40,8 +40,8 @@ call of :func:`susy_ces.specfun.kummer_pair` for any ``x``, assembled by
 one loop in Python ``complex`` for a lone point and a grid alike
 (:mod:`susy_ces._points`), so a point's bits never depend on the grid.
 The public functions refuse |y| = 2 omega x > ``SERIES_ZMAX`` (60), as
-``kummer_pair`` does; :func:`_ladder_sample` reads the phase ladder's
-real samples from any pair function, in real arithmetic and with no c2.
+``kummer_pair`` does; :func:`_ladder_sample` forms the phase ladder's
+real samples from the pair's values, in real arithmetic and with no c2.
 """
 from __future__ import annotations
 
@@ -259,20 +259,19 @@ def solution_Z(p: SolutionParams, branch: Branch, sector: Sector, x) -> Solution
                           shaped(dz, shape, complex))
 
 
-def _ladder_sample(p: SolutionParams, x: float, w: float,
-                   pair) -> tuple[float, float, float, float]:
+def _ladder_sample(p: SolutionParams, x: float, w: float, pp: complex,
+                   qq: complex) -> tuple[float, float, float, float]:
     """(u, u'/omega, v, v'/omega) at one x: u = Re Z^I_- and its real SUSY image v = -Im Z^I_+.
 
-    ``w`` is W(x)/omega, and ``pair`` (eta, [|y|]) gives P and Q at x:
-    :func:`kummer_pair`, or past the series range the function
-    :func:`specfun.asymptotic_pair_for` builds.  As c2 y^{1/2} = 2 i sqrt(eta s),
-    s = |y|, Z^I_-+ = e^{-i pi/4} conj(h (P +- R)) with R = 2 sqrt(eta) sqrt(s) Q
+    ``w`` is W(x)/omega, and ``pp``, ``qq`` are P and Q at s = |y| =
+    2 omega x, from :func:`kummer_pair` or, past the series range,
+    :func:`specfun.asymptotic_pair`.  As c2 y^{1/2} = 2 i sqrt(eta s),
+    Z^I_-+ = e^{-i pi/4} conj(h (P +- R)) with R = 2 sqrt(eta) sqrt(s) Q
     (eta s alone can pass the largest double), and the first-order system
     gives u'/omega = v - w u and v'/omega = w v - u: the four values stay
     doubles where omega u' does not.  Raises DoubleRangeExceeded where one is not finite.
     """
     s = 2.0 * p.omega * x
-    (pp,), (qq,) = pair(p.a1.imag, [s])
     h = cmath.exp(complex(0.0, 0.5 * s))            # e^{-y/2}, y = -i s
     r = (2.0 * (math.sqrt(p.a1.imag) * math.sqrt(s))) * qq
     u = (PHASE_M4 * (h * (pp + r)).conjugate()).real

@@ -23,18 +23,14 @@ class PoleAtNonPositiveInteger(DomainError):
     """The gamma function was evaluated at a non-positive integer."""
 
 
-class ArgumentTooSmall(SusyCesError, ValueError):
-    """|z| is too small for an asymptotic expansion to be meaningful."""
-
-
 class SeriesRangeExceeded(SusyCesError, ValueError):
     """|z| exceeds the range where the power series retains accuracy.
 
-    Also raised by the pair function of
-    :func:`susy_ces.specfun.asymptotic_pair_for` where the large-|z|
-    expansion is not certified.  Past the bound, values come from that
-    expansion, as :func:`susy_ces.scattering.phase_difference` reads them,
-    or are refused.
+    Also raised by :func:`susy_ces.specfun.asymptotic_pair` where the
+    large-|z| expansion is not certified, which takes in every |z| below
+    its frontier, about eta^2 and never below 25.  Past the bound, values
+    come from that expansion, as
+    :func:`susy_ces.scattering.phase_difference` reads them, or are refused.
     """
 
 

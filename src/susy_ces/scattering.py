@@ -22,10 +22,10 @@ common to both cancel before they are formed; what is left is a clean
    first-order SUSY image v = -Im Z^I_+, so both sectors carry the *same*
    scattering state (:func:`closedform._ladder_sample`, in real arithmetic
    on the pair M(1/2 + i eta, 1/2 or 3/2; y) of the large-|y| expansion
-   :func:`susy_ces.specfun.asymptotic_pair_for`, whose log-Gamma terms are
-   computed once per solve).  That pair is certified up to one exact
-   factor per branch and a power of two, so each rung is the exact sample
-   of some real solution, which is all step 4 needs;
+   :func:`susy_ces.specfun.asymptotic_pair`, one call for every rung, as
+   the stop rule places them all before any is read).  That pair is
+   certified up to one exact factor per branch and a power of two, so each
+   rung is the exact sample of some real solution, which is all step 4 needs;
 3. takes the phase of one ratio (:func:`_sector_difference`),
    d_k = arg((u' + i omega u) / (v' + i omega v)) mod pi, in [0, pi);
 4. subtracts the tail the ladder operator's phase rotation predicts,
@@ -61,7 +61,7 @@ from .closedform import _ladder_sample, solution_params
 from .closedform import solution_Z, susy_map  # noqa: F401
 from .errors import DoubleRangeExceeded, InvalidParams
 from .oracle import integrate  # noqa: F401
-from .specfun import FAR_TOL, asymptotic_pair_for
+from .specfun import FAR_TOL, asymptotic_pair
 
 if TYPE_CHECKING:
     import numpy as np
@@ -150,9 +150,9 @@ def phase_difference(m: float, omega: float, *, tol: float = 1e-3) -> PhaseDiffe
     rung whose proven bound arcsin(min(1, m^2/(omega^2 x_k))) is below
     ``tol``, which must exceed :data:`TOL_FLOOR`.
 
-    The bound halves with each rung, so no budget is needed.  Raises
-    :class:`DoubleRangeExceeded` where the rung about to be read, or its
-    |y| = 2 omega x_k, is past the largest double.
+    The bound halves with each rung, so no budget is needed, and every
+    rung is placed before any is read.  Raises :class:`DoubleRangeExceeded`
+    where a rung, or its |y| = 2 omega x_k, is past the largest double.
     """
     if not (tol > TOL_FLOOR):
         raise InvalidParams(f"tol={tol!r} must be above the ladder's rounding floor "
@@ -160,12 +160,9 @@ def phase_difference(m: float, omega: float, *, tol: float = 1e-3) -> PhaseDiffe
     p = solution_params(m, omega)
     x_match = default_x_match(p.m, p.omega)
 
-    # the expansion's log-Gamma terms, computed once for every rung
-    far = asymptotic_pair_for(p.a1.imag)
+    # plan: the rungs up to the first whose bound is below tol
     r = p.m / p.omega
     xs: list[float] = []
-    raws: list[float] = []
-    accs: list[float] = []
     xk = 2.0 * x_match
     while True:
         # doubling is exact, and gives inf rather than raising past the range
@@ -174,16 +171,21 @@ def phase_difference(m: float, omega: float, *, tol: float = 1e-3) -> PhaseDiffe
                 f"the ladder's rungs x_match 2^k pass the largest double "
                 f"({sys.float_info.max:.4g}) in x_k or in |y| = 2 omega x_k at "
                 f"m={m!r}, omega={omega!r}: rung k = {len(xs) + 1}, x_match = {x_match:.4g}")
-        # W(x_k)/omega; omega sqrt(x_k) <= max(omega, |y|/2) is a double
-        w = -p.m / (p.omega * math.sqrt(xk))
-        d = _sector_difference(*_ladder_sample(p, xk, w, far))
         xs.append(xk)
-        raws.append(d)
-        accs.append(d - 0.5 * (susy_phase_offset(w, 1.0) - math.pi))
         bound = math.asin(min(1.0, r * (r / xk)))
         if bound < tol:
             break
         xk *= 2.0
+
+    # read: every rung's pair from one call, so its log-Gamma terms are computed once
+    raws: list[float] = []
+    accs: list[float] = []
+    for xk, pp, qq in zip(xs, *asymptotic_pair(p.a1.imag, [2.0 * p.omega * xk for xk in xs])):
+        # W(x_k)/omega; omega sqrt(x_k) <= max(omega, |y|/2) is a double
+        w = -p.m / (p.omega * math.sqrt(xk))
+        d = _sector_difference(*_ladder_sample(p, xk, w, pp, qq))
+        raws.append(d)
+        accs.append(d - 0.5 * (susy_phase_offset(w, 1.0) - math.pi))
 
     import numpy as np
     return PhaseDifferenceResult(

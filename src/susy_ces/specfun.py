@@ -25,22 +25,23 @@ A scalar z gives a Python ``complex``, an array of them an ndarray of
 its shape; every value is computed in Python, point by point.
 Values past the largest double raise ``DoubleRangeExceeded``.  It refuses
 |z| > ``SERIES_ZMAX`` outright.  Past the bound the same pair comes from
-:func:`asymptotic_pair_for`, the large-|z| expansion (DLMF 13.7.2),
-certified to ``FAR_TOL`` up to one exact factor per branch and a shared
-power of two, at the points where its error estimate allows (|z| past
-about eta^2); :func:`susy_ces.scattering.phase_difference` reads every
-rung that way.
+:func:`asymptotic_pair`, the large-|z| expansion (DLMF 13.7.2), with
+:func:`kummer_pair`'s signature, certified to ``FAR_TOL`` up to one exact
+factor per branch and a shared power of two, at the points where its
+error estimate allows (|z| past about eta^2, and never below 25);
+:func:`susy_ces.scattering.phase_difference` reads every rung from one
+call of it.
 """
 from __future__ import annotations
 
 import cmath
 import math
 import sys
-from typing import TYPE_CHECKING, Callable, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from ._points import flat, shaped
-from .errors import (ArgumentTooSmall, DoubleRangeExceeded, InvalidParams,
-                     PoleAtNonPositiveInteger, SeriesRangeExceeded)
+from .errors import (DoubleRangeExceeded, InvalidParams, PoleAtNonPositiveInteger,
+                     SeriesRangeExceeded)
 from .highprec import chf_series_fixed, kummer_walk
 
 if TYPE_CHECKING:
@@ -51,11 +52,9 @@ chf_series_dd = None
 
 #: refusal bound for the series evaluator.  At |z| = 60 the cancellation
 #: ratio reaches ~1e26, which the fixed-point sum absorbs with tens of
-#: digits to spare; past it callers take :func:`asymptotic_pair_for`.
+#: digits to spare; past it callers take :func:`asymptotic_pair`.
 SERIES_ZMAX = 60.0
-#: below this |z| the asymptotic expansion's optimal truncation is too loose
-ASYMPTOTIC_MIN_ABS_Z = 25.0
-#: relative error bound :func:`asymptotic_pair_for` certifies its values to
+#: relative error bound :func:`asymptotic_pair` certifies its values to
 FAR_TOL = 2.0 ** -40
 #: past e^700 (the largest double is about e^709.8) the pair's shared factors are scaled
 _LOG_BIG = 700.0
@@ -89,9 +88,9 @@ def _refuse_past(zmax: float) -> None:
     """Refuse a largest |z| past the series bound."""
     if zmax > SERIES_ZMAX:
         raise SeriesRangeExceeded(
-            f"max|z| = {zmax:.4g} exceeds the series bound "
+            f"max|z| = {zmax!r} exceeds the series bound "
             f"{SERIES_ZMAX:g}; past it, phase_difference reads the pair "
-            f"through the large-|y| expansion (asymptotic_pair_for)")
+            f"through the large-|y| expansion (asymptotic_pair)")
 
 
 def _flat_z(z) -> tuple[list[complex], tuple | None]:
@@ -175,20 +174,16 @@ def _opt_sum(p1: complex, p2: complex, zz: complex, terms: int) -> tuple[complex
     return s, best
 
 
-def asymptotic_pair_for(eta: float) -> Callable[[float, list[float]],
-                                                 tuple[list[complex], list[complex]]]:
+def asymptotic_pair(eta: float, s: list[float]) -> tuple[list[complex], list[complex]]:
     """M(1/2 + i eta, 1/2 and 3/2; y) past the series range, from the large-|y| expansion.
 
-    Returns ``pair(eta, s)``, the pair (P, Q) at y = -i s for each s, as
-    :func:`kummer_pair` gives it inside its range, for the ``eta`` given
-    here (its own ``eta`` is not read).
-
-    Each (P, Q) is certified to ``FAR_TOL`` up to one exact factor per
-    branch and a shared power of two: to ``FAR_TOL`` of each value, it is
-    2^-e (f_r R + f_d D), with R and D the exact recessive and dominant
-    branch pairs of DLMF 13.2.41/13.7.2, and f_r, f_d within eps times the
-    size of their branch's shared log terms of 1 (about 1e3 eps at
-    eta = 200).  Each branch alone satisfies the pair relation
+    The pair (P, Q) at y = -i s for each s, as :func:`kummer_pair` gives it
+    inside its range.  Each (P, Q) is certified to ``FAR_TOL`` up to one
+    exact factor per branch and a shared power of two: to ``FAR_TOL`` of
+    each value, it is 2^-e (f_r R + f_d D), with R and D the exact recessive
+    and dominant branch pairs of DLMF 13.2.41/13.7.2, and f_r, f_d within
+    eps times the size of their branch's shared log terms of 1 (about
+    1e3 eps at eta = 200).  Each branch alone satisfies the pair relation
     Q = (P' - P)/(2 i eta), so (P, Q) is exactly the pair of another
     solution, which is all the phase ladder reads.  e is 0 wherever the
     shared factors stay below e^700 (eta up to about 223); up to eta = 200
@@ -201,17 +196,16 @@ def asymptotic_pair_for(eta: float) -> Callable[[float, list[float]],
     differs between them, Gamma(b), -i eta (1/Gamma(-i eta) =
     -i eta/Gamma(1 - i eta)), 1/z and the sums, is charged to the error
     estimate, and a value is kept only where that estimate is at most
-    ``FAR_TOL`` of it.  This call computes the two log-Gamma terms; a
-    ladder solve builds one ``pair`` and reads every rung from it.
+    ``FAR_TOL`` of it.  Each call computes the two log-Gamma terms once, so
+    a ladder solve reads every rung in one call.
 
     Raises
     ------
     InvalidParams
-        if ``eta``, or (from ``pair``) an s, is not finite.
+        if ``eta`` is not finite, or an s is not finite and positive.
     SeriesRangeExceeded
-        from ``pair``, for a value not certified: s not far enough past eta^2.
-    ArgumentTooSmall
-        from ``pair``, if an s is below ASYMPTOTIC_MIN_ABS_Z.
+        for a value not certified: s not far enough past eta^2, which
+        takes in every s below 25.
     """
     a, _ = _params(complex(0.5, eta), 0.5)
     eta, ieta = a.imag, a - 0.5
@@ -220,45 +214,39 @@ def asymptotic_pair_for(eta: float) -> Callable[[float, list[float]],
     # dominant sum's (p1, p2); the dominant factor is 1 or 1/z
     parts = ((0.5, _SQRT_PI, (a, 1.0 + ieta), -ieta, (-ieta, 0.5 - ieta)),
              (1.5, 0.5 * _SQRT_PI, (a, ieta), 1.0, (1.0 - ieta, 0.5 - ieta)))
-
-    def pair(_eta: float, s: list[float]) -> tuple[list[complex], list[complex]]:
-        out: tuple[list[complex], list[complex]] = ([], [])
-        for v in s:
-            if not math.isfinite(v):
-                raise InvalidParams(f"s={v!r} is not finite")
-            if not v >= ASYMPTOTIC_MIN_ABS_Z:
-                raise ArgumentTooSmall(f"s = {v:.4g} < {ASYMPTOTIC_MIN_ABS_Z:g}")
-            z = complex(0.0, -v)
-            terms, logz = 2 * int(v) + 30, cmath.log(z)
-            # the logs of the shared factors, their parts summed exactly; on
-            # the ray arg z = -pi/2 the recessive sector term is e^{-i pi a}
-            lr, li = logz.real, logz.imag
-            log_r = complex(math.fsum((math.pi * eta, -0.5 * lr, eta * li, -lg_r.real)),
-                            math.fsum((-0.5 * math.pi, -0.5 * li, -eta * lr, -lg_r.imag)))
-            log_d = complex(-eta * li - lg_d.real, eta * lr - lg_d.imag)
-            # past e^700, 2^n with n = round(big / ln 2) is divided out; the
-            # remainder is exact, so the larger factor keeps a modulus near 1
-            big = max(log_r.real, log_d.real)
-            scale = big - math.remainder(big, _LOG_2) if big > _LOG_BIG else 0.0
-            f_r = cmath.exp(log_r - scale)
-            # e^z apart: its phase, exact as z is, would cost |z| eps in a sum
-            f_d = cmath.exp(z) * cmath.exp(log_d - scale)
-            for (b, g, rec, x_r, dom), x_d, vals in zip(parts, (1.0, 1.0 / z), out):
-                c_r, c_d = f_r * (g * x_r), f_d * (g * x_d)
-                s_r, t_r = _opt_sum(*rec, -z, terms)
-                s_d, t_d = _opt_sum(*dom, z, terms)
-                value = c_r * s_r + c_d * s_d
-                # 16 eps for each sum, 8 for its factor and product
-                err = (abs(c_r) * (t_r + 24.0 * _EPS * abs(s_r))
-                       + abs(c_d) * (t_d + 24.0 * _EPS * abs(s_d)))
-                if not err <= FAR_TOL * abs(value):
-                    raise SeriesRangeExceeded(
-                        f"|y| = {v:.4g} at eta = {eta:.4g}: the large-|y| expansion of "
-                        f"1F1(a, {b:g}; y) is not certified to FAR_TOL = {FAR_TOL:.3g}")
-                vals.append(value)
-        return out
-
-    return pair
+    out: tuple[list[complex], list[complex]] = ([], [])
+    for v in s:
+        if not (math.isfinite(v) and v > 0.0):
+            raise InvalidParams(f"s={v!r} is not finite and positive")
+        z = complex(0.0, -v)
+        terms, logz = 2 * int(v) + 30, cmath.log(z)
+        # the logs of the shared factors, their parts summed exactly; on
+        # the ray arg z = -pi/2 the recessive sector term is e^{-i pi a}
+        lr, li = logz.real, logz.imag
+        log_r = complex(math.fsum((math.pi * eta, -0.5 * lr, eta * li, -lg_r.real)),
+                        math.fsum((-0.5 * math.pi, -0.5 * li, -eta * lr, -lg_r.imag)))
+        log_d = complex(-eta * li - lg_d.real, eta * lr - lg_d.imag)
+        # past e^700, 2^n with n = round(big / ln 2) is divided out; the
+        # remainder is exact, so the larger factor keeps a modulus near 1
+        big = max(log_r.real, log_d.real)
+        scale = big - math.remainder(big, _LOG_2) if big > _LOG_BIG else 0.0
+        f_r = cmath.exp(log_r - scale)
+        # e^z apart: its phase, exact as z is, would cost |z| eps in a sum
+        f_d = cmath.exp(z) * cmath.exp(log_d - scale)
+        for (b, g, rec, x_r, dom), x_d, vals in zip(parts, (1.0, 1.0 / z), out):
+            c_r, c_d = f_r * (g * x_r), f_d * (g * x_d)
+            s_r, t_r = _opt_sum(*rec, -z, terms)
+            s_d, t_d = _opt_sum(*dom, z, terms)
+            value = c_r * s_r + c_d * s_d
+            # 16 eps for each sum, 8 for its factor and product
+            err = (abs(c_r) * (t_r + 24.0 * _EPS * abs(s_r))
+                   + abs(c_d) * (t_d + 24.0 * _EPS * abs(s_d)))
+            if not err <= FAR_TOL * abs(value):
+                raise SeriesRangeExceeded(
+                    f"|y| = {v:.4g} at eta = {eta:.4g}: the large-|y| expansion of "
+                    f"1F1(a, {b:g}; y) is not certified to FAR_TOL = {FAR_TOL:.3g}")
+            vals.append(value)
+    return out
 
 
 def kummer_transform(a: complex, b: float, z):

@@ -125,10 +125,9 @@ def check_asymptotic_overlap() -> CheckReport:
     etas, ss = (0.025, 0.5, 1.0, 2.0, 4.0), (40.0, 59.0, 100.0, 250.0, 500.0)
     worst, n = 0.0, 0
     for eta in etas:
-        pair = specfun.asymptotic_pair_for(eta)
         for s in ss:
             try:
-                (p,), (q,) = pair(eta, [s])
+                (p,), (q,) = specfun.asymptotic_pair(eta, [s])
             except SeriesRangeExceeded:   # refused: not compared
                 continue
             walk = highprec.kummer_walk(eta, [s])
@@ -137,7 +136,7 @@ def check_asymptotic_overlap() -> CheckReport:
                 n += 1
     # a pair that refused every value has not passed
     return _report("specfun/asymptotic-overlap", worst if n else math.inf, 1e-9,
-                   f"large-|y| pair (asymptotic_pair_for) vs the series walk (kummer_walk): "
+                   f"large-|y| pair (asymptotic_pair) vs the series walk (kummer_walk): "
                    f"{n} of {2 * len(etas) * len(ss)} values compared; P and Q at eta in "
                    f"{etas}, s in {ss}")
 
@@ -490,14 +489,14 @@ def check_ladder_routes_agree() -> CheckReport:
         dv = wx * v - omega * u
         minus, plus = (oracle.schrodinger_problem(m, omega, sec)
                        for sec in (Sector.MINUS, Sector.PLUS))
-        pair = specfun.asymptotic_pair_for(p.a1.imag)
-        for k in range(1, rungs + 1):
-            xk = math.ldexp(x_match, k)
+        xks = [math.ldexp(x_match, k) for k in range(1, rungs + 1)]
+        ps, qs = specfun.asymptotic_pair(p.a1.imag, [2.0 * p.omega * xk for xk in xks])
+        for xk, pp, qq in zip(xks, ps, qs):
             su = oracle.integrate(minus, x, xk, u, du)
             sv = oracle.integrate(plus, x, xk, v, dv)
             x, wx = xk, -m / math.sqrt(xk)
             u, du, v, dv = su.value.real, su.derivative.real, sv.value.real, sv.derivative.real
-            fu, fdu, fv, fdv = cf._ladder_sample(p, xk, wx / omega, pair)
+            fu, fdu, fv, fdv = cf._ladder_sample(p, xk, wx / omega, pp, qq)
             size_u, size_v = abs(fu) + abs(fdu), abs(fv) + abs(fdv)
             worst["u"] = max(worst["u"], abs(u - fu) / size_u, abs(du / omega - fdu) / size_u)
             worst["v"] = max(worst["v"], abs(v - fv) / size_v, abs(dv / omega - fdv) / size_v)

@@ -111,6 +111,27 @@ def test_table_log_spacing(runner):
     assert ratios == pytest.approx([10.0, 10.0, 10.0], rel=1e-12)
 
 
+def test_table_log_spacing_ends_on_the_requested_bounds(runner):
+    # x_max = 30/omega puts |y| = 2 omega x_max at 60 after rounding: a log
+    # grid formed as 10**log10(x_max) overshot it by an ulp and was refused
+    res = runner.invoke(main, ["table", "--m", "1", "--omega", "0.502", "--x-min", "0.1",
+                               "--x-max", "59.7609561752988", "--points", "50",
+                               "--spacing", "log"])
+    assert res.exit_code == 0, res.output
+    _, rows = parse_csv(res.output)
+    assert len(rows) == 50
+    assert float(rows[0][0]) == 0.1 and float(rows[-1][0]) == 59.7609561752988
+    assert rows[-1][0] == "59.760956175298801"
+
+
+def test_table_refusal_prints_the_largest_y_in_full(runner):
+    # at omega = 1/2, |y| = x: one ulp past 60 must not read as 60
+    res = runner.invoke(main, ["table", "--m", "1", "--omega", "0.5",
+                               "--x-max", "60.00000000000001"])
+    assert res.exit_code == 2
+    assert "max|z| = 60.00000000000001 exceeds the series bound 60;" in res.stderr
+
+
 def test_table_writes_file(runner, tmp_path):
     out = tmp_path / "t.csv"
     res = runner.invoke(main, ["table", "--m", "1", "--omega", "1",

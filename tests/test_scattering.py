@@ -14,7 +14,7 @@ from susy_ces.closedform import solution_params
 from susy_ces.errors import DoubleRangeExceeded, InvalidParams
 from susy_ces.potential import Sector, superpotential
 from susy_ces.scattering import phase_difference, susy_phase_offset
-from susy_ces.specfun import SERIES_ZMAX, asymptotic_pair_for
+from susy_ces.specfun import SERIES_ZMAX, asymptotic_pair
 
 HALF_PI = 0.5 * math.pi
 #: a rung's own rounding, which its bound does not cover: at most 2.2 eps
@@ -49,7 +49,7 @@ def test_keywords_are_checked_before_any_solve(monkeypatch):
     def solve(*args, **kwargs):
         raise AssertionError("a solve ran before the keywords were checked")
 
-    monkeypatch.setattr(sc, "asymptotic_pair_for", solve)
+    monkeypatch.setattr(sc, "asymptotic_pair", solve)
     with pytest.raises(InvalidParams):
         phase_difference(1.0, 1.0, tol=0.0)
 
@@ -238,10 +238,10 @@ def test_each_rung_is_one_function_of_the_minus_sample(m, omega, x_budget):
     res = phase_difference(m, omega)
     assert x_budget is None or res.x[-1] <= x_budget
     p = solution_params(m, omega)
-    pair = asymptotic_pair_for(p.a1.imag)
     for xk, acc in zip(res.x.tolist(), res.accelerated.tolist()):
         w = superpotential(xk, m) / omega
-        u, du, _, _ = cf._ladder_sample(p, xk, w, pair)
+        (pp,), (qq,) = asymptotic_pair(p.a1.imag, [2.0 * omega * xk])
+        u, du, _, _ = cf._ladder_sample(p, xk, w, pp, qq)
         eps = w * w * u / ((w + 1j) * complex(du, u))
         assert abs(acc - (HALF_PI - cmath.phase(1.0 + eps))) <= 1e-14
         assert abs(acc - HALF_PI) <= math.asin(m * m / (omega * omega * xk))
@@ -269,19 +269,18 @@ def test_ladder_sample_is_the_real_minus_solution_and_its_susy_image(m, omega):
         zp = cf.susy_map(p, zm, Sector.MINUS)
         want = (zm.value.real, zm.derivative.real / omega,
                 -zp.value.imag, -zp.derivative.imag / omega)
-        got = cf._ladder_sample(p, x, -m / (omega * math.sqrt(x)), specfun.kummer_pair)
+        (pp,), (qq,) = specfun.kummer_pair(p.a1.imag, [2.0 * omega * x])
+        got = cf._ladder_sample(p, x, -m / (omega * math.sqrt(x)), pp, qq)
         assert all(type(v) is float for v in got)
         gap = max(abs(g - w) for g, w in zip(got, want)) / max(map(abs, want))
         assert gap <= 1e-14, (x, got, want)
 
 
 def test_ladder_sample_past_the_double_range_is_typed():
-    def huge(eta, s):
-        return [1e308 + 0j], [1e308 + 0j]        # R = 20 Q passes the largest double
-
+    # R = 20 Q passes the largest double
     p = solution_params(1.0, 1.0)
     with pytest.raises(DoubleRangeExceeded, match="exceeds the double range"):
-        cf._ladder_sample(p, 100.0, -0.1, huge)
+        cf._ladder_sample(p, 100.0, -0.1, 1e308 + 0j, 1e308 + 0j)
 
 
 @pytest.mark.parametrize("m, omega", [(1e-9, 1.0), (3e-9, 2.0), (1.0, 1e300)])
@@ -376,6 +375,23 @@ def test_log_gamma_calls_per_solve_do_not_grow_with_the_rungs(m, omega, x_budget
     assert res.converged and res.x.size == rungs
     assert x_budget is None or res.x[-1] <= x_budget
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("m, omega", [(0.5, 2.0), (3.0, 0.5), (10.0, 1.0)])
+def test_a_solve_reads_every_rung_in_one_pair_call(m, omega, monkeypatch):
+    # the stop rule depends on x_k alone, so every rung is placed before
+    # any is read, and the pair is called once with all of them
+    calls = []
+
+    def counted(eta, s):
+        calls.append((eta, list(s)))
+        return asymptotic_pair(eta, s)
+
+    monkeypatch.setattr(sc, "asymptotic_pair", counted)
+    res = phase_difference(m, omega)
+    assert calls == [(solution_params(m, omega).a1.imag,
+                      [2.0 * omega * xk for xk in res.x.tolist()])]
+    assert res.x.size > 1
 
 
 @pytest.mark.parametrize("m, omega", [(4.0, 1.0), (3.0, 0.5)])

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from susy_ces import closedform as cf
 from susy_ces import specfun as sf
 from susy_ces.errors import (
-    ArgumentTooSmall,
     DoubleRangeExceeded,
     InvalidParams,
     PoleAtNonPositiveInteger,
@@ -299,7 +298,7 @@ def test_asymptotic_pair_is_within_far_tol_wherever_it_certifies():
     refused = []
     for eta, s in [(eta, s) for eta in _PAIR_ETA for s in _PAIR_S] + _PAIR_FAR:
         try:
-            p, q = sf.asymptotic_pair_for(eta)(eta, [s])
+            p, q = sf.asymptotic_pair(eta, [s])
         except SeriesRangeExceeded:
             refused.append((eta, s))
             continue
@@ -315,7 +314,7 @@ def test_asymptotic_pair_is_within_far_tol_wherever_it_certifies():
 @pytest.mark.parametrize("eta, s", [(16.0, 160.0), (32.0, 640.0)])
 def test_asymptotic_pair_refuses_what_it_cannot_certify(eta, s):
     with pytest.raises(SeriesRangeExceeded, match=rf"\|y\| = {s:g} at eta = {eta:g}.*FAR_TOL"):
-        sf.asymptotic_pair_for(eta)(eta, [s])
+        sf.asymptotic_pair(eta, [s])
 
 
 def _branches(eta, s, b):
@@ -346,7 +345,7 @@ def test_asymptotic_pair_past_the_double_range_is_scaled(s):
     # f_r R + f_d D, R and D the exact branches; solved for, each factor is 1
     # within eps times the size of its branch's shared log terms
     eta = 500.0
-    p, q = sf.asymptotic_pair_for(eta)(eta, [s])
+    p, q = sf.asymptotic_pair(eta, [s])
     (rp, dp), (rq, dq) = _branches(eta, s, 0.5), _branches(eta, s, 1.5)
     mp = mpmath
     with mp.workdps(40):
@@ -367,7 +366,7 @@ def _bits(vals):
 
 def _pair_or_refusal(eta, s):
     try:
-        return tuple(map(_bits, sf.asymptotic_pair_for(eta)(eta, s)))
+        return tuple(map(_bits, sf.asymptotic_pair(eta, s)))
     except SeriesRangeExceeded as e:
         return str(e)
 
@@ -389,19 +388,25 @@ def test_asymptotic_pair_certifies_where_the_ladder_reads_it(eta, ds, other):
 
 
 @pytest.mark.parametrize("eta, s", [(math.nan, 100.0), (math.inf, 100.0), (0.5, math.nan),
-                                    (0.5, math.inf), (0.5, -math.inf)])
+                                    (0.5, math.inf), (0.5, -math.inf), (0.5, 0.0),
+                                    (0.5, -100.0)])
 def test_asymptotic_pair_refuses_non_finite_input(eta, s):
-    # a typed refusal, not a bare ValueError or OverflowError from sizing the sums
-    with pytest.raises(InvalidParams, match="finite"):
-        sf.asymptotic_pair_for(eta)(eta, [s])
+    # a typed refusal, not a bare ValueError or OverflowError from sizing the
+    # sums; s must also be positive, and a valid point first does not save it
+    for points in ([s], [100.0, s]):
+        with pytest.raises(InvalidParams, match="finite"):
+            sf.asymptotic_pair(eta, points)
 
 
-def test_asymptotic_small_argument_guard():
-    pair = sf.asymptotic_pair_for(0.5)
-    for s in (24.9, 0.0, -100.0):
-        with pytest.raises(ArgumentTooSmall):
-            pair(0.5, [100.0, s])
-    sf.asymptotic_pair_for(0.025)(0.025, [26.0])  # just above the floor
+@given(eta=st.just(0.0) | st.floats(1e-300, 1e150),
+       s=st.floats(0.0, 25.0, exclude_min=True, exclude_max=True))
+@settings(max_examples=settings.default.max_examples // 5)
+def test_asymptotic_pair_refuses_every_s_below_25(eta, s):
+    # no pre-check: the certificate itself refuses below the frontier, and
+    # a certified point before a refused one does not save the call
+    for e, points in ((eta, [s]), (0.5, [100.0, s])):
+        with pytest.raises(SeriesRangeExceeded, match="not certified to FAR_TOL"):
+            sf.asymptotic_pair(e, points)
 
 
 # ---------------------------------------------------------------------------

@@ -122,29 +122,23 @@ def test_asymptotic_overlap_compares_the_ladders_pair():
 
 
 def test_asymptotic_overlap_fails_on_a_pair_off_by_1e_8(monkeypatch):
-    real = specfun.asymptotic_pair_for
+    real = specfun.asymptotic_pair
 
-    def off(eta):
-        pair = real(eta)
+    def off(eta, s):
+        p, q = real(eta, s)
+        return [v * (1.0 + 1e-8) for v in p], q
 
-        def scaled(e, s):
-            p, q = pair(e, s)
-            return [v * (1.0 + 1e-8) for v in p], q
-        return scaled
-
-    monkeypatch.setattr(specfun, "asymptotic_pair_for", off)
+    monkeypatch.setattr(specfun, "asymptotic_pair", off)
     rep = verify.check_asymptotic_overlap()
     assert not rep.passed and rep.max_error > 5e-9, rep.details
     assert _compared(rep) >= 40
 
 
 def test_asymptotic_overlap_fails_on_a_pair_that_refuses_everything(monkeypatch):
-    def refuse(eta):
-        def pair(e, s):
-            raise SeriesRangeExceeded("refused")
-        return pair
+    def refuse(eta, s):
+        raise SeriesRangeExceeded("refused")
 
-    monkeypatch.setattr(specfun, "asymptotic_pair_for", refuse)
+    monkeypatch.setattr(specfun, "asymptotic_pair", refuse)
     rep = verify.check_asymptotic_overlap()
     assert not rep.passed and _compared(rep) == 0, rep.details
 
