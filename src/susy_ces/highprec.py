@@ -26,17 +26,16 @@ one exact integer division that cancels log2(1 / (2 eta s)) bits where
 2 eta s < 1; the loop sums that much wider.  Where that would cost more
 than a second sum, at eta s < 2**-801 (eta s = 0, where it is 0/0,
 included), the point neither sums the pair nor seeds a state: P and Q
-take their own series.  Any other point no carried state covers runs that loop once:
-at the walk's width where it seeds a state, else at a lone point's.
-Along a grid the walk carries the pair from point to
+take their own series.  Any other point no carried state covers, a lone
+point included, runs that loop once at the walk's width, and its result
+becomes the state.  Along a grid the walk carries the pair from point to
 point by Taylor steps of its first-order system (DLMF 13.2-13.3), summed
 in the same integer fixed point from exact dyadic constants, with a
 rigorous error radius: a majorant bound on each step's tail, the
 rounding of its terms carried through the recurrence, and a log-norm
 bound on the transition for the incoming radius.  A step reaches at most
-a quarter of the way to z = 0; a point further on is one no carried
-state covers, and a point seeds a state exactly where a step from it
-reaches the next point.  The step is read off the grid, with no price
+a quarter of the way to z = 0; a point further on drops the state and
+starts one of its own.  The step is read off the grid, with no price
 to weigh: it reaches the largest power of two R within that quarter
 where two or more points lie within R, else it lands on the next
 point.  A step that reaches a power of two past its start serves
@@ -49,8 +48,9 @@ off and its roundings.  Horner runs on one
 integer that packs the four components as lanes, each offset by a bias
 above every partial sum, so that one product, one addition, one shift
 and one mask round all four products by f at once, each exactly as
-alone.  Every value, lone, seeded, carried or inside a step, is rounded
-in one place, and only where its error box, widened by the series' own
+alone.  Every value, seeded, carried or inside a step, comes from a
+state with one radius in the state's norm, and is rounded in one place
+and only where its error box, widened by the series' own
 bound, rounds to one double under the series' own rounding
 (``_int_to_float``): both ends of each side are rounded by it and
 compared, and only the double they agree on is kept.  Every other value
@@ -126,7 +126,23 @@ def _fixed_sum(a: complex, b: float, z: complex, bits: int, *,
     of the float inputs, so each term suffers a single half-ulp rounding
     at the fixed-point scale.  This makes the routine accurate even when
     intermediate terms exceed the result by dozens of orders of magnitude.
+    Raises NonConvergence before the loop where no term up to the budget
+    can stop it.
     """
+    # With K = MAX_TERMS, where (|a| - K) |z| >= 4 (|b| + K)(K + 1) each
+    # ratio the loop forms (k < K) has |rho_k| >= (|a| - k) |z| / ((|b| +
+    # k)(k + 1)) >= 4, to a few ulps of the float test.  Rounding moves a
+    # term by under one unit, so from |t_0| = 2**bits >= 1 on |t_k| >= 4
+    # |t_(k-1)| - 1 >= 3 |t_(k-1)|: the terms before t_k add up to at most
+    # |t_k| / 2, and the sum stays below 1.5 |t_k| < 1.5 sqrt(2) 2**tbits <
+    # 2**(tbits + 2).  No stop margin of 3 bits or more (every caller's is
+    # 8 or more) can pass, and the loop could end only in NonConvergence,
+    # after K ever wider terms.
+    if ((math.hypot(a.real, a.imag) - MAX_TERMS) * math.hypot(z.real, z.imag)
+            >= 4.0 * (abs(b) + MAX_TERMS) * (MAX_TERMS + 1)):
+        raise NonConvergence(
+            f"fixed-point series cannot converge within {MAX_TERMS} terms: each "
+            f"term up to the last at least quadruples (a={a!r}, b={b!r}, z={z!r})")
     anr, asr = _dyadic(float(a.real))
     ani, asi = _dyadic(float(a.imag))
     sa = max(asr, asi)
@@ -242,9 +258,6 @@ _STEP_REACH = 0.25
 #: width that costs as much as a second series sum: at the widths the walk
 #: sums at (under 300 bits) a term 1,000 bits wider takes about twice as long
 _MAX_LOST = 800
-#: width of a lone point's pair: a value near one then stands ``SAFE_BITS``
-#: above its bound
-_POINT_WIDTH = SAFE_BITS + 8
 
 
 class Walk(NamedTuple):
@@ -252,8 +265,8 @@ class Walk(NamedTuple):
 
     p: list[complex]
     q: list[complex]
-    continued: int    # points whose two values the carried state certified
-    seeds: int        # points where a state started from the series
+    continued: int    # points whose two values a state certified
+    seeds: int        # pair loops, each the start of a state
     steps: int        # Taylor steps (expansions)
     terms: int        # Taylor terms summed over all steps
     evals: int        # terms evaluated for the points inside a step's reach
@@ -569,21 +582,21 @@ def kummer_walk(eta: float, s: list[float]) -> Walk:
 
     The pair is (M(a, 1/2; z), M(a, 3/2; z)) with a = 1/2 + i eta.  Each
     output equals :func:`chf_series_fixed` at that point.  A point no
-    carried state covers runs one :func:`_pair_sum`: at the walk's width
-    where a Taylor step of the pair's first-order system from it would
-    reach the next point, and the result becomes the state, else at
-    ``_POINT_WIDTH``; where :func:`_lost_bits` finds the division too
-    dear it runs none, and P and Q take their own series.  The state is
-    carried along the grid with a rigorous error radius, each step
-    reaching at most a quarter of the way from z0 to z = 0: a point past
-    that reach drops the state.  :func:`_plan` reads each step off the
-    grid: it reaches the largest power of two within that quarter where
-    two or more points lie on the way, and gives each of them from its
-    terms (:func:`_inside`), else it lands on the next point.  Every
-    value, lone, seeded, carried or inside a step, is rounded by
-    :func:`_certain` where its radius, plus the series' own bound,
-    certifies the rounding; a value that does not certify takes its own
-    :func:`_series`.
+    carried state covers runs one :func:`_pair_sum` at the walk's width,
+    sized from the predicted growth of the radius to the last point, and
+    the result becomes the state, a lone point's included; where
+    :func:`_lost_bits` finds the division too dear it runs none, and P and
+    Q take their own series.  The state is carried along the grid by
+    Taylor steps of the pair's first-order system with a rigorous error
+    radius, each step reaching at most a quarter of the way from z0 to
+    z = 0: a point past that reach drops the state and starts its own.
+    :func:`_plan` reads each step off the grid: it reaches the largest
+    power of two within that quarter where two or more points lie on the
+    way, and gives each of them from its terms (:func:`_inside`), else it
+    lands on the next point.  Every value, seeded, carried or inside a
+    step, is rounded by :func:`_certain` where its state's radius (over c
+    for Q), plus the series' own bound, certifies the rounding; a value
+    that does not certify takes its own :func:`_series`.
     """
     n = len(s)
     # predicted growth of the radius, in nats, from each point to the last
@@ -598,7 +611,7 @@ def kummer_walk(eta: float, s: list[float]) -> Walk:
     while len(out_p) < n:
         k = len(out_p)
         s1 = s[k]
-        got = []          # (ints, radius of P, of Q, units 2**-width) at s[k], s[k + 1], ...
+        got = []          # (ints, radius in the state's norm) at s[k], s[k + 1], ...
         if st is not None:
             t, m = _plan(st.s, s, k)
             if not m:
@@ -610,38 +623,30 @@ def kummer_walk(eta: float, s: list[float]) -> Walk:
                     terms += len(us) - 1
                     short = m if t > s[k + m - 1] else m - 1   # points before t
                     if short:
-                        inner, used = _inside(st, new, us, s[k:k + short])
+                        got, used = _inside(st, new, us, s[k:k + short])
                         evals += used
-                        got = [(ints, eps, eps / new.c) for ints, eps in inner]
                     st = new
-                    got += [(st.ints, st.eps, st.eps / st.c)] * (m - short)
+                    got += [(st.ints, st.eps)] * (m - short)
                 except NonConvergence:   # the series still answers
                     st = None
         if st is None:
             if _lost_bits(eta, s1) is not None:
-                seed = k + 1 < n and _plan(s1, s, k + 1)[1] > 0
-                width = _POINT_WIDTH
-                if seed:
-                    width = (SAFE_BITS + _WALK_GUARD + math.ceil(grow[k] * _LOG2E)
-                             + (n - k).bit_length())
+                width = (SAFE_BITS + _WALK_GUARD + math.ceil(grow[k] * _LOG2E)
+                         + (n - k).bit_length())
                 ints, err_p, err_q = _pair_sum(eta, s1, width)
                 sums += 1
-                if seed:
-                    st = _State(s1, width, ints, max(err_p, c[k] * err_q), c[k])
-                    seeds += 1
-                    err_p, err_q = st.eps, st.eps / st.c
-                got = [(ints, err_p, err_q)]
+                seeds += 1
+                st = _State(s1, width, ints, max(err_p, c[k] * err_q), c[k])
+                got = [(st.ints, st.eps)]
             else:
                 out_p.append(None)
                 out_q.append(None)
-        carried = st is not None
-        if carried:
-            width = st.width
-        for (pr, pi, qr, qi), rp, rq in got:
+        for (pr, pi, qr, qi), eps in got:
             vals = [None, None]
-            if rp < math.inf and rq < math.inf:
-                vals = [_certain(pr, pi, int(rp) + 1, width), _certain(qr, qi, int(rq) + 1, width)]
-            continued += carried and None not in vals
+            if eps < math.inf:
+                vals = [_certain(pr, pi, int(eps) + 1, st.width),
+                        _certain(qr, qi, int(eps / st.c) + 1, st.width)]
+            continued += None not in vals
             out_p.append(vals[0])
             out_q.append(vals[1])
     a = complex(0.5, eta)

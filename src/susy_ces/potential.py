@@ -18,11 +18,12 @@ holds bit-for-bit, not merely to rounding.
 from __future__ import annotations
 
 import math
+import sys
 from enum import Enum
 from typing import NamedTuple
 
 from ._points import flat, shaped
-from .errors import DomainError, InvalidParams
+from .errors import DomainError, DoubleRangeExceeded, InvalidParams
 
 
 class Sector(Enum):
@@ -55,6 +56,27 @@ def _check_x(x) -> tuple[list[float], tuple | None]:
     return xs, shape
 
 
+def _pointwise(f, x, m: float, *args):
+    """f(m, *args, v) at each point v of ``x``, shaped like it.
+
+    Raises DoubleRangeExceeded where a value is not a finite double: its
+    magnitude passes the largest double, or x sqrt(x) or x**2 underflows to
+    0 at tiny x.
+    """
+    m = _check_m(m)
+    xs, shape = _check_x(x)
+    try:
+        out = [f(m, *args, v) for v in xs]
+        if all(map(math.isfinite, out)):
+            return shaped(out, shape)
+    except ZeroDivisionError:
+        pass
+    raise DoubleRangeExceeded(
+        f"a potential value at m={m!r} and x in [{min(xs)!r}, {max(xs)!r}] is not a finite "
+        f"double (magnitude above {sys.float_info.max:.4g}, or x^(3/2) or x^2 "
+        f"underflows to 0)")
+
+
 def _v(m: float, s: float, x: float) -> float:
     # the one expression V evaluates, for both sectors
     return (m * m) / x + s * (0.5 * m) / (x * math.sqrt(x))
@@ -70,16 +92,12 @@ def _dw(m: float, x: float) -> float:
 
 def superpotential(x, m: float):
     """W(x) = -m / sqrt(x)."""
-    m = _check_m(m)
-    xs, shape = _check_x(x)
-    return shaped([_w(m, v) for v in xs], shape)
+    return _pointwise(_w, x, m)
 
 
 def superpotential_deriv(x, m: float):
     """W'(x) = (m / 2) x^(-3/2)."""
-    m = _check_m(m)
-    xs, shape = _check_x(x)
-    return shaped([_dw(m, v) for v in xs], shape)
+    return _pointwise(_dw, x, m)
 
 
 def V(x, m: float, sector: Sector):
@@ -89,10 +107,7 @@ def V(x, m: float, sector: Sector):
     V(x, -m, MINUS) evaluate the same floating-point expression and agree
     to the last bit.
     """
-    m = _check_m(m)
-    xs, shape = _check_x(x)
-    s = sector.sign
-    return shaped([_v(m, s, v) for v in xs], shape)
+    return _pointwise(_v, x, m, sector.sign)
 
 
 def _v_from_w(m: float, s: float, x: float) -> float:
@@ -102,18 +117,16 @@ def _v_from_w(m: float, s: float, x: float) -> float:
 
 def V_from_superpotential(x, m: float, sector: Sector):
     """Same potential assembled as W^2 +- W', kept as an independent route."""
-    m = _check_m(m)
-    xs, shape = _check_x(x)
-    s = sector.sign
-    return shaped([_v_from_w(m, s, v) for v in xs], shape)
+    return _pointwise(_v_from_w, x, m, sector.sign)
+
+
+def _dv(m: float, s: float, x: float) -> float:
+    return -(m / (x * x)) * (m + s * 0.75 / math.sqrt(x))
 
 
 def V_deriv(x, m: float, sector: Sector):
     """dV_pm/dx = -(m/x^2) (m +- (3/4) x^(-1/2))."""
-    m = _check_m(m)
-    xs, shape = _check_x(x)
-    s = sector.sign
-    return shaped([-(m / (v * v)) * (m + s * 0.75 / math.sqrt(v)) for v in xs], shape)
+    return _pointwise(_dv, x, m, sector.sign)
 
 
 def ces_residual(m: float) -> float:
@@ -128,11 +141,13 @@ def ces_residual(m: float) -> float:
     return (0.5 * m) ** 2 - (m * m) / 4.0
 
 
+def _gap(m: float, x: float) -> float:
+    return _v(m, 1.0, x) - _v(-m, -1.0, x)
+
+
 def shape_invariance_gap(x, m: float):
     """V_plus(x, m) - V_minus(x, -m), elementwise; exactly zero."""
-    m = _check_m(m)
-    xs, shape = _check_x(x)
-    return shaped([_v(m, 1.0, v) - _v(-m, -1.0, v) for v in xs], shape)
+    return _pointwise(_gap, x, m)
 
 
 class CriticalStructure(NamedTuple):

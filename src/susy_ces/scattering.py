@@ -90,9 +90,9 @@ class PhaseDifferenceResult(NamedTuple):
     eps, comes on top), below ``tol``; ``residual`` the spread max - min of
     its last three entries (inf before three rungs), a cross-check from the
     data alone that no longer steers anything.  ``converged`` is always
-    True and ``ode_steps`` and ``ode_rejected`` are always 0: the ladder
-    returns only once its bound is below ``tol``, every rung is read from
-    the closed form, and only the benchmark reads the three.
+    True and ``ode_steps`` always 0: the ladder returns only once its bound
+    is below ``tol``, every rung is read from the closed form, and only the
+    benchmark reads the two.
     """
 
     m: float
@@ -106,7 +106,6 @@ class PhaseDifferenceResult(NamedTuple):
     converged: bool
     bound: float
     ode_steps: int = 0
-    ode_rejected: int = 0
 
 
 def default_x_match(m: float, omega: float) -> float:

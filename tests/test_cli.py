@@ -172,6 +172,26 @@ def test_table_beyond_the_double_range_is_a_typed_error(runner):
     assert "double range" in res.stderr
 
 
+@pytest.mark.parametrize("args, msg", [
+    # V at x = 1e-220 divides by x sqrt(x) = 0; at 1e-210 V_- is -inf, and
+    # at m = 1e150, x = 1e-10 m^2/x is +inf
+    (["--m", "1", "--omega", "1", "--x-min", "1e-220", "--x-max", "1e-219"],
+     "is not a finite double"),
+    (["--m", "1", "--omega", "1", "--x-min", "1e-220", "--x-max", "1e-219",
+      "--format", "json"], "is not a finite double"),
+    (["--m", "1", "--omega", "1", "--sector", "minus", "--x-min", "1e-210",
+      "--x-max", "1e-209", "--format", "json"], "is not a finite double"),
+    (["--m", "1e150", "--omega", "1", "--x-min", "1e-10", "--x-max", "1e-9"],
+     "is not a finite double"),
+    # eta = 5e299 at |y| ~ 2e-100, V finite: the series' terms grow past its budget
+    (["--m", "1e100", "--omega", "1e-100", "--x-min", "1", "--x-max", "2"],
+     "cannot converge within")])
+def test_table_refusals_exit_two(runner, args, msg):
+    res = runner.invoke(main, ["table", "--points", "2", *args])
+    assert res.exit_code == 2
+    assert res.stderr.startswith("error: ") and msg in res.stderr
+
+
 # ---------------------------------------------------------------------------
 # verify
 

@@ -142,8 +142,8 @@ def test_one_point_matches_its_table_row_bit_for_bit():
 def test_one_series_loop_per_point(branch, monkeypatch):
     # a lone point is a one-point walk: one series loop gives M of both
     # components, the second divided out of the first's terms, with
-    # neither a seeded state, a Taylor step nor a second series; the derivatives
-    # come from the first-order system, not from M'
+    # neither a Taylor step nor a second series; the derivatives come from
+    # the first-order system, not from M'
     def refuse(name):
         def call(*args, **kw):
             raise AssertionError(f"{name} called")
@@ -157,15 +157,15 @@ def test_one_series_loop_per_point(branch, monkeypatch):
                         lambda *args, **kw: sums.append(args) or real_sum(*args, **kw))
     p = cf.solution_params(1.0, 1.0)
     with monkeypatch.context() as mp:
-        for name in ("_State", "_step", "_series", "chf_series_fixed"):
+        for name in ("_step", "_series", "chf_series_fixed"):
             mp.setattr(highprec, name, refuse(name))
         cf.solution_Z(p, branch, Sector.PLUS, 7.5)
     assert len(sums) == 1
     assert highprec.kummer_walk(p.a1.imag, [15.0]).sums == 1
-    # a grid takes lone points until a step from one would reach the next,
-    # then seeds a state (one loop) and steps: 4 points plus a seed over
-    # |y| in [1, 40], and 3 plus a seed plus one value whose rounding the
-    # radius leaves open over |y| in (0, 59]
+    # a grid starts a state (one loop) at each point out of a step's reach
+    # of the one before, and steps from the last: 5 such points over |y| in
+    # [1, 40], and 4 plus one value whose rounding the radius leaves open
+    # over |y| in (0, 59]
     for x, want in ((np.linspace(0.5, 20.0, 16), 5),
                     (np.linspace(29.5 / 256, 29.5, 256), 5)):
         sums.clear()

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from susy_ces import highprec
+from susy_ces import highprec, specfun
 from susy_ces.errors import NonConvergence
 from susy_ces.highprec import _fixed_sum, _int_to_float, chf_series_fixed, kummer_walk
 
@@ -119,6 +119,16 @@ def test_series_fixed_nonconvergence_raises(monkeypatch):
         chf_series_fixed(0.5j, 0.5, -30j)
 
 
+@pytest.mark.parametrize("call", [lambda: kummer_walk(5e299, [2e-10]),
+                                  lambda: specfun.chf_1f1(1e300j, 0.5, -10j)])
+def test_series_that_cannot_stop_is_refused_before_its_loop(call):
+    # |a| |z| = 1e290 and 1e301: every term up to the budget at least
+    # quadruples, so no stop test can pass; the refusal comes at once,
+    # not after MAX_TERMS ever wider terms
+    with pytest.raises(NonConvergence, match=f"cannot converge within {highprec.MAX_TERMS} terms"):
+        call()
+
+
 @pytest.mark.parametrize("eta", [0.025, 0.5, 16.0])
 def test_kummer_walk_is_the_series_bit_for_bit(eta):
     s = [59.0 * k / 128 for k in range(1, 129)] + [59.0 * 1.1 ** -k for k in range(1, 40)]
@@ -150,9 +160,11 @@ def test_kummer_walk_at_eta_zero_is_the_series():
 def test_kummer_walk_seeds_once(eta):
     # steps are read off the grid alone, with no price to weigh at the
     # state's width, so a state seeded where |M| is large is carried rather
-    # than dropped and seeded again at the next point
+    # than dropped and seeded again at the next point: the first four
+    # points each lie out of a step's reach of the one before and start a
+    # state, and the fourth's is carried to the end
     walk = kummer_walk(eta, [59.0 * k / 256 for k in range(1, 257)])
-    assert walk.seeds == 1
+    assert walk.seeds == 4
 
 
 def _pair(eta):
@@ -178,12 +190,15 @@ def _hex(values):
        s=st.one_of(st.just(0.0), st.floats(0.0, 60.0)))
 def test_pair_loop_is_two_series_bit_for_bit(eta, s):
     # a lone point sums P's series once and divides Q out of its terms;
-    # each value is chf_series_fixed's, bit for bit
+    # the pair starts a state that takes no step, and each value is
+    # chf_series_fixed's, bit for bit
     walk = kummer_walk(eta, [s])
     z = complex(0.0, -s)
     want = [chf_series_fixed(a, b, z) for a, b in _pair(eta)]
     assert _hex(walk.p + walk.q) == _hex(want)
-    assert walk.sums >= 1 and (walk.continued, walk.seeds, walk.steps) == (0, 0, 0)
+    seeded = int(highprec._lost_bits(eta, s) is not None)
+    assert walk.sums >= 1 and (walk.seeds, walk.steps) == (seeded, 0)
+    assert walk.continued <= seeded
 
 
 def _mp_pair(eta, s, direct):
@@ -207,10 +222,10 @@ def test_pair_sum_bounds_its_error(eta, s, direct):
     # at points where the division is cheap enough to sum the pair at all,
     # P and the Q divided out of P's terms lie within their bounds of
     # mpmath's values at 60 digits, taken directly or from branch I's
-    # functions, and at the width a lone point sums at the values stand
-    # SAFE_BITS above the bounds
+    # functions, and at the width a one-point walk starts at (no predicted
+    # growth, one point to go) the values stand SAFE_BITS above the bounds
     assert highprec._lost_bits(eta, s) is not None
-    width = highprec._POINT_WIDTH
+    width = highprec.SAFE_BITS + highprec._WALK_GUARD + 1
     ints, err_p, err_q = highprec._pair_sum(eta, s, width)
     with mpmath.workdps(60):
         for want, (re, im), err in zip(_mp_pair(eta, s, direct), (ints[:2], ints[2:]),
@@ -732,13 +747,13 @@ def test_inside_refuses_a_reach_off_a_power_of_two():
 
 def test_walk_work_is_pinned():
     # a 256-point linear grid to |y| = 59 at eta = 0.5: steps (expansions),
-    # their Taylor terms, the terms evaluated inside their reach, points
-    # continued and series loops (3 lone points, the seed, one value the
-    # radius leaves open)
+    # their Taylor terms, the terms evaluated inside their reach, points a
+    # state certified and series loops (4 pair loops, each starting a
+    # state, and one value the radius leaves open)
     walk = kummer_walk(0.5, [59.0 * k / 256 for k in range(1, 257)])
     assert (walk.steps, walk.terms, walk.evals, walk.continued, walk.sums) == \
-        (25, 922, 7310, 252, 5)
+        (25, 922, 7310, 255, 5)
     # a sparse grid, each gap more than a quarter of its start: no step
-    # reaches the next point, and every point takes its own pair loop
+    # reaches the next point, and every point starts a state of its own
     walk = kummer_walk(0.5, _SPARSE)
-    assert (walk.steps, walk.seeds, walk.sums) == (0, 0, 16)
+    assert (walk.steps, walk.seeds, walk.sums) == (0, 16, 16)

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from susy_ces import potential as pot
-from susy_ces.errors import DomainError, InvalidParams
+from susy_ces.errors import DomainError, DoubleRangeExceeded, InvalidParams
 from susy_ces.potential import Sector
 
 X_GRID = np.logspace(-6, 6, 400)
@@ -146,6 +146,25 @@ def test_domain_guards():
         pot.critical_structure(-1.0)
     with pytest.raises(InvalidParams):
         pot.critical_structure(0.0)
+
+
+def test_tiny_x_is_a_typed_error():
+    # x sqrt(x) underflows to 0 at 1e-220 and x**2 at 1e-170; at 1e-210 the
+    # x^(-3/2) term passes the largest double.  Each is DoubleRangeExceeded,
+    # never a ZeroDivisionError or an infinite value
+    calls = [lambda x: pot.V(x, 1.0, Sector.PLUS),
+             lambda x: pot.V_from_superpotential(x, 1.0, Sector.MINUS),
+             lambda x: pot.superpotential_deriv(x, 1.0),
+             lambda x: pot.shape_invariance_gap(x, 1.0)]
+    for call in calls:
+        for x in (1e-220, np.array([1e-220, 1.0])):
+            with pytest.raises(DoubleRangeExceeded):
+                call(x)
+    with pytest.raises(DoubleRangeExceeded):
+        pot.V_deriv(1e-170, 1.0, Sector.PLUS)
+    with pytest.raises(DoubleRangeExceeded):
+        pot.V(1e-210, 1.0, Sector.MINUS)
+    assert -math.inf < pot.V(1e-200, 1.0, Sector.MINUS) < 0.0
 
 
 def test_sector_enum():

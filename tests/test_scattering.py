@@ -103,7 +103,6 @@ def test_phase_difference_converges_to_half_pi():
     assert abs(res.estimate - HALF_PI) < 1e-3
     # every rung is read from the closed form's large-|y| expansion
     assert res.ode_steps == 0
-    assert res.ode_rejected == 0
 
 
 def test_phase_difference_at_coupling_one_half():
@@ -200,7 +199,7 @@ def test_phase_difference_reads_every_rung_from_the_expansion(r, omega, monkeypa
     monkeypatch.setattr(sc, "integrate", refuse)
     res = phase_difference(math.sqrt(r * omega), omega)
     assert res.converged
-    assert res.ode_steps == 0 and res.ode_rejected == 0
+    assert res.ode_steps == 0
     assert abs(res.estimate - HALF_PI) <= min(1e-3, res.bound + ROUNDING)
 
 
