@@ -490,9 +490,11 @@ def _inside(st: _State, new: _State, terms: list, s: list[float]) -> tuple[list,
     tops = [(abs(pr) | abs(pi) | abs(qr) | abs(qi)).bit_length() for pr, pi, qr, qi in terms]
     pr, pi, qr, qi = terms[0]
     t = min((abs(pr) | abs(pi)).bit_length(), (abs(qr) | abs(qi)).bit_length())
-    budget = max(1.0, new.eps / 8.0, math.ldexp(1.0, t - SAFE_BITS))
-    # bounds on |u_(n+1)| + |u_(n+2)| + ..., summed from the last term down
-    rest = [*accumulate(map(math.ldexp, repeat(1.5 * cm), tops[:0:-1]))][::-1] + [0.0]
+    budget = max(1.0, new.eps / 8.0, _ldexp(1.0, t - SAFE_BITS))
+    # bounds on |u_(n+1)| + |u_(n+2)| + ..., summed from the last term down;
+    # inf past the double range, where no cut-off is taken: the loop runs on
+    # to a finite bound, or the point takes its own series
+    rest = [*accumulate(map(_ldexp, repeat(1.5 * cm), tops[:0:-1]))][::-1] + [0.0]
     n0, k0 = _dyadic(st.s)
     frac, e = math.frexp(new.s - st.s)        # exact: new.s <= 1.25 st.s
     if frac != 0.5:

@@ -28,9 +28,9 @@ Values past the largest double raise ``DoubleRangeExceeded``.  It refuses
 :func:`asymptotic_pair`, the large-|z| expansion (DLMF 13.7.2), with
 :func:`kummer_pair`'s signature, certified to ``FAR_TOL`` up to one exact
 factor per branch and a shared power of two, at the points where its
-error estimate allows (|z| past about eta^2, and never below 25);
-:func:`susy_ces.scattering.phase_difference` reads every rung from one
-call of it.
+error estimate allows (|z| past about eta^2, and never below 25), from
+one series loop a point; :func:`susy_ces.scattering.phase_difference`
+reads every rung from one call of it.
 """
 from __future__ import annotations
 
@@ -159,19 +159,33 @@ def kummer_pair(eta: float, s: list[float]) -> tuple[list[complex], list[complex
     return [walk.p[k] for k in idx], [walk.q[k] for k in idx]
 
 
-def _opt_sum(p1: complex, p2: complex, zz: complex, terms: int) -> tuple[complex, float]:
-    """The formal series in 1/zz to its optimal truncation, and the size of its last term."""
-    t = 1.0 + 0j
-    s = t
-    best = abs(t)
+def _recessive_sums(a: complex, zz: complex, terms: int) -> tuple[tuple[complex, float], ...]:
+    """(R_1/2, size of its last term) and (R_3/2, size of its last term), the
+    recessive sums in 1/zz, each to its optimal truncation or until its last
+    term falls below eps of it.  With w_k = (a)_k (1 + i eta)_{k-1} / (k! zz^k)
+    and (1 + i eta)_k = (i eta)_k (i eta + k) / (i eta), their k-th terms are
+    (i eta + k) w_k and i eta w_k: one loop, with no division by eta."""
+    ieta = a - 0.5
+    t = s1 = s3 = 1.0 + 0j
+    best1 = best3 = 1.0
+    go1 = go3 = True
     for k in range(terms):
-        t = t * (p1 + k) * (p2 + k) / ((k + 1) * zz)
-        # optimal truncation, or the last term added fell below eps |s|
-        if abs(t) >= best or best < _EPS * abs(s):
+        w = t * (a + k) / ((k + 1) * zz)
+        t = w * (ieta + (k + 1))
+        if go1 and not (abs(t) >= best1 or best1 < _EPS * abs(s1)):
+            s1 += t
+            best1 = abs(t)
+        else:
+            go1 = False
+        u = w * ieta
+        if go3 and not (abs(u) >= best3 or best3 < _EPS * abs(s3)):
+            s3 += u
+            best3 = abs(u)
+        else:
+            go3 = False
+        if not (go1 or go3):
             break
-        s += t
-        best = abs(t)
-    return s, best
+    return (s1, best1), (s3, best3)
 
 
 def asymptotic_pair(eta: float, s: list[float]) -> tuple[list[complex], list[complex]]:
@@ -197,7 +211,11 @@ def asymptotic_pair(eta: float, s: list[float]) -> tuple[list[complex], list[com
     -i eta/Gamma(1 - i eta)), 1/z and the sums, is charged to the error
     estimate, and a value is kept only where that estimate is at most
     ``FAR_TOL`` of it.  Each call computes the two log-Gamma terms once, so
-    a ladder solve reads every rung in one call.
+    a ladder solve reads every rung in one call.  As eta and s are real,
+    z = conj(-z) and each b's dominant sum is the other b's recessive sum
+    conjugated, term by term, so a point runs one loop
+    (:func:`_recessive_sums`).  The 16 eps each sum is charged covers the
+    few eps each step forming a term rounds, as its terms fall from 1.
 
     Raises
     ------
@@ -210,10 +228,8 @@ def asymptotic_pair(eta: float, s: list[float]) -> tuple[list[complex], list[com
     a, _ = _params(complex(0.5, eta), 0.5)
     eta, ieta = a.imag, a - 0.5
     lg_r, lg_d = log_gamma(1.0 - ieta), log_gamma(a)
-    # per b: b, Gamma(b), the recessive sum's (p1, p2) and factor, and the
-    # dominant sum's (p1, p2); the dominant factor is 1 or 1/z
-    parts = ((0.5, _SQRT_PI, (a, 1.0 + ieta), -ieta, (-ieta, 0.5 - ieta)),
-             (1.5, 0.5 * _SQRT_PI, (a, ieta), 1.0, (1.0 - ieta, 0.5 - ieta)))
+    # per b: b, Gamma(b) and the recessive factor; the dominant factor is 1 or 1/z
+    parts = ((0.5, _SQRT_PI, -ieta), (1.5, 0.5 * _SQRT_PI, 1.0))
     out: tuple[list[complex], list[complex]] = ([], [])
     for v in s:
         if not (math.isfinite(v) and v > 0.0):
@@ -233,11 +249,11 @@ def asymptotic_pair(eta: float, s: list[float]) -> tuple[list[complex], list[com
         f_r = cmath.exp(log_r - scale)
         # e^z apart: its phase, exact as z is, would cost |z| eps in a sum
         f_d = cmath.exp(z) * cmath.exp(log_d - scale)
-        for (b, g, rec, x_r, dom), x_d, vals in zip(parts, (1.0, 1.0 / z), out):
+        rec = _recessive_sums(a, -z, terms)
+        for (b, g, x_r), x_d, (s_r, t_r), (s_d, t_d), vals in zip(
+                parts, (1.0, 1.0 / z), rec, rec[::-1], out):
             c_r, c_d = f_r * (g * x_r), f_d * (g * x_d)
-            s_r, t_r = _opt_sum(*rec, -z, terms)
-            s_d, t_d = _opt_sum(*dom, z, terms)
-            value = c_r * s_r + c_d * s_d
+            value = c_r * s_r + c_d * s_d.conjugate()
             # 16 eps for each sum, 8 for its factor and product
             err = (abs(c_r) * (t_r + 24.0 * _EPS * abs(s_r))
                    + abs(c_d) * (t_d + 24.0 * _EPS * abs(s_d)))

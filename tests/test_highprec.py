@@ -757,3 +757,14 @@ def test_walk_work_is_pinned():
     # reaches the next point, and every point starts a state of its own
     walk = kummer_walk(0.5, _SPARSE)
     assert (walk.steps, walk.seeds, walk.sums) == (0, 16, 16)
+
+
+def test_strong_coupling_grid_is_its_lone_points_bit_for_bit():
+    # eta = 512, |y| <= 58: a Taylor step's largest term has 1,016 bits, and
+    # its tail bound passes the double range; the walk still answers, and
+    # each value is the one its point gets alone
+    s = [0.02 + 57.98 * k / 255 for k in range(256)]
+    walk = kummer_walk(512.0, s)
+    lone = [kummer_walk(512.0, [x]) for x in s]
+    assert _hex(walk.p) == _hex([w.p[0] for w in lone])
+    assert _hex(walk.q) == _hex([w.q[0] for w in lone])

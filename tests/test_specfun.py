@@ -409,6 +409,60 @@ def test_asymptotic_pair_refuses_every_s_below_25(eta, s):
             sf.asymptotic_pair(e, points)
 
 
+@pytest.mark.parametrize("eta", [0.0, 0.5, 200.0])
+def test_asymptotic_pair_runs_one_sum_loop_per_point(eta, monkeypatch):
+    # the two recessive sums share one loop, and the two dominant sums are
+    # their conjugates: one loop a point, whatever the call holds
+    calls, real = [], sf._recessive_sums
+
+    def counted(a, zz, terms):
+        calls.append(zz)
+        return real(a, zz, terms)
+
+    monkeypatch.setattr(sf, "_recessive_sums", counted)
+    s = [max(80.0, 1.1 * eta * eta) * 2.0 ** k for k in range(6)]
+    sf.asymptotic_pair(eta, s)
+    assert calls == [complex(0.0, v) for v in s]
+
+
+def _pochhammer_sum(p1, p2, zz, terms):
+    """sum_k (p1)_k (p2)_k / (k! zz^k) at the working precision, and the size
+    of its last term, cut where the code under test must cut it: before the
+    first term at least as large as the one before, or once the last term
+    added is below eps of the sum."""
+    t = total = mpmath.mpc(1)
+    best = mpmath.mpf(1)
+    for k in range(terms):
+        t = t * (p1 + k) * (p2 + k) / ((k + 1) * zz)
+        if abs(t) >= best or best < sf._EPS * abs(total):
+            break
+        total += t
+        best = abs(t)
+    return total, best
+
+
+@pytest.mark.parametrize("eta", [0.0, 1e-6, 0.5, 200.0])
+def test_recessive_sums_and_their_conjugates_are_the_four_sums(eta):
+    # R_1/2 and R_3/2 against their direct Pochhammer sums in 1/(-z), and
+    # their conjugates against the dominant sums in 1/z (DLMF 13.7.2):
+    # D_1/2 = conj R_3/2 and D_3/2 = conj R_1/2 term by term, as eta and s
+    # are real.  Each sum is within 8 eps of its exact partial sum (3.5 eps
+    # at most was measured), well inside the 16 eps each sum is charged
+    lo = max(25.0, 1.1 * eta * eta)
+    for s in [lo * (1e8 / lo) ** (j / 11) for j in range(12)]:
+        terms = 2 * int(s) + 30
+        (r1, t1), (r3, t3) = sf._recessive_sums(complex(0.5, eta), complex(0.0, s), terms)
+        with mpmath.workdps(40):
+            a, ie, zz = mpmath.mpc(0.5, eta), mpmath.mpc(0.0, eta), mpmath.mpc(0.0, s)
+            for got, size, p1, p2, x in ((r1, t1, a, 1 + ie, zz), (r3, t3, a, ie, zz),
+                                         (r3.conjugate(), t3, -ie, 0.5 - ie, -zz),
+                                         (r1.conjugate(), t1, 1 - ie, 0.5 - ie, -zz)):
+                want, last = _pochhammer_sum(p1, p2, x, terms)
+                # the same last term: each sum stops where the rule does
+                assert abs(size - last) <= 1e-13 * last, (eta, s)
+                assert abs(got - want) <= 8 * sf._EPS * abs(want), (eta, s)
+
+
 # ---------------------------------------------------------------------------
 # property-based identities
 
