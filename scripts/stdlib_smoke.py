@@ -66,7 +66,7 @@ for got, want in zip(pair, (walk.p, walk.q)):
 
 # a rung's (u, u'/omega, v, v'/omega) at |y| = 100, (m, omega) = (1, 1)
 (pp,), (qq,) = pair
-sample = _ladder_sample(p, 50.0, -1.0 / 50.0 ** 0.5, pp, qq)
+sample = _ladder_sample(p, 0.5 ** 0.5, 100.0, -1.0 / 50.0 ** 0.5, pp, qq)
 assert len(sample) == 4 and all(type(v) is float for v in sample), sample
 
 assert "susy_ces.verify" not in sys.modules

@@ -95,7 +95,9 @@ class SolutionParams(NamedTuple):
 def solution_params(m: float, omega: float) -> SolutionParams:
     """Validate (m, omega) and assemble the solution constants.
 
-    DoubleRangeExceeded where m^2 or eta = m^2/(2 omega) is past the double range.
+    eta = m^2/(2 omega) is formed from the mantissas and exponents of m and
+    omega, so m^2 never overflows: it is (0.5 (m m))/omega bit for bit where
+    that and 0.5 (m m) are normal.  DoubleRangeExceeded where eta is past the double range.
     """
     m = float(m)
     omega = float(omega)
@@ -103,11 +105,13 @@ def solution_params(m: float, omega: float) -> SolutionParams:
         raise InvalidParams(f"m={m!r} must be a positive finite real")
     if not (math.isfinite(omega) and omega > 0.0):
         raise InvalidParams(f"omega={omega!r} must be a positive finite real")
-    a1 = complex(0.0, (0.5 * (m * m)) / omega)
-    if not cmath.isfinite(a1):
+    (fm, em), (fw, ew) = math.frexp(m), math.frexp(omega)
+    try:
+        a1 = complex(0.0, math.ldexp((0.5 * (fm * fm)) / fw, 2 * em - ew))
+    except OverflowError:
         raise DoubleRangeExceeded(
             f"eta = m^2/(2 omega) is not a finite double at m={m!r}, omega={omega!r}: "
-            f"m^2 or eta passes the largest double ({sys.float_info.max:.4g})")
+            f"eta passes the largest double ({sys.float_info.max:.4g})") from None
     return SolutionParams(m=m, omega=omega, a1=a1, a2=a1 + 0.5, b=0.5,
                           energy=omega * omega)
 
@@ -259,21 +263,21 @@ def solution_Z(p: SolutionParams, branch: Branch, sector: Sector, x) -> Solution
                           shaped(dz, shape, complex))
 
 
-def _ladder_sample(p: SolutionParams, x: float, w: float, pp: complex,
+def _ladder_sample(p: SolutionParams, rt_eta: float, s: float, w: float, pp: complex,
                    qq: complex) -> tuple[float, float, float, float]:
     """(u, u'/omega, v, v'/omega) at one x: u = Re Z^I_- and its real SUSY image v = -Im Z^I_+.
 
-    ``w`` is W(x)/omega, and ``pp``, ``qq`` are P and Q at s = |y| =
-    2 omega x, from :func:`kummer_pair` or, past the series range,
+    ``rt_eta`` is sqrt(eta), formed once a solve; ``s`` is |y| = 2 omega x
+    and ``w`` is W(x)/omega, formed once a rung; ``pp``, ``qq`` are P and Q
+    at s, from :func:`kummer_pair` or, past the series range,
     :func:`specfun.asymptotic_pair`.  As c2 y^{1/2} = 2 i sqrt(eta s),
     Z^I_-+ = e^{-i pi/4} conj(h (P +- R)) with R = 2 sqrt(eta) sqrt(s) Q
     (eta s alone can pass the largest double), and the first-order system
     gives u'/omega = v - w u and v'/omega = w v - u: the four values stay
     doubles where omega u' does not.  Raises DoubleRangeExceeded where one is not finite.
     """
-    s = 2.0 * p.omega * x
     h = cmath.exp(complex(0.0, 0.5 * s))            # e^{-y/2}, y = -i s
-    r = (2.0 * (math.sqrt(p.a1.imag) * math.sqrt(s))) * qq
+    r = (2.0 * (rt_eta * math.sqrt(s))) * qq
     u = (PHASE_M4 * (h * (pp + r)).conjugate()).real
     v = -(PHASE_M4 * (h * (pp - r)).conjugate()).imag
     out = (u, v - w * u, v, w * v - u)
@@ -299,8 +303,8 @@ def hermite_lambda(p: SolutionParams, j: int) -> complex:
 
     lambda_j = -(1 - eps_j) - 2 i m^2 / omega with eps_1 = +1,
     eps_2 = -1; algebraically lambda_j = -4 a_j, and the floating-point
-    evaluations here match that product bit for bit (both routes scale
-    the one rounded quotient m^2/omega by powers of two).
+    evaluations here match that product bit for bit where m^2 and eta are
+    normal (both routes scale the one rounded quotient m^2/omega by powers of two).
     """
     if j not in (1, 2):
         raise InvalidParams(f"j={j!r} must be 1 or 2")

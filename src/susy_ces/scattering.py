@@ -81,7 +81,7 @@ TOL_FLOOR = FAR_TOL
 class PhaseDifferenceResult(NamedTuple):
     """Ladder history and tail-corrected estimate of delta_minus - delta_plus.
 
-    ``x_match`` is the ladder base :func:`default_x_match` (m, omega),
+    ``x_match`` is the ladder base :func:`default_x_match` (m, omega, eta),
     derived, not chosen; the rungs sit at x_match 2^k.  ``raw`` holds the
     per-point differences d_k in [0, pi); ``accelerated`` the same rungs
     with the SUSY tail subtracted, one entry per rung; ``estimate`` its
@@ -108,7 +108,7 @@ class PhaseDifferenceResult(NamedTuple):
     ode_steps: int = 0
 
 
-def default_x_match(m: float, omega: float) -> float:
+def default_x_match(m: float, omega: float, eta: float) -> float:
     """Ladder base max(20/omega, 2.5 m^2/omega^2, 0.275 eta^2/omega).
 
     Oscillatory, past the barrier, and with the first rung at |y| =
@@ -116,11 +116,11 @@ def default_x_match(m: float, omega: float) -> float:
     expansion's first term ratio |a (a + 1/2)|/|y| falls below 1; the third
     term is the largest only from m^2/omega ~ 36.  inf where it passes the
     largest double.  The ratio m/omega is squared, as omega^2 alone
-    underflows to 0 from omega ~ 1e-162, and eta^2/omega is eta r^2/2.
+    underflows to 0 from omega ~ 1e-162, and eta^2/omega is eta r^2/2, with
+    the ``eta`` of :func:`closedform.solution_params` (m^2 may pass the range).
     """
     r = m / omega
     r2 = r * r
-    eta = 0.5 * (m * m) / omega
     return max(20.0 / omega, 2.5 * r2, 0.1375 * eta * r2)
 
 
@@ -157,34 +157,37 @@ def phase_difference(m: float, omega: float, *, tol: float = 1e-3) -> PhaseDiffe
         raise InvalidParams(f"tol={tol!r} must be above the ladder's rounding floor "
                             f"TOL_FLOOR = 2^-40 = {TOL_FLOOR:.4g}")
     p = solution_params(m, omega)
-    x_match = default_x_match(p.m, p.omega)
+    x_match = default_x_match(p.m, p.omega, p.a1.imag)
 
-    # plan: the rungs up to the first whose bound is below tol
+    # plan: the rungs, and their |y|, up to the first whose bound is below tol
     r = p.m / p.omega
     xs: list[float] = []
+    ys: list[float] = []
     xk = 2.0 * x_match
     while True:
         # doubling is exact, and gives inf rather than raising past the range
-        if math.isinf(2.0 * p.omega * xk):
+        if math.isinf(y := 2.0 * p.omega * xk):
             raise DoubleRangeExceeded(
                 f"the ladder's rungs x_match 2^k pass the largest double "
                 f"({sys.float_info.max:.4g}) in x_k or in |y| = 2 omega x_k at "
                 f"m={m!r}, omega={omega!r}: rung k = {len(xs) + 1}, x_match = {x_match:.4g}")
         xs.append(xk)
+        ys.append(y)
         bound = math.asin(min(1.0, r * (r / xk)))
         if bound < tol:
             break
         xk *= 2.0
 
     # read: every rung's pair from one call, so its log-Gamma terms are computed once
+    rt_eta = math.sqrt(p.a1.imag)
     raws: list[float] = []
     accs: list[float] = []
-    for xk, pp, qq in zip(xs, *asymptotic_pair(p.a1.imag, [2.0 * p.omega * xk for xk in xs])):
+    for xk, y, pp, qq in zip(xs, ys, *asymptotic_pair(p.a1.imag, ys)):
         # W(x_k)/omega; omega sqrt(x_k) <= max(omega, |y|/2) is a double
         w = -p.m / (p.omega * math.sqrt(xk))
-        d = _sector_difference(*_ladder_sample(p, xk, w, pp, qq))
+        d = _sector_difference(*_ladder_sample(p, rt_eta, y, w, pp, qq))
         raws.append(d)
-        accs.append(d - 0.5 * (susy_phase_offset(w, 1.0) - math.pi))
+        accs.append(d - 0.5 * (_offset(w, 1.0) - math.pi))
 
     import numpy as np
     return PhaseDifferenceResult(
@@ -215,6 +218,12 @@ def susy_phase_offset(w: float, omega: float) -> float:
     if not 2.0 ** -500 <= big <= 2.0 ** 500:
         e = math.frexp(big)[1]
         w, omega = math.ldexp(w, -e), math.ldexp(omega, -e)
+    return _offset(w, omega)
+
+
+def _offset(w: float, omega: float) -> float:
+    """:func:`susy_phase_offset` unchecked, where no product leaves the double range:
+    on the ladder omega = 1 and |w| <= 1/sqrt(5), as x_k >= 5 m^2/omega^2."""
     # (w - i omega)/(w + i omega) = (w^2 - omega^2 - 2 i omega w)/(w^2 + omega^2);
     # normalise -0.0 so the w -> 0 limit lands on +pi, matching the physical
     # approach through negative superpotential values

@@ -63,6 +63,7 @@ _SQRT_PI = math.sqrt(math.pi)
 
 _GOLDEN_ENV = "SUSY_CES_GOLDEN_DIR"
 _EPS = sys.float_info.epsilon
+_EPS24 = 24.0 * _EPS
 
 
 def _is_nonpositive_integer(x: float) -> bool:
@@ -164,7 +165,8 @@ def _recessive_sums(a: complex, zz: complex, terms: int) -> tuple[tuple[complex,
     recessive sums in 1/zz, each to its optimal truncation or until its last
     term falls below eps of it.  With w_k = (a)_k (1 + i eta)_{k-1} / (k! zz^k)
     and (1 + i eta)_k = (i eta)_k (i eta + k) / (i eta), their k-th terms are
-    (i eta + k) w_k and i eta w_k: one loop, with no division by eta."""
+    (i eta + k) w_k and i eta w_k: one loop, with no division by eta, that
+    takes one modulus of each term a sum still runs."""
     ieta = a - 0.5
     t = s1 = s3 = 1.0 + 0j
     best1 = best3 = 1.0
@@ -172,15 +174,15 @@ def _recessive_sums(a: complex, zz: complex, terms: int) -> tuple[tuple[complex,
     for k in range(terms):
         w = t * (a + k) / ((k + 1) * zz)
         t = w * (ieta + (k + 1))
-        if go1 and not (abs(t) >= best1 or best1 < _EPS * abs(s1)):
+        if go1 and not ((size := abs(t)) >= best1 or best1 < _EPS * abs(s1)):
             s1 += t
-            best1 = abs(t)
+            best1 = size
         else:
             go1 = False
         u = w * ieta
-        if go3 and not (abs(u) >= best3 or best3 < _EPS * abs(s3)):
+        if go3 and not ((size := abs(u)) >= best3 or best3 < _EPS * abs(s3)):
             s3 += u
-            best3 = abs(u)
+            best3 = size
         else:
             go3 = False
         if not (go1 or go3):
@@ -210,12 +212,12 @@ def asymptotic_pair(eta: float, s: list[float]) -> tuple[list[complex], list[com
     differs between them, Gamma(b), -i eta (1/Gamma(-i eta) =
     -i eta/Gamma(1 - i eta)), 1/z and the sums, is charged to the error
     estimate, and a value is kept only where that estimate is at most
-    ``FAR_TOL`` of it.  Each call computes the two log-Gamma terms once, so
-    a ladder solve reads every rung in one call.  As eta and s are real,
-    z = conj(-z) and each b's dominant sum is the other b's recessive sum
-    conjugated, term by term, so a point runs one loop
-    (:func:`_recessive_sums`).  The 16 eps each sum is charged covers the
-    few eps each step forming a term rounds, as its terms fall from 1.
+    ``FAR_TOL`` of it.  What depends on eta alone, the log-Gamma terms, the
+    log terms holding arg z = -pi/2 and Gamma(b) times the factors but 1/z,
+    is formed once a call, so a ladder solve reads every rung in one call.
+    As eta and s are real, z = conj(-z) and each b's dominant sum is the
+    other b's recessive sum conjugated, term by term: a point runs one loop
+    (:func:`_recessive_sums`) and forms each sum's error share once.
 
     Raises
     ------
@@ -228,20 +230,22 @@ def asymptotic_pair(eta: float, s: list[float]) -> tuple[list[complex], list[com
     a, _ = _params(complex(0.5, eta), 0.5)
     eta, ieta = a.imag, a - 0.5
     lg_r, lg_d = log_gamma(1.0 - ieta), log_gamma(a)
-    # per b: b, Gamma(b) and the recessive factor; the dominant factor is 1 or 1/z
-    parts = ((0.5, _SQRT_PI, -ieta), (1.5, 0.5 * _SQRT_PI, 1.0))
+    # the logs' terms in eta alone: on the ray arg z = -pi/2 (-pi/2 - arg(z)/2
+    # = -pi/4 exactly), and the recessive sector term is e^{-i pi a}
+    r_re, r_eli = math.pi * eta, eta * (-0.5 * math.pi)
+    d_re = -r_eli - lg_d.real
+    # Gamma(b) times the part of the recessive factor that differs: -i eta at b = 1/2
+    g_half, g_3half = _SQRT_PI * -ieta, 0.5 * _SQRT_PI
     out: tuple[list[complex], list[complex]] = ([], [])
     for v in s:
         if not (math.isfinite(v) and v > 0.0):
             raise InvalidParams(f"s={v!r} is not finite and positive")
         z = complex(0.0, -v)
-        terms, logz = 2 * int(v) + 30, cmath.log(z)
-        # the logs of the shared factors, their parts summed exactly; on
-        # the ray arg z = -pi/2 the recessive sector term is e^{-i pi a}
-        lr, li = logz.real, logz.imag
-        log_r = complex(math.fsum((math.pi * eta, -0.5 * lr, eta * li, -lg_r.real)),
-                        math.fsum((-0.5 * math.pi, -0.5 * li, -eta * lr, -lg_r.imag)))
-        log_d = complex(-eta * li - lg_d.real, eta * lr - lg_d.imag)
+        terms, lr = 2 * int(v) + 30, cmath.log(z).real
+        # the logs of the shared factors, their parts summed exactly
+        log_r = complex(math.fsum((r_re, -0.5 * lr, r_eli, -lg_r.real)),
+                        math.fsum((-0.25 * math.pi, -eta * lr, -lg_r.imag)))
+        log_d = complex(d_re, eta * lr - lg_d.imag)
         # past e^700, 2^n with n = round(big / ln 2) is divided out; the
         # remainder is exact, so the larger factor keeps a modulus near 1
         big = max(log_r.real, log_d.real)
@@ -249,14 +253,15 @@ def asymptotic_pair(eta: float, s: list[float]) -> tuple[list[complex], list[com
         f_r = cmath.exp(log_r - scale)
         # e^z apart: its phase, exact as z is, would cost |z| eps in a sum
         f_d = cmath.exp(z) * cmath.exp(log_d - scale)
-        rec = _recessive_sums(a, -z, terms)
-        for (b, g, x_r), x_d, (s_r, t_r), (s_d, t_d), vals in zip(
-                parts, (1.0, 1.0 / z), rec, rec[::-1], out):
-            c_r, c_d = f_r * (g * x_r), f_d * (g * x_d)
+        (s1, t1), (s3, t3) = _recessive_sums(a, -z, terms)
+        # each sum's error share: 16 eps for the sum, 8 for its factor and product
+        e1, e3 = t1 + _EPS24 * abs(s1), t3 + _EPS24 * abs(s3)
+        # per b: the factors (the dominant one's differing part is 1 or 1/z), then the sums
+        for b, c_r, c_d, s_r, e_r, s_d, e_d, vals in (
+                (0.5, f_r * g_half, f_d * _SQRT_PI, s1, e1, s3, e3, out[0]),
+                (1.5, f_r * g_3half, f_d * (g_3half * (1.0 / z)), s3, e3, s1, e1, out[1])):
             value = c_r * s_r + c_d * s_d.conjugate()
-            # 16 eps for each sum, 8 for its factor and product
-            err = (abs(c_r) * (t_r + 24.0 * _EPS * abs(s_r))
-                   + abs(c_d) * (t_d + 24.0 * _EPS * abs(s_d)))
+            err = abs(c_r) * e_r + abs(c_d) * e_d
             if not err <= FAR_TOL * abs(value):
                 raise SeriesRangeExceeded(
                     f"|y| = {v:.4g} at eta = {eta:.4g}: the large-|y| expansion of "
@@ -302,12 +307,11 @@ def chf_1f1_deriv(a: complex, b: float, z):
 # ---------------------------------------------------------------------------
 # complex log-gamma (Stirling class)
 
-# Bernoulli numbers B_2 .. B_20 for the Stirling tail
-_BERNOULLI = (
+# the Stirling tail's coefficients B_2j / (2j (2j - 1)), from the Bernoulli numbers B_2 .. B_20
+_STIRLING = tuple(b2j / (2 * j * (2 * j - 1)) for j, b2j in enumerate((
     1.0 / 6.0, -1.0 / 30.0, 1.0 / 42.0, -1.0 / 30.0, 5.0 / 66.0,
     -691.0 / 2730.0, 7.0 / 6.0, -3617.0 / 510.0, 43867.0 / 798.0,
-    -174611.0 / 330.0,
-)
+    -174611.0 / 330.0), start=1))
 _LOG_2PI = math.log(2.0 * math.pi)
 _STIRLING_RADIUS = 12.0
 
@@ -317,10 +321,10 @@ def _stirling(w: complex) -> complex:
     s = (w - 0.5) * cmath.log(w) - w + 0.5 * _LOG_2PI
     w2 = w * w
     p = w
-    for j, b2j in enumerate(_BERNOULLI, start=1):
+    for c in _STIRLING:
         if not cmath.isfinite(p):   # |w| past ~1e16: this term and the rest are 0
             break
-        s += b2j / (2 * j * (2 * j - 1)) / p
+        s += c / p
         p *= w2
     return s
 

@@ -482,7 +482,7 @@ def check_ladder_routes_agree() -> CheckReport:
     worst = {"u": 0.0, "v": 0.0, "map": 0.0}
     for m, omega, rungs in ((0.5, 2.0, 8), (1.0, 2.0, 8), (3.0, 0.5, 10), (8.0, 1.0, 4)):
         p = cf.solution_params(m, omega)
-        x_match = scattering.default_x_match(m, omega)
+        x_match = scattering.default_x_match(m, omega, p.a1.imag)
         seed = cf.solution_Z(p, cf.Branch.I, Sector.MINUS, _seed_point(x_match, omega))
         x, u, du = seed.x, seed.value.real, seed.derivative.real
         wx = -m / math.sqrt(x)
@@ -491,13 +491,13 @@ def check_ladder_routes_agree() -> CheckReport:
         minus, plus = (oracle.schrodinger_problem(m, omega, sec)
                        for sec in (Sector.MINUS, Sector.PLUS))
         xks = [math.ldexp(x_match, k) for k in range(1, rungs + 1)]
-        ps, qs = specfun.asymptotic_pair(p.a1.imag, [2.0 * p.omega * xk for xk in xks])
-        for xk, pp, qq in zip(xks, ps, qs):
+        ys = [2.0 * p.omega * xk for xk in xks]
+        for xk, y, pp, qq in zip(xks, ys, *specfun.asymptotic_pair(p.a1.imag, ys)):
             su = oracle.integrate(minus, x, xk, u, du)
             sv = oracle.integrate(plus, x, xk, v, dv)
             x, wx = xk, -m / math.sqrt(xk)
             u, du, v, dv = su.value.real, su.derivative.real, sv.value.real, sv.derivative.real
-            fu, fdu, fv, fdv = cf._ladder_sample(p, xk, wx / omega, pp, qq)
+            fu, fdu, fv, fdv = cf._ladder_sample(p, math.sqrt(p.a1.imag), y, wx / omega, pp, qq)
             size_u, size_v = abs(fu) + abs(fdu), abs(fv) + abs(fdv)
             worst["u"] = max(worst["u"], abs(u - fu) / size_u, abs(du / omega - fdu) / size_u)
             worst["v"] = max(worst["v"], abs(v - fv) / size_v, abs(dv / omega - fdv) / size_v)

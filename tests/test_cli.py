@@ -380,9 +380,11 @@ def test_phase_at_vanishing_eta(runner, m, omega):
 
 
 def test_phase_past_the_double_range_of_eta_exits_2(runner):
+    # eta = 5e299 is a double, but the first rung's |y| = 1.1 eta^2 is not
     res = runner.invoke(main, ["phase", "--m", "1e300", "--omega", "1e300"])
     assert res.exit_code == 2
-    assert "eta = m^2/(2 omega) is not a finite double" in res.stderr
+    assert "rungs x_match 2^k pass the largest double" in res.stderr
+    assert "|y| = 2 omega x_k at m=1e+300, omega=1e+300" in res.stderr
     assert res.stdout == ""
 
 

@@ -2,11 +2,13 @@
 Wronskian, intertwining, eigenvalue identity, limits."""
 import cmath
 import math
+import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from susy_ces import closedform as cf
@@ -42,14 +44,34 @@ def test_solution_params_validation():
 
 @pytest.mark.parametrize("m, omega", [(1e300, 1e300), (1e200, 1e300), (1e160, 1.0)])
 def test_solution_params_past_the_double_range_of_eta(m, omega):
-    # m^2 or eta = m^2/(2 omega) is past the largest double: refused where
-    # eta is formed, with the inputs named, not passed on as a1 = inf j
-    with pytest.raises(DoubleRangeExceeded, match=r"eta = m\^2/\(2 omega\)") as exc:
-        cf.solution_params(m, omega)
-    assert f"m={m!r}, omega={omega!r}" in str(exc.value)
+    # m^2 is past the largest double at all three; eta = m^2/(2 omega) only
+    # at (1e160, 1), 5e319: refused where it is formed, with the inputs
+    # named, not passed on as a1 = inf j.  At the other two eta (5e299 and
+    # 5e99) is a double, m^2/(2 omega) correctly rounded
+    eta = Fraction(m) ** 2 / (2 * Fraction(omega))
+    if eta > sys.float_info.max:
+        with pytest.raises(DoubleRangeExceeded, match=r"eta = m\^2/\(2 omega\).*: eta passes") as exc:
+            cf.solution_params(m, omega)
+        assert f"m={m!r}, omega={omega!r}" in str(exc.value)
+    else:
+        assert cf.solution_params(m, omega).a1 == complex(0.0, float(eta))
     # omega^2 past it is not refused: the energy is inf, eta a double
     p = cf.solution_params(1.0, 1e300)
     assert p.a1 == 5e-301j and p.energy == math.inf
+
+
+def _binary(lo: int, hi: int):
+    """Positive doubles with a uniform mantissa and a binary exponent in [lo, hi]."""
+    return st.builds(math.ldexp, st.floats(0.5, 1.0, exclude_max=True), st.integers(lo, hi))
+
+
+@given(m=_binary(-520, 520), omega=_binary(-1021, 1024))
+def test_eta_is_the_direct_quotient_wherever_it_is_normal(m, omega):
+    # eta is formed from the mantissas and exponents of m and omega; where
+    # 0.5 (m m) and that quotient are normal doubles it is the same double
+    half, tiny = 0.5 * (m * m), sys.float_info.min
+    assume(tiny <= half <= sys.float_info.max and tiny <= half / omega <= sys.float_info.max)
+    assert cf.solution_params(m, omega).a1.imag == half / omega
 
 
 def test_phase_constants():

@@ -23,15 +23,15 @@ ROUNDING = 4 * 2.0 ** -52
 
 
 def test_default_x_match_values():
-    assert sc.default_x_match(1.0, 1.0) == 20.0
-    assert sc.default_x_match(0.5, 2.0) == 10.0
-    assert sc.default_x_match(2.0, 0.5) == 40.0
+    assert sc.default_x_match(1.0, 1.0, 0.5) == 20.0
+    assert sc.default_x_match(0.5, 2.0, 0.0625) == 10.0
+    assert sc.default_x_match(2.0, 0.5, 4.0) == 40.0
     # m^2/omega = 36 is still 2.5 m^2/omega^2; from 64 on the first rung
     # sits at |y| = 4 omega x_match = 1.1 eta^2
-    assert sc.default_x_match(6.0, 1.0) == 90.0
+    assert sc.default_x_match(6.0, 1.0, 18.0) == 90.0
     for m, omega in ((8.0, 1.0), (10.0, 1.0), (1e3, 1.0), (20.0, 0.5)):
         eta = 0.5 * m * m / omega
-        assert math.isclose(4.0 * omega * sc.default_x_match(m, omega), 1.1 * eta * eta,
+        assert math.isclose(4.0 * omega * sc.default_x_match(m, omega, eta), 1.1 * eta * eta,
                             rel_tol=1e-15)
 
 
@@ -182,6 +182,47 @@ def test_phase_difference_converges_at_strong_coupling(m, omega):
     assert res.estimate.hex() == _STRONG[m, omega]
 
 
+#: every float field of four solves, bit for bit: the rungs x_1 2^k from the
+#: first, and per rung the raw and tail-corrected differences; then the
+#: residual and the bound (the estimate is the last corrected rung).  At
+#: m^2/omega = 0.05 (two rungs), 2.5, 400 (the base is the expansion's
+#: frontier) and 3e20 (one rung, |M| ~ e^{pi eta} scaled by a power of two)
+_PINNED = {
+    (0.31622776601683794, 2.0): (
+        "0x1.4000000000000p+4", ["0x1.890e9a9d3655cp+0", "0x1.8ba535754c3eap+0"],
+        ["0x1.921aafcec731dp+0", "0x1.920b4482761bdp+0"], "inf", "0x1.47ae15e0cb43ep-11"),
+    (1.4142135623730951, 0.8): (
+        "0x1.9000000000000p+5",
+        ["0x1.58b44591c0557p+0", "0x1.61a4f649aa858p+0", "0x1.703d3e657d6edp+0",
+         "0x1.7ba04ce52cc3ap+0", "0x1.824a44f621622p+0", "0x1.86ce85857c880p+0",
+         "0x1.8a044ad984c71p+0"],
+        ["0x1.976b318419572p+0", "0x1.8e6fbbc29cd0fp+0", "0x1.9012f900299e4p+0",
+         "0x1.9231e78d2127cp+0", "0x1.9244f2d1b7e11p+0", "0x1.921cf2917b645p+0",
+         "0x1.9203a0486f249p+0"], "0x1.054a2522f2000p-10", "0x1.000002aaaabdep-10"),
+    (20.0, 1.0): (
+        "0x1.57c0000000001p+14",
+        ["0x1.6e69df5689080p+0", "0x1.7a7c0ff4b7ddep+0", "0x1.80a58dc99880cp+0",
+         "0x1.85aa67ad6d49dp+0", "0x1.898b761002710p+0", "0x1.8c05ad7067e64p+0"],
+        ["0x1.90b9c3cb6da3cp+0", "0x1.92d1d799236ecp+0", "0x1.91e1504cfa6e3p+0",
+         "0x1.91dc58f779e9cp+0", "0x1.922bd7d137d23p+0", "0x1.921f88eb594b3p+0"],
+        "0x1.3dfb66f7a1c00p-10", "0x1.29e413ab291ecp-11"),
+    (17320508075.688774, 1.0): (
+        "0x1.22ef52730e156p+133", ["0x1.921fb543979fep+0"], ["0x1.921fb54442d17p+0"],
+        "inf", "0x1.c9ed2b9e795f9p-66"),
+}
+
+
+@pytest.mark.parametrize("m, omega", list(_PINNED))
+def test_phase_difference_fields_are_pinned_bit_for_bit(m, omega):
+    x1, raw, acc, residual, bound = _PINNED[m, omega]
+    res = phase_difference(m, omega)
+    x = [math.ldexp(float.fromhex(x1), k).hex() for k in range(len(raw))]
+    assert [v.hex() for v in res.x.tolist()] == x
+    assert [v.hex() for v in res.raw.tolist()] == raw
+    assert [v.hex() for v in res.accelerated.tolist()] == acc
+    assert (res.estimate.hex(), res.residual.hex(), res.bound.hex()) == (acc[-1], residual, bound)
+
+
 #: (m^2/omega, omega): past m^2/omega ~ 36 the base is the expansion's frontier.
 #: One case at omega = 3; from 3e20 on, log|M| ~ pi eta rounds by many powers of two
 _FAR = [(r, 1.0) for r in (64.0, 100.0, 256.0, 300.0, 350.0, 400.0, 900.0, 2500.0, 1e4, 1e6)]
@@ -239,8 +280,9 @@ def test_each_rung_is_one_function_of_the_minus_sample(m, omega, x_budget):
     p = solution_params(m, omega)
     for xk, acc in zip(res.x.tolist(), res.accelerated.tolist()):
         w = superpotential(xk, m) / omega
-        (pp,), (qq,) = asymptotic_pair(p.a1.imag, [2.0 * omega * xk])
-        u, du, _, _ = cf._ladder_sample(p, xk, w, pp, qq)
+        y = 2.0 * omega * xk
+        (pp,), (qq,) = asymptotic_pair(p.a1.imag, [y])
+        u, du, _, _ = cf._ladder_sample(p, math.sqrt(p.a1.imag), y, w, pp, qq)
         eps = w * w * u / ((w + 1j) * complex(du, u))
         assert abs(acc - (HALF_PI - cmath.phase(1.0 + eps))) <= 1e-14
         assert abs(acc - HALF_PI) <= math.asin(m * m / (omega * omega * xk))
@@ -269,7 +311,8 @@ def test_ladder_sample_is_the_real_minus_solution_and_its_susy_image(m, omega):
         want = (zm.value.real, zm.derivative.real / omega,
                 -zp.value.imag, -zp.derivative.imag / omega)
         (pp,), (qq,) = specfun.kummer_pair(p.a1.imag, [2.0 * omega * x])
-        got = cf._ladder_sample(p, x, -m / (omega * math.sqrt(x)), pp, qq)
+        got = cf._ladder_sample(p, math.sqrt(p.a1.imag), 2.0 * omega * x,
+                                -m / (omega * math.sqrt(x)), pp, qq)
         assert all(type(v) is float for v in got)
         gap = max(abs(g - w) for g, w in zip(got, want)) / max(map(abs, want))
         assert gap <= 1e-14, (x, got, want)
@@ -279,7 +322,7 @@ def test_ladder_sample_past_the_double_range_is_typed():
     # R = 20 Q passes the largest double
     p = solution_params(1.0, 1.0)
     with pytest.raises(DoubleRangeExceeded, match="exceeds the double range"):
-        cf._ladder_sample(p, 100.0, -0.1, 1e308 + 0j, 1e308 + 0j)
+        cf._ladder_sample(p, math.sqrt(0.5), 200.0, -0.1, 1e308 + 0j, 1e308 + 0j)
 
 
 @pytest.mark.parametrize("m, omega", [(1e-9, 1.0), (3e-9, 2.0), (1.0, 1e300)])
@@ -304,12 +347,25 @@ def test_phase_difference_depends_on_the_coupling_alone(m, omega):
 
 
 def test_phase_difference_past_the_double_range_of_eta_is_typed():
-    # m^2 = 1e600: eta is refused where it is formed, naming the inputs
-    # rather than the CHF parameter it would have become
-    with pytest.raises(DoubleRangeExceeded, match=r"eta = m\^2/\(2 omega\).*m=1e\+300"):
-        phase_difference(1e300, 1e300)
+    # m^2 = 1e600 and 1e310, but eta = 5e299 is a double: the first rung's
+    # |y| = 1.1 eta^2 is not, and the rung check names it with the inputs
+    for m, omega in ((1e300, 1e300), (1e155, 1e10)):
+        with pytest.raises(DoubleRangeExceeded, match=r"rungs x_match 2\^k pass the largest "
+                                                      r"double \(.*\) in x_k or in \|y\|") as exc:
+            phase_difference(m, omega)
+        assert f"m={m!r}, omega={omega!r}: rung k = 1," in str(exc.value)
     res = phase_difference(1e-200, 1.0)     # eta = 5e-401 underflows to 0
     assert res.converged and abs(res.estimate - HALF_PI) <= 1e-3
+
+
+@pytest.mark.parametrize("m, omega, x", [(1e200, 1e300, 1.375e-101), (1e160, 1e200, 1.375e39)])
+def test_phase_difference_where_m_squared_passes_the_double_range(m, omega, x):
+    # eta = 5e99 and 5e119 are doubles though m^2 is not: the ladder reads
+    # its one rung, at |y| = 1.1 eta^2
+    res = phase_difference(m, omega)
+    assert res.converged and res.x.size == 1
+    assert math.isclose(res.x[0], x, rel_tol=1e-12)
+    assert abs(res.estimate - HALF_PI) <= min(1e-3, res.bound + ROUNDING)
 
 
 @pytest.mark.parametrize("m, omega, rung", [(1.0, 1e-300, 1), (1.0, 1e-160, 1),
