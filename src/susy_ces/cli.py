@@ -175,7 +175,7 @@ def phase(m, omega, tol, fmt, out):
                  f"x_match={res.x_match:.17g}"]
         lines.append(f"{'x':>12s} {'difference':>20s} {'accelerated':>20s}")
         for x, d, acc in zip(res.x, res.raw, res.accelerated):
-            lines.append(f"{x:12.1f} {d:20.12f} {acc:20.12f}")
+            lines.append(f"{x:12.12g} {d:20.12f} {acc:20.12f}")
         lines.append(f"estimate: {res.estimate!r}  residual: {res.residual:.3e}  "
                      f"bound: {res.bound:.3e}  converged: {res.converged}")
         _emit("\n".join(lines) + "\n", out)

@@ -7,57 +7,54 @@ number of fractional bits sized from the predicted cancellation and
 checked against the truncation bound after the sum.  Its cost is a few
 microseconds per term, and every value ``specfun`` returns is its sum or
 bit for bit equal to it.  The final rounding to complex double happens
-once, so the result is correctly rounded.
+once, from a sum whose error the width check holds about ``SAFE_BITS``
+bits below the larger component: that component is correctly rounded
+unless it lies within about 2**-15 of an ulp of a rounding boundary,
+but a component far below the other can be an ulp off.
 
 ``kummer_walk`` evaluates the Kummer pair both closed-form branches are
 built from, P = M(a, 1/2; z) and Q = M(a, 3/2; z) with a = 1/2 + i eta,
 on a grid of the ray z = -i s; it is the one place that spells the pair
 out.  (Branch I's functions, M(i eta, 1/2; z) and M(1 + i eta, 3/2; z),
 are e^z times the pair's conjugates by Kummer's transformation, DLMF
-13.2.39.)  One series loop gives both: Q is an exact combination of P's own
-terms t_k through K = sum k t_k = z P' (DLMF section 13.3).  The
-contiguous relation 13.3.2 at b = 1/2, with M(a, -1/2) = P - 2K from
-(z^(b-1) M)' = (b-1) z^(b-2) M(a, b-1), gives Q = (K - z P) / (2 i eta
-z), which on the ray reads
+13.2.39.)  One series loop gives both: it sums Q, whose rounded terms
+t_k also give K = sum k t_k = z Q' (DLMF section 13.3), and P's terms
+are (2k + 1) t_k, as (3/2)_k / (1/2)_k = 2k + 1, which is (z^(b-1) M)' =
+(b-1) z^(b-2) M(a, b-1) at b = 3/2.  So
 
-    Q = (K + i s P) / (2 eta s),
+    P = Q + 2 K
 
-one exact integer division that cancels log2(1 / (2 eta s)) bits where
-2 eta s < 1; the loop sums that much wider.  Where that would cost more
-than a second sum, at eta s < 2**-801 (eta s = 0, where it is 0/0,
-included), the point neither sums the pair nor seeds a state: P and Q
-take their own series.  Any other point no carried state covers, a lone
-point included, runs that loop once at the walk's width, and its result
-becomes the state.  Along a grid the walk carries the pair from point to
-point by Taylor steps of its first-order system (DLMF 13.2-13.3), summed
-in the same integer fixed point from exact dyadic constants, with a
-rigorous error radius: a majorant bound on each step's tail, the
-rounding of its terms carried through the recurrence, and a log-norm
-bound on the transition for the incoming radius.  A step reaches at most
-a quarter of the way to z = 0; a point further on drops the state and
-starts one of its own.  The step is read off the grid, with no price
-to weigh: it reaches the largest power of two R within that quarter
-where two or more points lie within R, else it lands on the next
-point.  A step that reaches a power of two past its start serves
-every point on the way: each is the sum of the step's terms at its
-fraction f = g / 2**sh < 1 of the reach, by Horner's rule with shifts
-for the division, cut off where the remaining terms fall to an eighth
-of what its certificate charges anyway (the step's radius, or the
-series' own bound), and its radius is the step's plus the terms it cuts
-off and its roundings.  Horner runs on one
-integer that packs the four components as lanes, each offset by a bias
-above every partial sum, so that one product, one addition, one shift
-and one mask round all four products by f at once, each exactly as
-alone.  Every value, seeded, carried or inside a step, comes from a
-state with one radius in the state's norm, and is rounded in one place
-and only where its error box, widened by the series' own
-bound, rounds to one double under the series' own rounding
-(``_int_to_float``): both ends of each side are rounded by it and
-compared, and only the double they agree on is kept.  Every other value
-is the per-point series, so each output equals ``chf_series_fixed`` bit
-for bit.  On a table of 256 points to |z| = 59 at eta = 1/2 a step of
-about 37 terms serves 10 points at about 38 terms each, where the
-series needs about 2.7 |z|.
+in exact integers, at any eta and s.  Every point no carried state
+covers, a lone point included, runs that loop once at the walk's width,
+and its result becomes the state.  Along a grid the walk carries the
+pair from point to point by Taylor steps of its first-order system
+(DLMF 13.2-13.3), summed in the same integer fixed point from exact
+dyadic constants, with a rigorous error radius: a majorant bound on
+each step's tail, the rounding of its terms carried through the
+recurrence, and a log-norm bound on the transition for the incoming
+radius.  A step reaches at most a quarter of the way to z = 0; a point
+further on drops the state and starts one of its own.  The step is read
+off the grid, with no price to weigh: it reaches the largest power of
+two R within that quarter where two or more points lie within R, else
+it lands on the next point.  A step that reaches a power of two past
+its start serves every point on the way: each is the sum of the step's
+terms at its fraction f = g / 2**sh < 1 of the reach, by Horner's rule
+with shifts for the division, cut off where the remaining terms fall to
+an eighth of what its certificate charges anyway (the step's radius, or
+the series' own bound), and its radius is the step's plus the terms it
+cuts off and its roundings.  Horner runs on one integer that packs the
+four components as lanes, each offset by a bias above every partial
+sum, so that one product, one addition, one shift and one mask round
+all four products by f at once, each exactly as alone.  Every value,
+seeded, carried or inside a step, comes from a state with one radius in
+the state's norm, and is rounded in one place and only where its error
+box, widened by the series' own bound, rounds to one double under the
+series' own rounding (``_int_to_float``): both ends of each side are
+rounded by it and compared, and only the double they agree on is kept.
+Every other value is the per-point series, so each output equals
+``chf_series_fixed`` bit for bit.  On a table of 256 points to |z| = 59
+at eta = 1/2 a step of about 37 terms serves 10 points at about 38
+terms each, where the series needs about 2.7 |z|.
 
 No third-party extended-precision library is involved: Python's
 integers carry the whole sum.
@@ -255,9 +252,6 @@ def _series(a: complex, b: float, z: complex,
 _WALK_GUARD = 12
 #: Taylor steps never reach past this fraction of the distance to z = 0
 _STEP_REACH = 0.25
-#: width that costs as much as a second series sum: at the widths the walk
-#: sums at (under 300 bits) a term 1,000 bits wider takes about twice as long
-_MAX_LOST = 800
 
 
 class Walk(NamedTuple):
@@ -295,23 +289,13 @@ def _plan(s0: float, s: list[float], k: int) -> tuple[float, int]:
     within ``_STEP_REACH`` s0 of s0; else no point is reached: no step
     goes there.
     """
-    reach = math.ldexp(1.0, math.frexp(s0)[1] - 3)     # R <= _STEP_REACH s0 = s0 / 4 < 2 R
+    # R <= _STEP_REACH s0 = s0 / 4 < 2 R; no step starts at s0 = 0
+    reach = math.ldexp(1.0, math.frexp(s0)[1] - 3) if s0 else 0.0
     end = s0 + reach
     m = bisect_right(s, end, k) - k
     if m >= 2 and end - s0 == reach:
         return end, m
     return s[k], int(s[k] - s0 <= _STEP_REACH * s0)
-
-
-def _lost_bits(eta: float, s: float) -> int | None:
-    """Bits the division by 2 eta s cancels when Q is taken from P's loop at
-    z = -i s, or None where a second series sum costs less: eta s below
-    2**-801, eta s = 0 included."""
-    gain = 2.0 * eta * s
-    if not gain > 0.0:
-        return None
-    lost = max(0, math.ceil(-math.log2(gain)))
-    return lost if lost <= _MAX_LOST else None
 
 
 def _ldexp(x: float, e: int) -> float:
@@ -322,53 +306,36 @@ def _ldexp(x: float, e: int) -> float:
         return math.inf
 
 
-def _rounding(a: complex, b: float, s: float, n: int, peak: int, bits: int) -> float:
-    """Bound on the rounding error of :func:`_fixed_sum` at z = -i s, units 2**-bits.
-
-    Term k carries the half-unit roundings of terms j <= k, each scaled by
-    t_k / t_j.  For the pair's P the term ratios fall with k from k = 1 on,
-    so |t_k / t_j| <= R = max(1, max_k |t_k| / |t_1|) for 1 <= j <= k, and
-    the n terms carry at most n**2 R / 2 units, t_1 = a z / b, which is
-    not zero where :func:`_pair_sum` sums (eta s > 0).
-    """
-    return n * n * max(1.0, _ldexp(1.0, peak - bits) / (abs(a) * s / b))
-
-
 def _pair_sum(eta: float, s: float, width: int) -> tuple[tuple[int, ...], float, float]:
     """P and Q at z = -i s as integers at scale 2**width, with error bounds.
 
     Returns the four integers and bounds on the errors of P and of Q in
     units of 2**-width (inf past the double range).  One loop of
-    :func:`_fixed_sum` gives P and K = z P', and Q is divided out of them
-    exactly, as the module docstring states; its bound charges K's
-    rounding (n times P's), K's tail and the division, which needs
-    :func:`_lost_bits` to be an int (eta s > 0).  The loop runs ``ceil(s
-    log2 e)`` bits wider than ``width``, to absorb the cancellation, and
-    stops once its terms fall ``width + 8`` bits below the sum; both add
-    the bits the division cancels and those of n.  By then the terms at
-    least halve (they have fallen further than they rose), so the tails
-    of P and K stay below 2 and 2 (n + 1) times the last term.
+    :func:`_fixed_sum` gives Q and K = z Q', and P = Q + 2 K exactly, as
+    the module docstring states.  The loop runs ``ceil(s log2 e)`` bits
+    wider than ``width``, to absorb the cancellation, plus the bits of n
+    the bounds below ask for, and stops once its terms fall ``width + 8``
+    bits and those of n below the sum.  By then the terms at least halve
+    (they have fallen further than they rose), so the tails of Q and K
+    stay below 2 and 2 (n + 1) times the last term.  Term k carries the
+    half-unit roundings of the terms j <= k, each scaled by t_k / t_j; Q's
+    term ratios fall with k from k = 0 on, so |t_k / t_j| <= R = max(1,
+    max_k |t_k|) over t_0 = 1, and the n terms carry at most n**2 R / 2
+    units of Q, n times that of K.  P's bounds are Q's plus twice K's.
     """
     a = complex(0.5, eta)
     z = complex(0.0, -s)
     nb = int(3.0 * s + 40.0).bit_length()          # n < 3 s + 40 terms
-    lost = _lost_bits(eta, s)
-    bits = width + math.ceil(s * _LOG2E) + 3 * nb + 4 + lost
+    bits = width + math.ceil(s * _LOG2E) + 3 * nb + 4
     sh = bits - width
     half = 1 << (sh - 1)
-    stop = width + 8 + lost + nb
-    sr, si, kr, ki, peak, n = _fixed_sum(a, 0.5, z, bits, stop_bits=stop)
+    stop = width + 8 + nb
+    sr, si, kr, ki, peak, n = _fixed_sum(a, 1.5, z, bits, stop_bits=stop)
     tail = _ldexp(2.0, (abs(sr) | abs(si)).bit_length() - stop)
-    rnd = _rounding(a, 0.5, s, n, peak, bits)
-    # Q = (K + i s P) / (2 eta s), with s = ns / 2**ks and eta = ne / 2**ke,
-    # rounded half up once at scale 2**width
-    ne, ke = _dyadic(eta)
-    ns, ks = _dyadic(s)
-    d = (ne * ns) << (sh + 1)
-    nr = ((kr << ks) - ns * si) << (ke + 1)
-    ni = ((ki << ks) + ns * sr) << (ke + 1)
-    ints = ((sr + half) >> sh, (si + half) >> sh, (nr + d) // (2 * d), (ni + d) // (2 * d))
-    errs = (rnd + tail, (n * rnd + (n + 1) * tail + s * (rnd + tail)) / (2.0 * eta * s))
+    rnd = n * n * max(1.0, _ldexp(1.0, peak - bits))
+    # (3/2)_k / (1/2)_k = 2k + 1, so P's terms are (2k + 1) t_k
+    ints = tuple((x + half) >> sh for x in (sr + 2 * kr, si + 2 * ki, sr, si))
+    errs = ((2 * n + 1) * rnd + (2 * n + 3) * tail, rnd + tail)
     return (ints, *(1.5 * math.ldexp(e, -sh) + 0.71 for e in errs))
 
 
@@ -583,15 +550,14 @@ def kummer_walk(eta: float, s: list[float]) -> Walk:
     """The Kummer pair at z = -i s for strictly ascending s >= 0, bit for bit the series'.
 
     The pair is (M(a, 1/2; z), M(a, 3/2; z)) with a = 1/2 + i eta.  Each
-    output equals :func:`chf_series_fixed` at that point.  A point no
+    output equals :func:`chf_series_fixed` at that point.  Every point no
     carried state covers runs one :func:`_pair_sum` at the walk's width,
     sized from the predicted growth of the radius to the last point, and
-    the result becomes the state, a lone point's included; where
-    :func:`_lost_bits` finds the division too dear it runs none, and P and
-    Q take their own series.  The state is carried along the grid by
-    Taylor steps of the pair's first-order system with a rigorous error
-    radius, each step reaching at most a quarter of the way from z0 to
-    z = 0: a point past that reach drops the state and starts its own.
+    the result becomes the state, a lone point's included, eta = 0 and
+    s = 0 too (no step starts at s = 0).  The state is carried along the
+    grid by Taylor steps of the pair's first-order system with a rigorous
+    error radius, each step reaching at most a quarter of the way from z0
+    to z = 0: a point past that reach drops the state and starts its own.
     :func:`_plan` reads each step off the grid: it reaches the largest
     power of two within that quarter where two or more points lie on the
     way, and gives each of them from its terms (:func:`_inside`), else it
@@ -612,7 +578,6 @@ def kummer_walk(eta: float, s: list[float]) -> Walk:
     st = None
     while len(out_p) < n:
         k = len(out_p)
-        s1 = s[k]
         got = []          # (ints, radius in the state's norm) at s[k], s[k + 1], ...
         if st is not None:
             t, m = _plan(st.s, s, k)
@@ -632,17 +597,13 @@ def kummer_walk(eta: float, s: list[float]) -> Walk:
                 except NonConvergence:   # the series still answers
                     st = None
         if st is None:
-            if _lost_bits(eta, s1) is not None:
-                width = (SAFE_BITS + _WALK_GUARD + math.ceil(grow[k] * _LOG2E)
-                         + (n - k).bit_length())
-                ints, err_p, err_q = _pair_sum(eta, s1, width)
-                sums += 1
-                seeds += 1
-                st = _State(s1, width, ints, max(err_p, c[k] * err_q), c[k])
-                got = [(st.ints, st.eps)]
-            else:
-                out_p.append(None)
-                out_q.append(None)
+            width = (SAFE_BITS + _WALK_GUARD + math.ceil(grow[k] * _LOG2E)
+                     + (n - k).bit_length())
+            ints, err_p, err_q = _pair_sum(eta, s[k], width)
+            sums += 1
+            seeds += 1
+            st = _State(s[k], width, ints, max(err_p, c[k] * err_q), c[k])
+            got = [(st.ints, st.eps)]
         for (pr, pi, qr, qi), eps in got:
             vals = [None, None]
             if eps < math.inf:

@@ -19,8 +19,8 @@ from, at any number of points on the ray: it hands them to
 :func:`susy_ces.highprec.kummer_walk`, which carries the pair along the
 grid and sums the series only at points out of a Taylor step's reach
 (a quarter of the way to z = 0) or where the rounding cannot be
-certified.  A lone point is one series loop: the partner with
-b = 3/2 is divided out of the terms of M(a, 1/2).
+certified.  A lone point is one series loop: M(a, 1/2) is formed
+exactly from the terms of its partner with b = 3/2.
 A scalar z gives a Python ``complex``, an array of them an ndarray of
 its shape; every value is computed in Python, point by point.
 Values past the largest double raise ``DoubleRangeExceeded``.  It refuses
@@ -223,12 +223,22 @@ def asymptotic_pair(eta: float, s: list[float]) -> tuple[list[complex], list[com
     ------
     InvalidParams
         if ``eta`` is not finite, or an s is not finite and positive.
+    DoubleRangeExceeded
+        if |eta| ln(largest double) passes the largest double (|eta| above
+        about 2.5e305), where the log terms cannot be formed.
     SeriesRangeExceeded
         for a value not certified: s not far enough past eta^2, which
         takes in every s below 25.
     """
     a, _ = _params(complex(0.5, eta), 0.5)
     eta, ieta = a.imag, a - 0.5
+    # the log terms eta ln eta, eta ln s and pi eta stay finite for every
+    # finite s only while |eta| ln(largest double) does
+    top = sys.float_info.max / math.log(sys.float_info.max)
+    if abs(eta) > top:
+        raise DoubleRangeExceeded(
+            f"eta = {eta:.4g}: the large-|y| expansion's log terms (eta ln eta, "
+            f"eta ln |y|, pi eta) pass the largest double past |eta| = {top:.4g}")
     lg_r, lg_d = log_gamma(1.0 - ieta), log_gamma(a)
     # the logs' terms in eta alone: on the ray arg z = -pi/2 (-pi/2 - arg(z)/2
     # = -pi/4 exactly), and the recessive sector term is e^{-i pi a}

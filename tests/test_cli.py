@@ -324,6 +324,22 @@ def test_phase_text_prints_the_proven_bound(runner):
     assert "residual: " in line and f"bound: {payload['bound']:.3e}" in line
 
 
+@pytest.mark.parametrize("m, omega, first", [("1e200", "1e300", "1.375e-101"),
+                                             ("1e160", "1e200", "1.375e+39"),
+                                             ("0.5", "2", "20")])
+def test_phase_text_keeps_each_rungs_exponent(runner, m, omega, first):
+    # x prints to 12 significant digits with its exponent: a rung at
+    # 1.375e-101 does not print as 0.0, nor one at 1.375e39 as 40 digits
+    args = ["phase", "--m", m, "--omega", omega]
+    text = runner.invoke(main, args)
+    xs = json.loads(runner.invoke(main, args + ["--format", "json"]).output)["x"]
+    assert text.exit_code == 0
+    rows = text.output.splitlines()[2:2 + len(xs)]
+    assert rows[0].split()[0] == first
+    for row, x in zip(rows, xs):
+        assert float(row.split()[0]) == pytest.approx(x, rel=1e-11)
+
+
 def test_phase_json_is_strict_before_the_third_rung(runner):
     # at tol = 0.01 the ladder stops at x = 20 after one rung, before the
     # three-rung spread exists: the residual is null, not the non-JSON Infinity

@@ -163,7 +163,7 @@ def test_one_point_matches_its_table_row_bit_for_bit():
 @pytest.mark.parametrize("branch", list(Branch))
 def test_one_series_loop_per_point(branch, monkeypatch):
     # a lone point is a one-point walk: one series loop gives M of both
-    # components, the second divided out of the first's terms, with
+    # components, the first formed exactly from the second's terms, with
     # neither a Taylor step nor a second series; the derivatives come from
     # the first-order system, not from M'
     def refuse(name):
@@ -225,9 +225,9 @@ def test_branch_i_is_the_recipe_and_branch_ii_its_conjugate(eta, omega, log_y):
 
 @pytest.mark.parametrize("branch", list(Branch))
 def test_small_eta_takes_one_loop(branch, monkeypatch):
-    # at small eta both branches take the one pair, whose Q is divided out
-    # of P's terms and certifies: a lone point at eta = 1e-5 is one loop,
-    # and a 256-point table to |y| = 59 at eta = 1e-6 a handful
+    # at small eta both branches take the one pair, whose P is formed from
+    # Q's terms and certifies: a lone point at eta = 1e-5 is one loop, and
+    # a 256-point table to |y| = 59 at eta = 1e-6 a handful
     walks = []
     real = specfun.kummer_walk
     monkeypatch.setattr(specfun, "kummer_walk",

@@ -37,6 +37,21 @@ def test_series_fixed_is_mpmath_correctly_rounded(a, b, z):
     assert chf_series_fixed(complex(a), float(b), complex(z)) == want
 
 
+def test_series_fixed_bounds_each_component_against_the_larger():
+    # the width check holds the sum's error about SAFE_BITS bits below the
+    # larger component, not below each: the imaginary part here lies 2**28
+    # below the real part and is an ulp from mpmath's correctly rounded
+    # 0x1.df6d8ce46da45p-29, within half an ulp plus that bound
+    a, b, z = complex(0.5, 0.010350244292280555), 1.5, complex(0.0, -1.0464891916220499e-08)
+    got = chf_series_fixed(a, b, z)
+    with mpmath.workdps(60):
+        want = mpmath.hyp1f1(a, b, z)
+        bound = 2.0 ** (1 - highprec.SAFE_BITS) * max(abs(want.real), abs(want.imag))
+        for g, w in ((got.real, want.real), (got.imag, want.imag)):
+            assert abs(g - w) <= 0.5 * math.ulp(g) + bound
+    assert got.real == float(want.real)
+
+
 def test_fixed_point_precision_ladder_consistent():
     a, b, z = -0.3 + 0.2j, 1.2, 40j
     lo = _fixed_sum(a, b, z, 320)[:2]
@@ -142,9 +157,9 @@ def test_kummer_walk_is_the_series_bit_for_bit(eta):
 
 
 def test_kummer_walk_at_eta_zero_is_the_series():
-    # eta = 0 is a1 when m**2 underflows; P is then M(1/2, 1/2) = e^z.
-    # Q cannot be divided out of P's terms there (0/0), so no point sums the
-    # pair or seeds a state: each value takes its own series
+    # eta = 0 is a1 when m**2 underflows; P is then M(1/2, 1/2) = e^z.  The
+    # pair loop needs no eta: the walk seeds and steps as anywhere else, and
+    # every value certifies
     s = [59.0 * k / 64 for k in range(1, 65)] + [59.0 * 1.1 ** -k for k in range(1, 30)]
     s = sorted(s)
     walk = kummer_walk(0.0, s)
@@ -152,8 +167,32 @@ def test_kummer_walk_at_eta_zero_is_the_series():
         want = [chf_series_fixed(a, b, complex(0.0, -x)) for x in s]
         assert [(v.real.hex(), v.imag.hex()) for v in got] == \
             [(v.real.hex(), v.imag.hex()) for v in want]
-    assert walk.seeds == walk.steps == walk.continued == 0
-    assert walk.sums == 2 * len(s)
+    assert (walk.seeds, walk.steps, walk.continued, walk.sums) == (4, 17, len(s), 4)
+
+
+@pytest.mark.parametrize("eta", [1e-300, 0.0])
+def test_kummer_walk_where_eta_s_is_tiny_seeds_and_steps(eta):
+    # a 256-point table to |y| = 59 where eta s is below 2**-801 or 0 is
+    # walked like any other: four seeds and 25 steps, and every value
+    # certifies, equal to its lone point's bit for bit
+    s = [59.0 * k / 256 for k in range(1, 257)]
+    walk = kummer_walk(eta, s)
+    lone = [kummer_walk(eta, [x]) for x in s]
+    assert _hex(walk.p) == _hex([w.p[0] for w in lone])
+    assert _hex(walk.q) == _hex([w.q[0] for w in lone])
+    assert (walk.seeds, walk.steps, walk.sums) == (4, 25, 4)
+
+
+@pytest.mark.parametrize("eta", [0.0, 0.5])
+def test_no_step_starts_at_zero(eta):
+    # a state seeded at s = 0 has no reach (a quarter of 0): the next point
+    # seeds its own, however close, and every value is the series'
+    s = [0.0] + [k / 64 for k in range(1, 40)]
+    assert highprec._plan(0.0, s, 1)[1] == 0
+    walk = kummer_walk(eta, s)
+    for (a, b), got in zip(_pair(eta), (walk.p, walk.q)):
+        assert _hex(got) == _hex([chf_series_fixed(a, b, complex(0.0, -x)) for x in s])
+    assert walk.seeds == 5 and walk.continued == len(s) - 1
 
 
 @pytest.mark.parametrize("eta", [1.62, 2.0])
@@ -173,9 +212,9 @@ def _pair(eta):
 
 
 def _state(eta, s0, width=100):
-    """The state a walk seeds at s0: one pair loop at ``width`` bits, Q
-    divided out of P's terms, and its radius max(|P error|, c |Q error|)
-    in the walk's norm."""
+    """The state a walk seeds at s0: one pair loop at ``width`` bits, P
+    formed from Q's terms, and its radius max(|P error|, c |Q error|) in
+    the walk's norm."""
     c = highprec._norm_weight(eta, s0)
     ints, err_p, err_q = highprec._pair_sum(eta, s0, width)
     return highprec._State(s0, width, ints, max(err_p, c * err_q), c)
@@ -189,16 +228,15 @@ def _hex(values):
 @given(eta=st.one_of(st.just(0.0), st.floats(1e-6, 16.0)),
        s=st.one_of(st.just(0.0), st.floats(0.0, 60.0)))
 def test_pair_loop_is_two_series_bit_for_bit(eta, s):
-    # a lone point sums P's series once and divides Q out of its terms;
-    # the pair starts a state that takes no step, and each value is
+    # a lone point sums Q's series once and forms P from its terms; the
+    # pair starts a state that takes no step, and each value is
     # chf_series_fixed's, bit for bit
     walk = kummer_walk(eta, [s])
     z = complex(0.0, -s)
     want = [chf_series_fixed(a, b, z) for a, b in _pair(eta)]
     assert _hex(walk.p + walk.q) == _hex(want)
-    seeded = int(highprec._lost_bits(eta, s) is not None)
-    assert walk.sums >= 1 and (walk.seeds, walk.steps) == (seeded, 0)
-    assert walk.continued <= seeded
+    assert walk.sums >= 1 and (walk.seeds, walk.steps) == (1, 0)
+    assert walk.continued <= 1
 
 
 def _mp_pair(eta, s, direct):
@@ -217,14 +255,14 @@ def _mp_pair(eta, s, direct):
 @pytest.mark.parametrize("eta,s,direct", [
     (0.5, 40.0, False), (0.5, 40.0, True), (16.0, 59.0, False), (16.0, 7.3, True),
     (1e-6, 30.0, False), (1e-6, 30.0, True), (0.02, 1e-3, False), (3.0, 0.25, True),
-    (1e-12, 5.0, False), (1e-9, 20.0, True)])
+    (1e-12, 5.0, False), (1e-9, 20.0, True), (0.0, 30.0, False), (0.0, 30.0, True),
+    (1e-300, 30.0, False), (1e-300, 59.0, True), (0.5, 1e-250, False)])
 def test_pair_sum_bounds_its_error(eta, s, direct):
-    # at points where the division is cheap enough to sum the pair at all,
-    # P and the Q divided out of P's terms lie within their bounds of
-    # mpmath's values at 60 digits, taken directly or from branch I's
-    # functions, and at the width a one-point walk starts at (no predicted
-    # growth, one point to go) the values stand SAFE_BITS above the bounds
-    assert highprec._lost_bits(eta, s) is not None
+    # at any eta s, 0 included, Q and the P formed from Q's terms lie
+    # within their bounds of mpmath's values at 60 digits, taken directly
+    # or from branch I's functions, and at the width a one-point walk
+    # starts at (no predicted growth, one point to go) the values stand
+    # SAFE_BITS above the bounds
     width = highprec.SAFE_BITS + highprec._WALK_GUARD + 1
     ints, err_p, err_q = highprec._pair_sum(eta, s, width)
     with mpmath.workdps(60):
@@ -236,18 +274,19 @@ def test_pair_sum_bounds_its_error(eta, s, direct):
 
 
 @pytest.mark.parametrize("eta,s", [(0.0, 30.0), (1e-300, 30.0), (0.5, 1e-250), (0.5, 0.0)])
-def test_lone_point_takes_two_series_where_the_division_fails(eta, s, monkeypatch):
-    # at eta s = 0 (0/0) or where 2 eta s would cancel more bits than a
-    # second sum costs, each value takes its own series
-    def refuse(*args):
-        raise AssertionError("_pair_sum called")
-
-    monkeypatch.setattr(highprec, "_pair_sum", refuse)
-    assert highprec._lost_bits(eta, s) is None
+def test_lone_point_runs_one_pair_loop_where_eta_s_is_tiny(eta, s, monkeypatch):
+    # at eta s = 0 or far below 1 a lone point still runs one pair loop and
+    # seeds a state; a value the state cannot certify (a part of P or Q
+    # near or at zero, as at s = 1e-250 and s = 0) takes its own series
+    loops = []
+    real = highprec._pair_sum
+    monkeypatch.setattr(highprec, "_pair_sum", lambda *args: loops.append(args) or real(*args))
     walk = kummer_walk(eta, [s])
     z = complex(0.0, -s)
     assert _hex(walk.p + walk.q) == _hex([chf_series_fixed(a, b, z) for a, b in _pair(eta)])
-    assert walk.sums == 2
+    assert len(loops) == walk.seeds == 1
+    if s == 30.0:
+        assert walk.sums == 1
 
 
 @settings(max_examples=settings.default.max_examples // 5)
@@ -256,9 +295,8 @@ def test_lone_point_takes_two_series_where_the_division_fails(eta, s, monkeypatc
        n=st.integers(2, 100))
 def test_uncertified_values_take_the_series(eta, kind, hi, n):
     # with no box certified, every value (lone, seeded, carried or inside a
-    # step) is its own series, and the loops counted are the pair loops,
-    # summed only where Q can be divided out of P's terms, plus the
-    # series' loops
+    # step) is its own series, and the loops counted are the pair loops
+    # plus the series' loops
     if kind == "lone":
         s = [hi]
     else:
@@ -269,7 +307,6 @@ def test_uncertified_values_take_the_series(eta, kind, hi, n):
     real_pair, real_series = highprec._pair_sum, highprec._series
 
     def count_pair(eta, x, width):
-        assert highprec._lost_bits(eta, x) is not None
         pairs.append(1)
         return real_pair(eta, x, width)
 

@@ -69,6 +69,16 @@ def test_susy_phase_offset_landmarks():
             susy_phase_offset(w, omega)
 
 
+_SCALED = st.floats(-2.0 ** 20, 2.0 ** 20).filter(lambda v: v == 0.0 or abs(v) >= 2.0 ** -20)
+
+
+@given(w=_SCALED, omega=st.floats(2.0 ** -20, 2.0 ** 20), k=st.sampled_from((600, -600, 1000, -1000)))
+def test_susy_phase_offset_is_homogeneous_bit_for_bit(w, omega, k):
+    # past 2**+-500 both arguments are scaled by one power of two, exactly,
+    # so the offset at (w 2**k, omega 2**k) is the offset at (w, omega)
+    assert susy_phase_offset(math.ldexp(w, k), math.ldexp(omega, k)) == susy_phase_offset(w, omega)
+
+
 def test_offset_identity_on_synthetic_ladder():
     """Mapping a sinusoid through (d/dx + w) shifts its phase by exactly
     half the closed-form offset (mod pi), read by the ladder's rung ratio

@@ -2,6 +2,7 @@
 expansion, and the frozen reference table."""
 import cmath
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -396,6 +397,25 @@ def test_asymptotic_pair_refuses_non_finite_input(eta, s):
     for points in ([s], [100.0, s]):
         with pytest.raises(InvalidParams, match="finite"):
             sf.asymptotic_pair(eta, points)
+
+
+@pytest.mark.parametrize("eta", [1e306, 1e307, 1.7e308, -1e306])
+@pytest.mark.parametrize("s", [30.0, 1.79e308])
+def test_asymptotic_pair_refuses_eta_whose_log_terms_pass_the_double_range(eta, s):
+    # eta ln eta passes the largest double from eta = 2.556e305 and pi eta
+    # from 5.7e307: a typed refusal naming the limit, not a bare ValueError
+    # from math.remainder or fsum
+    with pytest.raises(DoubleRangeExceeded, match="log terms .* pass the largest double"):
+        sf.asymptotic_pair(eta, [s])
+
+
+def test_asymptotic_pair_below_the_log_limit_refuses_by_its_certificate():
+    # just below the limit every log term is finite, eta ln s at the largest
+    # s included; nothing there lies past eta^2, so the certificate refuses
+    eta = math.nextafter(sys.float_info.max / math.log(sys.float_info.max), 0.0)
+    for s in (30.0, 1.79e308):
+        with pytest.raises(SeriesRangeExceeded, match="not certified to FAR_TOL"):
+            sf.asymptotic_pair(eta, [s])
 
 
 @given(eta=st.just(0.0) | st.floats(1e-300, 1e150),
