@@ -15,9 +15,10 @@ by the line each starts on.  Run it from anywhere in a checkout:
 
     python3 scripts/traffic.py
 
-It takes about 6 s on a 2-core Xeon.  The package is imported from the checkout's ``src``
-and the workloads from its ``perfbench``.  The script itself needs only
-the standard library (the package and the workloads need what they need).
+It takes about 3 s on a 2-core Xeon (Python 3.11).  The package is
+imported from the checkout's ``src`` and the workloads from its
+``perfbench``.  The script itself needs only the standard library (the
+package and the workloads need what they need).
 It raises if an operation raises or a CLI command exits non-zero; what it
 finds unrun never fails it.
 """

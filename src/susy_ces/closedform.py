@@ -4,44 +4,42 @@ For energy E = omega^2 > 0 the Schrodinger equation
 -Z'' + V_pm Z = E Z admits solutions built from two confluent
 hypergeometric pieces in the variable y = -2 i omega x:
 
-    a1 = i m^2 / (2 omega),   a2 = a1 + 1/2,
+    a1 = i eta = i m^2 / (2 omega),   a2 = a1 + 1/2,
     rtilde_1, rtilde_2  =  the 1/2-type and 3/2-type components
     Z_pm = e^{-i pi/4} ( rtilde_1 +- i rtilde_2 )
 
 with the PLUS combination solving V_plus and MINUS solving V_minus.
 Two branches (different component parameterisations) give linearly
-independent solutions whose Wronskian is an exact constant:
+independent solutions whose Wronskian is an exact constant.  Both come
+from the one pair P = M(a2, 1/2; y), Q = M(a2, 3/2; y) through the two
+products of :func:`_products`, hP = h P and hR = h R (h = e^{-y/2},
+R = 2 sqrt(eta) sqrt(|y|) Q), with c2 each branch's constant:
 
-    branch I :  rtilde_1 = h M(a1, 1/2; y)       rtilde_2 = c2 h s M(a1+1, 3/2; y)
-    branch II:  rtilde_1 = h s M(a2, 3/2; y)     rtilde_2 = c2 h M(a2, 1/2; y)
+    branch I :  rtilde_1 = h M(a1, 1/2; y) = conj(hP)
+                rtilde_2 = c2 h y^{1/2} M(a1+1, 3/2; y) = i conj(hR)
+    branch II:  rtilde_1 = h y^{1/2} Q = conj(c2) hR,   rtilde_2 = c2 h P = c2 hP
 
-with h = e^{-y/2} and s = y^{1/2}.  Both come from the one pair
-P = M(a2, 1/2; y), Q = M(a2, 3/2; y).  Kummer's transformation
-M(a, b; y) = e^y M(b - a, b; -y) (DLMF 13.2.39), with conj M(a, b; y) =
-M(conj a, b; conj y) for real b and conj y = -y on the ray, gives
-h M(a1, 1/2; y) = conj(h P) and h M(a1+1, 3/2; y) = conj(h Q).  As
-c2^II conj(c2^I s) = s for eta = m^2 / (2 omega), this makes
+Branch I is Kummer's transformation M(a, b; y) = e^y M(b - a, b; -y)
+(DLMF 13.2.39), with conj M(a, b; y) = M(conj a, b; conj y) for real b
+and conj y = -y on the ray, and c2^I y^{1/2} = 2 i sqrt(eta |y|); branch
+II takes conj(c2^II) 2 sqrt(eta |y|) = y^{1/2}.  So
 
-    Z^II_pm = pm c2^II conj(Z^I_pm):
+    Z^I_-+ = e^{-i pi/4} conj(hP +- hR),   Z^II_pm = pm c2^II conj(Z^I_pm):
 
-the second branch is the complex conjugate of the first, up to a
-constant.  It holds because V_pm is real, so the conjugate of a
-solution at the real energy omega^2 solves the same equation.
-
-All square roots of y follow one fixed convention,
-y^{1/2} = sqrt(2 omega x) e^{-i pi/4}, consistent with principal powers
-of i (i^{1/2} = e^{i pi/4}); mixing conventions flips relative signs
-between the components, which is the single easiest way to break every
-identity downstream, so the convention lives in exactly one place here.
+the second branch is the complex conjugate of the first, up to a constant,
+as V_pm is real and the conjugate of a solution at the real energy omega^2
+solves the same equation.  Multiplying by +-i and conjugating are exact, so
+the ladder's samples (:func:`_ladder_sample`) are :func:`solution_Z`'s bit for bit.
+No evaluation forms y^{1/2}: its convention, y^{1/2} = sqrt(2 omega x)
+e^{-i pi/4} (principal powers of i, i^{1/2} = e^{i pi/4}), only defines
+the constants of :func:`coupling_constants`.
 
 Derivatives come from the partners' coupled first-order system (never
 from finite differences), so either branch needs only P and Q, from one
-call of :func:`susy_ces.specfun.kummer_pair` for any ``x``, assembled by
-one loop in Python ``complex`` for a lone point and a grid alike
-(:mod:`susy_ces._points`), so a point's bits never depend on the grid.
-The public functions refuse |y| = 2 omega x > ``SERIES_ZMAX`` (60), as
-``kummer_pair`` does; :func:`_ladder_sample` forms the phase ladder's
-real samples from the pair's values, in real arithmetic and with no c2.
+call of :func:`susy_ces.specfun.kummer_pair` for any ``x``, assembled point
+by point in Python ``complex`` for a lone point and a grid alike
+(:mod:`susy_ces._points`), so a point's bits never depend on the grid.  The
+public functions refuse |y| = 2 omega x > ``SERIES_ZMAX`` (60), as it does.
 """
 from __future__ import annotations
 
@@ -49,11 +47,12 @@ import cmath
 import math
 import sys
 from enum import Enum
+from itertools import repeat
 from typing import TYPE_CHECKING, NamedTuple
 
 from ._points import flat, shaped
 from .errors import DoubleRangeExceeded, InvalidParams
-from .potential import Sector, _check_x, _w
+from .potential import Sector, _check_sector, _check_x, _w
 # chf_1f1, chf_1f1_deriv: only the benchmark tracer looks them up; they go with its wrapping by name
 from .specfun import chf_1f1, chf_1f1_deriv, kummer_pair  # noqa: F401
 
@@ -92,6 +91,12 @@ class SolutionParams(NamedTuple):
         return math.sqrt(2.0 * self.omega)
 
 
+def _m2_over_omega(m: float, omega: float, k: int) -> float:
+    """2^k m^2/omega: the mantissas' rounded quotient times a power of two, or OverflowError."""
+    (fm, em), (fw, ew) = math.frexp(m), math.frexp(omega)
+    return math.ldexp((fm * fm) / fw, 2 * em - ew + k)
+
+
 def solution_params(m: float, omega: float) -> SolutionParams:
     """Validate (m, omega) and assemble the solution constants.
 
@@ -105,9 +110,8 @@ def solution_params(m: float, omega: float) -> SolutionParams:
         raise InvalidParams(f"m={m!r} must be a positive finite real")
     if not (math.isfinite(omega) and omega > 0.0):
         raise InvalidParams(f"omega={omega!r} must be a positive finite real")
-    (fm, em), (fw, ew) = math.frexp(m), math.frexp(omega)
     try:
-        a1 = complex(0.0, math.ldexp((0.5 * (fm * fm)) / fw, 2 * em - ew))
+        a1 = complex(0.0, _m2_over_omega(m, omega, -1))
     except OverflowError:
         raise DoubleRangeExceeded(
             f"eta = m^2/(2 omega) is not a finite double at m={m!r}, omega={omega!r}: "
@@ -151,39 +155,38 @@ def coupling_constants(p: SolutionParams, branch: Branch) -> CouplingConstants:
     raise InvalidParams(f"branch={branch!r} is not a Branch")
 
 
+def _products(rt_eta: float, s: float, pp: complex, qq: complex) -> tuple[complex, complex]:
+    """(h P, h R) at |y| = s from P, Q there: h = e^{-y/2}, R = 2 sqrt(eta) sqrt(s) Q,
+    ``rt_eta`` = sqrt(eta), a product of roots as eta s can pass the largest double."""
+    h = cmath.exp(complex(0.0, 0.5 * s))            # y = -i s
+    return h * pp, h * ((2.0 * (rt_eta * math.sqrt(s))) * qq)
+
+
 def _components(p: SolutionParams, branches: tuple[Branch, ...],
                 xs: list[float]) -> list[list[tuple[complex, complex, complex, complex]]]:
     """(rtilde_1, rtilde_2, d rtilde_1/dx, d rtilde_2/dx) at each checked
     point, for each of ``branches``, all from one call of :func:`kummer_pair`.
 
-    Unchecked: a value past the double range comes out non-finite, and
-    so does every value assembled from it, so callers check what they
-    return.
+    Unchecked: a value past the double range comes out non-finite, and so
+    does every value assembled from it, so callers check what they return.
     """
-    w, m = p.omega, p.m
-    c2s = [coupling_constants(p, branch).c2 for branch in branches]
+    w, m, eta = p.omega, p.m, p.a1.imag
     ys = [2.0 * w * v for v in xs]                  # |y|, y = -i |y|
-    m_half, m_3half = kummer_pair(p.a1.imag, ys)
-    exp, sqrt = cmath.exp, math.sqrt
-    ph_re, ph_im = PHASE_M4.real, PHASE_M4.imag
-    out = []
+    pair, out = kummer_pair(eta, ys), []
+    # sqrt(eta); where eta is subnormal or 0 (m^2 underflowed), m/sqrt(2 omega) is not
+    rt_eta = math.sqrt(eta) if eta >= sys.float_info.min else m / p.sqrt_2w
     try:
-        for branch, c2 in zip(branches, c2s):
-            conj = branch is Branch.I               # branch I is conj(h P), conj(h Q)
-            rows = []
-            for v, y, mh, m3 in zip(xs, ys, m_half, m_3half):
-                h = exp(complex(0.0, 0.5 * y))      # e^{-y/2}
-                r = sqrt(y)
-                s = complex(r * ph_re, r * ph_im)   # y^{1/2}
-                if conj:
-                    r1 = (h * mh).conjugate()
-                    r2 = c2 * (s * (h * m3).conjugate())
-                else:
-                    r1 = (h * s) * m3
-                    r2 = c2 * (h * mh)
-                wx = -m / sqrt(v)                   # W(x)
-                rows.append((r1, r2, 1j * (w * r1 + wx * r2), -1j * (w * r2 + wx * r1)))
-            out.append(rows)
+        hs = list(map(_products, repeat(rt_eta), ys, *pair))
+        wxs = [-m / math.sqrt(v) for v in xs]       # W(x)
+        for branch in branches:
+            if branch is Branch.I:                  # (conj hP, i conj hR)
+                rs = [(hp.conjugate(), 1j * hr.conjugate()) for hp, hr in hs]
+            else:                                   # (conj(c2) hR, c2 hP)
+                c2 = coupling_constants(p, branch).c2
+                cc = c2.conjugate()
+                rs = [(cc * hr, c2 * hp) for hp, hr in hs]
+            out.append([(r1, r2, 1j * (w * r1 + wx * r2), -1j * (w * r2 + wx * r1))
+                        for (r1, r2), wx in zip(rs, wxs)])
     except OverflowError as e:   # cmath and math raise; arithmetic gives inf
         raise _range_error(p) from e
     return out
@@ -202,12 +205,11 @@ def components(p: SolutionParams, branch: Branch, x):
     call; a point's bits do not depend on how many it is sent with.  A
     scalar ``x`` gives Python ``complex`` values, an array ndarrays.
 
-    Recipe (h = e^{-y/2}, s = y^{1/2} = sqrt(2 omega x) e^{-i pi/4}, W = -m/sqrt(x)):
+    Recipe (h = e^{-y/2}, W = -m/sqrt(x), c2 the branch's own constant):
 
-        P = M(a2, 1/2; y), Q = M(a2, 3/2; y)
-        branch I :  r1 = h M(a1, 1/2; y) = conj(h P)
-                    r2 = c2 h s M(a1+1, 3/2; y) = c2 s conj(h Q)
-        branch II:  r1 = h s Q                     r2 = c2 h P
+        P = M(a2, 1/2; y), Q = M(a2, 3/2; y), R = 2 sqrt(eta) sqrt(|y|) Q
+        branch I :  r1 = conj(h P)                 r2 = i conj(h R)
+        branch II:  r1 = conj(c2) h R              r2 = c2 h P
         system   :  r1' = i (omega r1 + W r2)      r2' = -i (omega r2 + W r1)
     """
     xs, shape = _check_x(x)
@@ -234,9 +236,7 @@ def _sectors(p: SolutionParams, rows, sectors: tuple[Sector, ...]
     point, for each of ``sectors``, from component rows (r1, r2, dr1, dr2)."""
     out = []
     for sector in sectors:
-        if not isinstance(sector, Sector):
-            raise InvalidParams(f"sector={sector!r} is not a Sector")
-        sg = 1j * sector.sign
+        sg = 1j * _check_sector(sector).sign
         z = [PHASE_M4 * (r1 + sg * r2) for r1, r2, _, _ in rows]
         dz = [PHASE_M4 * (dr1 + sg * dr2) for _, _, dr1, dr2 in rows]
         _finite(p, (z, dz))
@@ -267,19 +267,17 @@ def _ladder_sample(p: SolutionParams, rt_eta: float, s: float, w: float, pp: com
                    qq: complex) -> tuple[float, float, float, float]:
     """(u, u'/omega, v, v'/omega) at one x: u = Re Z^I_- and its real SUSY image v = -Im Z^I_+.
 
-    ``rt_eta`` is sqrt(eta), formed once a solve; ``s`` is |y| = 2 omega x
-    and ``w`` is W(x)/omega, formed once a rung; ``pp``, ``qq`` are P and Q
-    at s, from :func:`kummer_pair` or, past the series range,
-    :func:`specfun.asymptotic_pair`.  As c2 y^{1/2} = 2 i sqrt(eta s),
-    Z^I_-+ = e^{-i pi/4} conj(h (P +- R)) with R = 2 sqrt(eta) sqrt(s) Q
-    (eta s alone can pass the largest double), and the first-order system
-    gives u'/omega = v - w u and v'/omega = w v - u: the four values stay
-    doubles where omega u' does not.  Raises DoubleRangeExceeded where one is not finite.
+    ``rt_eta`` is sqrt(eta), formed once a solve; ``s`` is |y| = 2 omega x and ``w`` is
+    W(x)/omega, formed once a rung; ``pp``, ``qq`` are P and Q at s, from :func:`kummer_pair`
+    or, past the series range, :func:`specfun.asymptotic_pair`.  Z^I_-+ = e^{-i pi/4}
+    conj(hP +- hR) from :func:`_products`, :func:`solution_Z`'s values on the same pair
+    bit for bit, and the first-order system gives u'/omega = v - w u and v'/omega =
+    w v - u: the four values stay doubles where omega u' does not.  Raises
+    DoubleRangeExceeded where one is not finite.
     """
-    h = cmath.exp(complex(0.0, 0.5 * s))            # e^{-y/2}, y = -i s
-    r = (2.0 * (rt_eta * math.sqrt(s))) * qq
-    u = (PHASE_M4 * (h * (pp + r)).conjugate()).real
-    v = -(PHASE_M4 * (h * (pp - r)).conjugate()).imag
+    hp, hr = _products(rt_eta, s, pp, qq)
+    u = (PHASE_M4 * (hp + hr).conjugate()).real
+    v = -(PHASE_M4 * (hp - hr).conjugate()).imag
     out = (u, v - w * u, v, w * v - u)
     if not all(map(math.isfinite, out)):
         raise _range_error(p)
@@ -295,21 +293,24 @@ def wronskian_Z(p: SolutionParams, sector: Sector, x):
 
 def wronskian_exact(p: SolutionParams, sector: Sector) -> complex:
     """The constant the Wronskian must equal: -+ omega i^{3/2} sqrt(2 omega)/m."""
-    return -sector.sign * p.omega * (1j * PHASE_P4) * p.sqrt_2w / p.m
+    return -_check_sector(sector).sign * p.omega * (1j * PHASE_P4) * p.sqrt_2w / p.m
 
 
 def hermite_lambda(p: SolutionParams, j: int) -> complex:
     """Eigenvalue parameter of the equivalent Hermite-type equation.
 
-    lambda_j = -(1 - eps_j) - 2 i m^2 / omega with eps_1 = +1,
-    eps_2 = -1; algebraically lambda_j = -4 a_j, and the floating-point
-    evaluations here match that product bit for bit where m^2 and eta are
-    normal (both routes scale the one rounded quotient m^2/omega by powers of two).
+    lambda_j = -(1 - eps_j) - 2 i m^2 / omega with eps_1 = +1, eps_2 = -1;
+    algebraically lambda_j = -4 a_j, and bit for bit wherever eta is normal, as both
+    routes scale the one rounded quotient m^2/omega (:func:`_m2_over_omega`) by
+    powers of two.  DoubleRangeExceeded where 4 eta passes the double range.
     """
     if j not in (1, 2):
         raise InvalidParams(f"j={j!r} must be 1 or 2")
     eps = 1.0 if j == 1 else -1.0
-    return complex(-(1.0 - eps), -(2.0 * (p.m * p.m)) / p.omega)
+    try:
+        return complex(-(1.0 - eps), -_m2_over_omega(p.m, p.omega, 1))
+    except OverflowError:
+        raise _range_error(p) from None
 
 
 def susy_map(p: SolutionParams, sample: SolutionSample,
@@ -323,8 +324,7 @@ def susy_map(p: SolutionParams, sample: SolutionSample,
     mapped sample is again a (value, derivative) pair on the same grid
     and the map is an exact involution up to rounding.
     """
-    if not isinstance(from_sector, Sector):
-        raise InvalidParams(f"from_sector={from_sector!r} is not a Sector")
+    _check_sector(from_sector, "from_sector")
     xs, shape = _check_x(sample.x)
     iw = 1j * p.omega
     val, der = [], []

@@ -54,7 +54,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 from ._points import flat, shaped
 from .errors import (DomainError, DoubleRangeExceeded, InvalidParams,
                      MaxStepsExceeded, NonConvergence, StepSizeUnderflow)
-from .potential import Sector
+from .potential import Sector, _check_sector
 
 if TYPE_CHECKING:
     from decimal import Decimal
@@ -113,8 +113,7 @@ def schrodinger_problem(m: float, omega: float, sector: Sector) -> ODEProblem:
     omega = float(omega)
     if not (math.isfinite(m) and m > 0.0 and math.isfinite(omega) and omega > 0.0):
         raise InvalidParams(f"m={m!r}, omega={omega!r} must be positive finite reals")
-    if not isinstance(sector, Sector):
-        raise InvalidParams(f"sector={sector!r} is not a Sector")
+    _check_sector(sector)
     # each product is the one potential.V rounds, so q(x) is the same double
     mm = m * m
     return ODEProblem(m, omega, sector, ORIGIN_FLOOR_COEFF / mm,

@@ -37,6 +37,13 @@ class Sector(Enum):
         return 1.0 if self is Sector.PLUS else -1.0
 
 
+def _check_sector(sector, name: str = "sector") -> Sector:
+    """``sector``, checked: InvalidParams naming the argument ``name`` unless it is a Sector."""
+    if not isinstance(sector, Sector):
+        raise InvalidParams(f"{name}={sector!r} is not a Sector")
+    return sector
+
+
 def _check_m(m: float, *, allow_negative: bool = True) -> float:
     m = float(m)
     if not math.isfinite(m) or m == 0.0:
@@ -107,7 +114,7 @@ def V(x, m: float, sector: Sector):
     V(x, -m, MINUS) evaluate the same floating-point expression and agree
     to the last bit.
     """
-    return _pointwise(_v, x, m, sector.sign)
+    return _pointwise(_v, x, m, _check_sector(sector).sign)
 
 
 def _v_from_w(m: float, s: float, x: float) -> float:
@@ -117,7 +124,7 @@ def _v_from_w(m: float, s: float, x: float) -> float:
 
 def V_from_superpotential(x, m: float, sector: Sector):
     """Same potential assembled as W^2 +- W', kept as an independent route."""
-    return _pointwise(_v_from_w, x, m, sector.sign)
+    return _pointwise(_v_from_w, x, m, _check_sector(sector).sign)
 
 
 def _dv(m: float, s: float, x: float) -> float:
@@ -126,7 +133,7 @@ def _dv(m: float, s: float, x: float) -> float:
 
 def V_deriv(x, m: float, sector: Sector):
     """dV_pm/dx = -(m/x^2) (m +- (3/4) x^(-1/2))."""
-    return _pointwise(_dv, x, m, sector.sign)
+    return _pointwise(_dv, x, m, _check_sector(sector).sign)
 
 
 def ces_residual(m: float) -> float:

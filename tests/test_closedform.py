@@ -17,6 +17,7 @@ from susy_ces.closedform import PHASE_M4, PHASE_P4, Branch
 from susy_ces.errors import (DomainError, DoubleRangeExceeded, InvalidParams,
                              SeriesRangeExceeded)
 from susy_ces.potential import Sector
+from susy_ces.scattering import phase_difference
 from susy_ces.specfun import chf_1f1_deriv
 from susy_ces.verify import series_components, series_solution_Z, wronskian_grid
 
@@ -282,6 +283,64 @@ def test_grid_rows_equal_lone_points_when_m_squared_underflows(branch):
             assert cf.components(p, branch, xi) == tuple(r[i] for r in rows)
 
 
+@pytest.mark.parametrize("m", [1e-170, 1.5e-160])
+def test_branch_ii_keeps_its_first_component_where_m_squared_underflows(m):
+    # r1 = conj(c2) h R with R = 2 sqrt(eta) sqrt(|y|) Q: where eta is 0
+    # (m = 1e-170) or subnormal (1.1e-320, a dozen bits), sqrt(eta) is
+    # m/sqrt(2 omega), not 0 or the root of those bits, so r1 = h y^{1/2} Q
+    # and its derivative are those at a normal eta
+    x = np.geomspace(1e-3, 29.5, 7)
+    got = cf.components(cf.solution_params(m, 1.0), Branch.II, x)
+    near = cf.components(cf.solution_params(1e-150, 1.0), Branch.II, x)
+    for j in (0, 2):
+        assert np.max(np.abs(got[j] - near[j]) / np.abs(near[j])) <= 1e-14
+
+
+def _dilated(m: float, omega: float, e: int) -> tuple[float, float]:
+    """(m 2^-e, omega 4^-e): the coupling eta = m^2/(2 omega) keeps its bits."""
+    return math.ldexp(m, -e), math.ldexp(omega, -2 * e)
+
+
+def _scaled(z: complex, k: int) -> complex:
+    return complex(math.ldexp(z.real, k), math.ldexp(z.imag, k))
+
+
+@settings(max_examples=settings.default.max_examples // 5)
+@given(eta=st.floats(1e-4, 20.0), log_omega=st.floats(-3.0, 3.0),
+       log_y=st.floats(-6.0, math.log10(59.9)), e=st.integers(-40, 40))
+def test_closed_form_is_dilation_covariant_bit_for_bit(eta, log_omega, log_y, e):
+    # (m, omega, x) -> (m 2^-e, omega 4^-e, x 4^e) leaves eta and |y| = 2 omega x
+    # unchanged, so every value keeps its bits and every derivative scales by
+    # exactly 4^-e; every input stays a normal double
+    omega = 10.0 ** log_omega
+    m, x = math.sqrt(2.0 * omega * eta), 10.0 ** log_y / (2.0 * omega)
+    p, q = cf.solution_params(m, omega), cf.solution_params(*_dilated(m, omega, e))
+    xd = math.ldexp(x, 2 * e)
+    for br in Branch:
+        r1, r2, d1, d2 = cf.components(p, br, x)
+        assert cf.components(q, br, xd) == (r1, r2, _scaled(d1, -2 * e), _scaled(d2, -2 * e))
+        for sec in Sector:
+            z = cf.solution_Z(p, br, sec, x)
+            zd = cf.solution_Z(q, br, sec, xd)
+            assert (zd.value, zd.derivative) == (z.value, _scaled(z.derivative, -2 * e))
+
+
+@settings(max_examples=settings.default.max_examples // 5)
+@given(log_r=st.floats(math.log10(0.02), 2.0), log_omega=st.floats(-3.0, 3.0),
+       e=st.integers(-40, 40))
+def test_phase_difference_is_dilation_covariant_bit_for_bit(log_r, log_omega, e):
+    # the ladder depends on the coupling alone: under the same dilation every
+    # field keeps its bits, and the rungs and their base scale by exactly 4^e
+    omega = 10.0 ** log_omega
+    m = math.sqrt(10.0 ** log_r * omega)
+    res, resd = phase_difference(m, omega), phase_difference(*_dilated(m, omega, e))
+    assert [v.hex() for v in resd.x.tolist()] == [math.ldexp(v, 2 * e).hex() for v in res.x.tolist()]
+    assert resd.x_match == math.ldexp(res.x_match, 2 * e)
+    assert resd.raw.tolist() == res.raw.tolist()
+    assert resd.accelerated.tolist() == res.accelerated.tolist()
+    assert (resd.estimate, resd.residual, resd.bound) == (res.estimate, res.residual, res.bound)
+
+
 def test_rtilde_first_order_system():
     # components takes its derivatives from this system, so check the
     # independent ones, dM/dy = (a/b) M(a+1, b+1; y) through dy/dx
@@ -384,6 +443,19 @@ def test_hermite_lambda_identity_bitwise():
         assert cf.hermite_lambda(p, 2) == -4.0 * p.a2
     with pytest.raises(InvalidParams):
         cf.hermite_lambda(cf.solution_params(1.0, 1.0), 3)
+
+
+@pytest.mark.parametrize("m, omega", [(1e200, 1e300), (1e160, 1e200), (1e-160, 1e-300)])
+def test_hermite_lambda_is_minus_four_a_wherever_eta_is_normal(m, omega):
+    # m^2 passes the largest double at the first two and is subnormal at the
+    # third, while eta (5e99, 5e119, 5e-21) is normal: 2 m^2/omega is formed
+    # from the mantissas and exponents, as eta is
+    p = cf.solution_params(m, omega)
+    assert cf.hermite_lambda(p, 1) == -4.0 * p.a1
+    assert cf.hermite_lambda(p, 2) == -4.0 * p.a2
+    # eta = 1e308 is a double, 4 eta is not: the typed refusal, not -inf j
+    with pytest.raises(DoubleRangeExceeded, match="double range"):
+        cf.hermite_lambda(cf.solution_params(1e200, 5e91), 1)
 
 
 def test_small_x_limits():

@@ -1,4 +1,5 @@
 """Adaptive integrator, Frobenius series oracle, residual stencil."""
+import ast
 import cmath
 import math
 
@@ -299,3 +300,21 @@ def test_residual_refuses_an_energy_that_is_not_positive_and_finite(energy):
     with pytest.raises(InvalidParams, match="energy"):
         oracle.residual_schrodinger(np.sin, lambda xx: 0.0 * xx, energy,
                                     np.linspace(1.0, 2.0, 3))
+
+
+def test_oracle_shares_no_code_with_the_closed_form():
+    # the one structural rule: agreement between the oracle and the closed
+    # form is evidence only while oracle imports none of the modules that
+    # evaluate, extract or check the closed form; read from its source, so
+    # imports inside functions count too
+    banned = {"specfun", "highprec", "closedform", "scattering", "verify", "cli"}
+    tree = ast.parse(open(oracle.__file__, encoding="utf-8").read())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(part for alias in node.names for part in alias.name.split("."))
+        elif isinstance(node, ast.ImportFrom):
+            names.update((node.module or "").split("."))
+            names.update(alias.name for alias in node.names)
+    assert {"_points", "errors", "potential", "decimal"} <= names
+    assert not names & banned, sorted(names & banned)

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from susy_ces import closedform as cf
+from susy_ces import oracle
 from susy_ces import potential as pot
-from susy_ces.errors import DomainError, DoubleRangeExceeded, InvalidParams
+from susy_ces.errors import DomainError, DoubleRangeExceeded, InvalidParams, SusyCesError
 from susy_ces.potential import Sector
 
 X_GRID = np.logspace(-6, 6, 400)
@@ -172,3 +174,26 @@ def test_sector_enum():
     assert Sector.MINUS.sign == -1.0
     assert Sector("plus") is Sector.PLUS
     assert Sector("minus") is Sector.MINUS
+
+
+def test_every_sector_argument_is_checked():
+    # the seven public entry points that take a Sector refuse anything else
+    # with the package's InvalidParams, naming the argument, not an
+    # AttributeError from .sign
+    p = cf.solution_params(1.0, 1.0)
+    sample = cf.solution_Z(p, cf.Branch.I, Sector.MINUS, 1.0)
+    calls = {
+        "sector": [lambda s: pot.V(1.0, 1.0, s),
+                   lambda s: pot.V_from_superpotential(1.0, 1.0, s),
+                   lambda s: pot.V_deriv(1.0, 1.0, s),
+                   lambda s: cf.wronskian_exact(p, s),
+                   lambda s: cf.solution_Z(p, cf.Branch.I, s, 1.0),
+                   lambda s: oracle.schrodinger_problem(1.0, 1.0, s)],
+        "from_sector": [lambda s: cf.susy_map(p, sample, s)],
+    }
+    for name, entries in calls.items():
+        for call in entries:
+            for bad in ("plus", -1.0, None):
+                with pytest.raises(InvalidParams, match=f"^{name}={bad!r} is not a Sector$") as exc:
+                    call(bad)
+                assert isinstance(exc.value, SusyCesError)
