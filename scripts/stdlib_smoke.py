@@ -62,7 +62,7 @@ for sec in Sector:
 
 # the ladder's sample on the walk's pair is solution_Z's branch I, bit for bit
 walk = kummer_walk(0.5, [40.0])
-sample = _ladder_sample(p, math.sqrt(0.5), 40.0, -1.0 / math.sqrt(20.0), walk.p[0], walk.q[0])
+sample = _ladder_sample(p, 40.0, -1.0 / math.sqrt(20.0), walk.p[0], walk.q[0])
 want = (solution_Z(p, Branch.I, Sector.MINUS, 20.0).value.real,
         -solution_Z(p, Branch.I, Sector.PLUS, 20.0).value.imag)
 assert (sample[0], sample[2]) == want, (sample, want)
@@ -83,7 +83,7 @@ for got, want in zip(pair, (walk.p, walk.q)):
 
 # a rung's (u, u'/omega, v, v'/omega) at |y| = 100, (m, omega) = (1, 1)
 (pp,), (qq,) = pair
-sample = _ladder_sample(p, 0.5 ** 0.5, 100.0, -1.0 / 50.0 ** 0.5, pp, qq)
+sample = _ladder_sample(p, 100.0, -1.0 / 50.0 ** 0.5, pp, qq)
 assert len(sample) == 4 and all(type(v) is float for v in sample), sample
 
 assert "susy_ces.verify" not in sys.modules

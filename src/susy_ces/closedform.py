@@ -73,22 +73,21 @@ class Branch(Enum):
 
 
 class SolutionParams(NamedTuple):
-    """Derived constants for one (m, omega) solution family.
+    """Derived constants for one (m, omega) solution family, each formed once.
 
-    ``a1``/``a2`` are the hypergeometric parameters; ``hermite lambda``
-    values are recoverable as -4 a_j (see :func:`hermite_lambda`).
+    ``a1`` = i eta (eta = m^2/(2 omega)) and ``a2`` = a1 + 1/2 are the hypergeometric
+    parameters (lambda_j = -4 a_j, :func:`hermite_lambda`); ``energy`` = omega^2,
+    ``sqrt_2w`` = sqrt(2 omega), and ``rt_eta`` = sqrt(eta), or m/sqrt(2 omega) where
+    eta is subnormal or 0 (m^2 underflowed) and sqrt(eta) would keep only its few bits.
     """
 
     m: float
     omega: float
     a1: complex
     a2: complex
-    b: float
     energy: float
-
-    @property
-    def sqrt_2w(self) -> float:
-        return math.sqrt(2.0 * self.omega)
+    sqrt_2w: float
+    rt_eta: float
 
 
 def _m2_over_omega(m: float, omega: float, k: int) -> float:
@@ -116,8 +115,10 @@ def solution_params(m: float, omega: float) -> SolutionParams:
         raise DoubleRangeExceeded(
             f"eta = m^2/(2 omega) is not a finite double at m={m!r}, omega={omega!r}: "
             f"eta passes the largest double ({sys.float_info.max:.4g})") from None
-    return SolutionParams(m=m, omega=omega, a1=a1, a2=a1 + 0.5, b=0.5,
-                          energy=omega * omega)
+    sqrt_2w = math.sqrt(2.0 * omega)
+    rt_eta = math.sqrt(a1.imag) if a1.imag >= sys.float_info.min else m / sqrt_2w
+    return SolutionParams(m=m, omega=omega, a1=a1, a2=a1 + 0.5, energy=omega * omega,
+                          sqrt_2w=sqrt_2w, rt_eta=rt_eta)
 
 
 def y_of_x(x, omega: float):
@@ -145,14 +146,16 @@ def coupling_constants(p: SolutionParams, branch: Branch) -> CouplingConstants:
     Any common rescaling of (c1, c2) is immaterial, but their *ratio* is
     fixed by requiring that the pair satisfies the coupled first-order
     system (equivalently, that Z_pm obey the intertwining relations).
+    DoubleRangeExceeded where c2 is past the double range.
     """
     if branch is Branch.I:
-        return CouplingConstants(1.0 + 0j,
-                                 2.0 * p.sqrt_2w * PHASE_P4 * p.a1 / p.m)
-    if branch is Branch.II:
-        return CouplingConstants(1.0 + 0j,
-                                 p.sqrt_2w * PHASE_P4 / (2.0 * p.m))
-    raise InvalidParams(f"branch={branch!r} is not a Branch")
+        c2 = 2.0 * p.sqrt_2w * PHASE_P4 * p.a1 / p.m
+    elif branch is Branch.II:
+        c2 = p.sqrt_2w * PHASE_P4 / (2.0 * p.m)
+    else:
+        raise InvalidParams(f"branch={branch!r} is not a Branch")
+    _finite(p, [[c2]])
+    return CouplingConstants(1.0 + 0j, c2)
 
 
 def _products(rt_eta: float, s: float, pp: complex, qq: complex) -> tuple[complex, complex]:
@@ -170,13 +173,11 @@ def _components(p: SolutionParams, branches: tuple[Branch, ...],
     Unchecked: a value past the double range comes out non-finite, and so
     does every value assembled from it, so callers check what they return.
     """
-    w, m, eta = p.omega, p.m, p.a1.imag
+    w, m = p.omega, p.m
     ys = [2.0 * w * v for v in xs]                  # |y|, y = -i |y|
-    pair, out = kummer_pair(eta, ys), []
-    # sqrt(eta); where eta is subnormal or 0 (m^2 underflowed), m/sqrt(2 omega) is not
-    rt_eta = math.sqrt(eta) if eta >= sys.float_info.min else m / p.sqrt_2w
+    pair, out = kummer_pair(p.a1.imag, ys), []
     try:
-        hs = list(map(_products, repeat(rt_eta), ys, *pair))
+        hs = list(map(_products, repeat(p.rt_eta), ys, *pair))
         wxs = [-m / math.sqrt(v) for v in xs]       # W(x)
         for branch in branches:
             if branch is Branch.I:                  # (conj hP, i conj hR)
@@ -263,19 +264,18 @@ def solution_Z(p: SolutionParams, branch: Branch, sector: Sector, x) -> Solution
                           shaped(dz, shape, complex))
 
 
-def _ladder_sample(p: SolutionParams, rt_eta: float, s: float, w: float, pp: complex,
+def _ladder_sample(p: SolutionParams, s: float, w: float, pp: complex,
                    qq: complex) -> tuple[float, float, float, float]:
     """(u, u'/omega, v, v'/omega) at one x: u = Re Z^I_- and its real SUSY image v = -Im Z^I_+.
 
-    ``rt_eta`` is sqrt(eta), formed once a solve; ``s`` is |y| = 2 omega x and ``w`` is
-    W(x)/omega, formed once a rung; ``pp``, ``qq`` are P and Q at s, from :func:`kummer_pair`
-    or, past the series range, :func:`specfun.asymptotic_pair`.  Z^I_-+ = e^{-i pi/4}
-    conj(hP +- hR) from :func:`_products`, :func:`solution_Z`'s values on the same pair
-    bit for bit, and the first-order system gives u'/omega = v - w u and v'/omega =
-    w v - u: the four values stay doubles where omega u' does not.  Raises
-    DoubleRangeExceeded where one is not finite.
+    ``s`` is |y| = 2 omega x and ``w`` is W(x)/omega, formed once a rung; ``pp``, ``qq``
+    are P and Q at s, from :func:`kummer_pair` or, past the series range,
+    :func:`specfun.asymptotic_pair`.  Z^I_-+ = e^{-i pi/4} conj(hP +- hR) from
+    :func:`_products`, :func:`solution_Z`'s values on the same pair bit for bit, and the
+    first-order system gives u'/omega = v - w u and v'/omega = w v - u: the four values
+    stay doubles where omega u' does not.  Raises DoubleRangeExceeded where one is not finite.
     """
-    hp, hr = _products(rt_eta, s, pp, qq)
+    hp, hr = _products(p.rt_eta, s, pp, qq)
     u = (PHASE_M4 * (hp + hr).conjugate()).real
     v = -(PHASE_M4 * (hp - hr).conjugate()).imag
     out = (u, v - w * u, v, w * v - u)
@@ -288,12 +288,17 @@ def wronskian_Z(p: SolutionParams, sector: Sector, x):
     """W_x[Z^I, Z^II] = Z^I dZ^II/dx - Z^II dZ^I/dx, evaluated pointwise."""
     xs, shape = _check_x(x)
     [(zi, dzi)], [(zii, dzii)] = _solution(p, (Branch.I, Branch.II), (sector,), xs)
-    return shaped([a * d - b * c for a, c, b, d in zip(zi, dzi, zii, dzii)], shape, complex)
+    wr = [a * d - b * c for a, c, b, d in zip(zi, dzi, zii, dzii)]
+    _finite(p, (wr,))
+    return shaped(wr, shape, complex)
 
 
 def wronskian_exact(p: SolutionParams, sector: Sector) -> complex:
-    """The constant the Wronskian must equal: -+ omega i^{3/2} sqrt(2 omega)/m."""
-    return -_check_sector(sector).sign * p.omega * (1j * PHASE_P4) * p.sqrt_2w / p.m
+    """The constant the Wronskian must equal, -+ omega i^{3/2} sqrt(2 omega)/m;
+    DoubleRangeExceeded where it is past the double range."""
+    wr = -_check_sector(sector).sign * p.omega * (1j * PHASE_P4) * p.sqrt_2w / p.m
+    _finite(p, [[wr]])
+    return wr
 
 
 def hermite_lambda(p: SolutionParams, j: int) -> complex:
@@ -317,24 +322,20 @@ def susy_map(p: SolutionParams, sample: SolutionSample,
              from_sector: Sector) -> SolutionSample:
     """Map a solution of one sector to its partner via the first-order ladder.
 
-    From MINUS:  Z_+ = (Z_-' + W Z_-) / (i omega),  Z_+' = i omega Z_- + W Z_+
-    From PLUS :  Z_- = (Z_+' - W Z_+) / (i omega),  Z_-' = i omega Z_+ - W Z_-
+    From sector +- to -+, with sg = -+1 (+1 from MINUS):
+        Z_-+ = (Z_+-' + sg W Z_+-) / (i omega),   Z_-+' = i omega Z_+- + sg W Z_-+
 
-    The derivative formulas use the Schrodinger equation once, so the
-    mapped sample is again a (value, derivative) pair on the same grid
-    and the map is an exact involution up to rounding.
+    The derivative formulas use the Schrodinger equation once, so the mapped sample is
+    again a (value, derivative) pair on the same grid and the map is an exact involution
+    up to rounding.  DoubleRangeExceeded where a mapped value is past the double range.
     """
-    _check_sector(from_sector, "from_sector")
+    sg = -_check_sector(from_sector, "from_sector").sign
     xs, shape = _check_x(sample.x)
     iw = 1j * p.omega
     val, der = [], []
     for x, z, dz in zip(xs, flat(sample.value, complex)[0], flat(sample.derivative, complex)[0]):
-        wx = _w(p.m, x)
-        if from_sector is Sector.MINUS:
-            v = (dz + wx * z) / iw
-            der.append(iw * z + wx * v)
-        else:
-            v = (dz - wx * z) / iw
-            der.append(iw * z - wx * v)
-        val.append(v)
+        wx = sg * _w(p.m, x)
+        val.append(v := (dz + wx * z) / iw)
+        der.append(iw * z + wx * v)
+    _finite(p, (val, der))
     return SolutionSample(sample.x, shaped(val, shape, complex), shaped(der, shape, complex))

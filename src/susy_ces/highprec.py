@@ -277,7 +277,7 @@ class _State(NamedTuple):
 
 def _norm_weight(eta: float, s: float) -> float:
     # balances the two rows of the log-norm bound: 2 eta / c = (c - 1) / (2 s)
-    return 0.5 * (1.0 + math.sqrt(1.0 + 16.0 * eta * s))
+    return 0.5 * (1.0 + math.sqrt(1.0 + 16.0 * (eta * s)))
 
 
 def _plan(s0: float, s: list[float], k: int) -> tuple[float, int]:

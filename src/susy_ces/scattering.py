@@ -179,13 +179,12 @@ def phase_difference(m: float, omega: float, *, tol: float = 1e-3) -> PhaseDiffe
         xk *= 2.0
 
     # read: every rung's pair from one call, so its log-Gamma terms are computed once
-    rt_eta = math.sqrt(p.a1.imag)
     raws: list[float] = []
     accs: list[float] = []
     for xk, y, pp, qq in zip(xs, ys, *asymptotic_pair(p.a1.imag, ys)):
         # W(x_k)/omega; omega sqrt(x_k) <= max(omega, |y|/2) is a double
         w = -p.m / (p.omega * math.sqrt(xk))
-        d = _sector_difference(*_ladder_sample(p, rt_eta, y, w, pp, qq))
+        d = _sector_difference(*_ladder_sample(p, y, w, pp, qq))
         raws.append(d)
         accs.append(d - 0.5 * (_offset(w, 1.0) - math.pi))
 

@@ -28,7 +28,9 @@ def test_solution_params_fields():
     p = cf.solution_params(1.0, 1.0)
     assert p.a1 == 0.5j
     assert p.a2 == 0.5 + 0.5j
-    assert p.b == 0.5
+    assert p.rt_eta == math.sqrt(0.5)
+    # eta = m^2/2 underflows to 0: sqrt(eta) falls back to m/sqrt(2 omega)
+    assert cf.solution_params(1e-170, 1.0).rt_eta == 1e-170 / math.sqrt(2.0)
     assert p.energy == 1.0
     assert p.sqrt_2w == math.sqrt(2.0)
     q = cf.solution_params(1.3, 0.7)
@@ -456,6 +458,44 @@ def test_hermite_lambda_is_minus_four_a_wherever_eta_is_normal(m, omega):
     # eta = 1e308 is a double, 4 eta is not: the typed refusal, not -inf j
     with pytest.raises(DoubleRangeExceeded, match="double range"):
         cf.hermite_lambda(cf.solution_params(1e200, 5e91), 1)
+
+
+def test_a_point_where_2_omega_x_underflows_past_eta_1e307():
+    # |y| = 2 omega x is 0: 16 eta alone is inf past eta ~ 1.12e307, and the
+    # walk's norm weight is formed as 16 (eta s) = 0, not (16 eta) s = NaN
+    walk = highprec.kummer_walk(5e307, [0.0])
+    assert walk.p == walk.q == [1.0 + 0j]
+    z = cf.solution_Z(cf.solution_params(1.0, 1e-308), Branch.I, Sector.MINUS, 1e-100)
+    assert z.value == PHASE_M4
+
+
+@pytest.mark.parametrize("m, omega, x", [(60.0, 1.0, 29.0), (65.0, 1.0, 29.0),
+                                         (1000.0, 7.0, 1.0 / 14.0)])
+def test_a_wronskian_past_the_double_range_is_typed(m, omega, x):
+    # both branches' Z and dZ are doubles, but Z^I dZ^II is not
+    p = cf.solution_params(m, omega)
+    for br in Branch:
+        cf.solution_Z(p, br, Sector.MINUS, x)
+    with pytest.raises(DoubleRangeExceeded, match="double range"):
+        cf.wronskian_Z(p, Sector.MINUS, x)
+
+
+def test_constants_past_the_double_range_are_typed():
+    # c2^II = sqrt(2 omega) e^{i pi/4}/(2 m) and the exact Wronskian pass the
+    # largest double at m = 1e-308, as solution_Z's branch II already refuses
+    for call in (lambda: cf.coupling_constants(cf.solution_params(1e-308, 1e3), Branch.II),
+                 lambda: cf.wronskian_exact(cf.solution_params(1e-308, 7.0), Sector.PLUS)):
+        with pytest.raises(DoubleRangeExceeded, match="double range"):
+            call()
+
+
+def test_a_susy_image_past_the_double_range_is_typed():
+    # W Z = -1e450 at x = 1e-300: the image is not a double, nor NaN
+    p = cf.solution_params(1.0, 1.0)
+    sample = cf.SolutionSample(1e-300, 1e300 + 0j, 1e300 + 0j)
+    for sector in Sector:
+        with pytest.raises(DoubleRangeExceeded, match="double range"):
+            cf.susy_map(p, sample, sector)
 
 
 def test_small_x_limits():

@@ -43,6 +43,19 @@ def test_verify_names_load_lazily():
         susy_ces.no_such_name
 
 
+def test_dir_names_every_export_and_submodule():
+    # the namespace is lazy: dir() lists what it can resolve, loaded or not
+    names = dir(susy_ces)
+    assert set(susy_ces.__all__) <= set(names)
+    assert set(SUBMODULES) <= set(names)
+
+
+def test_not_converged_carries_its_partial_result():
+    partial = object()
+    assert susy_ces.NotConverged("m", result=partial).result is partial
+    assert susy_ces.NotConverged("m").result is None
+
+
 #: a fresh interpreter: the modules a scalar call loads, then every
 #: submodule through the package namespace
 _FRESH = """\

@@ -144,6 +144,17 @@ def test_series_that_cannot_stop_is_refused_before_its_loop(call):
         call()
 
 
+def test_step_past_its_term_budget_or_its_radius():
+    # eta = 1e6 from s0 = 64 (c = 16000.5, mu = 125): a step of 16 needs more
+    # than MAX_TERMS Taylor terms and is refused; one of 8 converges, but
+    # d mu = 1000 is past e^700, so its radius is infinite
+    st = highprec._State(64.0, 400, (1 << 400, 0, 1 << 400, 0), 1.0,
+                         highprec._norm_weight(1e6, 64.0))
+    with pytest.raises(NonConvergence, match="did not converge"):
+        highprec._step(1e6, st, 80.0)
+    assert highprec._step(1e6, st, 72.0)[0].eps == math.inf
+
+
 @pytest.mark.parametrize("eta", [0.025, 0.5, 16.0])
 def test_kummer_walk_is_the_series_bit_for_bit(eta):
     s = [59.0 * k / 128 for k in range(1, 129)] + [59.0 * 1.1 ** -k for k in range(1, 40)]

@@ -16,6 +16,7 @@ from susy_ces.errors import (
     InvalidParams,
     MaxStepsExceeded,
     NonConvergence,
+    StepSizeUnderflow,
 )
 from susy_ces.oracle import integrate, schrodinger_problem
 from susy_ces.potential import Sector
@@ -218,6 +219,15 @@ def test_max_steps_guard(monkeypatch):
     prob = schrodinger_problem(2.0, 0.5, Sector.PLUS)
     with pytest.raises(MaxStepsExceeded):
         integrate(prob, 1.0, 25.0, 1.0 + 0j, 0j)
+
+
+def test_step_underflow_guard():
+    # a segment four ulps long: its one step is below 16 eps of sqrt(x)
+    x1 = 1.0
+    for _ in range(4):
+        x1 = math.nextafter(x1, 2.0)
+    with pytest.raises(StepSizeUnderflow, match="step underflow"):
+        integrate(schrodinger_problem(1, 1, Sector.MINUS), 1.0, x1, 1, 0)
 
 
 # ---------------------------------------------------------------------------

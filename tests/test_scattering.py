@@ -292,7 +292,7 @@ def test_each_rung_is_one_function_of_the_minus_sample(m, omega, x_budget):
         w = superpotential(xk, m) / omega
         y = 2.0 * omega * xk
         (pp,), (qq,) = asymptotic_pair(p.a1.imag, [y])
-        u, du, _, _ = cf._ladder_sample(p, math.sqrt(p.a1.imag), y, w, pp, qq)
+        u, du, _, _ = cf._ladder_sample(p, y, w, pp, qq)
         eps = w * w * u / ((w + 1j) * complex(du, u))
         assert abs(acc - (HALF_PI - cmath.phase(1.0 + eps))) <= 1e-14
         assert abs(acc - HALF_PI) <= math.asin(m * m / (omega * omega * xk))
@@ -321,8 +321,7 @@ def test_ladder_sample_is_the_real_minus_solution_and_its_susy_image(m, omega):
         want = (zm.value.real, zm.derivative.real / omega,
                 -zp.value.imag, -zp.derivative.imag / omega)
         (pp,), (qq,) = specfun.kummer_pair(p.a1.imag, [2.0 * omega * x])
-        got = cf._ladder_sample(p, math.sqrt(p.a1.imag), 2.0 * omega * x,
-                                -m / (omega * math.sqrt(x)), pp, qq)
+        got = cf._ladder_sample(p, 2.0 * omega * x, -m / (omega * math.sqrt(x)), pp, qq)
         assert all(type(v) is float for v in got)
         gap = max(abs(g - w) for g, w in zip(got, want)) / max(map(abs, want))
         assert gap <= 1e-14, (x, got, want)
@@ -339,8 +338,7 @@ def test_ladder_sample_is_solution_z_bit_for_bit():
         p = solution_params(m, omega)
         y = 2.0 * omega * x
         (pp,), (qq,) = specfun.kummer_pair(p.a1.imag, [y])
-        u, _, v, _ = cf._ladder_sample(p, math.sqrt(p.a1.imag), y,
-                                       -m / (omega * math.sqrt(x)), pp, qq)
+        u, _, v, _ = cf._ladder_sample(p, y, -m / (omega * math.sqrt(x)), pp, qq)
         zm = cf.solution_Z(p, cf.Branch.I, Sector.MINUS, x).value
         zp = cf.solution_Z(p, cf.Branch.I, Sector.PLUS, x).value
         assert (u.hex(), v.hex()) == (zm.real.hex(), (-zp.imag).hex()), (m, omega, x)
@@ -350,7 +348,7 @@ def test_ladder_sample_past_the_double_range_is_typed():
     # R = 20 Q passes the largest double
     p = solution_params(1.0, 1.0)
     with pytest.raises(DoubleRangeExceeded, match="exceeds the double range"):
-        cf._ladder_sample(p, math.sqrt(0.5), 200.0, -0.1, 1e308 + 0j, 1e308 + 0j)
+        cf._ladder_sample(p, 200.0, -0.1, 1e308 + 0j, 1e308 + 0j)
 
 
 @pytest.mark.parametrize("m, omega", [(1e-9, 1.0), (3e-9, 2.0), (1.0, 1e300)])
