@@ -76,16 +76,15 @@ class SolutionParams(NamedTuple):
     """Derived constants for one (m, omega) solution family, each formed once.
 
     ``a1`` = i eta (eta = m^2/(2 omega)) and ``a2`` = a1 + 1/2 are the hypergeometric
-    parameters (lambda_j = -4 a_j, :func:`hermite_lambda`); ``energy`` = omega^2,
-    ``sqrt_2w`` = sqrt(2 omega), and ``rt_eta`` = sqrt(eta), or m/sqrt(2 omega) where
-    eta is subnormal or 0 (m^2 underflowed) and sqrt(eta) would keep only its few bits.
+    parameters (lambda_j = -4 a_j, :func:`hermite_lambda`); ``sqrt_2w`` = sqrt(2 omega),
+    and ``rt_eta`` = sqrt(eta), or m/sqrt(2 omega) where eta is subnormal or 0 (m^2
+    underflowed) and sqrt(eta) would keep only its few bits.  Every field is finite.
     """
 
     m: float
     omega: float
     a1: complex
     a2: complex
-    energy: float
     sqrt_2w: float
     rt_eta: float
 
@@ -115,16 +114,26 @@ def solution_params(m: float, omega: float) -> SolutionParams:
         raise DoubleRangeExceeded(
             f"eta = m^2/(2 omega) is not a finite double at m={m!r}, omega={omega!r}: "
             f"eta passes the largest double ({sys.float_info.max:.4g})") from None
-    sqrt_2w = math.sqrt(2.0 * omega)
+    # 2 omega and omega / 2 are exact on either side: sqrt(2 omega) correctly
+    # rounded, and finite past omega = 8.99e307, where 2 omega is not
+    sqrt_2w = math.sqrt(2.0 * omega) if omega <= 1.0 else 2.0 * math.sqrt(0.5 * omega)
     rt_eta = math.sqrt(a1.imag) if a1.imag >= sys.float_info.min else m / sqrt_2w
-    return SolutionParams(m=m, omega=omega, a1=a1, a2=a1 + 0.5, energy=omega * omega,
-                          sqrt_2w=sqrt_2w, rt_eta=rt_eta)
+    return SolutionParams(m=m, omega=omega, a1=a1, a2=a1 + 0.5, sqrt_2w=sqrt_2w,
+                          rt_eta=rt_eta)
 
 
 def y_of_x(x, omega: float):
-    """The hypergeometric argument y = -2 i omega x."""
+    """The hypergeometric argument y = -2 i omega x.
+
+    DoubleRangeExceeded where 2 omega x is past the double range.
+    """
     xs, shape = flat(x)
-    return shaped([complex(0.0, -2.0 * omega * v) for v in xs], shape, complex)
+    ys = [-2.0 * omega * v for v in xs]
+    if any(map(math.isinf, ys)):
+        raise DoubleRangeExceeded(
+            f"y = -2 i omega x at omega={omega!r} exceeds the double range "
+            f"(magnitude above {sys.float_info.max:.4g})")
+    return shaped([complex(0.0, v) for v in ys], shape, complex)
 
 
 def _range_error(p: SolutionParams) -> DoubleRangeExceeded:

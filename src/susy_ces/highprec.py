@@ -1,10 +1,11 @@
 """Exact integer fixed-point summation of the confluent-hypergeometric series.
 
-``chf_series_fixed`` evaluates 1F1(a, b; z) one point at a time.  Term
-ratios are formed from the *exact* binary rationals underlying the float
-inputs, so the only rounding is one controlled rounding per term at a
-number of fractional bits sized from the predicted cancellation and
-checked against the truncation bound after the sum.  Its cost is a few
+``chf_series_fixed`` evaluates 1F1(a, b; z) one point at a time, by the
+general series loop ``_fixed_sum``.  Term ratios are formed from the
+*exact* binary rationals underlying the float inputs, so the only
+rounding is one controlled rounding per term at a number of fractional
+bits sized from the predicted cancellation and checked against the
+truncation bound after the sum.  Its cost is a few
 microseconds per term, and every value ``specfun`` returns is its sum or
 bit for bit equal to it.  The final rounding to complex double happens
 once, from a sum whose error the width check holds about ``SAFE_BITS``
@@ -17,16 +18,17 @@ built from, P = M(a, 1/2; z) and Q = M(a, 3/2; z) with a = 1/2 + i eta,
 on a grid of the ray z = -i s; it is the one place that spells the pair
 out.  (Branch I's functions, M(i eta, 1/2; z) and M(1 + i eta, 3/2; z),
 are e^z times the pair's conjugates by Kummer's transformation, DLMF
-13.2.39.)  One series loop gives both: it sums Q, whose rounded terms
-t_k also give K = sum k t_k = z Q' (DLMF section 13.3), and P's terms
-are (2k + 1) t_k, as (3/2)_k / (1/2)_k = 2k + 1, which is (z^(b-1) M)' =
-(b-1) z^(b-2) M(a, b-1) at b = 3/2.  So
+13.2.39.)  One series loop, the pair's own ``_pair_loop``, gives both:
+it sums Q, whose rounded terms t_k also give K = sum k t_k = z Q' (DLMF
+section 13.3), and P's terms are (2k + 1) t_k, as (3/2)_k / (1/2)_k =
+2k + 1, which is (z^(b-1) M)' = (b-1) z^(b-2) M(a, b-1) at b = 3/2.  So
 
     P = Q + 2 K
 
-in exact integers, at any eta and s.  Every point no carried state
-covers, a lone point included, runs that loop once at the walk's width,
-and its result becomes the state.  Along a grid the walk carries the
+in exact integers, at any eta and s.  That loop tests no stop while the
+terms grow and one every 8 terms once their ratios fall below 1/2.
+Every point no carried state covers, a lone point included, runs it
+once at the walk's width, and its result becomes the state.  Along a grid the walk carries the
 pair from point to point by Taylor steps of its first-order system
 (DLMF 13.2-13.3), summed in the same integer fixed point from exact
 dyadic constants, with a rigorous error radius: a majorant bound on
@@ -104,19 +106,40 @@ _WIDTH_GUARD = SAFE_BITS + 16
 _LOG2E = 1.0 / math.log(2.0)
 
 
+def _refuse(a: complex, b: float, z: complex) -> None:
+    """Raise NonConvergence before a series loop where no term up to the
+    budget can stop the series.
+
+    With K = MAX_TERMS, where (|a| - K) |z| >= 4 (|b| + K)(K + 1) every
+    ratio a loop forms has |rho_k| >= 4, to a few ulps, so from t_0 =
+    2**bits on |t_k| >= 4 |t_(k-1)| - 1 >= 3 |t_(k-1)|, one unit being the
+    rounding: the sum stays below 1.5 |t_k| < 2**(tbits + 2), and no stop
+    margin of 3 bits or more (every caller's is 8 or more) can pass.
+    """
+    if ((math.hypot(a.real, a.imag) - MAX_TERMS) * math.hypot(z.real, z.imag)
+            >= 4.0 * (abs(b) + MAX_TERMS) * (MAX_TERMS + 1)):
+        raise NonConvergence(
+            f"fixed-point series cannot converge within {MAX_TERMS} terms: each "
+            f"term up to the last at least quadruples (a={a!r}, b={b!r}, z={z!r})")
+
+
+def _spent(a: complex, b: float, z: complex) -> NonConvergence:
+    """The error of a series loop that used up the term budget."""
+    return NonConvergence(f"fixed-point series did not converge within {MAX_TERMS} "
+                          f"terms (a={a!r}, b={b!r}, z={z!r})")
+
+
 def _fixed_sum(a: complex, b: float, z: complex, bits: int, *,
-               stop_bits: int = SAFE_BITS) -> tuple[int, int, int, int, int, int]:
+               stop_bits: int = SAFE_BITS) -> tuple[int, int, int, int]:
     """Fixed-point confluent-hypergeometric series, raw scaled integers.
 
-    Returns (sr, si, kr, ki, peak, n): the series value is (sr + i si) /
-    2**bits up to the truncation error, which stays below ~n**2 *
-    2**(peak - bits) absolute for the n terms summed, the largest after
-    the first (which is 2**bits) having magnitude below 2**peak.
-    (kr + i ki) / 2**bits is K = sum k t_k = z M'(a, b; z) from the same
-    rounded terms t_k, at two integer additions per term: K = (n - 1) S
-    minus the sum of the partial sums S_0 .. S_(n-2).  Summation stops
-    once the term magnitude drops ``stop_bits`` binary orders below the
-    running sum, twice in a row.
+    The general series (the Kummer pair has its own, :func:`_pair_loop`).
+    Returns (sr, si, peak, n): the series value is (sr + i si) / 2**bits
+    up to the truncation error, which stays below ~n**2 * 2**(peak - bits)
+    absolute for the n terms summed, the largest after the first (which
+    is 2**bits) having magnitude below 2**peak.  Summation stops once the
+    term magnitude drops ``stop_bits`` binary orders below the running
+    sum, twice in a row.
 
     Terms are carried as integer pairs scaled by 2**bits; the per-term
     ratio (a+k) z / ((b+k)(k+1)) is formed from the exact dyadic rationals
@@ -124,22 +147,9 @@ def _fixed_sum(a: complex, b: float, z: complex, bits: int, *,
     at the fixed-point scale.  This makes the routine accurate even when
     intermediate terms exceed the result by dozens of orders of magnitude.
     Raises NonConvergence before the loop where no term up to the budget
-    can stop it.
+    can stop it (:func:`_refuse`).
     """
-    # With K = MAX_TERMS, where (|a| - K) |z| >= 4 (|b| + K)(K + 1) each
-    # ratio the loop forms (k < K) has |rho_k| >= (|a| - k) |z| / ((|b| +
-    # k)(k + 1)) >= 4, to a few ulps of the float test.  Rounding moves a
-    # term by under one unit, so from |t_0| = 2**bits >= 1 on |t_k| >= 4
-    # |t_(k-1)| - 1 >= 3 |t_(k-1)|: the terms before t_k add up to at most
-    # |t_k| / 2, and the sum stays below 1.5 |t_k| < 1.5 sqrt(2) 2**tbits <
-    # 2**(tbits + 2).  No stop margin of 3 bits or more (every caller's is
-    # 8 or more) can pass, and the loop could end only in NonConvergence,
-    # after K ever wider terms.
-    if ((math.hypot(a.real, a.imag) - MAX_TERMS) * math.hypot(z.real, z.imag)
-            >= 4.0 * (abs(b) + MAX_TERMS) * (MAX_TERMS + 1)):
-        raise NonConvergence(
-            f"fixed-point series cannot converge within {MAX_TERMS} terms: each "
-            f"term up to the last at least quadruples (a={a!r}, b={b!r}, z={z!r})")
+    _refuse(a, b, z)
     anr, asr = _dyadic(float(a.real))
     ani, asi = _dyadic(float(a.imag))
     sa = max(asr, asi)
@@ -169,7 +179,6 @@ def _fixed_sum(a: complex, b: float, z: complex, bits: int, *,
     one = 1 << bits
     tr, ti = one, 0
     sr, si = one, 0
-    ur, ui = 0, 0            # partial sums before the current one, summed
     peak = 0
     hits = 0
     for k in range(MAX_TERMS):
@@ -180,8 +189,6 @@ def _fixed_sum(a: complex, b: float, z: complex, bits: int, *,
         tr, ti = ((tr * pr - ti * pi + half) >> sd) // q, ((tr * pi + ti * pr + half) >> sd) // q
         pr += dpr
         pi += dpi
-        ur += sr
-        ui += si
         sr += tr
         si += ti
         tbits = (abs(tr) | abs(ti)).bit_length()
@@ -190,12 +197,10 @@ def _fixed_sum(a: complex, b: float, z: complex, bits: int, *,
         if tbits == 0 or tbits + stop_bits <= (abs(sr) | abs(si)).bit_length():
             hits += 1
             if hits >= 2:
-                return sr, si, (k + 1) * sr - ur, (k + 1) * si - ui, peak, k + 2
+                return sr, si, peak, k + 2
         else:
             hits = 0
-    raise NonConvergence(
-        f"fixed-point series did not converge within {MAX_TERMS} terms "
-        f"(a={a!r}, b={b!r}, z={z!r})")
+    raise _spent(a, b, z)
 
 
 def chf_series_fixed(a: complex, b: float, z: complex, *,
@@ -220,7 +225,7 @@ def _series(a: complex, b: float, z: complex,
     if bits is None:
         bits = math.ceil(abs(z) * _LOG2E) + _WIDTH_GUARD
     loops = 1
-    sr, si, _, _, peak, n = _fixed_sum(a, b, z, bits)
+    sr, si, peak, n = _fixed_sum(a, b, z, bits)
     # bits the sum stands above the bound; they grow one for one with the
     # width, and 8 more cover the rounding of the bit lengths
     above = ((abs(sr) | abs(si)).bit_length() - (max(peak, bits + 1) - bits)
@@ -306,31 +311,100 @@ def _ldexp(x: float, e: int) -> float:
         return math.inf
 
 
+def _turn(eta: float, s: float, c: float) -> int:
+    """The first k with |rho_k| < c, to a few ulps (MAX_TERMS past the budget).
+
+    |rho_k| = s |a + k| / ((k + 3/2)(k + 1)), the ratio of Q's terms, falls
+    strictly with k, as |a + k + 1| / |a + k| <= (k + 3/2) / (k + 1/2) and
+    (k + 3/2)**2 (k + 1) < (k + 1/2)(k + 5/2)(k + 2); its one crossing is
+    found from the root of c u**2 = s hypot(u, eta), u ~ k + 5/4.
+    """
+    u = math.sqrt(0.5 * s * (s + math.hypot(s, 2.0 * c * eta))) / c
+    if not u < MAX_TERMS:
+        return MAX_TERMS
+    k = max(0, int(u - 1.25))
+    while s * math.hypot(k + 0.5, eta) >= c * (k + 1.5) * (k + 1):
+        k += 1
+    while k and s * math.hypot(k - 0.5, eta) < c * (k + 0.5) * k:
+        k -= 1
+    return k
+
+
+def _pair_loop(eta: float, s: float, bits: int,
+               stop_bits: int) -> tuple[int, int, int, int, int, int]:
+    """Q = M(1/2 + i eta, 3/2; -i s) and K = z Q' = sum k t_k in a loop of
+    their own: (sr, si, kr, ki, peak, n), Q and K over 2**bits.
+
+    The n terms t_0 = 2**bits, ... are :func:`_fixed_sum`'s, each rounded
+    once; K is (n - 1) S less the partial sums before S.  The terms grow
+    up to t_g, g = _turn(eta, s, 1), and fall after it, so peak is read
+    once, at t_g, one bit over its bit length (0 where g = 0).  They grow
+    with no stop test, as none can pass there: |t_j| <= |t_k| + k - j for
+    j < k, so the sum is at most (k + 1)(|t_k| + k).  From h = _turn(eta,
+    s, 1/2) on, where the ratios are below 1/2, _fixed_sum's stop rule is
+    tested every 8 terms, and the loop ends the first time it passes.
+    """
+    a, z = complex(0.5, eta), complex(0.0, -s)
+    _refuse(a, 1.5, z)
+    grow, half = _turn(eta, s, 1.0), _turn(eta, s, 0.5)
+    if half >= MAX_TERMS:
+        raise _spent(a, 1.5, z)
+    e, ee = _dyadic(eta)
+    n, ks = _dyadic(s)
+    sh = ee + ks
+    # rho_k = (2 eta s - i (2k + 1) s) / q, q = (2k + 3)(k + 1), its numerator
+    # (pr + i pi) / 2**(sh + 1) exact: as q > 0, floor((x + q 2**sh) / (q
+    # 2**(sh + 1))) == ((x >> sh) + q) // 2q, floors compose
+    pr = e * n << 2
+    pi = -(n << (ee + 1))
+    dpi = 2 * pi
+    q, dq = 3, 7
+    tr = sr = 1 << bits
+    ti = si = ur = ui = peak = k = 0
+    end = grow
+    while end <= MAX_TERMS:
+        for _ in range(end - k):
+            q2 = q + q
+            tr, ti = (((tr * pr - ti * pi) >> sh) + q) // q2, (((tr * pi + ti * pr) >> sh) + q) // q2
+            pi += dpi
+            q, dq = q + dq, dq + 4
+            ur, ui = ur + sr, ui + si
+            sr, si = sr + tr, si + ti
+        k = end
+        if k == grow and k:
+            peak = (abs(tr) | abs(ti)).bit_length() + 1
+        if k >= half:
+            tbits = (abs(tr) | abs(ti)).bit_length()
+            if tbits == 0 or tbits + stop_bits <= (abs(sr) | abs(si)).bit_length():
+                return sr, si, k * sr - ur, k * si - ui, peak, k + 1
+        end = half if k < half else k + 8
+    raise _spent(a, 1.5, z)
+
+
 def _pair_sum(eta: float, s: float, width: int) -> tuple[tuple[int, ...], float, float]:
     """P and Q at z = -i s as integers at scale 2**width, with error bounds.
 
     Returns the four integers and bounds on the errors of P and of Q in
-    units of 2**-width (inf past the double range).  One loop of
-    :func:`_fixed_sum` gives Q and K = z Q', and P = Q + 2 K exactly, as
+    units of 2**-width (inf past the double range).  One run of
+    :func:`_pair_loop` gives Q and K = z Q', and P = Q + 2 K exactly, as
     the module docstring states.  The loop runs ``ceil(s log2 e)`` bits
     wider than ``width``, to absorb the cancellation, plus the bits of n
     the bounds below ask for, and stops once its terms fall ``width + 8``
-    bits and those of n below the sum.  By then the terms at least halve
-    (they have fallen further than they rose), so the tails of Q and K
-    stay below 2 and 2 (n + 1) times the last term.  Term k carries the
-    half-unit roundings of the terms j <= k, each scaled by t_k / t_j; Q's
-    term ratios fall with k from k = 0 on, so |t_k / t_j| <= R = max(1,
-    max_k |t_k|) over t_0 = 1, and the n terms carry at most n**2 R / 2
-    units of Q, n times that of K.  P's bounds are Q's plus twice K's.
+    bits and those of n below the sum, where they at least halve (the
+    ratios are below 1/2), so the tails of Q and K stay below 2 and 2 (n +
+    1) times the last term's bound.  Term k carries the half-unit
+    roundings of the terms j <= k, each scaled by t_k / t_j; Q's term
+    ratios fall with k from k = 0 on, so |t_k / t_j| <= |t_(k-j) / t_0| <=
+    R = max(1, max_k |t_k|) over t_0 = 1, R <= max(1, 2**(peak - bits)),
+    and the n terms carry at most n**2 R / 2 units of Q, n times that of K.  P's
+    bounds are Q's plus twice K's.
     """
-    a = complex(0.5, eta)
-    z = complex(0.0, -s)
     nb = int(3.0 * s + 40.0).bit_length()          # n < 3 s + 40 terms
     bits = width + math.ceil(s * _LOG2E) + 3 * nb + 4
     sh = bits - width
     half = 1 << (sh - 1)
     stop = width + 8 + nb
-    sr, si, kr, ki, peak, n = _fixed_sum(a, 1.5, z, bits, stop_bits=stop)
+    sr, si, kr, ki, peak, n = _pair_loop(eta, s, bits, stop)
     tail = _ldexp(2.0, (abs(sr) | abs(si)).bit_length() - stop)
     rnd = n * n * max(1.0, _ldexp(1.0, peak - bits))
     # (3/2)_k / (1/2)_k = 2k + 1, so P's terms are (2k + 1) t_k

@@ -329,7 +329,7 @@ def check_schrodinger_fd() -> CheckReport:
             for sec in Sector:
                 zf = lambda xx: z_all(xx)[br, sec]
                 vf = lambda xx: potential.V(xx, m, sec)
-                res = oracle.residual_schrodinger(zf, vf, p.energy, x)
+                res = oracle.residual_schrodinger(zf, vf, p.omega * p.omega, x)
                 worst = max(worst, float(np.max(res)))
     return _report("closedform/schrodinger-fd-residual", worst, 1e-6,
                    "five-point stencil residual of the closed form, (m, omega) = (1, 1)")

@@ -37,7 +37,7 @@ def test_c01_closed_forms_satisfy_their_equations(record_property):
                 res = oracle.residual_schrodinger(
                     lambda xx: cf.solution_Z(p, br, sec, xx).value,
                     lambda xx: potential.V(xx, m, sec),
-                    p.energy, x)
+                    p.omega * p.omega, x)
                 worst = max(worst, float(np.max(res)))
     elapsed = time.perf_counter() - t0
     record_property("acceptance",

@@ -31,10 +31,9 @@ def test_solution_params_fields():
     assert p.rt_eta == math.sqrt(0.5)
     # eta = m^2/2 underflows to 0: sqrt(eta) falls back to m/sqrt(2 omega)
     assert cf.solution_params(1e-170, 1.0).rt_eta == 1e-170 / math.sqrt(2.0)
-    assert p.energy == 1.0
     assert p.sqrt_2w == math.sqrt(2.0)
     q = cf.solution_params(1.3, 0.7)
-    assert q.energy == 0.7 * 0.7
+    assert q.sqrt_2w == math.sqrt(1.4)
     assert q.a1 == complex(0.0, (0.5 * (1.3 * 1.3)) / 0.7)
 
 
@@ -58,14 +57,33 @@ def test_solution_params_past_the_double_range_of_eta(m, omega):
         assert f"m={m!r}, omega={omega!r}" in str(exc.value)
     else:
         assert cf.solution_params(m, omega).a1 == complex(0.0, float(eta))
-    # omega^2 past it is not refused: the energy is inf, eta a double
-    p = cf.solution_params(1.0, 1e300)
-    assert p.a1 == 5e-301j and p.energy == math.inf
+
+
+@pytest.mark.parametrize("m, omega", [(1e200, 1e300), (1.0, 1e300), (1.0, 1.7e308)])
+def test_every_solution_param_is_finite(m, omega):
+    # omega^2 is past the largest double at all three, 2 omega at 1.7e308:
+    # no field holds either, sqrt(2 omega) is formed as 2 sqrt(omega / 2)
+    # there, and rt_eta falls back to m / sqrt(2 omega) = 5.42e-155 at the
+    # subnormal eta = 2.9e-309, not to m / inf = 0
+    p = cf.solution_params(m, omega)
+    assert all(cmath.isfinite(v) for v in p)
+    if omega == 1.7e308:
+        assert p.sqrt_2w == 2.0 * math.sqrt(0.5 * omega)
+        assert p.rt_eta == m / p.sqrt_2w > 0.0
+    assert p.rt_eta > 0.0 and p.sqrt_2w > 0.0
 
 
 def _binary(lo: int, hi: int):
     """Positive doubles with a uniform mantissa and a binary exponent in [lo, hi]."""
     return st.builds(math.ldexp, st.floats(0.5, 1.0, exclude_max=True), st.integers(lo, hi))
+
+
+@given(omega=_binary(-1073, 1024))
+def test_sqrt_2w_is_sqrt_2_omega(omega):
+    # where 2 omega is a double, sqrt_2w is its square root bit for bit, on
+    # both sides of omega = 1 (subnormal omega / 2 included)
+    assume(2.0 * omega < math.inf)
+    assert cf.solution_params(omega, omega).sqrt_2w == math.sqrt(2.0 * omega)
 
 
 @given(m=_binary(-520, 520), omega=_binary(-1021, 1024))
@@ -87,6 +105,13 @@ def test_y_of_x():
     assert complex(cf.y_of_x(1.5, 2.0)) == -6j
     x = np.array([0.5, 2.0])
     assert np.array_equal(cf.y_of_x(x, 1.0), -2j * x)
+
+
+@pytest.mark.parametrize("x", [1e300, [1.0, 1e300]])
+def test_y_of_x_past_the_double_range_is_typed(x):
+    # 2 omega x = 2e600 is past the largest double: refused, not -inf j
+    with pytest.raises(DoubleRangeExceeded, match="double range"):
+        cf.y_of_x(x, 1e300)
 
 
 def test_coupling_constants_spot_values():
@@ -176,10 +201,12 @@ def test_one_series_loop_per_point(branch, monkeypatch):
 
     monkeypatch.setattr(specfun, "chf_1f1_deriv", refuse("chf_1f1_deriv"))
     monkeypatch.setattr(cf, "chf_1f1_deriv", refuse("chf_1f1_deriv"))
+    # series loops: the pair loop, and the general series' loop
     sums = []
-    real_sum = highprec._fixed_sum
-    monkeypatch.setattr(highprec, "_fixed_sum",
-                        lambda *args, **kw: sums.append(args) or real_sum(*args, **kw))
+    for name in ("_pair_loop", "_fixed_sum"):
+        real = getattr(highprec, name)
+        monkeypatch.setattr(highprec, name, lambda *args, real=real, **kw:
+                            sums.append(args) or real(*args, **kw))
     p = cf.solution_params(1.0, 1.0)
     with monkeypatch.context() as mp:
         for name in ("_step", "_series", "chf_series_fixed"):
@@ -518,7 +545,7 @@ def test_solution_solves_schrodinger_pointwise():
             res = oracle.residual_schrodinger(
                 lambda xx: cf.solution_Z(p, br, sec, xx).value,
                 lambda xx: potential.V(xx, 1.0, sec),
-                p.energy, x)
+                p.omega * p.omega, x)
             assert np.max(res) < 1e-7
 
 

@@ -263,17 +263,15 @@ def _mp_pair(eta, s, direct):
             mpmath.exp(z) * mpmath.conj(mpmath.hyp1f1(a + 1, 1.5, z)))
 
 
-@pytest.mark.parametrize("eta,s,direct", [
-    (0.5, 40.0, False), (0.5, 40.0, True), (16.0, 59.0, False), (16.0, 7.3, True),
-    (1e-6, 30.0, False), (1e-6, 30.0, True), (0.02, 1e-3, False), (3.0, 0.25, True),
-    (1e-12, 5.0, False), (1e-9, 20.0, True), (0.0, 30.0, False), (0.0, 30.0, True),
-    (1e-300, 30.0, False), (1e-300, 59.0, True), (0.5, 1e-250, False)])
-def test_pair_sum_bounds_its_error(eta, s, direct):
-    # at any eta s, 0 included, Q and the P formed from Q's terms lie
-    # within their bounds of mpmath's values at 60 digits, taken directly
-    # or from branch I's functions, and at the width a one-point walk
-    # starts at (no predicted growth, one point to go) the values stand
-    # SAFE_BITS above the bounds
+_PAIR_ETA = st.one_of(st.just(0.0), st.floats(-12.0, math.log10(20.0)).map(lambda e: 10.0 ** e))
+_PAIR_S = st.one_of(st.floats(0.0, 60.0), st.floats(-250.0, math.log10(60.0)).map(lambda e: 10.0 ** e))
+
+
+def _check_pair_sum_bounds(eta, s, direct):
+    """Q and the P formed from Q's terms lie within their bounds of
+    mpmath's values at 60 digits, taken directly or from branch I's
+    functions, and at the width a one-point walk starts at (no predicted
+    growth, one point to go) the values stand SAFE_BITS above the bounds."""
     width = highprec.SAFE_BITS + highprec._WALK_GUARD + 1
     ints, err_p, err_q = highprec._pair_sum(eta, s, width)
     with mpmath.workdps(60):
@@ -282,6 +280,70 @@ def test_pair_sum_bounds_its_error(eta, s, direct):
             want *= 2 ** width
             assert abs(mpmath.mpc(re, im) - want) <= err
             assert err * 2 ** highprec.SAFE_BITS < abs(want)
+
+
+@pytest.mark.parametrize("eta,s,direct", [
+    (0.5, 40.0, False), (0.5, 40.0, True), (16.0, 59.0, False), (16.0, 7.3, True),
+    (1e-6, 30.0, False), (1e-6, 30.0, True), (0.02, 1e-3, False), (3.0, 0.25, True),
+    (1e-12, 5.0, False), (1e-9, 20.0, True), (0.0, 30.0, False), (0.0, 30.0, True),
+    (1e-300, 30.0, False), (1e-300, 59.0, True), (0.5, 1e-250, False)])
+def test_pair_sum_bounds_its_error(eta, s, direct):
+    # at any eta s, 0 included
+    _check_pair_sum_bounds(eta, s, direct)
+
+
+@settings(max_examples=settings.default.max_examples // 5)
+@given(eta=_PAIR_ETA, s=_PAIR_S, direct=st.booleans())
+def test_pair_sum_bounds_its_error_anywhere(eta, s, direct):
+    # the same bounds on random points: across the turn of the terms, where
+    # the pair loop reads their peak, and its first stop test, where their
+    # ratios fall below 1/2, at eta up to 20 and |y| up to 60
+    _check_pair_sum_bounds(eta, s, direct)
+
+
+def _reference_pair(eta, s, bits, n):
+    """(sr, si, kr, ki, top, last) over the n terms t_0 = 2**bits, ... of
+    Q's series, each floor(rho t + 1/2) per component of the exact rational
+    ratio rho = (a + k) z / ((3/2 + k)(k + 1)): top is the largest bit
+    length of a component after t_0, last the bit length of the last."""
+    e, zs = Fraction(eta), Fraction(s)
+    tr, ti = 1 << bits, 0
+    sr, si, kr, ki, top = tr, ti, 0, 0, 0
+    for k in range(1, n):
+        # (a + k - 1) z = e s - i (k - 1/2) s
+        nr, ni, d = e * zs, -(k - Fraction(1, 2)) * zs, (k + Fraction(1, 2)) * k
+        tr, ti = (math.floor((tr * nr - ti * ni) / d + Fraction(1, 2)),
+                  math.floor((tr * ni + ti * nr) / d + Fraction(1, 2)))
+        sr, si, kr, ki = sr + tr, si + ti, kr + k * tr, ki + k * ti
+        top = max(top, (abs(tr) | abs(ti)).bit_length())
+    return sr, si, kr, ki, top, (abs(tr) | abs(ti)).bit_length()
+
+
+@settings(max_examples=settings.default.max_examples // 5)
+@given(eta=_PAIR_ETA, s=st.one_of(_PAIR_S, st.integers(0, 60).map(float)),
+       width=st.integers(20, 160))
+@example(eta=0.0, s=0.0, width=82)
+@example(eta=0.5, s=59.0, width=82)
+@example(eta=20.0, s=60.0, width=82)
+@example(eta=1e-12, s=5.0, width=82)
+def test_pair_loop_sums_the_series_terms(eta, s, width):
+    # the pair loop's integers are the exact sums of the rounded terms the
+    # general loop forms, K = sum k t_k among them; its peak, read once
+    # where the terms stop growing, bounds every term; it stops at a term
+    # that passes the stop rule, where the ratio has fallen below 1/2,
+    # within one term before the general loop's stop (twice in a row) and
+    # six after (the test runs every 8 terms)
+    nb = int(3.0 * s + 40.0).bit_length()
+    bits = width + math.ceil(s * highprec._LOG2E) + 3 * nb + 4
+    stop = width + 8 + nb
+    sr, si, kr, ki, peak, n = highprec._pair_loop(eta, s, bits, stop)
+    *sums, top, last = _reference_pair(eta, s, bits, n)
+    assert [sr, si, kr, ki] == sums
+    assert top <= max(peak, bits)
+    assert last == 0 or last + stop <= (abs(sr) | abs(si)).bit_length()
+    assert n - 1 >= highprec._turn(eta, s, 0.5)
+    general = _fixed_sum(complex(0.5, eta), 1.5, complex(0.0, -s), bits, stop_bits=stop)[3]
+    assert general - 1 <= n <= general + 6
 
 
 @pytest.mark.parametrize("eta,s", [(0.0, 30.0), (1e-300, 30.0), (0.5, 1e-250), (0.5, 0.0)])
