@@ -25,38 +25,36 @@ section 13.3), and P's terms are (2k + 1) t_k, as (3/2)_k / (1/2)_k =
 
     P = Q + 2 K
 
-in exact integers, at any eta and s.  That loop tests no stop while the
-terms grow and one every 8 terms once their ratios fall below 1/2.
-Every point no carried state covers, a lone point included, runs it
-once at the walk's width, and its result becomes the state.  Along a grid the walk carries the
-pair from point to point by Taylor steps of its first-order system
-(DLMF 13.2-13.3), summed in the same integer fixed point from exact
-dyadic constants, with a rigorous error radius: a majorant bound on
-each step's tail, the rounding of its terms carried through the
-recurrence, and a log-norm bound on the transition for the incoming
-radius.  A step reaches at most a quarter of the way to z = 0; a point
-further on drops the state and starts one of its own.  The step is read
-off the grid, with no price to weigh: it reaches the largest power of
-two R within that quarter where two or more points lie within R, else
-it lands on the next point.  A step that reaches a power of two past
-its start serves every point on the way: each is the sum of the step's
-terms at its fraction f = g / 2**sh < 1 of the reach, by Horner's rule
-with shifts for the division, cut off where the remaining terms fall to
-an eighth of what its certificate charges anyway (the step's radius, or
-the series' own bound), and its radius is the step's plus the terms it
-cuts off and its roundings.  Horner runs on one integer that packs the
-four components as lanes, each offset by a bias above every partial
-sum, so that one product, one addition, one shift and one mask round
-all four products by f at once, each exactly as alone.  Every value,
-seeded, carried or inside a step, comes from a state with one radius in
-the state's norm, and is rounded in one place and only where its error
-box, widened by the series' own bound, rounds to one double under the
-series' own rounding (``_int_to_float``): both ends of each side are
-rounded by it and compared, and only the double they agree on is kept.
-Every other value is the per-point series, so each output equals
-``chf_series_fixed`` bit for bit.  On a table of 256 points to |z| = 59
-at eta = 1/2 a step of about 37 terms serves 10 points at about 38
-terms each, where the series needs about 2.7 |z|.
+in exact integers, at any eta and s.  That loop tests no stop while the terms
+grow and one every 8 terms once their ratios fall below 1/2.  Every point no
+carried state covers, a lone point included, runs it once at the walk's width,
+and its result becomes the state.  Along a grid the walk carries the pair from
+point to point by Taylor steps of its first-order system (DLMF 13.2-13.3),
+summed in the same integer fixed point from exact dyadic constants, with a
+rigorous error radius: a majorant bound on each step's tail, the rounding of
+its terms carried through the recurrence, and a log-norm bound on the
+transition for the incoming radius.  A step reaches at most a quarter of the
+way to z = 0; a point further on drops the state and starts one of its own.
+The step is read off the grid, with no price to weigh: it reaches the largest
+power of two R within that quarter where two or more points lie within R, else
+it lands on the next point.  A step that reaches a power of two past its start
+serves every point on the way: each is the sum of the step's terms at its
+fraction f = g / 2**sh < 1 of the reach, by Horner's rule with shifts for the
+division, cut off where the remaining terms fall to an eighth of what its
+certificate charges anyway (the step's radius, or the series' own bound), and
+its radius is the step's plus the terms it cuts off and its roundings.  Horner
+runs on one integer that packs the four components as lanes, each offset by a
+bias above every partial sum, so that one product, one addition, one shift and
+one mask round all four products by f at once, each exactly as alone.  Every
+value, seeded, carried or inside a step, comes from a state with one radius in
+the state's norm, an integer in units of 2**-width that cannot overflow, and is
+rounded in one place and only where its error box, widened by the series' own
+bound, rounds to one double under the series' own rounding (``_int_to_float``):
+both ends of each side are rounded by it and compared, and only the double they
+agree on is kept.  Every other value is the per-point series, so each output
+equals ``chf_series_fixed`` bit for bit.  On a table of 256 points to |z| = 59
+at eta = 1/2 a step of about 37 terms serves 10 points at about 38 terms each,
+where the series needs about 2.7 |z|.
 
 No third-party extended-precision library is involved: Python's
 integers carry the whole sum.
@@ -66,7 +64,7 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_right
-from itertools import accumulate, repeat
+from itertools import accumulate
 from typing import NamedTuple
 
 from .errors import DoubleRangeExceeded, NonConvergence
@@ -80,6 +78,12 @@ def _dyadic(x: float) -> tuple[int, int]:
     """Return (n, s) with x == n / 2**s exactly."""
     num, den = float(x).as_integer_ratio()
     return num, den.bit_length() - 1
+
+
+def _up(n: int, x: float, e: int = 0) -> int:
+    """The least integer >= n * x * 2**e, for n >= 0 and finite x >= 0."""
+    num, k = _dyadic(x)
+    return n * num << e - k if e >= k else -(-n * num >> k - e)
 
 
 def _int_to_float(n: int, shift: int) -> float:
@@ -276,7 +280,7 @@ class _State(NamedTuple):
     s: float
     width: int
     ints: tuple[int, int, int, int]   # P and Q at scale 2**width
-    eps: float                        # error radius, units 2**-width, norm of c
+    eps: int                          # error radius, an integer in units 2**-width, norm of c
     c: float
 
 
@@ -301,14 +305,6 @@ def _plan(s0: float, s: list[float], k: int) -> tuple[float, int]:
     if m >= 2 and end - s0 == reach:
         return end, m
     return s[k], int(s[k] - s0 <= _STEP_REACH * s0)
-
-
-def _ldexp(x: float, e: int) -> float:
-    """x * 2**e, inf past the double range."""
-    try:
-        return math.ldexp(x, e)
-    except OverflowError:
-        return math.inf
 
 
 def _turn(eta: float, s: float, c: float) -> int:
@@ -381,36 +377,35 @@ def _pair_loop(eta: float, s: float, bits: int,
     raise _spent(a, 1.5, z)
 
 
-def _pair_sum(eta: float, s: float, width: int) -> tuple[tuple[int, ...], float, float]:
+def _pair_sum(eta: float, s: float, width: int) -> tuple[tuple[int, ...], int, int]:
     """P and Q at z = -i s as integers at scale 2**width, with error bounds.
 
     Returns the four integers and bounds on the errors of P and of Q in
-    units of 2**-width (inf past the double range).  One run of
-    :func:`_pair_loop` gives Q and K = z Q', and P = Q + 2 K exactly, as
-    the module docstring states.  The loop runs ``ceil(s log2 e)`` bits
-    wider than ``width``, to absorb the cancellation, plus the bits of n
-    the bounds below ask for, and stops once its terms fall ``width + 8``
-    bits and those of n below the sum, where they at least halve (the
-    ratios are below 1/2), so the tails of Q and K stay below 2 and 2 (n +
-    1) times the last term's bound.  Term k carries the half-unit
-    roundings of the terms j <= k, each scaled by t_k / t_j; Q's term
-    ratios fall with k from k = 0 on, so |t_k / t_j| <= |t_(k-j) / t_0| <=
-    R = max(1, max_k |t_k|) over t_0 = 1, R <= max(1, 2**(peak - bits)),
-    and the n terms carry at most n**2 R / 2 units of Q, n times that of K.  P's
-    bounds are Q's plus twice K's.
+    units of 2**-width.  One run of :func:`_pair_loop` gives Q and K = z Q',
+    and P = Q + 2 K exactly, as the module docstring states.  The loop runs
+    ``ceil(s log2 e)`` bits wider than ``width``, to absorb the
+    cancellation, plus the bits of n the bounds below ask for, and stops
+    once its terms fall ``width + 8`` bits and those of n below the sum,
+    where they at least halve (the ratios are below 1/2), so the tails of Q
+    and K stay below 2 and 2 (n + 1) times the last term's bound.  Term k
+    carries the half-unit roundings of the terms j <= k, each scaled by
+    t_k / t_j; Q's term ratios fall with k from k = 0 on, so |t_k / t_j| <=
+    |t_(k-j) / t_0| <= R = max(1, max_k |t_k|) over t_0 = 1, R <= max(1,
+    2**(peak - bits)), and the n terms carry at most n**2 R / 2 units of Q,
+    n times that of K.  P's bounds are Q's plus twice K's; both are returned
+    1.5 times over 2**sh, rounded up, plus one unit for the final shift.
     """
     nb = int(3.0 * s + 40.0).bit_length()          # n < 3 s + 40 terms
     bits = width + math.ceil(s * _LOG2E) + 3 * nb + 4
     sh = bits - width
-    half = 1 << (sh - 1)
     stop = width + 8 + nb
     sr, si, kr, ki, peak, n = _pair_loop(eta, s, bits, stop)
-    tail = _ldexp(2.0, (abs(sr) | abs(si)).bit_length() - stop)
-    rnd = n * n * max(1.0, _ldexp(1.0, peak - bits))
-    # (3/2)_k / (1/2)_k = 2k + 1, so P's terms are (2k + 1) t_k
-    ints = tuple((x + half) >> sh for x in (sr + 2 * kr, si + 2 * ki, sr, si))
+    tail = 1 << max(0, (abs(sr) | abs(si)).bit_length() - stop + 1)
+    rnd = n * n << max(0, peak - bits)
+    # P's terms are (2k + 1) t_k, as (3/2)_k / (1/2)_k = 2k + 1; two shifts round half up
+    ints = tuple((x >> sh - 1) + 1 >> 1 for x in (sr + 2 * kr, si + 2 * ki, sr, si))
     errs = ((2 * n + 1) * rnd + (2 * n + 3) * tail, rnd + tail)
-    return (ints, *(1.5 * math.ldexp(e, -sh) + 0.71 for e in errs))
+    return (ints, *(1 - (-3 * e >> (sh + 1)) for e in errs))
 
 
 def _step(eta: float, st: _State, s1: float) -> tuple[_State, list]:
@@ -418,17 +413,17 @@ def _step(eta: float, st: _State, s1: float) -> tuple[_State, list]:
     u_0 .. u_N it summed, each a tuple of the four integers.
 
     The terms are integers at the state's scale, each rounded once per
-    component; the recurrence's constants are exact dyadic rationals.  The
-    new radius is the old one times the log-norm bound of the transition
-    over the step, exp(D max(2 eta / c, (c - 1) / (2 s0))), once the
-    factor e^(z/2) of modulus one is split off, plus the terms' rounding
-    carried through the recurrence, plus a tail bounded geometrically
-    (ratio 1/2) once the recurrence's coefficients allow it.
+    component; the recurrence's constants are exact dyadic rationals.  The new
+    radius is the old one times the log-norm bound of the transition over the
+    step, exp(D max(2 eta / c, (c - 1) / (2 s0))), once the factor e^(z/2) of
+    modulus one is split off, plus the terms' rounding carried through the
+    recurrence, plus a tail bounded geometrically (ratio 1/2) once the
+    recurrence's coefficients allow it.  The radius is an integer in the
+    state's units, each part rounded up, the log-norm bound taken as 2**j g.
     """
     e, ee = _dyadic(eta)
     s0 = st.s
     c = _norm_weight(eta, s0)
-    eps = st.eps * max(1.0, c / st.c)
     n0, k0 = _dyadic(s0)
     n1, k1 = _dyadic(s1)
     k = max(k0, k1, 1)
@@ -482,19 +477,22 @@ def _step(eta: float, st: _State, s1: float) -> tuple[_State, list]:
         nd2 += 2 * big_d
         odd += 2
     # rounding: each term's error e_n obeys |e_n| <= c1 |e_{n-1}| + c2 |e_{n-2}|
-    # + delta, c1 = r (n - 1 + beta) / n, c2 = r d alpha / n
+    # + delta, c1 = r (n - 1 + beta) / n, c2 = r d alpha / n, in units of 2**ex
     cm = max(1.0, c)
     delta = 0.7072 * cm
-    e_prev = e_cur = e_sum = 0.0
+    e_prev = e_cur = e_sum = ex = 0
     for j in range(1, n + 1):
         e_prev, e_cur = e_cur, (r * (j - 1 + beta) * e_cur + rda * e_prev) / j + delta
         e_sum += e_cur
+        if e_sum > 2.0 ** 600:
+            e_prev, e_cur, e_sum, delta = (v * 2.0 ** -600 for v in (e_prev, e_cur, e_sum, delta))
+            ex += 600
     # m_n = max(|u_n|, |u_{n-1}| / 2) halves from here on, |u| <= 2 cm max|component|
-    tail = max(16.0 * cm + e_cur, 16.0 * cm + 0.5 * e_prev)
-    if d * mu < 700.0:
-        eps = (math.exp(d * mu) * eps + e_sum + tail) * (1.0 + 2.0 ** -40)
-    else:
-        eps = math.inf
+    tail = math.ldexp(16.0 * cm, -ex) + max(e_cur, 0.5 * e_prev)
+    # exp(d mu) <= 2**int(x) g; the margin covers x's rounding, about x 2**-50
+    x = d * mu * _LOG2E
+    g = 2.0 ** (x % 1.0) * max(1.0, c / st.c) * (1.0 + 2.0 ** -40 + x * 2.0 ** -48)
+    eps = _up(st.eps, g, int(x)) + (math.ceil((e_sum + tail) * (1.0 + 2.0 ** -40)) << ex)
     return _State(s1, st.width, tuple(map(sum, zip(*terms))), eps, c), terms
 
 
@@ -502,17 +500,19 @@ def _inside(st: _State, new: _State, terms: list, s: list[float]) -> tuple[list,
     """(ints, radius) of the pair at each st.s < s_j < new.s from the terms
     of the step between them, and the terms evaluated.
 
-    The reach Delta = new.s - st.s is a power of two; the pair at s_j is
-    the sum of u_n f**n, f = (s_j - st.s) / Delta = g / 2**sh, by Horner's
-    rule, each product by f rounded half up, cut off at the first N where
-    f**(N+1) times a bound on the later terms falls to max(1, eps / 8,
-    2**(t - SAFE_BITS)) units, eps the step's radius and t the bit length
-    of the smaller of P and Q at st.s.  Every point is charged eps, and
-    :func:`_certain` adds the series' own bound, about 2**(t - SAFE_BITS +
-    3); terms that take the tail below an eighth of either buy the
-    certificate nothing.  As f < 1, each part of the step's radius
-    (incoming radius times exp(D mu), carried rounding, tail) bounds its
-    part at s_j; the cut-off terms and the N roundings are added.
+    The reach Delta = new.s - st.s is a power of two; the pair at s_j is the
+    sum of u_n f**n, f = (s_j - st.s) / Delta = g / 2**sh, by Horner's rule,
+    each product by f rounded half up, cut off at the first N where f**(N+1)
+    times a bound on the later terms falls to max(1, eps / 8,
+    2**(t - SAFE_BITS)) units, eps the step's radius and t the bit length of
+    the smaller of P and Q at st.s.  Every point is charged eps, and
+    :func:`_certain` adds the series' own bound, about 2**(t - SAFE_BITS + 3);
+    terms that take the tail below an eighth of either buy the certificate
+    nothing.  As f < 1, each part of the step's radius (incoming radius times
+    exp(D mu), carried rounding, tail) bounds its part at s_j; the cut-off
+    terms and the N roundings are added, rounded up to an integer once per
+    point.  The test runs in floats in units of 2**(t - SAFE_BITS), coarser
+    where a term passes 2**960 of them; 2**-30 units cover what underflows.
 
     The four components run as lanes of one integer: component c sits at
     bit c B, offset by bias = 2**lb > sum |u_n| + N, which bounds every
@@ -531,11 +531,13 @@ def _inside(st: _State, new: _State, terms: list, s: list[float]) -> tuple[list,
     tops = [(abs(pr) | abs(pi) | abs(qr) | abs(qi)).bit_length() for pr, pi, qr, qi in terms]
     pr, pi, qr, qi = terms[0]
     t = min((abs(pr) | abs(pi)).bit_length(), (abs(qr) | abs(qi)).bit_length())
-    budget = max(1.0, new.eps / 8.0, _ldexp(1.0, t - SAFE_BITS))
-    # bounds on |u_(n+1)| + |u_(n+2)| + ..., summed from the last term down;
-    # inf past the double range, where no cut-off is taken: the loop runs on
-    # to a finite bound, or the point takes its own series
-    rest = [*accumulate(map(_ldexp, repeat(1.5 * cm), tops[:0:-1]))][::-1] + [0.0]
+    # the test's units; eps / 8 is capped at 2**900 of them, as a lower budget only cuts later
+    unit = max(t - SAFE_BITS, max(tops) + math.frexp(cm)[1] - 960)
+    budget = max(2.0 ** -unit, _int_to_float(min(new.eps, 1 << (unit + 903)), -unit - 3),
+                 2.0 ** (t - SAFE_BITS - unit))
+    sc, up = 2.0 ** min(unit, 100), max(0, unit - 100)     # 2**unit = sc 2**up
+    # bounds on |u_(n+1)| + |u_(n+2)| + ..., summed from the last term down
+    rest = [*accumulate(math.ldexp(1.5 * cm, b - unit) for b in tops[:0:-1])][::-1] + [0.0]
     n0, k0 = _dyadic(st.s)
     frac, e = math.frexp(new.s - st.s)        # exact: new.s <= 1.25 st.s
     if frac != 0.5:
@@ -564,6 +566,7 @@ def _inside(st: _State, new: _State, terms: list, s: list[float]) -> tuple[list,
     lift = bias * ones
     cst0 = ((bias << sh) + (1 << (sh - 1))) * ones
     low = (1 << lane) - 1
+    rnd = 0.7072 * cm * 2.0 ** -unit          # a product's rounding, in the test's units
     out, used = [], 0
     for g, n, p in cuts:
         cst = cst0 - g * lift
@@ -571,9 +574,9 @@ def _inside(st: _State, new: _State, terms: list, s: list[float]) -> tuple[list,
         for u in reversed(packed[:n]):
             a = (((a * g + cst) >> sh) & mask) + u
         used += n
-        out.append((((a & low) - bias, ((a >> lane) & low) - bias,
-                     ((a >> 2 * lane) & low) - bias, (a >> 3 * lane) - bias),
-                    (new.eps + p * rest[n] + 0.7072 * cm * n) * (1.0 + 2.0 ** -40)))
+        tail = (p * rest[n] + rnd * n) * (1.0 + 2.0 ** -40) + 2.0 ** -30
+        out.append((((a & low) - bias, ((a >> lane) & low) - bias, ((a >> 2 * lane) & low) - bias,
+                     (a >> 3 * lane) - bias), new.eps + (math.ceil(tail * sc) << up)))
     return out, used
 
 
@@ -623,22 +626,21 @@ def _certain(re: int, im: int, rad: int, width: int) -> complex | None:
 def kummer_walk(eta: float, s: list[float]) -> Walk:
     """The Kummer pair at z = -i s for strictly ascending s >= 0, bit for bit the series'.
 
-    The pair is (M(a, 1/2; z), M(a, 3/2; z)) with a = 1/2 + i eta.  Each
-    output equals :func:`chf_series_fixed` at that point.  Every point no
-    carried state covers runs one :func:`_pair_sum` at the walk's width,
-    sized from the predicted growth of the radius to the last point, and
-    the result becomes the state, a lone point's included, eta = 0 and
-    s = 0 too (no step starts at s = 0).  The state is carried along the
-    grid by Taylor steps of the pair's first-order system with a rigorous
-    error radius, each step reaching at most a quarter of the way from z0
-    to z = 0: a point past that reach drops the state and starts its own.
-    :func:`_plan` reads each step off the grid: it reaches the largest
-    power of two within that quarter where two or more points lie on the
-    way, and gives each of them from its terms (:func:`_inside`), else it
-    lands on the next point.  Every value, seeded, carried or inside a
-    step, is rounded by :func:`_certain` where its state's radius (over c
-    for Q), plus the series' own bound, certifies the rounding; a value
-    that does not certify takes its own :func:`_series`.
+    The pair is (M(a, 1/2; z), M(a, 3/2; z)) with a = 1/2 + i eta.  Each output
+    equals :func:`chf_series_fixed` at that point.  Every point no carried
+    state covers runs one :func:`_pair_sum` at the walk's width, sized from the
+    predicted growth of the radius to the last point, and the result becomes
+    the state, a lone point's included, eta = 0 and s = 0 too (no step starts
+    at s = 0).  The state is carried along the grid by Taylor steps of the
+    pair's first-order system with a rigorous error radius, each step reaching
+    at most a quarter of the way from z0 to z = 0: a point past that reach
+    drops the state and starts its own.  :func:`_plan` reads each step off the
+    grid: it reaches the largest power of two within that quarter where two or
+    more points lie on the way, and gives each of them from its terms
+    (:func:`_inside`), else it lands on the next point.  Every value, seeded,
+    carried or inside a step, is rounded by :func:`_certain` where its integer
+    radius (for Q over c, rounded up), plus the series' own bound, certifies
+    the rounding; a value that does not certify takes its own :func:`_series`.
     """
     n = len(s)
     # predicted growth of the radius, in nats, from each point to the last
@@ -652,7 +654,7 @@ def kummer_walk(eta: float, s: list[float]) -> Walk:
     st = None
     while len(out_p) < n:
         k = len(out_p)
-        got = []          # (ints, radius in the state's norm) at s[k], s[k + 1], ...
+        got = []          # (ints, radius in the state's units and norm) at s[k], s[k + 1], ...
         if st is not None:
             t, m = _plan(st.s, s, k)
             if not m:
@@ -676,16 +678,14 @@ def kummer_walk(eta: float, s: list[float]) -> Walk:
             ints, err_p, err_q = _pair_sum(eta, s[k], width)
             sums += 1
             seeds += 1
-            st = _State(s[k], width, ints, max(err_p, c[k] * err_q), c[k])
+            st = _State(s[k], width, ints, max(err_p, _up(err_q, c[k])), c[k])
             got = [(st.ints, st.eps)]
+        inv, sh = _dyadic(1.0 / st.c * (1.0 + 2.0 ** -50))    # 1 / c, rounded up
         for (pr, pi, qr, qi), eps in got:
-            vals = [None, None]
-            if eps < math.inf:
-                vals = [_certain(pr, pi, int(eps) + 1, st.width),
-                        _certain(qr, qi, int(eps / st.c) + 1, st.width)]
-            continued += None not in vals
-            out_p.append(vals[0])
-            out_q.append(vals[1])
+            vp, vq = _certain(pr, pi, eps, st.width), _certain(qr, qi, (eps * inv >> sh) + 1, st.width)
+            continued += vp is not None and vq is not None
+            out_p.append(vp)
+            out_q.append(vq)
     a = complex(0.5, eta)
     for out, b in zip((out_p, out_q), (0.5, 1.5)):
         for k, v in enumerate(out):

@@ -144,15 +144,25 @@ def test_series_that_cannot_stop_is_refused_before_its_loop(call):
         call()
 
 
+@pytest.mark.parametrize("s", [1e20, 1e200])
+def test_lone_point_past_the_term_budget_is_refused(s):
+    # the pair loop would need about 2 s terms, and its width about s log2 e
+    # bits: the budget's error comes before any integer of that width is formed
+    with pytest.raises(NonConvergence, match=f"did not converge within {highprec.MAX_TERMS} terms"):
+        kummer_walk(0.5, [s])
+
+
 def test_step_past_its_term_budget_or_its_radius():
     # eta = 1e6 from s0 = 64 (c = 16000.5, mu = 125): a step of 16 needs more
-    # than MAX_TERMS Taylor terms and is refused; one of 8 converges, but
-    # d mu = 1000 is past e^700, so its radius is infinite
-    st = highprec._State(64.0, 400, (1 << 400, 0, 1 << 400, 0), 1.0,
+    # than MAX_TERMS Taylor terms and is refused; one of 8 converges, and with
+    # d mu = 1000, past e^700, its radius is a finite integer at least e^1000
+    # times the incoming one
+    st = highprec._State(64.0, 400, (1 << 400, 0, 1 << 400, 0), 1,
                          highprec._norm_weight(1e6, 64.0))
     with pytest.raises(NonConvergence, match="did not converge"):
         highprec._step(1e6, st, 80.0)
-    assert highprec._step(1e6, st, 72.0)[0].eps == math.inf
+    eps = highprec._step(1e6, st, 72.0)[0].eps
+    assert type(eps) is int and eps >= mpmath.exp(1000) * st.eps
 
 
 @pytest.mark.parametrize("eta", [0.025, 0.5, 16.0])
@@ -228,7 +238,7 @@ def _state(eta, s0, width=100):
     the walk's norm."""
     c = highprec._norm_weight(eta, s0)
     ints, err_p, err_q = highprec._pair_sum(eta, s0, width)
-    return highprec._State(s0, width, ints, max(err_p, c * err_q), c)
+    return highprec._State(s0, width, ints, max(err_p, math.ceil(Fraction(c) * err_q)), c)
 
 
 def _hex(values):
@@ -489,7 +499,7 @@ def test_walk_follows_the_reach_rule(eta, s):
 @pytest.mark.parametrize("eta", [0.025, 0.5, 4.0, 16.0])
 def test_walk_radius_bounds_the_error(eta, monkeypatch):
     # every carried state lies within its radius of mpmath's pair at 60
-    # digits, on steps of reach below 1 and above
+    # digits or more, on steps of reach below 1 and above
     states = []
     real = highprec._step
 
@@ -507,8 +517,9 @@ def test_walk_radius_bounds_the_error(eta, monkeypatch):
 
 def _error(eta, s, ints, width, c, direct=True):
     """max(|P - P'|, c |Q - Q'|) * 2**width of the integers against mpmath's
-    pair at 60 digits (the norm of the walk's radii), see :func:`_mp_pair`."""
-    with mpmath.workdps(60):
+    pair (the norm of the walk's radii), see :func:`_mp_pair`, at 30 digits
+    more than the integers hold (at least 60): at eta = 1e3 they pass 2**1300."""
+    with mpmath.workdps(max(60, 30 + max(map(abs, ints)).bit_length() * 10 // 33)):
         p, q = _mp_pair(eta, s, direct)
         got = [mpmath.mpf(v) / 2 ** width for v in ints]
         err = max(abs(mpmath.mpc(got[0], got[1]) - p), c * abs(mpmath.mpc(got[2], got[3]) - q))
@@ -516,10 +527,10 @@ def _error(eta, s, ints, width, c, direct=True):
 
 
 @pytest.mark.parametrize("direct", [False, True])
-@pytest.mark.parametrize("eta", [0.025, 0.5, 4.0, 16.0])
+@pytest.mark.parametrize("eta", [0.025, 0.5, 4.0, 16.0, 1000.0])
 def test_inside_radius_bounds_the_error(eta, direct, monkeypatch):
     # every point a step gives from its terms on a dense grid lies within its
-    # radius of mpmath's pair at 60 digits, taken directly or from branch I's
+    # radius of mpmath's pair (:func:`_error`), taken directly or from branch I's
     # functions
     seen = []
     real = highprec._inside
@@ -774,7 +785,7 @@ def test_inside_is_the_rounded_exact_horner(eta, s0, e):
     assert used == total
 
 
-def _inside_is_horner(terms, s0, e, pts, c=1.0, eps=1.0):
+def _inside_is_horner(terms, s0, e, pts, c=1.0, eps=1):
     """_inside on a step of reach 2**e from s0 with the given terms and
     radius gives at each point the ints and the cut-off of
     _reference_inside, and a radius that covers its tail; returns the
@@ -834,7 +845,7 @@ def test_inside_cuts_where_the_tail_meets_the_budget():
     # one unit is reached at N = 21, an eighth of a radius of 2**20 at 12
     terms = [((1 << 40) >> j,) * 4 for j in range(41)]
     assert _inside_is_horner(terms, 3.0, -1, [3.25]) == 21
-    assert _inside_is_horner(terms, 3.0, -1, [3.25], eps=2.0 ** 20) == 12
+    assert _inside_is_horner(terms, 3.0, -1, [3.25], eps=1 << 20) == 12
     # u_j = 2**(110 - j) in every lane: 2**(111 - SAFE_BITS) is reached at
     # N = 35; with Q zero the smaller of P and Q has no bits, and the cut
     # is the unit's, 56
@@ -870,11 +881,36 @@ def test_walk_work_is_pinned():
 
 
 def test_strong_coupling_grid_is_its_lone_points_bit_for_bit():
-    # eta = 512, |y| <= 58: a Taylor step's largest term has 1,016 bits, and
-    # its tail bound passes the double range; the walk still answers, and
-    # each value is the one its point gets alone
+    # eta = 512, |y| <= 58: a Taylor step's largest term has 1,016 bits, so
+    # its tail bound in units of 2**-width would pass the double range; the
+    # walk still answers, and each value is the one its point gets alone
     s = [0.02 + 57.98 * k / 255 for k in range(256)]
     walk = kummer_walk(512.0, s)
     lone = [kummer_walk(512.0, [x]) for x in s]
     assert _hex(walk.p) == _hex([w.p[0] for w in lone])
     assert _hex(walk.q) == _hex([w.q[0] for w in lone])
+
+
+@pytest.mark.parametrize("s", [1000.0, 2000.0])
+@pytest.mark.parametrize("eta", [0.0, 0.5, 16.0, 50.0])
+def test_lone_point_far_out_runs_one_pair_loop(eta, s):
+    # the seed's error bounds are integers in units of 2**-width: past
+    # s = 700, where 2**(s log2 e) passes the double range, they stay a few
+    # units, so the seed certifies both values and no general series runs
+    walk = kummer_walk(eta, [s])
+    z = complex(0.0, -s)
+    assert _hex(walk.p + walk.q) == _hex([chf_series_fixed(a, b, z) for a, b in _pair(eta)])
+    assert (walk.sums, walk.continued) == (1, 1)
+
+
+@pytest.mark.parametrize("eta,s_max", [(700.0, 58.0), (1e3, 50.0), (2e3, 50.0), (5e3, 20.0)])
+def test_strong_coupling_grid_certifies_from_its_states(eta, s_max):
+    # 256 points whose states' integers pass 2**1200: the radii, integers in
+    # the same units, do not overflow, so the states certify nearly every
+    # value and few points run a series of their own
+    s = [s_max * k / 256 for k in range(1, 257)]
+    walk = kummer_walk(eta, s)
+    lone = [kummer_walk(eta, [x]) for x in s]
+    assert _hex(walk.p) == _hex([w.p[0] for w in lone])
+    assert _hex(walk.q) == _hex([w.q[0] for w in lone])
+    assert walk.continued >= 250 and walk.sums <= 8
