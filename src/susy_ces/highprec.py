@@ -6,12 +6,11 @@ general series loop ``_fixed_sum``.  Term ratios are formed from the
 rounding is one controlled rounding per term at a number of fractional
 bits sized from the predicted cancellation and checked against the
 truncation bound after the sum.  Its cost is a few
-microseconds per term, and every value ``specfun`` returns is its sum or
-bit for bit equal to it.  The final rounding to complex double happens
-once, from a sum whose error the width check holds about ``SAFE_BITS``
-bits below the larger component: that component is correctly rounded
-unless it lies within about 2**-15 of an ulp of a rounding boundary,
-but a component far below the other can be an ulp off.
+microseconds per term, and ``specfun.chf_1f1`` returns its sums.  The final
+rounding to complex double happens once, from a sum whose error the width
+check holds about ``SAFE_BITS`` bits below the larger component: that
+component is correctly rounded unless it lies within about 2**-15 of an ulp
+of a rounding boundary, but a component far below the other can be an ulp off.
 
 ``kummer_walk`` evaluates the Kummer pair both closed-form branches are
 built from, P = M(a, 1/2; z) and Q = M(a, 3/2; z) with a = 1/2 + i eta,
@@ -40,21 +39,19 @@ power of two R within that quarter where two or more points lie within R, else
 it lands on the next point.  A step that reaches a power of two past its start
 serves every point on the way: each is the sum of the step's terms at its
 fraction f = g / 2**sh < 1 of the reach, by Horner's rule with shifts for the
-division, cut off where the remaining terms fall to an eighth of what its
-certificate charges anyway (the step's radius, or the series' own bound), and
+division, cut off where the remaining terms fall to an eighth of the step's
+radius or 2**-SAFE_BITS of the smaller of P and Q, whichever is larger, and
 its radius is the step's plus the terms it cuts off and its roundings.  Horner
 runs on one integer that packs the four components as lanes, each offset by a
 bias above every partial sum, so that one product, one addition, one shift and
 one mask round all four products by f at once, each exactly as alone.  Every
-value, seeded, carried or inside a step, comes from a state with one radius in
-the state's norm, an integer in units of 2**-width that cannot overflow, and is
-rounded in one place and only where its error box, widened by the series' own
-bound, rounds to one double under the series' own rounding (``_int_to_float``):
-both ends of each side are rounded by it and compared, and only the double they
-agree on is kept.  Every other value is the per-point series, so each output
-equals ``chf_series_fixed`` bit for bit.  On a table of 256 points to |z| = 59
-at eta = 1/2 a step of about 37 terms serves 10 points at about 38 terms each,
-where the series needs about 2.7 |z|.
+value comes from a state with one radius in the state's norm, an integer in
+units of 2**-width that cannot overflow, and is rounded only where its whole
+error box rounds to one double, else the pair loop runs again, wider (Ziv's
+rounding test): each component of P and Q is the double nearest its exact value
+(a subnormal one is rounded twice), and no general series runs.  A step of
+about 37 terms serves 10 points at about 38 terms each on a table of 256 points
+to |z| = 59 at eta = 1/2, where the series needs about 2.7 |z|.
 
 No third-party extended-precision library is involved: Python's
 integers carry the whole sum.
@@ -220,15 +217,8 @@ def chf_series_fixed(a: complex, b: float, z: complex, *,
     terms peak higher than predicted or the sum lies near a zero, the
     series is summed again at the width the bound asks for.
     """
-    return _series(a, b, z, bits)[0]
-
-
-def _series(a: complex, b: float, z: complex,
-            bits: int | None = None) -> tuple[complex, int]:
-    """:func:`chf_series_fixed`, and the loops it ran (2 where it widened)."""
     if bits is None:
         bits = math.ceil(abs(z) * _LOG2E) + _WIDTH_GUARD
-    loops = 1
     sr, si, peak, n = _fixed_sum(a, b, z, bits)
     # bits the sum stands above the bound; they grow one for one with the
     # width, and 8 more cover the rounding of the bit lengths
@@ -237,9 +227,8 @@ def _series(a: complex, b: float, z: complex,
     if above < SAFE_BITS:
         bits += SAFE_BITS - above + 8
         sr, si = _fixed_sum(a, b, z, bits)[:2]
-        loops = 2
     try:
-        return complex(_int_to_float(sr, -bits), _int_to_float(si, -bits)), loops
+        return complex(_int_to_float(sr, -bits), _int_to_float(si, -bits))
     except OverflowError:
         raise DoubleRangeExceeded(
             f"1F1({a!r}, {b!r}; {z!r}) exceeds the double range "
@@ -273,7 +262,7 @@ class Walk(NamedTuple):
     steps: int        # Taylor steps (expansions)
     terms: int        # Taylor terms summed over all steps
     evals: int        # terms evaluated for the points inside a step's reach
-    sums: int         # series loops run, seeds included
+    sums: int         # pair loops run: the seeds and the reruns of values left open
 
 
 class _State(NamedTuple):
@@ -505,11 +494,11 @@ def _inside(st: _State, new: _State, terms: list, s: list[float]) -> tuple[list,
     each product by f rounded half up, cut off at the first N where f**(N+1)
     times a bound on the later terms falls to max(1, eps / 8,
     2**(t - SAFE_BITS)) units, eps the step's radius and t the bit length of
-    the smaller of P and Q at st.s.  Every point is charged eps, and
-    :func:`_certain` adds the series' own bound, about 2**(t - SAFE_BITS + 3);
-    terms that take the tail below an eighth of either buy the certificate
-    nothing.  As f < 1, each part of the step's radius (incoming radius times
-    exp(D mu), carried rounding, tail) bounds its part at s_j; the cut-off
+    the smaller of P and Q at st.s.  Every point is charged eps, and a radius
+    2**-SAFE_BITS of the smaller value is all the rounding certificate
+    (:func:`_certain`) asks; terms that take the tail below an eighth of either
+    buy it nothing.  As f < 1, each part of the step's radius (incoming radius
+    times exp(D mu), carried rounding, tail) bounds its part at s_j; the cut-off
     terms and the N roundings are added, rounded up to an integer once per
     point.  The test runs in floats in units of 2**(t - SAFE_BITS), coarser
     where a term passes 2**960 of them; 2**-30 units cover what underflows.
@@ -581,40 +570,32 @@ def _inside(st: _State, new: _State, terms: list, s: list[float]) -> tuple[list,
 
 
 def _certain(re: int, im: int, rad: int, width: int) -> complex | None:
-    """The complex double every point of the box re ± rad', im ± rad' rounds to.
+    """The complex double every point of the box re ± rad, im ± rad rounds to:
+    the one nearest the exact value, which lies in the box (above 2**-1022).
 
-    rad' adds to ``rad`` the series' own error bound, which
-    :func:`chf_series_fixed` keeps ``SAFE_BITS`` below the larger
-    component, so the per-point series lies in the box as well: where the
-    whole box rounds to one double, so does the series.  A side is
-    certain where both its ends, |x| - rad' and |x| + rad', round to one
-    double under the series' own rounding, :func:`_int_to_float`: that
-    rounding is monotone, so every point between them, the series' value
-    among them, rounds there too, a side that crosses a power of two or
-    lies in the subnormal range included.  Where both ends have one bit
-    length above 53 and one 53-bit mantissa, that mantissa scaled is the
-    double both roundings return, and it is formed once; a side across a
-    power of two, of 53 bits or fewer, or with two mantissas (which the
-    subnormal range may still merge) compares the two roundings.  None
-    where a side is not certain, reaches zero, or lies past the double
-    range.
+    A side is certain where both its ends, |x| -+ rad, round to one double
+    under the monotone :func:`_int_to_float`, across a power of two or in the
+    subnormal range too.  Where both ends have one bit length above 53 and one
+    53-bit mantissa, that mantissa scaled is their double, formed once; any
+    other side compares the two roundings.  None where a side is not certain
+    or reaches zero; OverflowError where a side's lower end rounds past the
+    largest double, as the value then does.
     """
-    e = rad + ((max(abs(re), abs(im)) + rad) >> (SAFE_BITS - 3)) + 1
     out = []
     for x in (re, im):
-        lo = abs(x) - e
+        lo = abs(x) - rad
         if lo <= 0:
             return None
-        hi = lo + 2 * e
+        hi = lo + 2 * rad
         drop = lo.bit_length() - 53
+        if drop > 0 and hi.bit_length() == lo.bit_length():
+            half = 1 << (drop - 1)
+            m = (lo + half) >> drop
+            if m == (hi + half) >> drop:    # one mantissa: both ends' double
+                out.append(math.ldexp(m if x > 0 else -m, drop - width))
+                continue
+        v = _int_to_float(lo, -width)
         try:
-            if drop > 0 and hi.bit_length() == lo.bit_length():
-                half = 1 << (drop - 1)
-                m = (lo + half) >> drop
-                if m == (hi + half) >> drop:    # one mantissa: both ends' double
-                    out.append(math.ldexp(m if x > 0 else -m, drop - width))
-                    continue
-            v = _int_to_float(lo, -width)
             if v != _int_to_float(hi, -width):
                 return None
         except OverflowError:
@@ -623,24 +604,49 @@ def _certain(re: int, im: int, rad: int, width: int) -> complex | None:
     return complex(*out)
 
 
-def kummer_walk(eta: float, s: list[float]) -> Walk:
-    """The Kummer pair at z = -i s for strictly ascending s >= 0, bit for bit the series'.
+def _rounded(eta: float, s: float, ints: tuple[int, ...], rad_p: int, rad_q: int,
+             width: int) -> tuple[complex, complex, int]:
+    """P and Q at s from ``ints`` (scale 2**width) within ``rad_p`` and
+    ``rad_q``, each component the double nearest its exact value, and the
+    pair loops rerun for them: where a box does not certify, the loop runs
+    again (Ziv, ACM TOMS 17 (1991) 410), wider by the bits the smallest
+    component stands short of ``SAFE_BITS`` above its radius plus a guard of
+    16 bits, doubled at each rerun.  A rerun fails only within 2**-(16 +
+    guard) of an ulp of a rounding boundary; past a guard of 2**12 bits
+    NonConvergence ends the loop.  At s = 0 the pair is (1, 1).
+    """
+    reruns = 0
+    while True:
+        try:
+            p, q = _certain(*ints[:2], rad_p, width), _certain(*ints[2:], rad_q, width)
+        except OverflowError:
+            raise DoubleRangeExceeded(
+                f"the Kummer pair at eta={eta!r}, s={s!r} exceeds the double range "
+                f"(magnitude above {sys.float_info.max:.4g})") from None
+        if p is not None and q is not None:
+            return p, q, reruns
+        if not s:
+            return 1 + 0j, 1 + 0j, reruns
+        if reruns > 8:      # the guard, 16 << reruns, would pass 2**12 bits
+            raise NonConvergence(f"the Kummer pair at eta={eta!r}, s={s!r} does not certify")
+        above = min(abs(x).bit_length() - r.bit_length()
+                    for x, r in zip(ints, (rad_p, rad_p, rad_q, rad_q)))
+        width += max(0, SAFE_BITS - above) + (16 << reruns)
+        ints, rad_p, rad_q = _pair_sum(eta, s, width)
+        reruns += 1
 
-    The pair is (M(a, 1/2; z), M(a, 3/2; z)) with a = 1/2 + i eta.  Each output
-    equals :func:`chf_series_fixed` at that point.  Every point no carried
-    state covers runs one :func:`_pair_sum` at the walk's width, sized from the
-    predicted growth of the radius to the last point, and the result becomes
-    the state, a lone point's included, eta = 0 and s = 0 too (no step starts
-    at s = 0).  The state is carried along the grid by Taylor steps of the
-    pair's first-order system with a rigorous error radius, each step reaching
-    at most a quarter of the way from z0 to z = 0: a point past that reach
-    drops the state and starts its own.  :func:`_plan` reads each step off the
-    grid: it reaches the largest power of two within that quarter where two or
-    more points lie on the way, and gives each of them from its terms
-    (:func:`_inside`), else it lands on the next point.  Every value, seeded,
-    carried or inside a step, is rounded by :func:`_certain` where its integer
-    radius (for Q over c, rounded up), plus the series' own bound, certifies
-    the rounding; a value that does not certify takes its own :func:`_series`.
+
+def kummer_walk(eta: float, s: list[float]) -> Walk:
+    """The Kummer pair at z = -i s for strictly ascending s >= 0, each
+    component the double nearest its exact value.
+
+    The pair is (M(a, 1/2; z), M(a, 3/2; z)), a = 1/2 + i eta.  One :func:`_pair_sum`
+    seeds a state at every point no carried state covers, s = 0 included, at a
+    width sized from the radius' predicted growth to the last point and from s's
+    binary exponent (Im P ~ -s, Im Q ~ -s/3 at small s); Taylor steps carry it
+    (:func:`_plan`, :func:`_step`, :func:`_inside`), and :func:`_rounded` rounds
+    each value from its integer radius (Q's over c, rounded up), refusing the
+    first s past the largest double (DoubleRangeExceeded).
     """
     n = len(s)
     # predicted growth of the radius, in nats, from each point to the last
@@ -649,8 +655,8 @@ def kummer_walk(eta: float, s: list[float]) -> Walk:
     for k in range(n - 2, -1, -1):
         grow[k] = (grow[k + 1] + (s[k + 1] - s[k]) * 2.0 * eta / c[k]
                    + math.log(c[k + 1] / c[k]))
-    out_p, out_q = [], []     # None where no box certified the value
-    continued = seeds = steps = terms = evals = sums = 0
+    out_p, out_q = [], []
+    continued = seeds = steps = terms = evals = reruns = 0
     st = None
     while len(out_p) < n:
         k = len(out_p)
@@ -670,26 +676,20 @@ def kummer_walk(eta: float, s: list[float]) -> Walk:
                         evals += used
                     st = new
                     got += [(st.ints, st.eps)] * (m - short)
-                except NonConvergence:   # the series still answers
+                except NonConvergence:   # a pair loop still answers
                     st = None
         if st is None:
             width = (SAFE_BITS + _WALK_GUARD + math.ceil(grow[k] * _LOG2E)
-                     + (n - k).bit_length())
+                     + (n - k).bit_length() + max(0, -math.frexp(s[k])[1]))
             ints, err_p, err_q = _pair_sum(eta, s[k], width)
-            sums += 1
             seeds += 1
             st = _State(s[k], width, ints, max(err_p, _up(err_q, c[k])), c[k])
             got = [(st.ints, st.eps)]
         inv, sh = _dyadic(1.0 / st.c * (1.0 + 2.0 ** -50))    # 1 / c, rounded up
-        for (pr, pi, qr, qi), eps in got:
-            vp, vq = _certain(pr, pi, eps, st.width), _certain(qr, qi, (eps * inv >> sh) + 1, st.width)
-            continued += vp is not None and vq is not None
+        for x, (ints, eps) in zip(s[k:], got):
+            vp, vq, more = _rounded(eta, x, ints, eps, (eps * inv >> sh) + 1, st.width)
+            continued += not more and x > 0     # s = 0 is exact, not certified
+            reruns += more
             out_p.append(vp)
             out_q.append(vq)
-    a = complex(0.5, eta)
-    for out, b in zip((out_p, out_q), (0.5, 1.5)):
-        for k, v in enumerate(out):
-            if v is None:
-                out[k], used = _series(a, b, complex(0.0, -s[k]))
-                sums += used
-    return Walk(out_p, out_q, continued, seeds, steps, terms, evals, sums)
+    return Walk(out_p, out_q, continued, seeds, steps, terms, evals, seeds + reruns)

@@ -13,14 +13,14 @@ by |z| ~ 30.  Every point is therefore summed by the one kernel
 :func:`susy_ces.highprec.chf_series_fixed`, in exact integer fixed point
 at a width sized from that predicted cancellation and checked against
 the truncation bound afterwards, then rounded once to complex double.
-:func:`kummer_pair` returns the same bits for M(1/2 + i eta, 1/2; z) and
-M(1/2 + i eta, 3/2; z), the one pair both closed-form branches are built
-from, at any number of points on the ray: it hands them to
-:func:`susy_ces.highprec.kummer_walk`, which carries the pair along the
-grid and sums the series only at points out of a Taylor step's reach
-(a quarter of the way to z = 0) or where the rounding cannot be
-certified.  A lone point is one series loop: M(a, 1/2) is formed
-exactly from the terms of its partner with b = 3/2.
+:func:`kummer_pair` gives M(1/2 + i eta, 1/2; z) and M(1/2 + i eta, 3/2; z),
+the one pair both closed-form branches are built from, each component the
+double nearest its exact value, at any number of points on the ray, from
+:func:`susy_ces.highprec.kummer_walk`: it carries the pair along the grid
+and sums the pair's series only at points out of a Taylor step's reach (a
+quarter of the way to z = 0) or, wider, where the rounding cannot be
+certified.  A lone point is one series loop: M(a, 1/2) is formed exactly
+from the terms of its partner with b = 3/2.
 A scalar z gives a Python ``complex``, an array of them an ndarray of
 its shape; every value is computed in Python, point by point.
 Values past the largest double raise ``DoubleRangeExceeded``.  It refuses
@@ -142,10 +142,10 @@ def kummer_pair(eta: float, s: list[float]) -> tuple[list[complex], list[complex
     """M(1/2 + i eta, 1/2; y) and M(1/2 + i eta, 3/2; y) at the points y = -i s of the ray.
 
     Both returned lists follow ``s`` (s >= 0, any order, repeats
-    allowed).  The distinct s go to :func:`susy_ces.highprec.kummer_walk`
-    in ascending order, so a point's bits do not depend on what it is sent
-    with: a lone point is a one-point walk, one series loop for both
-    functions.
+    allowed), each component the double nearest its exact value, so a
+    point's bits do not depend on what it is sent with.  The distinct s go
+    to :func:`susy_ces.highprec.kummer_walk` in ascending order: a lone
+    point is a one-point walk, one series loop for both functions.
 
     Raises
     ------

@@ -286,11 +286,11 @@ def check_grid_continuation() -> CheckReport:
                    f"grid vs lone-point components of both branches, bit for bit, 3 families "
                    f"x linear and log grids of 64; one walk of the pair per grid serves "
                    f"both branches: {continued} of {points} points "
-                   f"certified from a state, {points - continued} fall back to the series "
+                   f"certified from a state, {points - continued} rerun the pair loop wider "
                    f"({seeds} states seeded); "
                    f"{steps} Taylor expansions of {terms / max(steps, 1):.1f} terms, "
                    f"{(continued - seeds) / max(steps, 1):.1f} points each, "
-                   f"{evals} terms evaluated inside their reach; {sums} series loops")
+                   f"{evals} terms evaluated inside their reach; {sums} pair loops")
 
 
 def check_hermite_lambda() -> CheckReport:

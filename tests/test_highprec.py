@@ -1,12 +1,14 @@
 """The fixed-point 1F1 series: correct rounding against mpmath, the width
 check, the single final rounding and the term budget; the continuation
-of a Kummer pair: the series' bits, a radius that bounds the error at
-each step and at each point inside its reach, the exact recurrence and
-Horner sums, the walk's work, steps that each serve a grid point, and
-the rounding certificate."""
+of a Kummer pair: each component the double nearest mpmath's value, a
+radius that bounds the error at each step and at each point inside its
+reach, the exact recurrence and Horner sums, the walk's work, steps that
+each serve a grid point, the rounding certificate and the pair loop
+rerun wider where it does not certify."""
 import math
 import random
 import sys
+import time
 from fractions import Fraction
 
 import mpmath
@@ -15,7 +17,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from susy_ces import highprec, specfun
-from susy_ces.errors import NonConvergence
+from susy_ces.errors import DoubleRangeExceeded, NonConvergence
 from susy_ces.highprec import _fixed_sum, _int_to_float, chf_series_fixed, kummer_walk
 
 
@@ -245,17 +247,56 @@ def _hex(values):
     return [(v.real.hex(), v.imag.hex()) for v in values]
 
 
+def _nearest(x):
+    """The double nearest the mpmath real ``x``, through its exact rational."""
+    sign, man, exp, _ = x._mpf_
+    return float((-1) ** sign * Fraction(man) * Fraction(2) ** exp) if man else 0.0
+
+
+def _nearest_pair(eta, s):
+    """mpmath's P at each s, then its Q, each component rounded to the
+    nearest double, at 200 + max(0, -log2 s) + 3 s bits: the cancellation
+    of the series and the bits the smallest component, Im Q ~ -s/3, lies
+    below the larger."""
+    out = []
+    for b in (0.5, 1.5):
+        for x in s:
+            with mpmath.workprec(200 + max(0, -math.frexp(x)[1]) + math.ceil(3.0 * x)):
+                v = mpmath.hyp1f1(mpmath.mpc(0.5, eta), b, mpmath.mpc(0, -x))
+                out.append(complex(_nearest(v.real), _nearest(v.imag)))
+    return out
+
+
+_ROUND_S = st.one_of(st.floats(0.0, 59.0),
+                     st.floats(-300.0, math.log10(59.0)).map(lambda e: 10.0 ** e))
+
+
+@settings(max_examples=settings.default.max_examples // 5)
+@given(eta=st.one_of(st.just(0.0), st.floats(-12.0, math.log10(20.0)).map(lambda e: 10.0 ** e)),
+       s=st.one_of(_ROUND_S.map(lambda x: [x]),
+                   st.lists(_ROUND_S, min_size=2, max_size=6, unique=True).map(sorted),
+                   st.builds(lambda hi, n: sorted({hi * k / n for k in range(1, n + 1)}),
+                             _ROUND_S, st.integers(2, 16))))
+@example(eta=0.5, s=[1e-250])
+@example(eta=0.0, s=[8.873499459680644e-13])
+@example(eta=0.010350244292280555, s=[1.0464891916220499e-08])
+def test_walk_is_mpmath_correctly_rounded(eta, s):
+    # every component of P and Q, seeded, carried or inside a step, is the
+    # double nearest the exact value, the smallest among them too (Im P ~
+    # -s and Im Q ~ -s/3 at small s)
+    walk = kummer_walk(eta, s)
+    assert _hex(walk.p + walk.q) == _hex(_nearest_pair(eta, s))
+
+
 @settings(max_examples=300)
 @given(eta=st.one_of(st.just(0.0), st.floats(1e-6, 16.0)),
        s=st.one_of(st.just(0.0), st.floats(0.0, 60.0)))
 def test_pair_loop_is_two_series_bit_for_bit(eta, s):
     # a lone point sums Q's series once and forms P from its terms; the
-    # pair starts a state that takes no step, and each value is
-    # chf_series_fixed's, bit for bit
+    # pair starts a state that takes no step, and each component is
+    # mpmath's value rounded to the nearest double
     walk = kummer_walk(eta, [s])
-    z = complex(0.0, -s)
-    want = [chf_series_fixed(a, b, z) for a, b in _pair(eta)]
-    assert _hex(walk.p + walk.q) == _hex(want)
+    assert _hex(walk.p + walk.q) == _hex(_nearest_pair(eta, [s]))
     assert walk.sums >= 1 and (walk.seeds, walk.steps) == (1, 0)
     assert walk.continued <= 1
 
@@ -359,56 +400,73 @@ def test_pair_loop_sums_the_series_terms(eta, s, width):
 @pytest.mark.parametrize("eta,s", [(0.0, 30.0), (1e-300, 30.0), (0.5, 1e-250), (0.5, 0.0)])
 def test_lone_point_runs_one_pair_loop_where_eta_s_is_tiny(eta, s, monkeypatch):
     # at eta s = 0 or far below 1 a lone point still runs one pair loop and
-    # seeds a state; a value the state cannot certify (a part of P or Q
-    # near or at zero, as at s = 1e-250 and s = 0) takes its own series
+    # seeds a state, whose width gains the bits Im Q ~ -s/3 lies below 1,
+    # so the state certifies it: at s = 1e-250, Im P and Im Q are about
+    # -1e-250 and -3.3e-251; s = 0 gives (1, 1) exactly
     loops = []
     real = highprec._pair_sum
     monkeypatch.setattr(highprec, "_pair_sum", lambda *args: loops.append(args) or real(*args))
     walk = kummer_walk(eta, [s])
-    z = complex(0.0, -s)
-    assert _hex(walk.p + walk.q) == _hex([chf_series_fixed(a, b, z) for a, b in _pair(eta)])
-    assert len(loops) == walk.seeds == 1
-    if s == 30.0:
-        assert walk.sums == 1
+    assert _hex(walk.p + walk.q) == _hex(_nearest_pair(eta, [s]))
+    assert len(loops) == walk.seeds == walk.sums == 1
 
 
 @settings(max_examples=settings.default.max_examples // 5)
 @given(eta=st.one_of(st.just(0.0), st.floats(1e-6, 16.0)),
-       kind=st.sampled_from(("lone", "linear", "log")), hi=st.floats(0.0, 59.9),
-       n=st.integers(2, 100))
-def test_uncertified_values_take_the_series(eta, kind, hi, n):
-    # with no box certified, every value (lone, seeded, carried or inside a
-    # step) is its own series, and the loops counted are the pair loops
-    # plus the series' loops
-    if kind == "lone":
-        s = [hi]
-    else:
-        assume(hi >= 1e-3)
-        f = (lambda k: k / n) if kind == "linear" else (lambda k: 10.0 ** (4.0 * (k / n - 1.0)))
-        s = sorted({hi * f(k) for k in range(1, n + 1)})
-    pairs, series = [], []
-    real_pair, real_series = highprec._pair_sum, highprec._series
+       kind=st.sampled_from(("lone", "linear", "log")), hi=st.floats(1e-3, 59.9),
+       n=st.integers(2, 100), k=st.integers(1, 2))
+def test_uncertified_values_take_the_series(eta, kind, hi, n, k):
+    # a value whose box _certain leaves open k times (lone, seeded, carried
+    # or inside a step) reruns the pair loop k times, each wider, and is
+    # still the nearest double; the loops counted are the seeds and the
+    # reruns, and no general series runs
+    s = [hi] if kind == "lone" else _grid(kind, hi, n)
+    real_pair, real_certain = highprec._pair_sum, highprec._certain
+    seeds, reruns = [], []
+    at = {"open": 0, "p": None}   # attempts left open for the current value; P's box
 
     def count_pair(eta, x, width):
-        pairs.append(1)
+        (reruns if at["open"] else seeds).append(x)
         return real_pair(eta, x, width)
 
-    def count_series(a, b, z, bits=None):
-        value, loops = real_series(a, b, z, bits)
-        series.append((b, -z.imag, loops))
-        return value, loops
+    def certain(re, im, rad, width):
+        got = real_certain(re, im, rad, width)
+        if at["p"] is None:          # P's box starts an attempt
+            at["p"] = (got,)
+            return got
+        p, at["p"] = at["p"][0], None  # Q's box ends it
+        if at["open"] < k:
+            at["open"] += 1
+            return None
+        at["open"] = 0
+        assert p is not None and got is not None
+        return got
+
+    def no_series(*args, **kw):
+        raise AssertionError("a general series ran")
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(highprec, "_certain", lambda *args: None)
+        mp.setattr(highprec, "_certain", certain)
         mp.setattr(highprec, "_pair_sum", count_pair)
-        mp.setattr(highprec, "_series", count_series)
+        mp.setattr(highprec, "_fixed_sum", no_series)
         walk = kummer_walk(eta, s)
-    for (a, b), got in zip(_pair(eta), (walk.p, walk.q)):
-        assert _hex(got) == _hex([chf_series_fixed(a, b, complex(0.0, -x)) for x in s])
-    for b in (0.5, 1.5):
-        assert sorted(x for bb, x, _ in series if bb == b) == s
-    assert walk.sums == sum(pairs) + sum(loops for *_, loops in series)
+    assert _hex(walk.p + walk.q) == _hex(_nearest_pair(eta, s))
+    assert sorted(reruns) == sorted(s * k)
+    assert walk.sums == len(seeds) + len(reruns) == walk.seeds + k * len(s)
     assert walk.continued == 0
+
+
+def test_value_that_never_certifies_is_refused(monkeypatch):
+    # a box left open at every width reruns the pair loop nine times, the
+    # last with a guard of 2**12 bits, and then the walk stops
+    widths = []
+    real = highprec._pair_sum
+    monkeypatch.setattr(highprec, "_certain", lambda *args: None)
+    monkeypatch.setattr(highprec, "_pair_sum", lambda *args: widths.append(args[2]) or real(*args))
+    with pytest.raises(NonConvergence, match=r"eta=0\.5, s=1\.0 does not certify"):
+        kummer_walk(0.5, [1.0])
+    assert len(widths) == 10
+    assert widths[-1] - widths[-2] >= 1 << 12
 
 
 def test_walk_falls_back_when_a_step_does_not_converge(monkeypatch):
@@ -466,10 +524,11 @@ def test_every_step_serves_a_point(eta, s):
 def test_walk_follows_the_reach_rule(eta, s):
     # every step reaches at most a quarter of its start, and ends past a
     # grid point only at the largest power of two within that quarter,
-    # serving two points or more; a pair loop after the first point runs
-    # only where the gap from the point before is out of a step's reach
-    steps, loops = [], []
-    real_step, real_pair = highprec._step, highprec._pair_sum
+    # serving two points or more; a pair loop after the first point seeds
+    # a state only where the gap from the point before is out of a step's
+    # reach (the other loops rerun a value whose box was left open)
+    steps, loops, reruns = [], [], {}
+    real_step, real_pair, real_rounded = highprec._step, highprec._pair_sum, highprec._rounded
 
     def step(eta, st, s1):
         steps.append((st.s, s1))
@@ -479,9 +538,15 @@ def test_walk_follows_the_reach_rule(eta, s):
         loops.append(x)
         return real_pair(eta, x, width)
 
+    def rounded(eta, x, *args):
+        out = real_rounded(eta, x, *args)
+        reruns[x] = out[2]
+        return out
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(highprec, "_step", step)
         mp.setattr(highprec, "_pair_sum", pair)
+        mp.setattr(highprec, "_rounded", rounded)
         walk = kummer_walk(eta, s)
     for s0, s1 in steps:
         d = s1 - s0
@@ -489,9 +554,11 @@ def test_walk_follows_the_reach_rule(eta, s):
         if s1 not in s:
             assert math.frexp(d)[0] == 0.5 and 2.0 * d > s0 / 4, (s0, s1)
             assert sum(s0 < x <= s1 for x in s) >= 2, (s0, s1)
-    for x in loops:
+    for x in set(loops):
         k = s.index(x)
-        assert k == 0 or s[k] - s[k - 1] > s[k - 1] / 4, (s[k - 1], x)
+        assert loops.count(x) - reruns[x] in (0, 1)
+        if loops.count(x) > reruns[x]:      # x seeded a state
+            assert k == 0 or s[k] - s[k - 1] > s[k - 1] / 4, (s[k - 1], x)
     for (a, b), got in zip(_pair(eta), (walk.p, walk.q)):
         assert _hex(got) == _hex([chf_series_fixed(a, b, complex(0.0, -x)) for x in s])
 
@@ -584,22 +651,23 @@ def test_certain_rounds_like_int_to_float():
     # a box across a rounding boundary, (2**53 + 1/2) * 2**8, is uncertain
     tie = ((1 << 53) + 1) << 7
     assert highprec._certain(tie, 1 << 61, 1, 8) is None
-    # a box past the double range is uncertain, not an OverflowError
-    assert highprec._certain(1 << 1200, 1 << 1200, 1, 60) is None
+    # a box past the double range raises, as the value lies past it
+    with pytest.raises(OverflowError):
+        highprec._certain(1 << 1200, 1 << 1200, 1, 60)
 
 
 def _reference_certain(re, im, rad, width):
     """The certificate as two roundings per side: both ends of each side,
-    widened by the series' own bound, through :func:`_int_to_float`."""
-    e = rad + ((max(abs(re), abs(im)) + rad) >> (highprec.SAFE_BITS - 3)) + 1
+    the box alone, through :func:`_int_to_float`, which raises
+    OverflowError where a lower end rounds past the largest double."""
     out = []
     for x in (re, im):
-        lo = abs(x) - e
+        lo = abs(x) - rad
         if lo <= 0:
             return None
+        v = _int_to_float(lo, -width)
         try:
-            v = _int_to_float(lo, -width)
-            if v != _int_to_float(lo + 2 * e, -width):
+            if v != _int_to_float(lo + 2 * rad, -width):
                 return None
         except OverflowError:
             return None
@@ -608,8 +676,15 @@ def _reference_certain(re, im, rad, width):
 
 
 def _agrees_with_reference_certain(re, im, rad, width):
-    """_certain is the reference's answer, None included."""
-    want = _reference_certain(re, im, rad, width)
+    """_certain is the reference's answer, None included; where the
+    reference raises OverflowError (past the largest double) so does
+    _certain, and the answer is None: no double."""
+    try:
+        want = _reference_certain(re, im, rad, width)
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            highprec._certain(re, im, rad, width)
+        return None
     got = highprec._certain(re, im, rad, width)
     assert got == want, (re, im, rad, width, got, want)
     return got
@@ -630,7 +705,8 @@ _ROUNDINGS = [
     # both sides one mantissa, 2**52 + 4, at bit lengths 81 and 91
     ((1 << 80) + (1 << 30), -((1 << 90) + (1 << 40)), 1, 80,
      complex(1.0 + 2.0 ** -50, -(2.0 ** 10 + 2.0 ** -40)), 0),
-    # one mantissa, 2**52 + 1, one ulp past the largest double: None
+    # one mantissa, 2**52 + 1, one ulp past the largest double: no double,
+    # OverflowError from that mantissa, with no float formed
     ((1 << 1024) + (1 << 972), (1 << 1024) + (1 << 972), 1, 0, None, 0),
     # one mantissa, 3 * 2**51, scaled into the subnormal range
     (3 << 139, 3 << 139, 1 << 60, 1200, complex(3 * 2.0 ** -1061, 3 * 2.0 ** -1061), 0),
@@ -649,26 +725,32 @@ _ROUNDINGS = [
 
 
 @pytest.mark.parametrize("re,im,rad,width,want", [
-    # 2**60 - 3 and 2**60 + 3 sit on either side of 2**60 and both round to it
+    # 2**60 - 2 and 2**60 + 2 sit on either side of 2**60 and both round to it
     ((1 << 60), 3 << 58, 2, 60, complex(1.0, 0.75)),
-    # 2**60 - 100 rounds to 2**60 - 2**7 at its 53 bits, 2**60 + 100 to 2**60
+    # 2**60 - 99 rounds to 2**60 - 2**7 at its 53 bits, 2**60 + 99 to 2**60
     ((1 << 60), -(1 << 60), 99, 60, None),
-    # 2**56 - 3 and 2**56 - 1 both carry to 2**53 at their 53 bits (drop 3)
+    # 2**56 - 2, radius 0, carries to 2**53 at its 53 bits (drop 3)
     ((1 << 56) - 2, -(1 << 56) + 2, 0, 56, complex(1.0, -1.0)),
-    # lo = 4 (2**53 + 1) + 2 is a tie and rounds away from zero, as hi does
+    # lo = 4 (2**53 + 1) + 3 and hi = 4 (2**53 + 1) + 5 round to 2**53 + 2
     ((((1 << 53) + 1) << 2) + 4, 1 << 60, 1, 2, complex(float(((1 << 53) + 2) << 2) / 4, 2.0 ** 58)),
-    # hi = 4 (2**53 + 1) + 2 is a tie and rounds up, lo rounds down
+    # lo = 4 (2**53 + 1) + 2 is a tie and rounds away from zero, as hi does
+    ((((1 << 53) + 1) << 2) + 4, 1 << 60, 2, 2, complex(float(((1 << 53) + 2) << 2) / 4, 2.0 ** 58)),
+    # hi = 4 (2**53 + 1) + 1 rounds up, lo = 4 (2**53 + 1) - 1 down
     ((((1 << 53) + 1) << 2), 1 << 60, 1, 2, None),
+    # hi = 4 (2**53 + 1) + 2 is a tie and rounds up, lo rounds down
+    ((((1 << 53) + 1) << 2), 1 << 60, 2, 2, None),
     # a side below 53 bits is exact, and its two ends differ
     ((1 << 52) + 5, 1 << 60, 1, 0, None),
-    # past the double range: None, not an OverflowError
+    # past the double range: no double, and both raise OverflowError
     ((1 << 1100), 1 << 60, 1, 60, None),
     ((1 << 1100) - (1 << 1040), 1 << 60, 1, 76, None),
     # just inside it: the largest double
     ((1 << 1024) - (1 << 971), (1 << 1024) - (1 << 971), 1, 0,
      complex(sys.float_info.max, sys.float_info.max)),
-    # a side that reaches zero
+    # a side whose ends, 1 and 5, are exact and differ
     (3, 1 << 60, 2, 0, None),
+    # a side that reaches zero
+    (3, 1 << 60, 3, 0, None),
     # both ends, 3 * 2**139 -+ about 2**100, land on the subnormal 3 * 2**-1061
     (3 << 139, 3 << 139, 1 << 100, 1200, complex(3 * 2.0 ** -1061, 3 * 2.0 ** -1061)),
     *((re, im, rad, width, want) for re, im, rad, width, want, _ in _ROUNDINGS),
@@ -696,7 +778,11 @@ def test_certain_rounds_once_where_both_ends_share_a_mantissa(monkeypatch, re, i
         return _int_to_float(n, shift)
 
     monkeypatch.setattr(highprec, "_int_to_float", counted)
-    assert highprec._certain(re, im, rad, width) == want
+    if want is None and re >= 1 << 1024:
+        with pytest.raises(OverflowError):
+            highprec._certain(re, im, rad, width)
+    else:
+        assert highprec._certain(re, im, rad, width) == want
     assert len(made) == calls
 
 
@@ -869,11 +955,11 @@ def test_inside_refuses_a_reach_off_a_power_of_two():
 def test_walk_work_is_pinned():
     # a 256-point linear grid to |y| = 59 at eta = 0.5: steps (expansions),
     # their Taylor terms, the terms evaluated inside their reach, points a
-    # state certified and series loops (4 pair loops, each starting a
-    # state, and one value the radius leaves open)
+    # state certified and pair loops (4, each starting a state; the box of
+    # every value certifies, so none reruns)
     walk = kummer_walk(0.5, [59.0 * k / 256 for k in range(1, 257)])
     assert (walk.steps, walk.terms, walk.evals, walk.continued, walk.sums) == \
-        (25, 922, 7310, 255, 5)
+        (25, 922, 7310, 256, 4)
     # a sparse grid, each gap more than a quarter of its start: no step
     # reaches the next point, and every point starts a state of its own
     walk = kummer_walk(0.5, _SPARSE)
@@ -907,10 +993,43 @@ def test_lone_point_far_out_runs_one_pair_loop(eta, s):
 def test_strong_coupling_grid_certifies_from_its_states(eta, s_max):
     # 256 points whose states' integers pass 2**1200: the radii, integers in
     # the same units, do not overflow, so the states certify nearly every
-    # value and few points run a series of their own
+    # value and few points rerun the pair loop
     s = [s_max * k / 256 for k in range(1, 257)]
     walk = kummer_walk(eta, s)
     lone = [kummer_walk(eta, [x]) for x in s]
     assert _hex(walk.p) == _hex([w.p[0] for w in lone])
     assert _hex(walk.q) == _hex([w.q[0] for w in lone])
     assert walk.continued >= 250 and walk.sums <= 8
+
+
+def test_walk_past_the_double_range_is_refused_at_once():
+    # eta = 5e5: P passes the largest double between the second point and
+    # the third (mpmath: |Re P| about 1.4e305 and 7.4e422); the first box
+    # whose lower end rounds past it refuses the walk, naming eta and that s,
+    # before any Taylor step forms integers thousands of bits too wide
+    s = [0.02 + 57.98 * k / 255 for k in range(256)]
+    with mpmath.workdps(30):
+        big = [abs(mpmath.hyp1f1(mpmath.mpc(0.5, 5e5), 0.5, mpmath.mpc(0, -x)).real) for x in s[1:3]]
+    assert big[0] < sys.float_info.max < big[1]
+    t0 = time.perf_counter()
+    with pytest.raises(DoubleRangeExceeded, match=f"eta={5e5!r}, s={s[2]!r} exceeds"):
+        kummer_walk(5e5, s)
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_walk_never_runs_the_general_series(monkeypatch):
+    # every value comes from a pair loop, seeded, carried or rerun wider:
+    # tiny s, s = 0, s = 1,000 and strong coupling included
+    def refuse(*args, **kw):
+        raise AssertionError("a general series ran")
+
+    monkeypatch.setattr(highprec, "_fixed_sum", refuse)
+    monkeypatch.setattr(highprec, "chf_series_fixed", refuse)
+    tiny = kummer_walk(0.5, [1e-250 * k for k in range(1, 40)])
+    assert tiny.sums <= 4 + 39      # 4 seeds and at most one rerun a point
+    assert kummer_walk(0.5, [0.0]).p == [1.0]
+    assert kummer_walk(0.5, [1e-6]).sums == 1
+    assert kummer_walk(0.5, [1000.0]).sums == 1
+    for eta, s_max in ((0.5, 59.0), (700.0, 58.0)):
+        walk = kummer_walk(eta, [s_max * k / 256 for k in range(1, 257)])
+        assert walk.sums == walk.seeds == 4
