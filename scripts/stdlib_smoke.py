@@ -12,7 +12,9 @@ Then makes scalar calls through every layer that must not need numpy:
 ``solution_Z``'s branch-I values bit for bit (one formula serves both), the
 ladder's far-field pair ``specfun.asymptotic_pair(0.5, [100.0])`` against
 ``highprec.kummer_walk(0.5, [100.0])``, and the rung sample formed from
-that pair's values.  numpy is blocked in
+that pair's values, a subnormal component of the pair (the double nearest
+its exact value, rounded once), and ``specfun.kummer_pair``'s typed refusal
+of a negative s.  numpy is blocked in
 ``sys.modules`` first, so any import of it fails, and ``susy_ces.verify``
 (which needs numpy) must stay unloaded.  Exits non-zero on any failure.
 
@@ -37,8 +39,9 @@ from susy_ces import (Branch, Sector, V, components, integrate,  # noqa: E402
                       schrodinger_problem, solution_params, solution_Z,
                       superpotential, susy_map, wronskian_exact, wronskian_Z, y_of_x)
 from susy_ces.closedform import _ladder_sample  # noqa: E402
+from susy_ces.errors import InvalidParams  # noqa: E402
 from susy_ces.highprec import kummer_walk  # noqa: E402
-from susy_ces.specfun import FAR_TOL, asymptotic_pair  # noqa: E402
+from susy_ces.specfun import FAR_TOL, asymptotic_pair, kummer_pair  # noqa: E402
 
 OTHER = {Sector.PLUS: Sector.MINUS, Sector.MINUS: Sector.PLUS}
 
@@ -85,6 +88,18 @@ for got, want in zip(pair, (walk.p, walk.q)):
 (pp,), (qq,) = pair
 sample = _ladder_sample(p, 100.0, -1.0 / 50.0 ** 0.5, pp, qq)
 assert len(sample) == 4 and all(type(v) is float for v in sample), sample
+
+# a subnormal component is the double nearest its exact value, rounded once
+walk = kummer_walk(0.14847481401591137, [4.66898648904844e-308])
+assert walk.q[0].imag == -1.5563288296828135e-308, walk.q[0].hex()
+
+# a negative s is a typed refusal, not a bare ValueError from the walk
+try:
+    kummer_pair(0.5, [-1.0])
+except InvalidParams:
+    pass
+else:
+    raise AssertionError("kummer_pair(0.5, [-1.0]) was not refused")
 
 assert "susy_ces.verify" not in sys.modules
 print(f"stdlib only: {len(sys.modules)} modules loaded")

@@ -48,13 +48,15 @@ one mask round all four products by f at once, each exactly as alone.  Every
 value comes from a state with one radius in the state's norm, an integer in
 units of 2**-width that cannot overflow, and is rounded only where its whole
 error box rounds to one double, else the pair loop runs again, wider (Ziv's
-rounding test): each component of P and Q is the double nearest its exact value
-(a subnormal one is rounded twice), and no general series runs.  A step of
-about 37 terms serves 10 points at about 38 terms each on a table of 256 points
-to |z| = 59 at eta = 1/2, where the series needs about 2.7 |z|.
+rounding test): each component of P and Q is the double nearest its exact value,
+and no general series runs.  A step of about 37 terms serves 10 points at about
+38 terms each on a table of 256 points to |z| = 59 at eta = 1/2, where the
+series needs about 2.7 |z|.
 
-No third-party extended-precision library is involved: Python's
-integers carry the whole sum.
+No third-party extended-precision library is involved: Python's integers carry
+the whole sum, and each double returned is an integer over a power of two
+rounded once by their true division: the nearest double, ties to even,
+subnormals included, and OverflowError past the largest double.
 """
 from __future__ import annotations
 
@@ -81,21 +83,6 @@ def _up(n: int, x: float, e: int = 0) -> int:
     """The least integer >= n * x * 2**e, for n >= 0 and finite x >= 0."""
     num, k = _dyadic(x)
     return n * num << e - k if e >= k else -(-n * num >> k - e)
-
-
-def _int_to_float(n: int, shift: int) -> float:
-    """The float nearest n * 2**shift, without intermediate overflow.
-
-    n is rounded once to 53 significant bits, ties away from zero, by a
-    shift; the scaling by 2**shift is then exact inside the normal range.
-    Raises OverflowError past the largest double.
-    """
-    drop = n.bit_length() - 53
-    if drop <= 0:
-        return math.ldexp(float(n), shift)
-    half = 1 << (drop - 1)
-    m = (n + half) >> drop if n > 0 else -((half - n) >> drop)
-    return math.ldexp(float(m), shift + drop)
 
 
 #: bits of the sum the fixed-point route resolves: a double's 53 plus 16
@@ -227,8 +214,9 @@ def chf_series_fixed(a: complex, b: float, z: complex, *,
     if above < SAFE_BITS:
         bits += SAFE_BITS - above + 8
         sr, si = _fixed_sum(a, b, z, bits)[:2]
+    d = 1 << bits
     try:
-        return complex(_int_to_float(sr, -bits), _int_to_float(si, -bits))
+        return complex(sr / d, si / d)
     except OverflowError:
         raise DoubleRangeExceeded(
             f"1F1({a!r}, {b!r}; {z!r}) exceeds the double range "
@@ -522,7 +510,7 @@ def _inside(st: _State, new: _State, terms: list, s: list[float]) -> tuple[list,
     t = min((abs(pr) | abs(pi)).bit_length(), (abs(qr) | abs(qi)).bit_length())
     # the test's units; eps / 8 is capped at 2**900 of them, as a lower budget only cuts later
     unit = max(t - SAFE_BITS, max(tops) + math.frexp(cm)[1] - 960)
-    budget = max(2.0 ** -unit, _int_to_float(min(new.eps, 1 << (unit + 903)), -unit - 3),
+    budget = max(2.0 ** -unit, min(new.eps, 1 << (unit + 903)) / 2 ** (unit + 3),
                  2.0 ** (t - SAFE_BITS - unit))
     sc, up = 2.0 ** min(unit, 100), max(0, unit - 100)     # 2**unit = sc 2**up
     # bounds on |u_(n+1)| + |u_(n+2)| + ..., summed from the last term down
@@ -570,33 +558,24 @@ def _inside(st: _State, new: _State, terms: list, s: list[float]) -> tuple[list,
 
 
 def _certain(re: int, im: int, rad: int, width: int) -> complex | None:
-    """The complex double every point of the box re ± rad, im ± rad rounds to:
-    the one nearest the exact value, which lies in the box (above 2**-1022).
+    """The complex double every point of the box re ± rad, im ± rad over
+    2**width, width >= 0, rounds to: the one nearest the exact value, which
+    lies in the box.
 
-    A side is certain where both its ends, |x| -+ rad, round to one double
-    under the monotone :func:`_int_to_float`, across a power of two or in the
-    subnormal range too.  Where both ends have one bit length above 53 and one
-    53-bit mantissa, that mantissa scaled is their double, formed once; any
-    other side compares the two roundings.  None where a side is not certain
-    or reaches zero; OverflowError where a side's lower end rounds past the
+    A side is certain where both its ends, |x| -+ rad, round to one double,
+    as the rounding is monotone.  None where a side is not certain or
+    reaches zero; OverflowError where a side's lower end rounds past the
     largest double, as the value then does.
     """
+    d = 1 << width
     out = []
     for x in (re, im):
         lo = abs(x) - rad
         if lo <= 0:
             return None
-        hi = lo + 2 * rad
-        drop = lo.bit_length() - 53
-        if drop > 0 and hi.bit_length() == lo.bit_length():
-            half = 1 << (drop - 1)
-            m = (lo + half) >> drop
-            if m == (hi + half) >> drop:    # one mantissa: both ends' double
-                out.append(math.ldexp(m if x > 0 else -m, drop - width))
-                continue
-        v = _int_to_float(lo, -width)
+        v = lo / d
         try:
-            if v != _int_to_float(hi, -width):
+            if (lo + 2 * rad) / d != v:
                 return None
         except OverflowError:
             return None

@@ -149,9 +149,16 @@ def kummer_pair(eta: float, s: list[float]) -> tuple[list[complex], list[complex
 
     Raises
     ------
+    InvalidParams
+        if ``eta`` is not finite and >= 0, or an s is NaN or negative.
     SeriesRangeExceeded
-        if any s exceeds the series viability bound.
+        if any s exceeds the series viability bound, s = inf included.
     """
+    if not (math.isfinite(eta) and eta >= 0.0):
+        raise InvalidParams(f"eta={eta!r} is not finite and >= 0")
+    for v in s:
+        if not v >= 0.0:
+            raise InvalidParams(f"s={v!r} is not finite and >= 0")
     _refuse_past(max(s, default=0.0))
     grid = sorted(set(s))
     walk = kummer_walk(eta, grid)

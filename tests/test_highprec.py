@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from susy_ces import highprec, specfun
 from susy_ces.errors import DoubleRangeExceeded, NonConvergence
-from susy_ces.highprec import _fixed_sum, _int_to_float, chf_series_fixed, kummer_walk
+from susy_ces.highprec import _fixed_sum, chf_series_fixed, kummer_walk
 
 
 _SERIES_PROBES = [
@@ -70,27 +70,89 @@ def test_too_narrow_width_is_widened():
     a, b, z = 0.5j, 0.5, -40j
     want = chf_series_fixed(a, b, z, bits=500)
     sr, si = _fixed_sum(a, b, z, 16)[:2]
-    narrow = complex(_int_to_float(sr, -16), _int_to_float(si, -16))
+    narrow = complex(sr / (1 << 16), si / (1 << 16))
     assert abs(narrow - want) > 1e-6 * abs(want)
     assert chf_series_fixed(a, b, z, bits=16) == want
     assert chf_series_fixed(a, b, z) == want
 
 
 def test_int_to_float_rounding():
-    assert _int_to_float(1, -2) == 0.25
-    assert _int_to_float(3, -1) == 1.5
-    assert _int_to_float(-3, -1) == -1.5
-    assert _int_to_float(0, 5) == 0.0
+    # highprec turns a fixed-point integer n at width w into a double as n / 2**w
+    assert 1 / (1 << 2) == 0.25
+    assert 3 / (1 << 1) == 1.5
+    assert -3 / (1 << 1) == -1.5
+    assert 0 / (1 << 5) == 0.0
     # 2^60 + 1 rounds to 2^60 at double precision
-    assert _int_to_float((1 << 60) + 1, -60) == 1.0
+    assert ((1 << 60) + 1) / (1 << 60) == 1.0
 
 
 def test_int_to_float_rounds_once():
     # M + 1/4 with M odd and 53 bits wide: a first rounding to 54 bits gives
     # the tie M + 1/2, which a second rounding to even would carry up to M + 1
     m = (1 << 52) + 1
-    assert _int_to_float((m << 2) | 1, -2) == float(m)
-    assert _int_to_float((m << 2) | 3, -2) == float(m + 1)
+    assert ((m << 2) | 1) / (1 << 2) == float(m)
+    assert ((m << 2) | 3) / (1 << 2) == float(m + 1)
+
+
+#: the magnitudes from which the nearest double passes the largest one: the
+#: tie with 2**1024 rounds to it, as the largest double's mantissa is odd
+_PAST_DOUBLES = Fraction(sys.float_info.max) + Fraction(2) ** 970
+
+
+def _nearest_double(n, w):
+    """The double nearest n / 2**w, ties to even, by exact comparison: of a
+    candidate (n's 53 leading bits scaled, less than an ulp and a half from
+    the value) and its two nextafter neighbours, the nearest in Fraction
+    distance, the even mantissa on a tie.  OverflowError where the nearest
+    passes the largest double."""
+    x = Fraction(abs(n), 1 << w)
+    if x >= _PAST_DOUBLES:
+        raise OverflowError(f"{n} / 2**{w} rounds past the largest double")
+    drop = max(0, abs(n).bit_length() - 53)
+    c = math.ldexp(abs(n) >> drop, drop - w)
+    near = [v for v in (math.nextafter(c, -math.inf), c, math.nextafter(c, math.inf))
+            if math.isfinite(v)]
+    best = min(near, key=lambda v: (abs(Fraction(v) - x),
+                                    int(Fraction(v) / Fraction(math.ulp(v))) % 2))
+    return -best if n < 0 else best
+
+
+@given(nw=st.one_of(
+    st.tuples(st.integers(-(1 << 2300), 1 << 2300), st.integers(0, 3300)),
+    # 54 bits ending in 1: a tie between two normal doubles, past the largest too
+    st.builds(lambda m, k, w: (((m << 1) | 1) << k, w), st.integers(1 << 52, (1 << 53) - 1),
+              st.integers(0, 2250), st.integers(0, 3300)),
+    # n / 2**w = j 2**-1080 lies below 2**-1022, a tie where j % 64 == 32
+    st.builds(lambda j, w: (j << (w - 1080), w), st.integers(1, 1 << 58),
+              st.integers(1080, 3300)),
+    st.builds(lambda i, w: (((i << 6) | 32) << (w - 1080), w), st.integers(0, (1 << 52) - 1),
+              st.integers(1080, 3300))))
+@example(nw=(1, 2))
+@example(nw=(-3, 1))
+@example(nw=(0, 5))
+@example(nw=((1 << 60) + 1, 60))
+# M + 1/4 with M odd and 53 bits wide: a first rounding to 54 bits would
+# give the tie M + 1/2, which a second rounding to even would carry to M + 1
+@example(nw=((((1 << 52) + 1) << 2) | 1, 2))
+@example(nw=((((1 << 52) + 1) << 2) | 3, 2))
+# the largest double, and the tie above it, which rounds past it
+@example(nw=(((1 << 53) - 1) << 971, 0))
+@example(nw=((((1 << 53) - 1) << 971) + (1 << 970), 0))
+@example(nw=((((1 << 53) - 1) << 971) + (1 << 970) - 1, 0))
+# a subnormal tie (2**-1074 + 2**-1075) rounds to the even 2**-1073
+@example(nw=(3, 1075))
+def test_int_division_is_the_nearest_double(nw):
+    # every double highprec returns is n / 2**w rounded once by int / int:
+    # the nearest double, ties to even, subnormals included, OverflowError
+    # exactly where the nearest passes the largest double
+    n, w = nw
+    try:
+        want = _nearest_double(n, w)
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            n / (1 << w)
+        return
+    assert (n / (1 << w)).hex() == want.hex()
 
 
 def _reference_fixed_sum(a, b, z, bits, stop_bits):
@@ -250,7 +312,8 @@ def _hex(values):
 def _nearest(x):
     """The double nearest the mpmath real ``x``, through its exact rational."""
     sign, man, exp, _ = x._mpf_
-    return float((-1) ** sign * Fraction(man) * Fraction(2) ** exp) if man else 0.0
+    v = _nearest_double(man << max(0, exp), max(0, -exp))
+    return -v if sign else v
 
 
 def _nearest_pair(eta, s):
@@ -268,7 +331,7 @@ def _nearest_pair(eta, s):
 
 
 _ROUND_S = st.one_of(st.floats(0.0, 59.0),
-                     st.floats(-300.0, math.log10(59.0)).map(lambda e: 10.0 ** e))
+                     st.floats(math.log10(5e-324), math.log10(59.0)).map(lambda e: 10.0 ** e))
 
 
 @settings(max_examples=settings.default.max_examples // 5)
@@ -280,10 +343,11 @@ _ROUND_S = st.one_of(st.floats(0.0, 59.0),
 @example(eta=0.5, s=[1e-250])
 @example(eta=0.0, s=[8.873499459680644e-13])
 @example(eta=0.010350244292280555, s=[1.0464891916220499e-08])
+@example(eta=0.14847481401591137, s=[4.66898648904844e-308])
 def test_walk_is_mpmath_correctly_rounded(eta, s):
     # every component of P and Q, seeded, carried or inside a step, is the
     # double nearest the exact value, the smallest among them too (Im P ~
-    # -s and Im Q ~ -s/3 at small s)
+    # -s and Im Q ~ -s/3 at small s), subnormal ones included
     walk = kummer_walk(eta, s)
     assert _hex(walk.p + walk.q) == _hex(_nearest_pair(eta, s))
 
@@ -643,7 +707,7 @@ def test_certain_rounds_like_int_to_float():
             continue
         seen += 1
         for x, v in ((re, got.real), (im, got.imag)):
-            assert _int_to_float(x - rad, -width) == v == _int_to_float(x + rad, -width)
+            assert _nearest_double(x - rad, width) == v == _nearest_double(x + rad, width)
     assert seen > 100
     # a side at an exact power of two is certain when both ends round to it
     width = 90
@@ -658,16 +722,17 @@ def test_certain_rounds_like_int_to_float():
 
 def _reference_certain(re, im, rad, width):
     """The certificate as two roundings per side: both ends of each side,
-    the box alone, through :func:`_int_to_float`, which raises
-    OverflowError where a lower end rounds past the largest double."""
+    the box alone, to the exact nearest double (:func:`_nearest_double`),
+    which raises OverflowError where a lower end rounds past the largest
+    double."""
     out = []
     for x in (re, im):
         lo = abs(x) - rad
         if lo <= 0:
             return None
-        v = _int_to_float(lo, -width)
+        v = _nearest_double(lo, width)
         try:
-            if v != _int_to_float(lo + 2 * rad, -width):
+            if v != _nearest_double(lo + 2 * rad, width):
                 return None
         except OverflowError:
             return None
@@ -690,38 +755,16 @@ def _agrees_with_reference_certain(re, im, rad, width):
     return got
 
 
+# sides up to 2**3470, so that over 2**width, width in [0, 3300], the
+# values reach past 2**1024 as well as below 2**-1074
 _SIDES = st.builds(lambda sign, m, shift: sign * (m << shift), st.sampled_from((-1, 1)),
-                   st.integers(1, (1 << 70) - 1), st.integers(0, 2200))
+                   st.integers(1, (1 << 70) - 1), st.integers(0, 3400))
 
 
 @settings(max_examples=settings.default.max_examples // 5)
-@given(re=_SIDES, im=_SIDES, rad=st.integers(0, 1 << 40), width=st.integers(-1200, 3300))
+@given(re=_SIDES, im=_SIDES, rad=st.integers(0, 1 << 40), width=st.integers(0, 3300))
 def test_certain_agrees_with_two_roundings(re, im, rad, width):
     _agrees_with_reference_certain(re, im, rad, width)
-
-
-#: boxes and the _int_to_float calls _certain makes on them
-_ROUNDINGS = [
-    # both sides one mantissa, 2**52 + 4, at bit lengths 81 and 91
-    ((1 << 80) + (1 << 30), -((1 << 90) + (1 << 40)), 1, 80,
-     complex(1.0 + 2.0 ** -50, -(2.0 ** 10 + 2.0 ** -40)), 0),
-    # one mantissa, 2**52 + 1, one ulp past the largest double: no double,
-    # OverflowError from that mantissa, with no float formed
-    ((1 << 1024) + (1 << 972), (1 << 1024) + (1 << 972), 1, 0, None, 0),
-    # one mantissa, 3 * 2**51, scaled into the subnormal range
-    (3 << 139, 3 << 139, 1 << 60, 1200, complex(3 * 2.0 ** -1061, 3 * 2.0 ** -1061), 0),
-    # ends of 60 bits with mantissas 2**52 + 1 and 2**52 + 2, which the
-    # subnormal range merges into 2**-1070
-    ((1 << 59) + 192, (1 << 59) + 192, 63, 1129, complex(2.0 ** -1070, 2.0 ** -1070), 4),
-    # ends of 80 and 81 bits, across 2**80, both rounding to it
-    (1 << 80, 1 << 80, 1, 80, complex(1.0, 1.0), 4),
-    # sides of 41 bits, exact as integers, merged by the subnormal range
-    ((1 << 40) + (1 << 34), (1 << 40) + (1 << 34), 0, 1110,
-     complex(2.0 ** -1070, 2.0 ** -1070), 4),
-    # ends of one bit length either side of the tie (2**52 + 1.5) 2**28:
-    # two mantissas, two doubles
-    (((1 << 53) + 3) << 27, 1 << 80, 1, 80, None, 2),
-]
 
 
 @pytest.mark.parametrize("re,im,rad,width,want", [
@@ -729,16 +772,18 @@ _ROUNDINGS = [
     ((1 << 60), 3 << 58, 2, 60, complex(1.0, 0.75)),
     # 2**60 - 99 rounds to 2**60 - 2**7 at its 53 bits, 2**60 + 99 to 2**60
     ((1 << 60), -(1 << 60), 99, 60, None),
-    # 2**56 - 2, radius 0, carries to 2**53 at its 53 bits (drop 3)
+    # 2**56 - 2, radius 0, rounds up to 2**56 at its 53 bits
     ((1 << 56) - 2, -(1 << 56) + 2, 0, 56, complex(1.0, -1.0)),
-    # lo = 4 (2**53 + 1) + 3 and hi = 4 (2**53 + 1) + 5 round to 2**53 + 2
+    # over 4, lo = 2**53 + 1.75 and hi = 2**53 + 2.25 round to 2**53 + 2
     ((((1 << 53) + 1) << 2) + 4, 1 << 60, 1, 2, complex(float(((1 << 53) + 2) << 2) / 4, 2.0 ** 58)),
-    # lo = 4 (2**53 + 1) + 2 is a tie and rounds away from zero, as hi does
+    # over 4, lo = 2**53 + 1.5 and hi = 2**53 + 2.5 round to 2**53 + 2
     ((((1 << 53) + 1) << 2) + 4, 1 << 60, 2, 2, complex(float(((1 << 53) + 2) << 2) / 4, 2.0 ** 58)),
-    # hi = 4 (2**53 + 1) + 1 rounds up, lo = 4 (2**53 + 1) - 1 down
+    # over 4, hi = 2**53 + 1.25 rounds up, lo = 2**53 + 0.75 down
     ((((1 << 53) + 1) << 2), 1 << 60, 1, 2, None),
-    # hi = 4 (2**53 + 1) + 2 is a tie and rounds up, lo rounds down
+    # over 4, hi = 2**53 + 1.5 rounds up, lo = 2**53 + 0.5 down
     ((((1 << 53) + 1) << 2), 1 << 60, 2, 2, None),
+    # radius 0 on the tie 2**53 + 1: to the even 2**53
+    ((((1 << 53) + 1) << 2), 1 << 60, 0, 2, complex(2.0 ** 53, 2.0 ** 58)),
     # a side below 53 bits is exact, and its two ends differ
     ((1 << 52) + 5, 1 << 60, 1, 0, None),
     # past the double range: no double, and both raise OverflowError
@@ -753,37 +798,27 @@ _ROUNDINGS = [
     (3, 1 << 60, 3, 0, None),
     # both ends, 3 * 2**139 -+ about 2**100, land on the subnormal 3 * 2**-1061
     (3 << 139, 3 << 139, 1 << 100, 1200, complex(3 * 2.0 ** -1061, 3 * 2.0 ** -1061)),
-    *((re, im, rad, width, want) for re, im, rad, width, want, _ in _ROUNDINGS),
+    # both sides' ends, of bit lengths 81 and 91, round to one double each
+    ((1 << 80) + (1 << 30), -((1 << 90) + (1 << 40)), 1, 80,
+     complex(1.0 + 2.0 ** -50, -(2.0 ** 10 + 2.0 ** -40))),
+    # both ends round to (2**52 + 1) 2**972, one ulp past the largest double:
+    # no double, and both raise OverflowError
+    ((1 << 1024) + (1 << 972), (1 << 1024) + (1 << 972), 1, 0, None),
+    # both ends, 3 * 2**139 -+ 2**60, land on the subnormal 3 * 2**-1061
+    (3 << 139, 3 << 139, 1 << 60, 1200, complex(3 * 2.0 ** -1061, 3 * 2.0 ** -1061)),
+    # ends of 60 bits, (2**59 + 129) and (2**59 + 255) over 2**1129, both
+    # within half a subnormal ulp of 2**-1070
+    ((1 << 59) + 192, (1 << 59) + 192, 63, 1129, complex(2.0 ** -1070, 2.0 ** -1070)),
+    # ends of 80 and 81 bits, across 2**80, both rounding to it
+    (1 << 80, 1 << 80, 1, 80, complex(1.0, 1.0)),
+    # sides of 41 bits, exact as integers, rounded to the subnormal 2**-1070
+    ((1 << 40) + (1 << 34), (1 << 40) + (1 << 34), 0, 1110,
+     complex(2.0 ** -1070, 2.0 ** -1070)),
+    # ends either side of the tie 1 + 1.5 * 2**-52: two doubles
+    (((1 << 53) + 3) << 27, 1 << 80, 1, 80, None),
 ])
 def test_certain_fixed_boxes(re, im, rad, width, want):
     assert _agrees_with_reference_certain(re, im, rad, width) == want
-
-
-@pytest.mark.parametrize("re,im,rad,width,want,calls", [
-    *_ROUNDINGS,
-    # the largest double, both ends of each side at its mantissa
-    ((1 << 1024) - (1 << 971), (1 << 1024) - (1 << 971), 1, 0,
-     complex(sys.float_info.max, sys.float_info.max), 0),
-    # mantissas 4,096 apart, merged by the subnormal range
-    (3 << 139, 3 << 139, 1 << 100, 1200, complex(3 * 2.0 ** -1061, 3 * 2.0 ** -1061), 4),
-])
-def test_certain_rounds_once_where_both_ends_share_a_mantissa(monkeypatch, re, im, rad,
-                                                               width, want, calls):
-    # a side whose ends have one bit length above 53 and one mantissa is
-    # that mantissa scaled; any other side makes both ends floats
-    made = []
-
-    def counted(n, shift):
-        made.append(n)
-        return _int_to_float(n, shift)
-
-    monkeypatch.setattr(highprec, "_int_to_float", counted)
-    if want is None and re >= 1 << 1024:
-        with pytest.raises(OverflowError):
-            highprec._certain(re, im, rad, width)
-    else:
-        assert highprec._certain(re, im, rad, width) == want
-    assert len(made) == calls
 
 
 def _round_half_up(x: Fraction) -> int:

@@ -399,6 +399,22 @@ def test_asymptotic_pair_refuses_non_finite_input(eta, s):
             sf.asymptotic_pair(eta, points)
 
 
+@pytest.mark.parametrize("eta, s, error", [
+    (0.5, -1.0, InvalidParams), (-0.5, 1.0, InvalidParams), (0.5, math.nan, InvalidParams),
+    (math.nan, 1.0, InvalidParams), (math.inf, 1.0, InvalidParams),
+    (-math.inf, 1.0, InvalidParams), (0.5, -math.inf, InvalidParams),
+    (0.5, -5e-324, InvalidParams),
+    # an infinite s lies past the series bound, as any s past it does
+    (0.5, math.inf, SeriesRangeExceeded)])
+def test_kummer_pair_refuses_invalid_input(eta, s, error):
+    # a typed refusal, not a bare ValueError from the walk's square roots or
+    # its dyadic split, nor NonConvergence naming the term budget; a valid
+    # point first does not save it
+    for points in ([s], [1.0, s]):
+        with pytest.raises(error):
+            sf.kummer_pair(eta, points)
+
+
 @pytest.mark.parametrize("eta", [1e306, 1e307, 1.7e308, -1e306])
 @pytest.mark.parametrize("s", [30.0, 1.79e308])
 def test_asymptotic_pair_refuses_eta_whose_log_terms_pass_the_double_range(eta, s):
