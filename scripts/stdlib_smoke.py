@@ -13,8 +13,9 @@ Then makes scalar calls through every layer that must not need numpy:
 ladder's far-field pair ``specfun.asymptotic_pair(0.5, [100.0])`` against
 ``highprec.kummer_walk(0.5, [100.0])``, and the rung sample formed from
 that pair's values, a subnormal component of the pair (the double nearest
-its exact value, rounded once), and ``specfun.kummer_pair``'s typed refusal
-of a negative s.  numpy is blocked in
+its exact value, rounded once), a 39-point walk at s ~ 1e-250 that runs 4
+pair loops and gives each point's lone value, and ``specfun.kummer_pair``'s
+typed refusal of a negative s.  numpy is blocked in
 ``sys.modules`` first, so any import of it fails, and ``susy_ces.verify``
 (which needs numpy) must stay unloaded.  Exits non-zero on any failure.
 
@@ -92,6 +93,15 @@ assert len(sample) == 4 and all(type(v) is float for v in sample), sample
 # a subnormal component is the double nearest its exact value, rounded once
 walk = kummer_walk(0.14847481401591137, [4.66898648904844e-308])
 assert walk.q[0].imag == -1.5563288296828135e-308, walk.q[0].hex()
+
+# at tiny s each interior point's Horner sum is cut from its smallest
+# component (Im Q ~ -s/3), so its state certifies it: 4 pair loops, all seeds
+s = [1e-250 * k for k in range(1, 40)]
+walk = kummer_walk(0.5, s)
+assert walk.sums == walk.seeds == 4, walk[2:]
+for x, vp, vq in zip(s, walk.p, walk.q):
+    lone = kummer_walk(0.5, [x])
+    assert (vp, vq) == (lone.p[0], lone.q[0]), x
 
 # a negative s is a typed refusal, not a bare ValueError from the walk
 try:

@@ -40,8 +40,9 @@ it lands on the next point.  A step that reaches a power of two past its start
 serves every point on the way: each is the sum of the step's terms at its
 fraction f = g / 2**sh < 1 of the reach, by Horner's rule with shifts for the
 division, cut off where the remaining terms fall to an eighth of the step's
-radius or 2**-SAFE_BITS of the smaller of P and Q, whichever is larger, and
-its radius is the step's plus the terms it cuts off and its roundings.  Horner
+radius or 2**-SAFE_BITS of the smallest component of P and Q, whichever is
+larger, and its radius is the step's plus the terms it cuts off and its
+roundings, an integer in the state's units like every radius.  Horner
 runs on one integer that packs the four components as lanes, each offset by a
 bias above every partial sum, so that one product, one addition, one shift and
 one mask round all four products by f at once, each exactly as alone.  Every
@@ -49,8 +50,8 @@ value comes from a state with one radius in the state's norm, an integer in
 units of 2**-width that cannot overflow, and is rounded only where its whole
 error box rounds to one double, else the pair loop runs again, wider (Ziv's
 rounding test): each component of P and Q is the double nearest its exact value,
-and no general series runs.  A step of about 37 terms serves 10 points at about
-38 terms each on a table of 256 points to |z| = 59 at eta = 1/2, where the
+and no general series runs.  A step of about 37 terms serves 12 points at about
+30 terms each on a table of 256 points to |z| = 59 at eta = 1/2, where the
 series needs about 2.7 |z|.
 
 No third-party extended-precision library is involved: Python's integers carry
@@ -480,16 +481,16 @@ def _inside(st: _State, new: _State, terms: list, s: list[float]) -> tuple[list,
     The reach Delta = new.s - st.s is a power of two; the pair at s_j is the
     sum of u_n f**n, f = (s_j - st.s) / Delta = g / 2**sh, by Horner's rule,
     each product by f rounded half up, cut off at the first N where f**(N+1)
-    times a bound on the later terms falls to max(1, eps / 8,
+    times a bound on the later terms falls to max(1, eps >> 3,
     2**(t - SAFE_BITS)) units, eps the step's radius and t the bit length of
-    the smaller of P and Q at st.s.  Every point is charged eps, and a radius
-    2**-SAFE_BITS of the smaller value is all the rounding certificate
-    (:func:`_certain`) asks; terms that take the tail below an eighth of either
-    buy it nothing.  As f < 1, each part of the step's radius (incoming radius
-    times exp(D mu), carried rounding, tail) bounds its part at s_j; the cut-off
-    terms and the N roundings are added, rounded up to an integer once per
-    point.  The test runs in floats in units of 2**(t - SAFE_BITS), coarser
-    where a term passes 2**960 of them; 2**-30 units cover what underflows.
+    the smallest component of P and Q at st.s: a radius 2**-SAFE_BITS of it
+    is all :func:`_certain` asks, and a tail below an eighth of eps buys
+    nothing.  As f < 1, each part of the step's radius (incoming radius times
+    exp(D mu), carried rounding, tail) bounds its part at s_j, and a point's
+    radius is eps plus the cut-off terms, rounded up to a power of two, plus
+    the N roundings, all integers in the state's units.  N is chosen in log2
+    floats, which no scale overflows; a tail that counts has a log within a
+    few bits of the terms' bit lengths, and 2**-30 covers the ulps lost there.
 
     The four components run as lanes of one integer: component c sits at
     bit c B, offset by bias = 2**lb > sum |u_n| + N, which bounds every
@@ -506,15 +507,13 @@ def _inside(st: _State, new: _State, terms: list, s: list[float]) -> tuple[list,
     cm = max(1.0, new.c)
     # 2**tops[n] > |u_n|'s components
     tops = [(abs(pr) | abs(pi) | abs(qr) | abs(qi)).bit_length() for pr, pi, qr, qi in terms]
-    pr, pi, qr, qi = terms[0]
-    t = min((abs(pr) | abs(pi)).bit_length(), (abs(qr) | abs(qi)).bit_length())
-    # the test's units; eps / 8 is capped at 2**900 of them, as a lower budget only cuts later
-    unit = max(t - SAFE_BITS, max(tops) + math.frexp(cm)[1] - 960)
-    budget = max(2.0 ** -unit, min(new.eps, 1 << (unit + 903)) / 2 ** (unit + 3),
-                 2.0 ** (t - SAFE_BITS - unit))
-    sc, up = 2.0 ** min(unit, 100), max(0, unit - 100)     # 2**unit = sc 2**up
-    # bounds on |u_(n+1)| + |u_(n+2)| + ..., summed from the last term down
-    rest = [*accumulate(math.ldexp(1.5 * cm, b - unit) for b in tops[:0:-1])][::-1] + [0.0]
+    t = min(abs(v).bit_length() for v in terms[0])
+    # log2 of the budget, and of sum_(m > n) ceil(3 cm) 2**(tops[m] - 1), which
+    # bounds |u_(n+1)| + |u_(n+2)| + ..., summed from the last term down
+    cap = math.log2(max(1, new.eps >> 3, 1 << max(0, t - SAFE_BITS)))
+    k3 = math.ceil(3.0 * cm)
+    rest = [math.log2(x) - 1.0 for x in accumulate(k3 << b for b in tops[:0:-1])][::-1]
+    rest.append(-math.inf)
     n0, k0 = _dyadic(st.s)
     frac, e = math.frexp(new.s - st.s)        # exact: new.s <= 1.25 st.s
     if frac != 0.5:
@@ -523,15 +522,15 @@ def _inside(st: _State, new: _State, terms: list, s: list[float]) -> tuple[list,
     k = max(k0, *(kx for _, kx in xs))
     sh = k + e - 1                            # f = g / 2**sh
     base = n0 << (k - k0)
-    cuts = []                                 # (g, N, f**(N+1)) per point
+    cuts = []                                 # (g, N, log2 of the tail) per point
     for nx, kx in xs:
         g = (nx << (k - kx)) - base
-        f = math.ldexp(g, -sh) * (1.0 + 2.0 ** -50)
-        n, p = 0, f
-        while p * rest[n] > budget:
+        lf = math.log2(g) - sh
+        n, x = 0, cap - lf                    # the first n with (n + 1) lf + rest[n] <= cap
+        while rest[n] > x:
             n += 1
-            p *= f
-        cuts.append((g, n, p))
+            x -= lf
+        cuts.append((g, n, (n + 1) * lf + rest[n]))
     last = max(n for _, n, _ in cuts)
     lb = (sum(1 << b for b in tops[:last + 1]) + last).bit_length()
     bias = 1 << lb
@@ -543,17 +542,17 @@ def _inside(st: _State, new: _State, terms: list, s: list[float]) -> tuple[list,
     lift = bias * ones
     cst0 = ((bias << sh) + (1 << (sh - 1))) * ones
     low = (1 << lane) - 1
-    rnd = 0.7072 * cm * 2.0 ** -unit          # a product's rounding, in the test's units
+    rnd = math.ceil(0.7072 * cm)              # a product's rounding
     out, used = [], 0
-    for g, n, p in cuts:
+    for g, n, tail in cuts:
         cst = cst0 - g * lift
         a = packed[n] + lift
         for u in reversed(packed[:n]):
             a = (((a * g + cst) >> sh) & mask) + u
         used += n
-        tail = (p * rest[n] + rnd * n) * (1.0 + 2.0 ** -40) + 2.0 ** -30
         out.append((((a & low) - bias, ((a >> lane) & low) - bias, ((a >> 2 * lane) & low) - bias,
-                     (a >> 3 * lane) - bias), new.eps + (math.ceil(tail * sc) << up)))
+                     (a >> 3 * lane) - bias),
+                    new.eps + (1 << math.ceil(max(0.0, tail + 2.0 ** -30))) + n * rnd))
     return out, used
 
 

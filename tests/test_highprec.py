@@ -475,11 +475,22 @@ def test_lone_point_runs_one_pair_loop_where_eta_s_is_tiny(eta, s, monkeypatch):
     assert len(loops) == walk.seeds == walk.sums == 1
 
 
+def test_tiny_s_grid_certifies_from_its_states():
+    # 39 points at s = 1e-250 k: Im P ~ -s and Im Q ~ -s/3 lie some 830 bits
+    # below Re P ~ Re Q ~ 1, and each interior point's Horner sum is cut at
+    # 2**-SAFE_BITS of that smallest component, so every value certifies
+    # from its state: 4 pair loops, each a seed, and no rerun
+    s = [1e-250 * k for k in range(1, 40)]
+    walk = kummer_walk(0.5, s)
+    assert walk.sums == walk.seeds == 4
+    assert _hex(walk.p + walk.q) == _hex(_nearest_pair(0.5, s))
+
+
 @settings(max_examples=settings.default.max_examples // 5)
 @given(eta=st.one_of(st.just(0.0), st.floats(1e-6, 16.0)),
        kind=st.sampled_from(("lone", "linear", "log")), hi=st.floats(1e-3, 59.9),
        n=st.integers(2, 100), k=st.integers(1, 2))
-def test_uncertified_values_take_the_series(eta, kind, hi, n, k):
+def test_uncertified_values_rerun_the_pair_loop(eta, kind, hi, n, k):
     # a value whose box _certain leaves open k times (lone, seeded, carried
     # or inside a step) reruns the pair loop k times, each wider, and is
     # still the nearest double; the loops counted are the seeds and the
@@ -865,15 +876,15 @@ def test_step_is_the_rounded_exact_recurrence(eta, s0, s1):
 def _reference_inside(terms, f, cm, eps):
     """Horner's rule on a step's terms with exact rationals, each product by
     f rounded half up, cut off at the first N where the tail, f**(N+1)
-    times the bound 1.5 cm 2**bits on each later term, falls to the budget
-    max(1, eps / 8, 2**(t - SAFE_BITS)) of a step of radius ``eps``, t the
-    bit length of the smaller of P and Q in its first term; returns the
-    sum, N and that tail."""
-    bound = [Fraction(1.5 * cm) * 2 ** (abs(pr) | abs(pi) | abs(qr) | abs(qi)).bit_length()
+    times the bound ceil(3 cm) 2**(bits - 1) on each later term, falls to
+    the budget max(1, eps >> 3, 2**(t - SAFE_BITS)) of a step of radius
+    ``eps``, t the bit length of the smallest component of its first term;
+    returns the sum, N and that tail."""
+    k3 = math.ceil(3.0 * cm)
+    bound = [k3 * Fraction(2) ** ((abs(pr) | abs(pi) | abs(qr) | abs(qi)).bit_length() - 1)
              for pr, pi, qr, qi in terms]
-    pr, pi, qr, qi = terms[0]
-    t = min((abs(pr) | abs(pi)).bit_length(), (abs(qr) | abs(qi)).bit_length())
-    budget = max(Fraction(1), Fraction(eps) / 8, Fraction(2) ** (t - highprec.SAFE_BITS))
+    t = min(abs(v).bit_length() for v in terms[0])
+    budget = max(1, eps >> 3, 1 << max(0, t - highprec.SAFE_BITS))
     n = 0
     while f ** (n + 1) * sum(bound[n + 1:]) > budget:
         n += 1
@@ -884,9 +895,12 @@ def _reference_inside(terms, f, cm, eps):
 
 
 def _covers(eps, new_eps, tail, cm, n):
-    """A point's radius covers the step's, its cut-off tail and 0.7072 cm
-    per rounding."""
-    return Fraction(eps) >= Fraction(new_eps) + tail + Fraction(0.7072 * cm) * n
+    """A point's radius covers the step's, its cut-off tail rounded up to a
+    power of two (one unit at least) and ceil(0.7072 cm) per rounding."""
+    up = 1
+    while up < tail:
+        up *= 2
+    return eps >= new_eps + up + math.ceil(0.7072 * cm) * n
 
 
 @pytest.mark.parametrize("eta,s0,e", [
@@ -968,7 +982,7 @@ def test_inside_cuts_where_the_tail_meets_the_budget():
     assert _inside_is_horner(terms, 3.0, -1, [3.25]) == 21
     assert _inside_is_horner(terms, 3.0, -1, [3.25], eps=1 << 20) == 12
     # u_j = 2**(110 - j) in every lane: 2**(111 - SAFE_BITS) is reached at
-    # N = 35; with Q zero the smaller of P and Q has no bits, and the cut
+    # N = 35; with Q zero the smallest component has no bits, and the cut
     # is the unit's, 56
     terms = [((1 << 110) >> j,) * 4 for j in range(111)]
     assert _inside_is_horner(terms, 3.0, -1, [3.25]) == 35
@@ -994,7 +1008,7 @@ def test_walk_work_is_pinned():
     # every value certifies, so none reruns)
     walk = kummer_walk(0.5, [59.0 * k / 256 for k in range(1, 257)])
     assert (walk.steps, walk.terms, walk.evals, walk.continued, walk.sums) == \
-        (25, 922, 7310, 256, 4)
+        (25, 922, 7423, 256, 4)
     # a sparse grid, each gap more than a quarter of its start: no step
     # reaches the next point, and every point starts a state of its own
     walk = kummer_walk(0.5, _SPARSE)
