@@ -50,7 +50,7 @@ value comes from a state with one radius in the state's norm, an integer in
 units of 2**-width that cannot overflow, and is rounded only where its whole
 error box rounds to one double, else the pair loop runs again, wider (Ziv's
 rounding test): each component of P and Q is the double nearest its exact value,
-and no general series runs.  A step of about 37 terms serves 12 points at about
+and no general series runs.  A step of about 36 terms serves 12 points at about
 30 terms each on a table of 256 points to |z| = 59 at eta = 1/2, where the
 series needs about 2.7 |z|.
 
@@ -229,10 +229,13 @@ def chf_series_fixed(a: complex, b: float, z: complex, *,
 #
 # The pair Y = (P, Q) = (M(a, 1/2), M(a, 3/2)), a = 1/2 + i eta, obeys
 # z Y' = (A0 + A1 z) Y, A0 = [[0, 0], [1/2, -1/2]], A1 = [[1, 2 i eta], [0, 0]]
-# (DLMF 13.3).  Re-centred at z0 the Taylor terms u_n = Y_n Delta^n obey
-#   u_{n+1} = Delta / (z0 (n+1)) ((A0 + A1 z0 - n) u_n + Delta A1 u_{n-1}),
-# and on the ray Delta / z0 = D / s0 is real.  Error radii are kept in the
-# norm max(|P|, c |Q|), with c chosen per step to minimise the growth bound.
+# (DLMF 13.3): P' = P + 2 i eta Q and z Q' = (P - Q) / 2.  Re-centred at z0
+# the Taylor terms u_n = Y_n Delta^n obey, row by row,
+#   P_{n+1} = Delta (P_n + 2 i eta Q_n) / (n+1),
+#   Q_{n+1} = Delta / z0 (P_n - (2n+1) Q_n) / (2 (n+1)),
+# each term from the one before it; on the ray Delta = -i D and Delta / z0 =
+# D / s0 is real.  Error radii are kept in the norm max(|P|, c |Q|), with c
+# chosen per step to minimise the growth bound.
 
 #: bits the carried state keeps beyond ``SAFE_BITS`` and its predicted error
 #: growth: rounding over thousands of steps, and values below the seed's
@@ -390,14 +393,24 @@ def _step(eta: float, st: _State, s1: float) -> tuple[_State, list]:
     """Carry the state to s1 by one Taylor step; returns it and the terms
     u_0 .. u_N it summed, each a tuple of the four integers.
 
-    The terms are integers at the state's scale, each rounded once per
-    component; the recurrence's constants are exact dyadic rationals.  The new
-    radius is the old one times the log-norm bound of the transition over the
-    step, exp(D max(2 eta / c, (c - 1) / (2 s0))), once the factor e^(z/2) of
-    modulus one is split off, plus the terms' rounding carried through the
-    recurrence, plus a tail bounded geometrically (ratio 1/2) once the
-    recurrence's coefficients allow it.  The radius is an integer in the
-    state's units, each part rounded up, the log-norm bound taken as 2**j g.
+    Each term comes from the one before by the system's two rows: on the
+    ray, Delta = -i D,
+
+        P_{n+1} = D (2 eta Q_n - i P_n) / (n + 1),
+        Q_{n+1} = D (P_n - (2n + 1) Q_n) / (2 (n + 1) s0),
+
+    from exact dyadic constants, each component rounded half up once at the
+    state's scale.  In the norm max(|P|, c |Q|) the map u_n -> u_{n+1} is at
+    most rho_n = max(D alpha, r (c + 2n + 1) / 2) / (n + 1), alpha = 1 + 2
+    eta / c, r = D / s0, which does not rise with n.  The new radius is the
+    old one times the log-norm bound of the transition, exp(D max(2 eta / c,
+    (c - 1) / (2 s0))), once the factor e^(z/2) of modulus one is split off,
+    plus the terms' rounding carried through rho_n, plus the tail: from the
+    first n with rho_n <= 1/2, which needs r < 1/2 (:func:`_plan` keeps r <=
+    1/4), the exact terms at least halve, so past the first such term with
+    every component within 8 units the tail is at most that term's norm plus
+    its rounding.  The radius is an integer in the state's units, each part
+    rounded up, the log-norm bound taken as 2**j g.
     """
     e, ee = _dyadic(eta)
     s0 = st.s
@@ -407,66 +420,49 @@ def _step(eta: float, st: _State, s1: float) -> tuple[_State, list]:
     k = max(k0, k1, 1)
     big_s = n0 << (k - k0)
     big_d = (n1 << (k - k1)) - big_s
-    shift = k + ee + 1
     d = math.ldexp(big_d, -k)
     r = d / s0
     mu = max(2.0 * eta / c, (c - 1.0) / (2.0 * s0))
-    # ||A0 + A1 z0 - n|| <= n + beta and ||Delta A1|| <= d alpha, scaled rows
-    beta = max(s0 + 2.0 * eta * s0 / c, 0.5 * c + 0.5)
-    alpha = 1.0 + 2.0 * eta / c
-    rda = r * d * alpha
-    # from this term on, m_n = max(|u_n|, |u_{n-1}| / 2) halves per term
-    n_min = math.ceil((r * max(beta, 1.0) + 2.0 * rda - 0.5) / (0.5 - r)) + 1
+    d_alpha = d * (1.0 + 2.0 * eta / c)
+    # rho_n <= 1/2 from here on, to a few ulps, which the tail's 16 over
+    # 8 sqrt(2) and the final margin cover; no term before it stops the step
+    n_min = max(0, math.ceil(2.0 * d_alpha) - 1, math.ceil((r * (c + 1.0) - 1.0) / (1.0 - 2.0 * r)))
 
-    # each new component is num / (2 q1 2**sh) rounded half up, q1 = (n+1) N0;
-    # flooring the part of num over 2**sh first and then dividing by the
-    # small 2 q1 floors the same as one division by the product
+    # P_{n+1} is D X / (2**ee (n+1)) rounded half up, X = 2**ee (2 eta Q - i
+    # P): flooring D X over 2**sh first and then dividing by the small
+    # 2 (n+1) floors the same as one division by the product; Q_{n+1} is
+    # num / (2 q1) rounded half up, q1 = (n+1) N0, as one division
     pr, pi, qr, qi = st.ints
     terms = [st.ints]
-    dn2, dd2 = 2 * big_d * big_s, 2 * big_d * big_d
     e2 = 2 * e
-    sh = shift - 1
-    q1, q1x2 = big_s, 2 * big_s
-    xr0 = xi0 = nd2 = 0      # 2^ee (2 eta Q - i P)_{n-1}; 2 n D
+    sh = k + ee - 1
+    q1 = big_s
     odd = 1
-    quiet = False
-    n = 0
-    while True:
+    for n in range(1, MAX_TERMS + 1 if n_min <= MAX_TERMS else 1):
         xr, xi = e2 * qr + (pi << ee), e2 * qi - (pr << ee)
-        ar = ((dn2 * xr + dd2 * xr0) >> sh) - nd2 * pr
-        ai = ((dn2 * xi + dd2 * xi0) >> sh) - nd2 * pi
-        # Q_{n+1} = D (P - (2n+1) Q) / (2 (n+1) s0)
         br, bi = big_d * (pr - odd * qr), big_d * (pi - odd * qi)
-        xr0, xi0 = xr, xi
-        pr, pi = (ar + q1) // q1x2, (ai + q1) // q1x2
-        qr, qi = (br + q1) // q1x2, (bi + q1) // q1x2
+        pr, pi = ((big_d * xr >> sh) + n) // (2 * n), ((big_d * xi >> sh) + n) // (2 * n)
+        qr, qi = (br + q1) // (2 * q1), (bi + q1) // (2 * q1)
         terms.append((pr, pi, qr, qi))
-        n += 1
-        # stop once two terms in a row have every component within 8 and 16
-        small = -8 <= pr <= 8 and -8 <= pi <= 8 and -8 <= qr <= 8 and -8 <= qi <= 8
-        if small and quiet and n >= n_min:
+        if n >= n_min and -8 <= pr <= 8 and -8 <= pi <= 8 and -8 <= qr <= 8 and -8 <= qi <= 8:
             break
-        quiet = small or (-16 <= pr <= 16 and -16 <= pi <= 16
-                          and -16 <= qr <= 16 and -16 <= qi <= 16)
-        if n >= MAX_TERMS:
-            raise NonConvergence(f"Taylor step {s0!r} -> {s1!r} did not converge")
         q1 += big_s
-        q1x2 += 2 * big_s
-        nd2 += 2 * big_d
         odd += 2
-    # rounding: each term's error e_n obeys |e_n| <= c1 |e_{n-1}| + c2 |e_{n-2}|
-    # + delta, c1 = r (n - 1 + beta) / n, c2 = r d alpha / n, in units of 2**ex
+    else:
+        raise NonConvergence(f"Taylor step {s0!r} -> {s1!r} did not converge")
+    # rounding: each term's error obeys e_(j+1) <= rho_j e_j + delta, e_0 = 0,
+    # in units of 2**ex
     cm = max(1.0, c)
     delta = 0.7072 * cm
-    e_prev = e_cur = e_sum = ex = 0
-    for j in range(1, n + 1):
-        e_prev, e_cur = e_cur, (r * (j - 1 + beta) * e_cur + rda * e_prev) / j + delta
+    e_cur = e_sum = ex = 0
+    for j in range(n):
+        e_cur = max(d_alpha, 0.5 * r * (c + 2 * j + 1)) / (j + 1) * e_cur + delta
         e_sum += e_cur
         if e_sum > 2.0 ** 600:
-            e_prev, e_cur, e_sum, delta = (v * 2.0 ** -600 for v in (e_prev, e_cur, e_sum, delta))
+            e_cur, e_sum, delta = (v * 2.0 ** -600 for v in (e_cur, e_sum, delta))
             ex += 600
-    # m_n = max(|u_n|, |u_{n-1}| / 2) halves from here on, |u| <= 2 cm max|component|
-    tail = math.ldexp(16.0 * cm, -ex) + max(e_cur, 0.5 * e_prev)
+    # |u_n| <= 8 sqrt(2) cm, and the exact terms from n on at least halve
+    tail = math.ldexp(16.0 * cm, -ex) + e_cur
     # exp(d mu) <= 2**int(x) g; the margin covers x's rounding, about x 2**-50
     x = d * mu * _LOG2E
     g = 2.0 ** (x % 1.0) * max(1.0, c / st.c) * (1.0 + 2.0 ** -40 + x * 2.0 ** -48)
@@ -475,8 +471,8 @@ def _step(eta: float, st: _State, s1: float) -> tuple[_State, list]:
 
 
 def _inside(st: _State, new: _State, terms: list, s: list[float]) -> tuple[list, int]:
-    """(ints, radius) of the pair at each st.s < s_j < new.s from the terms
-    of the step between them, and the terms evaluated.
+    """(ints, radius) of the pair at each st.s < s_j < new.s, s ascending,
+    from the terms of the step between them, and the terms evaluated.
 
     The reach Delta = new.s - st.s is a power of two; the pair at s_j is the
     sum of u_n f**n, f = (s_j - st.s) / Delta = g / 2**sh, by Horner's rule,
@@ -489,8 +485,9 @@ def _inside(st: _State, new: _State, terms: list, s: list[float]) -> tuple[list,
     exp(D mu), carried rounding, tail) bounds its part at s_j, and a point's
     radius is eps plus the cut-off terms, rounded up to a power of two, plus
     the N roundings, all integers in the state's units.  N is chosen in log2
-    floats, which no scale overflows; a tail that counts has a log within a
-    few bits of the terms' bit lengths, and 2**-30 covers the ulps lost there.
+    floats, which no scale overflows, from the N of the point before, as f
+    rises; a tail that counts has a log within a few bits of the terms' bit
+    lengths, and 2**-30 covers the ulps lost there.
 
     The four components run as lanes of one integer: component c sits at
     bit c B, offset by bias = 2**lb > sum |u_n| + N, which bounds every
@@ -523,15 +520,16 @@ def _inside(st: _State, new: _State, terms: list, s: list[float]) -> tuple[list,
     sh = k + e - 1                            # f = g / 2**sh
     base = n0 << (k - k0)
     cuts = []                                 # (g, N, log2 of the tail) per point
+    n = 0
     for nx, kx in xs:
         g = (nx << (k - kx)) - base
         lf = math.log2(g) - sh
-        n, x = 0, cap - lf                    # the first n with (n + 1) lf + rest[n] <= cap
-        while rest[n] > x:
+        # the first n with (n + 1) lf + rest[n] <= cap; f rises from point to
+        # point, so N never falls and each search starts at the last N
+        while (n + 1) * lf + rest[n] > cap:
             n += 1
-            x -= lf
         cuts.append((g, n, (n + 1) * lf + rest[n]))
-    last = max(n for _, n, _ in cuts)
+    last = n                                  # the last point's N is the largest
     lb = (sum(1 << b for b in tops[:last + 1]) + last).bit_length()
     bias = 1 << lb
     lane = lb + sh + 2

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -170,6 +171,38 @@ def test_table_beyond_the_double_range_is_a_typed_error(runner):
     assert res.exit_code == 2
     assert "error:" in res.stderr
     assert "double range" in res.stderr
+
+
+def _strong_table(runner, m, x_max):
+    """A 256-point table at omega = 1 (eta = m**2 / 2) from x = 0.01 to
+    ``x_max``: the result and its seconds."""
+    t0 = time.perf_counter()
+    res = runner.invoke(main, ["table", "--m", m, "--omega", "1", "--x-min", "0.01",
+                               "--x-max", x_max, "--points", "256"])
+    return res, time.perf_counter() - t0
+
+
+def test_table_strong_coupling_steps_exit_zero(runner):
+    # at eta = 512 a Taylor step's terms reach 2**1023 in units of
+    # 2**-width, where the values (about e^334) do not: the radii are
+    # integers and the table exits exactly 0; at eta = 1984.5 the states'
+    # integers pass 2**1300 and the grid is certified from its states
+    # (about 0.05 s and 0.1 s on a 2-core Xeon)
+    res, _ = _strong_table(runner, "32", "29")
+    assert res.exit_code == 0, res.stderr
+    res, seconds = _strong_table(runner, "63", "25")
+    assert res.exit_code == 0, res.stderr
+    assert seconds < 60.0
+
+
+def test_table_past_the_double_range_of_a_grid_exits_two(runner):
+    # at eta = 5e5 the pair passes the largest double at the grid's third
+    # point: refused there, naming the double range, not after the Taylor
+    # steps past it (about 0.2 s on a 2-core Xeon)
+    res, seconds = _strong_table(runner, "1000", "29")
+    assert res.exit_code == 2
+    assert res.stderr.startswith("error: ") and "double range" in res.stderr
+    assert seconds < 10.0
 
 
 @pytest.mark.parametrize("args, msg", [

@@ -216,17 +216,34 @@ def test_lone_point_past_the_term_budget_is_refused(s):
         kummer_walk(0.5, [s])
 
 
+def _strong_state(eta):
+    """A state at s0 = 64 of radius one unit, P = Q = 1 at width 400."""
+    return highprec._State(64.0, 400, (1 << 400, 0, 1 << 400, 0), 1,
+                           highprec._norm_weight(eta, 64.0))
+
+
 def test_step_past_its_term_budget_or_its_radius():
-    # eta = 1e6 from s0 = 64 (c = 16000.5, mu = 125): a step of 16 needs more
-    # than MAX_TERMS Taylor terms and is refused; one of 8 converges, and with
-    # d mu = 1000, past e^700, its radius is a finite integer at least e^1000
-    # times the incoming one
-    st = highprec._State(64.0, 400, (1 << 400, 0, 1 << 400, 0), 1,
-                         highprec._norm_weight(1e6, 64.0))
-    with pytest.raises(NonConvergence, match="did not converge"):
-        highprec._step(1e6, st, 80.0)
+    # from s0 = 64 a step of 16 at eta = 4e6 (c = 32000.5) or 1e7 first
+    # halves its terms, in the step's norm, past MAX_TERMS: it is refused.
+    # At eta = 1e6 (c = 16000.5, mu = 125) one of 8 converges, and with
+    # d mu = 1000, past e^700, its radius is a finite integer at least
+    # e^1000 times the incoming one
+    for eta in (4e6, 1e7):
+        with pytest.raises(NonConvergence, match="did not converge"):
+            highprec._step(eta, _strong_state(eta), 80.0)
+    st = _strong_state(1e6)
     eps = highprec._step(1e6, st, 72.0)[0].eps
     assert type(eps) is int and eps >= mpmath.exp(1000) * st.eps
+
+
+def test_strong_step_converges_within_the_term_budget():
+    # eta = 1e6 from s0 = 64 to 80: the norm ratio rho_n = max(D alpha, r (c
+    # + 2n + 1) / 2) / (n + 1) falls to 1/2 at n = 7,999, below MAX_TERMS,
+    # so the step stops there with a finite integer radius
+    st = _strong_state(1e6)
+    new, terms = highprec._step(1e6, st, 80.0)
+    assert len(terms) - 1 == 7999
+    assert type(new.eps) is int and new.eps >= mpmath.exp(2000) * st.eps
 
 
 @pytest.mark.parametrize("eta", [0.025, 0.5, 16.0])
@@ -234,8 +251,7 @@ def test_kummer_walk_is_the_series_bit_for_bit(eta):
     s = [59.0 * k / 128 for k in range(1, 129)] + [59.0 * 1.1 ** -k for k in range(1, 40)]
     s = sorted(s)
     walk = kummer_walk(eta, s)
-    for (a, b), got in zip(_pair(eta), (walk.p, walk.q)):
-        assert got == [chf_series_fixed(a, b, complex(0.0, -x)) for x in s]
+    assert _hex(walk.p + walk.q) == _hex(_nearest_pair(eta, s))
     assert walk.seeds >= 1 and walk.continued > len(s) // 2
     # the linear part takes several points from each step's terms
     assert 0 < walk.steps < walk.continued - walk.seeds and walk.evals > 0
@@ -244,14 +260,11 @@ def test_kummer_walk_is_the_series_bit_for_bit(eta):
 def test_kummer_walk_at_eta_zero_is_the_series():
     # eta = 0 is a1 when m**2 underflows; P is then M(1/2, 1/2) = e^z.  The
     # pair loop needs no eta: the walk seeds and steps as anywhere else, and
-    # every value certifies
+    # every value certifies, mpmath's nearest double
     s = [59.0 * k / 64 for k in range(1, 65)] + [59.0 * 1.1 ** -k for k in range(1, 30)]
     s = sorted(s)
     walk = kummer_walk(0.0, s)
-    for (a, b), got in zip(_pair(0.0), (walk.p, walk.q)):
-        want = [chf_series_fixed(a, b, complex(0.0, -x)) for x in s]
-        assert [(v.real.hex(), v.imag.hex()) for v in got] == \
-            [(v.real.hex(), v.imag.hex()) for v in want]
+    assert _hex(walk.p + walk.q) == _hex(_nearest_pair(0.0, s))
     assert (walk.seeds, walk.steps, walk.continued, walk.sums) == (4, 17, len(s), 4)
 
 
@@ -271,12 +284,11 @@ def test_kummer_walk_where_eta_s_is_tiny_seeds_and_steps(eta):
 @pytest.mark.parametrize("eta", [0.0, 0.5])
 def test_no_step_starts_at_zero(eta):
     # a state seeded at s = 0 has no reach (a quarter of 0): the next point
-    # seeds its own, however close, and every value is the series'
+    # seeds its own, however close, and every value is mpmath's nearest double
     s = [0.0] + [k / 64 for k in range(1, 40)]
     assert highprec._plan(0.0, s, 1)[1] == 0
     walk = kummer_walk(eta, s)
-    for (a, b), got in zip(_pair(eta), (walk.p, walk.q)):
-        assert _hex(got) == _hex([chf_series_fixed(a, b, complex(0.0, -x)) for x in s])
+    assert _hex(walk.p + walk.q) == _hex(_nearest_pair(eta, s))
     assert walk.seeds == 5 and walk.continued == len(s) - 1
 
 
@@ -564,6 +576,14 @@ def _grid(kind, hi, n):
     return sorted({hi * f(k) for k in range(1, n + 1)})
 
 
+def _lone(eta, s):
+    """P at each s, then Q, from each point's walk alone: one pair loop,
+    whose values :func:`test_walk_is_mpmath_correctly_rounded` holds to
+    mpmath's nearest double."""
+    lone = [kummer_walk(eta, [x]) for x in s]
+    return [w.p[0] for w in lone] + [w.q[0] for w in lone]
+
+
 @settings(max_examples=settings.default.max_examples // 5)
 @given(eta=st.floats(1e-6, 16.0),
        s=st.builds(_grid, st.sampled_from(("linear", "log")), st.floats(1e-3, 59.9),
@@ -571,7 +591,8 @@ def _grid(kind, hi, n):
 @example(eta=0.5, s=_SPARSE)
 def test_every_step_serves_a_point(eta, s):
     # a Taylor step goes only where it gives a grid point: each step
-    # s0 -> s1 has one in (s0, s1], and the values are the series' bits
+    # s0 -> s1 has one in (s0, s1], and the values are those of the lone
+    # points (:func:`_lone`)
     steps = []
     real = highprec._step
 
@@ -584,8 +605,7 @@ def test_every_step_serves_a_point(eta, s):
         walk = kummer_walk(eta, s)
     for s0, s1 in steps:
         assert any(s0 < x <= s1 for x in s), (s0, s1)
-    for (a, b), got in zip(_pair(eta), (walk.p, walk.q)):
-        assert _hex(got) == _hex([chf_series_fixed(a, b, complex(0.0, -x)) for x in s])
+    assert _hex(walk.p + walk.q) == _hex(_lone(eta, s))
 
 
 @settings(max_examples=settings.default.max_examples // 5)
@@ -596,12 +616,16 @@ def test_every_step_serves_a_point(eta, s):
            st.lists(st.floats(1e-3, 59.9), min_size=2, max_size=128, unique=True).map(sorted)))
 @example(eta=16.0, s=[59.0 * k / 256 for k in range(1, 257)])
 @example(eta=0.5, s=[1.0, 1.2, 1.4, 3.0, 3.5])      # drops a state and seeds again
+# Im Q at s[1] is -0x1.70a169589f09fp-23, mpmath's nearest double; the
+# general series rounds it an ulp off, to -0x1.70a169589f0a0p-23
+@example(eta=1e-6, s=_grid("log", 0.001953125, 19))
 def test_walk_follows_the_reach_rule(eta, s):
     # every step reaches at most a quarter of its start, and ends past a
     # grid point only at the largest power of two within that quarter,
     # serving two points or more; a pair loop after the first point seeds
     # a state only where the gap from the point before is out of a step's
-    # reach (the other loops rerun a value whose box was left open)
+    # reach (the other loops rerun a value whose box was left open); the
+    # values are those of the lone points (:func:`_lone`)
     steps, loops, reruns = [], [], {}
     real_step, real_pair, real_rounded = highprec._step, highprec._pair_sum, highprec._rounded
 
@@ -634,8 +658,7 @@ def test_walk_follows_the_reach_rule(eta, s):
         assert loops.count(x) - reruns[x] in (0, 1)
         if loops.count(x) > reruns[x]:      # x seeded a state
             assert k == 0 or s[k] - s[k - 1] > s[k - 1] / 4, (s[k - 1], x)
-    for (a, b), got in zip(_pair(eta), (walk.p, walk.q)):
-        assert _hex(got) == _hex([chf_series_fixed(a, b, complex(0.0, -x)) for x in s])
+    assert _hex(walk.p + walk.q) == _hex(_lone(eta, s))
 
 
 @pytest.mark.parametrize("eta", [0.025, 0.5, 4.0, 16.0])
@@ -836,37 +859,44 @@ def _round_half_up(x: Fraction) -> int:
     return math.floor(x + Fraction(1, 2))
 
 
+@pytest.mark.parametrize("eta", [0.0, 0.5, 16.0, 512.0])
+def test_pair_p_row_is_p_plus_2i_eta_q(eta):
+    # the row the Taylor step forms P's terms from, dP/dz = P + 2 i eta Q:
+    # with dM(a, b; z)/dz = (a / b) M(a + 1, b + 1; z) (DLMF 13.3.15) it
+    # reads 2a M(a + 1, 3/2; z) = M(a, 1/2; z) + 2 i eta M(a, 3/2; z), here
+    # to 30 digits of |P| + 2 eta |Q| (each side is at least a third of it)
+    with mpmath.workdps(40):
+        a = mpmath.mpc(0.5, eta)
+        for s in (0.0, 1e-3, 0.7, 7.3, 30.0, 59.0):
+            z = mpmath.mpc(0, -s)
+            p, q = mpmath.hyp1f1(a, 0.5, z), mpmath.hyp1f1(a, 1.5, z)
+            dp = 2 * a * mpmath.hyp1f1(a + 1, 1.5, z)
+            assert abs(dp - (p + 2j * eta * q)) <= 1e-30 * (abs(p) + 2 * eta * abs(q)), s
+
+
 def _reference_step(eta, ints, s0, s1, n_terms):
     """The Taylor step summed with exact rationals, each term rounded half up.
 
-    u_{n+1} = D / ((n+1) s0) ((A0 + A1 z0 - n) u_n + Delta A1 u_{n-1}) on
-    z = -i s, written out; complex numbers are (re, im) pairs.
+    P_{n+1} = D (2 eta Q_n - i P_n) / (n + 1) and Q_{n+1} = D (P_n - (2n + 1)
+    Q_n) / (2 (n + 1) s0), D = s1 - s0: the rows P' = P + 2 i eta Q and
+    z Q' = (P - Q) / 2 of the pair's system on z = -i s, written out with
+    components as (re, im) pairs.
     """
     d, s0, eta = Fraction(s1) - Fraction(s0), Fraction(s0), Fraction(eta)
-    mul = lambda a, b: (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
-    add = lambda *xs: (sum(x[0] for x in xs), sum(x[1] for x in xs))
-    sc = lambda f, a: (f * a[0], f * a[1])
     p, q = (Fraction(ints[0]), Fraction(ints[1])), (Fraction(ints[2]), Fraction(ints[3]))
-    p0 = q0 = (Fraction(0), Fraction(0))
-    sums = [ints[0], ints[1], ints[2], ints[3]]
     terms = [tuple(ints)]
     for n in range(n_terms):
-        f = d / ((n + 1) * s0)
-        g, g0 = (add(sc(2 * eta, x), mul((0, -1), y)) for x, y in ((q, p), (q0, p0)))
-        pn = sc(f, add(sc(-n, p), sc(s0, g), sc(d, g0)))
-        qn = sc(f, add(sc(Fraction(1, 2), p), sc(-(Fraction(1, 2) + n), q)))
-        p0, q0 = p, q
-        p = tuple(Fraction(_round_half_up(v)) for v in pn)
-        q = tuple(Fraction(_round_half_up(v)) for v in qn)
-        for j, v in enumerate(p + q):
-            sums[j] += int(v)
+        # 2 eta Q - i P = (2 eta Re Q + Im P) + i (2 eta Im Q - Re P)
+        pn = [d / (n + 1) * x for x in (2 * eta * q[0] + p[1], 2 * eta * q[1] - p[0])]
+        qn = [d / (2 * (n + 1) * s0) * (x - (2 * n + 1) * y) for x, y in zip(p, q)]
+        p, q = (tuple(Fraction(_round_half_up(v)) for v in w) for w in (pn, qn))
         terms.append(tuple(int(v) for v in p + q))
-    return tuple(sums), terms
+    return tuple(map(sum, zip(*terms))), terms
 
 
 @pytest.mark.parametrize("eta,s0,s1", [
     (0.5, 30.0, 30.0 + 59 / 256), (0.025, 1.0, 1.25), (2.0, 2.75, 3.265625),
-    (0.25, 3.75, 4.21875), (16.0, 12.3, 14.1), (3.0, 40.0, 40.5)])
+    (0.25, 3.75, 4.21875), (16.0, 12.3, 14.1), (3.0, 40.0, 40.5), (512.0, 40.0, 48.0)])
 def test_step_is_the_rounded_exact_recurrence(eta, s0, s1):
     st = _state(eta, s0)
     new, terms = highprec._step(eta, st, s1)
@@ -1008,7 +1038,7 @@ def test_walk_work_is_pinned():
     # every value certifies, so none reruns)
     walk = kummer_walk(0.5, [59.0 * k / 256 for k in range(1, 257)])
     assert (walk.steps, walk.terms, walk.evals, walk.continued, walk.sums) == \
-        (25, 922, 7423, 256, 4)
+        (25, 900, 7423, 256, 4)
     # a sparse grid, each gap more than a quarter of its start: no step
     # reaches the next point, and every point starts a state of its own
     walk = kummer_walk(0.5, _SPARSE)
